@@ -1,9 +1,8 @@
 //! The full benchmark driver: regenerates every table and figure from the
-//! GenBase paper's evaluation section through the sharded cell scheduler,
-//! plus the kernel perf baseline.
+//! GenBase paper's evaluation section through the sharded cell scheduler.
 //!
 //! ```text
-//! paper_harness [fig1|fig2|fig3|fig4|fig5|table1|weak|bench|all]
+//! paper_harness [fig1|fig2|fig3|fig4|fig5|table1|weak|all]
 //!               [explain [ENGINE] [QUERY]]  per-operator plan cost tables
 //!               [coordinate|work|status]  distributed sweep roles (see below)
 //!               [serve]          resident benchmark server: framed + HTTP
@@ -79,16 +78,6 @@
 //!                                coordinator starts (default 30)
 //!               [--figures LIST] coordinate: exhibits to sweep, e.g.
 //!                                fig1,table1 (default all)
-//!               [--bench-size N] kernel bench matrix edge (default 2048)
-//!               [--bench-iters K] timed iterations per kernel (default 2)
-//!               [--bench-out P]  kernel bench JSON path (default BENCH_baseline.json)
-//!               [--compare P]    bench: diff this run against a committed
-//!                                baseline JSON, print the per-op speedup
-//!                                table, exit 1 on any gated row slower
-//!                                than --regress-threshold
-//!               [--regress-threshold PCT]  bench --compare: fail when a
-//!                                gated row's ns/iter exceeds PCT% of its
-//!                                baseline (default 150)
 //!               [--cache-budget BYTES]  serve: artifact-cache budget —
 //!                                conversion kernels (joins, pivots,
 //!                                chunked ingest, R loads) memoize their
@@ -140,12 +129,6 @@
 //! across machines — the CI `explain-golden` step diffs it against a
 //! committed snapshot.
 //!
-//! `bench` times the linalg/stats hot kernels against the seed repo's
-//! serial implementations, plus the fig1 sweep wall-clock serial vs
-//! sharded, and writes `BENCH_baseline.json` (`op, size, threads, ns/iter`)
-//! so later PRs have a perf trajectory to regress against (see the CI
-//! bench job).
-//!
 //! `serve` keeps the dataset pool, compiled plans and engine registry
 //! resident and answers query/explain/status requests from concurrent
 //! clients: the framed `genbase-coord-v1` protocol on `--listen` and HTTP
@@ -185,11 +168,6 @@ struct Args {
     connect: String,
     connect_window_secs: u64,
     figures: Option<Vec<FigureId>>,
-    bench_size: usize,
-    bench_iters: u32,
-    bench_out: String,
-    compare: Option<String>,
-    regress_threshold: f64,
     cache_budget: Option<u64>,
     result_cache: bool,
     nodes: usize,
@@ -238,11 +216,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
         connect: "127.0.0.1:7717".to_string(),
         connect_window_secs: 30,
         figures: None,
-        bench_size: 2048,
-        bench_iters: 2,
-        bench_out: "BENCH_baseline.json".to_string(),
-        compare: None,
-        regress_threshold: 150.0,
         cache_budget: None,
         result_cache: false,
         nodes: 1,
@@ -327,13 +300,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
                 }
                 args.figures = Some(figures);
             }
-            "--bench-size" => args.bench_size = parsed!(&mut i, "--bench-size", "an integer"),
-            "--bench-iters" => args.bench_iters = parsed!(&mut i, "--bench-iters", "an integer"),
-            "--bench-out" => args.bench_out = value(&mut i, "--bench-out")?,
-            "--compare" => args.compare = Some(value(&mut i, "--compare")?),
-            "--regress-threshold" => {
-                args.regress_threshold = parsed!(&mut i, "--regress-threshold", "a percentage")
-            }
             "--cache-budget" => {
                 args.cache_budget = Some(parsed!(&mut i, "--cache-budget", "bytes"))
             }
@@ -398,7 +364,7 @@ fn requested_figures(what: &str) -> Result<Vec<FigureId>> {
     } else {
         Ok(vec![FigureId::from_name(what).ok_or_else(|| {
             Error::invalid(format!(
-                "unknown command {what:?} (want figN/table1/weak/bench/explain/\
+                "unknown command {what:?} (want figN/table1/weak/explain/\
                  coordinate/work/status/serve/query/all)"
             ))
         })?])
@@ -502,30 +468,6 @@ fn run(args: &Args) -> Result<()> {
     }
     if args.what == "explain" {
         return explain(args);
-    }
-    if args.what == "bench" {
-        // Load the comparison baseline before writing anything: --compare
-        // and --bench-out may name the same file, and overwriting first
-        // would make the comparison vacuously pass.
-        let baseline = match &args.compare {
-            Some(path) => Some(perf::load_baseline(path)?),
-            None => None,
-        };
-        let mut entries = perf::run(args.bench_size, args.bench_iters)?;
-        entries.extend(perf::artifact_cache(args.bench_size, args.bench_iters)?);
-        entries.extend(perf::sweep_wall_clock()?);
-        entries.extend(perf::streaming_memory()?);
-        entries.extend(perf::streaming_fused()?);
-        perf::warn_scaling_rows(&entries);
-        let json = perf::to_json(args.bench_size, &entries);
-        std::fs::write(&args.bench_out, &json)
-            .map_err(|e| Error::invalid(format!("write {}: {e}", args.bench_out)))?;
-        eprintln!("wrote {}", args.bench_out);
-        println!("{json}");
-        if let Some(baseline) = baseline {
-            perf::compare(&baseline, &entries, args.regress_threshold)?;
-        }
-        return Ok(());
     }
     if args.what == "weak" {
         // Paper future work (§5.2): weak scaling — per-node data constant.
@@ -921,769 +863,20 @@ fn coordinate(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// Kernel perf baseline: times the hot linalg/stats paths against the seed
-/// repo's serial kernels and serializes `BENCH_baseline.json`.
-mod perf {
-    use genbase_linalg::{covariance, matmul, matmul_blocked, ExecOpts, Matrix};
-    use genbase_util::Pcg64;
-    use std::time::Instant;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    /// One timed configuration.
-    pub struct Entry {
-        /// Kernel name (`*_seed_serial` entries are the frozen baselines).
-        pub op: &'static str,
-        /// Problem edge: matrices are `size x size`, rankings `size * 256`
-        /// values.
-        pub size: usize,
-        /// `ExecOpts.threads` handed to the kernel.
-        pub threads: usize,
-        /// Mean wall nanoseconds per iteration.
-        pub ns_per_iter: f64,
-        /// Timed iterations (after one warm-up).
-        pub iters: u32,
-    }
-
-    fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
-        f(); // warm-up (page-in, pool spin-up)
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
+    /// Retired subcommands and flags get no tombstone branch: `bench` is
+    /// rejected by the same errors as any other unknown command or flag.
+    #[test]
+    fn unknown_commands_and_flags_hit_the_generic_errors() {
+        for what in ["bench", "fig9"] {
+            let err = requested_figures(what).unwrap_err().to_string();
+            assert!(err.contains(&format!("unknown command {what:?}")), "{err}");
         }
-        start.elapsed().as_nanos() as f64 / iters.max(1) as f64
-    }
-
-    /// The seed repo's serial blocked matmul: i-k-j order, 64-edge cache
-    /// blocks, per-element zero-skip branch — exactly the pre-runtime
-    /// kernel (the library's matmul_blocked has since dropped the branch,
-    /// so it is reconstructed here to keep the baseline honest).
-    fn matmul_seed_serial(a: &Matrix, b: &Matrix) -> Matrix {
-        const BLOCK: usize = 64;
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut out = Matrix::zeros(m, n);
-        let a = a.data();
-        let b = b.data();
-        let o = out.data_mut();
-        for ib in (0..m).step_by(BLOCK) {
-            let i_end = (ib + BLOCK).min(m);
-            for kb in (0..k).step_by(BLOCK) {
-                let k_end = (kb + BLOCK).min(k);
-                for jb in (0..n).step_by(BLOCK) {
-                    let j_end = (jb + BLOCK).min(n);
-                    for i in ib..i_end {
-                        let a_row = &a[i * k..(i + 1) * k];
-                        let out_row = &mut o[i * n..(i + 1) * n];
-                        for p in kb..k_end {
-                            let aval = a_row[p];
-                            if aval == 0.0 {
-                                continue;
-                            }
-                            let b_row = &b[p * n + jb..p * n + j_end];
-                            let orow = &mut out_row[jb..j_end];
-                            for (oj, bj) in orow.iter_mut().zip(b_row) {
-                                *oj += aval * bj;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The seed repo's serial blocked gram + centering (covariance Query 2
-    /// path): row-streaming upper-triangle update with the per-element
-    /// zero-skip branch, exactly as in the pre-runtime kernel.
-    fn covariance_seed_serial(a: &Matrix) -> Matrix {
-        let (m, n) = a.shape();
-        let mut centered = a.clone();
-        genbase_linalg::center_columns(&mut centered);
-        let mut out = Matrix::zeros(n, n);
-        {
-            let a = centered.data();
-            let o = out.data_mut();
-            for r in 0..m {
-                let a_row = &a[r * n..(r + 1) * n];
-                for c in 0..n {
-                    let aval = a_row[c];
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    let seg = &mut o[c * n + c..(c + 1) * n];
-                    for (oj, bj) in seg.iter_mut().zip(&a_row[c..]) {
-                        *oj += aval * bj;
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            for j in 0..i {
-                let v = out.get(j, i);
-                out.set(i, j, v);
-            }
-        }
-        let inv = 1.0 / (m - 1) as f64;
-        out.map_inplace(|v| v * inv);
-        out
-    }
-
-    /// Run the kernel sweep. `size` is the matrix edge (the acceptance
-    /// configuration is 2048); thread counts follow the perf-trajectory
-    /// convention {1, 2, 8}.
-    pub fn run(size: usize, iters: u32) -> genbase_util::Result<Vec<Entry>> {
-        let mut rng = Pcg64::new(0xbe7c);
-        eprintln!("bench: generating {size}x{size} inputs...");
-        let a = Matrix::from_fn(size, size, |_, _| rng.normal());
-        let b = Matrix::from_fn(size, size, |_, _| rng.normal());
-        let mut entries = Vec::new();
-        let mut push = |op: &'static str, threads: usize, ns: f64, iters: u32| {
-            eprintln!(
-                "bench: {op} size={size} threads={threads}: {:.3} ms/iter",
-                ns / 1e6
-            );
-            entries.push(Entry {
-                op,
-                size,
-                threads,
-                ns_per_iter: ns,
-                iters,
-            });
-        };
-
-        // A kernel failure inside a timed closure (shape mismatch, thread
-        // pool loss) is captured and propagated after the timing loop, so
-        // the bench exits with one clean error instead of a panic.
-        let mut kernel_err: Option<genbase_util::Error> = None;
-
-        // -- matmul ----------------------------------------------------------
-        let serial = ExecOpts::serial();
-        let ns = time_ns(iters, || {
-            matmul_seed_serial(&a, &b);
-        });
-        push("matmul_seed_serial", 1, ns, iters);
-        let ns = time_ns(iters, || {
-            if let Err(e) = matmul_blocked(&a, &b, &serial) {
-                kernel_err.get_or_insert(e);
-            }
-        });
-        push("matmul_blocked_serial", 1, ns, iters);
-        for threads in [1usize, 2, 8] {
-            let opts = ExecOpts::with_threads(threads);
-            let ns = time_ns(iters, || {
-                if let Err(e) = matmul(&a, &b, &opts) {
-                    kernel_err.get_or_insert(e);
-                }
-            });
-            push("matmul_packed", threads, ns, iters);
-        }
-
-        // -- covariance --------------------------------------------------------
-        let ns = time_ns(iters, || {
-            covariance_seed_serial(&a);
-        });
-        push("covariance_seed_serial", 1, ns, iters);
-        for threads in [1usize, 2, 8] {
-            let opts = ExecOpts::with_threads(threads);
-            let ns = time_ns(iters, || {
-                if let Err(e) = covariance(&a, &opts) {
-                    kernel_err.get_or_insert(e);
-                }
-            });
-            push("covariance_syrk", threads, ns, iters);
-        }
-
-        // -- statistics ranking ------------------------------------------------
-        let values: Vec<f64> = (0..size * 256).map(|_| rng.normal()).collect();
-        let ns = time_ns(iters, || {
-            genbase_stats::average_ranks(&values);
-        });
-        push("ranking_seed_serial", 1, ns, iters);
-        for threads in [1usize, 2, 8] {
-            let ns = time_ns(iters, || {
-                genbase_stats::average_ranks_par(&values, threads);
-            });
-            push("ranking_parallel", threads, ns, iters);
-        }
-        match kernel_err {
-            Some(e) => Err(e),
-            None => Ok(entries),
-        }
-    }
-
-    /// Sweep wall-clock: a small fig1 sweep through the cell scheduler,
-    /// serial (one cell in flight) vs sharded (8 cells in flight), so the
-    /// perf trajectory records harness-level scheduling gains alongside
-    /// kernel numbers. Fresh scheduler per run ⇒ dataset generation is
-    /// inside the measured window both times.
-    pub fn sweep_wall_clock() -> genbase_util::Result<Vec<Entry>> {
-        use genbase::harness::HarnessConfig;
-        use genbase::sched::{FigureId, Scheduler, SweepOptions};
-        use genbase_datagen::SizeClass;
-
-        let config = || HarnessConfig {
-            scale: 0.012,
-            sizes: vec![SizeClass::Small],
-            r_mem_bytes: u64::MAX,
-            ..Default::default()
-        };
-        let mut entries = Vec::new();
-        for (op, jobs) in [("sweep_fig1_serial", 1usize), ("sweep_fig1_sharded", 8)] {
-            let scheduler = Scheduler::new(config())?;
-            let sweep = SweepOptions::default().with_cells_in_flight(jobs);
-            let outcome = scheduler.run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)?;
-            let ns = outcome.wall_secs * 1e9;
-            eprintln!(
-                "bench: {op} jobs={jobs}: {:.3} ms ({} cells)",
-                ns / 1e6,
-                outcome.planned
-            );
-            entries.push(Entry {
-                op,
-                size: outcome.planned,
-                threads: jobs,
-                ns_per_iter: ns,
-                iters: 1,
-            });
-        }
-        Ok(entries)
-    }
-
-    /// Streaming-vs-materializing memory smoke: run the same SQL-bridge
-    /// cells both ways and record peak resident storage-layer bytes (the
-    /// `ns_per_iter` column holds bytes for these rows — the perf
-    /// trajectory tracks the memory dimension alongside wall time). Fails
-    /// the bench if a streaming cell's peak ever regresses above its
-    /// materializing counterpart: streaming exists to bound memory, so
-    /// that ordering is part of the baseline contract.
-    pub fn streaming_memory() -> genbase_util::Result<Vec<Entry>> {
-        use genbase::engine::StreamConfig;
-        use genbase::harness::{Harness, HarnessConfig};
-        use genbase::{Query, RunOutcome};
-        use genbase_datagen::SizeClass;
-
-        let config = |stream: Option<StreamConfig>| {
-            let mut c = HarnessConfig {
-                scale: 0.012,
-                sizes: vec![SizeClass::Small],
-                r_mem_bytes: u64::MAX,
-                ..Default::default()
-            }
-            .sim_only();
-            c.stream = stream;
-            c
-        };
-        let peak = |harness: &Harness, engine: &dyn genbase::Engine, query: Query| {
-            let record = harness.run_cell(engine, query, SizeClass::Small, 1)?;
-            match &record.outcome {
-                RunOutcome::Completed(report) => Ok(report.memory().peak_alloc_bytes),
-                other => Err(genbase_util::Error::invalid(format!(
-                    "bench cell {} {query:?} did not complete: {other:?}",
-                    engine.name()
-                ))),
-            }
-        };
-        let materializing = Harness::new(config(None))?;
-        let streaming = Harness::new(config(Some(StreamConfig {
-            batch_rows: 64,
-            spill_dir: None,
-            fused: false,
-        })))?;
-        let engines = genbase::engines::single_node_engines();
-        let mut entries = Vec::new();
-        for name in ["Postgres + R", "Column store + R", "Column store + UDFs"] {
-            let engine = engines
-                .iter()
-                .find(|e| e.name() == name)
-                .expect("bench engine registered");
-            let query = Query::Covariance;
-            let mat = peak(&materializing, engine.as_ref(), query)?;
-            let strm = peak(&streaming, engine.as_ref(), query)?;
-            eprintln!(
-                "bench: {name} covariance peak_alloc: materializing {}, streaming {}",
-                genbase_util::fmt_bytes(mat),
-                genbase_util::fmt_bytes(strm),
-            );
-            if strm > mat {
-                return Err(genbase_util::Error::invalid(format!(
-                    "streaming peak_alloc regression on {name} covariance: \
-                     {strm} bytes streaming vs {mat} bytes materializing"
-                )));
-            }
-            let op = match name {
-                "Postgres + R" => ("peak_bytes_postgres_r_mat", "peak_bytes_postgres_r_stream"),
-                "Column store + R" => ("peak_bytes_column_r_mat", "peak_bytes_column_r_stream"),
-                _ => ("peak_bytes_column_udf_mat", "peak_bytes_column_udf_stream"),
-            };
-            entries.push(Entry {
-                op: op.0,
-                size: 60,
-                threads: 1,
-                ns_per_iter: mat as f64,
-                iters: 1,
-            });
-            entries.push(Entry {
-                op: op.1,
-                size: 60,
-                threads: 1,
-                ns_per_iter: strm as f64,
-                iters: 1,
-            });
-        }
-        Ok(entries)
-    }
-
-    /// Fused-vs-staged streaming smoke: run covariance on all four
-    /// SQL-bridge streaming engines both ways and record wall nanoseconds
-    /// plus total storage-layer bytes moved and peak resident bytes per
-    /// mode (byte rows reuse the `ns_per_iter` column as their value, like
-    /// [`streaming_memory`]). Fails the bench if a fused cell ever moves
-    /// at least as many bytes as its staged counterpart, or exceeds its
-    /// peak: the fused pipeline exists to shrink data movement, so that
-    /// ordering is part of the baseline contract.
-    pub fn streaming_fused() -> genbase_util::Result<Vec<Entry>> {
-        use genbase::engine::StreamConfig;
-        use genbase::harness::{Harness, HarnessConfig};
-        use genbase::{Query, RunOutcome};
-        use genbase_datagen::SizeClass;
-
-        let config = |fused: bool| {
-            let mut c = HarnessConfig {
-                scale: 0.012,
-                sizes: vec![SizeClass::Small],
-                r_mem_bytes: u64::MAX,
-                ..Default::default()
-            }
-            .sim_only();
-            c.stream = Some(StreamConfig {
-                batch_rows: 64,
-                spill_dir: None,
-                fused,
-            });
-            c
-        };
-        let run = |harness: &Harness, engine: &dyn genbase::Engine, query: Query| {
-            let start = std::time::Instant::now();
-            let record = harness.run_cell(engine, query, SizeClass::Small, 1)?;
-            let ns = start.elapsed().as_nanos() as f64;
-            match &record.outcome {
-                RunOutcome::Completed(report) => {
-                    let mem = report.memory();
-                    Ok((ns, mem.bytes_in + mem.bytes_out, mem.peak_alloc_bytes))
-                }
-                other => Err(genbase_util::Error::invalid(format!(
-                    "bench cell {} {query:?} did not complete: {other:?}",
-                    engine.name()
-                ))),
-            }
-        };
-        let staged = Harness::new(config(false))?;
-        let fused = Harness::new(config(true))?;
-        let engines = genbase::engines::single_node_engines();
-        // Per engine: [staged ns, fused ns, staged bytes, fused bytes,
-        // staged peak, fused peak].
-        let rows: [(&str, [&'static str; 6]); 4] = [
-            (
-                "Postgres + Madlib",
-                [
-                    "stream_staged_ns_madlib",
-                    "stream_fused_ns_madlib",
-                    "stream_staged_bytes_madlib",
-                    "stream_fused_bytes_madlib",
-                    "stream_staged_peak_madlib",
-                    "stream_fused_peak_madlib",
-                ],
-            ),
-            (
-                "Postgres + R",
-                [
-                    "stream_staged_ns_postgres_r",
-                    "stream_fused_ns_postgres_r",
-                    "stream_staged_bytes_postgres_r",
-                    "stream_fused_bytes_postgres_r",
-                    "stream_staged_peak_postgres_r",
-                    "stream_fused_peak_postgres_r",
-                ],
-            ),
-            (
-                "Column store + R",
-                [
-                    "stream_staged_ns_column_r",
-                    "stream_fused_ns_column_r",
-                    "stream_staged_bytes_column_r",
-                    "stream_fused_bytes_column_r",
-                    "stream_staged_peak_column_r",
-                    "stream_fused_peak_column_r",
-                ],
-            ),
-            (
-                "Column store + UDFs",
-                [
-                    "stream_staged_ns_column_udf",
-                    "stream_fused_ns_column_udf",
-                    "stream_staged_bytes_column_udf",
-                    "stream_fused_bytes_column_udf",
-                    "stream_staged_peak_column_udf",
-                    "stream_fused_peak_column_udf",
-                ],
-            ),
-        ];
-        let mut entries = Vec::new();
-        for (name, ops) in rows {
-            let engine = engines
-                .iter()
-                .find(|e| e.name() == name)
-                .expect("bench engine registered");
-            let query = Query::Covariance;
-            let (staged_ns, staged_bytes, staged_peak) = run(&staged, engine.as_ref(), query)?;
-            let (fused_ns, fused_bytes, fused_peak) = run(&fused, engine.as_ref(), query)?;
-            eprintln!(
-                "bench: {name} covariance bytes moved: staged {}, fused {} \
-                 (peak {} vs {})",
-                genbase_util::fmt_bytes(staged_bytes),
-                genbase_util::fmt_bytes(fused_bytes),
-                genbase_util::fmt_bytes(staged_peak),
-                genbase_util::fmt_bytes(fused_peak),
-            );
-            if fused_bytes >= staged_bytes {
-                return Err(genbase_util::Error::invalid(format!(
-                    "fused streaming moved {fused_bytes} bytes on {name} covariance, \
-                     not below the staged path's {staged_bytes}"
-                )));
-            }
-            if fused_peak > staged_peak {
-                return Err(genbase_util::Error::invalid(format!(
-                    "fused streaming peak_alloc regression on {name} covariance: \
-                     {fused_peak} bytes fused vs {staged_peak} bytes staged"
-                )));
-            }
-            let values = [
-                staged_ns,
-                fused_ns,
-                staged_bytes as f64,
-                fused_bytes as f64,
-                staged_peak as f64,
-                fused_peak as f64,
-            ];
-            for (op, value) in ops.into_iter().zip(values) {
-                entries.push(Entry {
-                    op,
-                    size: 60,
-                    threads: 1,
-                    ns_per_iter: value,
-                    iters: 1,
-                });
-            }
-        }
-        Ok(entries)
-    }
-
-    fn host_threads() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// Artifact-cache warm-vs-cold conversion rows: each `*_cold` row runs
-    /// the conversion kernel with no cache attached; its `*_warm` partner
-    /// replays the same conversion as a cache hit (the cold accounting plus
-    /// a clone of the resident artifact). The warm/cold ratio is the perf
-    /// trajectory's record of what a `--cache-budget` hit saves.
-    pub fn artifact_cache(size: usize, iters: u32) -> genbase_util::Result<Vec<Entry>> {
-        use genbase_relational::{DataType, Schema};
-        use genbase_storage as storage;
-        use genbase_util::{Budget, Pcg64};
-        use storage::{ArtifactCache, CacheScope, MemTracker};
-
-        let mut rng = Pcg64::new(0xcac4e);
-        // Conversions move size^2 cells (the matrix itself plus a 3-column
-        // triple table), so a full-edge matrix would dwarf the kernel rows'
-        // footprint; a quarter edge keeps the rows cheap while staying far
-        // above the cache's per-entry overhead.
-        let edge = (size / 4).max(256);
-        let dense = genbase_linalg::Matrix::from_fn(edge, edge, |_, _| rng.normal());
-        let schema = || {
-            Schema::new(&[
-                ("gene_id", DataType::Int),
-                ("patient_id", DataType::Int),
-                ("value", DataType::Float),
-            ])
-            .expect("static schema")
-        };
-        let budget = Budget::new(None, u64::MAX, u64::MAX);
-        let cache = ArtifactCache::new(u64::MAX / 2);
-        let scope = CacheScope::new(cache, "bench");
-        let patient_ids: Vec<i64> = (0..edge as i64).collect();
-        let gene_ids: Vec<i64> = (0..edge as i64).collect();
-        let mut entries = Vec::new();
-        let mut push = |op: &'static str, ns: f64| {
-            eprintln!("bench: {op} size={edge}: {:.3} ms/iter", ns / 1e6);
-            entries.push(Entry {
-                op,
-                size: edge,
-                threads: 1,
-                ns_per_iter: ns,
-                iters,
-            });
-        };
-        let mut kernel_err: Option<genbase_util::Error> = None;
-        // Captured kernel results feed the next conversion's input; the
-        // macro keeps the cold/warm pairs visibly parallel.
-        macro_rules! timed {
-            ($op:expr, $body:expr) => {{
-                let mut result = None;
-                let ns = time_ns(iters, || match $body {
-                    Ok(v) => result = Some(v),
-                    Err(e) => {
-                        kernel_err.get_or_insert(e);
-                    }
-                });
-                push($op, ns);
-                result
-            }};
-        }
-
-        let triples = timed!("cache_triples_cold", {
-            storage::triples_from_dense(&MemTracker::new(None), &dense, schema())
-        });
-        timed!("cache_triples_warm", {
-            storage::triples_from_dense_cached(
-                Some(&scope),
-                &MemTracker::new(None),
-                &dense,
-                schema(),
-            )
-        });
-        let Some(triples) = triples else {
-            return Err(kernel_err.expect("cold triples failed without an error"));
-        };
-
-        timed!("cache_columnar_cold", {
-            storage::columnar_from_relation(&MemTracker::new(None), &triples)
-        });
-        timed!("cache_columnar_warm", {
-            storage::columnar_from_relation_cached(
-                Some(&scope),
-                (edge, edge),
-                "bench",
-                &MemTracker::new(None),
-                &triples,
-            )
-        });
-
-        timed!("cache_pivot_cold", {
-            storage::pivot_dense(
-                &triples.view(),
-                (1, 0, 2),
-                &patient_ids,
-                &gene_ids,
-                1,
-                &MemTracker::new(None),
-                &budget,
-            )
-        });
-        timed!("cache_pivot_warm", {
-            storage::pivot_dense_cached(
-                Some(&scope),
-                (edge, edge),
-                &triples.view(),
-                (1, 0, 2),
-                &patient_ids,
-                &gene_ids,
-                1,
-                &MemTracker::new(None),
-                &budget,
-            )
-        });
-
-        timed!("cache_chunked_cold", {
-            storage::chunked_from_dense(&MemTracker::new(None), &dense, &budget)
-        });
-        timed!("cache_chunked_warm", {
-            storage::chunked_from_dense_cached(
-                Some(&scope),
-                &MemTracker::new(None),
-                &dense,
-                &budget,
-            )
-        });
-
-        match kernel_err {
-            Some(e) => Err(e),
-            None => Ok(entries),
-        }
-    }
-
-    /// Loudly flag scaling rows recorded on a host that cannot scale: on a
-    /// 1-core machine the threads-2/8 kernel rows and the sharded sweep
-    /// row measure oversubscription overhead, not parallel speedup, so a
-    /// "parallel slower than serial" reading there is a host artifact.
-    pub fn warn_scaling_rows(entries: &[Entry]) {
-        let host = host_threads();
-        if host > 1 {
-            return;
-        }
-        let mut affected: Vec<&str> = entries
-            .iter()
-            .filter(|e| e.threads > host)
-            .map(|e| e.op)
-            .collect();
-        affected.dedup();
-        if affected.is_empty() {
-            return;
-        }
-        eprintln!(
-            "bench: WARNING: this host has 1 hardware thread; the scaling rows \
-             [{}] measure thread oversubscription, not parallel speedup. \
-             Record scaling baselines on a multi-core host.",
-            affected.join(", ")
-        );
-    }
-
-    /// A parsed `--compare` baseline: the stamped host size plus
-    /// `(op, threads) -> ns_per_iter`.
-    pub struct Baseline {
-        pub host_threads: usize,
-        pub rows: Vec<(String, usize, f64)>,
-    }
-
-    /// Parse a committed `genbase-bench-v1` JSON baseline.
-    pub fn load_baseline(path: &str) -> genbase_util::Result<Baseline> {
-        use genbase_util::{Error, Json};
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| Error::invalid(format!("read baseline {path}: {e}")))?;
-        let json = Json::parse(&text)
-            .map_err(|e| Error::invalid(format!("parse baseline {path}: {e}")))?;
-        match json.get("schema").and_then(Json::as_str) {
-            Some("genbase-bench-v1") => {}
-            other => {
-                return Err(Error::invalid(format!(
-                    "baseline {path} has schema {other:?}, want \"genbase-bench-v1\""
-                )))
-            }
-        }
-        let entries = json
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| Error::invalid(format!("baseline {path} has no entries array")))?;
-        let mut rows = Vec::new();
-        for e in entries {
-            let op = e
-                .get("op")
-                .and_then(Json::as_str)
-                .ok_or_else(|| Error::invalid(format!("baseline {path}: entry missing op")))?;
-            let threads = e.get("threads").and_then(Json::as_u64).unwrap_or(1) as usize;
-            let ns = e.get("ns_per_iter").and_then(Json::as_f64).ok_or_else(|| {
-                Error::invalid(format!("baseline {path}: {op} missing ns_per_iter"))
-            })?;
-            rows.push((op.to_string(), threads, ns));
-        }
-        Ok(Baseline {
-            host_threads: json.get("host_threads").and_then(Json::as_u64).unwrap_or(1) as usize,
-            rows,
-        })
-    }
-
-    /// Print the per-op speedup table against `baseline` and fail if any
-    /// gated row regressed past `threshold_pct` percent of its baseline
-    /// ns/iter. Two row classes are advisory (printed, never gating):
-    /// wall-clock sweep rows (dataset generation dominates and is noisy)
-    /// and scaling rows whose thread count exceeds this host's hardware
-    /// threads (oversubscription, not scaling — see [`warn_scaling_rows`]).
-    pub fn compare(
-        baseline: &Baseline,
-        entries: &[Entry],
-        threshold_pct: f64,
-    ) -> genbase_util::Result<()> {
-        use genbase_util::Error;
-        let host = host_threads();
-        let limit = threshold_pct / 100.0;
-        let mut matched = 0usize;
-        let mut regressions: Vec<String> = Vec::new();
-        println!(
-            "{:<34} {:>7} {:>14} {:>14} {:>8}  verdict",
-            "op", "threads", "baseline", "current", "speedup"
-        );
-        for e in entries {
-            let Some((_, _, base_ns)) = baseline
-                .rows
-                .iter()
-                .find(|(op, threads, _)| op.as_str() == e.op && *threads == e.threads)
-            else {
-                println!(
-                    "{:<34} {:>7} {:>14} {:>14.3} {:>8}  new (no baseline row)",
-                    e.op,
-                    e.threads,
-                    "-",
-                    e.ns_per_iter / 1e6,
-                    "-"
-                );
-                continue;
-            };
-            matched += 1;
-            let ratio = e.ns_per_iter / base_ns;
-            // A row is advisory when either side recorded it without the
-            // cores to scale: such numbers are oversubscription overhead.
-            let advisory =
-                e.op.starts_with("sweep_") || e.threads > host || e.threads > baseline.host_threads;
-            let verdict = if ratio <= limit {
-                "ok"
-            } else if advisory {
-                "slow (advisory: wall-clock/oversubscribed row)"
-            } else {
-                regressions.push(format!(
-                    "{} threads={} is {:.0}% of baseline (limit {:.0}%)",
-                    e.op,
-                    e.threads,
-                    ratio * 100.0,
-                    threshold_pct
-                ));
-                "REGRESSED"
-            };
-            println!(
-                "{:<34} {:>7} {:>12.3}ms {:>12.3}ms {:>7.2}x  {verdict}",
-                e.op,
-                e.threads,
-                base_ns / 1e6,
-                e.ns_per_iter / 1e6,
-                base_ns / e.ns_per_iter,
-            );
-        }
-        if matched == 0 {
-            return Err(Error::invalid(
-                "bench --compare matched no baseline rows; wrong baseline file?",
-            ));
-        }
-        if !regressions.is_empty() {
-            return Err(Error::invalid(format!(
-                "bench regression past --regress-threshold: {}",
-                regressions.join("; ")
-            )));
-        }
-        eprintln!("bench: compare ok ({matched} rows within {threshold_pct:.0}% of baseline)");
-        Ok(())
-    }
-
-    /// Serialize through the shared `genbase_util::json` writer (one
-    /// entry object per line, so committed baselines stay diff-friendly).
-    pub fn to_json(size: usize, entries: &[Entry]) -> String {
-        use genbase_util::Json;
-        let host = host_threads();
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"genbase-bench-v1\",\n");
-        out.push_str(&format!("  \"bench_size\": {size},\n"));
-        out.push_str(&format!("  \"host_threads\": {host},\n"));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in entries.iter().enumerate() {
-            let mut obj = Json::obj();
-            obj.set("op", Json::from(e.op));
-            obj.set("size", Json::from(e.size));
-            obj.set("threads", Json::from(e.threads));
-            obj.set("ns_per_iter", Json::Num(e.ns_per_iter.round()));
-            obj.set("iters", Json::from(e.iters as u64));
-            let comma = if i + 1 == entries.len() { "" } else { "," };
-            out.push_str(&format!("    {}{comma}\n", obj.render()));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let argv = ["fig1".to_string(), "--no-such-flag".to_string()];
+        let err = parse_args(&argv).err().expect("usage error");
+        assert_eq!(err.0, "unknown flag \"--no-such-flag\"");
     }
 }

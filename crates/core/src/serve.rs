@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Multiplier from raw microarray bytes to a conservative working-set
@@ -194,6 +194,15 @@ impl Rejection {
     }
 }
 
+/// Lock a piece of server state, recovering the guard when an earlier
+/// holder panicked: the guarded values (the queue-depth counter, the
+/// per-engine counters, the reply map) are valid after every single update,
+/// so one crashed handler must not take `/metrics`, `/status` and every
+/// later query down with a second panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The admission controller: a [`MemTracker`] holding the budget plus the
 /// bounded wait queue in front of it.
 struct Admission {
@@ -214,7 +223,7 @@ impl Admission {
     }
 
     fn queued(&self) -> usize {
-        *self.queued.lock().expect("admission queue")
+        *lock(&self.queued)
     }
 
     /// Reserve `estimate` bytes, waiting in the bounded queue if the budget
@@ -236,7 +245,7 @@ impl Admission {
         if let Ok(r) = self.tracker.reserve(estimate) {
             return Ok(r);
         }
-        let mut queued = self.queued.lock().expect("admission queue");
+        let mut queued = lock(&self.queued);
         if *queued >= self.queue_depth {
             return Err(Rejection::QueueFull {
                 depth: self.queue_depth,
@@ -259,7 +268,7 @@ impl Admission {
                     let (guard, _) = self
                         .freed
                         .wait_timeout(queued, ADMIT_POLL)
-                        .expect("admission queue");
+                        .unwrap_or_else(PoisonError::into_inner);
                     queued = guard;
                 }
             }
@@ -296,12 +305,7 @@ struct Metrics {
 impl Metrics {
     fn record_outcome(&self, engine: &str, outcome: &CellOutcome) {
         self.served.fetch_add(1, Ordering::Relaxed);
-        *self
-            .queries
-            .lock()
-            .expect("metrics")
-            .entry(engine.to_string())
-            .or_insert(0) += 1;
+        *lock(&self.queries).entry(engine.to_string()).or_insert(0) += 1;
         if let CellOutcome::Completed { trace, .. } = outcome {
             for op in trace {
                 let nanos = op.cost.sim_nanos;
@@ -493,14 +497,10 @@ impl Shared {
     ) -> std::result::Result<Json, ServeError> {
         let id = key.id();
         if let (Some(results), None) = (&self.results, &stream) {
-            if let Some(reply) = results.lock().expect("result cache").get(&id) {
+            if let Some(reply) = lock(results).get(&id) {
                 self.metrics.result_hits.fetch_add(1, Ordering::Relaxed);
                 self.metrics.served.fetch_add(1, Ordering::Relaxed);
-                *self
-                    .metrics
-                    .queries
-                    .lock()
-                    .expect("metrics")
+                *lock(&self.metrics.queries)
                     .entry(key.engine.clone())
                     .or_insert(0) += 1;
                 return Ok(reply.clone());
@@ -534,10 +534,7 @@ impl Shared {
                 reply.set("outcome", outcome.to_json());
                 if let (Some(results), CellOutcome::Completed { .. }) = (&self.results, &outcome) {
                     if stream_cached {
-                        results
-                            .lock()
-                            .expect("result cache")
-                            .insert(id, reply.clone());
+                        lock(results).insert(id, reply.clone());
                     }
                 }
                 Ok(reply)
@@ -629,10 +626,7 @@ impl Shared {
             Json::from(self.metrics.result_hits.load(Ordering::Relaxed)),
         );
         if let Some(results) = &self.results {
-            m.set(
-                "result_cache_entries",
-                Json::from(results.lock().expect("result cache").len()),
-            );
+            m.set("result_cache_entries", Json::from(lock(results).len()));
         }
         m
     }
@@ -655,7 +649,7 @@ impl Shared {
             "# HELP genbase_queries_total Answered query requests per engine.\n\
              # TYPE genbase_queries_total counter\n",
         );
-        for (engine, count) in m.queries.lock().expect("metrics").iter() {
+        for (engine, count) in lock(&m.queries).iter() {
             out.push_str(&format!(
                 "genbase_queries_total{{engine=\"{engine}\"}} {count}\n"
             ));
@@ -1339,5 +1333,26 @@ mod tests {
         draining.store(true, Ordering::Relaxed);
         assert_eq!(waiter.join().unwrap().err(), Some(Rejection::Draining));
         assert_eq!(a.queued(), 0);
+    }
+
+    #[test]
+    fn metrics_still_render_after_a_holder_of_the_metrics_lock_panicked() {
+        let server = BenchServer::bind(
+            "127.0.0.1:0",
+            "127.0.0.1:0",
+            HarnessConfig::quick().sim_only(),
+            ServeOptions::default(),
+        )
+        .expect("bind");
+        let shared = &server.shared;
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = shared.metrics.queries.lock().unwrap();
+                panic!("handler died holding the metrics lock");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && shared.metrics.queries.is_poisoned());
+        assert!(shared.metrics_text().contains("genbase_served_total 0\n"));
     }
 }

@@ -175,6 +175,17 @@ fn streaming_is_byte_identical_across_batch_sizes_and_threads() {
                     report.memory().batches > 0,
                     "{what}: no batches recorded — did the lowering stream?"
                 );
+                // Streaming exists to bound memory: on the export/UDF
+                // bridges' covariance cell at 64-row morsels the staged
+                // peak must not exceed the materializing lowering's.
+                if batch_rows == 64 && *query == Query::Covariance && *name != "Postgres + Madlib" {
+                    let peak = report.memory().peak_alloc_bytes;
+                    let mat_peak = baseline.memory().peak_alloc_bytes;
+                    assert!(
+                        peak <= mat_peak,
+                        "{what}: streaming peak {peak} exceeds the materializing {mat_peak}"
+                    );
+                }
 
                 // The fused pipeline must reproduce the same report while
                 // strictly shrinking data movement: selection vectors
