@@ -12,10 +12,11 @@
 //! 4. **Masking** — overwrite the found bicluster's cells with uniform noise
 //!    and repeat to extract further biclusters.
 
-use crate::msr::SubmatrixStats;
+use crate::msr::{ResidueBlock, SubmatrixStats};
 use genbase_linalg::{ExecOpts, Matrix};
 use genbase_util::progress::{f64s_from_hex, f64s_to_hex};
 use genbase_util::{Error, Json, Pcg64, Result};
+use std::borrow::Cow;
 
 /// Kernel name Cheng–Church snapshots are filed under in a progress sink.
 pub const CHENG_CHURCH_KERNEL: &str = "cheng_church";
@@ -74,8 +75,9 @@ impl Default for ChengChurchConfig {
 }
 
 /// Run Cheng–Church on `data`, returning up to `config.max_biclusters`
-/// biclusters ordered by discovery (each run works on a masked copy, so the
-/// input is untouched).
+/// biclusters ordered by discovery. The input is untouched: masking works
+/// on a copy made when the first mask is applied, so a single-bicluster
+/// run copies nothing. Fails with `Error::Numerical` on a non-finite cell.
 pub fn find_biclusters(
     data: &Matrix,
     config: &ChengChurchConfig,
@@ -88,10 +90,18 @@ pub fn find_biclusters(
     if config.delta < 0.0 || config.alpha < 1.0 {
         return Err(Error::invalid("delta must be >= 0 and alpha >= 1"));
     }
-    let mut work = data.clone();
-    let mut rng = Pcg64::new(config.seed);
     // Mask noise spans the observed data range, as in the original paper.
-    let (lo, hi) = data_range(data);
+    let (lo, hi) = data_range(data)?;
+    let mut work = Cow::Borrowed(data);
+    let mut rng = Pcg64::new(config.seed);
+    let mut mask = |work: &mut Cow<'_, Matrix>, bc: &Bicluster| {
+        let work = work.to_mut();
+        for &r in &bc.rows {
+            for &c in &bc.cols {
+                work.set(r, c, rng.range_f64(lo, hi));
+            }
+        }
+    };
     let mut found: Vec<Bicluster> = Vec::with_capacity(config.max_biclusters);
 
     // Resume: the RNG is consumed *only* by masking, in discovery order, so
@@ -104,16 +114,12 @@ pub fn find_biclusters(
         .and_then(|s| restore_cc_state(&s, m, n, config.max_biclusters))
     {
         for bc in saved {
-            for &r in &bc.rows {
-                for &c in &bc.cols {
-                    work.set(r, c, rng.range_f64(lo, hi));
-                }
-            }
+            mask(&mut work, &bc);
             found.push(bc);
         }
     }
 
-    for _ in found.len()..config.max_biclusters {
+    for round in found.len()..config.max_biclusters {
         opts.budget.check("biclustering")?;
         let bc = single_bicluster(&work, data, config, opts)?;
         if bc.rows.len() <= config.min_rows && bc.cols.len() <= config.min_cols && !found.is_empty()
@@ -122,10 +128,8 @@ pub fn find_biclusters(
             break;
         }
         // Mask the discovered cells so the next round finds something else.
-        for &r in &bc.rows {
-            for &c in &bc.cols {
-                work.set(r, c, rng.range_f64(lo, hi));
-            }
+        if round + 1 < config.max_biclusters {
+            mask(&mut work, &bc);
         }
         found.push(bc);
         if let Some(progress) = &opts.progress {
@@ -204,37 +208,29 @@ fn single_bicluster(
 
     // Phase 1: multiple node deletion (only worthwhile above ~100 nodes,
     // matching the original paper's heuristic).
-    let mut stats = SubmatrixStats::compute(work, &rows, &cols);
+    let mut block = ResidueBlock::gather(work, &rows, &cols);
     loop {
         opts.budget.check("biclustering: multiple deletion")?;
-        if stats.msr <= config.delta {
+        if block.stats().msr <= config.delta {
             break;
         }
-        let threshold = config.alpha * stats.msr;
         let mut changed = false;
         if rows.len() > config.min_rows.max(100) {
-            let keep: Vec<usize> = rows
-                .iter()
-                .zip(&stats.row_residues)
-                .filter_map(|(&r, &d)| (d <= threshold).then_some(r))
-                .collect();
+            let threshold = config.alpha * block.stats().msr;
+            let keep = within(&rows, &block.stats().row_residues, threshold);
             if keep.len() >= config.min_rows && keep.len() < rows.len() {
                 rows = keep;
                 changed = true;
-                stats = SubmatrixStats::compute(work, &rows, &cols);
+                block.regather(work, &rows, &cols);
             }
         }
         if cols.len() > config.min_cols.max(100) {
-            let threshold = config.alpha * stats.msr;
-            let keep: Vec<usize> = cols
-                .iter()
-                .zip(&stats.col_residues)
-                .filter_map(|(&c, &d)| (d <= threshold).then_some(c))
-                .collect();
+            let threshold = config.alpha * block.stats().msr;
+            let keep = within(&cols, &block.stats().col_residues, threshold);
             if keep.len() >= config.min_cols && keep.len() < cols.len() {
                 cols = keep;
                 changed = true;
-                stats = SubmatrixStats::compute(work, &rows, &cols);
+                block.regather(work, &rows, &cols);
             }
         }
         if !changed {
@@ -242,36 +238,22 @@ fn single_bicluster(
         }
     }
 
-    // Phase 2: single node deletion.
-    while stats.msr > config.delta {
+    // Phase 2: single node deletion, in place on the compacted block.
+    while block.stats().msr > config.delta {
         opts.budget.check("biclustering: single deletion")?;
-        let worst_row = stats
-            .row_residues
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN residue"))
-            .map(|(i, &d)| (i, d));
-        let worst_col = stats
-            .col_residues
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN residue"))
-            .map(|(i, &d)| (i, d));
+        let (ri, rd) = worst(&block.stats().row_residues);
+        let (ci, cd) = worst(&block.stats().col_residues);
         let can_drop_row = rows.len() > config.min_rows;
         let can_drop_col = cols.len() > config.min_cols;
-        match (worst_row, worst_col) {
-            (Some((ri, rd)), Some((ci, cd))) => {
-                if can_drop_row && (rd >= cd || !can_drop_col) {
-                    rows.remove(ri);
-                } else if can_drop_col {
-                    cols.remove(ci);
-                } else {
-                    break; // at minimum size on both axes
-                }
-            }
-            _ => break,
+        if can_drop_row && (rd >= cd || !can_drop_col) {
+            rows.remove(ri);
+            block.delete_row(ri);
+        } else if can_drop_col {
+            cols.remove(ci);
+            block.delete_col(ci);
+        } else {
+            break; // at minimum size on both axes
         }
-        stats = SubmatrixStats::compute(work, &rows, &cols);
     }
 
     // Phase 3: node addition against the original (unmasked) data.
@@ -328,18 +310,42 @@ fn single_bicluster(
     })
 }
 
-fn data_range(data: &Matrix) -> (f64, f64) {
+/// The members whose residue does not exceed `threshold`.
+fn within(members: &[usize], residues: &[f64], threshold: f64) -> Vec<usize> {
+    members
+        .iter()
+        .zip(residues)
+        .filter_map(|(&i, &d)| (d <= threshold).then_some(i))
+        .collect()
+}
+
+/// Position and value of the largest residue (the last one among equals).
+fn worst(residues: &[f64]) -> (usize, f64) {
+    residues
+        .iter()
+        .copied()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("selection is never empty")
+}
+
+/// `(min, max)` over every cell, `(0, 1)` for a constant matrix; rejects
+/// non-finite cells, which the residue comparisons cannot order.
+fn data_range(data: &Matrix) -> Result<(f64, f64)> {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
+    let mut finite = true;
     for &v in data.data() {
+        finite &= v.is_finite();
         lo = lo.min(v);
         hi = hi.max(v);
     }
-    if !lo.is_finite() || !hi.is_finite() || lo == hi {
-        (0.0, 1.0)
-    } else {
-        (lo, hi)
+    if !finite {
+        return Err(Error::Numerical(
+            "biclustering input has a non-finite cell".into(),
+        ));
     }
+    Ok(if lo < hi { (lo, hi) } else { (0.0, 1.0) })
 }
 
 #[cfg(test)]
@@ -363,6 +369,147 @@ mod tests {
             }
         }
         mat
+    }
+
+    /// Phases 1-3 written against the textbook two-pass statistics, one
+    /// full rescan per deletion: what `single_bicluster` must agree with.
+    fn reference_bicluster(data: &Matrix, config: &ChengChurchConfig) -> (Vec<usize>, Vec<usize>) {
+        use crate::msr::tests::reference_stats;
+        let (m, n) = data.shape();
+        let mut rows: Vec<usize> = (0..m).collect();
+        let mut cols: Vec<usize> = (0..n).collect();
+        let mut stats = reference_stats(data, &rows, &cols);
+        while stats.msr > config.delta {
+            let mut changed = false;
+            if rows.len() > config.min_rows.max(100) {
+                let keep = within(&rows, &stats.row_residues, config.alpha * stats.msr);
+                if keep.len() >= config.min_rows && keep.len() < rows.len() {
+                    rows = keep;
+                    changed = true;
+                    stats = reference_stats(data, &rows, &cols);
+                }
+            }
+            if cols.len() > config.min_cols.max(100) {
+                let keep = within(&cols, &stats.col_residues, config.alpha * stats.msr);
+                if keep.len() >= config.min_cols && keep.len() < cols.len() {
+                    cols = keep;
+                    changed = true;
+                    stats = reference_stats(data, &rows, &cols);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        while stats.msr > config.delta {
+            let (ri, rd) = worst(&stats.row_residues);
+            let (ci, cd) = worst(&stats.col_residues);
+            let can_drop_col = cols.len() > config.min_cols;
+            if rows.len() > config.min_rows && (rd >= cd || !can_drop_col) {
+                rows.remove(ri);
+            } else if can_drop_col {
+                cols.remove(ci);
+            } else {
+                break;
+            }
+            stats = reference_stats(data, &rows, &cols);
+        }
+        loop {
+            let stats = reference_stats(data, &rows, &cols);
+            let before = (rows.len(), cols.len());
+            for c in 0..n {
+                if !cols.contains(&c) && stats.candidate_col_residue(data, c, &rows) <= stats.msr {
+                    cols.push(c);
+                }
+            }
+            if cols.len() == before.1 {
+                for r in 0..m {
+                    if !rows.contains(&r)
+                        && (stats.candidate_row_residue(data, r, &cols, false) <= stats.msr
+                            || stats.candidate_row_residue(data, r, &cols, true) <= stats.msr)
+                    {
+                        rows.push(r);
+                    }
+                }
+            }
+            rows.sort_unstable();
+            cols.sort_unstable();
+            if (rows.len(), cols.len()) == before {
+                return (rows, cols);
+            }
+        }
+    }
+
+    fn assert_same_sets_as_reference(data: &Matrix, config: &ChengChurchConfig, what: &str) {
+        let found = find_biclusters(data, config, &ExecOpts::serial()).unwrap();
+        let (rows, cols) = reference_bicluster(data, config);
+        assert_eq!(found[0].rows, rows, "{what}: rows");
+        assert_eq!(found[0].cols, cols, "{what}: cols");
+        let msr = crate::msr::tests::reference_stats(data, &rows, &cols).msr;
+        assert!(
+            (found[0].msr - msr).abs() <= 1e-12 * msr,
+            "{what}: msr {} vs {msr}",
+            found[0].msr
+        );
+    }
+
+    #[test]
+    fn same_sets_as_reference_on_planted_cases() {
+        let first = |delta: f64| ChengChurchConfig {
+            delta,
+            max_biclusters: 1,
+            ..Default::default()
+        };
+        let evens: Vec<usize> = (0..20).step_by(2).collect();
+        let odds: Vec<usize> = (1..16).step_by(2).collect();
+        let cases = [
+            (planted(20, 16, &evens, &odds, 111), 0.05),
+            (
+                planted(30, 30, &[1, 2, 3, 4, 5], &[10, 11, 12, 13], 112),
+                0.5,
+            ),
+            (
+                planted(40, 40, &[0, 1, 2, 3, 4, 5, 6, 7], &[0, 1, 2, 3, 4, 5], 113),
+                0.05,
+            ),
+            // Large enough for multiple node deletion on both axes.
+            (planted(150, 130, &evens, &odds, 119), 0.1),
+        ];
+        for (i, (data, delta)) in cases.iter().enumerate() {
+            assert_same_sets_as_reference(data, &first(*delta), &format!("case {i}"));
+        }
+    }
+
+    #[test]
+    fn same_sets_as_reference_on_generated_data() {
+        use genbase_datagen::{generate, GeneratorConfig, SizeClass, SizeSpec};
+        // Query 3 as the harness runs it: men under 40, all genes, the
+        // generator-tuned delta, at the benchmark's scale.
+        let config = ChengChurchConfig {
+            delta: 0.02,
+            max_biclusters: 1,
+            ..Default::default()
+        };
+        for class in [SizeClass::Small, SizeClass::Medium] {
+            let size = SizeSpec::scaled(class, 0.048);
+            let d = generate(&GeneratorConfig::new(size).with_seed(1)).unwrap();
+            let men: Vec<usize> = (0..d.n_patients())
+                .filter(|&p| d.patients[p].gender == 1 && d.patients[p].age < 40)
+                .collect();
+            let data = d.expression.select_rows(&men);
+            assert_same_sets_as_reference(&data, &config, &format!("{class:?}"));
+        }
+    }
+
+    #[test]
+    fn non_finite_input_is_an_error_not_a_panic() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = planted(15, 12, &[1, 3, 5], &[2, 4, 6], 120);
+            data.set(7, 3, bad);
+            let err = find_biclusters(&data, &ChengChurchConfig::default(), &ExecOpts::serial())
+                .unwrap_err();
+            assert!(matches!(err, Error::Numerical(_)), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -7,6 +7,41 @@
 
 use genbase_linalg::Matrix;
 
+/// Independent partial sums one row is reduced through. The split is by
+/// position alone (`element j` feeds lane `j % LANES`; lanes fold pairwise
+/// in a fixed tree), so a row's sum depends on its cells and their order
+/// and on nothing else, and the stride-1 loops vectorise.
+const LANES: usize = 16;
+
+/// Fold the lanes pairwise: `l[i] + l[i + h]` for `h = 8, 4, 2, 1`.
+#[inline]
+fn fold_lanes(mut lanes: [f64; LANES]) -> f64 {
+    let mut half = LANES / 2;
+    while half > 0 {
+        for i in 0..half {
+            lanes[i] += lanes[i + half];
+        }
+        half /= 2;
+    }
+    lanes[0]
+}
+
+/// Lane-split sum of `x`.
+#[inline]
+fn lane_sum(x: &[f64]) -> f64 {
+    let mut lanes = [0.0; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for l in 0..LANES {
+            lanes[l] += chunk[l];
+        }
+    }
+    for (lane, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane += v;
+    }
+    fold_lanes(lanes)
+}
+
 /// Means and residues of a submatrix selection, recomputed after each
 /// deletion/addition round of Cheng–Church.
 #[derive(Debug, Clone)]
@@ -25,61 +60,143 @@ pub struct SubmatrixStats {
     pub col_residues: Vec<f64>,
 }
 
-impl SubmatrixStats {
-    /// Compute all statistics for the selection `(rows, cols)` of `data`.
-    pub fn compute(data: &Matrix, rows: &[usize], cols: &[usize]) -> SubmatrixStats {
-        let nr = rows.len();
-        let nc = cols.len();
+/// The residue engine: a compacted, contiguous `|I| x |J|` copy of the
+/// selection plus its always-current [`SubmatrixStats`]. Cheng–Church
+/// deletes rows and columns from it in place, so every sweep is two
+/// stride-1 passes over a block that shrinks with the selection (and soon
+/// fits in cache) instead of index gathers through the full-width source.
+pub(crate) struct ResidueBlock {
+    /// `nr * nc` live cells, row-major with stride `nc`.
+    cells: Vec<f64>,
+    nr: usize,
+    nc: usize,
+    stats: SubmatrixStats,
+    /// One row of squared residues, between the two loops that read it.
+    squares: Vec<f64>,
+}
+
+impl ResidueBlock {
+    /// Copy the selection `(rows, cols)` of `data` and compute its stats.
+    pub(crate) fn gather(data: &Matrix, rows: &[usize], cols: &[usize]) -> ResidueBlock {
+        let mut block = ResidueBlock {
+            cells: Vec::new(),
+            nr: 0,
+            nc: 0,
+            stats: SubmatrixStats {
+                row_means: Vec::new(),
+                col_means: Vec::new(),
+                overall_mean: 0.0,
+                msr: 0.0,
+                row_residues: Vec::new(),
+                col_residues: Vec::new(),
+            },
+            squares: Vec::new(),
+        };
+        block.regather(data, rows, cols);
+        block
+    }
+
+    /// Replace the block with the selection `(rows, cols)` of `data`,
+    /// reusing its buffers (a narrower selection allocates nothing).
+    pub(crate) fn regather(&mut self, data: &Matrix, rows: &[usize], cols: &[usize]) {
+        let (nr, nc) = (rows.len(), cols.len());
         assert!(nr > 0 && nc > 0, "empty selection");
-        let mut row_means = vec![0.0; nr];
-        let mut col_means = vec![0.0; nc];
-        let mut overall = 0.0;
-        for (ri, &r) in rows.iter().enumerate() {
+        self.cells.clear();
+        self.cells.reserve(nr * nc);
+        for &r in rows {
             let row = data.row(r);
-            for (ci, &c) in cols.iter().enumerate() {
-                let v = row[c];
-                row_means[ri] += v;
-                col_means[ci] += v;
-                overall += v;
+            self.cells.extend(cols.iter().map(|&c| row[c]));
+        }
+        (self.nr, self.nc) = (nr, nc);
+        self.stats.row_means.resize(nr, 0.0);
+        self.stats.row_residues.resize(nr, 0.0);
+        self.stats.col_means.resize(nc, 0.0);
+        self.stats.col_residues.resize(nc, 0.0);
+        self.sweep();
+    }
+
+    /// Statistics of the current block.
+    pub(crate) fn stats(&self) -> &SubmatrixStats {
+        &self.stats
+    }
+
+    /// Drop the row at position `ri` and recompute the stats.
+    pub(crate) fn delete_row(&mut self, ri: usize) {
+        let nc = self.nc;
+        self.cells.copy_within((ri + 1) * nc..self.nr * nc, ri * nc);
+        self.nr -= 1;
+        self.cells.truncate(self.nr * nc);
+        self.stats.row_means.truncate(self.nr);
+        self.stats.row_residues.truncate(self.nr);
+        self.sweep();
+    }
+
+    /// Drop the column at position `ci`, closing every row up so the block
+    /// stays contiguous, and recompute the stats.
+    pub(crate) fn delete_col(&mut self, ci: usize) {
+        let (nr, nc) = (self.nr, self.nc);
+        // Cells before (0, ci) stay put; each later run of `nc - 1` kept
+        // cells moves left by one more than the run before it.
+        for i in 0..nr {
+            let src = i * nc + ci + 1;
+            let len = if i + 1 < nr { nc - 1 } else { nc - 1 - ci };
+            self.cells.copy_within(src..src + len, src - 1 - i);
+        }
+        self.nc -= 1;
+        self.cells.truncate(nr * self.nc);
+        self.stats.col_means.truncate(self.nc);
+        self.stats.col_residues.truncate(self.nc);
+        self.sweep();
+    }
+
+    /// Recompute every statistic of the current block.
+    fn sweep(&mut self) {
+        let (nr, nc) = (self.nr, self.nc);
+        let st = &mut self.stats;
+
+        st.col_means.fill(0.0);
+        let mut overall = 0.0;
+        for (row, mean) in self.cells.chunks_exact(nc).zip(&mut st.row_means) {
+            for (c, &a) in st.col_means.iter_mut().zip(row) {
+                *c += a;
             }
+            let sum = lane_sum(row);
+            overall += sum;
+            *mean = sum / nc as f64;
         }
-        for m in &mut row_means {
-            *m /= nc as f64;
-        }
-        for m in &mut col_means {
+        for m in &mut st.col_means {
             *m /= nr as f64;
         }
         overall /= (nr * nc) as f64;
 
-        let mut row_residues = vec![0.0; nr];
-        let mut col_residues = vec![0.0; nc];
+        st.col_residues.fill(0.0);
+        self.squares.resize(nc, 0.0);
         let mut msr = 0.0;
-        for (ri, &r) in rows.iter().enumerate() {
-            let row = data.row(r);
-            for (ci, &c) in cols.iter().enumerate() {
-                let resid = row[c] - row_means[ri] - col_means[ci] + overall;
-                let sq = resid * resid;
-                row_residues[ri] += sq;
-                col_residues[ci] += sq;
-                msr += sq;
+        let rows = self.cells.chunks_exact(nc);
+        for ((row, &rm), d) in rows.zip(&st.row_means).zip(&mut st.row_residues) {
+            let cells = row.iter().zip(&st.col_means);
+            for ((sq, c), (&a, &cm)) in self.squares.iter_mut().zip(&mut st.col_residues).zip(cells)
+            {
+                let resid = a - rm - cm + overall;
+                *sq = resid * resid;
+                *c += *sq;
             }
+            let sum = lane_sum(&self.squares);
+            msr += sum;
+            *d = sum / nc as f64;
         }
-        for d in &mut row_residues {
-            *d /= nc as f64;
-        }
-        for d in &mut col_residues {
+        for d in &mut st.col_residues {
             *d /= nr as f64;
         }
-        msr /= (nr * nc) as f64;
+        st.overall_mean = overall;
+        st.msr = msr / (nr * nc) as f64;
+    }
+}
 
-        SubmatrixStats {
-            row_means,
-            col_means,
-            overall_mean: overall,
-            msr,
-            row_residues,
-            col_residues,
-        }
+impl SubmatrixStats {
+    /// Compute all statistics for the selection `(rows, cols)` of `data`.
+    pub fn compute(data: &Matrix, rows: &[usize], cols: &[usize]) -> SubmatrixStats {
+        ResidueBlock::gather(data, rows, cols).stats
     }
 
     /// Mean squared residue a *candidate* row `r` (not currently selected)
@@ -129,9 +246,132 @@ pub fn mean_squared_residue(data: &Matrix, rows: &[usize], cols: &[usize]) -> f6
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use genbase_util::Pcg64;
+
+    /// The textbook two-pass computation, straight from the definitions
+    /// with plain left-to-right sums: the reference the engine is held to.
+    pub(crate) fn reference_stats(data: &Matrix, rows: &[usize], cols: &[usize]) -> SubmatrixStats {
+        let (nr, nc) = (rows.len(), cols.len());
+        let mut row_means = vec![0.0; nr];
+        let mut col_means = vec![0.0; nc];
+        let mut overall = 0.0;
+        for (ri, &r) in rows.iter().enumerate() {
+            for (ci, &c) in cols.iter().enumerate() {
+                let v = data.get(r, c);
+                row_means[ri] += v;
+                col_means[ci] += v;
+                overall += v;
+            }
+        }
+        row_means.iter_mut().for_each(|m| *m /= nc as f64);
+        col_means.iter_mut().for_each(|m| *m /= nr as f64);
+        overall /= (nr * nc) as f64;
+        let mut row_residues = vec![0.0; nr];
+        let mut col_residues = vec![0.0; nc];
+        let mut msr = 0.0;
+        for (ri, &r) in rows.iter().enumerate() {
+            for (ci, &c) in cols.iter().enumerate() {
+                let resid = data.get(r, c) - row_means[ri] - col_means[ci] + overall;
+                row_residues[ri] += resid * resid;
+                col_residues[ci] += resid * resid;
+                msr += resid * resid;
+            }
+        }
+        row_residues.iter_mut().for_each(|d| *d /= nc as f64);
+        col_residues.iter_mut().for_each(|d| *d /= nr as f64);
+        SubmatrixStats {
+            row_means,
+            col_means,
+            overall_mean: overall,
+            msr: msr / (nr * nc) as f64,
+            row_residues,
+            col_residues,
+        }
+    }
+
+    /// Every field within `1e-12` relative: means relative to the data's
+    /// magnitude `scale` (a mean may cancel to nothing), residues relative
+    /// to themselves down to the square of the means' tolerance.
+    fn assert_close(got: &SubmatrixStats, want: &SubmatrixStats, scale: f64, what: &str) {
+        let mean = |a: f64, b: f64| (a - b).abs() <= 1e-12 * scale;
+        let resid = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.max(b) + 1e-24 * scale * scale;
+        let all = |a: &[f64], b: &[f64], close: &dyn Fn(f64, f64) -> bool| {
+            a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| close(x, y))
+        };
+        assert!(
+            all(&got.row_means, &want.row_means, &mean),
+            "{what}: row_means"
+        );
+        assert!(
+            all(&got.col_means, &want.col_means, &mean),
+            "{what}: col_means"
+        );
+        assert!(
+            mean(got.overall_mean, want.overall_mean),
+            "{what}: overall_mean"
+        );
+        assert!(resid(got.msr, want.msr), "{what}: msr");
+        assert!(
+            all(&got.row_residues, &want.row_residues, &resid),
+            "{what}: row_residues"
+        );
+        assert!(
+            all(&got.col_residues, &want.col_residues, &resid),
+            "{what}: col_residues"
+        );
+    }
+
+    #[test]
+    fn engine_matches_reference_after_random_deletions() {
+        for seed in 0..40u64 {
+            let mut rng = Pcg64::new(0xde1e7e ^ seed);
+            // Widths around the lane count, so whole steps, tails and
+            // rows shorter than one step all occur as columns go.
+            let m = 2 + rng.next_below(40) as usize;
+            let n = 2 + rng.next_below(70) as usize;
+            let shift = rng.normal() * 10.0;
+            let data = Matrix::from_fn(m, n, |_, _| shift + rng.normal() * 3.0);
+            let scale = data.data().iter().fold(0.0f64, |s, v| s.max(v.abs()));
+            // A scattered starting selection, then deletions down to 1x1.
+            let mut rows: Vec<usize> = (0..m).filter(|_| rng.chance(0.8)).collect();
+            let mut cols: Vec<usize> = (0..n).filter(|_| rng.chance(0.8)).collect();
+            if rows.is_empty() || cols.is_empty() {
+                continue;
+            }
+            let mut block = ResidueBlock::gather(&data, &rows, &cols);
+            assert_close(
+                block.stats(),
+                &reference_stats(&data, &rows, &cols),
+                scale,
+                "gathered",
+            );
+            while rows.len() > 1 || cols.len() > 1 {
+                let drop_row = rows.len() > 1 && (cols.len() == 1 || rng.chance(0.4));
+                if drop_row {
+                    let ri = rng.next_below(rows.len() as u64) as usize;
+                    rows.remove(ri);
+                    block.delete_row(ri);
+                } else {
+                    let ci = rng.next_below(cols.len() as u64) as usize;
+                    cols.remove(ci);
+                    block.delete_col(ci);
+                }
+                let what = format!("seed {seed} at {}x{}", rows.len(), cols.len());
+                assert_close(
+                    block.stats(),
+                    &reference_stats(&data, &rows, &cols),
+                    scale,
+                    &what,
+                );
+                // Deleting in place and gathering afresh are the same block.
+                let fresh = SubmatrixStats::compute(&data, &rows, &cols);
+                assert_eq!(block.stats().msr.to_bits(), fresh.msr.to_bits(), "{what}");
+                assert_eq!(block.stats().col_residues, fresh.col_residues, "{what}");
+            }
+        }
+    }
 
     #[test]
     fn constant_block_has_zero_msr() {

@@ -28,6 +28,19 @@ use genbase_mapreduce::mahout;
 use genbase_storage::MemTracker;
 use genbase_util::{Error, Result};
 use std::collections::HashSet;
+use std::sync::{Mutex, PoisonError};
+
+/// The process's one simulated Hadoop cluster. A run owns every task slot
+/// (the cost model sizes each job from `sim_threads` as if it did), so
+/// concurrent runs — server connections, `--jobs` sweep cells — queue for
+/// it the way jobs queued behind Hadoop 1.x's FIFO JobTracker. The queue
+/// also bounds the engine's real footprint: the boxed-row triple table plus
+/// a join's shuffle buffers are about 4.5x what the tracker models (19 MB
+/// of heap at Small against 4.2 MB tracked), and two runs that happened to
+/// overlap doubled it, so a server's peak RSS depended on request timing.
+/// Nothing is timed or charged before the first op, so the wait is in no
+/// reported cost.
+static CLUSTER: Mutex<()> = Mutex::new(());
 
 /// Simulated per-job launch latency (JVM spin-up + scheduling), charged to
 /// the sim clock. The paper-era figure was 10–30 s; scaled by the same
@@ -158,6 +171,9 @@ impl Engine for Hadoop {
         if !self.supports(query) {
             return Err(Error::unsupported(self.name(), query.name()));
         }
+        // The guard protects no data, so a run that panicked leaves nothing
+        // to distrust: recover it rather than fail every later request.
+        let _cluster = CLUSTER.lock().unwrap_or_else(PoisonError::into_inner);
         let cfg = self.job_config(ctx);
         let sim = cfg.sim.clone();
         let mem = ctx.mem_tracker();
@@ -545,6 +561,36 @@ mod tests {
                 a.consistency_error(&b, 1e-5)
             );
         }
+    }
+
+    #[test]
+    fn runs_queue_for_the_one_cluster() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let data = tiny();
+        let params = QueryParams::for_dataset(&data);
+        let ctx = ExecContext::single_node();
+        let alone = Hadoop::new()
+            .run(Query::Statistics, &data, &params, &ctx)
+            .unwrap();
+        let finished = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let cluster = CLUSTER.lock().unwrap_or_else(PoisonError::into_inner);
+            let run = scope.spawn(|| {
+                let report = Hadoop::new().run(Query::Statistics, &data, &params, &ctx);
+                finished.store(true, Ordering::SeqCst);
+                report
+            });
+            // However long this sleeps, the run cannot finish before the
+            // cluster is released.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(
+                !finished.load(Ordering::SeqCst),
+                "run overlapped a held cluster"
+            );
+            drop(cluster);
+            let queued = run.join().expect("queued run").unwrap();
+            assert_eq!(alone.output, queued.output);
+        });
     }
 
     #[test]

@@ -251,42 +251,49 @@ impl Harness {
         threads: usize,
         progress: Option<genbase_util::ProgressHandle>,
     ) -> Result<RunRecord> {
-        self.run_cell_with_overrides(engine, query, size, nodes, threads, progress, None)
+        let mut ctx = self.context_with_threads(nodes, threads);
+        ctx.progress = progress;
+        self.run_cell_in(engine, query, size, nodes, ctx)
     }
 
-    /// [`Harness::run_cell_with_progress`] with the morsel-streaming config
+    /// [`Harness::run_cell_with_threads`] with the morsel-streaming config
     /// replaced for this run only (the served path's per-request
     /// `"stream"` override). The artifact-cache scope is re-keyed under the
     /// overridden config's fingerprint, so staged and fused runs never
     /// share cached conversion artifacts.
-    pub fn run_cell_with_overrides(
+    pub fn run_cell_with_stream(
         &self,
         engine: &dyn Engine,
         query: Query,
         size: SizeClass,
         nodes: usize,
         threads: usize,
-        progress: Option<genbase_util::ProgressHandle>,
-        stream: Option<crate::engine::StreamConfig>,
+        stream: crate::engine::StreamConfig,
+    ) -> Result<RunRecord> {
+        let mut ctx = self.context_with_threads(nodes, threads);
+        let mut cfg = self.config.clone();
+        cfg.stream = Some(stream.clone());
+        ctx.stream = Some(stream);
+        ctx.cache = self.cache.as_ref().map(|cache| {
+            genbase_storage::CacheScope::new(cache.clone(), crate::sched::config_fingerprint(&cfg))
+        });
+        self.run_cell_in(engine, query, size, nodes, ctx)
+    }
+
+    /// Run one cell in a finished context.
+    fn run_cell_in(
+        &self,
+        engine: &dyn Engine,
+        query: Query,
+        size: SizeClass,
+        nodes: usize,
+        ctx: ExecContext,
     ) -> Result<RunRecord> {
         let outcome = if !engine.supports(query) || nodes > engine.max_nodes() {
             RunOutcome::Unsupported
         } else {
             let data = self.dataset(size)?;
             let params = self.params(size)?;
-            let mut ctx = self.context_with_threads(nodes, threads);
-            ctx.progress = progress;
-            if let Some(stream) = stream {
-                let mut cfg = self.config.clone();
-                cfg.stream = Some(stream.clone());
-                ctx.stream = Some(stream);
-                ctx.cache = self.cache.as_ref().map(|cache| {
-                    genbase_storage::CacheScope::new(
-                        cache.clone(),
-                        crate::sched::config_fingerprint(&cfg),
-                    )
-                });
-            }
             match engine.run(query, &data, &params, &ctx) {
                 Ok(mut report) => {
                     if self.config.timing == TimingMode::SimOnly {

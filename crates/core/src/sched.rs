@@ -744,15 +744,9 @@ impl Scheduler {
         stream: crate::engine::StreamConfig,
     ) -> Result<CellOutcome> {
         let engine = self.engine(&key.engine)?;
-        let rec = self.harness.run_cell_with_overrides(
-            engine,
-            key.query,
-            key.size,
-            key.nodes,
-            threads,
-            None,
-            Some(stream),
-        )?;
+        let rec = self
+            .harness
+            .run_cell_with_stream(engine, key.query, key.size, key.nodes, threads, stream)?;
         Ok(CellOutcome::from_run(&rec.outcome))
     }
 

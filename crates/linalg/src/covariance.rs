@@ -166,9 +166,10 @@ pub fn quantile_abs_threshold(cov: &Matrix, fraction: f64) -> f64 {
     }
     let keep = ((vals.len() as f64) * fraction).ceil() as usize;
     let keep = keep.clamp(1, vals.len());
-    // Partial sort: nth element from the top.
-    vals.sort_by(|a, b| b.partial_cmp(a).expect("NaN covariance"));
-    vals[keep - 1]
+    // Partial sort: only the `keep`-th value from the top is placed.
+    let (_, kth, _) =
+        vals.select_nth_unstable_by(keep - 1, |a, b| b.partial_cmp(a).expect("NaN covariance"));
+    *kth
 }
 
 fn sort_pairs(pairs: &mut [CovPair]) {
@@ -296,6 +297,32 @@ mod tests {
         // and close to it.
         assert!(pairs.len() >= expect);
         assert!(pairs.len() <= expect + 2);
+    }
+
+    #[test]
+    fn quantile_threshold_equals_full_sort() {
+        // Selection must return the number a full descending sort puts at
+        // `keep - 1`, on continuous values and on heavy ties.
+        let mut rng = Pcg64::new(75);
+        let random = Matrix::from_fn(40, 40, |_, _| rng.normal());
+        let tied = Matrix::from_fn(40, 40, |_, _| (rng.next_below(4) as f64 - 1.5) * 0.5);
+        for cov in [&random, &tied] {
+            let n = cov.cols();
+            let mut sorted: Vec<f64> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .map(|(i, j)| cov.get(i, j).abs())
+                .collect();
+            sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            for fraction in [0.0, 0.001, 0.1, 0.5, 0.999, 1.0] {
+                let keep =
+                    ((sorted.len() as f64 * fraction).ceil() as usize).clamp(1, sorted.len());
+                assert_eq!(
+                    quantile_abs_threshold(cov, fraction).to_bits(),
+                    sorted[keep - 1].to_bits(),
+                    "fraction {fraction}"
+                );
+            }
+        }
     }
 
     #[test]

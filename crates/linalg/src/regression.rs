@@ -56,10 +56,12 @@ impl LinearRegression {
         let beta = match method {
             RegressionMethod::Qr => {
                 // Design matrix with a leading all-ones intercept column.
-                let design =
-                    Matrix::from_fn(m, n + 1, |r, c| if c == 0 { 1.0 } else { x.get(r, c - 1) });
-                opts.budget
-                    .alloc(design.heap_bytes(), design.len() as u64)?;
+                let mut design = Matrix::zeros_budgeted(m, n + 1, &opts.budget)?;
+                for r in 0..m {
+                    let row = design.row_mut(r);
+                    row[0] = 1.0;
+                    row[1..].copy_from_slice(x.row(r));
+                }
                 let res = QrFactor::factor(design, opts)?.solve_ls(y);
                 opts.budget.free((m * (n + 1) * 8) as u64);
                 res?

@@ -3,9 +3,14 @@
 //! serial references within 1e-9 at every thread count in {1, 2, 8}, and
 //! results must be *thread-count invariant* (bit-identical across thread
 //! counts — every output element is owned by exactly one task with a fixed
-//! reduction order).
+//! reduction order). The same invariance is pinned for the QR regression
+//! (column slabs on the pool) and for Cheng–Church (which takes `ExecOpts`
+//! but sweeps serially) at thread counts {1, 2, 3, 8}.
 
-use genbase_linalg::{covariance, gram, matmul, matmul_naive, ExecOpts, Matrix};
+use genbase_bicluster::{find_biclusters, ChengChurchConfig};
+use genbase_linalg::{
+    covariance, gram, matmul, matmul_naive, ExecOpts, LinearRegression, Matrix, RegressionMethod,
+};
 use genbase_util::Pcg64;
 use proptest::prelude::*;
 
@@ -111,5 +116,56 @@ proptest! {
         let a = random_matrix(seed, m, n);
         let g = gram(&a, &ExecOpts::with_threads(threads)).unwrap();
         prop_assert!(g.approx_eq(&g.transpose(), 0.0), "mirror must be exact");
+    }
+}
+
+#[test]
+fn qr_regression_bit_identical_across_thread_counts() {
+    // One panel; several panels under the QR work floor; and a shape whose
+    // trailing updates are dispatched to the pool.
+    for (m, n) in [(40usize, 6usize), (300, 40), (900, 200)] {
+        let x = random_matrix(m as u64, m, n);
+        let mut rng = Pcg64::new(n as u64);
+        let y: Vec<f64> = (0..m).map(|_| rng.normal()).collect();
+        let fit = |threads| {
+            let model = LinearRegression::fit(
+                &x,
+                &y,
+                RegressionMethod::Qr,
+                &ExecOpts::with_threads(threads),
+            )
+            .unwrap();
+            let mut bits = vec![model.intercept.to_bits(), model.r_squared.to_bits()];
+            bits.extend(model.coefficients.iter().map(|c| c.to_bits()));
+            bits
+        };
+        let one = fit(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(fit(threads), one, "{m}x{n} threads={threads}");
+        }
+    }
+}
+
+#[test]
+fn cheng_church_bit_identical_across_thread_counts() {
+    // Below and above the ~100-node threshold of multiple node deletion.
+    for (m, n) in [(30usize, 24usize), (220, 180)] {
+        let mut data = random_matrix(7 + m as u64, m, n);
+        for r in (0..m).step_by(3) {
+            for c in (0..n).step_by(2) {
+                data.set(r, c, 4.0 + 0.01 * (r + c) as f64);
+            }
+        }
+        let config = ChengChurchConfig {
+            delta: 0.05,
+            max_biclusters: 2,
+            ..Default::default()
+        };
+        let one = find_biclusters(&data, &config, &ExecOpts::with_threads(1)).unwrap();
+        assert!(!one.is_empty());
+        for threads in [2, 3, 8] {
+            let many = find_biclusters(&data, &config, &ExecOpts::with_threads(threads)).unwrap();
+            assert_eq!(many, one, "{m}x{n} threads={threads}");
+        }
     }
 }
