@@ -30,8 +30,8 @@ use genbase_storage::{
     self as storage, BatchReel, CachePin, CacheScope, CacheValue, Column, ColumnarTable,
     DenseHandle, MemTracker, Morsel,
 };
-use genbase_util::{Budget, Error, Result};
-use std::collections::{HashMap, HashSet};
+use genbase_util::{Budget, Error, IdIndex, Result};
+use std::collections::HashMap;
 
 /// Which store backs the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -626,8 +626,8 @@ struct StreamState {
     /// Fused pipeline mode: joins stage their filters without a reel pass
     /// and the consuming operator runs one probe+sink pass per morsel.
     fused: bool,
-    gene_filter: Option<HashSet<i64>>,
-    patient_filter: Option<HashSet<i64>>,
+    gene_filter: Option<IdIndex>,
+    patient_filter: Option<IdIndex>,
     /// Triples passing the staged filters — the row count the materialized
     /// join would have produced (labels and byte accounting downstream).
     joined_rows: usize,
@@ -635,8 +635,8 @@ struct StreamState {
 
 impl StreamState {
     fn passes(&self, g: i64, p: i64) -> bool {
-        self.gene_filter.as_ref().is_none_or(|s| s.contains(&g))
-            && self.patient_filter.as_ref().is_none_or(|s| s.contains(&p))
+        self.gene_filter.as_ref().is_none_or(|s| s.contains(g))
+            && self.patient_filter.as_ref().is_none_or(|s| s.contains(p))
     }
 
     fn scan(&self) -> ReelScan<'_> {
@@ -655,11 +655,8 @@ impl StreamState {
     /// Filter ids that actually occur in the reel's dense id domain `0..n`
     /// (the reel holds every `(gene, patient)` pair exactly once, so this
     /// is what a counting pass would tally per row of the other dimension).
-    fn domain_count(filter: &HashSet<i64>, n: usize) -> usize {
-        filter
-            .iter()
-            .filter(|&&id| id >= 0 && (id as usize) < n)
-            .count()
+    fn domain_count(filter: &IdIndex, n: usize) -> usize {
+        (0..n as i64).filter(|&id| filter.contains(id)).count()
     }
 
     /// Rows of the reel passing *both* staged filters, computed without a
@@ -697,6 +694,32 @@ impl TripleScan for ReelScan<'_> {
             }
             Ok(())
         })
+    }
+}
+
+/// Streaming accumulator of the Query 5 `GROUP BY gene_id` over the dense
+/// gene domain `0..n_genes`: the score vector is indexed by gene id, so a
+/// group outside the domain never reaches an output and is dropped on
+/// arrival. Sums start at `0.0` and add in arrival order, like the
+/// materialized `group_sum`, so every lowering yields the same bits.
+struct GeneSums(Vec<(f64, u64)>);
+
+impl GeneSums {
+    fn new(n_genes: usize) -> GeneSums {
+        GeneSums(vec![(0.0, 0); n_genes])
+    }
+
+    fn add(&mut self, gene: i64, value: f64) {
+        if let Some(e) = usize::try_from(gene).ok().and_then(|g| self.0.get_mut(g)) {
+            e.0 += value;
+            e.1 += 1;
+        }
+    }
+
+    /// Per-gene mean; genes with no rows score `0.0`.
+    fn means(self) -> Vec<f64> {
+        let mean = |(sum, count): (f64, u64)| if count > 0 { sum / count as f64 } else { 0.0 };
+        self.0.into_iter().map(mean).collect()
     }
 }
 
@@ -899,17 +922,12 @@ pub fn sql_sim_covariance(
     if m < 2 {
         return Err(Error::invalid("covariance requires at least 2 patients"));
     }
-    let gene_index: HashMap<i64, usize> =
-        gene_ids.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-    let patient_index: HashMap<i64, usize> = patient_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i))
-        .collect();
+    let gene_index = IdIndex::new(gene_ids);
+    let patient_index = IdIndex::new(patient_ids);
     // Pass 1 (SQL GROUP BY gene): means.
     let mut means = vec![0.0; n];
     set.scan(&mut |g, _p, v| {
-        if let Some(&gi) = gene_index.get(&g) {
+        if let Some(gi) = gene_index.get(g) {
             means[gi] += v;
         }
     })?;
@@ -920,7 +938,7 @@ pub fn sql_sim_covariance(
     // pair-product hash aggregate.
     let mut per_patient: Vec<Vec<f64>> = vec![vec![0.0; n]; m];
     set.scan(&mut |g, p, v| {
-        if let (Some(&gi), Some(&pi)) = (gene_index.get(&g), patient_index.get(&p)) {
+        if let (Some(gi), Some(pi)) = (gene_index.get(g), patient_index.get(p)) {
             per_patient[pi][gi] = v - means[gi];
         }
     })?;
@@ -954,8 +972,8 @@ pub fn sql_sim_covariance(
 /// aggregate would be.
 pub struct SqlSimGramOp<'a> {
     set: &'a dyn TripleScan,
-    patient_index: HashMap<i64, usize>,
-    gene_index: HashMap<i64, usize>,
+    patient_index: IdIndex,
+    gene_index: IdIndex,
     n_patients: usize,
 }
 
@@ -964,12 +982,8 @@ impl<'a> SqlSimGramOp<'a> {
     pub fn new(set: &'a dyn TripleScan, patient_ids: &[i64], gene_ids: &[i64]) -> Self {
         SqlSimGramOp {
             set,
-            patient_index: patient_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (p, i))
-                .collect(),
-            gene_index: gene_ids.iter().enumerate().map(|(i, &g)| (g, i)).collect(),
+            patient_index: IdIndex::new(patient_ids),
+            gene_index: IdIndex::new(gene_ids),
             n_patients: patient_ids.len(),
         }
     }
@@ -983,13 +997,13 @@ impl LinearOp for SqlSimGramOp<'_> {
     fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
         let mut u = vec![0.0; self.n_patients];
         self.set.scan(&mut |g, p, v| {
-            if let (Some(&gi), Some(&pi)) = (self.gene_index.get(&g), self.patient_index.get(&p)) {
+            if let (Some(gi), Some(pi)) = (self.gene_index.get(g), self.patient_index.get(p)) {
                 u[pi] += v * x[gi];
             }
         })?;
         y.iter_mut().for_each(|v| *v = 0.0);
         self.set.scan(&mut |g, p, v| {
-            if let (Some(&gi), Some(&pi)) = (self.gene_index.get(&g), self.patient_index.get(&p)) {
+            if let (Some(gi), Some(pi)) = (self.gene_index.get(g), self.patient_index.get(p)) {
                 y[gi] += v * u[pi];
             }
         })?;
@@ -1231,13 +1245,13 @@ impl PhysicalBackend for SqlBackend<'_> {
                 let patient_ids: Vec<i64> = (0..data.n_patients() as i64).collect();
                 let label = format!("hash join: triples x {} filtered genes", gene_ids.len());
                 if let Some(st) = self.stream.as_mut() {
+                    let filter = IdIndex::new(gene_ids);
                     if st.fused {
                         // Fused lowering: stage the filter only — no reel
                         // pass at all. The matched-row count the staged
                         // counting pass would tally is known analytically
                         // (the reel is the dense patient x gene cross
                         // product) and verified by the fused pass later.
-                        let filter: HashSet<i64> = gene_ids.iter().copied().collect();
                         let matched =
                             StreamState::domain_count(&filter, data.n_genes()) * data.n_patients();
                         let y = tracer.exec(
@@ -1263,7 +1277,6 @@ impl PhysicalBackend for SqlBackend<'_> {
                     // filter on the reel. The matched-row count (one
                     // parallel counting pass over the morsels) is what the
                     // materialized join would have output.
-                    let filter: HashSet<i64> = gene_ids.iter().copied().collect();
                     let reel = &st.reel;
                     let threads = st.threads;
                     let (matched, y) =
@@ -1271,7 +1284,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                             mem.note_input(reel.span_bytes());
                             let counts = reel.map_batches(threads, |m| {
                                 let g = m.int_col(0).expect("reel gene column");
-                                g.iter().filter(|g| filter.contains(g)).count()
+                                g.iter().filter(|&&g| filter.contains(g)).count()
                             })?;
                             let matched: usize = counts.iter().sum();
                             mem.note_output((matched * 24) as u64, matched as u64);
@@ -1322,10 +1335,10 @@ impl PhysicalBackend for SqlBackend<'_> {
                     patient_ids.len()
                 );
                 if let Some(st) = self.stream.as_mut() {
+                    let filter = IdIndex::new(patient_ids);
                     if st.fused {
                         // Fused lowering: stage the filter, defer the pass
                         // (see `JoinOnGenes`).
-                        let filter: HashSet<i64> = patient_ids.iter().copied().collect();
                         let matched =
                             StreamState::domain_count(&filter, data.n_patients()) * data.n_genes();
                         tracer.exec(
@@ -1343,7 +1356,6 @@ impl PhysicalBackend for SqlBackend<'_> {
                         st.patient_filter = Some(filter);
                         st.joined_rows = matched;
                     } else {
-                        let filter: HashSet<i64> = patient_ids.iter().copied().collect();
                         let reel = &st.reel;
                         let threads = st.threads;
                         let matched =
@@ -1351,7 +1363,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                                 mem.note_input(reel.span_bytes());
                                 let counts = reel.map_batches(threads, |m| {
                                     let p = m.int_col(1).expect("reel patient column");
-                                    p.iter().filter(|p| filter.contains(p)).count()
+                                    p.iter().filter(|&&p| filter.contains(p)).count()
                                 })?;
                                 let matched: usize = counts.iter().sum();
                                 mem.note_output((matched * 24) as u64, matched as u64);
@@ -1490,7 +1502,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                             mem.note_input(st.reel.span_bytes());
                             mem.note_output((n_genes * 8) as u64, n_genes as u64);
                             mem.note_batches(st.reel.n_batches() as u64);
-                            let mut acc: HashMap<i64, (f64, u64)> = HashMap::new();
+                            let mut acc = GeneSums::new(n_genes);
                             let survivors = storage::fused_scan(
                                 &st.reel,
                                 st.threads,
@@ -1499,9 +1511,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                                     let g = m.int_col(0)?;
                                     let v = m.float_col(2)?;
                                     for &i in sel.positions() {
-                                        let e = acc.entry(g[i as usize]).or_insert((0.0, 0));
-                                        e.0 += v[i as usize];
-                                        e.1 += 1;
+                                        acc.add(g[i as usize], v[i as usize]);
                                     }
                                     Ok(())
                                 },
@@ -1512,16 +1522,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                                 )));
                             }
                             mem.note_selected(survivors);
-                            let mut groups: Vec<(i64, f64, u64)> =
-                                acc.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
-                            groups.sort_unstable_by_key(|&(k, _, _)| k);
-                            let mut scores = vec![0.0; n_genes];
-                            for (g, s, c) in groups {
-                                if (g as usize) < scores.len() && c > 0 {
-                                    scores[g as usize] = s / c as f64;
-                                }
-                            }
-                            Ok(scores)
+                            Ok(acc.means())
                         },
                     )?
                 } else if let Some(st) = self.stream.as_ref() {
@@ -1529,25 +1530,12 @@ impl PhysicalBackend for SqlBackend<'_> {
                         mem.note_input((st.joined_rows * 24) as u64);
                         mem.note_output((n_genes * 8) as u64, n_genes as u64);
                         mem.note_batches(st.reel.n_batches() as u64);
-                        // Same hash-aggregate as the materialized
-                        // `group_sum`, accumulating in replay (== row)
-                        // order so the f64 sums are bit-identical.
-                        let mut acc: HashMap<i64, (f64, u64)> = HashMap::new();
-                        st.scan().scan(&mut |g, _p, v| {
-                            let e = acc.entry(g).or_insert((0.0, 0));
-                            e.0 += v;
-                            e.1 += 1;
-                        })?;
-                        let mut groups: Vec<(i64, f64, u64)> =
-                            acc.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
-                        groups.sort_unstable_by_key(|&(k, _, _)| k);
-                        let mut scores = vec![0.0; n_genes];
-                        for (g, s, c) in groups {
-                            if (g as usize) < scores.len() && c > 0 {
-                                scores[g as usize] = s / c as f64;
-                            }
-                        }
-                        Ok(scores)
+                        // Same aggregate as the materialized `group_sum`,
+                        // accumulating in replay (== row) order so the f64
+                        // sums are bit-identical.
+                        let mut acc = GeneSums::new(n_genes);
+                        st.scan().scan(&mut |g, _p, v| acc.add(g, v))?;
+                        Ok(acc.means())
                     })?
                 } else {
                     let store = &self.store;
@@ -1555,9 +1543,8 @@ impl PhysicalBackend for SqlBackend<'_> {
                     tracer.exec(OpKind::GroupAgg, Phase::DataManagement, label, || {
                         mem.note_input(joined.heap_bytes());
                         mem.note_output((n_genes * 8) as u64, n_genes as u64);
-                        let groups = store.group_sum_by_gene(joined)?;
                         let mut scores = vec![0.0; n_genes];
-                        for (g, s, c) in groups {
+                        for (g, s, c) in store.group_sum_by_gene(joined)? {
                             if (g as usize) < scores.len() && c > 0 {
                                 scores[g as usize] = s / c as f64;
                             }
@@ -1613,16 +1600,7 @@ impl SqlBackend<'_> {
         let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
         let rows = patient_ids.len();
         let cols = gene_ids.len();
-        let row_index: HashMap<i64, usize> = patient_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        let col_index: HashMap<i64, usize> = gene_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
+        let (row_index, col_index) = (IdIndex::new(patient_ids), IdIndex::new(gene_ids));
         let mut mat = match self.spec.bridge {
             Bridge::ExportToR => {
                 // DBMS half: the COPY producer, streamed chunk by chunk.
@@ -1656,21 +1634,9 @@ impl SqlBackend<'_> {
                         let mut in_bytes = 0u64;
                         stream_export_chunks(st, db_budget, &mut |text| {
                             in_bytes += text.len() as u64;
-                            let parsed = genbase_relational::import_matrix_csv(text, r_budget)?;
-                            if parsed.cols != 3 && parsed.rows != 0 {
-                                return Err(Error::invalid("exported triples must have 3 columns"));
-                            }
-                            for r in 0..parsed.rows {
-                                let g = parsed.data[r * 3] as i64;
-                                let p = parsed.data[r * 3 + 1] as i64;
-                                let v = parsed.data[r * 3 + 2];
-                                if let (Some(&ri), Some(&ci)) =
-                                    (row_index.get(&p), col_index.get(&g))
-                                {
-                                    mat.set(ri, ci, v);
-                                }
-                            }
-                            Ok(())
+                            storage::scatter_csv_triples(
+                                text, &row_index, &col_index, r_budget, &mut mat,
+                            )
                         })?;
                         mem.note_input(in_bytes);
                         r_budget.free(mat.heap_bytes());
@@ -1731,8 +1697,8 @@ impl SqlBackend<'_> {
                             let pc = m.int_col(1)?;
                             let vc = m.float_col(2)?;
                             for i in 0..m.n_rows() {
-                                if let (Some(&ri), Some(&ci)) =
-                                    (row_index.get(&pc[i]), col_index.get(&gc[i]))
+                                if let (Some(ri), Some(ci)) =
+                                    (row_index.get(pc[i]), col_index.get(gc[i]))
                                 {
                                     data[ri * cols + ci] = vc[i];
                                 }
@@ -1785,16 +1751,7 @@ impl SqlBackend<'_> {
         let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
         let rows = patient_ids.len();
         let cols = gene_ids.len();
-        let row_index: HashMap<i64, usize> = patient_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        let col_index: HashMap<i64, usize> = gene_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
+        let (row_index, col_index) = (IdIndex::new(patient_ids), IdIndex::new(gene_ids));
         let expected = st.expected_survivors(self.data.n_genes(), self.data.n_patients()) as u64;
         let n_batches = st.reel.n_batches() as u64;
         let mut mat = match self.spec.bridge {
@@ -1829,24 +1786,9 @@ impl SqlBackend<'_> {
                                 let mut text = String::new();
                                 storage::csv_selected(m, sel, &mut text);
                                 text_total += text.len() as u64;
-                                let parsed =
-                                    genbase_relational::import_matrix_csv(&text, r_budget)?;
-                                if parsed.cols != 3 && parsed.rows != 0 {
-                                    return Err(Error::invalid(
-                                        "exported triples must have 3 columns",
-                                    ));
-                                }
-                                for r in 0..parsed.rows {
-                                    let g = parsed.data[r * 3] as i64;
-                                    let p = parsed.data[r * 3 + 1] as i64;
-                                    let v = parsed.data[r * 3 + 2];
-                                    if let (Some(&ri), Some(&ci)) =
-                                        (row_index.get(&p), col_index.get(&g))
-                                    {
-                                        mat.set(ri, ci, v);
-                                    }
-                                }
-                                Ok(())
+                                storage::scatter_csv_triples(
+                                    &text, &row_index, &col_index, r_budget, &mut mat,
+                                )
                             },
                         )?;
                         if survivors != expected {

@@ -7,11 +7,11 @@
 //! advantage the paper's column store enjoys on wide scans, and the
 //! disadvantage (re-assembling several columns) it suffers on narrow tables.
 
+use crate::join::BuildSide;
 use crate::pred::Pred;
 use crate::value::{DataType, Schema, Value};
 use crate::Relation;
-use genbase_util::{Budget, Error, Result};
-use std::collections::HashMap;
+use genbase_util::{idindex, Budget, Error, Result};
 
 /// One column's data.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,23 +232,18 @@ impl ColumnTable {
     ) -> Result<ColumnTable> {
         let build_keys = build.int_col(build_key)?;
         let probe_keys = self.int_col(self_key)?;
-        let mut table: HashMap<i64, Vec<u32>> = HashMap::with_capacity(build_keys.len());
-        for (i, &k) in build_keys.iter().enumerate() {
-            table.entry(k).or_default().push(i as u32);
-        }
+        let build_side = BuildSide::new(build_keys);
         budget.check("column-store hash join build")?;
         // Matching position pairs.
         let mut left_sel: Vec<u32> = Vec::new();
         let mut right_sel: Vec<u32> = Vec::new();
-        for (i, k) in probe_keys.iter().enumerate() {
+        for (i, &k) in probe_keys.iter().enumerate() {
             if i % 65_536 == 0 {
                 budget.check("column-store hash join probe")?;
             }
-            if let Some(matches) = table.get(k) {
-                for &b in matches {
-                    left_sel.push(i as u32);
-                    right_sel.push(b);
-                }
+            for b in build_side.matches(k) {
+                left_sel.push(i as u32);
+                right_sel.push(b as u32);
             }
         }
         let mut cols: Vec<ColumnData> = Vec::with_capacity(self.cols.len() + build.cols.len());
@@ -270,15 +265,7 @@ impl ColumnTable {
     pub fn group_sum(&self, key_col: usize, val_col: usize) -> Result<Vec<(i64, f64, u64)>> {
         let keys = self.int_col(key_col)?;
         let vals = self.float_col(val_col)?;
-        let mut acc: HashMap<i64, (f64, u64)> = HashMap::new();
-        for (&k, &v) in keys.iter().zip(vals) {
-            let e = acc.entry(k).or_insert((0.0, 0));
-            e.0 += v;
-            e.1 += 1;
-        }
-        let mut out: Vec<(i64, f64, u64)> = acc.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
-        out.sort_unstable_by_key(|&(k, _, _)| k);
-        Ok(out)
+        Ok(idindex::group_sum(keys, vals))
     }
 
     /// Decompose into the schema and owned columns (no copy) — the handoff
@@ -412,6 +399,50 @@ mod tests {
         let mut c_rows = Vec::new();
         cj.for_each(&mut |r: &[Value]| c_rows.push(r.to_vec()));
         assert_eq!(c_rows, rj.scan());
+    }
+
+    #[test]
+    fn hash_join_pins_order() {
+        let schema = Schema::new(&[("k", DataType::Int), ("tag", DataType::Int)]).unwrap();
+        let table = |keys: &[i64], base: i64| {
+            ColumnTable::from_columns(
+                schema.clone(),
+                vec![
+                    ColumnData::Ints(keys.to_vec()),
+                    ColumnData::Ints((0..keys.len() as i64).map(|i| base + i).collect()),
+                ],
+            )
+            .unwrap()
+        };
+        // Duplicate build keys, probe keys absent from the build side, and
+        // a sparse key set (see `row::tests::hash_join_pins_order_and_page_bytes`).
+        let probe = table(&[7, 1, 4, 1 << 40, 7, -3, 2], 0);
+        let build = table(&[7, 2, 1 << 40, 7, 9, 7, -3], 100);
+        let joined = probe.hash_join(0, &build, 0, &Budget::unlimited()).unwrap();
+        // Probe order, then ascending build position.
+        assert_eq!(
+            joined.int_col(1).unwrap(),
+            &[0, 0, 0, 3, 4, 4, 4, 5, 6],
+            "probe positions"
+        );
+        assert_eq!(
+            joined.int_col(3).unwrap(),
+            &[100, 103, 105, 102, 100, 103, 105, 106, 101],
+            "build positions"
+        );
+        assert_eq!(joined.int_col(0).unwrap(), joined.int_col(2).unwrap());
+        // The column store rejects a Float-typed key on either side.
+        let floats = ColumnTable::from_columns(
+            Schema::new(&[("k", DataType::Float)]).unwrap(),
+            vec![ColumnData::Floats(vec![7.0])],
+        )
+        .unwrap();
+        assert!(probe
+            .hash_join(0, &floats, 0, &Budget::unlimited())
+            .is_err());
+        assert!(floats
+            .hash_join(0, &build, 0, &Budget::unlimited())
+            .is_err());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 pub mod column;
 pub mod export;
+mod join;
 pub mod pred;
 pub mod row;
 pub mod value;

@@ -6,11 +6,12 @@
 //! predicate evaluation, which is exactly the per-tuple overhead profile the
 //! paper attributes to row stores.
 
+use crate::join::BuildSide;
 use crate::pred::Pred;
 use crate::value::{Schema, Value};
 use crate::Relation;
+use genbase_util::idindex::{self, GroupSums};
 use genbase_util::{Budget, Error, Result};
-use std::collections::HashMap;
 
 /// Heap page size in bytes (Postgres default).
 pub const PAGE_SIZE: usize = 8192;
@@ -87,42 +88,52 @@ impl RowTable {
 
     /// Deserialize the row at `idx`.
     pub fn get_row(&self, idx: usize) -> Vec<Value> {
-        assert!(idx < self.n_rows, "row index out of range");
-        let page = &self.pages[idx / self.tuples_per_page];
-        let off = (idx % self.tuples_per_page) * self.tuple_bytes;
-        self.decode_at(page, off)
+        let mut row = Vec::with_capacity(self.schema.arity());
+        self.append_row(idx, &mut row);
+        row
     }
 
-    fn decode_at(&self, page: &[u8], off: usize) -> Vec<Value> {
-        let mut row = Vec::with_capacity(self.schema.arity());
-        for i in 0..self.schema.arity() {
-            let s = off + i * 8;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&page[s..s + 8]);
-            row.push(Value::decode(b, self.schema.col_type(i)));
-        }
-        row
+    /// Deserialize the row at `idx` onto the end of `buf`.
+    fn append_row(&self, idx: usize, buf: &mut Vec<Value>) {
+        assert!(idx < self.n_rows, "row index out of range");
+        let page = &self.pages[idx / self.tuples_per_page];
+        self.decode_into(page, (idx % self.tuples_per_page) * self.tuple_bytes, buf);
+    }
+
+    /// Decode field `col` of a serialized tuple.
+    fn field(&self, tuple: &[u8], col: usize) -> Value {
+        let bytes = tuple[col * 8..][..8].try_into().expect("8-byte field");
+        Value::decode(bytes, self.schema.col_type(col))
+    }
+
+    fn decode_into(&self, page: &[u8], off: usize, buf: &mut Vec<Value>) {
+        buf.extend((0..self.schema.arity()).map(|i| self.field(&page[off..], i)));
     }
 
     /// Visit each row with a reused buffer (avoids per-row allocation while
     /// still paying deserialization).
     pub fn for_each_row(&self, mut f: impl FnMut(&[Value])) {
-        let arity = self.schema.arity();
-        let mut buf: Vec<Value> = Vec::with_capacity(arity);
+        let mut buf: Vec<Value> = Vec::with_capacity(self.schema.arity());
         for page in &self.pages {
-            let tuples = page.len() / self.tuple_bytes;
-            for t in 0..tuples {
+            for t in 0..page.len() / self.tuple_bytes {
                 buf.clear();
-                let off = t * self.tuple_bytes;
-                for i in 0..arity {
-                    let s = off + i * 8;
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&page[s..s + 8]);
-                    buf.push(Value::decode(b, self.schema.col_type(i)));
-                }
+                self.decode_into(page, t * self.tuple_bytes, &mut buf);
                 f(&buf);
             }
         }
+    }
+
+    /// The values of Int column `col` in row order, reading that one field
+    /// of each tuple (nothing for a Float column).
+    fn int_col(&self, col: usize) -> impl Iterator<Item = i64> + '_ {
+        let tuples = self
+            .pages
+            .iter()
+            .flat_map(|p| p.chunks_exact(self.tuple_bytes));
+        tuples.filter_map(move |t| match self.field(t, col) {
+            Value::Int(k) => Some(k),
+            Value::Float(_) => None,
+        })
     }
 
     /// Materialize all rows (tests / small tables).
@@ -179,8 +190,9 @@ impl RowTable {
         }
     }
 
-    /// Hash join: builds a hash table on `build`'s integer key column and
-    /// probes with `self`. Output rows are `self_row ++ build_row`.
+    /// Hash join: indexes `build`'s integer key column and probes with
+    /// `self`. Output rows are `self_row ++ build_row`, in probe order and,
+    /// per probe row, ascending build position.
     pub fn hash_join(
         &self,
         self_key: usize,
@@ -188,16 +200,11 @@ impl RowTable {
         build_key: usize,
         budget: &Budget,
     ) -> Result<RowTable> {
-        let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
-        let mut idx = 0usize;
-        build.for_each_row(|row| {
-            if let Value::Int(k) = row[build_key] {
-                table.entry(k).or_default().push(idx);
-            }
-            idx += 1;
-        });
-        let out_schema = self.schema.concat(build.schema());
-        let mut out = RowTable::new(out_schema);
+        // A column has one type, so either every build row has an Int key
+        // (and a key's index is its row position) or none joins.
+        let build_side = BuildSide::new(&build.int_col(build_key).collect::<Vec<_>>());
+        let mut out = RowTable::new(self.schema.concat(build.schema()));
+        let mut joined: Vec<Value> = Vec::new();
         let mut counter = 0usize;
         let mut err = None;
         self.for_each_row(|row| {
@@ -212,12 +219,11 @@ impl RowTable {
                 }
             }
             if let Value::Int(k) = row[self_key] {
-                if let Some(matches) = table.get(&k) {
-                    for &b in matches {
-                        let mut joined = row.to_vec();
-                        joined.extend(build.get_row(b));
-                        out.insert(&joined).expect("join row matches schema");
-                    }
+                for b in build_side.matches(k) {
+                    joined.clear();
+                    joined.extend_from_slice(row);
+                    build.append_row(b, &mut joined);
+                    out.insert(&joined).expect("join row matches schema");
                 }
             }
         });
@@ -230,33 +236,22 @@ impl RowTable {
     /// Group by an integer key, summing a float column. Returns
     /// `(key, sum, count)` sorted by key.
     pub fn group_sum(&self, key_col: usize, val_col: usize) -> Result<Vec<(i64, f64, u64)>> {
-        let mut acc: HashMap<i64, (f64, u64)> = HashMap::new();
+        let mut acc = GroupSums::new(idindex::id_range(self.int_col(key_col)), self.n_rows);
         let mut bad = false;
         self.for_each_row(|row| match (row[key_col], row[val_col]) {
-            (Value::Int(k), Value::Float(v)) => {
-                let e = acc.entry(k).or_insert((0.0, 0));
-                e.0 += v;
-                e.1 += 1;
-            }
+            (Value::Int(k), Value::Float(v)) => acc.add(k, v),
             _ => bad = true,
         });
         if bad {
             return Err(Error::invalid("group_sum needs Int key and Float value"));
         }
-        let mut out: Vec<(i64, f64, u64)> = acc.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
-        out.sort_unstable_by_key(|&(k, _, _)| k);
-        Ok(out)
+        Ok(acc.finish())
     }
 
     /// Distinct values of an integer column, ascending.
     pub fn distinct_ints(&self, col: usize) -> Result<Vec<i64>> {
-        let mut vals = Vec::new();
-        let mut bad = false;
-        self.for_each_row(|row| match row[col] {
-            Value::Int(k) => vals.push(k),
-            _ => bad = true,
-        });
-        if bad {
+        let mut vals: Vec<i64> = self.int_col(col).collect();
+        if vals.len() != self.n_rows {
             return Err(Error::invalid("distinct_ints needs an Int column"));
         }
         vals.sort_unstable();
@@ -396,6 +391,115 @@ mod tests {
         .unwrap();
         let joined = probe.hash_join(0, &build, 0, &Budget::unlimited()).unwrap();
         assert_eq!(joined.n_rows(), 2, "key 1 matches twice, key 2 never");
+    }
+
+    /// The join as it was before the `IdIndex` build side (a `HashMap` of
+    /// per-key position lists, two allocations per output row): the
+    /// reference for output order and page bytes.
+    fn reference_hash_join(
+        probe: &RowTable,
+        self_key: usize,
+        build: &RowTable,
+        build_key: usize,
+    ) -> RowTable {
+        let mut table: std::collections::HashMap<i64, Vec<usize>> = Default::default();
+        let mut idx = 0usize;
+        build.for_each_row(|row| {
+            if let Value::Int(k) = row[build_key] {
+                table.entry(k).or_default().push(idx);
+            }
+            idx += 1;
+        });
+        let mut out = RowTable::new(probe.schema.concat(build.schema()));
+        probe.for_each_row(|row| {
+            if let Value::Int(k) = row[self_key] {
+                for &b in table.get(&k).into_iter().flatten() {
+                    let mut joined = row.to_vec();
+                    joined.extend(build.get_row(b));
+                    out.insert(&joined).unwrap();
+                }
+            }
+        });
+        out
+    }
+
+    #[test]
+    fn hash_join_pins_order_and_page_bytes() {
+        let int = |v: i64| Value::Int(v);
+        let probe_schema = Schema::new(&[("k", DataType::Int), ("x", DataType::Float)]).unwrap();
+        // Probe keys: duplicates of a matching key, keys absent from the
+        // build side, and a sparse outlier.
+        let probe_keys = [7, 1, 4, 1 << 40, 7, -3, 2];
+        let probe = RowTable::from_rows(
+            probe_schema.clone(),
+            probe_keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| vec![int(k), Value::Float(i as f64 + 0.5)]),
+        )
+        .unwrap();
+        let build_schema = Schema::new(&[("k", DataType::Int), ("tag", DataType::Int)]).unwrap();
+        // Build keys: 7 three times (positions 0, 3, 5), a sparse key set.
+        let build_keys = [7, 2, 1 << 40, 7, 9, 7, -3];
+        let build = RowTable::from_rows(
+            build_schema,
+            build_keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| vec![int(k), int(100 + i as i64)]),
+        )
+        .unwrap();
+        let joined = probe.hash_join(0, &build, 0, &Budget::unlimited()).unwrap();
+        // Probe order, then ascending build position.
+        let tags: Vec<(i64, i64)> = joined
+            .scan()
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[3].as_int().unwrap()))
+            .collect();
+        assert_eq!(
+            tags,
+            vec![
+                (7, 100),
+                (7, 103),
+                (7, 105),
+                (1 << 40, 102),
+                (7, 100),
+                (7, 103),
+                (7, 105),
+                (-3, 106),
+                (2, 101),
+            ]
+        );
+        let reference = reference_hash_join(&probe, 0, &build, 0);
+        assert_eq!(joined.pages, reference.pages, "output pages byte-equal");
+        assert_eq!(joined.n_rows(), reference.n_rows());
+
+        // Dense keys spilling over several output pages.
+        let wide = sample_table(2000);
+        let dims = RowTable::from_rows(
+            Schema::new(&[("age", DataType::Int), ("w", DataType::Float)]).unwrap(),
+            (0..90).map(|i| vec![int(20 + i % 45), Value::Float(i as f64)]),
+        )
+        .unwrap();
+        let joined = wide.hash_join(1, &dims, 0, &Budget::unlimited()).unwrap();
+        let reference = reference_hash_join(&wide, 1, &dims, 0);
+        assert!(joined.pages.len() > 1);
+        assert_eq!(joined.pages, reference.pages);
+
+        // A Float-typed build key never matches: the row store skips it.
+        let float_keyed =
+            RowTable::from_rows(probe_schema, vec![vec![int(7), Value::Float(7.0)]]).unwrap();
+        let none = probe
+            .hash_join(0, &float_keyed, 1, &Budget::unlimited())
+            .unwrap();
+        assert_eq!(none.n_rows(), 0);
+        assert_eq!(
+            none.pages,
+            reference_hash_join(&probe, 0, &float_keyed, 1).pages
+        );
+        // ...and a Float-typed probe key joins nothing either.
+        let none = probe.hash_join(1, &build, 0, &Budget::unlimited()).unwrap();
+        assert_eq!(none.n_rows(), 0);
     }
 
     #[test]

@@ -21,9 +21,9 @@ use crate::table::{Column, ColumnarTable, TableView};
 use crate::tracker::MemTracker;
 use genbase_array::Array2D;
 use genbase_linalg::Matrix;
+use genbase_relational::export::DenseBuffer;
 use genbase_relational::{ColumnTable, DataType, Relation, Schema, Value};
-use genbase_util::{runtime, Budget, Error, Result};
-use std::collections::HashMap;
+use genbase_util::{runtime, Budget, Error, IdIndex, Result};
 
 /// Triples per parallel index-computation task in [`pivot_dense`]. Fixed
 /// (not derived from the thread count) so task boundaries — and with them
@@ -122,7 +122,7 @@ pub fn triples_from_dense(
 /// assignments keep the last value in view order — identical semantics to
 /// the relational `pivot_to_dense` this replaces.
 ///
-/// The expensive part — hashing every triple's ids to output coordinates —
+/// The expensive part — resolving every triple's ids to output coordinates —
 /// runs in parallel over fixed-size triple ranges; the final scatter is a
 /// single serial pass in view order, so results are bit-identical at every
 /// thread count.
@@ -139,10 +139,7 @@ pub fn pivot_dense(
     tracker.note_input(view.span_bytes());
     let rows = row_ids.len();
     let cols = col_ids.len();
-    let row_index: HashMap<i64, usize> =
-        row_ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let col_index: HashMap<i64, usize> =
-        col_ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let (row_index, col_index) = (IdIndex::new(row_ids), IdIndex::new(col_ids));
     let rv = view.int_col(row_col)?;
     let cv = view.int_col(col_col)?;
     let vv = view.float_col(val_col)?;
@@ -157,14 +154,14 @@ pub fn pivot_dense(
         // intermediate buffer, exactly like the relational pivot this
         // kernel replaced.
         for i in 0..n {
-            if let (Some(&ri), Some(&ci)) = (row_index.get(&rv[i]), col_index.get(&cv[i])) {
+            if let (Some(ri), Some(ci)) = (row_index.get(rv[i]), col_index.get(cv[i])) {
                 data[ri * cols + ci] = vv[i];
             }
         }
     } else {
         // Parallel path, two passes. Pass 1 computes per-triple output
         // offsets (u64::MAX = filtered out) over fixed-size ranges — the
-        // hash lookups are the expensive part. The transient index buffer
+        // id lookups are the expensive part. The transient index buffer
         // is charged against both accountants for its lifetime. Pass 2 is
         // a single serial scatter in view order, so duplicate resolution —
         // and therefore the result — is identical to the serial path at
@@ -182,7 +179,7 @@ pub fn pivot_dense(
                 let out = unsafe { slots.slice_mut(lo, hi - lo) };
                 for (k, slot) in out.iter_mut().enumerate() {
                     let i = lo + k;
-                    if let (Some(&ri), Some(&ci)) = (row_index.get(&rv[i]), col_index.get(&cv[i])) {
+                    if let (Some(ri), Some(ci)) = (row_index.get(rv[i]), col_index.get(cv[i])) {
                         *slot = (ri * cols + ci) as u64;
                     }
                 }
@@ -477,6 +474,41 @@ pub fn export_csv_tracked(
     Ok(text)
 }
 
+/// `read.csv` a piece of the export bridge's text: `(gene_id, patient_id,
+/// value)` rows, every field parsed as a double.
+fn parse_csv_triples(text: &str, r_budget: &Budget) -> Result<DenseBuffer> {
+    let parsed = genbase_relational::import_matrix_csv(text, r_budget)?;
+    if parsed.cols != 3 && parsed.rows != 0 {
+        return Err(Error::invalid("exported triples must have 3 columns"));
+    }
+    Ok(parsed)
+}
+
+/// Scatter parsed triples into `mat`, rows by patient and columns by gene:
+/// ids outside the indexes are skipped, duplicates keep the last value.
+fn scatter_triples(parsed: &DenseBuffer, rows: &IdIndex, cols: &IdIndex, mat: &mut Matrix) {
+    for triple in parsed.data.chunks_exact(3) {
+        let (g, p, v) = (triple[0] as i64, triple[1] as i64, triple[2]);
+        if let (Some(ri), Some(ci)) = (rows.get(p), cols.get(g)) {
+            mat.set(ri, ci, v);
+        }
+    }
+}
+
+/// The R half of the export bridge on one chunk of CSV text: re-parse it
+/// and scatter it into an already allocated `mat` (the streaming paths'
+/// per-batch form of [`pivot_csv_tracked`]).
+pub fn scatter_csv_triples(
+    text: &str,
+    row_index: &IdIndex,
+    col_index: &IdIndex,
+    r_budget: &Budget,
+    mat: &mut Matrix,
+) -> Result<()> {
+    parse_csv_triples(text, r_budget)
+        .map(|parsed| scatter_triples(&parsed, row_index, col_index, mat))
+}
+
 /// CSV text → dense: the "re-parse and pivot in R" half of the export
 /// bridge (single-threaded, against the R memory budget — R is the
 /// simulated machine here, so `r_budget` keeps its pre-storage-layer
@@ -489,23 +521,10 @@ pub fn pivot_csv_tracked(
     r_budget: &Budget,
 ) -> Result<Matrix> {
     tracker.note_input(text.len() as u64);
-    let parsed = genbase_relational::import_matrix_csv(text, r_budget)?;
-    if parsed.cols != 3 && parsed.rows != 0 {
-        return Err(Error::invalid("exported triples must have 3 columns"));
-    }
-    let row_index: HashMap<i64, usize> =
-        row_ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let col_index: HashMap<i64, usize> =
-        col_ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let parsed = parse_csv_triples(text, r_budget)?;
+    let (row_index, col_index) = (IdIndex::new(row_ids), IdIndex::new(col_ids));
     let mut mat = Matrix::zeros_budgeted(row_ids.len(), col_ids.len(), r_budget)?;
-    for r in 0..parsed.rows {
-        let g = parsed.data[r * 3] as i64;
-        let p = parsed.data[r * 3 + 1] as i64;
-        let v = parsed.data[r * 3 + 2];
-        if let (Some(&ri), Some(&ci)) = (row_index.get(&p), col_index.get(&g)) {
-            mat.set(ri, ci, v);
-        }
-    }
+    scatter_triples(&parsed, &row_index, &col_index, &mut mat);
     r_budget.free(mat.heap_bytes());
     tracker.note_output(mat.heap_bytes(), mat.rows() as u64);
     Ok(mat)

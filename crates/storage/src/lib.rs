@@ -43,10 +43,10 @@ pub use cache::{digest_ids, ArtifactCache, CachePin, CacheScope, CacheValue, Loo
 pub use convert::{
     chunked_from_dense, chunked_from_dense_cached, columnar_from_column_table,
     columnar_from_relation, columnar_from_relation_cached, export_csv_tracked, gather_chunked,
-    pivot_csv_tracked, pivot_dense, pivot_dense_cached, select_cols_tracked, select_rows_tracked,
-    triples_from_dense, triples_from_dense_cached,
+    pivot_csv_tracked, pivot_dense, pivot_dense_cached, scatter_csv_triples, select_cols_tracked,
+    select_rows_tracked, triples_from_dense, triples_from_dense_cached,
 };
-pub use pipeline::{csv_selected, fused_scan, scatter_selected, SelVec};
+pub use pipeline::{csv_selected, fused_scan, scatter_selected, SelVec, SlotLookup};
 pub use stream::{batch_ranges, carve_view, reassemble, BatchReel, Morsel, DEFAULT_BATCH_ROWS};
 pub use table::{Column, ColumnarTable, TableView};
 pub use tracker::{DenseHandle, MemDelta, MemTracker, OpScope, Reservation};

@@ -29,7 +29,7 @@
 use crate::stream::{BatchReel, Morsel};
 use crate::table::Column;
 use genbase_util::csv::{self, CsvField};
-use genbase_util::{Error, Result};
+use genbase_util::{Error, IdIndex, Result};
 use std::collections::HashMap;
 
 /// A selection vector: the ascending batch-local positions of the rows
@@ -121,6 +121,28 @@ pub fn fused_scan(
     Ok(survivors)
 }
 
+/// Id → dense output coordinate, as [`scatter_selected`] resolves it: the
+/// engines pass an [`IdIndex`]; a plain `HashMap` (what the repo benchmark
+/// builds) answers the same question.
+pub trait SlotLookup {
+    /// Output slot of `id`, if it is selected.
+    fn slot(&self, id: i64) -> Option<usize>;
+}
+
+impl SlotLookup for IdIndex {
+    #[inline]
+    fn slot(&self, id: i64) -> Option<usize> {
+        self.get(id)
+    }
+}
+
+impl SlotLookup for HashMap<i64, usize> {
+    #[inline]
+    fn slot(&self, id: i64) -> Option<usize> {
+        self.get(&id).copied()
+    }
+}
+
 /// Scatter a batch's selected `(row_id, col_id, value)` triples into a
 /// dense row-major buffer, exactly as [`genbase_relational::pivot_to_dense`]
 /// would for the survivor rows: ids absent from the index maps are skipped,
@@ -129,14 +151,14 @@ pub fn fused_scan(
 // Nine positional arguments: the repo benchmark calls this signature, so
 // it is allowed rather than regrouped.
 #[allow(clippy::too_many_arguments)]
-pub fn scatter_selected(
+pub fn scatter_selected<R: SlotLookup, C: SlotLookup>(
     m: &Morsel,
     sel: &SelVec,
     row_col: usize,
     col_col: usize,
     val_col: usize,
-    row_of: &HashMap<i64, usize>,
-    col_of: &HashMap<i64, usize>,
+    row_of: &R,
+    col_of: &C,
     n_cols: usize,
     data: &mut [f64],
 ) -> Result<()> {
@@ -145,7 +167,7 @@ pub fn scatter_selected(
     let vals = m.float_col(val_col)?;
     for &i in sel.positions() {
         let i = i as usize;
-        if let (Some(&ri), Some(&ci)) = (row_of.get(&rows[i]), col_of.get(&cols[i])) {
+        if let (Some(ri), Some(ci)) = (row_of.slot(rows[i]), col_of.slot(cols[i])) {
             data[ri * n_cols + ci] = vals[i];
         }
     }
@@ -326,6 +348,29 @@ mod tests {
             |m, sel| scatter_selected(m, sel, 1, 0, 2, &row_of, &col_of, col_ids.len(), &mut data),
         )
         .unwrap();
+        // The engines' lookup type scatters identically.
+        let (row_ix, col_ix) = (IdIndex::new(&row_ids), IdIndex::new(&col_ids));
+        let mut indexed = vec![0.0; data.len()];
+        fused_scan(
+            &reel,
+            8,
+            |m| SelVec::all(m.n_rows()),
+            |m, sel| {
+                scatter_selected(
+                    m,
+                    sel,
+                    1,
+                    0,
+                    2,
+                    &row_ix,
+                    &col_ix,
+                    col_ids.len(),
+                    &mut indexed,
+                )
+            },
+        )
+        .unwrap();
+        assert_eq!(indexed, data);
         // Reference: the relational pivot over the materialized table.
         let rel = genbase_relational::ColumnTable::from_columns(
             triple_schema(),

@@ -13,7 +13,7 @@
 
 use crate::tracker::MemTracker;
 use genbase_relational::{ColumnData, ColumnTable, DataType, Relation, Schema, Value};
-use genbase_util::{Error, Result};
+use genbase_util::{idindex, Error, Result};
 
 /// One typed column of a [`ColumnarTable`].
 #[derive(Debug, Clone, PartialEq)]
@@ -240,15 +240,7 @@ impl ColumnarTable {
     pub fn group_sum(&self, key_col: usize, val_col: usize) -> Result<Vec<(i64, f64, u64)>> {
         let keys = self.int_col(key_col)?;
         let vals = self.float_col(val_col)?;
-        let mut acc: std::collections::HashMap<i64, (f64, u64)> = std::collections::HashMap::new();
-        for (&k, &v) in keys.iter().zip(vals) {
-            let e = acc.entry(k).or_insert((0.0, 0));
-            e.0 += v;
-            e.1 += 1;
-        }
-        let mut out: Vec<(i64, f64, u64)> = acc.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
-        out.sort_unstable_by_key(|&(k, _, _)| k);
-        Ok(out)
+        Ok(idindex::group_sum(keys, vals))
     }
 
     /// Convert into a relational [`ColumnTable`] (column moves, no copy).

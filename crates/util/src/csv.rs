@@ -38,12 +38,15 @@ pub fn parse_matrix(text: &str) -> Result<(Vec<f64>, usize, usize)> {
             continue;
         }
         let start = data.len();
-        for field in line.split(',') {
-            let v: f64 = field
-                .trim()
-                .parse()
-                .map_err(|_| Error::invalid(format!("bad numeric field {field:?}")))?;
-            data.push(v);
+        // `,` is ASCII, so every byte offset found here is a char boundary.
+        let mut rest = line;
+        loop {
+            let end = rest.bytes().position(|b| b == b',');
+            data.push(parse_field(&rest[..end.unwrap_or(rest.len())])?);
+            match end {
+                Some(comma) => rest = &rest[comma + 1..],
+                None => break,
+            }
         }
         let width = data.len() - start;
         match cols {
@@ -58,6 +61,45 @@ pub fn parse_matrix(text: &str) -> Result<(Vec<f64>, usize, usize)> {
         rows += 1;
     }
     Ok((data, rows, cols.unwrap_or(0)))
+}
+
+/// One numeric field as a double. The id columns of exported triples (and
+/// integral values, which [`write_matrix`] prints compactly) are short digit
+/// strings; they skip the general float parser.
+fn parse_field(field: &str) -> Result<f64> {
+    if let Some(v) = parse_small_int(field.as_bytes()) {
+        return Ok(v);
+    }
+    field
+        .trim()
+        .parse()
+        .map_err(|_| Error::invalid(format!("bad numeric field {field:?}")))
+}
+
+/// An optional `-` plus 1–15 ASCII digits, as the `f64` `str::parse` would
+/// return: below 2^53 every integer converts exactly. Anything else —
+/// padding, `+`, exponents, longer digit strings, and `-0` (whose sign an
+/// integer cannot carry) — is `None`, left to the general parser.
+fn parse_small_int(field: &[u8]) -> Option<f64> {
+    let (negative, digits) = match field.split_first() {
+        Some((b'-', digits)) => (true, digits),
+        _ => (false, field),
+    };
+    if digits.is_empty() || digits.len() > 15 {
+        return None;
+    }
+    let mut n: i64 = 0;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        n = n * 10 + i64::from(d - b'0');
+    }
+    match (negative, n) {
+        (true, 0) => None,
+        (true, n) => Some(-n as f64),
+        (false, n) => Some(n as f64),
+    }
 }
 
 /// Serialize rows of mixed integer/float fields (as produced by relational
@@ -179,6 +221,130 @@ mod tests {
         for (a, b) in data.iter().zip(&parsed) {
             assert_eq!(a, b, "bit-exact round trip expected");
         }
+    }
+
+    /// The parser as it was before the integer fast path and the byte
+    /// scan: the bit-for-bit reference for [`parse_matrix`].
+    fn reference_parse(text: &str) -> Result<(Vec<f64>, usize, usize)> {
+        let mut data = Vec::new();
+        let mut cols = None;
+        let mut rows = 0;
+        for line in text.lines() {
+            if line.is_empty() {
+                continue;
+            }
+            let start = data.len();
+            for field in line.split(',') {
+                let v: f64 = field
+                    .trim()
+                    .parse()
+                    .map_err(|_| Error::invalid(format!("bad numeric field {field:?}")))?;
+                data.push(v);
+            }
+            let width = data.len() - start;
+            match cols {
+                None => cols = Some(width),
+                Some(c) if c != width => {
+                    return Err(Error::invalid(format!(
+                        "ragged CSV: row {rows} has {width} fields, expected {c}"
+                    )))
+                }
+                _ => {}
+            }
+            rows += 1;
+        }
+        Ok((data, rows, cols.unwrap_or(0)))
+    }
+
+    /// Same shape and same bits on success, same message on error.
+    fn assert_matches_reference(text: &str) {
+        match (parse_matrix(text), reference_parse(text)) {
+            (Ok((got, gr, gc)), Ok((want, wr, wc))) => {
+                assert_eq!((gr, gc), (wr, wc), "shape of {text:?}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "values of {text:?}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => panic!("{text:?}: parsed {got:?}, reference {want:?}"),
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_edge_fields() {
+        let fields = [
+            "0",
+            "-0",
+            "-00",
+            "+5",
+            "007",
+            "-42",
+            "999999999999999", // 15 digits: the last fast-path length
+            "-999999999999999",
+            "9007199254740993", // 16 digits, above 2^53: general parser
+            "1234567890123456",
+            "123456789012345678901234567890",
+            " 12 ",
+            "12 ",
+            "\t7",
+            "1e3",
+            "1.5",
+            ".5",
+            "5.",
+            "nan",
+            "inf",
+            "-inf",
+            "-",
+            "+",
+            "--1",
+            "1-",
+            "1_0",
+            "0x10",
+            "١٢", // non-ASCII digits
+            "",
+        ];
+        for f in fields {
+            assert_matches_reference(f);
+            assert_matches_reference(&format!("{f}\n"));
+            assert_matches_reference(&format!("1,{f},2.5\n3,{f},4\n"));
+            assert_matches_reference(&format!("{f},{f}\r\n{f},{f}\r\n"));
+        }
+        // Ragged rows, blank lines, trailing commas, bare `\r`.
+        for text in [
+            "1,2\n3\n",
+            "1\n2,3\n",
+            "1,2\n\n3,4\n",
+            "1,2,\n",
+            ",\n",
+            "1,2\r",
+            "\r\n",
+            "1,2\n3,4",
+        ] {
+            assert_matches_reference(text);
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_exported_triples() {
+        // The export bridge's text: two dense integer ids and a full-precision
+        // value per row (plus the integral values `push_f64` prints compactly).
+        let mut rng = crate::Pcg64::new(7);
+        let mut text = String::new();
+        for p in 0..60i64 {
+            for g in 0..40i64 {
+                let v = if (p + g) % 17 == 0 {
+                    (p - g) as f64
+                } else {
+                    rng.normal() * 3.0
+                };
+                write_row(
+                    &mut text,
+                    &[CsvField::Int(g), CsvField::Int(p), CsvField::Float(v)],
+                );
+            }
+        }
+        assert_matches_reference(&text);
+        let (_, rows, cols) = parse_matrix(&text).unwrap();
+        assert_eq!((rows, cols), (2400, 3));
     }
 
     #[test]

@@ -301,12 +301,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or escape, validating
+                // only those bytes (both delimiters are ASCII, so a run never
+                // splits a multi-byte sequence): linear in the document.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| Error::invalid("non-UTF8 string"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -427,6 +431,50 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn large_strings_parse_in_linear_time() {
+        // Each of these took minutes when every character re-validated the
+        // rest of the document; linear parsing takes milliseconds.
+        let long = "gène \u{1F9EC} ".repeat(200_000);
+        assert!(long.len() >= 2 << 20);
+        let doc = Json::Str(long);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+
+        let many = Json::Arr(
+            (0..400_000)
+                .map(|i| Json::Str(format!("a\"{}", i % 10)))
+                .collect(),
+        );
+        let text = many.render();
+        assert!(text.len() >= 2 << 20);
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back, many);
+        assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_string_is_rejected() {
+        // `Json::parse` takes `&str`, so drive the byte-level parser.
+        let parse = |bytes: &[u8]| {
+            let mut pos = 0;
+            parse_string(bytes, &mut pos).map(|s| (s, pos))
+        };
+        assert_eq!(
+            parse(b"\"ab\\ncd\" tail").unwrap(),
+            ("ab\ncd".to_string(), 8)
+        );
+        let err = parse(b"\"ok\xffbad\"").unwrap_err();
+        assert!(err.to_string().contains("non-UTF8 string"), "{err}");
+        // Truncated multi-byte sequence right before the closing quote, and
+        // right before an escape.
+        assert!(parse(b"\"caf\xc3\"").is_err());
+        assert!(parse(b"\"caf\xc3\\n\"").is_err());
+        // Bytes after the string's end are not this string's business.
+        assert_eq!(parse(b"\"ok\"\xff").unwrap(), ("ok".to_string(), 4));
+        assert!(parse(b"\"open").is_err(), "unterminated");
+        assert!(parse(b"\"bad\\q\"").is_err(), "bad escape");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! [`SimClock`] used to account simulated costs (network transfers, PCIe
 //! copies, MapReduce job launches), the CSV codec that models the
 //! "export to R" reformatting path from the paper, the [`Json`]
-//! reader/writer behind every harness artifact, and the length-prefixed
-//! [`frame`] codec the distributed coordinator speaks over TCP.
+//! reader/writer behind every harness artifact, the length-prefixed
+//! [`frame`] codec the distributed coordinator speaks over TCP, and the
+//! [`IdIndex`] behind every per-triple gene/patient id lookup.
 
 #![warn(missing_docs)]
 
@@ -17,6 +18,7 @@ pub mod error;
 pub mod faults;
 pub mod frame;
 pub mod http;
+pub mod idindex;
 pub mod json;
 pub mod progress;
 pub mod retry;
@@ -31,6 +33,7 @@ pub use budget::Budget;
 pub use error::{Error, Result};
 pub use frame::{encode_frame, read_frame, read_frame_opt, write_frame, MAX_FRAME_BYTES};
 pub use http::HttpRequest;
+pub use idindex::IdIndex;
 pub use json::Json;
 pub use progress::{CellProgress, ProgressHandle};
 pub use rng::Pcg64;

@@ -130,6 +130,36 @@ proptest! {
     }
 }
 
+/// The export bridge on the generator's own Small dataset: every field of
+/// the exported triples — two dense integer ids (the parser's integer fast
+/// path) and a full-precision value — re-parses to the bits the plain
+/// `split`/`trim`/`str::parse::<f64>` loop gives, and the re-pivoted matrix
+/// is the expression matrix.
+#[test]
+fn exported_small_triples_reparse_bit_for_bit() {
+    use genbase_datagen::{generate, GeneratorConfig, SizeSpec};
+    let data = generate(&GeneratorConfig::new(SizeSpec::scaled(
+        genbase_datagen::SizeClass::Small,
+        0.012,
+    )))
+    .unwrap();
+    let (tracker, budget) = (MemTracker::unlimited(), Budget::unlimited());
+    let triples = triples_from_dense(&tracker, &data.expression, triple_schema()).unwrap();
+    let text = export_csv_tracked(&triples, &tracker, &budget).unwrap();
+    let want: Vec<u64> = text
+        .lines()
+        .flat_map(|line| line.split(','))
+        .map(|field| field.trim().parse::<f64>().unwrap().to_bits())
+        .collect();
+    let (got, rows, cols) = genbase_util::csv::parse_matrix(&text).unwrap();
+    assert_eq!((rows, cols), (data.n_patients() * data.n_genes(), 3));
+    assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+    let patient_ids: Vec<i64> = (0..data.n_patients() as i64).collect();
+    let gene_ids: Vec<i64> = (0..data.n_genes() as i64).collect();
+    let back = pivot_csv_tracked(&text, &patient_ids, &gene_ids, &tracker, &budget).unwrap();
+    assert_eq!(back, data.expression);
+}
+
 /// Tracker counters are exact when hammered from many threads — the shape
 /// of many kernels charging one cell's tracker concurrently.
 #[test]
