@@ -79,11 +79,11 @@
 //!               [--figures LIST] coordinate: exhibits to sweep, e.g.
 //!                                fig1,table1 (default all)
 //!               [--cache-budget BYTES]  serve: artifact-cache budget —
-//!                                conversion kernels (joins, pivots,
-//!                                chunked ingest, R loads) memoize their
-//!                                outputs under LRU eviction, charged
-//!                                against a dedicated tracker (never a
-//!                                run's --mem-budget)
+//!                                the SQL stores' materializing triple
+//!                                joins memoize their output columns
+//!                                under LRU eviction, charged against a
+//!                                dedicated tracker (never a run's
+//!                                --mem-budget)
 //!               [--result-cache] serve: replay completed --sim-only
 //!                                outcomes byte-identically for repeat
 //!                                queries on the same cell (inert under

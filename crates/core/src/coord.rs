@@ -77,7 +77,7 @@ use crate::sched::{
 use genbase_datagen::SizeClass;
 use genbase_util::frame::{read_frame_opt, write_frame};
 use genbase_util::retry::{transient_connect_error, Backoff};
-use genbase_util::{faults, shutdown, CellProgress, Error, Json, ProgressHandle, Result};
+use genbase_util::{faults, lock, shutdown, CellProgress, Error, Json, ProgressHandle, Result};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -100,16 +100,58 @@ const IDLE_BACKOFF_MS: u64 = 50;
 /// surfaces an in-process crash instead of retrying forever.
 const MAX_REISSUES_PER_CELL: usize = 3;
 
-fn msg(kind: &str) -> Json {
+pub(crate) fn msg(kind: &str) -> Json {
     let mut m = Json::obj();
     m.set("type", Json::from(kind));
     m
 }
 
-fn msg_type(m: &Json) -> Result<&str> {
+pub(crate) fn msg_type(m: &Json) -> Result<&str> {
     m.get("type")
         .and_then(Json::as_str)
         .ok_or_else(|| Error::invalid("frame missing type"))
+}
+
+/// The connecting side of the handshake, shared by every role that dials
+/// in — sweep worker (`role: None`, presents its `config` fingerprint),
+/// `status` poller, and `serve` client: send `hello`, read the reply, and
+/// turn EOF, `reject` or anything unexpected into an error. Returns the
+/// `welcome` frame.
+pub(crate) fn hello(
+    stream: &mut TcpStream,
+    role: Option<&str>,
+    config: Option<&str>,
+    token: Option<&str>,
+) -> Result<Json> {
+    // Who answers, and what it calls us, in the error strings.
+    let (peer, us) = match role {
+        None => ("coordinator", "worker"),
+        Some("status") => ("coordinator", "status poll"),
+        Some(_) => ("server", "us"),
+    };
+    let mut hello = msg("hello");
+    hello.set("protocol", Json::from(PROTOCOL));
+    for (key, value) in [("role", role), ("config", config), ("token", token)] {
+        if let Some(value) = value {
+            hello.set(key, Json::from(value));
+        }
+    }
+    write_frame(stream, &hello)?;
+    let welcome = read_frame_opt(stream)?
+        .ok_or_else(|| Error::invalid(format!("{peer} closed during handshake")))?;
+    match msg_type(&welcome)? {
+        "welcome" => Ok(welcome),
+        "reject" => {
+            let reason = welcome
+                .get("reason")
+                .and_then(Json::as_str)
+                .unwrap_or("unspecified");
+            Err(Error::invalid(format!("{peer} rejected {us}: {reason}")))
+        }
+        other => Err(Error::invalid(format!(
+            "unexpected handshake reply {other:?}"
+        ))),
+    }
 }
 
 /// Coordinator tuning knobs.
@@ -338,6 +380,14 @@ impl Coordinator {
     /// returned once no work remains, and the checkpoint keeps everything
     /// that did complete.
     pub fn serve(&self) -> Result<CoordOutcome> {
+        let (shared, recovered) = self.open()?;
+        self.serve_shared(&shared, recovered)
+    }
+
+    /// Load the checkpoint (if any) and build the sweep's shared state:
+    /// everything [`Coordinator::serve`] does before its first `accept`.
+    /// Also returns the torn-checkpoint recovery note.
+    fn open(&self) -> Result<(Arc<Shared>, Option<String>)> {
         let mut recovered = None;
         let mut base = match &self.options.checkpoint {
             Some(path) if path.exists() => {
@@ -393,12 +443,20 @@ impl Coordinator {
             restored,
             streams: Mutex::new(HashMap::new()),
         });
+        Ok((shared, recovered))
+    }
 
+    /// The accept/lease/drain loop of [`Coordinator::serve`] over `shared`.
+    fn serve_shared(
+        &self,
+        shared: &Arc<Shared>,
+        recovered: Option<String>,
+    ) -> Result<CoordOutcome> {
         let mut next_worker: u64 = 0;
         let mut handlers = Vec::new();
-        while !shared.state.lock().expect("coord state").complete() {
-            reap_expired_leases(&shared);
-            rebalance_leases(&shared);
+        while !lock(&shared.state).complete() {
+            reap_expired_leases(shared);
+            rebalance_leases(shared);
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     if faults::hit("coord.accept").is_err() {
@@ -411,11 +469,7 @@ impl Coordinator {
                     let worker = next_worker;
                     match stream.try_clone() {
                         Ok(clone) => {
-                            shared
-                                .streams
-                                .lock()
-                                .expect("streams")
-                                .insert(worker, clone);
+                            lock(&shared.streams).insert(worker, clone);
                         }
                         // Without a clone handle the deadline reaper could
                         // revoke this worker's lease but never unblock its
@@ -427,7 +481,7 @@ impl Coordinator {
                         Err(_) if shared.lease_timeout.is_some() => continue,
                         Err(_) => {}
                     }
-                    let shared = Arc::clone(&shared);
+                    let shared = Arc::clone(shared);
                     // Dedicated blocking thread per connection (see module
                     // docs). The handle is kept: serve() must not return
                     // until every connected worker has been answered, or a
@@ -436,7 +490,7 @@ impl Coordinator {
                     handlers.push(std::thread::spawn(move || {
                         let _ = stream.set_nodelay(true);
                         handle_worker(stream, worker, &shared);
-                        shared.streams.lock().expect("streams").remove(&worker);
+                        lock(&shared.streams).remove(&worker);
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -454,7 +508,7 @@ impl Coordinator {
                 Ok((stream, _)) => {
                     next_worker += 1;
                     let worker = next_worker;
-                    let shared = Arc::clone(&shared);
+                    let shared = Arc::clone(shared);
                     handlers.push(std::thread::spawn(move || {
                         let _ = stream.set_nodelay(true);
                         handle_worker(stream, worker, &shared);
@@ -470,7 +524,7 @@ impl Coordinator {
             let _ = handle.join();
         }
 
-        let mut state = shared.state.lock().expect("coord state");
+        let mut state = lock(&shared.state);
         if let Some(e) = state.fatal.take() {
             return Err(e);
         }
@@ -484,7 +538,7 @@ impl Coordinator {
             grid: std::mem::take(&mut state.grid),
             planned: self.plan.len(),
             executed: state.executed,
-            restored,
+            restored: shared.restored,
             reissued: state.reissued,
             workers: state.workers,
             departed: state.departed,
@@ -520,7 +574,7 @@ fn requeue_or_abandon(s: &mut State, cell: CellKey, why: &str) {
 
 /// Return a dead worker's outstanding lease to the head of the queue.
 fn release_lease(worker: u64, shared: &Shared) {
-    let mut s = shared.state.lock().expect("coord state");
+    let mut s = lock(&shared.state);
     s.idle.remove(&worker);
     if let Some(lease) = s.leased.remove(&worker) {
         requeue_or_abandon(&mut s, lease.cell, "worker connection ended");
@@ -539,7 +593,7 @@ fn rebalance_leases(shared: &Shared) {
     };
     let now = Instant::now();
     let victim = {
-        let mut s = shared.state.lock().expect("coord state");
+        let mut s = lock(&shared.state);
         if s.fatal.is_some() || s.idle.len() <= s.pending.len() {
             return;
         }
@@ -559,7 +613,7 @@ fn rebalance_leases(shared: &Shared) {
             None => return,
         }
     };
-    if let Some(stream) = shared.streams.lock().expect("streams").remove(&victim) {
+    if let Some(stream) = lock(&shared.streams).remove(&victim) {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 }
@@ -576,7 +630,7 @@ fn reap_expired_leases(shared: &Shared) {
     };
     let now = Instant::now();
     let expired: Vec<u64> = {
-        let s = shared.state.lock().expect("coord state");
+        let s = lock(&shared.state);
         s.leased
             .iter()
             .filter(|(_, lease)| now.duration_since(lease.since) > timeout)
@@ -585,7 +639,7 @@ fn reap_expired_leases(shared: &Shared) {
     };
     for worker in expired {
         let revoked = {
-            let mut s = shared.state.lock().expect("coord state");
+            let mut s = lock(&shared.state);
             // Re-check under the lock: between the snapshot above and now
             // the worker may have returned its result and taken a *fresh*
             // lease — revoking that one would cut a healthy worker and run
@@ -600,7 +654,7 @@ fn reap_expired_leases(shared: &Shared) {
             }
         };
         if revoked {
-            if let Some(stream) = shared.streams.lock().expect("streams").remove(&worker) {
+            if let Some(stream) = lock(&shared.streams).remove(&worker) {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -639,12 +693,7 @@ fn handle_worker(mut stream: TcpStream, worker: u64, shared: &Shared) {
         Err(_e) => return, // reject already sent where possible; nothing leased yet
     };
     loop {
-        let leased = shared
-            .state
-            .lock()
-            .expect("coord state")
-            .leased
-            .contains_key(&worker);
+        let leased = lock(&shared.state).leased.contains_key(&worker);
         let _ = stream.set_read_timeout(if leased {
             None
         } else {
@@ -753,7 +802,7 @@ fn handshake(stream: &mut TcpStream, worker: u64, shared: &Shared) -> Result<Rol
         }
     }
     let remaining = {
-        let mut s = shared.state.lock().expect("coord state");
+        let mut s = lock(&shared.state);
         if role == Role::Worker {
             s.workers += 1;
             s.worker_stats.insert(
@@ -785,7 +834,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
                 .ok_or_else(|| Error::invalid("result missing cell"))?,
         )?;
         let resume = matches!(frame.get("resume"), Some(&Json::Bool(true)));
-        let mut s = shared.state.lock().expect("coord state");
+        let mut s = lock(&shared.state);
         let held = match s.leased.get(&worker) {
             Some(have) if have.cell.id() == cell.id() => {
                 s.leased.remove(&worker);
@@ -865,7 +914,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
                 // a *coordinator* failure: record it as fatal (the sweep
                 // drains and reports it) instead of blaming the worker.
                 if let Err(e) = write_checkpoint(path, worker, shared) {
-                    let mut s = shared.state.lock().expect("coord state");
+                    let mut s = lock(&shared.state);
                     s.fatal.get_or_insert(e);
                 }
             }
@@ -890,7 +939,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
             .get("state")
             .ok_or_else(|| Error::invalid("progress missing state"))?
             .clone();
-        let mut s = shared.state.lock().expect("coord state");
+        let mut s = lock(&shared.state);
         match s.leased.get(&worker) {
             Some(have) if have.cell.id() == cell.id() => {}
             _ => {
@@ -905,7 +954,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
         drop(s);
         if let (Some(path), false) = (&shared.checkpoint, skip_checkpoint) {
             if let Err(e) = write_checkpoint(path, worker, shared) {
-                let mut s = shared.state.lock().expect("coord state");
+                let mut s = lock(&shared.state);
                 s.fatal.get_or_insert(e);
             }
         }
@@ -915,7 +964,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
         // Clean departure: hand back any held cell at the front of the
         // queue without charging the re-issue cap — the worker is healthy,
         // it was *asked* to stop.
-        let mut s = shared.state.lock().expect("coord state");
+        let mut s = lock(&shared.state);
         s.idle.remove(&worker);
         s.departed += 1;
         if let Some(lease) = s.leased.remove(&worker) {
@@ -934,7 +983,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
 
 /// Render the live sweep state as a `status` frame.
 fn status_snapshot(shared: &Shared) -> Json {
-    let s = shared.state.lock().expect("coord state");
+    let s = lock(&shared.state);
     let mut m = msg("status");
     m.set("planned", Json::from(shared.planned));
     m.set("restored", Json::from(shared.restored));
@@ -995,14 +1044,14 @@ fn status_snapshot(shared: &Shared) -> Json {
 /// gains cells: a snapshot rendered earlier can never rename over one
 /// rendered later.
 fn write_checkpoint(path: &std::path::Path, worker: u64, shared: &Shared) -> Result<()> {
-    let _io = shared.checkpoint_io.lock().expect("checkpoint io");
-    let json = shared.state.lock().expect("coord state").grid.to_json();
+    let _io = lock(&shared.checkpoint_io);
+    let json = lock(&shared.state).grid.to_json();
     save_text(path, &json, worker as usize)
 }
 
 /// Lease the next pending cell, or tell the worker to wait / stop.
 fn next_assignment(worker: u64, shared: &Shared) -> Result<Json> {
-    let mut s = shared.state.lock().expect("coord state");
+    let mut s = lock(&shared.state);
     if s.fatal.is_some() {
         // The coordinator is going down; drain workers cleanly.
         return Ok(msg("done"));
@@ -1275,39 +1324,11 @@ fn worker_session(
     report: &mut WorkerReport,
     pending_send: &mut Option<Json>,
 ) -> std::result::Result<(), SessionEnd> {
-    let mut hello = msg("hello");
-    hello.set("protocol", Json::from(PROTOCOL));
-    hello.set(
-        "config",
-        Json::from(config_fingerprint(scheduler.harness().config()).as_str()),
-    );
-    if let Some(token) = auth_token {
-        hello.set("token", Json::from(token));
-    }
     // Handshake failures are fatal: a rejecting coordinator will reject
     // the retry too, and a coordinator that dies this early has nothing
     // of ours worth resuming.
-    write_frame(stream, &hello).map_err(SessionEnd::Fatal)?;
-    let welcome = read_frame_opt(stream)
-        .map_err(SessionEnd::Fatal)?
-        .ok_or_else(|| SessionEnd::Fatal(Error::invalid("coordinator closed during handshake")))?;
-    match msg_type(&welcome).map_err(SessionEnd::Fatal)? {
-        "welcome" => {}
-        "reject" => {
-            let reason = welcome
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified");
-            return Err(SessionEnd::Fatal(Error::invalid(format!(
-                "coordinator rejected worker: {reason}"
-            ))));
-        }
-        other => {
-            return Err(SessionEnd::Fatal(Error::invalid(format!(
-                "unexpected handshake reply {other:?}"
-            ))))
-        }
-    }
+    let fingerprint = config_fingerprint(scheduler.harness().config());
+    hello(stream, None, Some(&fingerprint), auth_token).map_err(SessionEnd::Fatal)?;
 
     let mut outbound = match pending_send.take() {
         // Re-submit the report that was in flight when the last session
@@ -1487,18 +1508,14 @@ impl CellProgress for CoordProgress {
             // error propagates) and cut the socket so the coordinator
             // sees EOF and re-issues the cell with this very snapshot.
             self.killed.store(true, Ordering::Relaxed);
-            let _ = self
-                .stream
-                .lock()
-                .expect("progress stream")
-                .shutdown(std::net::Shutdown::Both);
+            let _ = lock(&self.stream).shutdown(std::net::Shutdown::Both);
             return Err(Error::invalid(format!("progress: {e}")));
         }
         let mut frame = msg("progress");
         frame.set("cell", self.cell.clone());
         frame.set("kernel", Json::from(kernel));
         frame.set("state", state.clone());
-        let mut stream = self.stream.lock().expect("progress stream");
+        let mut stream = lock(&self.stream);
         let acked = write_frame(&mut *stream, &frame)
             .and_then(|_| read_frame_opt(&mut *stream))
             .map(|reply| matches!(reply.as_ref().map(msg_type), Some(Ok("ack"))));
@@ -1521,32 +1538,7 @@ pub fn fetch_status(
 ) -> Result<Json> {
     let mut backoff = Backoff::new(100, 5_000, faults::plan_seed().unwrap_or(0x57a7));
     let mut stream = connect_once(addr, connect_window, &mut backoff)?;
-    let mut hello = msg("hello");
-    hello.set("protocol", Json::from(PROTOCOL));
-    hello.set("role", Json::from("status"));
-    if let Some(token) = auth_token {
-        hello.set("token", Json::from(token));
-    }
-    write_frame(&mut stream, &hello)?;
-    let welcome = read_frame_opt(&mut stream)?
-        .ok_or_else(|| Error::invalid("coordinator closed during handshake"))?;
-    match msg_type(&welcome)? {
-        "welcome" => {}
-        "reject" => {
-            let reason = welcome
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified");
-            return Err(Error::invalid(format!(
-                "coordinator rejected status poll: {reason}"
-            )));
-        }
-        other => {
-            return Err(Error::invalid(format!(
-                "unexpected handshake reply {other:?}"
-            )))
-        }
-    }
+    hello(&mut stream, Some("status"), None, auth_token)?;
     write_frame(&mut stream, &msg("status"))?;
     let reply = read_frame_opt(&mut stream)?
         .ok_or_else(|| Error::invalid("coordinator closed before status reply"))?;
@@ -1572,12 +1564,7 @@ mod tests {
 
     fn connect_handshake(addr: SocketAddr, fingerprint: &str) -> TcpStream {
         let mut stream = TcpStream::connect(addr).unwrap();
-        let mut hello = msg("hello");
-        hello.set("protocol", Json::from(PROTOCOL));
-        hello.set("config", Json::from(fingerprint));
-        write_frame(&mut stream, &hello).unwrap();
-        let welcome = read_frame_opt(&mut stream).unwrap().unwrap();
-        assert_eq!(msg_type(&welcome).unwrap(), "welcome");
+        hello(&mut stream, None, Some(fingerprint), None).unwrap();
         stream
     }
 
@@ -1978,6 +1965,41 @@ mod tests {
         let outcome = serve.join().unwrap().unwrap();
         assert_eq!(report.completed, outcome.planned);
         assert_eq!(outcome.workers, 1, "the status poll is not a worker");
+    }
+
+    #[test]
+    fn status_and_sweep_survive_a_holder_of_the_state_lock_panicking() {
+        let coord = Coordinator::bind(
+            "127.0.0.1:0",
+            quick_config(),
+            &[FigureId::Fig1],
+            SizeClass::Small,
+            CoordOptions::default(),
+        )
+        .unwrap();
+        let addr = coord.local_addr().unwrap();
+        let planned = coord.plan.len();
+        let (shared, recovered) = coord.open().unwrap();
+        let holder = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let _guard = shared.state.lock().unwrap();
+                panic!("handler died holding the coordinator state lock");
+            })
+            .join()
+        };
+        assert!(holder.is_err() && shared.state.is_poisoned());
+        let serve = std::thread::spawn(move || coord.serve_shared(&shared, recovered));
+
+        let snap = fetch_status(addr, None, Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            snap.get("pending").and_then(Json::as_u64),
+            Some(planned as u64)
+        );
+        let report = run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
+        let outcome = serve.join().unwrap().unwrap();
+        assert_eq!(report.completed, planned);
+        assert_eq!(outcome.executed, planned);
     }
 
     #[test]

@@ -76,11 +76,12 @@ pub struct ExecContext {
     /// Hadoop) leave it unused — interleaved same-key saves would corrupt
     /// the snapshot stream.
     pub progress: Option<genbase_util::ProgressHandle>,
-    /// Artifact cache scope for this run (`--cache-budget`): conversion
-    /// kernels memoize their outputs here, keyed under the config
-    /// fingerprint the scope was derived from. `None` = cold every run.
-    /// Cache hits replay the cold path's accounting exactly, so attaching
-    /// a scope never changes a cell's output or trace bytes.
+    /// Artifact cache scope for this run (`--cache-budget`): the SQL
+    /// engines' materializing triple joins memoize their output columns
+    /// here, keyed under the config fingerprint the scope was derived from;
+    /// nothing else is cached. `None` = cold every run. A hit replays the
+    /// cold join's accounting exactly, so attaching a scope never changes a
+    /// cell's output or trace bytes.
     pub cache: Option<genbase_storage::CacheScope>,
 }
 

@@ -28,7 +28,7 @@ use genbase_mapreduce::mahout;
 use genbase_storage::MemTracker;
 use genbase_util::{Error, Result};
 use std::collections::HashSet;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// The process's one simulated Hadoop cluster. A run owns every task slot
 /// (the cost model sizes each job from `sim_threads` as if it did), so
@@ -173,7 +173,7 @@ impl Engine for Hadoop {
         }
         // The guard protects no data, so a run that panicked leaves nothing
         // to distrust: recover it rather than fail every later request.
-        let _cluster = CLUSTER.lock().unwrap_or_else(PoisonError::into_inner);
+        let _cluster = genbase_util::lock(&CLUSTER);
         let cfg = self.job_config(ctx);
         let sim = cfg.sim.clone();
         let mem = ctx.mem_tracker();
@@ -574,7 +574,7 @@ mod tests {
             .unwrap();
         let finished = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let cluster = CLUSTER.lock().unwrap_or_else(PoisonError::into_inner);
+            let cluster = genbase_util::lock(&CLUSTER);
             let run = scope.spawn(|| {
                 let report = Hadoop::new().run(Query::Statistics, &data, &params, &ctx);
                 finished.store(true, Ordering::SeqCst);

@@ -45,18 +45,10 @@ pub(crate) struct ArrayData {
     pub genes: AttrArray1D,
 }
 
-/// Array ingest through the artifact cache: a hit clones the chunked
-/// expression array out of the cache (replaying the cold ingest's
-/// accounting); the attribute arrays are tiny and always rebuilt. Pass
-/// `None` for an always-cold ingest.
-pub(crate) fn ingest_arrays_cached(
-    cache: Option<&storage::CacheScope>,
-    data: &Dataset,
-    budget: &genbase_util::Budget,
-    mem: &MemTracker,
-) -> Result<(ArrayData, Option<storage::CachePin>)> {
-    let (expression, pin) =
-        storage::chunked_from_dense_cached(cache, mem, &data.expression, budget)?;
+/// Array ingest: chunk the dense expression matrix and build the attribute
+/// arrays.
+fn ingest_arrays(data: &Dataset, budget: &Budget, mem: &MemTracker) -> Result<ArrayData> {
+    let expression = storage::chunked_from_dense(mem, &data.expression, budget)?;
     let patients = AttrArray1D::new(data.n_patients())
         .with_int_attr("age", data.patients.iter().map(|p| p.age).collect())?
         .with_int_attr("gender", data.patients.iter().map(|p| p.gender).collect())?
@@ -71,14 +63,11 @@ pub(crate) fn ingest_arrays_cached(
     let genes = AttrArray1D::new(data.n_genes())
         .with_int_attr("function", data.genes.iter().map(|g| g.function).collect())?
         .with_int_attr("target", data.genes.iter().map(|g| g.target).collect())?;
-    Ok((
-        ArrayData {
-            expression,
-            patients,
-            genes,
-        },
-        pin,
-    ))
+    Ok(ArrayData {
+        expression,
+        patients,
+        genes,
+    })
 }
 
 impl Engine for SciDb {
@@ -121,9 +110,8 @@ pub(crate) fn run_scidb_single(
     }
     let budget = ctx.db_budget();
     let mem = ctx.mem_tracker();
-    // Untimed ingest, memoized: repeat runs clone the chunked expression
-    // array out of the artifact cache instead of re-chunking the dense form.
-    let (arrays, ingest_pin) = ingest_arrays_cached(ctx.cache.as_ref(), data, &budget, &mem)?;
+    // Untimed ingest.
+    let arrays = ingest_arrays(data, &budget, &mem)?;
     let backend = ArrayBackend {
         data,
         params,
@@ -132,7 +120,6 @@ pub(crate) fn run_scidb_single(
             .with_budget(budget.clone())
             .with_progress(ctx.progress.clone()),
         arrays,
-        pins: ingest_pin.into_iter().collect(),
         budget,
         mem: mem.clone(),
         threads: ctx.threads,
@@ -162,9 +149,6 @@ struct ArrayBackend<'a> {
     deterministic: bool,
     phi: Option<&'a Coprocessor>,
     arrays: ArrayData,
-    /// Pins holding cached ingest artifacts resident for the run's duration.
-    #[allow(dead_code)]
-    pins: Vec<storage::CachePin>,
     rows: Vec<usize>,
     cols: Vec<usize>,
     patient_ids: Vec<i64>,

@@ -830,30 +830,6 @@ pub fn pivot(
     )
 }
 
-/// Cache-aware [`pivot`]; `dims` names the source dataset so the cached
-/// matrix is shared by every query that pivots the same id selections.
-pub fn pivot_cached(
-    cache: Option<&CacheScope>,
-    dims: (usize, usize),
-    set: &TripleSet,
-    patient_ids: &[i64],
-    gene_ids: &[i64],
-    budget: &Budget,
-    mem: &MemTracker,
-) -> Result<(Matrix, Option<CachePin>)> {
-    storage::pivot_dense_cached(
-        cache,
-        dims,
-        &set.view(),
-        (1, 0, 2),
-        patient_ids,
-        gene_ids,
-        1,
-        mem,
-        budget,
-    )
-}
-
 /// DBMS half of the export bridge: serialize the triple set to CSV text.
 pub fn export_triples_csv(set: &TripleSet, db_budget: &Budget, mem: &MemTracker) -> Result<String> {
     storage::export_csv_tracked(set, mem, db_budget)
@@ -1441,10 +1417,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                         let joined = self.joined()?;
                         let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
                         let db_budget = &self.db_budget;
-                        let cache = self.cache.clone();
-                        let dims = (data.n_patients(), data.n_genes());
-                        let mut pin = None;
-                        let handle = tracer.exec(
+                        tracer.exec(
                             OpKind::Restructure,
                             Phase::DataManagement,
                             format!(
@@ -1453,21 +1426,10 @@ impl PhysicalBackend for SqlBackend<'_> {
                                 gene_ids.len()
                             ),
                             || {
-                                let (mat, p) = pivot_cached(
-                                    cache.as_ref(),
-                                    dims,
-                                    joined,
-                                    patient_ids,
-                                    gene_ids,
-                                    db_budget,
-                                    mem,
-                                )?;
-                                pin = p;
+                                let mat = pivot(joined, patient_ids, gene_ids, db_budget, mem)?;
                                 DenseHandle::new(mem, mat)
                             },
-                        )?;
-                        self.pins.extend(pin);
-                        handle
+                        )?
                     }
                 };
                 if self.spec.udf_q3_penalty && self.query == Query::Biclustering {
@@ -1648,44 +1610,11 @@ impl SqlBackend<'_> {
             }
             Bridge::InProcess | Bridge::InDatabase => {
                 let db_budget = &self.db_budget;
-                let cache = self.cache.clone();
-                let dims = (self.data.n_patients(), self.data.n_genes());
-                let mut pin = None;
-                let handle = tracer.exec(
+                tracer.exec(
                     OpKind::Restructure,
                     Phase::DataManagement,
                     format!("in-database pivot to {rows}x{cols} matrix"),
                     || {
-                        let mut build = None;
-                        if let Some(scope) = cache.as_ref() {
-                            let extra = format!(
-                                "r{:016x}|k{:016x}",
-                                storage::digest_ids(patient_ids),
-                                storage::digest_ids(gene_ids)
-                            );
-                            let key = scope.key(dims.0, dims.1, "stream-pivot", &extra);
-                            match scope.cache().begin(&key) {
-                                storage::Lookup::Hit(value, p) => {
-                                    let cached = value.as_dense().ok_or_else(|| {
-                                        Error::invalid("cache type confusion on a stream-pivot key")
-                                    })?;
-                                    // Replay the cold pivot's accounting
-                                    // exactly; skip only the reel scatter.
-                                    db_budget.check("pivot")?;
-                                    mem.note_input(st.reel.span_bytes());
-                                    db_budget
-                                        .alloc((rows * cols * 8) as u64, (rows * cols) as u64)?;
-                                    db_budget.free((rows * cols * 8) as u64);
-                                    let mat = cached.clone();
-                                    mem.note_output(mat.heap_bytes(), mat.rows() as u64);
-                                    mem.note_batches(st.reel.n_batches() as u64);
-                                    mem.note_cache_hit();
-                                    pin = Some(p);
-                                    return DenseHandle::new(mem, mat);
-                                }
-                                storage::Lookup::Build(slot) => build = Some(slot),
-                            }
-                        }
                         db_budget.check("pivot")?;
                         mem.note_input(st.reel.span_bytes());
                         db_budget.alloc((rows * cols * 8) as u64, (rows * cols) as u64)?;
@@ -1707,18 +1636,11 @@ impl SqlBackend<'_> {
                         })?;
                         db_budget.free((rows * cols * 8) as u64);
                         let mat = Matrix::from_vec(rows, cols, data)?;
-                        if let Some(slot) = build {
-                            pin = slot
-                                .fill(CacheValue::Dense(mat.clone()))
-                                .map(|(_, pin)| pin);
-                        }
                         mem.note_output(mat.heap_bytes(), mat.rows() as u64);
                         mem.note_batches(st.reel.n_batches() as u64);
                         DenseHandle::new(mem, mat)
                     },
-                )?;
-                self.pins.extend(pin);
-                handle
+                )?
             }
         };
         if self.spec.udf_q3_penalty && self.query == Query::Biclustering {
@@ -1822,47 +1744,11 @@ impl SqlBackend<'_> {
             }
             Bridge::InProcess | Bridge::InDatabase => {
                 let db_budget = &self.db_budget;
-                let cache = self.cache.clone();
-                let dims = (self.data.n_patients(), self.data.n_genes());
-                let mut pin = None;
-                let handle = tracer.exec(
+                tracer.exec(
                     OpKind::Restructure,
                     Phase::DataManagement,
                     format!("fused pivot to {rows}x{cols} matrix"),
                     || {
-                        let mut build = None;
-                        if let Some(scope) = cache.as_ref() {
-                            // A fused artifact is bit-identical to the
-                            // staged one, but its key stays distinct
-                            // ("fused-pivot") so a warm fused cell replays
-                            // *fused* cold accounting, never staged.
-                            let extra = format!(
-                                "r{:016x}|k{:016x}",
-                                storage::digest_ids(patient_ids),
-                                storage::digest_ids(gene_ids)
-                            );
-                            let key = scope.key(dims.0, dims.1, "fused-pivot", &extra);
-                            match scope.cache().begin(&key) {
-                                storage::Lookup::Hit(value, p) => {
-                                    let cached = value.as_dense().ok_or_else(|| {
-                                        Error::invalid("cache type confusion on a fused-pivot key")
-                                    })?;
-                                    db_budget.check("pivot")?;
-                                    mem.note_input(st.reel.span_bytes());
-                                    db_budget
-                                        .alloc((rows * cols * 8) as u64, (rows * cols) as u64)?;
-                                    db_budget.free((rows * cols * 8) as u64);
-                                    let mat = cached.clone();
-                                    mem.note_output(mat.heap_bytes(), mat.rows() as u64);
-                                    mem.note_batches(n_batches);
-                                    mem.note_cache_hit();
-                                    mem.note_selected(expected);
-                                    pin = Some(p);
-                                    return DenseHandle::new(mem, mat);
-                                }
-                                storage::Lookup::Build(slot) => build = Some(slot),
-                            }
-                        }
                         db_budget.check("pivot")?;
                         mem.note_input(st.reel.span_bytes());
                         db_budget.alloc((rows * cols * 8) as u64, (rows * cols) as u64)?;
@@ -1884,19 +1770,12 @@ impl SqlBackend<'_> {
                         }
                         db_budget.free((rows * cols * 8) as u64);
                         let mat = Matrix::from_vec(rows, cols, data)?;
-                        if let Some(slot) = build {
-                            pin = slot
-                                .fill(CacheValue::Dense(mat.clone()))
-                                .map(|(_, pin)| pin);
-                        }
                         mem.note_output(mat.heap_bytes(), mat.rows() as u64);
                         mem.note_batches(n_batches);
                         mem.note_selected(survivors);
                         DenseHandle::new(mem, mat)
                     },
-                )?;
-                self.pins.extend(pin);
-                handle
+                )?
             }
         };
         if self.spec.udf_q3_penalty && self.query == Query::Biclustering {

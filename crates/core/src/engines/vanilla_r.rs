@@ -54,8 +54,6 @@ impl Engine for VanillaR {
         let backend = RBackend {
             data,
             params,
-            cache: ctx.cache.clone(),
-            pins: Vec::new(),
             opts: ExecOpts::with_threads(1)
                 .with_budget(budget.clone())
                 .with_progress(ctx.progress.clone()),
@@ -82,10 +80,6 @@ impl Engine for VanillaR {
 struct RBackend<'a> {
     data: &'a Dataset,
     params: &'a QueryParams,
-    /// Artifact-cache scope for this run (`None` = always cold).
-    cache: Option<storage::CacheScope>,
-    /// Pins holding cached artifacts resident for the run's duration.
-    pins: Vec<storage::CachePin>,
     opts: ExecOpts,
     budget: Budget,
     mem: MemTracker,
@@ -119,45 +113,12 @@ impl PhysicalBackend for RBackend<'_> {
         let data = self.data;
         let budget = self.budget.clone();
         let mem = self.mem.clone();
-        let cache = self.cache.clone();
         let cells = (data.n_patients() * data.n_genes()) as u64;
-        let mut pin = None;
         let matrix = tracer.exec(
             OpKind::Restructure,
             Phase::DataManagement,
             "read.csv triples + data.frame + pivot to matrix",
             || {
-                let mut build = None;
-                if let Some(scope) = cache.as_ref() {
-                    let key = scope.key(data.n_patients(), data.n_genes(), "r-load", "full");
-                    match scope.cache().begin(&key) {
-                        storage::Lookup::Hit(value, p) => {
-                            let cached = value.as_dense().ok_or_else(|| {
-                                Error::invalid("cache type confusion on an r-load key")
-                            })?;
-                            // Replay the cold load's budget choreography —
-                            // read buffer, data frame, working matrix — so a
-                            // too-small R heap still dies at the same point,
-                            // and the op's memory trace is byte-identical.
-                            mem.note_input(cells * 24);
-                            let read_buffer = AllocGuard::claim(&budget, cells * 24, cells)?;
-                            mem.charge(cells * 24)?;
-                            budget.alloc(cells * 24, cells)?;
-                            mem.charge(cells * 24)?;
-                            drop(read_buffer);
-                            mem.release(cells * 24);
-                            budget.alloc(cells * 8, cells)?; // the working matrix
-                            let matrix = cached.clone();
-                            budget.free(cells * 24);
-                            mem.release(cells * 24);
-                            mem.note_output(matrix.heap_bytes(), matrix.rows() as u64);
-                            mem.note_cache_hit();
-                            pin = Some(p);
-                            return DenseHandle::new(&mem, matrix);
-                        }
-                        storage::Lookup::Build(slot) => build = Some(slot),
-                    }
-                }
                 // Transient read.csv buffer (3 numeric columns), freed after
                 // parse.
                 mem.note_input(cells * 24);
@@ -184,16 +145,10 @@ impl PhysicalBackend for RBackend<'_> {
                 drop(value_col);
                 budget.free(cells * 24);
                 mem.release(cells * 24);
-                if let Some(slot) = build {
-                    pin = slot
-                        .fill(storage::CacheValue::Dense(matrix.clone()))
-                        .map(|(_, pin)| pin);
-                }
                 mem.note_output(matrix.heap_bytes(), matrix.rows() as u64);
                 DenseHandle::new(&mem, matrix)
             },
         )?;
-        self.pins.extend(pin);
         self.matrix = Some(matrix);
         Ok(())
     }

@@ -142,9 +142,9 @@ impl Harness {
 
     /// Attach a shared artifact cache (`--cache-budget`): every run context
     /// this harness hands out gets a [`genbase_storage::CacheScope`] keyed
-    /// under this configuration's fingerprint, so conversion artifacts are
-    /// shared across cells of the same configuration and can never leak
-    /// between different fingerprints.
+    /// under this configuration's fingerprint, so join artifacts are shared
+    /// across cells of the same configuration and can never leak between
+    /// different fingerprints.
     pub fn set_artifact_cache(&mut self, cache: Arc<genbase_storage::ArtifactCache>) {
         self.cache = Some(cache);
     }
@@ -258,9 +258,8 @@ impl Harness {
 
     /// [`Harness::run_cell_with_threads`] with the morsel-streaming config
     /// replaced for this run only (the served path's per-request
-    /// `"stream"` override). The artifact-cache scope is re-keyed under the
-    /// overridden config's fingerprint, so staged and fused runs never
-    /// share cached conversion artifacts.
+    /// `"stream"` override). Streaming cells stage their joins as filters,
+    /// so they never look the artifact cache up.
     pub fn run_cell_with_stream(
         &self,
         engine: &dyn Engine,
@@ -271,12 +270,7 @@ impl Harness {
         stream: crate::engine::StreamConfig,
     ) -> Result<RunRecord> {
         let mut ctx = self.context_with_threads(nodes, threads);
-        let mut cfg = self.config.clone();
-        cfg.stream = Some(stream.clone());
         ctx.stream = Some(stream);
-        ctx.cache = self.cache.as_ref().map(|cache| {
-            genbase_storage::CacheScope::new(cache.clone(), crate::sched::config_fingerprint(&cfg))
-        });
         self.run_cell_in(engine, query, size, nodes, ctx)
     }
 

@@ -29,6 +29,7 @@
 //! admissions are rejected as draining, idle connections get a `bye`, and
 //! [`BenchServer::serve`] returns a final [`ServeReport`].
 
+use crate::coord::{msg, msg_type};
 use crate::engine::StreamConfig;
 use crate::figures;
 use crate::harness::{HarnessConfig, TimingMode};
@@ -38,12 +39,12 @@ use crate::sched::{config_fingerprint, CellKey, CellOutcome, FigureId, Scheduler
 use genbase_datagen::{SizeClass, SizeSpec};
 use genbase_storage::{ArtifactCache, CacheScope, MemTracker, Reservation};
 use genbase_util::frame::{read_frame_opt, write_frame};
-use genbase_util::{http, shutdown, Error, Json, Result};
+use genbase_util::{http, lock, shutdown, Error, Json, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Multiplier from raw microarray bytes to a conservative working-set
@@ -89,7 +90,7 @@ pub struct ServeOptions {
     /// for memory before further ones are rejected outright. 0 = no queue.
     pub queue_depth: usize,
     /// Artifact-cache budget in bytes (`--cache-budget`); `None` disables
-    /// the cache and every conversion runs cold. The cache charges its own
+    /// the cache and every join runs cold. The cache charges its own
     /// [`MemTracker`], never a run's `--mem-budget` tracker.
     pub cache_budget: Option<u64>,
     /// Enable the served-result cache (`--result-cache`): a completed
@@ -192,15 +193,6 @@ impl Rejection {
             Rejection::Draining => ("draining", 503),
         }
     }
-}
-
-/// Lock a piece of server state, recovering the guard when an earlier
-/// holder panicked: the guarded values (the queue-depth counter, the
-/// per-engine counters, the reply map) are valid after every single update,
-/// so one crashed handler must not take `/metrics`, `/status` and every
-/// later query down with a second panic.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The admission controller: a [`MemTracker`] holding the budget plus the
@@ -467,8 +459,8 @@ impl Shared {
     }
 
     /// The working-set bytes the admission controller reserves for a query
-    /// against `size`: the cold estimate minus whatever conversion
-    /// artifacts for that dataset are already resident in the cache
+    /// against `size`: the cold estimate minus whatever join artifacts
+    /// for that dataset are already resident in the cache
     /// (still floored at [`MIN_ESTIMATE_BYTES`] — a warm query is cheaper,
     /// never free).
     fn admission_estimate(&self, size: SizeClass) -> u64 {
@@ -759,13 +751,13 @@ impl Shared {
         counter(
             &mut out,
             "genbase_cache_hits_total",
-            "Cache hits: artifact-cache conversion replays plus result-cache reply replays.",
+            "Cache hits: artifact-cache join replays plus result-cache reply replays.",
             artifact_hits + result_hits,
         );
         counter(
             &mut out,
             "genbase_cache_misses_total",
-            "Artifact-cache misses (cold conversions that filled or bypassed the cache).",
+            "Artifact-cache misses (cold joins that filled or bypassed the cache).",
             artifact_misses,
         );
         counter(
@@ -942,18 +934,6 @@ impl BenchServer {
             rejected: shared.metrics.rejected_total(),
         })
     }
-}
-
-fn msg(kind: &str) -> Json {
-    let mut m = Json::obj();
-    m.set("type", Json::from(kind));
-    m
-}
-
-fn msg_type(m: &Json) -> Result<&str> {
-    m.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| Error::invalid("frame missing type"))
 }
 
 /// Validate a framed client's `hello` and send `welcome`/`reject`. Auth
@@ -1227,30 +1207,7 @@ pub fn client_request(
         TcpStream::connect(addr).map_err(|e| Error::invalid(format!("connect to server: {e}")))?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let mut hello = msg("hello");
-    hello.set("protocol", Json::from(crate::coord::PROTOCOL));
-    hello.set("role", Json::from("client"));
-    if let Some(token) = auth_token {
-        hello.set("token", Json::from(token));
-    }
-    write_frame(&mut stream, &hello)?;
-    let welcome = read_frame_opt(&mut stream)?
-        .ok_or_else(|| Error::invalid("server closed during handshake"))?;
-    match msg_type(&welcome)? {
-        "welcome" => {}
-        "reject" => {
-            let reason = welcome
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified");
-            return Err(Error::invalid(format!("server rejected us: {reason}")));
-        }
-        other => {
-            return Err(Error::invalid(format!(
-                "unexpected handshake reply {other:?}"
-            )))
-        }
-    }
+    crate::coord::hello(&mut stream, Some("client"), None, auth_token)?;
     write_frame(&mut stream, request)?;
     read_frame_opt(&mut stream)?.ok_or_else(|| Error::invalid("server closed before reply"))
 }

@@ -1,9 +1,12 @@
-//! Budget-charged artifact cache for the conversion kernels.
+//! Budget-charged artifact cache.
 //!
-//! GenBase's resident server answers the same cells over and over, and the
-//! expensive part of every cell is representation conversion — dense →
-//! triples, triples → dense (pivot), dense → chunked, relation → columnar.
-//! This module memoizes those conversion *results* across queries:
+//! GenBase's resident server answers the same cells over and over, and
+//! several of a dataset's cells share one expensive intermediate: the hash
+//! join of the microarray triples against a filtered id list, landed as
+//! columns. This module memoizes such *results* across queries. Only an
+//! artifact whose hit beats its recompute belongs here: a dense pivot or a
+//! chunked ingest is one O(cells) scatter, which cloning the same bytes out
+//! of a cache cannot beat, so neither is cached.
 //!
 //! - Entries are immutable [`CacheValue`]s shared as `Arc`s; a hit clones
 //!   the payload out, so cached state is never mutated by a query.
@@ -20,20 +23,19 @@
 //! The identity contract: a cache hit must leave every accounting surface —
 //! `bytes_in`/`bytes_out`/`rows`/`peak_alloc` notes on the run's tracker,
 //! simulated-machine [`genbase_util::Budget`] charges — exactly as a cold
-//! run would, so served responses stay byte-identical warm vs cold. The
-//! cached-kernel wrappers in [`crate::convert`] replay that accounting on
-//! the hit path and skip only the compute.
+//! run would, so served responses stay byte-identical warm vs cold. The one
+//! production user (the SQL engines' memoized triple join) replays that
+//! accounting on the hit path and skips only the compute.
 
 use crate::table::Column;
 use crate::tracker::MemTracker;
-use genbase_array::Array2D;
 use genbase_linalg::Matrix;
 use genbase_relational::Schema;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// One memoized conversion result. Payloads are the storage layer's own
+/// One memoized result. Payloads are the storage layer's own
 /// representations so a hit can clone straight into the shapes the cold
 /// kernels produce.
 #[derive(Debug, Clone)]
@@ -47,10 +49,9 @@ pub enum CacheValue {
         /// The table's columns, in schema order.
         columns: Vec<Column>,
     },
-    /// A dense matrix (pivot / load results).
+    /// A dense matrix. No engine caches one (see the module docs); the
+    /// repo benchmark's `storage.cache.*` rungs fill and hit this variant.
     Dense(Matrix),
-    /// A chunked array (the SciDB ingest result).
-    Chunked(Array2D),
 }
 
 impl CacheValue {
@@ -60,7 +61,6 @@ impl CacheValue {
         match self {
             CacheValue::Columnar { columns, .. } => columns.iter().map(Column::heap_bytes).sum(),
             CacheValue::Dense(mat) => mat.heap_bytes(),
-            CacheValue::Chunked(arr) => (arr.rows() * arr.cols() * 8) as u64,
         }
     }
 
@@ -68,22 +68,6 @@ impl CacheValue {
     pub fn as_columnar(&self) -> Option<(&Schema, &[Column])> {
         match self {
             CacheValue::Columnar { schema, columns } => Some((schema, columns)),
-            _ => None,
-        }
-    }
-
-    /// The dense payload, if this is a [`CacheValue::Dense`].
-    pub fn as_dense(&self) -> Option<&Matrix> {
-        match self {
-            CacheValue::Dense(mat) => Some(mat),
-            _ => None,
-        }
-    }
-
-    /// The chunked payload, if this is a [`CacheValue::Chunked`].
-    pub fn as_chunked(&self) -> Option<&Array2D> {
-        match self {
-            CacheValue::Chunked(arr) => Some(arr),
             _ => None,
         }
     }
@@ -145,7 +129,7 @@ impl ArtifactCache {
     }
 
     fn lock(&self) -> MutexGuard<'_, CacheState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        genbase_util::lock(&self.state)
     }
 
     /// Look up `key`, blocking while another query is computing it. A miss
@@ -381,6 +365,13 @@ mod tests {
         CacheValue::Dense(Matrix::from_fn(edge, edge, |_, _| fill))
     }
 
+    fn first_cell(value: &CacheValue) -> f64 {
+        match value {
+            CacheValue::Dense(mat) => mat.get(0, 0),
+            CacheValue::Columnar { .. } => panic!("expected a dense value"),
+        }
+    }
+
     fn fill_key(cache: &Arc<ArtifactCache>, key: &str, value: CacheValue) -> Option<CachePin> {
         match cache.begin(key) {
             Lookup::Build(slot) => slot.fill(value).map(|(_, pin)| pin),
@@ -395,7 +386,7 @@ mod tests {
         drop(pin);
         match cache.begin("k") {
             Lookup::Hit(value, _pin) => {
-                assert_eq!(value.as_dense().unwrap().get(0, 0), 7.0);
+                assert_eq!(first_cell(&value), 7.0);
             }
             Lookup::Build(_) => panic!("expected hit"),
         }
@@ -466,12 +457,12 @@ mod tests {
             let cache = Arc::clone(&cache);
             let computes = Arc::clone(&computes);
             handles.push(std::thread::spawn(move || match cache.begin("shared") {
-                Lookup::Hit(value, _pin) => value.as_dense().unwrap().get(0, 0),
+                Lookup::Hit(value, _pin) => first_cell(&value),
                 Lookup::Build(slot) => {
                     computes.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     let (value, _pin) = slot.fill(dense_value(4, 9.0)).expect("fits");
-                    value.as_dense().unwrap().get(0, 0)
+                    first_cell(&value)
                 }
             }));
         }
@@ -509,12 +500,12 @@ mod tests {
     fn prefix_accounting_and_scope_keys() {
         let cache = ArtifactCache::new(1 << 20);
         let scope = CacheScope::new(Arc::clone(&cache), "fp-a");
-        let key = scope.key(240, 240, "pivot", "x");
-        assert_eq!(key, "fp-a|240x240|pivot|x");
+        let key = scope.key(240, 240, "join-genes", "x");
+        assert_eq!(key, "fp-a|240x240|join-genes|x");
         drop(fill_key(&cache, &key, dense_value(4, 1.0)));
         drop(fill_key(
             &cache,
-            &scope.key(720, 960, "pivot", "x"),
+            &scope.key(720, 960, "join-genes", "x"),
             dense_value(4, 2.0),
         ));
         assert_eq!(cache.bytes_under_prefix(&scope.size_prefix(240, 240)), 128);
@@ -523,7 +514,7 @@ mod tests {
         // fingerprint-mismatch bypass).
         let other = CacheScope::new(Arc::clone(&cache), "fp-b");
         assert!(matches!(
-            cache.begin(&other.key(240, 240, "pivot", "x")),
+            cache.begin(&other.key(240, 240, "join-genes", "x")),
             Lookup::Build(_)
         ));
         assert_eq!(cache.bytes_under_prefix(&other.size_prefix(240, 240)), 0);

@@ -16,7 +16,6 @@
 //! boxes) — while the tracker observes the storage layer's actual working
 //! sets and enforces the per-cell `--mem-budget`.
 
-use crate::cache::{digest_ids, CachePin, CacheScope, CacheValue, Lookup};
 use crate::table::{Column, ColumnarTable, TableView};
 use crate::tracker::MemTracker;
 use genbase_array::Array2D;
@@ -231,218 +230,6 @@ pub fn gather_chunked(
     let mat = arr.select_to_matrix_par(rows, cols, threads, budget)?;
     tracker.note_output(mat.heap_bytes(), mat.rows() as u64);
     Ok(mat)
-}
-
-/// Columns cloned out of a table for publication into the artifact cache.
-fn clone_columns(table: &ColumnarTable) -> Vec<Column> {
-    (0..table.schema().arity())
-        .map(|i| table.view().column_copy(i))
-        .collect()
-}
-
-/// Cache-aware [`columnar_from_relation`]. `dims` names the source dataset
-/// (`patients x genes`) and `extra` digests whatever produced `rel`, so the
-/// key uniquely determines the relation's contents. A hit skips the
-/// materialization loop and replays the cold path's accounting exactly
-/// (identity contract: traces stay byte-identical warm vs cold).
-pub fn columnar_from_relation_cached(
-    cache: Option<&CacheScope>,
-    dims: (usize, usize),
-    extra: &str,
-    tracker: &MemTracker,
-    rel: &dyn Relation,
-) -> Result<(ColumnarTable, Option<CachePin>)> {
-    let Some(scope) = cache else {
-        return Ok((columnar_from_relation(tracker, rel)?, None));
-    };
-    let key = scope.key(dims.0, dims.1, "columnar", extra);
-    match scope.cache().begin(&key) {
-        Lookup::Hit(value, pin) => {
-            let (_, columns) = value
-                .as_columnar()
-                .ok_or_else(|| Error::invalid("cache type confusion on a columnar key"))?;
-            let schema = rel.schema().clone();
-            tracker.note_input((rel.n_rows() * schema.arity() * 8) as u64);
-            let table = ColumnarTable::from_columns(tracker, schema, columns.to_vec())?;
-            tracker.note_output(table.heap_bytes(), table.n_rows() as u64);
-            tracker.note_cache_hit();
-            Ok((table, Some(pin)))
-        }
-        Lookup::Build(slot) => {
-            let table = columnar_from_relation(tracker, rel)?;
-            let pin = slot
-                .fill(CacheValue::Columnar {
-                    schema: table.schema().clone(),
-                    columns: clone_columns(&table),
-                })
-                .map(|(_, pin)| pin);
-            Ok((table, pin))
-        }
-    }
-}
-
-/// Cache-aware [`triples_from_dense`]; see
-/// [`columnar_from_relation_cached`] for the key and identity conventions.
-pub fn triples_from_dense_cached(
-    cache: Option<&CacheScope>,
-    tracker: &MemTracker,
-    dense: &Matrix,
-    schema: Schema,
-) -> Result<(ColumnarTable, Option<CachePin>)> {
-    let Some(scope) = cache else {
-        return Ok((triples_from_dense(tracker, dense, schema)?, None));
-    };
-    let key = scope.key(dense.rows(), dense.cols(), "triples", "full");
-    match scope.cache().begin(&key) {
-        Lookup::Hit(value, pin) => {
-            if schema.arity() != 3
-                || schema.col_type(0) != DataType::Int
-                || schema.col_type(1) != DataType::Int
-                || schema.col_type(2) != DataType::Float
-            {
-                return Err(Error::invalid("triple schema must be (Int, Int, Float)"));
-            }
-            let (_, columns) = value
-                .as_columnar()
-                .ok_or_else(|| Error::invalid("cache type confusion on a triples key"))?;
-            tracker.note_input(dense.heap_bytes());
-            let table = ColumnarTable::from_columns(tracker, schema, columns.to_vec())?;
-            tracker.note_output(table.heap_bytes(), table.n_rows() as u64);
-            tracker.note_cache_hit();
-            Ok((table, Some(pin)))
-        }
-        Lookup::Build(slot) => {
-            let table = triples_from_dense(tracker, dense, schema)?;
-            let pin = slot
-                .fill(CacheValue::Columnar {
-                    schema: table.schema().clone(),
-                    columns: clone_columns(&table),
-                })
-                .map(|(_, pin)| pin);
-            Ok((table, pin))
-        }
-    }
-}
-
-/// Cache-aware [`pivot_dense`]. `dims` names the source dataset; the key
-/// additionally digests the column mapping and both id selections, so two
-/// different filter outcomes can never alias. A hit replays the cold
-/// path's budget and tracker choreography — including the parallel path's
-/// transient index-buffer charge, which is what makes the per-op
-/// `peak_alloc` column identical warm vs cold.
-#[allow(clippy::too_many_arguments)]
-pub fn pivot_dense_cached(
-    cache: Option<&CacheScope>,
-    dims: (usize, usize),
-    view: &TableView<'_>,
-    (row_col, col_col, val_col): (usize, usize, usize),
-    row_ids: &[i64],
-    col_ids: &[i64],
-    threads: usize,
-    tracker: &MemTracker,
-    budget: &Budget,
-) -> Result<(Matrix, Option<CachePin>)> {
-    let Some(scope) = cache else {
-        return Ok((
-            pivot_dense(
-                view,
-                (row_col, col_col, val_col),
-                row_ids,
-                col_ids,
-                threads,
-                tracker,
-                budget,
-            )?,
-            None,
-        ));
-    };
-    let extra = format!(
-        "c{row_col}-{col_col}-{val_col}|r{:016x}|k{:016x}",
-        digest_ids(row_ids),
-        digest_ids(col_ids)
-    );
-    let key = scope.key(dims.0, dims.1, "pivot", &extra);
-    match scope.cache().begin(&key) {
-        Lookup::Hit(value, pin) => {
-            let cached = value
-                .as_dense()
-                .ok_or_else(|| Error::invalid("cache type confusion on a pivot key"))?;
-            budget.check("pivot")?;
-            tracker.note_input(view.span_bytes());
-            let (rows, cols) = (row_ids.len(), col_ids.len());
-            budget.alloc((rows * cols * 8) as u64, (rows * cols) as u64)?;
-            let n = view.n_rows();
-            let tasks = n.div_ceil(PIVOT_TASK).max(1);
-            if !(threads <= 1 || tasks == 1) {
-                // The cold parallel path holds a transient per-triple index
-                // buffer; replay its charge so op peaks reconcile.
-                let index_bytes = (n * 8) as u64;
-                budget.alloc(index_bytes, n as u64)?;
-                tracker.charge(index_bytes)?;
-                budget.free(index_bytes);
-                tracker.release(index_bytes);
-            }
-            budget.free((rows * cols * 8) as u64);
-            let mat = cached.clone();
-            tracker.note_output(mat.heap_bytes(), mat.rows() as u64);
-            tracker.note_cache_hit();
-            Ok((mat, Some(pin)))
-        }
-        Lookup::Build(slot) => {
-            let mat = pivot_dense(
-                view,
-                (row_col, col_col, val_col),
-                row_ids,
-                col_ids,
-                threads,
-                tracker,
-                budget,
-            )?;
-            let pin = slot
-                .fill(CacheValue::Dense(mat.clone()))
-                .map(|(_, pin)| pin);
-            Ok((mat, pin))
-        }
-    }
-}
-
-/// Cache-aware [`chunked_from_dense`]; the hit path replays the ingest's
-/// budget round trip and resident-chunk charge, then clones the chunked
-/// array out of the cache.
-pub fn chunked_from_dense_cached(
-    cache: Option<&CacheScope>,
-    tracker: &MemTracker,
-    dense: &Matrix,
-    budget: &Budget,
-) -> Result<(Array2D, Option<CachePin>)> {
-    let Some(scope) = cache else {
-        return Ok((chunked_from_dense(tracker, dense, budget)?, None));
-    };
-    let key = scope.key(dense.rows(), dense.cols(), "chunked", "full");
-    match scope.cache().begin(&key) {
-        Lookup::Hit(value, pin) => {
-            let cached = value
-                .as_chunked()
-                .ok_or_else(|| Error::invalid("cache type confusion on a chunked key"))?;
-            tracker.note_input(dense.heap_bytes());
-            let cells = dense.len() as u64;
-            budget.alloc(cells * 8, cells)?;
-            budget.free(cells * 8);
-            let arr = cached.clone();
-            let bytes = (arr.rows() * arr.cols() * 8) as u64;
-            tracker.charge(bytes)?;
-            tracker.note_output(bytes, arr.rows() as u64);
-            tracker.note_cache_hit();
-            Ok((arr, Some(pin)))
-        }
-        Lookup::Build(slot) => {
-            let arr = chunked_from_dense(tracker, dense, budget)?;
-            let pin = slot
-                .fill(CacheValue::Chunked(arr.clone()))
-                .map(|(_, pin)| pin);
-            Ok((arr, pin))
-        }
-    }
 }
 
 /// Dense row subset with accounting (vanilla R's `matrix[rows, ]`).

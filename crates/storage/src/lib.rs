@@ -41,10 +41,9 @@ pub mod tracker;
 
 pub use cache::{digest_ids, ArtifactCache, CachePin, CacheScope, CacheValue, Lookup};
 pub use convert::{
-    chunked_from_dense, chunked_from_dense_cached, columnar_from_column_table,
-    columnar_from_relation, columnar_from_relation_cached, export_csv_tracked, gather_chunked,
-    pivot_csv_tracked, pivot_dense, pivot_dense_cached, scatter_csv_triples, select_cols_tracked,
-    select_rows_tracked, triples_from_dense, triples_from_dense_cached,
+    chunked_from_dense, columnar_from_column_table, columnar_from_relation, export_csv_tracked,
+    gather_chunked, pivot_csv_tracked, pivot_dense, scatter_csv_triples, select_cols_tracked,
+    select_rows_tracked, triples_from_dense,
 };
 pub use pipeline::{csv_selected, fused_scan, scatter_selected, SelVec, SlotLookup};
 pub use stream::{batch_ranges, carve_view, reassemble, BatchReel, Morsel, DEFAULT_BATCH_ROWS};

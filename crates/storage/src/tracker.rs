@@ -199,7 +199,7 @@ impl MemTracker {
         self.inner.spill_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Note one artifact-cache hit taken by a conversion kernel.
+    /// Note one artifact-cache hit taken by a memoized join.
     pub fn note_cache_hit(&self) {
         self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
     }

@@ -40,6 +40,16 @@ pub use rng::Pcg64;
 pub use runtime::{parallel_for, parallel_map, try_parallel_for, SharedSlice};
 pub use sim::{CostReport, SimClock};
 
+/// Lock `mutex`, recovering the guard when an earlier holder panicked. For
+/// state that is valid after every single update (counters, queues, maps
+/// touched one entry at a time), so one crashed thread must not take every
+/// later user of the lock down with a second panic.
+pub fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Format a byte count with a binary-prefix unit, e.g. `1.50 MiB`.
 pub fn fmt_bytes(bytes: u64) -> String {
     const UNITS: [&str; 6] = ["B", "KiB", "MiB", "GiB", "TiB", "PiB"];
@@ -75,6 +85,20 @@ pub fn fmt_secs(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let counter = std::sync::Arc::new(std::sync::Mutex::new(7));
+        let holder = std::sync::Arc::clone(&counter);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("die holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err() && counter.is_poisoned());
+        *lock(&counter) += 1;
+        assert_eq!(*lock(&counter), 8);
+    }
 
     #[test]
     fn bytes_formatting() {

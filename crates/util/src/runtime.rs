@@ -20,11 +20,12 @@
 //! mid-task drives that job to completion itself even if every other worker
 //! is busy.
 
+use crate::lock;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// One submitted parallel job: a task counter plus completion bookkeeping.
 struct Job {
@@ -68,14 +69,14 @@ impl Job {
             if !self.poisoned.load(Ordering::Relaxed) {
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(i))) {
                     self.poisoned.store(true, Ordering::Relaxed);
-                    let mut slot = self.panic.lock().expect("panic slot");
+                    let mut slot = lock(&self.panic);
                     if slot.is_none() {
                         *slot = Some(payload);
                     }
                 }
             }
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut done = self.done.lock().expect("done flag");
+                let mut done = lock(&self.done);
                 *done = true;
                 self.done_cv.notify_all();
             }
@@ -119,13 +120,16 @@ impl Runtime {
     fn worker_loop(&self) {
         loop {
             let job = {
-                let mut q = self.inject.lock().expect("inject queue");
+                let mut q = lock(&self.inject);
                 loop {
                     q.retain(|j| !j.exhausted());
                     if let Some(job) = q.iter().find_map(|j| self.try_join(j)) {
                         break job;
                     }
-                    q = self.available.wait(q).expect("inject queue");
+                    q = self
+                        .available
+                        .wait(q)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             job.participate();
@@ -175,21 +179,21 @@ impl Runtime {
             done_cv: Condvar::new(),
         });
         {
-            let mut q = self.inject.lock().expect("inject queue");
+            let mut q = lock(&self.inject);
             q.push(Arc::clone(&job));
         }
         self.available.notify_all();
         job.participate();
-        let mut done = job.done.lock().expect("done flag");
+        let mut done = lock(&job.done);
         while !*done {
-            done = job.done_cv.wait(done).expect("done flag");
+            done = job
+                .done_cv
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         drop(done);
-        self.inject
-            .lock()
-            .expect("inject queue")
-            .retain(|j| !Arc::ptr_eq(j, &job));
-        let payload = job.panic.lock().expect("panic slot").take();
+        lock(&self.inject).retain(|j| !Arc::ptr_eq(j, &job));
+        let payload = lock(&job.panic).take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }

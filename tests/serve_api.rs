@@ -664,7 +664,7 @@ fn repeat_queries_replay_byte_identically_from_the_caches() {
 fn warm_artifacts_shrink_the_admission_estimate() {
     // The quick scale floors the working-set estimate, which would mask
     // the shrink; 0.048 puts Small at 240x240 (1.8 MB estimated), with a
-    // 460 KB microarray artifact to subtract once it is resident.
+    // 386 KB gene-filtered join artifact to subtract once it is resident.
     let mut config = sim_config();
     config.scale = 0.048;
     let cold_estimate = working_set_estimate(&config, SizeClass::Small);
@@ -675,7 +675,7 @@ fn warm_artifacts_shrink_the_admission_estimate() {
         ServeOptions::default().with_cache_budget(256 << 20),
     );
 
-    let request = query_frame("SciDB", "covariance");
+    let request = query_frame("Postgres + R", "regression");
     client_request(server.frame, None, &request).unwrap();
     let (_, metrics) = http_request(server.http, "GET", "/metrics", "", &[]);
     assert_eq!(
