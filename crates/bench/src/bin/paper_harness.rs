@@ -31,19 +31,15 @@
 //!                                "infinite" cell, like a cutoff
 //!               [--stream]       morsel-driven streaming execution: SQL
 //!                                engines pull fixed-row batches through
-//!                                their plan pipeline instead of
+//!                                one probe+sink pass per morsel (selection
+//!                                vectors, deferred joins) instead of
 //!                                materializing intermediates (output is
 //!                                byte-identical; peak_alloc/batches/spill
 //!                                in the trace change); over-budget
 //!                                streaming cells spill to disk and
 //!                                complete instead of going infinite
-//!               [--batch-rows N] rows per streaming morsel (default 4096;
+//!               [--batch-rows N] rows per streaming morsel (default 1024;
 //!                                must be at least 1)
-//!               [--fused]        fuse the streaming operators into one
-//!                                pass per morsel with selection vectors
-//!                                (implies --stream): output stays
-//!                                byte-identical while bytes moved and
-//!                                peak alloc shrink on every streaming cell
 //!               [--spill-dir P]  directory for streaming spill files
 //!                                (default: system temp)
 //!               [--auth-token T] coordinate/work: shared handshake token
@@ -176,7 +172,6 @@ struct Args {
     faults: Option<String>,
     mem_budget: Option<u64>,
     stream: bool,
-    fused: bool,
     batch_rows: usize,
     spill_dir: Option<String>,
     auth_token: Option<String>,
@@ -224,7 +219,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
         faults: None,
         mem_budget: None,
         stream: false,
-        fused: false,
         batch_rows: 0,
         spill_dir: None,
         auth_token: std::env::var("GENBASE_COORD_TOKEN").ok(),
@@ -321,7 +315,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
             }
             "--mem-budget" => args.mem_budget = Some(parsed!(&mut i, "--mem-budget", "bytes")),
             "--stream" => args.stream = true,
-            "--fused" => args.fused = true,
             "--batch-rows" => {
                 args.batch_rows = parsed!(&mut i, "--batch-rows", "rows");
                 // 0 used to silently degrade to 1-row batches; reject it
@@ -388,13 +381,12 @@ fn harness_config(args: &Args) -> HarnessConfig {
         config.timing = TimingMode::SimOnly;
     }
     config.mem_budget = args.mem_budget;
-    if args.stream || args.fused || args.batch_rows > 0 || args.spill_dir.is_some() {
+    if args.stream || args.batch_rows > 0 || args.spill_dir.is_some() {
         let mut stream = genbase::engine::StreamConfig::default();
         if args.batch_rows > 0 {
             stream.batch_rows = args.batch_rows;
         }
         stream.spill_dir = args.spill_dir.as_ref().map(std::path::PathBuf::from);
-        stream.fused = args.fused;
         config.stream = Some(stream);
     }
     config
@@ -875,8 +867,10 @@ mod tests {
             let err = requested_figures(what).unwrap_err().to_string();
             assert!(err.contains(&format!("unknown command {what:?}")), "{err}");
         }
-        let argv = ["fig1".to_string(), "--no-such-flag".to_string()];
-        let err = parse_args(&argv).err().expect("usage error");
-        assert_eq!(err.0, "unknown flag \"--no-such-flag\"");
+        for flag in ["--no-such-flag", "--fused"] {
+            let argv = ["fig1".to_string(), flag.to_string()];
+            let err = parse_args(&argv).err().expect("usage error");
+            assert_eq!(err.0, format!("unknown flag {flag:?}"));
+        }
     }
 }

@@ -17,9 +17,13 @@ pub struct StreamConfig {
     pub batch_rows: usize,
     /// Directory for spill files (`--spill-dir`); system temp when `None`.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Fuse the streaming operators into one pass per morsel with
-    /// selection vectors (`--fused`); `false` runs the staged path where
-    /// every operator replays the reel itself.
+    /// Inert: nothing reads it. It used to pick between a staged and a
+    /// fused streaming lowering; the staged one is deleted and a set
+    /// `ExecContext.stream` always runs the one probe+sink pipeline. The
+    /// field remains only because `benchmark/src/cells.rs` names it in a
+    /// struct literal and `benchmark/` cannot change in the same PR as the
+    /// code it measures; it goes in the benchmark-hygiene change ROADMAP
+    /// lists. Build configs with `..StreamConfig::default()`.
     pub fused: bool,
 }
 
@@ -28,7 +32,7 @@ impl Default for StreamConfig {
         StreamConfig {
             batch_rows: genbase_storage::DEFAULT_BATCH_ROWS,
             spill_dir: None,
-            fused: false,
+            fused: true,
         }
     }
 }

@@ -617,15 +617,13 @@ impl TripleScan for TripleSet {
 
 /// Streaming-mode state of one SQL-engine run: the triple reel plus the
 /// semijoin filters staged by the executed join prefix. The materialized
-/// `joined` set stays empty in this mode — downstream operators replay the
-/// reel through the staged filters instead, batch by batch, in push order.
+/// `joined` set stays empty in this mode — joins stage their filters
+/// without a reel pass and the consuming operator runs one probe+sink pass
+/// per morsel, in push order.
 struct StreamState {
     reel: BatchReel,
     batch_rows: usize,
     threads: usize,
-    /// Fused pipeline mode: joins stage their filters without a reel pass
-    /// and the consuming operator runs one probe+sink pass per morsel.
-    fused: bool,
     gene_filter: Option<IdIndex>,
     patient_filter: Option<IdIndex>,
     /// Triples passing the staged filters — the row count the materialized
@@ -643,8 +641,8 @@ impl StreamState {
         ReelScan { state: self }
     }
 
-    /// Semijoin probe of the fused pipeline: mark a batch's survivors of
-    /// the staged filters as a selection vector. Pure per-batch function —
+    /// Semijoin probe of the streaming pipeline: mark a batch's survivors
+    /// of the staged filters as a selection vector. Pure per-batch function —
     /// safe to run in parallel at any thread count.
     fn probe(&self, m: &Morsel) -> storage::SelVec {
         let g = m.int_col(0).expect("reel gene column");
@@ -660,9 +658,8 @@ impl StreamState {
     }
 
     /// Rows of the reel passing *both* staged filters, computed without a
-    /// pass. The fused pipeline records this where the staged path ran a
-    /// counting pass, and verifies it against the actual survivor count of
-    /// its one fused pass.
+    /// pass; every probe+sink pass verifies its actual survivor count
+    /// against this.
     fn expected_survivors(&self, n_genes: usize, n_patients: usize) -> usize {
         let g = match &self.gene_filter {
             Some(f) => Self::domain_count(f, n_genes),
@@ -768,45 +765,6 @@ fn reel_from_dataset(
         flush(&mut gene_col, &mut patient_col, &mut value_col)?;
     }
     Ok(reel)
-}
-
-/// Stream the filtered triples out as CSV text chunks in reel order. Chunk
-/// boundaries follow batch boundaries; the CSV form has no header row, so
-/// the concatenation of the chunks is byte-identical to a whole-set export
-/// — which is what keeps the streaming export bridge's re-parse exact.
-fn stream_export_chunks(
-    st: &StreamState,
-    db_budget: &Budget,
-    f: &mut dyn FnMut(&str) -> Result<()>,
-) -> Result<()> {
-    st.reel.replay(|m| {
-        let g = m.int_col(0)?;
-        let p = m.int_col(1)?;
-        let v = m.float_col(2)?;
-        let mut gf: Vec<i64> = Vec::new();
-        let mut pf: Vec<i64> = Vec::new();
-        let mut vf: Vec<f64> = Vec::new();
-        for i in 0..m.n_rows() {
-            if st.passes(g[i], p[i]) {
-                gf.push(g[i]);
-                pf.push(p[i]);
-                vf.push(v[i]);
-            }
-        }
-        if gf.is_empty() {
-            return Ok(());
-        }
-        let chunk = ColumnTable::from_columns(
-            triple_schema(),
-            vec![
-                ColumnData::Ints(gf),
-                ColumnData::Ints(pf),
-                ColumnData::Floats(vf),
-            ],
-        )?;
-        let text = genbase_relational::export_csv(&chunk, db_budget)?;
-        f(&text)
-    })
 }
 
 /// In-database restructure: pivot a triple set into a dense matrix through
@@ -1027,7 +985,6 @@ impl SqlEngineSpec {
                     reel,
                     batch_rows: cfg.batch_rows,
                     threads: ctx.threads.max(1),
-                    fused: cfg.fused,
                     gene_filter: None,
                     patient_filter: None,
                     joined_rows: 0,
@@ -1219,64 +1176,35 @@ impl PhysicalBackend for SqlBackend<'_> {
                 let gene_ids = &self.gene_ids;
                 let want_y = self.query == Query::Regression;
                 let patient_ids: Vec<i64> = (0..data.n_patients() as i64).collect();
-                let label = format!("hash join: triples x {} filtered genes", gene_ids.len());
                 if let Some(st) = self.stream.as_mut() {
-                    let filter = IdIndex::new(gene_ids);
-                    if st.fused {
-                        // Fused lowering: stage the filter only — no reel
-                        // pass at all. The matched-row count the staged
-                        // counting pass would tally is known analytically
-                        // (the reel is the dense patient x gene cross
-                        // product) and verified by the fused pass later.
-                        let matched =
-                            StreamState::domain_count(&filter, data.n_genes()) * data.n_patients();
-                        let y = tracer.exec(
-                            OpKind::Join,
-                            Phase::DataManagement,
-                            format!("stage semijoin: {} filtered genes (fused)", gene_ids.len()),
-                            || {
-                                mem.note_selected(matched as u64);
-                                if want_y {
-                                    store.drug_responses(&patient_ids)
-                                } else {
-                                    Ok(Vec::new())
-                                }
-                            },
-                        )?;
-                        st.gene_filter = Some(filter);
-                        st.joined_rows = matched;
-                        self.patient_ids = patient_ids;
-                        self.y = y;
-                        return Ok(());
-                    }
                     // Streaming lowering: stage the join as a semijoin
-                    // filter on the reel. The matched-row count (one
-                    // parallel counting pass over the morsels) is what the
-                    // materialized join would have output.
-                    let reel = &st.reel;
-                    let threads = st.threads;
-                    let (matched, y) =
-                        tracer.exec(OpKind::Join, Phase::DataManagement, label, || {
-                            mem.note_input(reel.span_bytes());
-                            let counts = reel.map_batches(threads, |m| {
-                                let g = m.int_col(0).expect("reel gene column");
-                                g.iter().filter(|&&g| filter.contains(g)).count()
-                            })?;
-                            let matched: usize = counts.iter().sum();
-                            mem.note_output((matched * 24) as u64, matched as u64);
-                            mem.note_batches(reel.n_batches() as u64);
-                            let y = if want_y {
-                                store.drug_responses(&patient_ids)?
+                    // filter only — no reel pass at all. The matched-row
+                    // count the materialized join would have output is
+                    // known analytically (the reel is the dense patient x
+                    // gene cross product) and verified by the consuming
+                    // operator's probe+sink pass later.
+                    let filter = IdIndex::new(gene_ids);
+                    let matched =
+                        StreamState::domain_count(&filter, data.n_genes()) * data.n_patients();
+                    let y = tracer.exec(
+                        OpKind::Join,
+                        Phase::DataManagement,
+                        format!("stage semijoin: {} filtered genes (fused)", gene_ids.len()),
+                        || {
+                            mem.note_selected(matched as u64);
+                            if want_y {
+                                store.drug_responses(&patient_ids)
                             } else {
-                                Vec::new()
-                            };
-                            Ok((matched, y))
-                        })?;
+                                Ok(Vec::new())
+                            }
+                        },
+                    )?;
                     st.gene_filter = Some(filter);
                     st.joined_rows = matched;
                     self.patient_ids = patient_ids;
                     self.y = y;
                 } else {
+                    let label = format!("hash join: triples x {} filtered genes", gene_ids.len());
                     let cache = self.cache.clone();
                     let dims = (data.n_patients(), data.n_genes());
                     let (joined, pin, y) =
@@ -1306,50 +1234,31 @@ impl PhysicalBackend for SqlBackend<'_> {
                 let db_budget = &self.db_budget;
                 let mem = &self.mem;
                 let patient_ids = &self.patient_ids;
-                let label = format!(
-                    "hash join: triples x {} selected patients",
-                    patient_ids.len()
-                );
                 if let Some(st) = self.stream.as_mut() {
+                    // Streaming lowering: stage the filter, defer the pass
+                    // (see `JoinOnGenes`).
                     let filter = IdIndex::new(patient_ids);
-                    if st.fused {
-                        // Fused lowering: stage the filter, defer the pass
-                        // (see `JoinOnGenes`).
-                        let matched =
-                            StreamState::domain_count(&filter, data.n_patients()) * data.n_genes();
-                        tracer.exec(
-                            OpKind::Join,
-                            Phase::DataManagement,
-                            format!(
-                                "stage semijoin: {} selected patients (fused)",
-                                patient_ids.len()
-                            ),
-                            || {
-                                mem.note_selected(matched as u64);
-                                Ok(())
-                            },
-                        )?;
-                        st.patient_filter = Some(filter);
-                        st.joined_rows = matched;
-                    } else {
-                        let reel = &st.reel;
-                        let threads = st.threads;
-                        let matched =
-                            tracer.exec(OpKind::Join, Phase::DataManagement, label, || {
-                                mem.note_input(reel.span_bytes());
-                                let counts = reel.map_batches(threads, |m| {
-                                    let p = m.int_col(1).expect("reel patient column");
-                                    p.iter().filter(|&&p| filter.contains(p)).count()
-                                })?;
-                                let matched: usize = counts.iter().sum();
-                                mem.note_output((matched * 24) as u64, matched as u64);
-                                mem.note_batches(reel.n_batches() as u64);
-                                Ok(matched)
-                            })?;
-                        st.patient_filter = Some(filter);
-                        st.joined_rows = matched;
-                    }
+                    let matched =
+                        StreamState::domain_count(&filter, data.n_patients()) * data.n_genes();
+                    tracer.exec(
+                        OpKind::Join,
+                        Phase::DataManagement,
+                        format!(
+                            "stage semijoin: {} selected patients (fused)",
+                            patient_ids.len()
+                        ),
+                        || {
+                            mem.note_selected(matched as u64);
+                            Ok(())
+                        },
+                    )?;
+                    st.patient_filter = Some(filter);
+                    st.joined_rows = matched;
                 } else {
+                    let label = format!(
+                        "hash join: triples x {} selected patients",
+                        patient_ids.len()
+                    );
                     let cache = self.cache.clone();
                     let dims = (data.n_patients(), data.n_genes());
                     let (joined, pin) =
@@ -1390,7 +1299,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                     return self.stream_restructure(tracer);
                 }
                 let mem = &self.mem;
-                let mut mat = match self.spec.bridge {
+                let mat = match self.spec.bridge {
                     Bridge::ExportToR => {
                         let joined = self.joined()?;
                         let db_budget = &self.db_budget;
@@ -1432,29 +1341,18 @@ impl PhysicalBackend for SqlBackend<'_> {
                         )?
                     }
                 };
-                if self.spec.udf_q3_penalty && self.query == Query::Biclustering {
-                    let db_budget = &self.db_budget;
-                    mat = tracer.exec(
-                        OpKind::Marshal,
-                        Phase::DataManagement,
-                        "UDF interface: box every row as records",
-                        || {
-                            let boxed = udf_row_marshal(&mat, db_budget, mem)?;
-                            DenseHandle::new(mem, boxed)
-                        },
-                    )?;
-                }
-                self.mat = Some(mat);
+                self.mat = Some(self.udf_marshal(mat, tracer)?);
             }
             LogicalOp::GroupAgg => {
                 let mem = &self.mem;
                 let n_genes = data.n_genes();
                 let label = "GROUP BY gene_id: per-gene mean of the sample";
-                let scores = if let Some(st) = self.stream.as_ref().filter(|st| st.fused) {
-                    // Fused lowering: the only reel pass of the Statistics
-                    // pipeline — parallel semijoin probe, serial in-push-
-                    // order accumulate over the survivors, so the f64 sums
-                    // are bit-identical to the staged hash aggregate.
+                let scores = if let Some(st) = self.stream.as_ref() {
+                    // Streaming lowering: the only reel pass of the
+                    // Statistics pipeline — parallel semijoin probe, serial
+                    // in-push-order accumulate over the survivors, so the
+                    // f64 sums are bit-identical to the materialized hash
+                    // aggregate.
                     let expected = st.expected_survivors(data.n_genes(), data.n_patients()) as u64;
                     tracer.exec(
                         OpKind::GroupAgg,
@@ -1487,18 +1385,6 @@ impl PhysicalBackend for SqlBackend<'_> {
                             Ok(acc.means())
                         },
                     )?
-                } else if let Some(st) = self.stream.as_ref() {
-                    tracer.exec(OpKind::GroupAgg, Phase::DataManagement, label, || {
-                        mem.note_input((st.joined_rows * 24) as u64);
-                        mem.note_output((n_genes * 8) as u64, n_genes as u64);
-                        mem.note_batches(st.reel.n_batches() as u64);
-                        // Same aggregate as the materialized `group_sum`,
-                        // accumulating in replay (== row) order so the f64
-                        // sums are bit-identical.
-                        let mut acc = GeneSums::new(n_genes);
-                        st.scan().scan(&mut |g, _p, v| acc.add(g, v))?;
-                        Ok(acc.means())
-                    })?
                 } else {
                     let store = &self.store;
                     let joined = self.joined()?;
@@ -1546,128 +1432,35 @@ impl PhysicalBackend for SqlBackend<'_> {
 }
 
 impl SqlBackend<'_> {
-    /// Streaming lowering of [`LogicalOp::Restructure`]: replay the reel
-    /// through the staged semijoin filters and scatter each batch straight
-    /// into the dense matrix, so no materialized triple set (and, on the
-    /// export bridge, no whole-set CSV text) ever exists. Scatter order is
-    /// replay order == base row order, so last-write-wins duplicate
-    /// resolution — and therefore the matrix — is bit-identical to the
-    /// materializing pivot.
-    fn stream_restructure(&mut self, tracer: &mut Tracer) -> Result<()> {
-        if self.stream.as_ref().is_some_and(|st| st.fused) {
-            return self.fused_restructure(tracer);
+    /// The UDF marshalling penalty of Query 3 on the column store's R-UDF
+    /// interface, traced as its own `Marshal` op after the restructure (a
+    /// no-op for every other engine/query pair).
+    fn udf_marshal(&self, mat: DenseHandle, tracer: &mut Tracer) -> Result<DenseHandle> {
+        if !(self.spec.udf_q3_penalty && self.query == Query::Biclustering) {
+            return Ok(mat);
         }
-        let st = self.stream.as_ref().expect("streaming state");
-        let mem = &self.mem;
-        let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
-        let rows = patient_ids.len();
-        let cols = gene_ids.len();
-        let (row_index, col_index) = (IdIndex::new(patient_ids), IdIndex::new(gene_ids));
-        let mut mat = match self.spec.bridge {
-            Bridge::ExportToR => {
-                // DBMS half: the COPY producer, streamed chunk by chunk.
-                // The text is transient, so the R half below re-produces
-                // each chunk instead of buffering the full serialization —
-                // that re-production is the price of never holding it.
-                let db_budget = &self.db_budget;
-                tracer.exec(
-                    OpKind::Export,
-                    Phase::DataManagement,
-                    format!("COPY TO: {} triples as CSV text", st.joined_rows),
-                    || {
-                        mem.note_input((st.joined_rows * 24) as u64);
-                        let mut total = 0u64;
-                        stream_export_chunks(st, db_budget, &mut |text| {
-                            total += text.len() as u64;
-                            Ok(())
-                        })?;
-                        mem.note_output(total, st.joined_rows as u64);
-                        mem.note_batches(st.reel.n_batches() as u64);
-                        Ok(())
-                    },
-                )?;
-                let r_budget = &self.r_budget;
-                tracer.exec(
-                    OpKind::Restructure,
-                    Phase::DataManagement,
-                    "R read.csv + pivot to matrix",
-                    || {
-                        let mut mat = Matrix::zeros_budgeted(rows, cols, r_budget)?;
-                        let mut in_bytes = 0u64;
-                        stream_export_chunks(st, db_budget, &mut |text| {
-                            in_bytes += text.len() as u64;
-                            storage::scatter_csv_triples(
-                                text, &row_index, &col_index, r_budget, &mut mat,
-                            )
-                        })?;
-                        mem.note_input(in_bytes);
-                        r_budget.free(mat.heap_bytes());
-                        mem.note_output(mat.heap_bytes(), mat.rows() as u64);
-                        mem.note_batches(st.reel.n_batches() as u64);
-                        DenseHandle::new(mem, mat)
-                    },
-                )?
-            }
-            Bridge::InProcess | Bridge::InDatabase => {
-                let db_budget = &self.db_budget;
-                tracer.exec(
-                    OpKind::Restructure,
-                    Phase::DataManagement,
-                    format!("in-database pivot to {rows}x{cols} matrix"),
-                    || {
-                        db_budget.check("pivot")?;
-                        mem.note_input(st.reel.span_bytes());
-                        db_budget.alloc((rows * cols * 8) as u64, (rows * cols) as u64)?;
-                        let mut data = vec![0.0; rows * cols];
-                        // The index maps' key sets equal the staged join
-                        // filters, so the lookups implement the semijoin.
-                        st.reel.replay(|m| {
-                            let gc = m.int_col(0)?;
-                            let pc = m.int_col(1)?;
-                            let vc = m.float_col(2)?;
-                            for i in 0..m.n_rows() {
-                                if let (Some(ri), Some(ci)) =
-                                    (row_index.get(pc[i]), col_index.get(gc[i]))
-                                {
-                                    data[ri * cols + ci] = vc[i];
-                                }
-                            }
-                            Ok(())
-                        })?;
-                        db_budget.free((rows * cols * 8) as u64);
-                        let mat = Matrix::from_vec(rows, cols, data)?;
-                        mem.note_output(mat.heap_bytes(), mat.rows() as u64);
-                        mem.note_batches(st.reel.n_batches() as u64);
-                        DenseHandle::new(mem, mat)
-                    },
-                )?
-            }
-        };
-        if self.spec.udf_q3_penalty && self.query == Query::Biclustering {
-            let db_budget = &self.db_budget;
-            mat = tracer.exec(
-                OpKind::Marshal,
-                Phase::DataManagement,
-                "UDF interface: box every row as records",
-                || {
-                    let boxed = udf_row_marshal(&mat, db_budget, mem)?;
-                    DenseHandle::new(mem, boxed)
-                },
-            )?;
-        }
-        self.mat = Some(mat);
-        Ok(())
+        let (db_budget, mem) = (&self.db_budget, &self.mem);
+        tracer.exec(
+            OpKind::Marshal,
+            Phase::DataManagement,
+            "UDF interface: box every row as records",
+            || {
+                let boxed = udf_row_marshal(&mat, db_budget, mem)?;
+                DenseHandle::new(mem, boxed)
+            },
+        )
     }
 
-    /// Fused lowering of [`LogicalOp::Restructure`]: the deferred semijoin
-    /// and the pivot/export run as *one* probe+sink pass over the reel
-    /// ([`genbase_storage::fused_scan`]) — the staged path's counting pass
-    /// and double export pass never happen. The probe marks each batch's
-    /// survivors in parallel; the serial in-push-order sink scatters (or
-    /// serializes, re-parses, and scatters, on the export bridge) only the
-    /// survivors, so duplicate resolution and f64 effects are bit-identical
-    /// to the staged and materializing paths.
-    fn fused_restructure(&mut self, tracer: &mut Tracer) -> Result<()> {
+    /// Streaming lowering of [`LogicalOp::Restructure`]: the deferred
+    /// semijoin and the pivot/export run as *one* probe+sink pass over the
+    /// reel ([`genbase_storage::fused_scan`]), so no materialized triple set
+    /// (and, on the export bridge, no whole-set CSV text) ever exists. The
+    /// probe marks each batch's survivors in parallel; the serial
+    /// in-push-order sink scatters (or serializes, re-parses, and scatters,
+    /// on the export bridge) only the survivors, so last-write-wins
+    /// duplicate resolution and f64 effects — and therefore the matrix —
+    /// are bit-identical to the materializing pivot.
+    fn stream_restructure(&mut self, tracer: &mut Tracer) -> Result<()> {
         let st = self.stream.as_ref().expect("streaming state");
         let mem = &self.mem;
         let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
@@ -1676,7 +1469,7 @@ impl SqlBackend<'_> {
         let (row_index, col_index) = (IdIndex::new(patient_ids), IdIndex::new(gene_ids));
         let expected = st.expected_survivors(self.data.n_genes(), self.data.n_patients()) as u64;
         let n_batches = st.reel.n_batches() as u64;
-        let mut mat = match self.spec.bridge {
+        let mat = match self.spec.bridge {
             Bridge::ExportToR => {
                 // One pass drives both halves of the bridge: the sink
                 // serializes each batch's survivors straight off the
@@ -1778,19 +1571,7 @@ impl SqlBackend<'_> {
                 )?
             }
         };
-        if self.spec.udf_q3_penalty && self.query == Query::Biclustering {
-            let db_budget = &self.db_budget;
-            mat = tracer.exec(
-                OpKind::Marshal,
-                Phase::DataManagement,
-                "UDF interface: box every row as records",
-                || {
-                    let boxed = udf_row_marshal(&mat, db_budget, mem)?;
-                    DenseHandle::new(mem, boxed)
-                },
-            )?;
-        }
-        self.mat = Some(mat);
+        self.mat = Some(self.udf_marshal(mat, tracer)?);
         Ok(())
     }
 

@@ -253,36 +253,6 @@ impl Harness {
     ) -> Result<RunRecord> {
         let mut ctx = self.context_with_threads(nodes, threads);
         ctx.progress = progress;
-        self.run_cell_in(engine, query, size, nodes, ctx)
-    }
-
-    /// [`Harness::run_cell_with_threads`] with the morsel-streaming config
-    /// replaced for this run only (the served path's per-request
-    /// `"stream"` override). Streaming cells stage their joins as filters,
-    /// so they never look the artifact cache up.
-    pub fn run_cell_with_stream(
-        &self,
-        engine: &dyn Engine,
-        query: Query,
-        size: SizeClass,
-        nodes: usize,
-        threads: usize,
-        stream: crate::engine::StreamConfig,
-    ) -> Result<RunRecord> {
-        let mut ctx = self.context_with_threads(nodes, threads);
-        ctx.stream = Some(stream);
-        self.run_cell_in(engine, query, size, nodes, ctx)
-    }
-
-    /// Run one cell in a finished context.
-    fn run_cell_in(
-        &self,
-        engine: &dyn Engine,
-        query: Query,
-        size: SizeClass,
-        nodes: usize,
-        ctx: ExecContext,
-    ) -> Result<RunRecord> {
         let outcome = if !engine.supports(query) || nodes > engine.max_nodes() {
             RunOutcome::Unsupported
         } else {

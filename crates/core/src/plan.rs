@@ -244,10 +244,9 @@ pub struct OpCost {
     /// to its cold run on the wire and in grid files.
     pub cache_hits: u64,
     /// Rows the op passed downstream as selection-vector survivors instead
-    /// of materialized copies (fused streaming only). Display-only (the
+    /// of materialized copies (streaming only). Display-only (the
     /// `sel rows` explain column), same contract as `cache_hits`: never
-    /// serialized, so fused and staged cells stay byte-identical on the
-    /// wire and in grid files.
+    /// serialized.
     pub rows_selected: u64,
 }
 

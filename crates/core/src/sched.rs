@@ -344,15 +344,14 @@ pub fn config_fingerprint(config: &HarnessConfig) -> String {
     };
     // Streaming mode changes the trace's memory dimension (batches, spill,
     // peak), so cells from streaming and materializing runs must not merge.
-    // `batch_rows` and the staged/fused split are semantic; the spill
-    // directory is not. Same append-only-when-set pattern as `membudget`
-    // for file compatibility.
+    // `batch_rows` is semantic; the spill directory is not. Same
+    // append-only-when-set pattern as `membudget` for file compatibility.
+    // The `+fused` suffix is constant: it named the surviving pipeline when
+    // a staged one existed beside it, so files that pipeline wrote still
+    // load, and files written by the deleted staged path (no suffix,
+    // different memory columns) are refused instead of merged.
     let stream = match &config.stream {
-        Some(s) => format!(
-            ";stream=batch{}{}",
-            s.batch_rows,
-            if s.fused { "+fused" } else { "" }
-        ),
+        Some(s) => format!(";stream=batch{}+fused", s.batch_rows),
         None => String::new(),
     };
     format!(
@@ -733,23 +732,6 @@ impl Scheduler {
         Ok(CellOutcome::from_run(&rec.outcome))
     }
 
-    /// Execute one cell with the morsel-streaming config replaced for this
-    /// run only (the server's per-request `"stream": "staged"|"fused"`
-    /// override). Everything else — dataset, plan, thread budget — comes
-    /// from the resident configuration.
-    pub fn run_cell_with_stream(
-        &self,
-        key: &CellKey,
-        threads: usize,
-        stream: crate::engine::StreamConfig,
-    ) -> Result<CellOutcome> {
-        let engine = self.engine(&key.engine)?;
-        let rec = self
-            .harness
-            .run_cell_with_stream(engine, key.query, key.size, key.nodes, threads, stream)?;
-        Ok(CellOutcome::from_run(&rec.outcome))
-    }
-
     /// Run the sweep for `figures`: shard-filter the planned cells, skip
     /// checkpointed ones, dispatch the rest with `cells_in_flight`
     /// concurrency, and collect a deterministic grid.
@@ -1014,6 +996,64 @@ mod tests {
             .run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)
             .unwrap_err();
         let _ = std::fs::remove_file(&path);
+        assert!(err.to_string().contains("different configuration"), "{err}");
+    }
+
+    /// Files the surviving pipeline wrote at 64-row morsels while a staged
+    /// one existed beside it carry `;stream=batch64+fused` and still merge
+    /// and resume under `--stream --batch-rows 64`; files written by the
+    /// deleted staged path carry `;stream=batch64` (different memory
+    /// columns) and are refused.
+    #[test]
+    fn streaming_files_load_only_with_the_fused_suffix() {
+        let mut config = HarnessConfig::quick().sim_only();
+        let plain = config_fingerprint(&config);
+        config.stream = Some(crate::engine::StreamConfig {
+            batch_rows: 64,
+            ..Default::default()
+        });
+        assert_eq!(
+            config_fingerprint(&config),
+            format!("{plain};stream=batch64+fused")
+        );
+        let sched = Scheduler::new(config).unwrap();
+        let cells = sched.plan(&[FigureId::Fig1], SizeClass::Small);
+        let written_by = |suffix: &str| {
+            let mut grid = ReportGrid::default();
+            grid.set_fingerprint(format!("{plain}{suffix}"));
+            for cell in &cells {
+                grid.insert(cell, CellOutcome::Unsupported);
+            }
+            grid
+        };
+        let (fused, staged) = (
+            written_by(";stream=batch64+fused"),
+            written_by(";stream=batch64"),
+        );
+
+        let mut ours = ReportGrid::default();
+        ours.set_fingerprint(config_fingerprint(sched.harness().config()));
+        ours.merge(fused.clone()).unwrap();
+        let err = ours.merge(staged.clone()).unwrap_err();
+        assert!(
+            err.to_string().contains("config fingerprints differ"),
+            "{err}"
+        );
+
+        let path = std::env::temp_dir().join(format!(
+            "genbase-ckpt-stream-suffix-{}.json",
+            std::process::id()
+        ));
+        let sweep = SweepOptions::serial().with_checkpoint(&path);
+        fused.save(&path).unwrap();
+        let resumed = sched.run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep);
+        staged.save(&path).unwrap();
+        let refused = sched.run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("bak"));
+        let resumed = resumed.unwrap();
+        assert_eq!((resumed.executed, resumed.skipped), (0, cells.len()));
+        let err = refused.unwrap_err();
         assert!(err.to_string().contains("different configuration"), "{err}");
     }
 

@@ -30,7 +30,6 @@
 //! [`BenchServer::serve`] returns a final [`ServeReport`].
 
 use crate::coord::{msg, msg_type};
-use crate::engine::StreamConfig;
 use crate::figures;
 use crate::harness::{HarnessConfig, TimingMode};
 use crate::plan::{logical_plan, LogicalPlan, Phase};
@@ -385,8 +384,17 @@ impl Shared {
 
     /// Build the cell key a query request names. `engine` and `query` are
     /// required; `size` defaults to the first configured size class,
-    /// `nodes` to 1 and `figure` to fig1.
+    /// `nodes` to 1 and `figure` to fig1. Unlike other unknown keys, a
+    /// `stream` key is rejected: clients that send it expect to pick a
+    /// streaming lowering per request, and must not silently get a
+    /// differently-traced cell.
     fn cell_from_request(&self, req: &Json) -> Result<CellKey> {
+        if req.get("stream").is_some() {
+            return Err(Error::invalid(
+                "the per-request \"stream\" key is retired: the server's --stream \
+                 configuration is the only streaming control",
+            ));
+        }
         let engine = req
             .get("engine")
             .and_then(Json::as_str)
@@ -431,33 +439,6 @@ impl Shared {
         })
     }
 
-    /// Parse the optional per-request streaming override: `"stream":
-    /// "staged"` or `"stream": "fused"` replaces the fused bit of the
-    /// server's resident `--stream` config for this query only, so one
-    /// server can answer both paths back to back. Requires the server to
-    /// have been started with `--stream`; an absent field runs the cell
-    /// exactly as configured.
-    fn stream_from_request(&self, req: &Json) -> Result<Option<StreamConfig>> {
-        let Some(mode) = req.get("stream").and_then(Json::as_str) else {
-            return Ok(None);
-        };
-        let fused = match mode {
-            "staged" => false,
-            "fused" => true,
-            other => {
-                return Err(Error::invalid(format!(
-                    "unknown stream mode {other:?} (expected \"staged\" or \"fused\")"
-                )))
-            }
-        };
-        let Some(base) = self.config().stream.clone() else {
-            return Err(Error::invalid(
-                "stream override requires a server started with --stream",
-            ));
-        };
-        Ok(Some(StreamConfig { fused, ..base }))
-    }
-
     /// The working-set bytes the admission controller reserves for a query
     /// against `size`: the cold estimate minus whatever join artifacts
     /// for that dataset are already resident in the cache
@@ -479,16 +460,9 @@ impl Shared {
     /// exactly the duration of the run. A result-cache hit replays the
     /// stored reply without admission: no storage is touched, so there is
     /// nothing to reserve.
-    /// A `stream` override bypasses the result cache entirely — the cell id
-    /// does not encode the streaming mode, and staged/fused traces differ
-    /// in their memory columns by design.
-    fn execute(
-        &self,
-        key: &CellKey,
-        stream: Option<StreamConfig>,
-    ) -> std::result::Result<Json, ServeError> {
+    fn execute(&self, key: &CellKey) -> std::result::Result<Json, ServeError> {
         let id = key.id();
-        if let (Some(results), None) = (&self.results, &stream) {
+        if let Some(results) = &self.results {
             if let Some(reply) = lock(results).get(&id) {
                 self.metrics.result_hits.fetch_add(1, Ordering::Relaxed);
                 self.metrics.served.fetch_add(1, Ordering::Relaxed);
@@ -511,11 +485,7 @@ impl Shared {
             })?;
         self.metrics.inflight.fetch_add(1, Ordering::Relaxed);
         let threads = self.config().threads.max(1);
-        let stream_cached = stream.is_none();
-        let run = match stream {
-            Some(s) => self.scheduler.run_cell_with_stream(key, threads, s),
-            None => self.scheduler.run_cell(key, threads),
-        };
+        let run = self.scheduler.run_cell(key, threads);
         self.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
         match run {
             Ok(outcome) => {
@@ -525,9 +495,7 @@ impl Shared {
                 reply.set("cell", Json::from(id.as_str()));
                 reply.set("outcome", outcome.to_json());
                 if let (Some(results), CellOutcome::Completed { .. }) = (&self.results, &outcome) {
-                    if stream_cached {
-                        lock(results).insert(id, reply.clone());
-                    }
+                    lock(results).insert(id, reply.clone());
                 }
                 Ok(reply)
             }
@@ -1050,8 +1018,7 @@ fn dispatch_frame(frame: &Json, shared: &Shared) -> Result<Json> {
     match msg_type(frame)? {
         "query" => {
             let key = shared.cell_from_request(frame)?;
-            let stream = shared.stream_from_request(frame)?;
-            match shared.execute(&key, stream) {
+            match shared.execute(&key) {
                 Ok(reply) => Ok(reply),
                 Err(ServeError::Rejected(r)) => {
                     let mut busy = msg("busy");
@@ -1173,11 +1140,7 @@ fn route_http(request: &http::HttpRequest, shared: &Shared) -> (u16, &'static st
                 Ok(key) => key,
                 Err(e) => return (400, "text/plain", format!("{e}\n")),
             };
-            let stream = match shared.stream_from_request(&req) {
-                Ok(stream) => stream,
-                Err(e) => return (400, "text/plain", format!("{e}\n")),
-            };
-            match shared.execute(&key, stream) {
+            match shared.execute(&key) {
                 Ok(reply) => (200, "application/json", reply.render()),
                 Err(ServeError::Rejected(r)) => {
                     let (_, status) = r.label_and_status();

@@ -1,14 +1,12 @@
 //! Fused morsel pipeline: selection vectors and one-pass stage fusion.
 //!
-//! The staged streaming path runs every operator as its own full pass over
-//! a [`BatchReel`] — filter, semijoin, pivot and export each materialize
-//! (and tracker-charge) an intermediate batch set. The fused pipeline
-//! composes Filter→Join(semijoin probe)→Restructure/GroupAgg/export into
-//! **one pass per morsel**: a parallel *probe* stage marks each batch's
-//! survivors in a [`SelVec`] (positions, not copies), and a serial
-//! in-push-order *sink* stage consumes the survivors directly — scattering
-//! into the dense pivot target, serializing CSV text, or folding a group
-//! aggregate — without an intermediate survivor table ever existing.
+//! The streaming lowering of the SQL engines (`--stream`) composes
+//! Filter→Join(semijoin probe)→Restructure/GroupAgg/export over a
+//! [`BatchReel`] into **one pass per morsel**: a parallel *probe* stage
+//! marks each batch's survivors in a [`SelVec`] (positions, not copies), and
+//! a serial in-push-order *sink* stage consumes the survivors directly —
+//! scattering into the dense pivot target, serializing CSV text, or folding
+//! a group aggregate — without an intermediate survivor table ever existing.
 //!
 //! Determinism argument (the PR 8 contract): probes are pure per-batch
 //! functions, so their results are independent of the thread count; every
@@ -17,7 +15,7 @@
 //! serially in exact push order. The fused pipeline therefore touches sink
 //! state in precisely the sequence the materialized table would have stored
 //! the rows — at every batch size and thread count — which is what keeps
-//! fused output bit-identical to the staged and materializing paths.
+//! streaming output bit-identical to the materializing path.
 //!
 //! Accounting contract: a selection is positions only ([`SelVec::heap_bytes`]
 //! is its `u32` footprint, never charged per batch on the hot path), so

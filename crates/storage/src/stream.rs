@@ -424,52 +424,13 @@ impl BatchReel {
         Ok(())
     }
 
-    /// Map `f` over every batch in push order and collect the results in
-    /// that order. Batches are processed in fixed-size windows: each
-    /// window's spilled batches are loaded at a serial point (bounding the
-    /// transient charge independently of `threads`), then `f` runs over the
-    /// window on the shared runtime pool. `f` must not touch the tracker —
-    /// morsel-task results are combined by the caller at serial points.
-    pub fn map_batches<T: Send>(
-        &self,
-        threads: usize,
-        f: impl Fn(&Morsel) -> T + Sync,
-    ) -> Result<Vec<T>> {
-        let mut reader = self.open_reader()?;
-        let mut out: Vec<T> = Vec::with_capacity(self.slots.len());
-        for window in self.slots.chunks(REPLAY_WINDOW) {
-            // Serial point: materialize the window's spilled batches.
-            let mut loaded: Vec<Option<Morsel>> = Vec::with_capacity(window.len());
-            for slot in window {
-                match slot {
-                    Slot::Resident(_) => loaded.push(None),
-                    Slot::Spilled { offset, n_rows } => {
-                        let reader = reader.as_mut().ok_or_else(|| {
-                            Error::invalid("reel has spilled batches but no spill file")
-                        })?;
-                        loaded.push(Some(self.read_spilled(reader, *offset, *n_rows)?));
-                    }
-                }
-            }
-            let batch_of = |i: usize| -> &Morsel {
-                match (&window[i], &loaded[i]) {
-                    (Slot::Resident(m), _) => m,
-                    (_, Some(m)) => m,
-                    _ => unreachable!("spilled slot loaded above"),
-                }
-            };
-            out.extend(runtime::parallel_map(threads, window.len(), |i| {
-                f(batch_of(i))
-            }));
-        }
-        Ok(out)
-    }
-
-    /// One fused pass over the reel: `probe` runs over each window on the
-    /// shared runtime pool (like [`BatchReel::map_batches`], it must not
-    /// touch the tracker), then `merge` consumes each batch together with
-    /// its probe result serially, in exact push order. This is the primitive
-    /// the fused pipeline builds on — a parallel filter/semijoin probe whose
+    /// One fused pass over the reel, in fixed-size windows: each window's
+    /// spilled batches are loaded at a serial point (bounding the transient
+    /// charge independently of `threads`), `probe` runs over the window on
+    /// the shared runtime pool (it must not touch the tracker), then `merge`
+    /// consumes each batch together with its probe result serially, in
+    /// exact push order. This is the primitive the streaming pipeline
+    /// builds on — a parallel filter/semijoin probe whose
     /// survivors are folded into a sink (scatter, CSV text, group
     /// accumulator) at a serial point, so sink state mutates in the same
     /// order the materialized table would have stored the rows.
@@ -622,18 +583,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ids, (0..40).collect::<Vec<i64>>());
-        // map_batches yields push-order results at every thread count.
-        for threads in [1usize, 3, 8] {
-            let sums = reel
-                .map_batches(threads, |m| {
-                    m.float_col(2).unwrap().iter().sum::<f64>().to_bits()
-                })
-                .unwrap();
-            assert_eq!(sums.len(), 8);
-            let serial =
-                reel.map_batches(1, |m| m.float_col(2).unwrap().iter().sum::<f64>().to_bits());
-            assert_eq!(sums, serial.unwrap());
-        }
         let path = reel.spill_path.clone().unwrap();
         assert!(path.exists());
         drop(reel);

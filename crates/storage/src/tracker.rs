@@ -51,7 +51,7 @@ struct Inner {
     spill_bytes: AtomicU64,
     /// Cumulative artifact-cache hits taken by conversion kernels.
     cache_hits: AtomicU64,
-    /// Cumulative rows marked as selection-vector survivors by fused
+    /// Cumulative rows marked as selection-vector survivors by
     /// streaming operators (rows *not* copied between pipeline stages).
     rows_selected: AtomicU64,
 }
@@ -104,7 +104,7 @@ pub struct MemDelta {
     /// Artifact-cache hits the operator's conversion kernels took.
     pub cache_hits: u64,
     /// Rows the operator passed downstream as selection-vector survivors
-    /// instead of materialized copies (fused streaming only).
+    /// instead of materialized copies (streaming only).
     pub rows_selected: u64,
 }
 
@@ -205,7 +205,7 @@ impl MemTracker {
     }
 
     /// Note `rows` passed downstream as selection-vector survivors by a
-    /// fused streaming operator (counted at a serial point, like
+    /// streaming operator (counted at a serial point, like
     /// [`MemTracker::note_batches`], so the tally is thread-independent).
     pub fn note_selected(&self, rows: u64) {
         self.inner.rows_selected.fetch_add(rows, Ordering::Relaxed);

@@ -27,18 +27,16 @@ const SQL_ENGINES: [&str; 4] = [
     "Column store + UDFs",
 ];
 
-/// Quick-scale SimOnly configuration; `fused` picks materializing (`None`),
-/// staged streaming (`Some(false)`) or fused streaming (`Some(true)`).
-fn sim_config(fused: Option<bool>) -> HarnessConfig {
+/// Quick-scale SimOnly configuration, materializing or streaming.
+fn sim_config(stream: bool) -> HarnessConfig {
     let mut config = HarnessConfig {
         threads: 2,
         ..HarnessConfig::quick()
     }
     .sim_only();
-    config.stream = fused.map(|fused| StreamConfig {
+    config.stream = stream.then(|| StreamConfig {
         batch_rows: 64,
-        spill_dir: None,
-        fused,
+        ..StreamConfig::default()
     });
     config
 }
@@ -101,10 +99,10 @@ fn lookups(cache: &ArtifactCache) -> u64 {
 #[test]
 fn warm_cells_are_byte_identical_to_cold_cells_materializing() {
     let cells = all_cells();
-    let cold_bytes = outcome_bytes(&scheduler(sim_config(None), None), &cells);
+    let cold_bytes = outcome_bytes(&scheduler(sim_config(false), None), &cells);
 
     let cache = ArtifactCache::new(256 << 20);
-    let warm = scheduler(sim_config(None), Some(&cache));
+    let warm = scheduler(sim_config(false), Some(&cache));
     // First pass fills the cache, second pass replays from it; both must
     // be byte-identical to the cache-less run, cell by cell.
     let fill_bytes = outcome_bytes(&warm, &cells);
@@ -129,22 +127,18 @@ fn warm_cells_are_byte_identical_to_cold_cells_materializing() {
 
 #[test]
 fn engines_without_a_join_and_streaming_cells_perform_zero_lookups() {
-    // Materializing: only the SQL stores have a join to memoize. Streaming
-    // (staged and fused): joins are staged as filters, so nobody does.
+    // Materializing: only the SQL stores have a join to memoize.
+    // Streaming: joins are staged as filters, so nobody does.
     let no_join: Vec<CellKey> = all_cells()
         .into_iter()
         .filter(|key| !SQL_ENGINES.contains(&key.engine.as_str()))
         .collect();
     assert!(no_join.iter().any(|key| key.engine == "SciDB"));
     assert!(no_join.iter().any(|key| key.engine == "Vanilla R"));
-    for (fused, cells) in [
-        (None, no_join),
-        (Some(false), all_cells()),
-        (Some(true), all_cells()),
-    ] {
-        let cold_bytes = outcome_bytes(&scheduler(sim_config(fused), None), &cells);
+    for (stream, cells) in [(false, no_join), (true, all_cells())] {
+        let cold_bytes = outcome_bytes(&scheduler(sim_config(stream), None), &cells);
         let cache = ArtifactCache::new(256 << 20);
-        let cached = scheduler(sim_config(fused), Some(&cache));
+        let cached = scheduler(sim_config(stream), Some(&cache));
         for pass in ["first", "second"] {
             let bytes = outcome_bytes(&cached, &cells);
             assert_same_bytes(&cells, &cold_bytes, &bytes, pass);
@@ -152,7 +146,7 @@ fn engines_without_a_join_and_streaming_cells_perform_zero_lookups() {
         assert_eq!(
             (lookups(&cache), cache.entries()),
             (0, 0),
-            "stream = {fused:?}: these cells must never touch the cache"
+            "stream = {stream}: these cells must never touch the cache"
         );
     }
 }
@@ -163,7 +157,7 @@ fn a_config_fingerprint_mismatch_bypasses_cached_artifacts() {
     // the fingerprint): the second scheduler must not replay the first's
     // artifacts — its keys live under a different prefix.
     let cache = ArtifactCache::new(256 << 20);
-    let a = scheduler(sim_config(None), Some(&cache));
+    let a = scheduler(sim_config(false), Some(&cache));
     let cell = cell("Postgres + R", Query::Covariance);
     a.run_cell(&cell, 2).expect("cold fill run");
     let hits_before = cache.hit_count();
@@ -175,7 +169,7 @@ fn a_config_fingerprint_mismatch_bypasses_cached_artifacts() {
 
     let config_b = HarnessConfig {
         mem_budget: Some(1 << 30),
-        ..sim_config(None)
+        ..sim_config(false)
     };
     let b = scheduler(config_b.clone(), Some(&cache));
     let b_cold = scheduler(config_b, None);
@@ -199,13 +193,13 @@ fn a_config_fingerprint_mismatch_bypasses_cached_artifacts() {
 
 #[test]
 fn regression_and_svd_share_the_gene_filtered_join_on_every_sql_store() {
-    let cold = scheduler(sim_config(None), None);
+    let cold = scheduler(sim_config(false), None);
     for engine in SQL_ENGINES {
         let cells = [cell(engine, Query::Regression), cell(engine, Query::Svd)];
         let cold_bytes = outcome_bytes(&cold, &cells);
 
         let cache = ArtifactCache::new(256 << 20);
-        let s = scheduler(sim_config(None), Some(&cache));
+        let s = scheduler(sim_config(false), Some(&cache));
         let regression = outcome_bytes(&s, &cells[..1]);
         assert_eq!((cache.hit_count(), cache.miss_count()), (0, 1), "{engine}");
         let svd = outcome_bytes(&s, &cells[1..]);
@@ -224,17 +218,17 @@ fn half_the_join_working_set_evicts_and_stays_byte_identical() {
         .into_iter()
         .filter(|key| SQL_ENGINES.contains(&key.engine.as_str()))
         .collect();
-    let cold_bytes = outcome_bytes(&scheduler(sim_config(None), None), &cells);
+    let cold_bytes = outcome_bytes(&scheduler(sim_config(false), None), &cells);
 
     // Size the working set: everything the cells cache, nothing evicted.
     let roomy = ArtifactCache::new(256 << 20);
-    outcome_bytes(&scheduler(sim_config(None), Some(&roomy)), &cells);
+    outcome_bytes(&scheduler(sim_config(false), Some(&roomy)), &cells);
     assert_eq!(roomy.eviction_count(), 0);
     let working_set = roomy.bytes();
     assert!(working_set > 0);
 
     let tight = ArtifactCache::new(working_set / 2);
-    let s = scheduler(sim_config(None), Some(&tight));
+    let s = scheduler(sim_config(false), Some(&tight));
     for pass in ["first", "second"] {
         let bytes = outcome_bytes(&s, &cells);
         assert_same_bytes(&cells, &cold_bytes, &bytes, pass);

@@ -113,6 +113,23 @@ fn query_frame(engine: &str, query: &str) -> Json {
     req
 }
 
+/// The retired per-request `"stream"` key is rejected on both fronts —
+/// HTTP 400, framed `reject` — with a reason naming `--stream`, instead of
+/// being ignored like an unknown key.
+fn assert_stream_key_is_rejected(server: &Running) {
+    for mode in ["staged", "fused"] {
+        let mut frame = query_frame("Column store + R", "covariance");
+        frame.set("stream", Json::from(mode));
+        let (status, body) = http_request(server.http, "POST", "/query", &frame.render(), &[]);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("--stream"), "{body}");
+        let reply = client_request(server.frame, None, &frame).unwrap();
+        assert_eq!(reply.get("type").and_then(Json::as_str), Some("reject"));
+        let reason = reply.get("reason").and_then(Json::as_str).unwrap();
+        assert!(reason.contains("--stream"), "{reason}");
+    }
+}
+
 #[test]
 fn concurrent_served_queries_are_byte_identical_to_the_batch_path() {
     let cases = [
@@ -208,8 +225,7 @@ fn streaming_server_matches_the_streaming_batch_path() {
     let mut config = sim_config();
     config.stream = Some(genbase::engine::StreamConfig {
         batch_rows: 64,
-        spill_dir: None,
-        fused: false,
+        ..Default::default()
     });
     let threads = config.threads.max(1);
     let server = start_server_with(config.clone(), ServeOptions::default());
@@ -250,75 +266,9 @@ fn streaming_server_matches_the_streaming_batch_path() {
         .unwrap();
     assert!(batches > 0, "streaming server served without streaming");
 
-    // Per-request override: the same resident server answers both paths.
-    // A "staged" override replays the configured path byte-identically; a
-    // "fused" override keeps the phase costs identical while moving
-    // strictly fewer storage-layer bytes (scraped from the same server's
-    // bytes-moved counter around each run).
-    let scrape_moved = || -> u64 {
-        let (_, metrics) = http_request(server.http, "GET", "/metrics", "", &[]);
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix("genbase_bytes_moved_total "))
-            .expect("bytes-moved counter")
-            .parse()
-            .unwrap()
-    };
-    let before = scrape_moved();
-    let (status, body) = http_request(
-        server.http,
-        "POST",
-        "/query",
-        r#"{"engine": "Column store + R", "query": "covariance", "stream": "staged"}"#,
-        &[],
-    );
-    assert_eq!(status, 200, "{body}");
-    let staged_moved = scrape_moved() - before;
-    let staged_reply = Json::parse(&body).unwrap();
-    assert_eq!(
-        staged_reply.get("outcome").expect("outcome").render(),
-        expected,
-        "a staged override must replay the configured streaming path"
-    );
-
-    let before = scrape_moved();
-    let (status, body) = http_request(
-        server.http,
-        "POST",
-        "/query",
-        r#"{"engine": "Column store + R", "query": "covariance", "stream": "fused"}"#,
-        &[],
-    );
-    assert_eq!(status, 200, "{body}");
-    let fused_moved = scrape_moved() - before;
-    let fused_reply = Json::parse(&body).unwrap();
-    let fused_outcome = fused_reply.get("outcome").expect("outcome");
-    let staged_outcome = staged_reply.get("outcome").expect("outcome");
-    assert_eq!(
-        fused_outcome.get("status").and_then(Json::as_str),
-        Some("completed")
-    );
-    for phase in ["dm", "an"] {
-        assert_eq!(
-            fused_outcome.get(phase).expect(phase).render(),
-            staged_outcome.get(phase).expect(phase).render(),
-            "fused override drifted the {phase} phase costs"
-        );
-    }
-    assert!(
-        fused_moved < staged_moved,
-        "fused override moved {fused_moved} bytes, not below the staged {staged_moved}"
-    );
-
-    // An unknown mode is a clean request error.
-    let (status, body) = http_request(
-        server.http,
-        "POST",
-        "/query",
-        r#"{"engine": "Column store + R", "query": "covariance", "stream": "bogus"}"#,
-        &[],
-    );
-    assert_eq!(status, 400, "{body}");
+    // The server's `--stream` configuration is the only streaming
+    // control: the retired per-request key is an error, even here.
+    assert_stream_key_is_rejected(&server);
     server.shutdown();
 }
 
@@ -397,16 +347,7 @@ fn http_status_metrics_and_error_paths() {
     assert!(moved > 0, "a completed query must move storage-layer bytes");
 
     // Error paths answer with named statuses, never a closed socket.
-    // A stream override needs a server started with --stream.
-    let (status, body) = http_request(
-        server.http,
-        "POST",
-        "/query",
-        r#"{"engine": "SciDB", "query": "covariance", "stream": "fused"}"#,
-        &[],
-    );
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("--stream"), "{body}");
+    assert_stream_key_is_rejected(&server);
     assert_eq!(http_request(server.http, "GET", "/nope", "", &[]).0, 404);
     assert_eq!(http_request(server.http, "GET", "/query", "", &[]).0, 405);
     assert_eq!(
