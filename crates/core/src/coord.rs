@@ -63,30 +63,27 @@
 //! coordinated sweep renders **byte-identical** output to the serial
 //! single-process run (`tests/coord_distributed.rs` pins this).
 //!
-//! Connection handlers use dedicated OS threads, not the shared runtime
-//! pool: they block on socket reads for the lifetime of a worker, and a
-//! capped task pool must never have its slots parked on I/O (the same
-//! reasoning as `genbase_cluster::Cluster::run`). Cell *compute* on the
-//! worker side still goes through the pool via `ExecOpts.threads`.
+//! Listening, the `hello` gate, the frame loop and the accept/drain model
+//! are the session layer's (`session.rs`, shared with [`crate::serve`]);
+//! this module is the lease scheduler behind them and the worker in front.
 
 use crate::figures;
 use crate::harness::HarnessConfig;
 use crate::sched::{
     config_fingerprint, save_text, CellKey, CellOutcome, FigureId, ReportGrid, Scheduler,
 };
+pub use crate::session::PROTOCOL;
+use crate::session::{self, hello, msg, msg_type, Gate};
 use genbase_datagen::SizeClass;
 use genbase_util::frame::{read_frame_opt, write_frame};
-use genbase_util::retry::{transient_connect_error, Backoff};
+use genbase_util::retry::Backoff;
 use genbase_util::{faults, lock, shutdown, CellProgress, Error, Json, ProgressHandle, Result};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Protocol identifier sent in every handshake; bump on wire changes.
-pub const PROTOCOL: &str = "genbase-coord-v1";
 
 /// Milliseconds a worker waits before re-requesting when the coordinator
 /// has no pending cells but other workers still hold leases.
@@ -99,60 +96,6 @@ const IDLE_BACKOFF_MS: u64 = 50;
 /// and the rest of the sweep completes, mirroring how the local scheduler
 /// surfaces an in-process crash instead of retrying forever.
 const MAX_REISSUES_PER_CELL: usize = 3;
-
-pub(crate) fn msg(kind: &str) -> Json {
-    let mut m = Json::obj();
-    m.set("type", Json::from(kind));
-    m
-}
-
-pub(crate) fn msg_type(m: &Json) -> Result<&str> {
-    m.get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| Error::invalid("frame missing type"))
-}
-
-/// The connecting side of the handshake, shared by every role that dials
-/// in — sweep worker (`role: None`, presents its `config` fingerprint),
-/// `status` poller, and `serve` client: send `hello`, read the reply, and
-/// turn EOF, `reject` or anything unexpected into an error. Returns the
-/// `welcome` frame.
-pub(crate) fn hello(
-    stream: &mut TcpStream,
-    role: Option<&str>,
-    config: Option<&str>,
-    token: Option<&str>,
-) -> Result<Json> {
-    // Who answers, and what it calls us, in the error strings.
-    let (peer, us) = match role {
-        None => ("coordinator", "worker"),
-        Some("status") => ("coordinator", "status poll"),
-        Some(_) => ("server", "us"),
-    };
-    let mut hello = msg("hello");
-    hello.set("protocol", Json::from(PROTOCOL));
-    for (key, value) in [("role", role), ("config", config), ("token", token)] {
-        if let Some(value) = value {
-            hello.set(key, Json::from(value));
-        }
-    }
-    write_frame(stream, &hello)?;
-    let welcome = read_frame_opt(stream)?
-        .ok_or_else(|| Error::invalid(format!("{peer} closed during handshake")))?;
-    match msg_type(&welcome)? {
-        "welcome" => Ok(welcome),
-        "reject" => {
-            let reason = welcome
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unspecified");
-            Err(Error::invalid(format!("{peer} rejected {us}: {reason}")))
-        }
-        other => Err(Error::invalid(format!(
-            "unexpected handshake reply {other:?}"
-        ))),
-    }
-}
 
 /// Coordinator tuning knobs.
 #[derive(Debug, Clone, Default)]
@@ -295,7 +238,7 @@ impl State {
     }
 }
 
-/// Everything a connection handler needs, one `Arc` hop away.
+/// Everything a connection handler needs.
 struct Shared {
     state: Mutex<State>,
     fingerprint: String,
@@ -342,9 +285,6 @@ impl Coordinator {
     ) -> Result<Coordinator> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| Error::invalid(format!("coordinator bind: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::invalid(format!("coordinator listener: {e}")))?;
         let plan: Vec<CellKey> = figs
             .iter()
             .flat_map(|&f| figures::plan(f, &config, mn_size))
@@ -387,7 +327,7 @@ impl Coordinator {
     /// Load the checkpoint (if any) and build the sweep's shared state:
     /// everything [`Coordinator::serve`] does before its first `accept`.
     /// Also returns the torn-checkpoint recovery note.
-    fn open(&self) -> Result<(Arc<Shared>, Option<String>)> {
+    fn open(&self) -> Result<(Shared, Option<String>)> {
         let mut recovered = None;
         let mut base = match &self.options.checkpoint {
             Some(path) if path.exists() => {
@@ -415,7 +355,7 @@ impl Coordinator {
             .cloned()
             .collect();
         let restored = self.plan.len() - pending.len();
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             state: Mutex::new(State {
                 pending,
                 leased: HashMap::new(),
@@ -442,87 +382,49 @@ impl Coordinator {
             planned: self.plan.len(),
             restored,
             streams: Mutex::new(HashMap::new()),
-        });
+        };
         Ok((shared, recovered))
     }
 
     /// The accept/lease/drain loop of [`Coordinator::serve`] over `shared`.
-    fn serve_shared(
-        &self,
-        shared: &Arc<Shared>,
-        recovered: Option<String>,
-    ) -> Result<CoordOutcome> {
-        let mut next_worker: u64 = 0;
-        let mut handlers = Vec::new();
-        while !lock(&shared.state).complete() {
-            reap_expired_leases(shared);
-            rebalance_leases(shared);
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if faults::hit("coord.accept").is_err() {
-                        // Injected accept failure: the connection is
-                        // dropped before a handler exists; the worker
-                        // sees EOF and reconnects.
-                        continue;
-                    }
-                    next_worker += 1;
-                    let worker = next_worker;
-                    match stream.try_clone() {
-                        Ok(clone) => {
-                            lock(&shared.streams).insert(worker, clone);
-                        }
-                        // Without a clone handle the deadline reaper could
-                        // revoke this worker's lease but never unblock its
-                        // handler thread — the unkillable-handler hang the
-                        // timeout exists to prevent. Refuse the connection
-                        // instead (the worker sees EOF and can be
-                        // restarted); without a deadline configured the
-                        // handle is unused, so the connection is fine.
-                        Err(_) if shared.lease_timeout.is_some() => continue,
-                        Err(_) => {}
-                    }
-                    let shared = Arc::clone(shared);
-                    // Dedicated blocking thread per connection (see module
-                    // docs). The handle is kept: serve() must not return
-                    // until every connected worker has been answered, or a
-                    // worker idling between polls would see a reset socket
-                    // instead of `done` when the last result lands.
-                    handlers.push(std::thread::spawn(move || {
-                        let _ = stream.set_nodelay(true);
-                        handle_worker(stream, worker, &shared);
-                        lock(&shared.streams).remove(&worker);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(Error::invalid(format!("coordinator accept: {e}"))),
+    fn serve_shared(&self, shared: &Shared, recovered: Option<String>) -> Result<CoordOutcome> {
+        let next_worker = AtomicU64::new(0);
+        let handler = |stream: TcpStream| {
+            if faults::hit("coord.accept").is_err() {
+                // Injected accept failure: the connection is dropped before
+                // it is handled; the worker sees EOF and reconnects.
+                return;
             }
-        }
-        // Backlog drain: a worker that connected while the last result was
-        // landing may still sit unaccepted in the listen queue. Accept
-        // everything queued so those workers get a handshake and a `done`
-        // instead of watching the socket die when this process exits.
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    next_worker += 1;
-                    let worker = next_worker;
-                    let shared = Arc::clone(shared);
-                    handlers.push(std::thread::spawn(move || {
-                        let _ = stream.set_nodelay(true);
-                        handle_worker(stream, worker, &shared);
-                    }));
+            let worker = next_worker.fetch_add(1, Ordering::Relaxed) + 1;
+            match stream.try_clone() {
+                Ok(clone) => {
+                    lock(&shared.streams).insert(worker, clone);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                // Without a clone handle the deadline reaper could revoke
+                // this worker's lease but never unblock its handler thread
+                // — the unkillable-handler hang the timeout exists to
+                // prevent. Refuse the connection instead (the worker sees
+                // EOF and can be restarted); without a deadline configured
+                // the handle is unused, so the connection is fine.
+                Err(_) if shared.lease_timeout.is_some() => return,
+                Err(_) => {}
             }
-        }
-        // Drain: workers get `done` on their next poll, close, and their
-        // handlers exit on the EOF.
-        for handle in handlers {
-            let _ = handle.join();
-        }
+            handle_worker(stream, worker, shared);
+            lock(&shared.streams).remove(&worker);
+        };
+        // Drain: once the plan is complete every connection — parked on an
+        // idle poll, or still queued in the listen backlog — gets `done` on
+        // its next request, closes, and its handler exits on the EOF.
+        session::run_listeners(
+            "coordinator",
+            &[(&self.listener, &handler)],
+            || {
+                reap_expired_leases(shared);
+                rebalance_leases(shared);
+                !lock(&shared.state).complete()
+            },
+            || (),
+        )?;
 
         let mut state = lock(&shared.state);
         if let Some(e) = state.fatal.take() {
@@ -661,11 +563,6 @@ fn reap_expired_leases(shared: &Shared) {
     }
 }
 
-/// How long a fresh connection gets to complete the `hello` handshake.
-/// Bounded so a port-scanner (or a client that connects and goes silent)
-/// cannot pin a handler thread forever.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// Read timeout while a worker holds *no* lease. An idle worker polls
 /// every [`IDLE_BACKOFF_MS`], so silence this long means the connection
 /// is wedged (half-open link, stopped process); closing it keeps the
@@ -675,135 +572,25 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 /// EOF/reset, and re-leasing is the recovery path).
 const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// What a connection authenticated as.
-#[derive(PartialEq, Eq)]
-enum Role {
-    /// A cell-executing worker (the default).
-    Worker,
-    /// A read-only monitor: may only exchange `status` frames.
-    Status,
-}
-
-/// One worker connection: handshake, then the lease/result loop. Any I/O
-/// or protocol error ends the connection and re-queues the lease.
+/// One connection: the `hello` gate, `welcome`, then the lease/result loop
+/// (a `status` monitor may only poll snapshots). However the connection
+/// ends, whatever lease it still holds is re-queued — nothing, after a
+/// refused handshake, an idle timeout or a clean `leave`.
 fn handle_worker(mut stream: TcpStream, worker: u64, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let role = match handshake(&mut stream, worker, shared) {
-        Ok(role) => role,
-        Err(_e) => return, // reject already sent where possible; nothing leased yet
+    // Monitors authenticate but need no fingerprint: a status poll must
+    // work from hosts that never built a matching config. They are not
+    // counted as workers either.
+    let gate = Gate {
+        token: shared.auth_token.as_deref(),
+        fingerprint: &shared.fingerprint,
+        roles: &[("worker", true), ("status", false)],
     };
-    loop {
-        let leased = lock(&shared.state).leased.contains_key(&worker);
-        let _ = stream.set_read_timeout(if leased {
-            None
-        } else {
-            Some(IDLE_READ_TIMEOUT)
-        });
-        let frame = match faults::hit("coord.read")
-            .map_err(|e| Error::invalid(format!("read frame: {e}")))
-            .and_then(|_| read_frame_opt(&mut stream))
-        {
-            Ok(Some(frame)) => frame,
-            // EOF (worker finished or died), I/O error, or idle timeout:
-            // re-queue whatever it held (nothing, for idle timeouts).
-            Ok(None) | Err(_) => return release_lease(worker, shared),
-        };
-        let applied = match role {
-            Role::Worker => apply_frame(&frame, worker, shared),
-            // Monitors never touch lease state; anything but a status
-            // poll is a protocol error.
-            Role::Status => match msg_type(&frame) {
-                Ok("status") => Ok(status_snapshot(shared)),
-                _ => Err(Error::invalid("status connections may only poll status")),
-            },
-        };
-        let reply = match applied {
-            Ok(reply) => reply,
-            Err(e) => {
-                let mut reject = msg("reject");
-                reject.set("reason", Json::from(e.to_string().as_str()));
-                let _ = write_frame(&mut stream, &reject);
-                return release_lease(worker, shared);
-            }
-        };
-        let closing = matches!(msg_type(&reply), Ok("bye"));
-        if faults::hit("coord.write").is_err() || write_frame(&mut stream, &reply).is_err() {
-            return release_lease(worker, shared);
-        }
-        if closing {
-            // `leave` already re-queued (or never charged) the lease;
-            // nothing left to release.
-            return;
-        }
-    }
-}
-
-/// Validate `hello` and send `welcome`/`reject`.
-fn handshake(stream: &mut TcpStream, worker: u64, shared: &Shared) -> Result<Role> {
-    let hello = read_frame_opt(stream)?.ok_or_else(|| Error::invalid("closed before hello"))?;
-    let reject = |stream: &mut TcpStream, reason: String| -> Result<Role> {
-        let mut m = msg("reject");
-        m.set("reason", Json::from(reason.as_str()));
-        let _ = write_frame(stream, &m);
-        Err(Error::invalid(reason))
+    let Ok(role) = session::admit(&mut stream, &gate) else {
+        return;
     };
-    if msg_type(&hello)? != "hello" {
-        return reject(stream, "expected hello".to_string());
-    }
-    match hello.get("protocol").and_then(Json::as_str) {
-        Some(PROTOCOL) => {}
-        other => {
-            return reject(
-                stream,
-                format!("protocol mismatch: worker speaks {other:?}, want {PROTOCOL:?}"),
-            )
-        }
-    }
-    // Auth runs *before* the fingerprint comparison: an unauthenticated
-    // peer must learn nothing about the sweep configuration (the
-    // fingerprint reject below echoes scale/seed/budget details). Both
-    // sides must agree on the token, including on its absence — a worker
-    // waving a token at an auth-less coordinator is as misconfigured as
-    // the reverse. The token itself never echoes back in the reason.
-    let presented = hello.get("token").and_then(Json::as_str);
-    if presented != shared.auth_token.as_deref() {
-        let reason = if shared.auth_token.is_some() {
-            "auth token mismatch; start the worker with the coordinator's \
-             --auth-token (or GENBASE_COORD_TOKEN)"
-        } else {
-            "auth token mismatch: this coordinator has no --auth-token \
-             configured; unset the worker's --auth-token / \
-             GENBASE_COORD_TOKEN (or start the coordinator with one)"
-        };
-        return reject(stream, reason.to_string());
-    }
-    // Monitors authenticate but skip the fingerprint: a status poll needs
-    // no planning flags and must work from hosts that never built a
-    // matching config. They are not counted as workers either.
-    let role = match hello.get("role").and_then(Json::as_str) {
-        None | Some("worker") => Role::Worker,
-        Some("status") => Role::Status,
-        Some(other) => return reject(stream, format!("unknown hello role {other:?}")),
-    };
-    if role == Role::Worker {
-        match hello.get("config").and_then(Json::as_str) {
-            Some(have) if have == shared.fingerprint => {}
-            have => {
-                return reject(
-                    stream,
-                    format!(
-                        "config fingerprint mismatch ({} vs {}); \
-                         start the worker with the coordinator's flags",
-                        have.unwrap_or("<missing>"),
-                        shared.fingerprint
-                    ),
-                )
-            }
-        }
-    }
     let remaining = {
         let mut s = lock(&shared.state);
-        if role == Role::Worker {
+        if role == "worker" {
             s.workers += 1;
             s.worker_stats.insert(
                 worker,
@@ -819,8 +606,27 @@ fn handshake(stream: &mut TcpStream, worker: u64, shared: &Shared) -> Result<Rol
     let mut welcome = msg("welcome");
     welcome.set("worker", Json::from(worker));
     welcome.set("remaining", Json::from(remaining));
-    write_frame(stream, &welcome)?;
-    Ok(role)
+    if write_frame(&mut stream, &welcome).is_ok() {
+        session::frame_loop(
+            &mut stream,
+            |stream| {
+                let leased = lock(&shared.state).leased.contains_key(&worker);
+                let _ = stream.set_read_timeout((!leased).then_some(IDLE_READ_TIMEOUT));
+                faults::hit("coord.read").is_ok()
+            },
+            |frame| {
+                let reply = match role {
+                    "worker" => apply_frame(frame, worker, shared)?,
+                    // Monitors never touch lease state.
+                    _ if matches!(msg_type(frame), Ok("status")) => status_snapshot(shared),
+                    _ => return Err(Error::invalid("status connections may only poll status")),
+                };
+                // An injected write failure drops the reply on the floor.
+                Ok(faults::hit("coord.write").is_ok().then_some(reply))
+            },
+        );
+    }
+    release_lease(worker, shared);
 }
 
 /// Process one post-handshake worker frame and produce the single reply.
@@ -906,18 +712,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
             if let Some(stats) = s.worker_stats.get_mut(&worker) {
                 stats.completed += 1;
             }
-            let skip_checkpoint = s.fatal.is_some();
-            drop(s);
-            if let (Some(path), false) = (&shared.checkpoint, skip_checkpoint) {
-                // The result is accepted either way — the worker did the
-                // work and the grid has it. A checkpoint write failure is
-                // a *coordinator* failure: record it as fatal (the sweep
-                // drains and reports it) instead of blaming the worker.
-                if let Err(e) = write_checkpoint(path, worker, shared) {
-                    let mut s = lock(&shared.state);
-                    s.fatal.get_or_insert(e);
-                }
-            }
+            checkpoint_or_fail(s, worker, shared);
         }
         return next_assignment(worker, shared);
     }
@@ -950,14 +745,7 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
             }
         }
         s.grid.set_progress(&cell.id(), &kernel, state);
-        let skip_checkpoint = s.fatal.is_some();
-        drop(s);
-        if let (Some(path), false) = (&shared.checkpoint, skip_checkpoint) {
-            if let Err(e) = write_checkpoint(path, worker, shared) {
-                let mut s = lock(&shared.state);
-                s.fatal.get_or_insert(e);
-            }
-        }
+        checkpoint_or_fail(s, worker, shared);
         return Ok(msg("ack"));
     }
     if kind == "leave" {
@@ -1039,6 +827,21 @@ fn status_snapshot(shared: &Shared) -> Json {
     m
 }
 
+/// Release the state lock and persist the grid it just changed. The change
+/// stands either way — the worker did the work and the grid has it. A
+/// checkpoint write failure is a *coordinator* failure: it is recorded as
+/// fatal (the sweep drains and reports it) instead of blaming the worker,
+/// and once one is recorded no further writes are attempted.
+fn checkpoint_or_fail(s: MutexGuard<'_, State>, worker: u64, shared: &Shared) {
+    let skip = s.fatal.is_some();
+    drop(s);
+    if let (Some(path), false) = (&shared.checkpoint, skip) {
+        if let Err(e) = write_checkpoint(path, worker, shared) {
+            lock(&shared.state).fatal.get_or_insert(e);
+        }
+    }
+}
+
 /// Persist the grid. Render-and-rename runs under `checkpoint_io`, so
 /// concurrent completions serialize and the on-disk file monotonically
 /// gains cells: a snapshot rendered earlier can never rename over one
@@ -1109,8 +912,14 @@ pub struct WorkerReport {
 /// How a worker behaves beyond the config it computes under.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
-    /// Cells in flight (coordinator connections) within this process;
-    /// `0` is treated as `1`.
+    /// Cells in flight within this process; `0` is treated as `1`. A worker
+    /// with `jobs` > 1 opens that many coordinator connections, each leasing
+    /// and executing cells concurrently under a `config.threads / jobs`
+    /// kernel budget (the same split the local scheduler's `--jobs`
+    /// applies), all sharing one dataset pool. The coordinator sees `jobs`
+    /// logical workers; per-connection leases, deadlines and death recovery
+    /// apply unchanged. Kernel results are bit-identical across thread
+    /// budgets, so `jobs` never changes sweep output.
     pub jobs: usize,
     /// Auth token presented in the handshake.
     pub auth_token: Option<String>,
@@ -1138,41 +947,13 @@ const RECONNECT_ATTEMPTS: u32 = 5;
 /// kernel budget. `config` must match the coordinator's flags: the
 /// handshake enforces the [`config_fingerprint`] and rejects mismatches at
 /// connect. To multiplex several cells inside one process, see
-/// [`run_worker_jobs`].
+/// [`run_worker_with`] and [`WorkerOptions::jobs`].
 pub fn run_worker(
     addr: impl ToSocketAddrs + Clone + Send,
     config: HarnessConfig,
     connect_window: Duration,
 ) -> Result<WorkerReport> {
-    run_worker_jobs(addr, config, connect_window, 1, None)
-}
-
-/// [`run_worker`] with `jobs` cells in flight: one worker process opens
-/// `jobs` coordinator connections, each leasing and executing cells
-/// concurrently under a `config.threads / jobs` kernel budget (the same
-/// split the local scheduler's `--jobs` applies), all sharing one dataset
-/// pool. The coordinator sees `jobs` logical workers; per-connection
-/// leases, deadlines, and death recovery apply unchanged.
-///
-/// Kernel results are bit-identical across thread budgets, so `jobs` never
-/// changes sweep output — only how a many-core worker host is filled.
-pub fn run_worker_jobs(
-    addr: impl ToSocketAddrs + Clone + Send,
-    config: HarnessConfig,
-    connect_window: Duration,
-    jobs: usize,
-    auth_token: Option<String>,
-) -> Result<WorkerReport> {
-    run_worker_with(
-        addr,
-        config,
-        connect_window,
-        WorkerOptions {
-            jobs,
-            auth_token,
-            stop: None,
-        },
-    )
+    run_worker_with(addr, config, connect_window, WorkerOptions::default())
 }
 
 /// [`run_worker`] with full [`WorkerOptions`] (job multiplexing, auth,
@@ -1260,7 +1041,7 @@ fn worker_connection(
     // A computed `result`/`failed` whose acknowledgement never arrived.
     let mut pending_send: Option<Json> = None;
     loop {
-        let mut stream = connect_once(addr.clone(), connect_window, &mut backoff)?;
+        let mut stream = session::dial(addr.clone(), connect_window, &mut backoff)?;
         match worker_session(
             &mut stream,
             scheduler,
@@ -1277,36 +1058,6 @@ fn worker_connection(
                 std::thread::sleep(backoff.delay(reconnects - 1));
             }
             Err(SessionEnd::Io(e)) => return Err(e),
-        }
-    }
-}
-
-/// Dial the coordinator, retrying transient connect errors (refused —
-/// the coordinator has not bound yet — reset, timed out, interrupted)
-/// until `connect_window` elapses. Anything else (DNS failure, unroutable
-/// address) is permanent: fail fast.
-fn connect_once(
-    addr: impl ToSocketAddrs + Clone,
-    connect_window: Duration,
-    backoff: &mut Backoff,
-) -> Result<TcpStream> {
-    let deadline = Instant::now() + connect_window;
-    let mut attempt: u32 = 0;
-    loop {
-        let dialed = match faults::hit("worker.connect") {
-            Ok(()) => TcpStream::connect(addr.clone()),
-            Err(e) => Err(e),
-        };
-        match dialed {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                return Ok(stream);
-            }
-            Err(e) if transient_connect_error(&e) && Instant::now() < deadline => {
-                std::thread::sleep(backoff.delay(attempt));
-                attempt += 1;
-            }
-            Err(e) => return Err(Error::invalid(format!("worker connect: {e}"))),
         }
     }
 }
@@ -1528,20 +1279,16 @@ impl CellProgress for CoordProgress {
     }
 }
 
-/// Fetch a live status snapshot from a serving coordinator: connect
-/// (retrying transient errors until `connect_window` elapses), handshake
-/// with `role: "status"`, poll once, and return the snapshot object.
+/// Fetch a live status snapshot from a serving coordinator (or resident
+/// server): connect (retrying transient errors until `connect_window`
+/// elapses), handshake with `role: "status"`, poll once, and return the
+/// snapshot object.
 pub fn fetch_status(
     addr: impl ToSocketAddrs + Clone,
     auth_token: Option<&str>,
     connect_window: Duration,
 ) -> Result<Json> {
-    let mut backoff = Backoff::new(100, 5_000, faults::plan_seed().unwrap_or(0x57a7));
-    let mut stream = connect_once(addr, connect_window, &mut backoff)?;
-    hello(&mut stream, Some("status"), None, auth_token)?;
-    write_frame(&mut stream, &msg("status"))?;
-    let reply = read_frame_opt(&mut stream)?
-        .ok_or_else(|| Error::invalid("coordinator closed before status reply"))?;
+    let reply = session::request(addr, connect_window, "status", auth_token, &msg("status"))?;
     match msg_type(&reply)? {
         "status" => Ok(reply),
         other => Err(Error::invalid(format!("unexpected status reply {other:?}"))),
@@ -1586,58 +1333,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_fingerprint_is_rejected_at_connect() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default(),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let serve = std::thread::spawn(move || coord.serve());
-
-        let mut bad_config = quick_config();
-        bad_config.scale = 0.024;
-        let err = run_worker(addr, bad_config, Duration::from_secs(5)).unwrap_err();
-        assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
-
-        // A matching worker still drains the sweep.
-        let report = run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
-        let outcome = serve.join().unwrap().unwrap();
-        assert_eq!(report.completed, outcome.planned);
-        assert_eq!(outcome.executed, outcome.planned);
-    }
-
-    #[test]
-    fn stale_protocol_is_rejected_at_connect() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default(),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let fingerprint = config_fingerprint(coord.config());
-        let serve = std::thread::spawn(move || coord.serve());
-
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let mut hello = msg("hello");
-        hello.set("protocol", Json::from("genbase-coord-v0"));
-        hello.set("config", Json::from(fingerprint.as_str()));
-        write_frame(&mut stream, &hello).unwrap();
-        let reply = read_frame_opt(&mut stream).unwrap().unwrap();
-        assert_eq!(msg_type(&reply).unwrap(), "reject");
-        drop(stream);
-
-        run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
-        serve.join().unwrap().unwrap();
-    }
-
-    #[test]
     fn unwritable_checkpoint_fails_the_sweep_not_the_worker() {
         let bogus = std::env::temp_dir()
             .join(format!("genbase-coord-noexist-{}", std::process::id()))
@@ -1675,8 +1370,12 @@ mod tests {
         let addr = coord.local_addr().unwrap();
         let serve = std::thread::spawn(move || coord.serve());
         // One process, two connections, split thread budgets.
+        let options = WorkerOptions {
+            jobs: 2,
+            ..WorkerOptions::default()
+        };
         let report =
-            run_worker_jobs(addr, quick_config(), Duration::from_secs(5), 2, None).unwrap();
+            run_worker_with(addr, quick_config(), Duration::from_secs(5), options).unwrap();
         let outcome = serve.join().unwrap().unwrap();
         assert_eq!(report.completed, outcome.planned);
         assert_eq!(report.failed, 0);
@@ -1720,72 +1419,6 @@ mod tests {
         assert_eq!(outcome.executed, outcome.planned, "every cell ran");
         assert_eq!(report.completed, outcome.planned);
         assert!(outcome.reissued >= 1, "the wedged lease was re-issued");
-    }
-
-    #[test]
-    fn auth_token_checked_at_handshake() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default().with_auth_token("sweep-secret"),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let serve = std::thread::spawn(move || coord.serve());
-
-        // No token: clean protocol reject, not a hang or a socket error.
-        let err = run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap_err();
-        assert!(err.to_string().contains("auth token mismatch"), "{err}");
-
-        // Wrong token: same clean reject.
-        let err = run_worker_jobs(
-            addr,
-            quick_config(),
-            Duration::from_secs(5),
-            1,
-            Some("wrong".into()),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("auth token mismatch"), "{err}");
-
-        // Matching token drains the sweep.
-        let report = run_worker_jobs(
-            addr,
-            quick_config(),
-            Duration::from_secs(5),
-            1,
-            Some("sweep-secret".into()),
-        )
-        .unwrap();
-        let outcome = serve.join().unwrap().unwrap();
-        assert_eq!(report.completed, outcome.planned);
-    }
-
-    #[test]
-    fn tokenless_coordinator_rejects_token_waving_worker() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default(),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let serve = std::thread::spawn(move || coord.serve());
-        let err = run_worker_jobs(
-            addr,
-            quick_config(),
-            Duration::from_secs(5),
-            1,
-            Some("unexpected".into()),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("auth token mismatch"), "{err}");
-        run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
-        serve.join().unwrap().unwrap();
     }
 
     #[test]
@@ -1954,14 +1587,12 @@ mod tests {
         assert!(snap.get("leases").and_then(Json::as_arr).is_some());
         assert!(snap.get("throughput").and_then(Json::as_arr).is_some());
 
-        let report = run_worker_jobs(
-            addr,
-            quick_config(),
-            Duration::from_secs(5),
-            1,
-            Some("sweep-secret".into()),
-        )
-        .unwrap();
+        let options = WorkerOptions {
+            auth_token: Some("sweep-secret".into()),
+            ..WorkerOptions::default()
+        };
+        let report =
+            run_worker_with(addr, quick_config(), Duration::from_secs(5), options).unwrap();
         let outcome = serve.join().unwrap().unwrap();
         assert_eq!(report.completed, outcome.planned);
         assert_eq!(outcome.workers, 1, "the status poll is not a worker");
@@ -1980,14 +1611,13 @@ mod tests {
         let addr = coord.local_addr().unwrap();
         let planned = coord.plan.len();
         let (shared, recovered) = coord.open().unwrap();
-        let holder = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
                 let _guard = shared.state.lock().unwrap();
                 panic!("handler died holding the coordinator state lock");
             })
             .join()
-        };
+        });
         assert!(holder.is_err() && shared.state.is_poisoned());
         let serve = std::thread::spawn(move || coord.serve_shared(&shared, recovered));
 

@@ -54,8 +54,9 @@ pub mod query;
 pub mod report;
 pub mod sched;
 pub mod serve;
+mod session;
 
-pub use coord::{run_worker, run_worker_jobs, CoordOptions, CoordOutcome, Coordinator};
+pub use coord::{run_worker, CoordOptions, CoordOutcome, Coordinator};
 pub use engine::{Engine, ExecContext};
 pub use harness::TimingMode;
 pub use plan::{logical_plan, LogicalOp, LogicalPlan, OpKind, OpTrace, Phase, PlanTrace};

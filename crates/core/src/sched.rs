@@ -28,7 +28,7 @@ use crate::plan::OpTrace;
 use crate::query::Query;
 use crate::report::{PhaseTimes, RunOutcome};
 use genbase_datagen::SizeClass;
-use genbase_util::{parallel_map, CostReport, Error, Json, Result};
+use genbase_util::{lock, parallel_map, CostReport, Error, Json, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -804,7 +804,7 @@ impl Scheduler {
                 // complete grid, after the dispatch loop below.
                 if let Some(live) = &live {
                     let json = {
-                        let mut grid = live.lock().expect("live grid");
+                        let mut grid = lock(live);
                         grid.insert(key, outcome.clone());
                         grid.to_json()
                     };

@@ -6,9 +6,9 @@
 //! [`LogicalPlan`]s — inside one long-running process that answers query /
 //! explain / status requests from many concurrent clients, on two listeners:
 //!
-//! - a **framed** listener speaking the same `genbase-coord-v1` codec as the
-//!   distributed coordinator (`hello`/`welcome` handshake with the same
-//!   auth-token rules, then `query` / `explain` / `status` request frames);
+//! - a **framed** listener behind the session layer's `hello` gate
+//!   (`session.rs`, shared with the sweep coordinator), then `query` /
+//!   `explain` / `status` request frames;
 //! - a minimal **HTTP/1.1** listener (`GET /status`, `GET /metrics` in
 //!   Prometheus text format, `POST /query`).
 //!
@@ -29,18 +29,17 @@
 //! admissions are rejected as draining, idle connections get a `bye`, and
 //! [`BenchServer::serve`] returns a final [`ServeReport`].
 
-use crate::coord::{msg, msg_type};
 use crate::figures;
 use crate::harness::{HarnessConfig, TimingMode};
 use crate::plan::{logical_plan, LogicalPlan, Phase};
 use crate::query::Query;
 use crate::sched::{config_fingerprint, CellKey, CellOutcome, FigureId, Scheduler};
+use crate::session::{self, msg, msg_type, Gate};
 use genbase_datagen::{SizeClass, SizeSpec};
 use genbase_storage::{ArtifactCache, CacheScope, MemTracker, Reservation};
-use genbase_util::frame::{read_frame_opt, write_frame};
+use genbase_util::frame::write_frame;
 use genbase_util::{http, lock, shutdown, Error, Json, Result};
 use std::collections::{BTreeMap, HashMap};
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -58,10 +57,6 @@ const MIN_ESTIMATE_BYTES: u64 = 1 << 20;
 /// Read timeout for an idle connection; doubles as the drain poll interval
 /// (every idle connection notices a drain within one tick).
 const IDLE_POLL: Duration = Duration::from_millis(200);
-
-/// Read timeout for the handshake and for HTTP requests: a peer that takes
-/// longer than this to produce its first bytes is wedged, not slow.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long a queued request waits between admission retries.
 const ADMIT_POLL: Duration = Duration::from_millis(20);
@@ -785,11 +780,6 @@ impl BenchServer {
             .map_err(|e| Error::invalid(format!("serve bind (framed): {e}")))?;
         let http_listener = TcpListener::bind(http_addr)
             .map_err(|e| Error::invalid(format!("serve bind (http): {e}")))?;
-        for listener in [&frame_listener, &http_listener] {
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| Error::invalid(format!("serve listener: {e}")))?;
-        }
         let fingerprint = config_fingerprint(&config);
         let mut scheduler = Scheduler::new(config)?;
         let cache = options.cache_budget.map(|budget| {
@@ -852,50 +842,28 @@ impl BenchServer {
     /// admissions away as draining, and join every connection handler.
     pub fn serve(&self) -> Result<ServeReport> {
         let shared = &self.shared;
-        // Scoped handler threads: the scheduler (and its `dyn Engine`
-        // registry) is `Sync` but not `Send`, so handlers borrow it for
-        // the scope's lifetime instead of owning an `Arc`. The scope exit
-        // joins every handler, which is exactly the drain barrier.
-        let accept_result = std::thread::scope(|scope| {
-            let mut result = Ok(());
-            'accept: while !shared.stop_requested() {
-                let mut accepted = false;
-                for (listener, framed) in
-                    [(&self.frame_listener, true), (&self.http_listener, false)]
-                {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            accepted = true;
-                            scope.spawn(move || {
-                                let _ = stream.set_nodelay(true);
-                                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                                if framed {
-                                    handle_frame_conn(stream, shared);
-                                } else {
-                                    handle_http_conn(stream, shared);
-                                }
-                                shared.metrics.connections.fetch_sub(1, Ordering::Relaxed);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                        Err(e) => {
-                            result = Err(Error::invalid(format!("serve accept: {e}")));
-                            break 'accept;
-                        }
-                    }
-                }
-                if !accepted {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+        // Handlers borrow the scheduler (its `dyn Engine` registry is
+        // `Sync` but not `Send`) from this thread for the life of the call.
+        let counted = |handle: fn(TcpStream, &Shared)| {
+            move |stream: TcpStream| {
+                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+                handle(stream, shared);
+                shared.metrics.connections.fetch_sub(1, Ordering::Relaxed);
             }
-            // Drain: no new admissions; every idle connection notices
-            // within one IDLE_POLL tick and gets a `bye`; in-flight
-            // queries complete and deliver their result before their
-            // handler exits (and the scope joins it).
-            shared.draining.store(true, Ordering::Relaxed);
-            result
-        });
-        accept_result?;
+        };
+        let (framed, http) = (counted(handle_frame_conn), counted(handle_http_conn));
+        // Drain: no new admissions; every idle connection notices within
+        // one IDLE_POLL tick and gets a `bye`; in-flight queries complete
+        // and deliver their result before their handler exits.
+        session::run_listeners(
+            "serve",
+            &[
+                (&self.frame_listener, &framed),
+                (&self.http_listener, &http),
+            ],
+            || !shared.stop_requested(),
+            || shared.draining.store(true, Ordering::Relaxed),
+        )?;
         Ok(ServeReport {
             served: shared.metrics.served.load(Ordering::Relaxed),
             failed: shared.metrics.failed.load(Ordering::Relaxed),
@@ -904,111 +872,48 @@ impl BenchServer {
     }
 }
 
-/// Validate a framed client's `hello` and send `welcome`/`reject`. Auth
-/// runs before anything else (same rules as the coordinator, token never
-/// echoed); a `config` fingerprint is optional for clients but checked
-/// when present.
-fn frame_handshake(stream: &mut TcpStream, shared: &Shared) -> Result<()> {
-    let hello = read_frame_opt(stream)?.ok_or_else(|| Error::invalid("closed before hello"))?;
-    let reject = |stream: &mut TcpStream, reason: String| -> Result<()> {
-        let mut m = msg("reject");
-        m.set("reason", Json::from(reason.as_str()));
-        let _ = write_frame(stream, &m);
-        Err(Error::invalid(reason))
+/// One framed connection: the `hello` gate (a `config` fingerprint is
+/// optional for clients, checked when present), `welcome`, then
+/// request/reply until the client leaves, errors, or the server drains.
+fn handle_frame_conn(mut stream: TcpStream, shared: &Shared) {
+    let gate = Gate {
+        token: shared.options.auth_token.as_deref(),
+        fingerprint: &shared.fingerprint,
+        roles: &[("client", false), ("status", false)],
     };
-    if msg_type(&hello)? != "hello" {
-        return reject(stream, "expected hello".to_string());
-    }
-    match hello.get("protocol").and_then(Json::as_str) {
-        Some(crate::coord::PROTOCOL) => {}
-        other => {
-            return reject(
-                stream,
-                format!(
-                    "protocol mismatch: client speaks {other:?}, want {:?}",
-                    crate::coord::PROTOCOL
-                ),
-            )
-        }
-    }
-    let presented = hello.get("token").and_then(Json::as_str);
-    if presented != shared.options.auth_token.as_deref() {
-        let reason = if shared.options.auth_token.is_some() {
-            "auth token mismatch; connect with the server's --auth-token"
-        } else {
-            "auth token mismatch: this server has no --auth-token configured"
-        };
-        return reject(stream, reason.to_string());
-    }
-    match hello.get("role").and_then(Json::as_str) {
-        None | Some("client") | Some("status") => {}
-        Some(other) => return reject(stream, format!("unknown hello role {other:?}")),
-    }
-    if let Some(have) = hello.get("config").and_then(Json::as_str) {
-        if have != shared.fingerprint {
-            return reject(
-                stream,
-                format!(
-                    "config fingerprint mismatch ({have} vs {}); \
-                     connect with the server's flags or omit config",
-                    shared.fingerprint
-                ),
-            );
-        }
+    if session::admit(&mut stream, &gate).is_err() {
+        return;
     }
     let mut welcome = msg("welcome");
     welcome.set("service", Json::from("serve"));
     welcome.set("fingerprint", Json::from(shared.fingerprint.as_str()));
-    write_frame(stream, &welcome)
-}
-
-/// One framed connection: handshake, then request/reply until the client
-/// leaves, errors, or the server drains.
-fn handle_frame_conn(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    if frame_handshake(&mut stream, shared).is_err() {
+    if write_frame(&mut stream, &welcome).is_err() {
         return;
     }
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    loop {
+    session::frame_loop(
+        &mut stream,
         // Poll for readability so a drain is noticed between requests;
         // peek honors the read timeout without consuming bytes.
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return, // clean EOF
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.draining() {
-                    let mut bye = msg("bye");
-                    bye.set("reason", Json::from("draining"));
-                    let _ = write_frame(&mut stream, &bye);
-                    return;
+        |stream| loop {
+            match stream.peek(&mut [0u8; 1]) {
+                Ok(_) => return true,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    if shared.draining() {
+                        let mut bye = msg("bye");
+                        bye.set("reason", Json::from("draining"));
+                        let _ = write_frame(stream, &bye);
+                        return false;
+                    }
                 }
-                continue;
+                Err(_) => return false,
             }
-            Err(_) => return,
-        }
-        let frame = match read_frame_opt(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => return,
-        };
-        let reply = match dispatch_frame(&frame, shared) {
-            Ok(reply) => reply,
-            Err(e) => {
-                let mut reject = msg("reject");
-                reject.set("reason", Json::from(e.to_string().as_str()));
-                let _ = write_frame(&mut stream, &reject);
-                return;
-            }
-        };
-        let closing = matches!(msg_type(&reply), Ok("bye"));
-        if write_frame(&mut stream, &reply).is_err() || closing {
-            return;
-        }
-    }
+        },
+        |frame| dispatch_frame(frame, shared).map(Some),
+    );
 }
 
 /// Route one post-handshake frame to its reply. Admission rejections are
@@ -1083,27 +988,12 @@ fn dispatch_frame(frame: &Json, shared: &Shared) -> Result<Json> {
 
 /// One HTTP connection: a single request, a single response, close.
 fn handle_http_conn(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let request = match http::read_request(&mut reader) {
-        Ok(Some(request)) => request,
+    let (status, content_type, body) = match session::read_http(&stream) {
+        Ok(Some(request)) => route_http(&request, shared),
         Ok(None) => return,
-        Err(e) => {
-            let _ = http::write_response(
-                &mut writer,
-                400,
-                "text/plain",
-                format!("bad request: {e}\n").as_bytes(),
-            );
-            return;
-        }
+        Err(e) => (400, "text/plain", format!("bad request: {e}\n")),
     };
-    let (status, content_type, body) = route_http(&request, shared);
-    let _ = http::write_response(&mut writer, status, content_type, body.as_bytes());
+    let _ = http::write_response(&mut &stream, status, content_type, body.as_bytes());
 }
 
 /// Route one HTTP request to `(status, content-type, body)`.
@@ -1166,13 +1056,7 @@ pub fn client_request(
     auth_token: Option<&str>,
     request: &Json,
 ) -> Result<Json> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| Error::invalid(format!("connect to server: {e}")))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    crate::coord::hello(&mut stream, Some("client"), None, auth_token)?;
-    write_frame(&mut stream, request)?;
-    read_frame_opt(&mut stream)?.ok_or_else(|| Error::invalid("server closed before reply"))
+    session::request(addr, Duration::ZERO, "client", auth_token, request)
 }
 
 #[cfg(test)]
@@ -1274,5 +1158,23 @@ mod tests {
         });
         assert!(holder.is_err() && shared.metrics.queries.is_poisoned());
         assert!(shared.metrics_text().contains("genbase_served_total 0\n"));
+
+        // Likewise the dataset pool every served cell goes through: a
+        // poisoned slot lock must not turn later queries into panics.
+        shared.scheduler.harness().pool().poison_for_test();
+        let key = CellKey {
+            figure: FigureId::Fig1,
+            query: Query::Covariance,
+            size: SizeClass::Small,
+            nodes: 1,
+            engine: "SciDB".to_string(),
+        };
+        let reply = shared.execute(&key).ok().expect("a result");
+        let expected = Scheduler::new(HarnessConfig::quick().sim_only())
+            .unwrap()
+            .run_cell(&key, shared.config().threads.max(1))
+            .unwrap();
+        assert_eq!(reply.get("outcome"), Some(&expected.to_json()));
+        assert!(shared.metrics_text().contains("genbase_served_total 1\n"));
     }
 }

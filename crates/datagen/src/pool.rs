@@ -18,7 +18,7 @@
 use crate::generate::{generate, GeneratorConfig};
 use crate::spec::{SizeClass, SizeSpec};
 use crate::types::Dataset;
-use genbase_util::{Error, Result};
+use genbase_util::{lock, Error, Result};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -61,7 +61,7 @@ impl DatasetPool {
     /// is immutable and reference-counted.
     pub fn get(&self, class: SizeClass) -> Result<Arc<Dataset>> {
         let slot = {
-            let mut slots = self.slots.lock().expect("dataset pool slots");
+            let mut slots = lock(&self.slots);
             Arc::clone(slots.entry(class).or_default())
         };
         // Outside the map lock: generating one class must not serialize
@@ -76,7 +76,7 @@ impl DatasetPool {
     /// Size classes generated so far (sorted by paper order), without
     /// triggering generation.
     pub fn generated(&self) -> Vec<SizeClass> {
-        let slots = self.slots.lock().expect("dataset pool slots");
+        let slots = lock(&self.slots);
         let mut out: Vec<SizeClass> = slots
             .iter()
             .filter(|(_, slot)| matches!(slot.get(), Some(Ok(_))))
@@ -90,13 +90,27 @@ impl DatasetPool {
     /// count minus the pool's own reference — the "reference-counted"
     /// visibility the scheduler reports.
     pub fn handle_count(&self, class: SizeClass) -> usize {
-        let slots = self.slots.lock().expect("dataset pool slots");
+        let slots = lock(&self.slots);
         slots
             .get(&class)
             .and_then(|slot| slot.get())
             .and_then(|r| r.as_ref().ok())
             .map(|arc| Arc::strong_count(arc).saturating_sub(1))
             .unwrap_or(0)
+    }
+
+    /// Test support: leave the slot-map lock poisoned, the way a thread that
+    /// panicked while holding it would.
+    #[doc(hidden)]
+    pub fn poison_for_test(&self) {
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = self.slots.lock();
+                panic!("a thread died holding the dataset pool lock");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && self.slots.is_poisoned());
     }
 }
 

@@ -1,5 +1,7 @@
-//! Length-prefixed message framing over [`Json`] — the wire codec for the
-//! coordinator/worker protocol (`genbase::coord`).
+//! Length-prefixed message framing over [`Json`] — the wire codec of
+//! `genbase-coord-v1`, spoken through `genbase`'s session layer
+//! (`crates/core/src/session.rs`) by the sweep coordinator, its workers and
+//! the resident server's framed front.
 //!
 //! Every frame is a 4-byte big-endian payload length followed by that many
 //! bytes of compact UTF-8 JSON (rendered by [`Json::render`], so a frame's

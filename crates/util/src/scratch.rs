@@ -48,7 +48,7 @@ impl std::ops::DerefMut for Scratch {
 
 impl Drop for Scratch {
     fn drop(&mut self) {
-        let mut buffers = pool().lock().expect("scratch pool");
+        let mut buffers = crate::lock(pool());
         let pooled: usize = buffers.iter().map(Vec::capacity).sum();
         if buffers.len() < POOL_CAP && pooled + self.buf.capacity() <= POOL_ELEM_CAP {
             buffers.push(std::mem::take(&mut self.buf));
@@ -60,7 +60,7 @@ impl Drop for Scratch {
 /// Prefers the smallest pooled buffer whose capacity already fits `len`.
 pub fn take(len: usize) -> Scratch {
     let reused = {
-        let mut buffers = pool().lock().expect("scratch pool");
+        let mut buffers = crate::lock(pool());
         let best = buffers
             .iter()
             .enumerate()
