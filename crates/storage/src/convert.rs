@@ -20,9 +20,8 @@ use crate::table::{Column, ColumnarTable, TableView};
 use crate::tracker::MemTracker;
 use genbase_array::Array2D;
 use genbase_linalg::Matrix;
-use genbase_relational::export::DenseBuffer;
 use genbase_relational::{ColumnTable, DataType, Relation, Schema, Value};
-use genbase_util::{runtime, Budget, Error, IdIndex, Result};
+use genbase_util::{csv, runtime, Budget, Error, IdIndex, Result};
 
 /// Triples per parallel index-computation task in [`pivot_dense`]. Fixed
 /// (not derived from the thread count) so task boundaries — and with them
@@ -261,25 +260,22 @@ pub fn export_csv_tracked(
     Ok(text)
 }
 
-/// `read.csv` a piece of the export bridge's text: `(gene_id, patient_id,
-/// value)` rows, every field parsed as a double.
-fn parse_csv_triples(text: &str, r_budget: &Budget) -> Result<DenseBuffer> {
-    let parsed = genbase_relational::import_matrix_csv(text, r_budget)?;
-    if parsed.cols != 3 && parsed.rows != 0 {
+/// `read.csv` the export bridge's `(gene_id, patient_id, value)` rows, every
+/// field parsed as a double, scattering each into `mat` as it parses: rows
+/// by patient, columns by gene; ids outside the indexes are skipped,
+/// duplicates keep the last value.
+fn scatter_rows(text: &str, rows: &IdIndex, cols: &IdIndex, mat: &mut Matrix) -> Result<()> {
+    let (n_rows, width) = csv::for_each_row(text, |row| {
+        if let [g, p, v] = *row {
+            if let (Some(ri), Some(ci)) = (rows.get(p as i64), cols.get(g as i64)) {
+                mat.set(ri, ci, v);
+            }
+        }
+    })?;
+    if width != 3 && n_rows != 0 {
         return Err(Error::invalid("exported triples must have 3 columns"));
     }
-    Ok(parsed)
-}
-
-/// Scatter parsed triples into `mat`, rows by patient and columns by gene:
-/// ids outside the indexes are skipped, duplicates keep the last value.
-fn scatter_triples(parsed: &DenseBuffer, rows: &IdIndex, cols: &IdIndex, mat: &mut Matrix) {
-    for triple in parsed.data.chunks_exact(3) {
-        let (g, p, v) = (triple[0] as i64, triple[1] as i64, triple[2]);
-        if let (Some(ri), Some(ci)) = (rows.get(p), cols.get(g)) {
-            mat.set(ri, ci, v);
-        }
-    }
+    Ok(())
 }
 
 /// The R half of the export bridge on one chunk of CSV text: re-parse it
@@ -292,8 +288,8 @@ pub fn scatter_csv_triples(
     r_budget: &Budget,
     mat: &mut Matrix,
 ) -> Result<()> {
-    parse_csv_triples(text, r_budget)
-        .map(|parsed| scatter_triples(&parsed, row_index, col_index, mat))
+    r_budget.check("csv import")?;
+    scatter_rows(text, row_index, col_index, mat)
 }
 
 /// CSV text → dense: the "re-parse and pivot in R" half of the export
@@ -308,10 +304,10 @@ pub fn pivot_csv_tracked(
     r_budget: &Budget,
 ) -> Result<Matrix> {
     tracker.note_input(text.len() as u64);
-    let parsed = parse_csv_triples(text, r_budget)?;
+    r_budget.check("csv import")?;
     let (row_index, col_index) = (IdIndex::new(row_ids), IdIndex::new(col_ids));
     let mut mat = Matrix::zeros_budgeted(row_ids.len(), col_ids.len(), r_budget)?;
-    scatter_triples(&parsed, &row_index, &col_index, &mut mat);
+    scatter_rows(text, &row_index, &col_index, &mut mat)?;
     r_budget.free(mat.heap_bytes());
     tracker.note_output(mat.heap_bytes(), mat.rows() as u64);
     Ok(mat)

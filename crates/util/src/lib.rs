@@ -14,6 +14,7 @@
 
 pub mod budget;
 pub mod csv;
+mod dtoa;
 pub mod error;
 pub mod faults;
 pub mod frame;
