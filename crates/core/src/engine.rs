@@ -1,10 +1,12 @@
 //! The engine abstraction and execution context.
 
+use crate::engines::sql_common::LoadedTables;
 use crate::query::{Query, QueryParams};
 use crate::report::QueryReport;
 use genbase_cluster::NetModel;
 use genbase_datagen::Dataset;
 use genbase_util::{Budget, Result};
+use std::sync::Arc;
 
 /// Morsel-driven streaming configuration (`--stream`): engines whose
 /// lowerings support it pull fixed-row batches through their plan pipeline
@@ -87,6 +89,13 @@ pub struct ExecContext {
     /// cold join's accounting exactly, so attaching a scope never changes a
     /// cell's output or trace bytes.
     pub cache: Option<genbase_storage::CacheScope>,
+    /// The loaded SQL base tables of the dataset this run reads, shared by
+    /// every cell of that dataset: the harness sets its own per-size-class
+    /// set here; a context built without one carries an empty private set
+    /// that loads on first use. Not a cache — no budget, no eviction, no
+    /// key: the SQL engines always borrow their store from it and charge
+    /// its bytes to the run's tracker as if the copy were their own.
+    pub tables: Arc<LoadedTables>,
 }
 
 /// R's per-object allocation limit: 2^31 - 1 cells.
@@ -110,6 +119,7 @@ impl ExecContext {
             deterministic: false,
             progress: None,
             cache: None,
+            tables: Default::default(),
         }
     }
 
@@ -181,8 +191,10 @@ pub trait Engine: Sync {
 
     /// Execute one query end to end, returning the output and the
     /// data-management/analytics phase split. Ingest (loading the dataset
-    /// into the engine's native storage) is *not* timed, matching the
-    /// paper's methodology of timing queries against loaded data.
+    /// into the engine's native storage) is *not* in the report's phases,
+    /// matching the paper's methodology of timing queries against loaded
+    /// data; the SQL engines do not pay it per run in wall-clock either
+    /// (`ExecContext::tables`).
     fn run(
         &self,
         query: Query,

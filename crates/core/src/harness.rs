@@ -6,14 +6,18 @@
 //! matter how many cells ask concurrently), shared by reference count
 //! across every in-flight cell, and cached for the harness's lifetime —
 //! the substrate the sharded scheduler in [`crate::sched`] dispatches
-//! onto.
+//! onto. The SQL engines' loaded base tables ([`LoadedTables`]) follow the
+//! dataset: one set per generated size class, loaded by the first SQL cell
+//! of that class and borrowed by every later one.
 
 use crate::engine::{Engine, ExecContext};
+use crate::engines::sql_common::LoadedTables;
 use crate::query::{Query, QueryParams};
 use crate::report::RunOutcome;
 use genbase_datagen::{Dataset, DatasetPool, SizeClass};
-use genbase_util::{Error, Result};
-use std::sync::Arc;
+use genbase_util::{lock, Error, Result};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How completed cells report time.
@@ -125,6 +129,8 @@ pub struct RunRecord {
 pub struct Harness {
     config: HarnessConfig,
     pool: DatasetPool,
+    /// Loaded SQL base tables of each size class a cell has run on.
+    tables: Mutex<HashMap<SizeClass, Arc<LoadedTables>>>,
     cache: Option<Arc<genbase_storage::ArtifactCache>>,
 }
 
@@ -136,6 +142,7 @@ impl Harness {
         Ok(Harness {
             config,
             pool,
+            tables: Mutex::new(HashMap::new()),
             cache: None,
         })
     }
@@ -171,6 +178,22 @@ impl Harness {
             return Err(Error::invalid(format!("size {class:?} not configured")));
         }
         self.pool.get(class)
+    }
+
+    /// The loaded SQL base tables of `class`'s dataset (an empty set until
+    /// a SQL cell of that class runs).
+    pub fn loaded_tables(&self, class: SizeClass) -> Arc<LoadedTables> {
+        Arc::clone(lock(&self.tables).entry(class).or_default())
+    }
+
+    /// `(resident heap bytes, stores built)` over every size class's loaded
+    /// base tables.
+    pub fn loaded_tables_stats(&self) -> (u64, u64) {
+        lock(&self.tables)
+            .values()
+            .fold((0, 0), |(bytes, builds), t| {
+                (bytes + t.heap_bytes(), builds + t.builds())
+            })
     }
 
     /// Query parameters for a dataset (derived deterministically; cheap).
@@ -258,6 +281,7 @@ impl Harness {
         } else {
             let data = self.dataset(size)?;
             let params = self.params(size)?;
+            ctx.tables = self.loaded_tables(size);
             match engine.run(query, &data, &params, &ctx) {
                 Ok(mut report) => {
                     if self.config.timing == TimingMode::SimOnly {

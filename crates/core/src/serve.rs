@@ -575,6 +575,9 @@ impl Shared {
             }
             None => m.set("cache_budget", Json::Null),
         }
+        let (tables_bytes, tables_builds) = self.scheduler.harness().loaded_tables_stats();
+        m.set("loaded_tables_bytes", Json::from(tables_bytes));
+        m.set("loaded_tables_builds", Json::from(tables_builds));
         m.set("result_cache", Json::Bool(self.results.is_some()));
         m.set(
             "result_cache_hits",
@@ -740,6 +743,19 @@ impl Shared {
             "genbase_result_cache_hits_total",
             "Served queries answered by replaying a completed SimOnly result.",
             result_hits,
+        );
+        let (tables_bytes, tables_builds) = self.scheduler.harness().loaded_tables_stats();
+        gauge(
+            &mut out,
+            "genbase_loaded_tables_bytes",
+            "Heap bytes of the SQL base tables resident for the configured datasets.",
+            tables_bytes,
+        );
+        counter(
+            &mut out,
+            "genbase_loaded_tables_builds_total",
+            "SQL base-table loads (at most one per dataset and store kind; queries borrow them).",
+            tables_builds,
         );
         gauge(
             &mut out,

@@ -1,7 +1,7 @@
 //! The generator itself.
 
 use crate::spec::SizeSpec;
-use crate::types::{Dataset, GeneOntology, GeneRecord, GroundTruth, PatientRecord};
+use crate::types::{Dataset, DatasetId, GeneOntology, GeneRecord, GroundTruth, PatientRecord};
 use genbase_linalg::Matrix;
 use genbase_util::{Error, Pcg64, Result};
 
@@ -291,6 +291,7 @@ pub fn generate(config: &GeneratorConfig) -> Result<Dataset> {
     let ontology = GeneOntology { n_genes, members };
 
     Ok(Dataset {
+        id: DatasetId::fresh(),
         expression,
         patients,
         genes,

@@ -30,4 +30,4 @@ pub mod types;
 pub use generate::{generate, GeneratorConfig};
 pub use pool::DatasetPool;
 pub use spec::{SizeClass, SizeSpec};
-pub use types::{Dataset, GeneOntology, GeneRecord, GroundTruth, PatientRecord};
+pub use types::{Dataset, DatasetId, GeneOntology, GeneRecord, GroundTruth, PatientRecord};

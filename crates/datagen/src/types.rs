@@ -1,6 +1,7 @@
 //! Dataset record types matching §3.1 of the paper.
 
 use genbase_linalg::Matrix;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One row of the patient metadata table:
 /// `(patient_id, age, gender, zipcode, disease_id, drug_response)`.
@@ -95,9 +96,32 @@ pub struct GroundTruth {
     pub focus_disease: i64,
 }
 
+/// Identity of a generated [`Dataset`]: unique per [`crate::generate()`] call
+/// within the process, shared only by clones. State derived from a dataset
+/// (the SQL engines' loaded base tables) records it to refuse any other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DatasetId(u64);
+
+impl DatasetId {
+    /// The next unused id.
+    pub(crate) fn fresh() -> DatasetId {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        DatasetId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl std::fmt::Display for DatasetId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "#{}", self.0)
+    }
+}
+
 /// The four benchmark datasets plus the planted ground truth.
 #[derive(Debug, Clone)]
 pub struct Dataset {
+    /// Which generation this is (see [`DatasetId`]). Private: a dataset is
+    /// only ever built by the generator, so the id cannot be forged.
+    pub(crate) id: DatasetId,
     /// Microarray: patients (rows) x genes (columns).
     pub expression: Matrix,
     /// Patient metadata, index = patient id.
@@ -111,6 +135,11 @@ pub struct Dataset {
 }
 
 impl Dataset {
+    /// This dataset's identity.
+    pub fn id(&self) -> DatasetId {
+        self.id
+    }
+
     /// Number of patients (microarray rows).
     pub fn n_patients(&self) -> usize {
         self.expression.rows()

@@ -221,6 +221,26 @@ impl ColumnTable {
         })
     }
 
+    /// [`ColumnTable::project`] that consumes the table: the kept columns
+    /// move, the rest are freed, nothing is copied. Each column can be kept
+    /// once.
+    pub fn into_projected(self, cols: &[usize]) -> Result<ColumnTable> {
+        let mut source: Vec<Option<ColumnData>> = self.cols.into_iter().map(Some).collect();
+        let kept = cols
+            .iter()
+            .map(|&c| {
+                source.get_mut(c).and_then(Option::take).ok_or_else(|| {
+                    Error::invalid(format!("projection column {c} out of range or kept twice"))
+                })
+            })
+            .collect::<Result<Vec<ColumnData>>>()?;
+        Ok(ColumnTable {
+            schema: self.schema.project(cols),
+            cols: kept,
+            n_rows: self.n_rows,
+        })
+    }
+
     /// Hash join on integer key columns; builds on `build`, probes `self`.
     /// Output rows are `self_row ++ build_row`, assembled column-wise.
     pub fn hash_join(
@@ -461,6 +481,11 @@ mod tests {
         assert_eq!(p.float_col(0).unwrap()[4], 2.0);
         assert!(p.int_col(0).is_err());
         assert!(t.project(&[11]).is_err());
+        // The consuming form keeps the same columns without copying them.
+        let (schema, cols) = t.clone().into_projected(&[3, 1]).unwrap().into_columns();
+        assert_eq!((schema, cols), p.clone().into_columns());
+        assert!(t.clone().into_projected(&[11]).is_err());
+        assert!(t.clone().into_projected(&[1, 1]).is_err());
     }
 
     #[test]

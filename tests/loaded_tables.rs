@@ -1,0 +1,225 @@
+//! Loaded base tables: a harness loads each dataset's SQL base tables once
+//! per store kind and every SQL cell of that dataset borrows them. Sharing
+//! must be invisible in a cell's bytes — every cell is still charged the
+//! store it reads — and visible only in how often the loader runs: once,
+//! however many cells ask, from however many threads. The tables live and
+//! die with the harness, and a set loaded from one dataset refuses to serve
+//! another.
+
+use genbase::engine::StreamConfig;
+use genbase::engines::sql_common::{LoadedTables, StoreKind};
+use genbase::prelude::*;
+use genbase_datagen::{generate, GeneratorConfig, SizeClass, SizeSpec};
+use std::sync::Arc;
+
+/// The engines lowered through `SqlStore`, with the store each loads.
+const SQL_ENGINES: [(&str, StoreKind); 4] = [
+    ("Postgres + R", StoreKind::Row),
+    ("Postgres + Madlib", StoreKind::Row),
+    ("Column store + R", StoreKind::Column),
+    ("Column store + UDFs", StoreKind::Column),
+];
+
+/// Quick-scale SimOnly configuration, materializing or streaming.
+fn sim_config(stream: bool) -> HarnessConfig {
+    let mut config = HarnessConfig {
+        threads: 2,
+        ..HarnessConfig::quick()
+    }
+    .sim_only();
+    config.stream = stream.then(|| StreamConfig {
+        batch_rows: 64,
+        ..StreamConfig::default()
+    });
+    config
+}
+
+fn sql_engines() -> Vec<Box<dyn Engine>> {
+    engines::single_node_engines()
+        .into_iter()
+        .filter(|e| SQL_ENGINES.iter().any(|(name, _)| *name == e.name()))
+        .collect()
+}
+
+/// A cell's grid bytes and its tracker peak (`None` unless it completed).
+fn cell_bytes(harness: &Harness, engine: &dyn Engine, query: Query) -> (String, Option<u64>) {
+    let record = harness
+        .run_cell(engine, query, SizeClass::Small, 1)
+        .unwrap_or_else(|e| panic!("{}/{query:?}: {e}", engine.name()));
+    let peak = record.outcome.report().map(|r| r.memory().peak_alloc_bytes);
+    (
+        CellOutcome::from_run(&record.outcome).to_json().render(),
+        peak,
+    )
+}
+
+#[test]
+fn warm_tables_change_no_byte_of_any_sql_cell() {
+    for stream in [false, true] {
+        let shared = Harness::new(sim_config(stream)).unwrap();
+        let engines = sql_engines();
+        assert_eq!(engines.len(), SQL_ENGINES.len());
+        for engine in &engines {
+            for query in Query::ALL {
+                let first = cell_bytes(&shared, engine.as_ref(), query);
+                // Second run of the cell: whatever it reads is loaded by now.
+                let warm = cell_bytes(&shared, engine.as_ref(), query);
+                let fresh = Harness::new(sim_config(stream)).unwrap();
+                let cold = cell_bytes(&fresh, engine.as_ref(), query);
+                let cell = format!("{}/{query:?} stream={stream}", engine.name());
+                assert_eq!(cold, first, "{cell}: first run on the shared harness");
+                assert_eq!(cold, warm, "{cell}: warm run on the shared harness");
+                if engine.supports(query) {
+                    assert!(cold.1.is_some(), "{cell} did not complete");
+                }
+            }
+        }
+        // Twenty cells, twice each, loaded each store kind once.
+        assert_eq!(shared.loaded_tables_stats().1, 2, "stream={stream}");
+    }
+}
+
+#[test]
+fn concurrent_cells_of_one_dataset_load_each_kind_once() {
+    let harness = Harness::new(sim_config(false)).unwrap();
+    let data = harness.dataset(SizeClass::Small).unwrap();
+    let engines = sql_engines();
+    // All eight cells reach the unloaded tables together.
+    let start = std::sync::Barrier::new(8);
+    let stores: Vec<(StoreKind, Arc<_>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let (harness, data, engines, start) = (&harness, &data, &engines, &start);
+                s.spawn(move || {
+                    let engine = &engines[i % engines.len()];
+                    let kind = SQL_ENGINES
+                        .iter()
+                        .find(|(name, _)| *name == engine.name())
+                        .unwrap()
+                        .1;
+                    start.wait();
+                    let record = harness
+                        .run_cell(engine.as_ref(), Query::Regression, SizeClass::Small, 1)
+                        .unwrap();
+                    assert!(record.outcome.report().is_some());
+                    let tables = harness.loaded_tables(SizeClass::Small);
+                    (kind, tables.store(kind, true, data).unwrap())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let tables = harness.loaded_tables(SizeClass::Small);
+    assert_eq!(tables.builds(), 2, "one load per store kind");
+    for kind in [StoreKind::Row, StoreKind::Column] {
+        let of_kind: Vec<_> = stores.iter().filter(|(k, _)| *k == kind).collect();
+        assert_eq!(of_kind.len(), 4);
+        for (_, store) in &of_kind {
+            assert!(Arc::ptr_eq(store, &of_kind[0].1), "{kind:?} store copied");
+        }
+    }
+    let resident: u64 = [StoreKind::Row, StoreKind::Column]
+        .iter()
+        .map(|&k| tables.store(k, true, &data).unwrap().heap_bytes())
+        .sum();
+    assert_eq!(harness.loaded_tables_stats(), (resident, 2));
+}
+
+#[test]
+fn a_budget_below_the_store_refuses_every_attempt_alike() {
+    let mut config = sim_config(false);
+    config.mem_budget = Some(1024);
+    let harness = Harness::new(config.clone()).unwrap();
+    let engine = engines::PostgresR::new();
+    let attempts: Vec<RunOutcome> = (0..2)
+        .map(|_| {
+            harness
+                .run_cell(&engine, Query::Regression, SizeClass::Small, 1)
+                .unwrap()
+                .outcome
+        })
+        .collect();
+    let data = harness.dataset(SizeClass::Small).unwrap();
+    let store = harness
+        .loaded_tables(SizeClass::Small)
+        .store(StoreKind::Row, true, &data)
+        .unwrap();
+    // The refusal is the charge of the whole store against the cell's own
+    // tracker, exactly as when each cell loaded a private copy.
+    let expected = genbase_util::Error::OutOfMemory {
+        requested: store.heap_bytes(),
+        budget: 1024,
+    }
+    .to_string();
+    for outcome in &attempts {
+        match outcome {
+            RunOutcome::Infinite { reason } => assert_eq!(*reason, expected),
+            other => panic!("expected an infinite outcome, got {other:?}"),
+        }
+    }
+    // The refused cells still loaded the table, once.
+    assert_eq!(harness.loaded_tables_stats().1, 1);
+}
+
+#[test]
+fn tables_of_one_dataset_refuse_another() {
+    let small = generate(&GeneratorConfig::new(SizeSpec::tiny())).unwrap();
+    // Same shape, other values: nothing but the identity check stands
+    // between these tables and an answer about the wrong dataset.
+    let twin = generate(&GeneratorConfig::new(SizeSpec::tiny()).with_seed(7)).unwrap();
+    let params = QueryParams::for_dataset(&small);
+    let ctx = ExecContext::single_node();
+    let engine = engines::ColumnR::new();
+    engine
+        .run(Query::Regression, &small, &params, &ctx)
+        .expect("the context's own table set loads on first use");
+    let err = engine
+        .run(Query::Regression, &twin, &params, &ctx)
+        .expect_err("tables loaded from one dataset served another");
+    assert!(
+        matches!(err, genbase_util::Error::Invalid(_)) && !err.is_infinite_result(),
+        "{err}"
+    );
+    // A clone is the same dataset; a fresh context takes either.
+    assert!(engine
+        .run(Query::Regression, &small.clone(), &params, &ctx)
+        .is_ok());
+    assert!(engine
+        .run(
+            Query::Regression,
+            &twin,
+            &params,
+            &ExecContext::single_node()
+        )
+        .is_ok());
+
+    let tables = LoadedTables::default();
+    tables.store(StoreKind::Row, false, &small).unwrap();
+    assert!(tables.store(StoreKind::Row, false, &twin).is_err());
+    assert!(tables.store(StoreKind::Column, true, &twin).is_err());
+    assert_eq!(tables.builds(), 1, "a refused dataset loads nothing");
+}
+
+#[test]
+fn dropping_the_harness_frees_the_tables() {
+    let harness = Harness::new(sim_config(false)).unwrap();
+    harness
+        .run_cell(
+            &engines::ColumnUdf::new(),
+            Query::Statistics,
+            SizeClass::Small,
+            1,
+        )
+        .unwrap();
+    let data = harness.dataset(SizeClass::Small).unwrap();
+    let store = harness
+        .loaded_tables(SizeClass::Small)
+        .store(StoreKind::Column, true, &data)
+        .unwrap();
+    assert!(harness.loaded_tables_stats().0 >= store.heap_bytes());
+    let weak = Arc::downgrade(&store);
+    drop(store);
+    assert!(weak.upgrade().is_some(), "the harness keeps its tables");
+    drop(harness);
+    assert!(weak.upgrade().is_none(), "tables outlived their harness");
+}

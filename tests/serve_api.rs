@@ -670,6 +670,70 @@ fn a_tiny_cache_budget_degrades_to_correct_cold_runs() {
     server.shutdown();
 }
 
+/// Load once, query many: a resident server loads each store kind's base
+/// tables on the first SQL query that needs them and every later query, on
+/// either front, borrows them — with replies byte-equal to the batch cells.
+#[test]
+fn served_sql_queries_share_one_load_of_the_base_tables() {
+    let server = start_server(ServeOptions::default());
+    let (_, metrics) = http_request(server.http, "GET", "/metrics", "", &[]);
+    assert_eq!(metric(&metrics, "genbase_loaded_tables_builds_total"), 0);
+    assert_eq!(metric(&metrics, "genbase_loaded_tables_bytes"), 0);
+
+    let scheduler = Scheduler::new(sim_config()).unwrap();
+    let engines = ["Postgres + R", "Column store + R", "Column store + UDFs"];
+    let mut served = 0;
+    for round in 0..2 {
+        for engine in engines {
+            for query in Query::ALL {
+                let key = CellKey {
+                    figure: FigureId::Fig1,
+                    query,
+                    size: SizeClass::Small,
+                    nodes: 1,
+                    engine: engine.to_string(),
+                };
+                let expected = scheduler.run_cell(&key, 2).unwrap().to_json().render();
+                // Alternate the fronts; fifteen cells a round, so each cell
+                // is asked once over frames and once over HTTP.
+                let outcome = if served % 2 == 0 {
+                    client_request(server.frame, None, &query_frame(engine, query.name())).unwrap()
+                } else {
+                    let body = query_frame(engine, query.name()).render();
+                    let (status, reply) = http_request(server.http, "POST", "/query", &body, &[]);
+                    assert_eq!(status, 200, "{reply}");
+                    Json::parse(&reply).unwrap()
+                };
+                assert_eq!(
+                    outcome.get("outcome").expect("outcome").render(),
+                    expected,
+                    "{} round {round}",
+                    key.id()
+                );
+                served += 1;
+            }
+        }
+    }
+    assert_eq!(served, 30);
+
+    // One size class, two store kinds: two loads for thirty queries.
+    let (_, metrics) = http_request(server.http, "GET", "/metrics", "", &[]);
+    assert_eq!(metric(&metrics, "genbase_loaded_tables_builds_total"), 2);
+    let resident = metric(&metrics, "genbase_loaded_tables_bytes");
+    assert!(resident > 0);
+    let (_, body) = http_request(server.http, "GET", "/status", "", &[]);
+    let doc = Json::parse(&body).unwrap();
+    assert_eq!(
+        doc.get("loaded_tables_builds").and_then(Json::as_u64),
+        Some(2)
+    );
+    assert_eq!(
+        doc.get("loaded_tables_bytes").and_then(Json::as_u64),
+        Some(resident)
+    );
+    assert_eq!(server.shutdown().served, 30);
+}
+
 #[test]
 fn drain_says_bye_to_idle_connections_and_reports_final_tallies() {
     let server = start_server(ServeOptions::default());
