@@ -89,12 +89,13 @@ pub struct ExecContext {
     /// cold join's accounting exactly, so attaching a scope never changes a
     /// cell's output or trace bytes.
     pub cache: Option<genbase_storage::CacheScope>,
-    /// The loaded SQL base tables of the dataset this run reads, shared by
-    /// every cell of that dataset: the harness sets its own per-size-class
-    /// set here; a context built without one carries an empty private set
-    /// that loads on first use. Not a cache — no budget, no eviction, no
-    /// key: the SQL engines always borrow their store from it and charge
-    /// its bytes to the run's tracker as if the copy were their own.
+    /// What the engines load from the dataset this run reads — the SQL base
+    /// tables, the streaming triple spool, SciDB's chunked arrays — shared
+    /// by every cell of that dataset: the harness sets its own
+    /// per-size-class set here; a context built without one carries an
+    /// empty private set that loads on first use. Not a cache — no budget,
+    /// no eviction, no key: the engines always borrow from it and charge
+    /// what they read to the run's tracker as if the copy were their own.
     pub tables: Arc<LoadedTables>,
 }
 
@@ -193,8 +194,8 @@ pub trait Engine: Sync {
     /// data-management/analytics phase split. Ingest (loading the dataset
     /// into the engine's native storage) is *not* in the report's phases,
     /// matching the paper's methodology of timing queries against loaded
-    /// data; the SQL engines do not pay it per run in wall-clock either
-    /// (`ExecContext::tables`).
+    /// data; the SQL engines and SciDB do not pay it per run in wall-clock
+    /// either (`ExecContext::tables`).
     fn run(
         &self,
         query: Query,

@@ -26,6 +26,7 @@ use genbase_linalg::{ExecOpts, Matrix};
 use genbase_storage::{self as storage, DenseHandle, MemTracker};
 use genbase_util::{Budget, Error, Result};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The SciDB configuration (single and multi node).
 #[derive(Debug, Default)]
@@ -39,35 +40,62 @@ impl SciDb {
 }
 
 /// Array-native dataset: chunked 2-D expression + 1-D attribute arrays.
-pub(crate) struct ArrayData {
-    pub expression: Array2D,
-    pub patients: AttrArray1D,
-    pub genes: AttrArray1D,
+/// Immutable once ingested; every SciDB cell of a dataset borrows the one
+/// copy in the dataset's [`super::sql_common::LoadedTables`].
+pub struct ArrayData {
+    pub(crate) expression: Array2D,
+    pub(crate) patients: AttrArray1D,
+    pub(crate) genes: AttrArray1D,
 }
 
-/// Array ingest: chunk the dense expression matrix and build the attribute
-/// arrays.
-fn ingest_arrays(data: &Dataset, budget: &Budget, mem: &MemTracker) -> Result<ArrayData> {
-    let expression = storage::chunked_from_dense(mem, &data.expression, budget)?;
-    let patients = AttrArray1D::new(data.n_patients())
-        .with_int_attr("age", data.patients.iter().map(|p| p.age).collect())?
-        .with_int_attr("gender", data.patients.iter().map(|p| p.gender).collect())?
-        .with_int_attr(
-            "disease_id",
-            data.patients.iter().map(|p| p.disease_id).collect(),
-        )?
-        .with_float_attr(
-            "drug_response",
-            data.patients.iter().map(|p| p.drug_response).collect(),
-        )?;
-    let genes = AttrArray1D::new(data.n_genes())
-        .with_int_attr("function", data.genes.iter().map(|g| g.function).collect())?
-        .with_int_attr("target", data.genes.iter().map(|g| g.target).collect())?;
-    Ok(ArrayData {
-        expression,
-        patients,
-        genes,
-    })
+impl ArrayData {
+    /// Array ingest: chunk the dense expression matrix and build the
+    /// attribute arrays. No tracker and no cell budget — what a cell is
+    /// charged for the arrays it reads is [`charge_ingest`].
+    pub(crate) fn ingest(data: &Dataset) -> Result<ArrayData> {
+        let expression = Array2D::from_matrix(&data.expression, &Budget::unlimited())?;
+        let patients = AttrArray1D::new(data.n_patients())
+            .with_int_attr("age", data.patients.iter().map(|p| p.age).collect())?
+            .with_int_attr("gender", data.patients.iter().map(|p| p.gender).collect())?
+            .with_int_attr(
+                "disease_id",
+                data.patients.iter().map(|p| p.disease_id).collect(),
+            )?
+            .with_float_attr(
+                "drug_response",
+                data.patients.iter().map(|p| p.drug_response).collect(),
+            )?;
+        let genes = AttrArray1D::new(data.n_genes())
+            .with_int_attr("function", data.genes.iter().map(|g| g.function).collect())?
+            .with_int_attr("target", data.genes.iter().map(|g| g.target).collect())?;
+        Ok(ArrayData {
+            expression,
+            patients,
+            genes,
+        })
+    }
+
+    /// Heap bytes of the chunked expression array (the attribute arrays
+    /// are a rounding error beside it and were never accounted).
+    pub fn heap_bytes(&self) -> u64 {
+        self.expression.heap_bytes()
+    }
+}
+
+/// Charge a cell for the chunked array it reads, exactly as when every cell
+/// chunked a private copy ([`storage::chunked_from_dense`]): the dense
+/// input noted, the chunking transient taken from and returned to the
+/// budget, the resident chunks charged to the cell's tracker for the run
+/// (so a `--mem-budget` below the array refuses the cell) and noted as
+/// output.
+fn charge_ingest(data: &Dataset, budget: &Budget, mem: &MemTracker) -> Result<()> {
+    let cells = data.expression.len() as u64;
+    mem.note_input(data.expression.heap_bytes());
+    budget.alloc(cells * 8, cells)?;
+    budget.free(cells * 8);
+    mem.charge(cells * 8)?;
+    mem.note_output(cells * 8, data.expression.rows() as u64);
+    Ok(())
 }
 
 impl Engine for SciDb {
@@ -110,8 +138,9 @@ pub(crate) fn run_scidb_single(
     }
     let budget = ctx.db_budget();
     let mem = ctx.mem_tracker();
-    // Untimed ingest.
-    let arrays = ingest_arrays(data, &budget, &mem)?;
+    // Loaded once per dataset; charged per cell.
+    let arrays = ctx.tables.arrays(data)?;
+    charge_ingest(data, &budget, &mem)?;
     let backend = ArrayBackend {
         data,
         params,
@@ -148,7 +177,7 @@ struct ArrayBackend<'a> {
     threads: usize,
     deterministic: bool,
     phi: Option<&'a Coprocessor>,
-    arrays: ArrayData,
+    arrays: Arc<ArrayData>,
     rows: Vec<usize>,
     cols: Vec<usize>,
     patient_ids: Vec<i64>,

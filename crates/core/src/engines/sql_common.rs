@@ -16,6 +16,7 @@
 //!   normal-equation aggregate, covariance/SVD *simulated in SQL* over the
 //!   triple representation (slow by construction, as the paper observes).
 
+use super::scidb::ArrayData;
 use crate::analytics;
 use crate::engine::{ExecContext, StreamConfig};
 use crate::plan::{self, Kernel, LogicalOp, OpCost, OpKind, Phase, PhysicalBackend, Tracer};
@@ -28,12 +29,12 @@ use genbase_relational::{
 };
 use genbase_storage::{
     self as storage, BatchReel, CachePin, CacheScope, CacheValue, Column, ColumnarTable,
-    DenseHandle, MemTracker, Morsel,
+    DenseHandle, MemTracker, Morsel, Spool,
 };
-use genbase_util::{Budget, Error, IdIndex, Result};
+use genbase_util::{lock, Budget, Error, IdIndex, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which store backs the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +151,7 @@ impl SqlStore {
     }
 
     /// Load only the metadata tables (streaming ingest: the microarray
-    /// triples live in a [`BatchReel`] instead of a base table; the store
+    /// triples live in a [`Spool`] instead of a base table; the store
     /// keeps empty triple tables so every metadata path is unchanged).
     /// Loaded once per dataset like [`SqlStore::ingest`].
     pub fn ingest_metadata(kind: StoreKind, data: &Dataset) -> Result<SqlStore> {
@@ -599,17 +600,24 @@ impl SqlStore {
     }
 }
 
-/// One dataset's loaded SQL base tables: an immutable [`SqlStore`] per
-/// [`StoreKind`], with or without the triple table (`--stream` cells keep
-/// the triples on a per-cell reel and share only the metadata tables).
+/// A load-once slot: built by the first cell that asks, while cells asking
+/// meanwhile block on that build; a failed build is stored as the typed
+/// error it is and every later cell gets the same one.
+type Slot<T> = OnceLock<Result<Arc<T>>>;
+
+/// What one dataset's cells share instead of loading per cell: an immutable
+/// [`SqlStore`] per [`StoreKind`], with or without the triple table
+/// (`--stream` cells share only the metadata tables); the triples as an
+/// on-disk [`Spool`] per morsel size under every streaming cell's reel; and
+/// SciDB's chunked [`ArrayData`].
 ///
-/// Each store is built exactly once, by the first cell that asks; cells
-/// asking meanwhile block on that build and every later cell gets an `Arc`
-/// clone — the [`genbase_datagen::DatasetPool`] slot pattern. The
+/// Each is built exactly once, by the first cell that asks; cells asking
+/// meanwhile block on that build and every later cell gets an `Arc` clone —
+/// the [`genbase_datagen::DatasetPool`] slot pattern. The
 /// [`crate::harness::Harness`] owns one set per generated size class and
-/// puts it on the [`ExecContext`] of every cell it runs, so the tables live
-/// exactly as long as the dataset they were loaded from; a context built
-/// without a harness carries an empty set of its own.
+/// puts it on the [`ExecContext`] of every cell it runs, so the tables (and
+/// the spool file) live exactly as long as the dataset they were loaded
+/// from; a context built without a harness carries an empty set of its own.
 ///
 /// A set belongs to the first dataset it loads. Asking it for another
 /// dataset's tables is an error, never a wrong answer.
@@ -617,11 +625,35 @@ impl SqlStore {
 pub struct LoadedTables {
     dataset: OnceLock<genbase_datagen::DatasetId>,
     /// `[kind][with_triples]`.
-    slots: [[OnceLock<Result<Arc<SqlStore>>>; 2]; 2],
+    stores: [[Slot<SqlStore>; 2]; 2],
+    /// By `batch_rows`.
+    spools: Mutex<HashMap<usize, Arc<Slot<Spool>>>>,
+    arrays: Slot<ArrayData>,
     builds: AtomicU64,
 }
 
 impl LoadedTables {
+    /// `slot`'s value, built from `data` by `build` on first use.
+    fn load<T>(
+        &self,
+        slot: &Slot<T>,
+        data: &Dataset,
+        build: impl FnOnce() -> Result<T>,
+    ) -> Result<Arc<T>> {
+        let owner = *self.dataset.get_or_init(|| data.id());
+        if owner != data.id() {
+            return Err(Error::invalid(format!(
+                "base tables loaded from dataset {owner} cannot serve dataset {}",
+                data.id()
+            )));
+        }
+        slot.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            build().map(Arc::new)
+        })
+        .clone()
+    }
+
     /// The `kind` store of `data`, loaded on first use. `with_triples`
     /// false is the metadata-only store of streaming cells.
     pub fn store(
@@ -630,40 +662,53 @@ impl LoadedTables {
         with_triples: bool,
         data: &Dataset,
     ) -> Result<Arc<SqlStore>> {
-        let owner = *self.dataset.get_or_init(|| data.id());
-        if owner != data.id() {
-            return Err(Error::invalid(format!(
-                "base tables loaded from dataset {owner} cannot serve dataset {}",
-                data.id()
-            )));
-        }
-        self.slots[kind as usize][usize::from(with_triples)]
-            .get_or_init(|| {
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                let store = if with_triples {
-                    SqlStore::ingest(kind, data)
-                } else {
-                    SqlStore::ingest_metadata(kind, data)
-                };
-                store.map(Arc::new)
-            })
-            .clone()
+        let slot = &self.stores[kind as usize][usize::from(with_triples)];
+        self.load(slot, data, || {
+            if with_triples {
+                SqlStore::ingest(kind, data)
+            } else {
+                SqlStore::ingest_metadata(kind, data)
+            }
+        })
     }
 
-    /// Stores built so far (each at most once: at most 4 over a set's life,
-    /// 2 under one harness, which either streams or does not).
+    /// `data`'s triples spooled as `cfg.batch_rows`-row morsels under
+    /// `cfg.spill_dir`, written on first use.
+    pub fn spool(&self, cfg: &StreamConfig, data: &Dataset) -> Result<Arc<Spool>> {
+        let slot = Arc::clone(lock(&self.spools).entry(cfg.batch_rows).or_default());
+        self.load(&slot, data, || spool_triples(data, cfg))
+    }
+
+    /// `data` as SciDB's chunked arrays, ingested on first use.
+    pub fn arrays(&self, data: &Dataset) -> Result<Arc<ArrayData>> {
+        self.load(&self.arrays, data, || ArrayData::ingest(data))
+    }
+
+    /// Loads run so far, stores, spools and arrays alike (each at most
+    /// once: under one harness, which either streams at one morsel size or
+    /// does not, at most 2 stores + 1 spool + 1 array set).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Heap bytes of the stores resident now.
+    /// Heap bytes of the stores and arrays resident now.
     pub fn heap_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .filter_map(|slot| slot.get()?.as_ref().ok())
-            .map(|store| store.heap_bytes())
-            .sum()
+        let stores = self.stores.iter().flatten();
+        let stores = stores.filter_map(|slot| Some(slot.get()?.as_ref().ok()?.heap_bytes()));
+        let arrays = self
+            .arrays
+            .get()
+            .and_then(|a| Some(a.as_ref().ok()?.heap_bytes()));
+        stores.chain(arrays).sum()
+    }
+
+    /// Bytes of the spool files on disk now.
+    pub fn spool_bytes(&self) -> u64 {
+        let spools = lock(&self.spools);
+        let built = spools
+            .values()
+            .filter_map(|slot| Some(slot.get()?.as_ref().ok()?.bytes()));
+        built.sum()
     }
 }
 
@@ -673,6 +718,7 @@ impl std::fmt::Debug for LoadedTables {
             .field("dataset", &self.dataset.get())
             .field("builds", &self.builds())
             .field("heap_bytes", &self.heap_bytes())
+            .field("spool_bytes", &self.spool_bytes())
             .finish()
     }
 }
@@ -803,51 +849,23 @@ impl GeneSums {
     }
 }
 
-/// Streaming ingest: carve the dataset's microarray triples into
+/// Streaming ingest, once per dataset: spool the microarray triples as
 /// `batch_rows`-row morsels in base order (patient-major, gene-minor — the
-/// exact order both stores ingest in) and push them onto a reel. The
-/// resident cap is a quarter of the cell budget when one is set, leaving
-/// room for the pipeline's sinks; unlimited reels never spill.
-fn reel_from_dataset(
-    data: &Dataset,
-    mem: &MemTracker,
-    cfg: &StreamConfig,
-    mem_budget: Option<u64>,
-) -> Result<BatchReel> {
-    if cfg.batch_rows == 0 {
-        return Err(Error::invalid("batch_rows must be at least 1"));
+/// exact order both stores ingest in, which is the expression matrix's own
+/// row-major order).
+fn spool_triples(data: &Dataset, cfg: &StreamConfig) -> Result<Spool> {
+    let n_genes = data.n_genes();
+    let values = data.expression.data();
+    let ranges = storage::batch_ranges(values.len(), cfg.batch_rows)?;
+    let mut spool = Spool::create(triple_schema(), cfg.spill_dir.as_deref())?;
+    for (start, end) in ranges {
+        spool.append(&[
+            Column::Ints((start..end).map(|i| (i % n_genes) as i64).collect()),
+            Column::Ints((start..end).map(|i| (i / n_genes) as i64).collect()),
+            Column::Floats(values[start..end].to_vec()),
+        ])?;
     }
-    let cap = mem_budget.map(|b| b / 4).unwrap_or(u64::MAX);
-    let mut reel = BatchReel::new(mem, triple_schema(), cap, cfg.spill_dir.as_deref());
-    let batch = cfg.batch_rows;
-    let mut gene_col: Vec<i64> = Vec::with_capacity(batch);
-    let mut patient_col: Vec<i64> = Vec::with_capacity(batch);
-    let mut value_col: Vec<f64> = Vec::with_capacity(batch);
-    let mut flush = |g: &mut Vec<i64>, p: &mut Vec<i64>, v: &mut Vec<f64>| -> Result<()> {
-        reel.push(Morsel::from_columns(
-            mem,
-            vec![
-                Column::Ints(std::mem::take(g)),
-                Column::Ints(std::mem::take(p)),
-                Column::Floats(std::mem::take(v)),
-            ],
-        )?)
-    };
-    for p in 0..data.n_patients() {
-        let row = data.expression.row(p);
-        for (g, &v) in row.iter().enumerate() {
-            gene_col.push(g as i64);
-            patient_col.push(p as i64);
-            value_col.push(v);
-            if gene_col.len() == batch {
-                flush(&mut gene_col, &mut patient_col, &mut value_col)?;
-            }
-        }
-    }
-    if !gene_col.is_empty() {
-        flush(&mut gene_col, &mut patient_col, &mut value_col)?;
-    }
-    Ok(reel)
+    Ok(spool)
 }
 
 /// In-database restructure: pivot a triple set into a dense matrix through
@@ -1061,18 +1079,24 @@ impl SqlEngineSpec {
         // give. Streaming mode keeps the triples on a morsel reel instead
         // of a base table, so residency is the metadata tables plus the
         // reel's bounded resident window — never the full triple relation.
-        // The reel is bound to this cell's tracker and stays per cell.
+        // The reel is this cell's (its resident morsels are charged to this
+        // cell's tracker, under a cap of a quarter of this cell's budget,
+        // leaving room for the pipeline's sinks; unlimited reels keep
+        // everything resident); the spool it reads is the dataset's.
         let store = ctx.tables.store(self.kind, ctx.stream.is_none(), data)?;
         mem.charge(store.heap_bytes())?;
         let stream = match &ctx.stream {
-            Some(cfg) => Some(StreamState {
-                reel: reel_from_dataset(data, &mem, cfg, ctx.mem_budget)?,
-                batch_rows: cfg.batch_rows,
-                threads: ctx.threads.max(1),
-                gene_filter: None,
-                patient_filter: None,
-                joined_rows: 0,
-            }),
+            Some(cfg) => {
+                let cap = ctx.mem_budget.map_or(u64::MAX, |b| b / 4);
+                Some(StreamState {
+                    reel: BatchReel::open(&mem, ctx.tables.spool(cfg, data)?, cap)?,
+                    batch_rows: cfg.batch_rows,
+                    threads: ctx.threads.max(1),
+                    gene_filter: None,
+                    patient_filter: None,
+                    joined_rows: 0,
+                })
+            }
             None => None,
         };
         let backend = SqlBackend {
@@ -1161,10 +1185,11 @@ impl PhysicalBackend for SqlBackend<'_> {
     fn prepare(&mut self, tracer: &mut Tracer) -> Result<()> {
         if let Some(st) = &self.stream {
             // Loading is not a plan operator in either mode (the base
-            // tables are loaded once per dataset; the reel is built per
-            // cell, before the plan), but the reel's shape is part of the
-            // run's record: surface it as a zero-wall op so the
-            // ingest-side batch and spill tallies land in the trace.
+            // tables and the spool are loaded once per dataset; the cell
+            // opens its reel over the spool before the plan), but the
+            // reel's shape is part of the run's record: surface it as a
+            // zero-wall op so the ingest-side batch and spill tallies land
+            // in the trace.
             tracer.record(
                 OpKind::Restructure,
                 Phase::DataManagement,
@@ -1555,12 +1580,14 @@ impl SqlBackend<'_> {
                 // serializes each batch's survivors straight off the
                 // selection vector, immediately re-parses the chunk (the
                 // values still make the CSV format -> parse round trip the
-                // bridge measures) and scatters it, then drops the text.
+                // bridge measures) and scatters it; the next batch's chunk
+                // overwrites the text in the same buffer.
                 // The R half's tallies are recorded as its own trace op
                 // below, from the same pass.
                 let db_budget = &self.db_budget;
                 let r_budget = &self.r_budget;
                 let mut text_total = 0u64;
+                let mut text = String::new(); // one chunk at a time, reused
                 let mut mat_stats = (0u64, 0u64); // (heap bytes, rows)
                 let handle = tracer.exec(
                     OpKind::Export,
@@ -1578,7 +1605,7 @@ impl SqlBackend<'_> {
                                 if sel.is_empty() {
                                     return Ok(());
                                 }
-                                let mut text = String::new();
+                                text.clear();
                                 storage::csv_selected(m, sel, &mut text);
                                 text_total += text.len() as u64;
                                 storage::scatter_csv_triples(

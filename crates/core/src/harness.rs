@@ -6,9 +6,10 @@
 //! matter how many cells ask concurrently), shared by reference count
 //! across every in-flight cell, and cached for the harness's lifetime —
 //! the substrate the sharded scheduler in [`crate::sched`] dispatches
-//! onto. The SQL engines' loaded base tables ([`LoadedTables`]) follow the
-//! dataset: one set per generated size class, loaded by the first SQL cell
-//! of that class and borrowed by every later one.
+//! onto. What the engines load from a dataset ([`LoadedTables`]: the SQL
+//! base tables, the streaming spool, SciDB's chunked arrays) follows the
+//! dataset: one set per generated size class, each member loaded by the
+//! first cell of that class that reads it and borrowed by every later one.
 
 use crate::engine::{Engine, ExecContext};
 use crate::engines::sql_common::LoadedTables;
@@ -129,7 +130,7 @@ pub struct RunRecord {
 pub struct Harness {
     config: HarnessConfig,
     pool: DatasetPool,
-    /// Loaded SQL base tables of each size class a cell has run on.
+    /// What the cells of each size class share instead of loading per cell.
     tables: Mutex<HashMap<SizeClass, Arc<LoadedTables>>>,
     cache: Option<Arc<genbase_storage::ArtifactCache>>,
 }
@@ -180,20 +181,26 @@ impl Harness {
         self.pool.get(class)
     }
 
-    /// The loaded SQL base tables of `class`'s dataset (an empty set until
-    /// a SQL cell of that class runs).
+    /// The loaded tables of `class`'s dataset (an empty set until a SQL or
+    /// SciDB cell of that class runs).
     pub fn loaded_tables(&self, class: SizeClass) -> Arc<LoadedTables> {
         Arc::clone(lock(&self.tables).entry(class).or_default())
     }
 
-    /// `(resident heap bytes, stores built)` over every size class's loaded
-    /// base tables.
+    /// `(resident heap bytes, loads run)` over every size class's loaded
+    /// tables.
     pub fn loaded_tables_stats(&self) -> (u64, u64) {
         lock(&self.tables)
             .values()
             .fold((0, 0), |(bytes, builds), t| {
                 (bytes + t.heap_bytes(), builds + t.builds())
             })
+    }
+
+    /// Bytes of spool files the streaming cells' reels read, over every
+    /// size class: temp-file footprint, held until the harness drops.
+    pub fn loaded_spool_bytes(&self) -> u64 {
+        lock(&self.tables).values().map(|t| t.spool_bytes()).sum()
     }
 
     /// Query parameters for a dataset (derived deterministically; cheap).

@@ -578,6 +578,10 @@ impl Shared {
         let (tables_bytes, tables_builds) = self.scheduler.harness().loaded_tables_stats();
         m.set("loaded_tables_bytes", Json::from(tables_bytes));
         m.set("loaded_tables_builds", Json::from(tables_builds));
+        m.set(
+            "loaded_spool_bytes",
+            Json::from(self.scheduler.harness().loaded_spool_bytes()),
+        );
         m.set("result_cache", Json::Bool(self.results.is_some()));
         m.set(
             "result_cache_hits",
@@ -748,14 +752,20 @@ impl Shared {
         gauge(
             &mut out,
             "genbase_loaded_tables_bytes",
-            "Heap bytes of the SQL base tables resident for the configured datasets.",
+            "Heap bytes of the SQL base tables and SciDB arrays resident for the configured datasets.",
             tables_bytes,
         );
         counter(
             &mut out,
             "genbase_loaded_tables_builds_total",
-            "SQL base-table loads (at most one per dataset and store kind; queries borrow them).",
+            "Loads of a dataset's base tables, streaming spool or arrays (each at most once; queries borrow them).",
             tables_builds,
+        );
+        gauge(
+            &mut out,
+            "genbase_loaded_spool_bytes",
+            "Bytes of streaming spool files held on disk for the configured datasets.",
+            self.scheduler.harness().loaded_spool_bytes(),
         );
         gauge(
             &mut out,

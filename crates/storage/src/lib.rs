@@ -46,6 +46,8 @@ pub use convert::{
     select_rows_tracked, triples_from_dense,
 };
 pub use pipeline::{csv_selected, fused_scan, scatter_selected, SelVec, SlotLookup};
-pub use stream::{batch_ranges, carve_view, reassemble, BatchReel, Morsel, DEFAULT_BATCH_ROWS};
+pub use stream::{
+    batch_ranges, carve_view, reassemble, BatchReel, Morsel, Spool, DEFAULT_BATCH_ROWS,
+};
 pub use table::{Column, ColumnarTable, TableView};
 pub use tracker::{DenseHandle, MemDelta, MemTracker, OpScope, Reservation};

@@ -7,30 +7,43 @@
 //! working set of a pipeline is the sum of a bounded batch window plus its
 //! sinks — not the full table between every operator.
 //!
-//! A [`BatchReel`] is the streaming base-table representation: morsels
-//! pushed in a fixed order, kept resident up to a deterministic byte cap
-//! and spilled to disk past it (raw little-endian column images, one
-//! contiguous record per batch, in the reel's own temp file). Replay yields
-//! batches in exactly push order regardless of how many were spilled or how
-//! many threads consume them, which is what keeps streaming results
-//! bit-identical to the materializing path: every downstream kernel sees
-//! rows in the same order the materialized table would have stored them.
+//! A [`Spool`] is the streaming base table on disk: every batch as one
+//! contiguous record of raw little-endian column images, written once,
+//! sequentially, plus the `(offset, n_rows)` directory over them. It is
+//! immutable once built and shared: a dataset's triples are spooled once
+//! and every cell of that dataset reads the same file, which is removed
+//! when the spool drops. It is never held in memory — the resident part of
+//! a streaming table is each cell's own, under the cell's own budget.
+//!
+//! A [`BatchReel`] is one cell's view of such a table: batches in a fixed
+//! order, the ones that fit a deterministic byte cap resident and charged
+//! to the cell's [`MemTracker`], the rest read back from the spool through
+//! a bounded window. [`BatchReel::open`] builds it over a shared spool;
+//! [`BatchReel::new`] + [`BatchReel::push`] build the same thing batch by
+//! batch, spilling past the cap into a private spool. Replay yields batches
+//! in exactly push order regardless of how many live on disk or how many
+//! threads consume them, which is what keeps streaming results bit-identical
+//! to the materializing path: every downstream kernel sees rows in the same
+//! order the materialized table would have stored them.
 //!
 //! Determinism contract (pinned by `tests/streaming_exec.rs`):
 //! - replay order == push order, at every batch size and thread count;
-//! - tracker charges happen only at serial points (push, window load),
-//!   with a fixed-size replay window, so `peak_alloc` / `batches` /
+//! - tracker charges happen only at serial points (open or push, window
+//!   load), with a fixed-size replay window, so `peak_alloc` / `batches` /
 //!   `spill_bytes` are pure functions of (data, batch_rows, budget) and
-//!   never of the thread count.
+//!   never of the thread count — nor of whether the reel was opened over a
+//!   shared spool or pushed; a cell's `spill_bytes` are the bytes of its
+//!   reel that live only on disk.
 
 use crate::table::{Column, ColumnarTable, TableView};
 use crate::tracker::MemTracker;
 use genbase_relational::{DataType, Schema};
-use genbase_util::{runtime, Error, Result};
+use genbase_util::{faults, runtime, Error, Result};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read as _, Write as _};
+use std::io::{BufReader, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default rows per morsel when a streaming run does not set `--batch-rows`.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
@@ -209,35 +222,149 @@ pub fn reassemble(
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Where a pushed batch lives.
+/// Batches on disk: raw little-endian column images, one contiguous record
+/// per batch in append order, plus the `(offset, n_rows)` directory that
+/// finds them again. Appended to sequentially while it is being built and
+/// immutable once shared (`Arc<Spool>`); the file is removed when the spool
+/// drops, so a build that fails half way leaves nothing behind.
+///
+/// A dataset's whole triple relation is spooled once and every streaming
+/// cell of that dataset opens its own [`BatchReel`] over it
+/// ([`BatchReel::open`]); a reel filled by [`BatchReel::push`] keeps the
+/// batches it spills in a private spool written by the same code.
+pub struct Spool {
+    schema: Schema,
+    path: PathBuf,
+    /// Append handle, unbuffered: a column image is one `write_all`, so a
+    /// record is readable (by path) as soon as `append` returns.
+    file: File,
+    /// `(offset, n_rows)` of each record, in append order.
+    dir: Vec<(u64, usize)>,
+    bytes: u64,
+}
+
+impl Spool {
+    /// Create an empty spool file under `spill_dir` (or the system temp
+    /// directory).
+    pub fn create(schema: Schema, spill_dir: Option<&Path>) -> Result<Spool> {
+        let name = format!(
+            "genbase-spill-{}-{}.bin",
+            std::process::id(),
+            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+        );
+        let path = spill_dir
+            .map_or_else(std::env::temp_dir, Path::to_path_buf)
+            .join(name);
+        let file = File::create(&path)
+            .map_err(|e| Error::invalid(format!("spill create {}: {e}", path.display())))?;
+        Ok(Spool {
+            schema,
+            path,
+            file,
+            dir: Vec::new(),
+            bytes: 0,
+        })
+    }
+
+    /// Append one batch as a contiguous record and return its offset. A
+    /// failed write (disk full; the `spool.write` fault site) is a typed
+    /// error and the record is not listed: the next append overwrites
+    /// whatever part of it reached the file.
+    pub fn append(&mut self, cols: &[Column]) -> Result<u64> {
+        let n_rows = cols.first().map_or(0, Column::len);
+        if cols.len() != self.schema.arity() || cols.iter().any(|c| c.len() != n_rows) {
+            return Err(Error::invalid("batch shape does not match spool schema"));
+        }
+        let write_err = |e: std::io::Error| Error::invalid(format!("spill write: {e}"));
+        let offset = self.bytes;
+        self.file.seek(SeekFrom::Start(offset)).map_err(write_err)?;
+        let mut image = vec![0u8; n_rows * 8];
+        for col in cols {
+            let cells = image.chunks_exact_mut(8);
+            match col {
+                Column::Ints(v) => {
+                    cells
+                        .zip(v)
+                        .for_each(|(b, x)| b.copy_from_slice(&x.to_le_bytes()));
+                }
+                Column::Floats(v) => {
+                    cells
+                        .zip(v)
+                        .for_each(|(b, x)| b.copy_from_slice(&x.to_le_bytes()));
+                }
+            }
+            if let Some(torn) = faults::write_action("spool.write").map_err(write_err)? {
+                // The disk filled part way through the image.
+                let _ = self.file.write_all(&image[..torn.min(image.len())]);
+                return Err(write_err(std::io::ErrorKind::WriteZero.into()));
+            }
+            self.file.write_all(&image).map_err(write_err)?;
+        }
+        self.bytes += (n_rows * cols.len() * 8) as u64;
+        self.dir.push((offset, n_rows));
+        Ok(offset)
+    }
+
+    /// Where the spool file lives.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Bytes on disk.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl Drop for Spool {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+impl std::fmt::Debug for Spool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Spool")
+            .field("path", &self.path)
+            .field("batches", &self.dir.len())
+            .field("bytes", &self.bytes)
+            .finish()
+    }
+}
+
+/// Where a batch of the reel lives.
 enum Slot {
     Resident(Morsel),
     Spilled { offset: u64, n_rows: usize },
 }
 
-/// A streaming base table: batches in push order, resident up to a byte
-/// cap, spilled to disk past it.
+/// A streaming base table as one cell sees it: batches in push order,
+/// resident (charged to the cell's tracker) up to the cell's byte cap, read
+/// back from a [`Spool`] past it.
 pub struct BatchReel {
     tracker: MemTracker,
     schema: Schema,
     slots: Vec<Slot>,
     resident_bytes: u64,
     resident_cap: u64,
+    spill_bytes: u64,
     spill_dir: Option<PathBuf>,
-    spill_path: Option<PathBuf>,
-    writer: Option<BufWriter<File>>,
-    spill_offset: u64,
+    /// The on-disk batches: the dataset's shared spool under an opened
+    /// reel, a private one (created by the first spilling `push`) under a
+    /// pushed reel.
+    spool: Option<Arc<Spool>>,
     total_rows: usize,
 }
 
-/// Seek-aware buffered reader over the spill file: tracks its own byte
+/// Seek-aware buffered reader over a spool file: tracks its own byte
 /// position and issues [`BufReader::seek_relative`] only when a requested
 /// offset is not the next sequential byte, so the in-push-order replay and
 /// window scans (monotonically increasing, contiguous offsets) never drop
-/// the read buffer.
+/// the read buffer. One record buffer is reused across the scan.
 struct SpillReader {
     inner: BufReader<File>,
     pos: u64,
+    record: Vec<u8>,
 }
 
 impl SpillReader {
@@ -247,10 +374,14 @@ impl SpillReader {
         Ok(SpillReader {
             inner: BufReader::new(file),
             pos: 0,
+            record: Vec::new(),
         })
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
+    /// Read the `n_rows`-row record at `offset` (one `read_exact`) and
+    /// decode its column images. A record the file is too short to hold is
+    /// an error, never a zero-filled batch.
+    fn read_batch(&mut self, schema: &Schema, offset: u64, n_rows: usize) -> Result<Vec<Column>> {
         let delta = offset as i64 - self.pos as i64;
         if delta != 0 {
             self.inner
@@ -258,18 +389,33 @@ impl SpillReader {
                 .map_err(|e| Error::invalid(format!("spill seek: {e}")))?;
             self.pos = offset;
         }
+        self.record.resize(n_rows * schema.arity() * 8, 0);
         self.inner
-            .read_exact(buf)
+            .read_exact(&mut self.record)
             .map_err(|e| Error::invalid(format!("spill read: {e}")))?;
-        self.pos += buf.len() as u64;
-        Ok(())
+        self.pos += self.record.len() as u64;
+        let cell = |c: &[u8]| -> [u8; 8] { c.try_into().expect("8-byte chunk") };
+        let cols = (0..schema.arity())
+            .map(|i| {
+                let image = self.record[i * n_rows * 8..(i + 1) * n_rows * 8].chunks_exact(8);
+                match schema.col_type(i) {
+                    DataType::Int => {
+                        Column::Ints(image.map(|c| i64::from_le_bytes(cell(c))).collect())
+                    }
+                    DataType::Float => {
+                        Column::Floats(image.map(|c| f64::from_le_bytes(cell(c))).collect())
+                    }
+                }
+            })
+            .collect();
+        Ok(cols)
     }
 }
 
 impl BatchReel {
-    /// New reel. Batches stay resident while their summed bytes fit
-    /// `resident_cap`; later batches spill to a temp file under
-    /// `spill_dir` (or the system temp directory).
+    /// New, empty reel to [`BatchReel::push`] onto. Batches stay resident
+    /// while their summed bytes fit `resident_cap`; later batches spill to
+    /// a private spool under `spill_dir` (or the system temp directory).
     pub fn new(
         tracker: &MemTracker,
         schema: Schema,
@@ -282,12 +428,43 @@ impl BatchReel {
             slots: Vec::new(),
             resident_bytes: 0,
             resident_cap,
+            spill_bytes: 0,
             spill_dir: spill_dir.map(Path::to_path_buf),
-            spill_path: None,
-            writer: None,
-            spill_offset: 0,
+            spool: None,
             total_rows: 0,
         }
+    }
+
+    /// A reel over every batch of a shared spool, in spool order, under
+    /// this cell's cap and tracker: the batches that fit the cap are loaded
+    /// and stay resident, the rest are read on replay. Leaves the tracker
+    /// exactly where pushing the same batches onto a [`BatchReel::new`]
+    /// reel does — each batch is charged once (a spilled one only for as
+    /// long as a push holds it in flight, so `peak` is the resident set
+    /// plus one batch and an over-budget batch is refused alike), counted
+    /// as a batch, and noted as spill when it stays on disk.
+    pub fn open(tracker: &MemTracker, spool: Arc<Spool>, resident_cap: u64) -> Result<BatchReel> {
+        let mut reel = BatchReel::new(tracker, spool.schema.clone(), resident_cap, None);
+        let mut reader = SpillReader::open(&spool.path)?;
+        for &(offset, n_rows) in &spool.dir {
+            let bytes = (n_rows * reel.schema.arity() * 8) as u64;
+            let slot = if reel.resident_bytes + bytes <= resident_cap {
+                let cols = reader.read_batch(&reel.schema, offset, n_rows)?;
+                reel.resident_bytes += bytes;
+                Slot::Resident(Morsel::from_columns(tracker, cols)?)
+            } else {
+                tracker.charge(bytes)?;
+                tracker.release(bytes);
+                tracker.note_spill(bytes);
+                reel.spill_bytes += bytes;
+                Slot::Spilled { offset, n_rows }
+            };
+            tracker.note_batch();
+            reel.total_rows += n_rows;
+            reel.slots.push(slot);
+        }
+        reel.spool = Some(spool);
+        Ok(reel)
     }
 
     /// The reel's schema.
@@ -295,12 +472,12 @@ impl BatchReel {
         &self.schema
     }
 
-    /// Total rows pushed.
+    /// Total rows on the reel.
     pub fn total_rows(&self) -> usize {
         self.total_rows
     }
 
-    /// Batches pushed.
+    /// Batches on the reel.
     pub fn n_batches(&self) -> usize {
         self.slots.len()
     }
@@ -310,9 +487,9 @@ impl BatchReel {
         self.resident_bytes
     }
 
-    /// Cumulative bytes written to the spill file.
+    /// Bytes of this reel that live only on disk.
     pub fn spill_bytes(&self) -> u64 {
-        self.spill_offset
+        self.spill_bytes
     }
 
     /// Logical bytes of the whole reel, resident and spilled.
@@ -335,8 +512,18 @@ impl BatchReel {
             self.slots.push(Slot::Resident(morsel));
             return Ok(());
         }
-        let offset = self.write_spilled(&morsel)?;
+        let spool = match &mut self.spool {
+            Some(spool) => spool,
+            None => self.spool.insert(Arc::new(Spool::create(
+                self.schema.clone(),
+                self.spill_dir.as_deref(),
+            )?)),
+        };
+        let offset = Arc::get_mut(spool)
+            .ok_or_else(|| Error::invalid("cannot spill onto a shared spool"))?
+            .append(&morsel.cols)?;
         self.tracker.note_spill(bytes);
+        self.spill_bytes += bytes;
         self.slots.push(Slot::Spilled {
             offset,
             n_rows: morsel.n_rows(),
@@ -344,65 +531,8 @@ impl BatchReel {
         Ok(())
     }
 
-    fn write_spilled(&mut self, morsel: &Morsel) -> Result<u64> {
-        if self.writer.is_none() {
-            let dir = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-            let name = format!(
-                "genbase-spill-{}-{}.bin",
-                std::process::id(),
-                SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-            );
-            let path = dir.join(name);
-            let file = File::create(&path)
-                .map_err(|e| Error::invalid(format!("spill create {}: {e}", path.display())))?;
-            self.spill_path = Some(path);
-            self.writer = Some(BufWriter::new(file));
-        }
-        let offset = self.spill_offset;
-        let writer = self.writer.as_mut().expect("spill writer open");
-        let write_err = |e: std::io::Error| Error::invalid(format!("spill write: {e}"));
-        for col in &morsel.cols {
-            match col {
-                Column::Ints(v) => {
-                    for x in v {
-                        writer.write_all(&x.to_le_bytes()).map_err(write_err)?;
-                    }
-                }
-                Column::Floats(v) => {
-                    for x in v {
-                        writer.write_all(&x.to_le_bytes()).map_err(write_err)?;
-                    }
-                }
-            }
-            self.spill_offset += (col.len() * 8) as u64;
-        }
-        // Flush per spilled batch: the reel stays replayable (readers open
-        // the file by path) while later pushes are still spilling.
-        writer
-            .flush()
-            .map_err(|e| Error::invalid(format!("spill flush: {e}")))?;
-        Ok(offset)
-    }
-
     fn read_spilled(&self, reader: &mut SpillReader, offset: u64, n_rows: usize) -> Result<Morsel> {
-        let mut cols = Vec::with_capacity(self.schema.arity());
-        let mut buf = vec![0u8; n_rows * 8];
-        for i in 0..self.schema.arity() {
-            reader.read_at(offset + (i * n_rows * 8) as u64, &mut buf)?;
-            let col = match self.schema.col_type(i) {
-                DataType::Int => Column::Ints(
-                    buf.chunks_exact(8)
-                        .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                        .collect(),
-                ),
-                DataType::Float => Column::Floats(
-                    buf.chunks_exact(8)
-                        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                        .collect(),
-                ),
-            };
-            cols.push(col);
-        }
+        let cols = reader.read_batch(&self.schema, offset, n_rows)?;
         Morsel::from_columns(&self.tracker, cols)
     }
 
@@ -471,19 +601,11 @@ impl BatchReel {
         Ok(())
     }
 
+    /// A reader over the spool, when any batch of this reel lives there.
     fn open_reader(&self) -> Result<Option<SpillReader>> {
-        match &self.spill_path {
-            None => Ok(None),
-            Some(p) => SpillReader::open(p).map(Some),
-        }
-    }
-}
-
-impl Drop for BatchReel {
-    fn drop(&mut self) {
-        self.writer = None;
-        if let Some(p) = &self.spill_path {
-            let _ = std::fs::remove_file(p);
+        match &self.spool {
+            Some(spool) if self.spill_bytes > 0 => SpillReader::open(&spool.path).map(Some),
+            _ => Ok(None),
         }
     }
 }
@@ -494,7 +616,7 @@ impl std::fmt::Debug for BatchReel {
             .field("batches", &self.slots.len())
             .field("total_rows", &self.total_rows)
             .field("resident_bytes", &self.resident_bytes)
-            .field("spill_bytes", &self.spill_offset)
+            .field("spill_bytes", &self.spill_bytes)
             .finish()
     }
 }
@@ -583,7 +705,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ids, (0..40).collect::<Vec<i64>>());
-        let path = reel.spill_path.clone().unwrap();
+        let path = reel.spool.as_ref().unwrap().path().to_path_buf();
         assert!(path.exists());
         drop(reel);
         assert!(!path.exists(), "spill file removed on drop");
@@ -615,9 +737,106 @@ mod tests {
                 want.extend_from_slice(&v.to_le_bytes());
             }
         }
-        let path = reel.spill_path.clone().unwrap();
+        let path = reel.spool.as_ref().unwrap().path().to_path_buf();
         let got = std::fs::read(&path).unwrap();
         assert_eq!(got, want, "spill bytes on disk changed");
+    }
+
+    /// Spool every `batch_rows`-row batch of `table`.
+    fn spool_of(table: &ColumnarTable, batch_rows: usize) -> Spool {
+        let mut spool = Spool::create(triple_schema(), None).unwrap();
+        for (s, e) in batch_ranges(table.n_rows(), batch_rows).unwrap() {
+            let sub = table.view().subview(s, e).unwrap();
+            let cols: Vec<Column> = (0..3).map(|i| sub.column_copy(i)).collect();
+            spool.append(&cols).unwrap();
+        }
+        spool
+    }
+
+    /// (That an opened reel leaves its tracker where a pushed one does, at
+    /// every size and cap, is `tests/storage_layer.rs`'s property.)
+    #[test]
+    fn reels_over_one_spool_share_the_file_and_charge_their_own_trackers() {
+        let table = sample_table(&MemTracker::unlimited(), 40);
+        let spool = Arc::new(spool_of(&table, 5));
+        assert_eq!(spool.bytes(), 40 * 24);
+        let path = spool.path().to_path_buf();
+        let (small, large) = (MemTracker::unlimited(), MemTracker::unlimited());
+        let two = BatchReel::open(&small, spool.clone(), 240).unwrap();
+        let all = BatchReel::open(&large, spool.clone(), u64::MAX).unwrap();
+        assert_eq!((two.n_batches(), two.total_rows()), (8, 40));
+        assert_eq!((two.resident_bytes(), two.spill_bytes()), (240, 6 * 120));
+        assert_eq!((all.resident_bytes(), all.spill_bytes()), (8 * 120, 0));
+        assert_eq!((small.current(), small.peak()), (240, 360));
+        assert_eq!((large.current(), large.spill_bytes()), (8 * 120, 0));
+        for reel in [&two, &all] {
+            let mut ids = Vec::new();
+            reel.replay(|m| {
+                ids.extend_from_slice(m.int_col(0)?);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(ids, (0..40).collect::<Vec<i64>>());
+        }
+        // A shared spool is immutable: a reel over it cannot spill onto it.
+        let mut two = two;
+        let extra = Morsel::carve(&small, &table.view(), 0, 5).unwrap();
+        assert!(two.push(extra).is_err());
+        drop((two, all));
+        assert_eq!((small.current(), large.current()), (0, 0));
+        assert!(path.exists(), "a cell's reel removed the shared spool");
+        drop(spool);
+        assert!(!path.exists(), "spool file removed with its last owner");
+    }
+
+    #[test]
+    fn a_truncated_spool_is_an_error_not_a_zero_filled_batch() {
+        let table = sample_table(&MemTracker::unlimited(), 40);
+        let spool = Arc::new(spool_of(&table, 5));
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(spool.path())
+            .unwrap();
+        file.set_len(spool.bytes() - 8).unwrap();
+        let t = MemTracker::unlimited();
+        // Everything resident: the short read is hit while opening.
+        let err = BatchReel::open(&t, spool.clone(), u64::MAX).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert_eq!(t.current(), 0, "the loaded prefix was released");
+        // Nothing resident: it is hit by the scan that reaches the last batch.
+        let reel = BatchReel::open(&t, spool, 0).unwrap();
+        let mut rows = 0;
+        let err = reel
+            .replay(|m| {
+                rows += m.n_rows();
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert_eq!(
+            rows, 35,
+            "every whole batch before the short one was served"
+        );
+    }
+
+    #[test]
+    fn an_unusable_spill_dir_is_a_typed_error() {
+        let missing = std::env::temp_dir().join("genbase-no-such-dir/nested");
+        assert!(matches!(
+            Spool::create(triple_schema(), Some(&missing)),
+            Err(Error::Invalid(_))
+        ));
+        // A regular file where the directory should be.
+        let file = std::env::temp_dir().join(format!("genbase-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"x").unwrap();
+        let t = MemTracker::unlimited();
+        let table = sample_table(&t, 10);
+        let mut reel = BatchReel::new(&t, triple_schema(), 0, Some(&file));
+        let err = reel
+            .push(Morsel::carve(&t, &table.view(), 0, 5).unwrap())
+            .unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        std::fs::remove_file(&file).unwrap();
     }
 
     /// `window_scan` merges batch + probe result in exact push order at

@@ -504,3 +504,87 @@ fn harness_converts_failures_without_crashing() {
         }
     }
 }
+
+/// A streaming spool that cannot be written — no such directory, a file
+/// where the directory should be, a disk that fills part way through — is a
+/// typed error, the same one for the cell that tried and for every cell
+/// after it, and leaves no file behind.
+#[test]
+fn a_failed_spool_build_is_one_typed_error_for_every_cell_and_leaves_no_file() {
+    use genbase::engine::StreamConfig;
+    use genbase_datagen::SizeClass;
+    use genbase_util::faults::{self, FaultPlan};
+
+    let _guard = fault_lock();
+    let scratch = std::env::temp_dir().join(format!("genbase-spool-faults-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).unwrap();
+    let not_a_dir = scratch.join("file");
+    std::fs::write(&not_a_dir, b"x").unwrap();
+    let spill_files = || {
+        let names = std::fs::read_dir(&scratch).unwrap();
+        names
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("genbase-spill-"))
+            .count()
+    };
+    let harness_over = |spill_dir: &std::path::Path| {
+        let mut config = chaos_config();
+        config.stream = Some(StreamConfig {
+            batch_rows: 64,
+            spill_dir: Some(spill_dir.to_path_buf()),
+            ..StreamConfig::default()
+        });
+        Harness::new(config).unwrap()
+    };
+    let (row, column) = (engines::PostgresR::new(), engines::ColumnR::new());
+    let refusals = |harness: &Harness| -> Vec<String> {
+        let cells: [(&dyn Engine, Query); 3] = [
+            (&row, Query::Regression),
+            (&row, Query::Statistics),
+            (&column, Query::Covariance),
+        ];
+        cells
+            .iter()
+            .map(
+                |(engine, query)| match harness.run_cell(*engine, *query, SizeClass::Small, 1) {
+                    Err(e @ genbase_util::Error::Invalid(_)) => e.to_string(),
+                    other => panic!("expected a typed spool error, got {other:?}"),
+                },
+            )
+            .collect()
+    };
+
+    for bad in [scratch.join("missing"), not_a_dir] {
+        let harness = harness_over(&bad);
+        let reasons = refusals(&harness);
+        assert!(reasons[0].contains("spill create"), "{}", reasons[0]);
+        assert!(reasons.iter().all(|r| *r == reasons[0]), "{reasons:?}");
+        // Two metadata stores and one spool attempt, however many cells.
+        assert_eq!(harness.loaded_tables_stats().1, 3);
+        assert_eq!(harness.loaded_spool_bytes(), 0);
+    }
+
+    // Disk full on the fifth column image: the second batch is torn.
+    faults::install(FaultPlan::parse("spool.write@5=torn:100").unwrap());
+    let harness = harness_over(&scratch);
+    let reasons = refusals(&harness);
+    faults::clear();
+    assert!(reasons[0].contains("spill write"), "{}", reasons[0]);
+    assert!(reasons.iter().all(|r| *r == reasons[0]), "{reasons:?}");
+    assert_eq!(spill_files(), 0, "a failed build left its file behind");
+    // The slot keeps the error (the fault is gone; a retry would succeed).
+    assert_eq!(refusals(&harness), reasons);
+    drop(harness);
+
+    // The directory itself is fine: a fresh harness streams through it, and
+    // takes its spool with it when it goes.
+    let harness = harness_over(&scratch);
+    let record = harness
+        .run_cell(&column, Query::Covariance, SizeClass::Small, 1)
+        .unwrap();
+    assert!(record.outcome.report().is_some());
+    assert_eq!(spill_files(), 1);
+    drop(harness);
+    assert_eq!(spill_files(), 0);
+    std::fs::remove_dir_all(&scratch).unwrap();
+}

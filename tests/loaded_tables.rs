@@ -1,16 +1,17 @@
-//! Loaded base tables: a harness loads each dataset's SQL base tables once
-//! per store kind and every SQL cell of that dataset borrows them. Sharing
-//! must be invisible in a cell's bytes — every cell is still charged the
-//! store it reads — and visible only in how often the loader runs: once,
-//! however many cells ask, from however many threads. The tables live and
-//! die with the harness, and a set loaded from one dataset refuses to serve
-//! another.
+//! Loaded tables: a harness loads each dataset's SQL base tables once per
+//! store kind, spools its triples once for the streaming cells' reels and
+//! chunks it once for SciDB, and every cell of that dataset borrows them.
+//! Sharing must be invisible in a cell's bytes — every cell is still
+//! charged what it reads — and visible only in how often the loader runs:
+//! once, however many cells ask, from however many threads. The tables (and
+//! the spool file) live and die with the harness, and a set loaded from one
+//! dataset refuses to serve another.
 
 use genbase::engine::StreamConfig;
 use genbase::engines::sql_common::{LoadedTables, StoreKind};
 use genbase::prelude::*;
 use genbase_datagen::{generate, GeneratorConfig, SizeClass, SizeSpec};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// The engines lowered through `SqlStore`, with the store each loads.
 const SQL_ENGINES: [(&str, StoreKind); 4] = [
@@ -40,6 +41,17 @@ fn sql_engines() -> Vec<Box<dyn Engine>> {
         .filter(|e| SQL_ENGINES.iter().any(|(name, _)| *name == e.name()))
         .collect()
 }
+
+/// The engines lowered onto the shared chunked arrays.
+fn array_engines() -> [Box<dyn Engine>; 2] {
+    [
+        Box::new(engines::SciDb::new()),
+        Box::new(engines::SciDbPhi::new()),
+    ]
+}
+
+/// The 60x60 Small dataset's triples, spooled.
+const SPOOL_BYTES: u64 = 60 * 60 * 3 * 8;
 
 /// A cell's grid bytes and its tracker peak (`None` unless it completed).
 fn cell_bytes(harness: &Harness, engine: &dyn Engine, query: Query) -> (String, Option<u64>) {
@@ -74,9 +86,32 @@ fn warm_tables_change_no_byte_of_any_sql_cell() {
                 }
             }
         }
-        // Twenty cells, twice each, loaded each store kind once.
-        assert_eq!(shared.loaded_tables_stats().1, 2, "stream={stream}");
+        // Twenty cells, twice each, loaded each store kind once — and,
+        // streaming, spooled the triples once.
+        let loads = if stream { 3 } else { 2 };
+        assert_eq!(shared.loaded_tables_stats().1, loads, "stream={stream}");
+        let spooled = if stream { SPOOL_BYTES } else { 0 };
+        assert_eq!(shared.loaded_spool_bytes(), spooled, "stream={stream}");
     }
+}
+
+#[test]
+fn warm_arrays_change_no_byte_of_any_scidb_cell() {
+    let shared = Harness::new(sim_config(false)).unwrap();
+    for engine in array_engines() {
+        for query in Query::ALL {
+            let first = cell_bytes(&shared, engine.as_ref(), query);
+            let warm = cell_bytes(&shared, engine.as_ref(), query);
+            let fresh = Harness::new(sim_config(false)).unwrap();
+            let cold = cell_bytes(&fresh, engine.as_ref(), query);
+            let cell = format!("{}/{query:?}", engine.name());
+            assert_eq!(cold, first, "{cell}: first run on the shared harness");
+            assert_eq!(cold, warm, "{cell}: warm run on the shared harness");
+            assert_eq!(cold.1.is_some(), engine.supports(query), "{cell}");
+        }
+    }
+    // Ten cells (nine supported), twice each, chunked the dataset once.
+    assert_eq!(shared.loaded_tables_stats(), (60 * 60 * 8, 1));
 }
 
 #[test]
@@ -85,7 +120,7 @@ fn concurrent_cells_of_one_dataset_load_each_kind_once() {
     let data = harness.dataset(SizeClass::Small).unwrap();
     let engines = sql_engines();
     // All eight cells reach the unloaded tables together.
-    let start = std::sync::Barrier::new(8);
+    let start = Barrier::new(8);
     let stores: Vec<(StoreKind, Arc<_>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|i| {
@@ -123,6 +158,123 @@ fn concurrent_cells_of_one_dataset_load_each_kind_once() {
         .map(|&k| tables.store(k, true, &data).unwrap().heap_bytes())
         .sum();
     assert_eq!(harness.loaded_tables_stats(), (resident, 2));
+}
+
+#[test]
+fn concurrent_streaming_cells_spool_the_triples_once() {
+    let harness = Harness::new(sim_config(true)).unwrap();
+    let data = harness.dataset(SizeClass::Small).unwrap();
+    let cfg = harness.config().stream.clone().unwrap();
+    let engines = sql_engines();
+    let start = Barrier::new(8);
+    let spools: Vec<Arc<_>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let (harness, data, cfg, engines, start) =
+                    (&harness, &data, &cfg, &engines, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let record = harness
+                        .run_cell(
+                            engines[i % engines.len()].as_ref(),
+                            Query::Regression,
+                            SizeClass::Small,
+                            1,
+                        )
+                        .unwrap();
+                    assert!(record.outcome.report().is_some());
+                    let tables = harness.loaded_tables(SizeClass::Small);
+                    tables.spool(cfg, data).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for spool in &spools {
+        assert!(Arc::ptr_eq(spool, &spools[0]), "spool written twice");
+    }
+    // Two metadata-only stores and one spool for eight cells.
+    assert_eq!(harness.loaded_tables_stats().1, 3);
+    assert_eq!(harness.loaded_spool_bytes(), SPOOL_BYTES);
+    assert_eq!(spools[0].bytes(), SPOOL_BYTES);
+
+    // The file outlives every cell that read it and goes with the harness.
+    let path = spools[0].path().to_path_buf();
+    drop(spools);
+    assert!(path.exists(), "a finished cell removed the shared spool");
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), SPOOL_BYTES);
+    drop(harness);
+    assert!(!path.exists(), "the spool file outlived its harness");
+}
+
+#[test]
+fn concurrent_scidb_cells_chunk_the_dataset_once() {
+    let harness = Harness::new(sim_config(false)).unwrap();
+    let data = harness.dataset(SizeClass::Small).unwrap();
+    let engines = array_engines();
+    let start = Barrier::new(8);
+    let arrays: Vec<Arc<_>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let (harness, data, engines, start) = (&harness, &data, &engines, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let record = harness
+                        .run_cell(engines[i % 2].as_ref(), Query::Svd, SizeClass::Small, 1)
+                        .unwrap();
+                    assert!(record.outcome.report().is_some());
+                    harness
+                        .loaded_tables(SizeClass::Small)
+                        .arrays(data)
+                        .unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for set in &arrays {
+        assert!(Arc::ptr_eq(set, &arrays[0]), "arrays copied");
+    }
+    assert_eq!(
+        harness.loaded_tables_stats(),
+        (arrays[0].heap_bytes(), 1),
+        "one chunked copy for eight cells"
+    );
+    let weak = Arc::downgrade(&arrays[0]);
+    drop(arrays);
+    assert!(weak.upgrade().is_some(), "the harness keeps its arrays");
+    drop(harness);
+    assert!(weak.upgrade().is_none(), "arrays outlived their harness");
+}
+
+#[test]
+fn a_budget_below_the_chunked_array_refuses_every_attempt_alike() {
+    let mut config = sim_config(false);
+    config.mem_budget = Some(1024);
+    let harness = Harness::new(config).unwrap();
+    // The refusal is the charge of the resident chunks against the cell's
+    // own tracker, exactly as when each cell chunked a private copy.
+    let expected = genbase_util::Error::OutOfMemory {
+        requested: 60 * 60 * 8,
+        budget: 1024,
+    }
+    .to_string();
+    for engine in array_engines() {
+        for attempt in ["cold", "warm"] {
+            let outcome = harness
+                .run_cell(engine.as_ref(), Query::Covariance, SizeClass::Small, 1)
+                .unwrap()
+                .outcome;
+            match outcome {
+                RunOutcome::Infinite { reason } => {
+                    assert_eq!(reason, expected, "{} {attempt}", engine.name())
+                }
+                other => panic!("expected an infinite outcome, got {other:?}"),
+            }
+        }
+    }
+    // The refused cells still chunked the dataset, once.
+    assert_eq!(harness.loaded_tables_stats().1, 1);
 }
 
 #[test]
@@ -193,11 +345,35 @@ fn tables_of_one_dataset_refuse_another() {
         )
         .is_ok());
 
+    // The same gate stands before the spool and the arrays.
+    let mut streaming = ExecContext::single_node();
+    streaming.stream = Some(StreamConfig::default());
+    for (engine, ctx) in [
+        (&engine as &dyn Engine, &streaming),
+        (&engines::SciDb::new(), &ctx),
+        (&engines::SciDbPhi::new(), &ctx),
+    ] {
+        engine
+            .run(Query::Covariance, &small, &params, ctx)
+            .unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
+        let err = engine
+            .run(Query::Covariance, &twin, &params, ctx)
+            .expect_err("tables loaded from one dataset served another");
+        assert!(
+            matches!(err, genbase_util::Error::Invalid(_)),
+            "{}: {err}",
+            engine.name()
+        );
+    }
+
     let tables = LoadedTables::default();
     tables.store(StoreKind::Row, false, &small).unwrap();
     assert!(tables.store(StoreKind::Row, false, &twin).is_err());
     assert!(tables.store(StoreKind::Column, true, &twin).is_err());
+    assert!(tables.spool(&StreamConfig::default(), &twin).is_err());
+    assert!(tables.arrays(&twin).is_err());
     assert_eq!(tables.builds(), 1, "a refused dataset loads nothing");
+    assert_eq!(tables.spool_bytes(), 0, "a refused dataset spools nothing");
 }
 
 #[test]

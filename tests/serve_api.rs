@@ -265,6 +265,17 @@ fn streaming_server_matches_the_streaming_batch_path() {
         .parse()
         .unwrap();
     assert!(batches > 0, "streaming server served without streaming");
+    // The reel was opened over the dataset's spool: the whole 60x60 triple
+    // relation sits in one temp file for as long as the server runs, and
+    // an operator can see how big it is.
+    let spooled = 60 * 60 * 3 * 8;
+    assert_eq!(metric(&metrics, "genbase_loaded_spool_bytes"), spooled);
+    let (_, body) = http_request(server.http, "GET", "/status", "", &[]);
+    let doc = Json::parse(&body).unwrap();
+    assert_eq!(
+        doc.get("loaded_spool_bytes").and_then(Json::as_u64),
+        Some(spooled)
+    );
 
     // The server's `--stream` configuration is the only streaming
     // control: the retired per-request key is an error, even here.
@@ -731,7 +742,20 @@ fn served_sql_queries_share_one_load_of_the_base_tables() {
         doc.get("loaded_tables_bytes").and_then(Json::as_u64),
         Some(resident)
     );
-    assert_eq!(server.shutdown().served, 30);
+    assert_eq!(metric(&metrics, "genbase_loaded_spool_bytes"), 0);
+
+    // SciDB's chunked arrays are loaded the same way and counted with the
+    // tables: one more load and 60x60 doubles more, however often asked.
+    for query in ["covariance", "svd"] {
+        client_request(server.frame, None, &query_frame("SciDB", query)).unwrap();
+    }
+    let (_, metrics) = http_request(server.http, "GET", "/metrics", "", &[]);
+    assert_eq!(metric(&metrics, "genbase_loaded_tables_builds_total"), 3);
+    assert_eq!(
+        metric(&metrics, "genbase_loaded_tables_bytes"),
+        resident + 60 * 60 * 8
+    );
+    assert_eq!(server.shutdown().served, 32);
 }
 
 #[test]

@@ -9,12 +9,13 @@ use genbase_relational::{
     pivot_to_dense, ColumnTable, DataType, Relation, RowTable, Schema, Value,
 };
 use genbase_storage::{
-    columnar_from_column_table, columnar_from_relation, export_csv_tracked, gather_chunked,
-    pivot_csv_tracked, pivot_dense, select_cols_tracked, select_rows_tracked, triples_from_dense,
-    MemTracker,
+    batch_ranges, columnar_from_column_table, columnar_from_relation, export_csv_tracked,
+    gather_chunked, pivot_csv_tracked, pivot_dense, select_cols_tracked, select_rows_tracked,
+    triples_from_dense, BatchReel, Column, ColumnarTable, MemTracker, Morsel, Spool,
 };
 use genbase_util::Budget;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn triple_schema() -> Schema {
     Schema::new(&[
@@ -127,6 +128,72 @@ proptest! {
             select_cols_tracked(&tracker, &m, &cols),
             m.select_cols(&cols)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // A cell's reel opened over the dataset's spool is the reel the cell
+    // used to build for itself by carving and pushing: same batches in the
+    // same order, the same ones resident, and a tracker left exactly where
+    // the private build left it — at every (row count, batch size, cap),
+    // including caps that let a ragged last batch back in after full ones
+    // were turned away.
+    #[test]
+    fn a_reel_over_a_spool_is_the_reel_pushed_batch_by_batch(
+        n_rows in 0usize..400,
+        batch_rows in 1usize..97,
+        cap in 0u64..10_000,
+    ) {
+        let table = ColumnarTable::from_columns(
+            &MemTracker::unlimited(),
+            triple_schema(),
+            vec![
+                Column::Ints((0..n_rows as i64).map(|i| i * 7 % 13).collect()),
+                Column::Ints((0..n_rows as i64).map(|i| i * 3 % 11).collect()),
+                Column::Floats((0..n_rows).map(|i| i as f64 * 0.5 - 3.0).collect()),
+            ],
+        ).unwrap();
+        let ranges = batch_ranges(n_rows, batch_rows).unwrap();
+
+        let pushed_tracker = MemTracker::unlimited();
+        let mut pushed = BatchReel::new(&pushed_tracker, triple_schema(), cap, None);
+        let mut spool = Spool::create(triple_schema(), None).unwrap();
+        for &(start, end) in &ranges {
+            let morsel = Morsel::carve(&pushed_tracker, &table.view(), start, end).unwrap();
+            spool.append(morsel.columns()).unwrap();
+            pushed.push(morsel).unwrap();
+        }
+        let opened_tracker = MemTracker::unlimited();
+        let opened = BatchReel::open(&opened_tracker, Arc::new(spool), cap).unwrap();
+
+        prop_assert_eq!(opened.n_batches(), pushed.n_batches());
+        prop_assert_eq!(opened.total_rows(), pushed.total_rows());
+        prop_assert_eq!(opened.resident_bytes(), pushed.resident_bytes());
+        prop_assert_eq!(opened.spill_bytes(), pushed.spill_bytes());
+        let state = |t: &MemTracker| (t.current(), t.peak(), t.batches(), t.spill_bytes());
+        prop_assert_eq!(state(&opened_tracker), state(&pushed_tracker));
+
+        let rows_of = |reel: &BatchReel| {
+            let mut rows = Vec::new();
+            reel.replay(|m| {
+                let (g, p, v) = (m.int_col(0)?, m.int_col(1)?, m.float_col(2)?);
+                rows.extend((0..m.n_rows()).map(|i| (g[i], p[i], v[i].to_bits())));
+                Ok(())
+            }).unwrap();
+            rows
+        };
+        let replayed = rows_of(&opened);
+        prop_assert_eq!(replayed.len(), n_rows);
+        prop_assert_eq!(replayed, rows_of(&pushed));
+        // Replaying charged and released the spilled batches alike.
+        prop_assert_eq!(state(&opened_tracker), state(&pushed_tracker));
+
+        drop(opened);
+        drop(pushed);
+        prop_assert_eq!(opened_tracker.current(), 0);
+        prop_assert_eq!(pushed_tracker.current(), 0);
     }
 }
 
