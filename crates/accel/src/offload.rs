@@ -72,12 +72,6 @@ impl Coprocessor {
         }
     }
 
-    /// Modeled end-to-end speedup of offloading (host roofline vs transfer +
-    /// device roofline).
-    pub fn modeled_speedup(&self, profile: &OpProfile) -> f64 {
-        self.host_secs(profile) / self.offload_estimate(profile).total_secs()
-    }
-
     /// Modeled *kernel-only* speedup (the paper's Table 1 reports analytics
     /// time, with data already staged through SciDB).
     pub fn modeled_kernel_speedup(&self, profile: &OpProfile) -> f64 {
@@ -100,6 +94,12 @@ impl Coprocessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// End-to-end speedup of offloading: host roofline over transfer +
+    /// device roofline.
+    fn modeled_speedup(co: &Coprocessor, profile: &OpProfile) -> f64 {
+        co.host_secs(profile) / co.offload_estimate(profile).total_secs()
+    }
 
     /// Paper-scale large dataset: 40K patients x 30K genes.
     const M: usize = 40_000;
@@ -144,7 +144,7 @@ mod tests {
         // Biclustering runs on the small filtered matrix and does little
         // compute — transfer overhead eats the gain.
         let p = OpProfile::biclustering(M / 5, N / 7, 40);
-        let s = co.modeled_speedup(&p);
+        let s = modeled_speedup(&co, &p);
         assert!(s < 2.0, "biclustering cannot be accelerated much: {s}");
     }
 
@@ -156,7 +156,7 @@ mod tests {
         // The paper: "for small data sets ... data transfer overheads ...
         // dominate overall runtime".
         assert!(est.transfer_secs > est.compute_secs * 0.1);
-        let s = co.modeled_speedup(&p);
+        let s = modeled_speedup(&co, &p);
         assert!(s < co.modeled_kernel_speedup(&p));
     }
 

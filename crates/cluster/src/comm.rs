@@ -246,12 +246,6 @@ impl NodeCtx {
         data.copy_from_slice(&total);
         Ok(())
     }
-
-    /// Rendezvous across all nodes.
-    pub fn barrier(&self) -> Result<()> {
-        let mut token = [0.0f64; 1];
-        self.allreduce_sum(&mut token)
-    }
 }
 
 fn encode_f64s(data: &[f64]) -> Vec<u8> {
@@ -394,13 +388,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(results[0], 0.0, "self-send must not charge network time");
-    }
-
-    #[test]
-    fn barrier_completes() {
-        let cluster = Cluster::new(4, NetModel::free());
-        let (results, _) = cluster.run(|ctx| ctx.barrier().map(|_| true)).unwrap();
-        assert_eq!(results, vec![true; 4]);
     }
 
     #[test]

@@ -245,15 +245,6 @@ pub fn dist_column_sums_selected(
     Ok(sums)
 }
 
-/// Center the columns of a *local* band using *global* means.
-pub fn dist_center_local(local: &mut Matrix, means: &[f64]) {
-    for r in 0..local.rows() {
-        for (v, m) in local.row_mut(r).iter_mut().zip(means) {
-            *v -= m;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,19 +1,28 @@
-//! Shared analytics kernels.
+//! Shared analytics kernels and the hand-offs around them.
 //!
 //! Every engine funnels its (differently produced) matrices through these
 //! functions, so cross-engine output consistency is guaranteed by
 //! construction and the performance differences stay where the paper puts
 //! them: in the data-management plumbing, the thread counts, and the
-//! export/serialization paths.
+//! export/serialization paths. The same holds, by the same construction,
+//! for the rest of a query's meaning: which records a filter keeps and
+//! which selections are refused ([`QueryParams`]), which kernel a plan
+//! runs on which inputs ([`dense_kernel`]), and how Query 1's fit and
+//! Query 2's pairs become output ([`regression_output`],
+//! [`covariance_output`]). A lowering owns its physical work and nothing
+//! of the question.
 
-use crate::query::{BiclusterOut, QueryOutput};
+use crate::plan::{Kernel, PlanSlot};
+use crate::query::{BiclusterOut, QueryOutput, QueryParams};
 use genbase_bicluster::{find_biclusters, ChengChurchConfig};
+use genbase_datagen::Dataset;
 use genbase_linalg::covariance::{quantile_abs_threshold, top_pairs_by_threshold};
 use genbase_linalg::{
     covariance, lanczos_topk, ExecOpts, GramOp, LinearRegression, Matrix, RegressionMethod,
 };
 use genbase_stats::wilcoxon_rank_sum_par;
 use genbase_util::{Error, Pcg64, Result};
+use std::collections::HashMap;
 
 /// Covariance-query intermediate: the threshold plus the qualifying
 /// `(row, col, covariance)` pairs as matrix-column indices.
@@ -157,6 +166,119 @@ pub fn enrichment_output(
     Ok(QueryOutput::Enrichment { per_term })
 }
 
+/// What the executed prefix of a plan hands its dense kernel; each kernel
+/// reads the fields its query's plan produced and ignores the rest.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KernelInput<'a> {
+    /// The restructured patients × genes matrix (Queries 1–4).
+    pub mat: Option<&'a Matrix>,
+    /// Drug response per matrix row (Query 1).
+    pub y: &'a [f64],
+    /// How Query 1 solves its least squares (QR unless the engine says
+    /// otherwise).
+    pub method: RegressionMethod,
+    /// Patient id per matrix row (Query 3).
+    pub patient_ids: &'a [i64],
+    /// Gene id per matrix column (Queries 1 and 3).
+    pub gene_ids: &'a [i64],
+    /// Per-gene aggregate over the sample (Query 5).
+    pub scores: &'a [f64],
+    /// Gene indices per GO term (Query 5).
+    pub memberships: &'a [Vec<u32>],
+}
+
+/// The one mapping from a plan's [`Kernel`] to the function that runs it,
+/// for every lowering that holds a dense matrix. The result lands in
+/// `slot` — Query 2's pairs wait there for their metadata join — together
+/// with the thread budget the kernel ran under.
+pub fn dense_kernel(
+    kernel: Kernel,
+    input: &KernelInput,
+    params: &QueryParams,
+    opts: &ExecOpts,
+    slot: &mut PlanSlot,
+) -> Result<()> {
+    slot.kernel_threads = Some(opts.threads);
+    let missing = || Error::invalid("restructure did not run before analytics");
+    let mat = input.mat.ok_or_else(missing);
+    let output = match kernel {
+        Kernel::Regression => fit_regression(mat?, input.y, input.gene_ids, input.method, opts)?,
+        Kernel::Covariance => {
+            slot.cov = Some(covariance_pairs(mat?, params.top_pair_fraction, opts)?);
+            return Ok(());
+        }
+        Kernel::Biclustering => bicluster_output(
+            mat?,
+            input.patient_ids,
+            input.gene_ids,
+            &params.bicluster,
+            opts,
+        )?,
+        Kernel::Svd => svd_output(mat?, params.svd_k, params.seed, opts)?,
+        Kernel::Enrichment => enrichment_output(input.scores, input.memberships, opts)?,
+    };
+    slot.output = Some(output);
+    Ok(())
+}
+
+/// `gene_id -> function` straight from the dataset's gene records (the
+/// lowerings whose gene metadata is not in a store of their own).
+pub fn gene_functions(data: &Dataset) -> HashMap<i64, i64> {
+    let genes = data.genes.iter();
+    genes.map(|g| (g.id as i64, g.function)).collect()
+}
+
+/// Query 2's final join: covariance pairs (matrix-column indices into
+/// `gene_ids`) back to gene ids and their function codes.
+pub fn covariance_output(
+    (threshold, idx_pairs): CovPairs,
+    gene_ids: &[i64],
+    functions: &HashMap<i64, i64>,
+) -> Result<QueryOutput> {
+    let function = |gene: i64| {
+        let found = functions.get(&gene).copied();
+        found.ok_or_else(|| Error::invalid(format!("no metadata for gene {gene}")))
+    };
+    let pairs = idx_pairs
+        .into_iter()
+        .map(|(a, b, v)| {
+            let (ga, gb) = (gene_ids[a], gene_ids[b]);
+            Ok((ga, gb, v, function(ga)?, function(gb)?))
+        })
+        .collect::<Result<_>>()?;
+    Ok(QueryOutput::Covariance { threshold, pairs })
+}
+
+/// Sufficient statistics of a fitted regression, summable across row
+/// bands: `[ss_res, Σy, Σy², m]`.
+pub type FitStats = [f64; 4];
+
+/// Add one observation to `stats`: `beta` is `[intercept, coefficients..]`.
+pub fn accumulate_fit(stats: &mut FitStats, beta: &[f64], features: &[f64], y: f64) {
+    let pred = beta[0] + genbase_linalg::matrix::dot(features, &beta[1..]);
+    stats[0] += (y - pred) * (y - pred);
+    stats[1] += y;
+    stats[2] += y * y;
+    stats[3] += 1.0;
+}
+
+/// Query 1 output from a solved `beta` (`[intercept, coefficients..]` in
+/// `gene_ids` order) and the fit's summed statistics.
+pub fn regression_output(beta: &[f64], gene_ids: &[i64], stats: &FitStats) -> QueryOutput {
+    let [ss_res, sum_y, sum_y2, m] = *stats;
+    let ss_tot = sum_y2 - sum_y * sum_y / m;
+    let coefficients = gene_ids.iter().copied().zip(beta[1..].iter().copied());
+    QueryOutput::Regression {
+        intercept: beta[0],
+        coefficients: coefficients.collect(),
+        r_squared: if ss_tot <= 0.0 {
+            1.0
+        } else {
+            1.0 - ss_res / ss_tot
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +376,19 @@ mod tests {
         assert!(p0 < 0.01);
         let (_, _, p1) = per_term[1];
         assert!(p1 > 0.05, "random term insignificant, p = {p1}");
+    }
+
+    #[test]
+    fn covariance_output_attaches_function_codes() {
+        let functions = HashMap::from([(5i64, 100i64), (9, 200)]);
+        let pairs = || (0.4, vec![(0, 1, 0.5)]);
+        let out = covariance_output(pairs(), &[5, 9], &functions).unwrap();
+        let expect = QueryOutput::Covariance {
+            threshold: 0.4,
+            pairs: vec![(5, 9, 0.5, 100, 200)],
+        };
+        assert_eq!(out, expect);
+        assert!(covariance_output(pairs(), &[5, 7], &functions).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The engine abstraction and execution context.
 
-use crate::engines::sql_common::LoadedTables;
+use crate::engines::loaded::LoadedTables;
 use crate::query::{Query, QueryParams};
 use crate::report::QueryReport;
 use genbase_cluster::NetModel;
@@ -136,12 +136,6 @@ impl ExecContext {
             nodes: nodes.max(1),
             ..Self::single_node()
         }
-    }
-
-    /// Replace the cutoff.
-    pub fn with_cutoff(mut self, cutoff: std::time::Duration) -> ExecContext {
-        self.cutoff = Some(cutoff);
-        self
     }
 
     /// Budget for disk-backed engine work: cutoff only.

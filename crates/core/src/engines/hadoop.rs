@@ -15,13 +15,13 @@
 //! job runtime's [`genbase_util::SimClock`], so each traced op carries the
 //! exact simulated nanoseconds its jobs charged.
 
-use crate::analytics;
+use crate::analytics::{self, KernelInput};
 use crate::engine::{Engine, ExecContext};
-use crate::plan::{self, Kernel, LogicalOp, OpKind, Phase, PhysicalBackend, Tracer};
-use crate::query::{Query, QueryOutput, QueryParams};
+use crate::plan::{self, Kernel, LogicalOp, OpKind, Phase, PhysicalBackend, PlanSlot, Tracer};
+use crate::query::{Query, QueryParams};
 use crate::report::QueryReport;
 use genbase_datagen::Dataset;
-use genbase_linalg::{cholesky::Cholesky, Matrix};
+use genbase_linalg::{cholesky::Cholesky, ExecOpts, Matrix};
 use genbase_mapreduce::hive::{Cell, HiveTable};
 use genbase_mapreduce::job::JobConfig;
 use genbase_mapreduce::mahout;
@@ -192,8 +192,6 @@ impl Engine for Hadoop {
             joined: None,
             rows: Vec::new(),
             scores: Vec::new(),
-            cov: None,
-            output: None,
         };
         plan::run_plan(backend, query, Tracer::with_sim(sim).with_mem(mem))
     }
@@ -214,8 +212,6 @@ struct MrBackend<'a> {
     joined: Option<HiveTable>,
     rows: mahout::RowMatrix,
     scores: Vec<f64>,
-    cov: Option<analytics::CovPairs>,
-    output: Option<QueryOutput>,
 }
 
 impl MrBackend<'_> {
@@ -227,9 +223,10 @@ impl MrBackend<'_> {
 }
 
 impl PhysicalBackend for MrBackend<'_> {
-    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer) -> Result<()> {
+    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer, slot: &mut PlanSlot) -> Result<()> {
         let data = self.data;
         let params = self.params;
+        let query = self.query;
         match op {
             LogicalOp::FilterGenes => {
                 let cfg = &self.cfg;
@@ -258,49 +255,24 @@ impl PhysicalBackend for MrBackend<'_> {
                         Ok((filtered, gene_ids))
                     },
                 )?;
-                if gene_ids.is_empty() {
-                    return Err(Error::invalid("gene filter selected nothing"));
-                }
+                params.check_selection(query, gene_ids.len())?;
                 self.filtered_genes = Some(filtered);
                 self.gene_ids = gene_ids;
             }
-            LogicalOp::FilterPatients => {
-                // Patient metadata is driver-resident (tiny); the filter is
-                // a driver-side scan feeding the semijoin below.
-                let sel = tracer.exec(
-                    OpKind::Filter,
-                    Phase::DataManagement,
-                    format!("driver-side filter: disease_id = {}", params.disease_id),
-                    || {
-                        Ok(data
-                            .patients
-                            .iter()
-                            .filter(|p| p.disease_id == params.disease_id)
-                            .map(|p| p.id as i64)
-                            .collect::<Vec<i64>>())
-                    },
-                )?;
-                if sel.len() < 2 {
-                    return Err(Error::invalid("disease filter selected < 2 patients"));
-                }
-                self.rows = sel.into_iter().map(|p| (p, Vec::new())).collect();
-            }
-            LogicalOp::SamplePatients => {
-                let count = params.sample_count(data.n_patients());
-                let sampled = tracer.exec(
-                    OpKind::Filter,
-                    Phase::DataManagement,
-                    format!("driver-side sample: {count} seeded patient ids"),
-                    || {
-                        Ok(
-                            analytics::sample_patients(data.n_patients(), count, params.seed)
-                                .into_iter()
-                                .map(|p| (p as i64, Vec::new()))
-                                .collect::<mahout::RowMatrix>(),
-                        )
-                    },
-                )?;
-                self.rows = sampled;
+            // Patient metadata is driver-resident (tiny): the filter and the
+            // sample draw are driver-side scans feeding the semijoin below.
+            LogicalOp::FilterPatients | LogicalOp::SamplePatients => {
+                let label = match query {
+                    Query::Statistics => format!(
+                        "driver-side sample: {} seeded patient ids",
+                        params.sample_count(data.n_patients())
+                    ),
+                    _ => format!("driver-side filter: disease_id = {}", params.disease_id),
+                };
+                let sel = tracer.exec(OpKind::Filter, Phase::DataManagement, label, || {
+                    params.selected_patients(query, data)
+                })?;
+                self.rows = sel.into_iter().map(|p| (p as i64, Vec::new())).collect();
             }
             LogicalOp::JoinOnGenes => {
                 let cfg = &self.cfg;
@@ -360,7 +332,7 @@ impl PhysicalBackend for MrBackend<'_> {
                 } else {
                     self.gene_ids.clone()
                 };
-                let attach_y = self.query == Query::Regression;
+                let attach_y = query == Query::Regression;
                 let mut rows = tracer.exec(
                     OpKind::Restructure,
                     Phase::DataManagement,
@@ -426,35 +398,15 @@ impl PhysicalBackend for MrBackend<'_> {
                             let xtx_mat = Matrix::from_fn(d, d, |i, j| xtx[i][j]);
                             let beta = Cholesky::factor(&xtx_mat)?.solve(&xty)?;
                             // Driver-side R².
-                            let m = rows.len() as f64;
-                            let (mut ss_res, mut sum_y, mut sum_y2) = (0.0, 0.0, 0.0);
+                            let mut stats = analytics::FitStats::default();
                             for (_, vec) in rows {
                                 let (features, target) = vec.split_at(vec.len() - 1);
-                                let y = target[0];
-                                let pred =
-                                    beta[0] + genbase_linalg::matrix::dot(features, &beta[1..]);
-                                ss_res += (y - pred) * (y - pred);
-                                sum_y += y;
-                                sum_y2 += y * y;
+                                analytics::accumulate_fit(&mut stats, &beta, features, target[0]);
                             }
-                            let ss_tot = sum_y2 - sum_y * sum_y / m;
-                            let r_squared = if ss_tot <= 0.0 {
-                                1.0
-                            } else {
-                                1.0 - ss_res / ss_tot
-                            };
-                            Ok(QueryOutput::Regression {
-                                intercept: beta[0],
-                                coefficients: gene_ids
-                                    .iter()
-                                    .copied()
-                                    .zip(beta[1..].iter().copied())
-                                    .collect(),
-                                r_squared,
-                            })
+                            Ok(analytics::regression_output(&beta, gene_ids, &stats))
                         },
                     )?;
-                    self.output = Some(out);
+                    slot.output = Some(out);
                 }
                 Kernel::Covariance => {
                     let cfg = &self.cfg;
@@ -473,55 +425,45 @@ impl PhysicalBackend for MrBackend<'_> {
                             Ok(analytics::pairs_from_cov(&cov, params.top_pair_fraction))
                         },
                     )?;
-                    self.cov = Some(cov);
+                    slot.cov = Some(cov);
                 }
                 Kernel::Enrichment => {
-                    let scores = std::mem::take(&mut self.scores);
-                    let budget = self.db_budget.clone();
-                    let out = tracer.exec(
+                    let opts = ExecOpts::with_threads(1).with_budget(self.db_budget.clone());
+                    let input = KernelInput {
+                        scores: &self.scores,
+                        memberships: &data.ontology.members,
+                        ..Default::default()
+                    };
+                    tracer.exec(
                         OpKind::Analytics,
                         Phase::Analytics,
                         "driver-side per-GO-term Wilcoxon rank-sum",
-                        || {
-                            let opts =
-                                genbase_linalg::ExecOpts::with_threads(1).with_budget(budget);
-                            analytics::enrichment_output(&scores, &data.ontology.members, &opts)
-                        },
+                        || analytics::dense_kernel(kernel, &input, params, &opts, slot),
                     )?;
-                    self.output = Some(out);
                 }
                 Kernel::Biclustering | Kernel::Svd => {
                     unreachable!("filtered by supports()")
                 }
             },
             LogicalOp::JoinGeneMetadata => {
-                let (threshold, idx_pairs) = self.cov.take().ok_or_else(|| {
-                    Error::invalid("covariance kernel did not run before metadata join")
-                })?;
+                let cov = slot.take_cov()?;
                 let gene_ids = &self.gene_ids;
-                let pairs = tracer.exec(
+                let out = tracer.exec(
                     OpKind::Join,
                     Phase::DataManagement,
                     "driver-side join: top pairs x gene function codes",
                     || {
-                        let functions = data
-                            .genes
-                            .iter()
-                            .map(|g| (g.id as i64, g.function))
-                            .collect();
-                        super::sql_common::attach_gene_metadata(&idx_pairs, gene_ids, &functions)
+                        analytics::covariance_output(
+                            cov,
+                            gene_ids,
+                            &analytics::gene_functions(data),
+                        )
                     },
                 )?;
-                self.output = Some(QueryOutput::Covariance { threshold, pairs });
+                slot.output = Some(out);
             }
         }
         Ok(())
-    }
-
-    fn finish(&mut self) -> Result<QueryOutput> {
-        self.output
-            .take()
-            .ok_or_else(|| Error::invalid("plan produced no output"))
     }
 }
 

@@ -20,9 +20,9 @@
 //! is not the maximum of per-node sums), so the coarse trace is the one
 //! that keeps phase totals faithful.
 
-use crate::analytics;
+use crate::analytics::{self, KernelInput};
 use crate::engine::{ExecContext, PhaseClock};
-use crate::plan::{OpCost, OpKind, Phase, PlanTrace, Tracer};
+use crate::plan::{Kernel, OpCost, OpKind, Phase, PlanSlot, PlanTrace, Tracer};
 use crate::query::{Query, QueryOutput, QueryParams};
 use crate::report::QueryReport;
 use genbase_array::Array2D;
@@ -261,18 +261,29 @@ pub fn run_multinode(
             output: None,
         };
         let sim = nctx.sim.clone();
+        // Every node knows the whole selection (metadata is replicated);
+        // its share is the selected patients inside its row band.
+        let local_rows = |selected: &[usize]| -> Vec<usize> {
+            let mine = selected.iter().filter(|&&p| band.contains(&p));
+            mine.map(|&p| p - band.start).collect()
+        };
+        // The node's share of a patient selection, as its analytics runtime
+        // receives it.
+        let select_rows = |local_rows: &[usize]| {
+            let n_genes = data.n_genes();
+            let sel = store.select_rows(local_rows, &band, n_genes, threads, &budget, &mem)?;
+            maybe_export_to_r(flavor, sel, &budget, &mem)
+        };
+        // A kernel the root runs by itself, on what was gathered to it.
+        let root_kernel = |kernel: Kernel, input: KernelInput| {
+            let mut slot = PlanSlot::default();
+            analytics::dense_kernel(kernel, &input, params, &opts, &mut slot)?;
+            Ok::<_, Error>(slot.output)
+        };
         match query {
             Query::Regression => {
                 let clock = PhaseClock::start();
-                let cols: Vec<usize> = data
-                    .genes
-                    .iter()
-                    .filter(|g| g.function < params.function_threshold)
-                    .map(|g| g.id as usize)
-                    .collect();
-                if cols.is_empty() {
-                    return Err(Error::invalid("gene filter selected nothing"));
-                }
+                let cols = params.selected_genes(query, data)?;
                 let local_x = store.select_cols(&cols, &band, threads, &budget, &mem)?;
                 let local_x = maybe_export_to_r(flavor, local_x, &budget, &mem)?;
                 let local_y: Vec<f64> = band
@@ -292,101 +303,46 @@ pub fn run_multinode(
                     }
                 });
                 let beta = dist_least_squares(nctx, &aug, &local_y, &opts)?;
-                // Distributed R²: allreduce [ss_res, Σy, Σy², m].
-                let mut acc = [0.0f64; 4];
+                // Distributed R²: allreduce the fit's sufficient statistics.
+                let mut stats = analytics::FitStats::default();
                 for (r, &y) in local_y.iter().enumerate() {
-                    let pred = beta[0] + genbase_linalg::matrix::dot(local_x.row(r), &beta[1..]);
-                    acc[0] += (y - pred) * (y - pred);
-                    acc[1] += y;
-                    acc[2] += y * y;
-                    acc[3] += 1.0;
+                    analytics::accumulate_fit(&mut stats, &beta, local_x.row(r), y);
                 }
-                nctx.allreduce_sum(&mut acc)?;
+                nctx.allreduce_sum(&mut stats)?;
                 out.an_wall = clock.secs();
                 out.an_sim = sim.total_secs() - out.dm_sim;
                 if root {
-                    let ss_tot = acc[2] - acc[1] * acc[1] / acc[3];
-                    let r_squared = if ss_tot <= 0.0 {
-                        1.0
-                    } else {
-                        1.0 - acc[0] / ss_tot
-                    };
-                    out.output = Some(QueryOutput::Regression {
-                        intercept: beta[0],
-                        coefficients: cols
-                            .iter()
-                            .map(|&c| c as i64)
-                            .zip(beta[1..].iter().copied())
-                            .collect(),
-                        r_squared,
-                    });
+                    let gene_ids: Vec<i64> = cols.iter().map(|&c| c as i64).collect();
+                    out.output = Some(analytics::regression_output(&beta, &gene_ids, &stats));
                 }
             }
             Query::Covariance => {
                 let clock = PhaseClock::start();
-                let local_rows: Vec<usize> = band
-                    .clone()
-                    .filter(|&p| data.patients[p].disease_id == params.disease_id)
-                    .map(|p| p - band.start)
-                    .collect();
-                let local_sel = store.select_rows(
-                    &local_rows,
-                    &band,
-                    data.n_genes(),
-                    threads,
-                    &budget,
-                    &mem,
-                )?;
-                let local_sel = maybe_export_to_r(flavor, local_sel, &budget, &mem)?;
+                let local_rows = local_rows(&params.selected_patients(query, data)?);
+                let local_sel = select_rows(&local_rows)?;
                 out.dm_wall = clock.secs();
                 out.dm_sim = sim.total_secs();
 
                 let clock = PhaseClock::start();
                 let mut count = [local_rows.len() as f64];
                 nctx.allreduce_sum(&mut count)?;
-                let total = count[0] as usize;
-                if total < 2 {
-                    return Err(Error::invalid("disease filter selected < 2 patients"));
-                }
-                let cov = dist_covariance(nctx, &local_sel, total, &opts)?;
+                let cov = dist_covariance(nctx, &local_sel, count[0] as usize, &opts)?;
                 out.an_wall = clock.secs();
                 out.an_sim = sim.total_secs() - out.dm_sim;
 
                 if root {
                     let clock = PhaseClock::start();
-                    let (threshold, idx_pairs) =
-                        analytics::pairs_from_cov(&cov, params.top_pair_fraction);
+                    let pairs = analytics::pairs_from_cov(&cov, params.top_pair_fraction);
                     let gene_ids: Vec<i64> = (0..data.n_genes() as i64).collect();
-                    let functions = data
-                        .genes
-                        .iter()
-                        .map(|g| (g.id as i64, g.function))
-                        .collect();
-                    let pairs =
-                        super::sql_common::attach_gene_metadata(&idx_pairs, &gene_ids, &functions)?;
+                    let functions = analytics::gene_functions(data);
+                    out.output = Some(analytics::covariance_output(pairs, &gene_ids, &functions)?);
                     out.dm_wall += clock.secs();
-                    out.output = Some(QueryOutput::Covariance { threshold, pairs });
                 }
             }
             Query::Biclustering => {
                 let clock = PhaseClock::start();
-                let local_rows: Vec<usize> = band
-                    .clone()
-                    .filter(|&p| {
-                        let rec = &data.patients[p];
-                        rec.gender == params.gender && rec.age < params.max_age
-                    })
-                    .map(|p| p - band.start)
-                    .collect();
-                let local_sel = store.select_rows(
-                    &local_rows,
-                    &band,
-                    data.n_genes(),
-                    threads,
-                    &budget,
-                    &mem,
-                )?;
-                let local_sel = maybe_export_to_r(flavor, local_sel, &budget, &mem)?;
+                let local_rows = local_rows(&params.selected_patients(query, data)?);
+                let local_sel = select_rows(&local_rows)?;
                 // Gather the filtered submatrix to the root (with the ids).
                 let ids_f64: Vec<f64> = local_rows
                     .iter()
@@ -406,34 +362,21 @@ pub fn run_multinode(
                         .flatten()
                         .map(|f| f as i64)
                         .collect();
-                    if patient_ids.len() < params.bicluster.min_rows {
-                        return Err(Error::invalid(
-                            "age/gender filter selected too few patients",
-                        ));
-                    }
                     let gene_ids: Vec<i64> = (0..data.n_genes() as i64).collect();
-                    out.output = Some(analytics::bicluster_output(
-                        &mat,
-                        &patient_ids,
-                        &gene_ids,
-                        &params.bicluster,
-                        &opts,
-                    )?);
+                    let input = KernelInput {
+                        mat: Some(&mat),
+                        patient_ids: &patient_ids,
+                        gene_ids: &gene_ids,
+                        ..Default::default()
+                    };
+                    out.output = root_kernel(Kernel::Biclustering, input)?;
                     out.an_wall = clock.secs();
                     out.an_sim = sim.total_secs() - out.dm_sim;
                 }
             }
             Query::Svd => {
                 let clock = PhaseClock::start();
-                let cols: Vec<usize> = data
-                    .genes
-                    .iter()
-                    .filter(|g| g.function < params.function_threshold)
-                    .map(|g| g.id as usize)
-                    .collect();
-                if cols.is_empty() {
-                    return Err(Error::invalid("gene filter selected nothing"));
-                }
+                let cols = params.selected_genes(query, data)?;
                 let local_x = store.select_cols(&cols, &band, threads, &budget, &mem)?;
                 let local_x = maybe_export_to_r(flavor, local_x, &budget, &mem)?;
                 out.dm_wall = clock.secs();
@@ -453,22 +396,9 @@ pub fn run_multinode(
             }
             Query::Statistics => {
                 let clock = PhaseClock::start();
-                let count = params.sample_count(data.n_patients());
-                let sampled = analytics::sample_patients(data.n_patients(), count, params.seed);
-                let local_rows: Vec<usize> = sampled
-                    .iter()
-                    .filter(|&&p| band.contains(&p))
-                    .map(|&p| p - band.start)
-                    .collect();
-                let local_sel = store.select_rows(
-                    &local_rows,
-                    &band,
-                    data.n_genes(),
-                    threads,
-                    &budget,
-                    &mem,
-                )?;
-                let local_sel = maybe_export_to_r(flavor, local_sel, &budget, &mem)?;
+                let sampled = params.selected_patients(query, data)?;
+                let local_rows = local_rows(&sampled);
+                let local_sel = select_rows(&local_rows)?;
                 out.dm_wall = clock.secs();
                 out.dm_sim = sim.total_secs();
 
@@ -480,11 +410,12 @@ pub fn run_multinode(
                         .iter()
                         .map(|s| s / sampled.len().max(1) as f64)
                         .collect();
-                    out.output = Some(analytics::enrichment_output(
-                        &scores,
-                        &data.ontology.members,
-                        &opts,
-                    )?);
+                    let input = KernelInput {
+                        scores: &scores,
+                        memberships: &data.ontology.members,
+                        ..Default::default()
+                    };
+                    out.output = root_kernel(Kernel::Enrichment, input)?;
                 }
                 out.an_wall = clock.secs();
                 out.an_sim = sim.total_secs() - out.dm_sim;

@@ -7,6 +7,7 @@
 //! Hardware acceleration (paper §5): [`SciDbPhi`].
 
 pub mod hadoop;
+pub mod loaded;
 pub mod mn;
 pub mod scidb;
 pub mod sql_common;

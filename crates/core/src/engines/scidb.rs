@@ -14,15 +14,17 @@
 //! as a model-cost trace op; see `genbase-accel`).
 
 use super::mn::{run_multinode, MnFlavor};
-use crate::analytics;
+use crate::analytics::{self, KernelInput};
 use crate::engine::{Engine, ExecContext};
-use crate::plan::{self, Kernel, LogicalOp, OpCost, OpKind, Phase, PhysicalBackend, Tracer};
-use crate::query::{Query, QueryOutput, QueryParams};
+use crate::plan::{
+    self, Kernel, LogicalOp, OpCost, OpKind, Phase, PhysicalBackend, PlanSlot, Tracer,
+};
+use crate::query::{Query, QueryParams};
 use crate::report::QueryReport;
 use genbase_accel::{Coprocessor, OpProfile};
 use genbase_array::{Array2D, AttrArray1D};
 use genbase_datagen::Dataset;
-use genbase_linalg::{ExecOpts, Matrix};
+use genbase_linalg::ExecOpts;
 use genbase_storage::{self as storage, DenseHandle, MemTracker};
 use genbase_util::{Budget, Error, Result};
 use std::collections::HashMap;
@@ -41,7 +43,7 @@ impl SciDb {
 
 /// Array-native dataset: chunked 2-D expression + 1-D attribute arrays.
 /// Immutable once ingested; every SciDB cell of a dataset borrows the one
-/// copy in the dataset's [`super::sql_common::LoadedTables`].
+/// copy in the dataset's [`super::loaded::LoadedTables`].
 pub struct ArrayData {
     pub(crate) expression: Array2D,
     pub(crate) patients: AttrArray1D,
@@ -79,6 +81,22 @@ impl ArrayData {
     /// are a rounding error beside it and were never accounted).
     pub fn heap_bytes(&self) -> u64 {
         self.expression.heap_bytes()
+    }
+
+    /// Gene coordinates passing the Query 1/4 filter: a native scan of the
+    /// `function` attribute against the shared threshold.
+    pub fn filter_genes(&self, params: &QueryParams) -> Vec<usize> {
+        let threshold = params.function_threshold;
+        self.genes.filter_coords(|r| r.int("function") < threshold)
+    }
+
+    /// Patient coordinates passing `query`'s filter (disease for Query 2,
+    /// gender and age for Query 3), scanned off the attribute arrays.
+    pub fn filter_patients(&self, query: Query, params: &QueryParams) -> Vec<usize> {
+        self.patients.filter_coords(|r| match query {
+            Query::Covariance => r.int("disease_id") == params.disease_id,
+            _ => r.int("gender") == params.gender && r.int("age") < params.max_age,
+        })
     }
 }
 
@@ -159,8 +177,6 @@ pub(crate) fn run_scidb_single(
         patient_ids: Vec::new(),
         mat: None,
         scores: Vec::new(),
-        cov: None,
-        output: None,
     };
     plan::run_plan(backend, query, Tracer::new().with_mem(mem))
 }
@@ -183,16 +199,12 @@ struct ArrayBackend<'a> {
     patient_ids: Vec<i64>,
     mat: Option<DenseHandle>,
     scores: Vec<f64>,
-    cov: Option<analytics::CovPairs>,
-    output: Option<QueryOutput>,
 }
 
 impl ArrayBackend<'_> {
-    fn mat(&self) -> Result<&Matrix> {
-        self.mat
-            .as_ref()
-            .map(DenseHandle::matrix)
-            .ok_or_else(|| Error::invalid("restructure did not run before analytics"))
+    /// Gene id per column of the gathered matrix.
+    fn gene_ids(&self) -> Vec<i64> {
+        self.cols.iter().map(|&c| c as i64).collect()
     }
 
     /// Run one analytics kernel, translating its measured time through the
@@ -243,9 +255,10 @@ impl ArrayBackend<'_> {
 }
 
 impl PhysicalBackend for ArrayBackend<'_> {
-    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer) -> Result<()> {
+    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer, slot: &mut PlanSlot) -> Result<()> {
         let data = self.data;
         let params = self.params;
+        let query = self.query;
         match op {
             LogicalOp::FilterGenes => {
                 let arrays = &self.arrays;
@@ -256,20 +269,13 @@ impl PhysicalBackend for ArrayBackend<'_> {
                         "dimension filter: gene coords with function < {}",
                         params.function_threshold
                     ),
-                    || {
-                        Ok(arrays
-                            .genes
-                            .filter_coords(|r| r.int("function") < params.function_threshold))
-                    },
+                    || Ok(arrays.filter_genes(params)),
                 )?;
-                if cols.is_empty() {
-                    return Err(Error::invalid("gene filter selected nothing"));
-                }
+                params.check_selection(query, cols.len())?;
                 self.cols = cols;
             }
             LogicalOp::FilterPatients => {
                 let arrays = &self.arrays;
-                let query = self.query;
                 let label = match query {
                     Query::Covariance => format!(
                         "dimension filter: patient coords with disease_id = {}",
@@ -281,26 +287,9 @@ impl PhysicalBackend for ArrayBackend<'_> {
                     ),
                 };
                 let rows = tracer.exec(OpKind::Filter, Phase::DataManagement, label, || {
-                    Ok(match query {
-                        Query::Covariance => arrays
-                            .patients
-                            .filter_coords(|r| r.int("disease_id") == params.disease_id),
-                        _ => arrays.patients.filter_coords(|r| {
-                            r.int("gender") == params.gender && r.int("age") < params.max_age
-                        }),
-                    })
+                    Ok(arrays.filter_patients(query, params))
                 })?;
-                match self.query {
-                    Query::Covariance if rows.len() < 2 => {
-                        return Err(Error::invalid("disease filter selected < 2 patients"))
-                    }
-                    Query::Biclustering if rows.len() < params.bicluster.min_rows => {
-                        return Err(Error::invalid(
-                            "age/gender filter selected too few patients",
-                        ))
-                    }
-                    _ => {}
-                }
+                params.check_selection(query, rows.len())?;
                 self.patient_ids = rows.iter().map(|&r| r as i64).collect();
                 self.rows = rows;
             }
@@ -310,13 +299,7 @@ impl PhysicalBackend for ArrayBackend<'_> {
                     OpKind::Filter,
                     Phase::DataManagement,
                     format!("sample {count} patient coords (seeded)"),
-                    || {
-                        Ok(analytics::sample_patients(
-                            data.n_patients(),
-                            count,
-                            params.seed,
-                        ))
-                    },
+                    || params.selected_patients(query, data),
                 )?;
                 self.rows = sampled;
             }
@@ -379,100 +362,56 @@ impl PhysicalBackend for ArrayBackend<'_> {
                 self.scores = scores;
             }
             LogicalOp::Analytics(kernel) => {
-                let opts = self.opts.clone();
-                match kernel {
-                    Kernel::Regression => {
-                        let y = self.arrays.patients.float_attr("drug_response")?.to_vec();
-                        let gene_ids: Vec<i64> = self.cols.iter().map(|&c| c as i64).collect();
-                        let mat = self.mat()?;
-                        let out =
-                            self.kernel_op(tracer, "ScaLAPACK QR least squares", None, || {
-                                analytics::fit_regression(
-                                    mat,
-                                    &y,
-                                    &gene_ids,
-                                    genbase_linalg::RegressionMethod::Qr,
-                                    &opts,
-                                )
-                            })?;
-                        self.output = Some(out);
-                    }
-                    Kernel::Covariance => {
-                        let mat = self.mat()?;
-                        let profile = OpProfile::covariance(self.rows.len(), data.n_genes());
-                        let cov = self.kernel_op(
-                            tracer,
-                            "blocked covariance + top-fraction threshold",
-                            Some(profile),
-                            || analytics::covariance_pairs(mat, params.top_pair_fraction, &opts),
-                        )?;
-                        self.cov = Some(cov);
-                    }
-                    Kernel::Biclustering => {
-                        let mat = self.mat()?;
-                        let gene_ids: Vec<i64> = self.cols.iter().map(|&c| c as i64).collect();
-                        let patient_ids = &self.patient_ids;
-                        let profile = OpProfile::biclustering(self.rows.len(), data.n_genes(), 40);
-                        let out = self.kernel_op(
-                            tracer,
-                            "Cheng-Church delta-biclustering",
-                            Some(profile),
-                            || {
-                                analytics::bicluster_output(
-                                    mat,
-                                    patient_ids,
-                                    &gene_ids,
-                                    &params.bicluster,
-                                    &opts,
-                                )
-                            },
-                        )?;
-                        self.output = Some(out);
-                    }
-                    Kernel::Svd => {
-                        let mat = self.mat()?;
-                        let profile = OpProfile::svd_lanczos(
+                let (n_rows, n_cols, n_genes) = (self.rows.len(), self.cols.len(), data.n_genes());
+                let (label, profile) = match kernel {
+                    Kernel::Regression => ("ScaLAPACK QR least squares", None),
+                    Kernel::Covariance => (
+                        "blocked covariance + top-fraction threshold",
+                        Some(OpProfile::covariance(n_rows, n_genes)),
+                    ),
+                    Kernel::Biclustering => (
+                        "Cheng-Church delta-biclustering",
+                        Some(OpProfile::biclustering(n_rows, n_genes, 40)),
+                    ),
+                    Kernel::Svd => (
+                        "Lanczos top-k eigenpairs",
+                        Some(OpProfile::svd_lanczos(
                             data.n_patients(),
-                            self.cols.len(),
-                            params.svd_k.min(self.cols.len()),
-                        );
-                        let out = self.kernel_op(
-                            tracer,
-                            "Lanczos top-k eigenpairs",
-                            Some(profile),
-                            || analytics::svd_output(mat, params.svd_k, params.seed, &opts),
-                        )?;
-                        self.output = Some(out);
-                    }
-                    Kernel::Enrichment => {
-                        let scores = std::mem::take(&mut self.scores);
-                        let profile = OpProfile::statistics(
-                            self.rows.len(),
-                            data.n_genes(),
+                            n_cols,
+                            params.svd_k.min(n_cols),
+                        )),
+                    ),
+                    Kernel::Enrichment => (
+                        "per-GO-term Wilcoxon rank-sum",
+                        Some(OpProfile::statistics(
+                            n_rows,
+                            n_genes,
                             data.ontology.n_terms(),
-                        );
-                        let out = self.kernel_op(
-                            tracer,
-                            "per-GO-term Wilcoxon rank-sum",
-                            Some(profile),
-                            || analytics::enrichment_output(&scores, &data.ontology.members, &opts),
-                        )?;
-                        self.output = Some(out);
-                    }
-                }
+                        )),
+                    ),
+                };
+                let gene_ids = self.gene_ids();
+                let input = KernelInput {
+                    mat: self.mat.as_ref().map(DenseHandle::matrix),
+                    y: self.arrays.patients.float_attr("drug_response")?,
+                    patient_ids: &self.patient_ids,
+                    gene_ids: &gene_ids,
+                    scores: &self.scores,
+                    memberships: &data.ontology.members,
+                    ..Default::default()
+                };
+                self.kernel_op(tracer, label, profile, || {
+                    analytics::dense_kernel(kernel, &input, params, &self.opts, slot)
+                })?;
             }
             LogicalOp::JoinGeneMetadata => {
-                let (threshold, idx_pairs) = self.cov.take().ok_or_else(|| {
-                    Error::invalid("covariance kernel did not run before metadata join")
-                })?;
+                let cov = slot.take_cov()?;
                 let arrays = &self.arrays;
-                let cols = &self.cols;
-                let pairs = tracer.exec(
+                let out = tracer.exec(
                     OpKind::Join,
                     Phase::DataManagement,
                     "attribute lookup: function codes for top pairs",
                     || {
-                        let gene_ids: Vec<i64> = cols.iter().map(|&c| c as i64).collect();
                         let functions: HashMap<i64, i64> = arrays
                             .genes
                             .int_attr("function")?
@@ -480,19 +419,13 @@ impl PhysicalBackend for ArrayBackend<'_> {
                             .enumerate()
                             .map(|(g, &f)| (g as i64, f))
                             .collect();
-                        super::sql_common::attach_gene_metadata(&idx_pairs, &gene_ids, &functions)
+                        analytics::covariance_output(cov, &self.gene_ids(), &functions)
                     },
                 )?;
-                self.output = Some(QueryOutput::Covariance { threshold, pairs });
+                slot.output = Some(out);
             }
         }
         Ok(())
-    }
-
-    fn finish(&mut self) -> Result<QueryOutput> {
-        self.output
-            .take()
-            .ok_or_else(|| Error::invalid("plan produced no output"))
     }
 }
 

@@ -16,10 +16,11 @@
 //!   normal-equation aggregate, covariance/SVD *simulated in SQL* over the
 //!   triple representation (slow by construction, as the paper observes).
 
-use super::scidb::ArrayData;
-use crate::analytics;
-use crate::engine::{ExecContext, StreamConfig};
-use crate::plan::{self, Kernel, LogicalOp, OpCost, OpKind, Phase, PhysicalBackend, Tracer};
+use crate::analytics::{self, KernelInput};
+use crate::engine::ExecContext;
+use crate::plan::{
+    self, Kernel, LogicalOp, OpCost, OpKind, Phase, PhysicalBackend, PlanSlot, Tracer,
+};
 use crate::query::{Query, QueryOutput, QueryParams};
 use crate::report::QueryReport;
 use genbase_datagen::Dataset;
@@ -29,12 +30,11 @@ use genbase_relational::{
 };
 use genbase_storage::{
     self as storage, BatchReel, CachePin, CacheScope, CacheValue, Column, ColumnarTable,
-    DenseHandle, MemTracker, Morsel, Spool,
+    DenseHandle, MemTracker, Morsel,
 };
-use genbase_util::{lock, Budget, Error, IdIndex, Result};
+use genbase_util::{Budget, Error, IdIndex, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Which store backs the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ pub enum Bridge {
 }
 
 /// Patient-table column names, in schema order (predicate labels).
-pub const PATIENT_COLS: [&str; 6] = [
+const PATIENT_COLS: [&str; 6] = [
     "patient_id",
     "age",
     "gender",
@@ -68,9 +68,64 @@ pub const PATIENT_COLS: [&str; 6] = [
 ];
 
 /// Gene-table column names, in schema order (predicate labels).
-pub const GENE_COLS: [&str; 5] = ["gene_id", "target", "position", "length", "function"];
+const GENE_COLS: [&str; 5] = ["gene_id", "target", "position", "length", "function"];
 
-fn triple_schema() -> Schema {
+/// The two dimensions of the microarray. A metadata filter scans one
+/// dimension's table; a triple join probes that dimension's id column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dim {
+    /// Genes: the gene table, triple column 0.
+    Genes,
+    /// Patients: the patient table, triple column 1.
+    Patients,
+}
+
+impl Dim {
+    /// The dimension a filter or join op works on.
+    fn of(op: LogicalOp) -> Dim {
+        match op {
+            LogicalOp::FilterGenes | LogicalOp::JoinOnGenes => Dim::Genes,
+            _ => Dim::Patients,
+        }
+    }
+
+    /// The dimension's id column: its name, and its position in a triple.
+    fn key(self) -> (&'static str, usize) {
+        match self {
+            Dim::Genes => ("gene_id", 0),
+            Dim::Patients => ("patient_id", 1),
+        }
+    }
+
+    /// Column names of the dimension's metadata table (predicate labels).
+    fn cols(self) -> &'static [&'static str] {
+        match self {
+            Dim::Genes => &GENE_COLS,
+            Dim::Patients => &PATIENT_COLS,
+        }
+    }
+
+    /// What a join's label calls the ids it probes with.
+    fn selection(self) -> &'static str {
+        match self {
+            Dim::Genes => "filtered genes",
+            Dim::Patients => "selected patients",
+        }
+    }
+}
+
+/// `query`'s metadata filter as the stores' native predicate — over the gene
+/// table for Queries 1/4, the patient table for Queries 2/3 — with its
+/// constants from the shared parameters. The scan stays the store's own.
+pub fn filter_pred(query: Query, params: &QueryParams) -> Pred {
+    match query {
+        Query::Covariance => Pred::IntEq(4, params.disease_id),
+        Query::Biclustering => Pred::IntEq(2, params.gender).and(Pred::IntLt(1, params.max_age)),
+        _ => Pred::IntLt(4, params.function_threshold),
+    }
+}
+
+pub(super) fn triple_schema() -> Schema {
     Schema::new(&[
         ("gene_id", DataType::Int),
         ("patient_id", DataType::Int),
@@ -143,22 +198,14 @@ pub type TripleSet = ColumnarTable;
 
 impl SqlStore {
     /// Load a dataset into the store. The paper times queries against
-    /// loaded data, and so does the wall clock here: [`LoadedTables`] is
-    /// the only caller, once per dataset and store kind, and every cell of
-    /// that dataset borrows the result.
-    pub fn ingest(kind: StoreKind, data: &Dataset) -> Result<SqlStore> {
-        Self::ingest_inner(kind, data, true)
-    }
-
-    /// Load only the metadata tables (streaming ingest: the microarray
-    /// triples live in a [`Spool`] instead of a base table; the store
-    /// keeps empty triple tables so every metadata path is unchanged).
-    /// Loaded once per dataset like [`SqlStore::ingest`].
-    pub fn ingest_metadata(kind: StoreKind, data: &Dataset) -> Result<SqlStore> {
-        Self::ingest_inner(kind, data, false)
-    }
-
-    fn ingest_inner(kind: StoreKind, data: &Dataset, with_triples: bool) -> Result<SqlStore> {
+    /// loaded data, and so does the wall clock here:
+    /// [`super::loaded::LoadedTables`] is the only caller, once per dataset
+    /// and store kind, and every cell of that dataset borrows the result.
+    /// Without `with_triples` only the metadata tables load (streaming: the
+    /// microarray triples live in a [`genbase_storage::Spool`] instead of a
+    /// base table; the store keeps empty triple tables so every metadata
+    /// path is unchanged).
+    pub fn ingest(kind: StoreKind, data: &Dataset, with_triples: bool) -> Result<SqlStore> {
         match kind {
             StoreKind::Row => {
                 let mut triples = RowTable::new(triple_schema());
@@ -283,35 +330,22 @@ impl SqlStore {
         }
     }
 
-    /// Gene ids with `function < threshold`, ascending.
-    pub fn filter_gene_ids(&self, threshold: i64, budget: &Budget) -> Result<Vec<i64>> {
-        let pred = Pred::IntLt(4, threshold);
+    /// Ids of the `dim` metadata rows matching `pred`, ascending.
+    pub fn filter_ids(&self, dim: Dim, pred: &Pred, budget: &Budget) -> Result<Vec<i64>> {
         match self {
-            SqlStore::Row { genes, .. } => {
-                genes.filter_project(&pred, &[0], budget)?.distinct_ints(0)
+            SqlStore::Row {
+                genes, patients, ..
+            } => {
+                let table = if dim == Dim::Genes { genes } else { patients };
+                table.filter_project(pred, &[0], budget)?.distinct_ints(0)
             }
-            SqlStore::Column { genes, .. } => {
-                let sel = genes.select(&pred, budget)?;
+            SqlStore::Column {
+                genes, patients, ..
+            } => {
+                let table = if dim == Dim::Genes { genes } else { patients };
+                let sel = table.select(pred, budget)?;
                 let mut ids: Vec<i64> = {
-                    let col = genes.int_col(0)?;
-                    sel.iter().map(|&i| col[i as usize]).collect()
-                };
-                ids.sort_unstable();
-                Ok(ids)
-            }
-        }
-    }
-
-    /// Patient ids matching a metadata predicate, ascending.
-    pub fn filter_patient_ids(&self, pred: &Pred, budget: &Budget) -> Result<Vec<i64>> {
-        match self {
-            SqlStore::Row { patients, .. } => patients
-                .filter_project(pred, &[0], budget)?
-                .distinct_ints(0),
-            SqlStore::Column { patients, .. } => {
-                let sel = patients.select(pred, budget)?;
-                let mut ids: Vec<i64> = {
-                    let col = patients.int_col(0)?;
+                    let col = table.int_col(0)?;
                     sel.iter().map(|&i| col[i as usize]).collect()
                 };
                 ids.sort_unstable();
@@ -378,24 +412,30 @@ impl SqlStore {
         Ok(table)
     }
 
-    /// Memoized triple join: a hit skips the hash join and the row→column
-    /// conversion, rebuilding the working set from the cached columns with
-    /// the cold path's accounting; a miss runs `cold` and publishes its
-    /// columns. `dims` names the source dataset (`patients x genes`).
-    fn join_cached(
+    /// Join the microarray triples against a set of `dim` ids, projecting
+    /// `(gene_id, patient_id, value)` into the unified columnar working
+    /// set. Memoized under `cache`: a hit skips the hash join and the
+    /// row→column conversion, rebuilding the working set from the cached
+    /// columns with the cold path's accounting; a miss publishes its
+    /// columns. `shape` names the source dataset (`patients x genes`).
+    pub fn join_triples(
         &self,
-        cache: Option<&CacheScope>,
-        dims: (usize, usize),
-        conversion: &str,
+        dim: Dim,
         ids: &[i64],
+        cache: Option<&CacheScope>,
+        shape: (usize, usize),
+        budget: &Budget,
         mem: &MemTracker,
-        cold: impl FnOnce() -> Result<TripleSet>,
     ) -> Result<(TripleSet, Option<CachePin>)> {
         let Some(scope) = cache else {
-            return Ok((cold()?, None));
+            return Ok((self.join_cold(dim, ids, budget, mem)?, None));
+        };
+        let conversion = match dim {
+            Dim::Genes => "join-genes",
+            Dim::Patients => "join-patients",
         };
         let extra = format!("{}|{:016x}", self.kind_tag(), storage::digest_ids(ids));
-        let key = scope.key(dims.0, dims.1, conversion, &extra);
+        let key = scope.key(shape.0, shape.1, conversion, &extra);
         match scope.cache().begin(&key) {
             storage::Lookup::Hit(value, pin) => {
                 let (schema, columns) = value
@@ -406,7 +446,7 @@ impl SqlStore {
                 Ok((table, Some(pin)))
             }
             storage::Lookup::Build(slot) => {
-                let table = cold()?;
+                let table = self.join_cold(dim, ids, budget, mem)?;
                 let columns: Vec<Column> = (0..table.schema().arity())
                     .map(|i| table.view().column_copy(i))
                     .collect();
@@ -421,49 +461,22 @@ impl SqlStore {
         }
     }
 
-    /// Cache-aware [`SqlStore::join_triples_on_genes`].
-    pub fn join_triples_on_genes_cached(
+    /// The hash join behind [`SqlStore::join_triples`].
+    fn join_cold(
         &self,
-        cache: Option<&CacheScope>,
-        dims: (usize, usize),
-        gene_ids: &[i64],
-        budget: &Budget,
-        mem: &MemTracker,
-    ) -> Result<(TripleSet, Option<CachePin>)> {
-        self.join_cached(cache, dims, "join-genes", gene_ids, mem, || {
-            self.join_triples_on_genes(gene_ids, budget, mem)
-        })
-    }
-
-    /// Cache-aware [`SqlStore::join_triples_on_patients`].
-    pub fn join_triples_on_patients_cached(
-        &self,
-        cache: Option<&CacheScope>,
-        dims: (usize, usize),
-        patient_ids: &[i64],
-        budget: &Budget,
-        mem: &MemTracker,
-    ) -> Result<(TripleSet, Option<CachePin>)> {
-        self.join_cached(cache, dims, "join-patients", patient_ids, mem, || {
-            self.join_triples_on_patients(patient_ids, budget, mem)
-        })
-    }
-
-    /// Join the microarray triples against a set of gene ids, projecting
-    /// `(gene_id, patient_id, value)` into the unified columnar working set.
-    pub fn join_triples_on_genes(
-        &self,
-        gene_ids: &[i64],
+        dim: Dim,
+        ids: &[i64],
         budget: &Budget,
         mem: &MemTracker,
     ) -> Result<TripleSet> {
-        let key_schema = Schema::new(&[("gene_id", DataType::Int)]).expect("static schema");
+        let (key, column) = dim.key();
+        let key_schema = Schema::new(&[(key, DataType::Int)]).expect("static schema");
         match self {
             SqlStore::Row { triples, .. } => {
                 mem.note_input(triples.heap_bytes());
                 let build =
-                    RowTable::from_rows(key_schema, gene_ids.iter().map(|&g| vec![Value::Int(g)]))?;
-                let joined = triples.hash_join(0, &build, 0, budget)?;
+                    RowTable::from_rows(key_schema, ids.iter().map(|&id| vec![Value::Int(id)]))?;
+                let joined = triples.hash_join(column, &build, 0, budget)?;
                 let projected = joined.project(&[0, 1, 2], budget)?;
                 drop(joined);
                 // Row store output leaves the pages through a row→column
@@ -472,43 +485,9 @@ impl SqlStore {
             }
             SqlStore::Column { triples, .. } => {
                 mem.note_input(triples.heap_bytes());
-                let build = ColumnTable::from_columns(
-                    key_schema,
-                    vec![ColumnData::Ints(gene_ids.to_vec())],
-                )?;
-                let joined = triples.hash_join(0, &build, 0, budget)?;
-                storage::columnar_from_column_table(mem, joined.into_projected(&[0, 1, 2])?)
-            }
-        }
-    }
-
-    /// Join the microarray triples against a set of patient ids.
-    pub fn join_triples_on_patients(
-        &self,
-        patient_ids: &[i64],
-        budget: &Budget,
-        mem: &MemTracker,
-    ) -> Result<TripleSet> {
-        let key_schema = Schema::new(&[("patient_id", DataType::Int)]).expect("static schema");
-        match self {
-            SqlStore::Row { triples, .. } => {
-                mem.note_input(triples.heap_bytes());
-                let build = RowTable::from_rows(
-                    key_schema,
-                    patient_ids.iter().map(|&p| vec![Value::Int(p)]),
-                )?;
-                let joined = triples.hash_join(1, &build, 0, budget)?;
-                let projected = joined.project(&[0, 1, 2], budget)?;
-                drop(joined);
-                storage::columnar_from_relation(mem, &projected)
-            }
-            SqlStore::Column { triples, .. } => {
-                mem.note_input(triples.heap_bytes());
-                let build = ColumnTable::from_columns(
-                    key_schema,
-                    vec![ColumnData::Ints(patient_ids.to_vec())],
-                )?;
-                let joined = triples.hash_join(1, &build, 0, budget)?;
+                let build =
+                    ColumnTable::from_columns(key_schema, vec![ColumnData::Ints(ids.to_vec())])?;
+                let joined = triples.hash_join(column, &build, 0, budget)?;
                 storage::columnar_from_column_table(mem, joined.into_projected(&[0, 1, 2])?)
             }
         }
@@ -591,135 +570,6 @@ impl SqlStore {
             m.sort_unstable();
         }
         Ok(members)
-    }
-
-    /// Per-gene `(sum, count)` of expression values in a triple set (SQL
-    /// GROUP BY gene_id).
-    pub fn group_sum_by_gene(&self, set: &TripleSet) -> Result<Vec<(i64, f64, u64)>> {
-        set.group_sum(0, 2)
-    }
-}
-
-/// A load-once slot: built by the first cell that asks, while cells asking
-/// meanwhile block on that build; a failed build is stored as the typed
-/// error it is and every later cell gets the same one.
-type Slot<T> = OnceLock<Result<Arc<T>>>;
-
-/// What one dataset's cells share instead of loading per cell: an immutable
-/// [`SqlStore`] per [`StoreKind`], with or without the triple table
-/// (`--stream` cells share only the metadata tables); the triples as an
-/// on-disk [`Spool`] per morsel size under every streaming cell's reel; and
-/// SciDB's chunked [`ArrayData`].
-///
-/// Each is built exactly once, by the first cell that asks; cells asking
-/// meanwhile block on that build and every later cell gets an `Arc` clone —
-/// the [`genbase_datagen::DatasetPool`] slot pattern. The
-/// [`crate::harness::Harness`] owns one set per generated size class and
-/// puts it on the [`ExecContext`] of every cell it runs, so the tables (and
-/// the spool file) live exactly as long as the dataset they were loaded
-/// from; a context built without a harness carries an empty set of its own.
-///
-/// A set belongs to the first dataset it loads. Asking it for another
-/// dataset's tables is an error, never a wrong answer.
-#[derive(Default)]
-pub struct LoadedTables {
-    dataset: OnceLock<genbase_datagen::DatasetId>,
-    /// `[kind][with_triples]`.
-    stores: [[Slot<SqlStore>; 2]; 2],
-    /// By `batch_rows`.
-    spools: Mutex<HashMap<usize, Arc<Slot<Spool>>>>,
-    arrays: Slot<ArrayData>,
-    builds: AtomicU64,
-}
-
-impl LoadedTables {
-    /// `slot`'s value, built from `data` by `build` on first use.
-    fn load<T>(
-        &self,
-        slot: &Slot<T>,
-        data: &Dataset,
-        build: impl FnOnce() -> Result<T>,
-    ) -> Result<Arc<T>> {
-        let owner = *self.dataset.get_or_init(|| data.id());
-        if owner != data.id() {
-            return Err(Error::invalid(format!(
-                "base tables loaded from dataset {owner} cannot serve dataset {}",
-                data.id()
-            )));
-        }
-        slot.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            build().map(Arc::new)
-        })
-        .clone()
-    }
-
-    /// The `kind` store of `data`, loaded on first use. `with_triples`
-    /// false is the metadata-only store of streaming cells.
-    pub fn store(
-        &self,
-        kind: StoreKind,
-        with_triples: bool,
-        data: &Dataset,
-    ) -> Result<Arc<SqlStore>> {
-        let slot = &self.stores[kind as usize][usize::from(with_triples)];
-        self.load(slot, data, || {
-            if with_triples {
-                SqlStore::ingest(kind, data)
-            } else {
-                SqlStore::ingest_metadata(kind, data)
-            }
-        })
-    }
-
-    /// `data`'s triples spooled as `cfg.batch_rows`-row morsels under
-    /// `cfg.spill_dir`, written on first use.
-    pub fn spool(&self, cfg: &StreamConfig, data: &Dataset) -> Result<Arc<Spool>> {
-        let slot = Arc::clone(lock(&self.spools).entry(cfg.batch_rows).or_default());
-        self.load(&slot, data, || spool_triples(data, cfg))
-    }
-
-    /// `data` as SciDB's chunked arrays, ingested on first use.
-    pub fn arrays(&self, data: &Dataset) -> Result<Arc<ArrayData>> {
-        self.load(&self.arrays, data, || ArrayData::ingest(data))
-    }
-
-    /// Loads run so far, stores, spools and arrays alike (each at most
-    /// once: under one harness, which either streams at one morsel size or
-    /// does not, at most 2 stores + 1 spool + 1 array set).
-    pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Heap bytes of the stores and arrays resident now.
-    pub fn heap_bytes(&self) -> u64 {
-        let stores = self.stores.iter().flatten();
-        let stores = stores.filter_map(|slot| Some(slot.get()?.as_ref().ok()?.heap_bytes()));
-        let arrays = self
-            .arrays
-            .get()
-            .and_then(|a| Some(a.as_ref().ok()?.heap_bytes()));
-        stores.chain(arrays).sum()
-    }
-
-    /// Bytes of the spool files on disk now.
-    pub fn spool_bytes(&self) -> u64 {
-        let spools = lock(&self.spools);
-        let built = spools
-            .values()
-            .filter_map(|slot| Some(slot.get()?.as_ref().ok()?.bytes()));
-        built.sum()
-    }
-}
-
-impl std::fmt::Debug for LoadedTables {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoadedTables")
-            .field("dataset", &self.dataset.get())
-            .field("builds", &self.builds())
-            .field("heap_bytes", &self.heap_bytes())
-            .field("spool_bytes", &self.spool_bytes())
-            .finish()
     }
 }
 
@@ -849,84 +699,12 @@ impl GeneSums {
     }
 }
 
-/// Streaming ingest, once per dataset: spool the microarray triples as
-/// `batch_rows`-row morsels in base order (patient-major, gene-minor — the
-/// exact order both stores ingest in, which is the expression matrix's own
-/// row-major order).
-fn spool_triples(data: &Dataset, cfg: &StreamConfig) -> Result<Spool> {
-    let n_genes = data.n_genes();
-    let values = data.expression.data();
-    let ranges = storage::batch_ranges(values.len(), cfg.batch_rows)?;
-    let mut spool = Spool::create(triple_schema(), cfg.spill_dir.as_deref())?;
-    for (start, end) in ranges {
-        spool.append(&[
-            Column::Ints((start..end).map(|i| (i % n_genes) as i64).collect()),
-            Column::Ints((start..end).map(|i| (i / n_genes) as i64).collect()),
-            Column::Floats(values[start..end].to_vec()),
-        ])?;
-    }
-    Ok(spool)
-}
-
-/// In-database restructure: pivot a triple set into a dense matrix through
-/// the storage layer's one pivot kernel (single-threaded here — the pivot
-/// runs inside one Postgres/column-store backend process).
-pub fn pivot(
-    set: &TripleSet,
-    patient_ids: &[i64],
-    gene_ids: &[i64],
-    budget: &Budget,
-    mem: &MemTracker,
-) -> Result<Matrix> {
-    storage::pivot_dense(
-        &set.view(),
-        (1, 0, 2),
-        patient_ids,
-        gene_ids,
-        1,
-        mem,
-        budget,
-    )
-}
-
-/// DBMS half of the export bridge: serialize the triple set to CSV text.
-pub fn export_triples_csv(set: &TripleSet, db_budget: &Budget, mem: &MemTracker) -> Result<String> {
-    storage::export_csv_tracked(set, mem, db_budget)
-}
-
-/// R half of the export bridge: `read.csv` the exported text and pivot it
-/// into a dense matrix (single-threaded, against the R memory budget).
-pub fn pivot_csv_in_r(
-    text: &str,
-    patient_ids: &[i64],
-    gene_ids: &[i64],
-    r_budget: &Budget,
-    mem: &MemTracker,
-) -> Result<Matrix> {
-    storage::pivot_csv_tracked(text, patient_ids, gene_ids, mem, r_budget)
-}
-
-/// The export bridge end to end: CSV-serialize the triple set (DBMS side),
-/// then parse and pivot it "in R". The plan executor traces the two halves
-/// as separate `Export` and `Restructure` ops.
-pub fn export_and_pivot_in_r(
-    set: &TripleSet,
-    patient_ids: &[i64],
-    gene_ids: &[i64],
-    db_budget: &Budget,
-    r_budget: &Budget,
-    mem: &MemTracker,
-) -> Result<Matrix> {
-    let text = export_triples_csv(set, db_budget, mem)?;
-    pivot_csv_in_r(&text, patient_ids, gene_ids, r_budget, mem)
-}
-
 /// The UDF marshalling penalty observed by the paper on the biclustering
 /// query: the column store's R-UDF interface hands the matrix over
 /// row-at-a-time through boxed records rather than as one block. We
 /// reproduce the mechanism: every row is converted to a `Vec<Value>` and
 /// back (allocation + boxing per cell).
-pub fn udf_row_marshal(mat: &Matrix, budget: &Budget, mem: &MemTracker) -> Result<Matrix> {
+fn udf_row_marshal(mat: &Matrix, budget: &Budget, mem: &MemTracker) -> Result<Matrix> {
     mem.note_input(mat.heap_bytes());
     let mut out = Matrix::zeros(mat.rows(), mat.cols());
     for r in 0..mat.rows() {
@@ -1049,8 +827,6 @@ impl LinearOp for SqlSimGramOp<'_> {
 /// Full single-node SQL-engine runner shared by Postgres+R, column store
 /// +R/UDFs, and Postgres+Madlib.
 pub struct SqlEngineSpec {
-    /// Display name.
-    pub name: &'static str,
     /// Row or column storage.
     pub kind: StoreKind,
     /// Analytics bridge.
@@ -1124,8 +900,6 @@ impl SqlEngineSpec {
             y: Vec::new(),
             memberships: Vec::new(),
             scores: Vec::new(),
-            cov: None,
-            output: None,
         };
         plan::run_plan(backend, query, Tracer::new().with_mem(mem))
     }
@@ -1155,8 +929,6 @@ struct SqlBackend<'a> {
     y: Vec<f64>,
     memberships: Vec<Vec<u32>>,
     scores: Vec<f64>,
-    cov: Option<analytics::CovPairs>,
-    output: Option<QueryOutput>,
 }
 
 impl SqlBackend<'_> {
@@ -1166,11 +938,14 @@ impl SqlBackend<'_> {
             .ok_or_else(|| Error::invalid("triple join did not run before this op"))
     }
 
-    fn mat(&self) -> Result<&Matrix> {
-        self.mat
-            .as_ref()
-            .map(DenseHandle::matrix)
-            .ok_or_else(|| Error::invalid("restructure did not run before analytics"))
+    /// Query 1's targets — the join op fetches them with the triples —
+    /// for `self.patient_ids`; empty for every other query.
+    fn responses(&self) -> Result<Vec<f64>> {
+        if self.query == Query::Regression {
+            self.store.drug_responses(&self.patient_ids)
+        } else {
+            Ok(Vec::new())
+        }
     }
 
     /// In-database paths that never materialize a matrix: Madlib simulates
@@ -1212,50 +987,25 @@ impl PhysicalBackend for SqlBackend<'_> {
         Ok(())
     }
 
-    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer) -> Result<()> {
+    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer, slot: &mut PlanSlot) -> Result<()> {
         let data = self.data;
         let params = self.params;
         match op {
-            LogicalOp::FilterGenes => {
-                let pred = Pred::IntLt(4, params.function_threshold);
-                let store = &self.store;
-                let db_budget = &self.db_budget;
-                let gene_ids = tracer.exec(
+            LogicalOp::FilterGenes | LogicalOp::FilterPatients => {
+                let dim = Dim::of(op);
+                let pred = filter_pred(self.query, params);
+                let (store, db_budget) = (&self.store, &self.db_budget);
+                let ids = tracer.exec(
                     OpKind::Filter,
                     Phase::DataManagement,
-                    format!("SELECT gene_id WHERE {}", pred.describe(&GENE_COLS)),
-                    || store.filter_gene_ids(params.function_threshold, db_budget),
+                    format!("SELECT {} WHERE {}", dim.key().0, pred.describe(dim.cols())),
+                    || store.filter_ids(dim, &pred, db_budget),
                 )?;
-                if gene_ids.is_empty() {
-                    return Err(Error::invalid("gene filter selected nothing"));
+                params.check_selection(self.query, ids.len())?;
+                match dim {
+                    Dim::Genes => self.gene_ids = ids,
+                    Dim::Patients => self.patient_ids = ids,
                 }
-                self.gene_ids = gene_ids;
-            }
-            LogicalOp::FilterPatients => {
-                let pred = match self.query {
-                    Query::Covariance => Pred::IntEq(4, params.disease_id),
-                    _ => Pred::IntEq(2, params.gender).and(Pred::IntLt(1, params.max_age)),
-                };
-                let store = &self.store;
-                let db_budget = &self.db_budget;
-                let patient_ids = tracer.exec(
-                    OpKind::Filter,
-                    Phase::DataManagement,
-                    format!("SELECT patient_id WHERE {}", pred.describe(&PATIENT_COLS)),
-                    || store.filter_patient_ids(&pred, db_budget),
-                )?;
-                match self.query {
-                    Query::Covariance if patient_ids.len() < 2 => {
-                        return Err(Error::invalid("disease filter selected < 2 patients"))
-                    }
-                    Query::Biclustering if patient_ids.len() < params.bicluster.min_rows => {
-                        return Err(Error::invalid(
-                            "age/gender filter selected too few patients",
-                        ))
-                    }
-                    _ => {}
-                }
-                self.patient_ids = patient_ids;
             }
             LogicalOp::SamplePatients => {
                 let count = params.sample_count(data.n_patients());
@@ -1263,124 +1013,21 @@ impl PhysicalBackend for SqlBackend<'_> {
                     OpKind::Filter,
                     Phase::DataManagement,
                     format!("TABLESAMPLE: {count} seeded patient ids"),
-                    || {
-                        Ok(
-                            analytics::sample_patients(data.n_patients(), count, params.seed)
-                                .into_iter()
-                                .map(|p| p as i64)
-                                .collect::<Vec<i64>>(),
-                        )
-                    },
+                    || params.selected_patients(self.query, data),
                 )?;
-                self.patient_ids = sampled;
+                self.patient_ids = sampled.iter().map(|&p| p as i64).collect();
             }
-            LogicalOp::JoinOnGenes => {
-                let store = &self.store;
-                let db_budget = &self.db_budget;
-                let mem = &self.mem;
-                let gene_ids = &self.gene_ids;
-                let want_y = self.query == Query::Regression;
-                let patient_ids: Vec<i64> = (0..data.n_patients() as i64).collect();
-                if let Some(st) = self.stream.as_mut() {
-                    // Streaming lowering: stage the join as a semijoin
-                    // filter only — no reel pass at all. The matched-row
-                    // count the materialized join would have output is
-                    // known analytically (the reel is the dense patient x
-                    // gene cross product) and verified by the consuming
-                    // operator's probe+sink pass later.
-                    let filter = IdIndex::new(gene_ids);
-                    let matched =
-                        StreamState::domain_count(&filter, data.n_genes()) * data.n_patients();
-                    let y = tracer.exec(
-                        OpKind::Join,
-                        Phase::DataManagement,
-                        format!("stage semijoin: {} filtered genes (fused)", gene_ids.len()),
-                        || {
-                            mem.note_selected(matched as u64);
-                            if want_y {
-                                store.drug_responses(&patient_ids)
-                            } else {
-                                Ok(Vec::new())
-                            }
-                        },
-                    )?;
-                    st.gene_filter = Some(filter);
-                    st.joined_rows = matched;
-                    self.patient_ids = patient_ids;
-                    self.y = y;
-                } else {
-                    let label = format!("hash join: triples x {} filtered genes", gene_ids.len());
-                    let cache = self.cache.clone();
-                    let dims = (data.n_patients(), data.n_genes());
-                    let (joined, pin, y) =
-                        tracer.exec(OpKind::Join, Phase::DataManagement, label, || {
-                            let (joined, pin) = store.join_triples_on_genes_cached(
-                                cache.as_ref(),
-                                dims,
-                                gene_ids,
-                                db_budget,
-                                mem,
-                            )?;
-                            let y = if want_y {
-                                store.drug_responses(&patient_ids)?
-                            } else {
-                                Vec::new()
-                            };
-                            Ok((joined, pin, y))
-                        })?;
-                    self.pins.extend(pin);
-                    self.joined = Some(joined);
-                    self.patient_ids = patient_ids;
-                    self.y = y;
+            LogicalOp::JoinOnGenes | LogicalOp::JoinOnPatients => {
+                let dim = Dim::of(op);
+                // The dimension the join does not probe is unfiltered.
+                match dim {
+                    Dim::Genes => self.patient_ids = (0..data.n_patients() as i64).collect(),
+                    Dim::Patients => self.gene_ids = (0..data.n_genes() as i64).collect(),
                 }
-            }
-            LogicalOp::JoinOnPatients => {
-                let store = &self.store;
-                let db_budget = &self.db_budget;
-                let mem = &self.mem;
-                let patient_ids = &self.patient_ids;
-                if let Some(st) = self.stream.as_mut() {
-                    // Streaming lowering: stage the filter, defer the pass
-                    // (see `JoinOnGenes`).
-                    let filter = IdIndex::new(patient_ids);
-                    let matched =
-                        StreamState::domain_count(&filter, data.n_patients()) * data.n_genes();
-                    tracer.exec(
-                        OpKind::Join,
-                        Phase::DataManagement,
-                        format!(
-                            "stage semijoin: {} selected patients (fused)",
-                            patient_ids.len()
-                        ),
-                        || {
-                            mem.note_selected(matched as u64);
-                            Ok(())
-                        },
-                    )?;
-                    st.patient_filter = Some(filter);
-                    st.joined_rows = matched;
+                if self.stream.is_some() {
+                    self.stage_semijoin(dim, tracer)?;
                 } else {
-                    let label = format!(
-                        "hash join: triples x {} selected patients",
-                        patient_ids.len()
-                    );
-                    let cache = self.cache.clone();
-                    let dims = (data.n_patients(), data.n_genes());
-                    let (joined, pin) =
-                        tracer.exec(OpKind::Join, Phase::DataManagement, label, || {
-                            store.join_triples_on_patients_cached(
-                                cache.as_ref(),
-                                dims,
-                                patient_ids,
-                                db_budget,
-                                mem,
-                            )
-                        })?;
-                    self.pins.extend(pin);
-                    self.joined = Some(joined);
-                }
-                if self.gene_ids.is_empty() {
-                    self.gene_ids = (0..data.n_genes() as i64).collect();
+                    self.hash_join(dim, tracer)?;
                 }
             }
             LogicalOp::JoinGoTerms => {
@@ -1412,7 +1059,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                             OpKind::Export,
                             Phase::DataManagement,
                             format!("COPY TO: {} triples as CSV text", joined.n_rows()),
-                            || export_triples_csv(joined, db_budget, mem),
+                            || storage::export_csv_tracked(joined, mem, db_budget),
                         )?;
                         let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
                         let r_budget = &self.r_budget;
@@ -1421,8 +1068,13 @@ impl PhysicalBackend for SqlBackend<'_> {
                             Phase::DataManagement,
                             "R read.csv + pivot to matrix",
                             || {
-                                let mat =
-                                    pivot_csv_in_r(&text, patient_ids, gene_ids, r_budget, mem)?;
+                                let mat = storage::pivot_csv_tracked(
+                                    &text,
+                                    patient_ids,
+                                    gene_ids,
+                                    mem,
+                                    r_budget,
+                                )?;
                                 DenseHandle::new(mem, mat)
                             },
                         )?
@@ -1440,7 +1092,18 @@ impl PhysicalBackend for SqlBackend<'_> {
                                 gene_ids.len()
                             ),
                             || {
-                                let mat = pivot(joined, patient_ids, gene_ids, db_budget, mem)?;
+                                // One pivot kernel for every engine, run
+                                // single-threaded: the pivot happens inside
+                                // one Postgres/column-store backend process.
+                                let mat = storage::pivot_dense(
+                                    &joined.view(),
+                                    (1, 0, 2),
+                                    patient_ids,
+                                    gene_ids,
+                                    1,
+                                    mem,
+                                    db_budget,
+                                )?;
                                 DenseHandle::new(mem, mat)
                             },
                         )?
@@ -1491,13 +1154,12 @@ impl PhysicalBackend for SqlBackend<'_> {
                         },
                     )?
                 } else {
-                    let store = &self.store;
                     let joined = self.joined()?;
                     tracer.exec(OpKind::GroupAgg, Phase::DataManagement, label, || {
                         mem.note_input(joined.heap_bytes());
                         mem.note_output((n_genes * 8) as u64, n_genes as u64);
                         let mut scores = vec![0.0; n_genes];
-                        for (g, s, c) in store.group_sum_by_gene(joined)? {
+                        for (g, s, c) in joined.group_sum(0, 2)? {
                             if (g as usize) < scores.len() && c > 0 {
                                 scores[g as usize] = s / c as f64;
                             }
@@ -1507,36 +1169,73 @@ impl PhysicalBackend for SqlBackend<'_> {
                 };
                 self.scores = scores;
             }
-            LogicalOp::Analytics(kernel) => self.run_kernel(kernel, tracer)?,
+            LogicalOp::Analytics(kernel) => self.run_kernel(kernel, tracer, slot)?,
             LogicalOp::JoinGeneMetadata => {
-                let (threshold, idx_pairs) = self.cov.take().ok_or_else(|| {
-                    Error::invalid("covariance kernel did not run before metadata join")
-                })?;
-                let store = &self.store;
-                let gene_ids = &self.gene_ids;
-                let pairs = tracer.exec(
+                let cov = slot.take_cov()?;
+                let (store, gene_ids) = (&self.store, &self.gene_ids);
+                let out = tracer.exec(
                     OpKind::Join,
                     Phase::DataManagement,
                     "join top pairs back to gene function codes",
-                    || {
-                        let functions = store.gene_functions()?;
-                        attach_gene_metadata(&idx_pairs, gene_ids, &functions)
-                    },
+                    || analytics::covariance_output(cov, gene_ids, &store.gene_functions()?),
                 )?;
-                self.output = Some(QueryOutput::Covariance { threshold, pairs });
+                slot.output = Some(out);
             }
         }
         Ok(())
     }
-
-    fn finish(&mut self) -> Result<QueryOutput> {
-        self.output
-            .take()
-            .ok_or_else(|| Error::invalid("plan produced no output"))
-    }
 }
 
 impl SqlBackend<'_> {
+    /// Materializing lowering of the triple joins: hash-join the base
+    /// table against the ids selected on `dim`.
+    fn hash_join(&mut self, dim: Dim, tracer: &mut Tracer) -> Result<()> {
+        let ids = match dim {
+            Dim::Genes => &self.gene_ids,
+            Dim::Patients => &self.patient_ids,
+        };
+        let label = format!("hash join: triples x {} {}", ids.len(), dim.selection());
+        let shape = (self.data.n_patients(), self.data.n_genes());
+        let (joined, pin, y) = tracer.exec(OpKind::Join, Phase::DataManagement, label, || {
+            let (store, cache) = (&self.store, self.cache.as_ref());
+            let (joined, pin) =
+                store.join_triples(dim, ids, cache, shape, &self.db_budget, &self.mem)?;
+            Ok((joined, pin, self.responses()?))
+        })?;
+        self.pins.extend(pin);
+        self.joined = Some(joined);
+        self.y = y;
+        Ok(())
+    }
+
+    /// Streaming lowering of the triple joins: stage the join as a semijoin
+    /// filter only — no reel pass at all. The matched-row count the
+    /// materialized join would have output is known analytically (the reel
+    /// is the dense patient x gene cross product) and verified by the
+    /// consuming operator's probe+sink pass later.
+    fn stage_semijoin(&mut self, dim: Dim, tracer: &mut Tracer) -> Result<()> {
+        let (n_genes, n_patients) = (self.data.n_genes(), self.data.n_patients());
+        let (ids, n_dim, n_other) = match dim {
+            Dim::Genes => (&self.gene_ids, n_genes, n_patients),
+            Dim::Patients => (&self.patient_ids, n_patients, n_genes),
+        };
+        let filter = IdIndex::new(ids);
+        let matched = StreamState::domain_count(&filter, n_dim) * n_other;
+        let label = format!("stage semijoin: {} {} (fused)", ids.len(), dim.selection());
+        let y = tracer.exec(OpKind::Join, Phase::DataManagement, label, || {
+            self.mem.note_selected(matched as u64);
+            self.responses()
+        })?;
+        let st = self.stream.as_mut().expect("streaming state");
+        match dim {
+            Dim::Genes => st.gene_filter = Some(filter),
+            Dim::Patients => st.patient_filter = Some(filter),
+        }
+        st.joined_rows = matched;
+        self.y = y;
+        Ok(())
+    }
+
     /// The UDF marshalling penalty of Query 3 on the column store's R-UDF
     /// interface, traced as its own `Marshal` op after the restructure (a
     /// no-op for every other engine/query pair).
@@ -1682,152 +1381,86 @@ impl SqlBackend<'_> {
         Ok(())
     }
 
-    fn run_kernel(&mut self, kernel: Kernel, tracer: &mut Tracer) -> Result<()> {
-        let params = self.params;
-        let r_opts = self.r_opts.clone();
-        match kernel {
-            Kernel::Regression => {
-                let (method, label) = if self.spec.bridge == Bridge::InDatabase {
-                    // Madlib linregr: one streaming normal-equation pass.
-                    (
-                        RegressionMethod::NormalEquations,
-                        "Madlib linregr: streaming normal equations",
-                    )
-                } else {
-                    (RegressionMethod::Qr, "R lm(): QR least squares")
-                };
-                let mat = self.mat()?;
-                let (y, gene_ids) = (&self.y, &self.gene_ids);
-                let out = tracer.exec(OpKind::Analytics, Phase::Analytics, label, || {
-                    analytics::fit_regression(mat, y, gene_ids, method, &r_opts)
-                })?;
-                self.output = Some(out);
+    fn run_kernel(&self, kernel: Kernel, tracer: &mut Tracer, slot: &mut PlanSlot) -> Result<()> {
+        if self.analytics_on_triples() {
+            return self.sql_sim_kernel(kernel, tracer, slot);
+        }
+        // Madlib linregr is one streaming normal-equation pass.
+        let in_db = self.spec.bridge == Bridge::InDatabase;
+        let label = match kernel {
+            Kernel::Regression if in_db => "Madlib linregr: streaming normal equations",
+            Kernel::Regression => "R lm(): QR least squares",
+            Kernel::Covariance => "R cov() + top-fraction threshold",
+            Kernel::Biclustering => "Cheng-Church delta-biclustering (R UDF)",
+            Kernel::Svd => "R svd(): Lanczos top-k eigenpairs",
+            Kernel::Enrichment => "per-GO-term wilcox.test",
+        };
+        let input = KernelInput {
+            mat: self.mat.as_ref().map(DenseHandle::matrix),
+            y: &self.y,
+            method: if in_db {
+                RegressionMethod::NormalEquations
+            } else {
+                RegressionMethod::Qr
+            },
+            patient_ids: &self.patient_ids,
+            gene_ids: &self.gene_ids,
+            scores: &self.scores,
+            memberships: &self.memberships,
+        };
+        tracer.exec(OpKind::Analytics, Phase::Analytics, label, || {
+            analytics::dense_kernel(kernel, &input, self.params, &self.r_opts, slot)
+        })
+    }
+
+    /// Madlib covariance and SVD: no dense kernel ever runs — the matrix
+    /// math is simulated in SQL over the triple table (the reel's survivors
+    /// when streaming, the joined set otherwise).
+    fn sql_sim_kernel(
+        &self,
+        kernel: Kernel,
+        tracer: &mut Tracer,
+        slot: &mut PlanSlot,
+    ) -> Result<()> {
+        let (params, r_opts, db_budget) = (self.params, &self.r_opts, &self.db_budget);
+        let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
+        let stream_scan;
+        let scan: &dyn TripleScan = match self.stream.as_ref() {
+            Some(st) => {
+                stream_scan = st.scan();
+                &stream_scan
             }
-            Kernel::Covariance => {
-                let cov = if self.spec.bridge == Bridge::InDatabase {
-                    let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
-                    let db_budget = &self.db_budget;
-                    let stream_scan;
-                    let scan: &dyn TripleScan = match self.stream.as_ref() {
-                        Some(st) => {
-                            stream_scan = st.scan();
-                            &stream_scan
-                        }
-                        None => self.joined()?,
-                    };
-                    tracer.exec(
-                        OpKind::Analytics,
-                        Phase::Analytics,
-                        "covariance simulated in SQL: pair-product hash aggregate",
-                        || {
-                            let cov = sql_sim_covariance(scan, patient_ids, gene_ids, db_budget)?;
-                            Ok(analytics::pairs_from_cov(&cov, params.top_pair_fraction))
-                        },
-                    )?
-                } else {
-                    let mat = self.mat()?;
-                    tracer.exec(
-                        OpKind::Analytics,
-                        Phase::Analytics,
-                        "R cov() + top-fraction threshold",
-                        || analytics::covariance_pairs(mat, params.top_pair_fraction, &r_opts),
-                    )?
-                };
-                self.cov = Some(cov);
-            }
-            Kernel::Biclustering => {
-                let mat = self.mat()?;
-                let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
-                let out = tracer.exec(
-                    OpKind::Analytics,
-                    Phase::Analytics,
-                    "Cheng-Church delta-biclustering (R UDF)",
-                    || {
-                        analytics::bicluster_output(
-                            mat,
-                            patient_ids,
-                            gene_ids,
-                            &params.bicluster,
-                            &r_opts,
-                        )
-                    },
-                )?;
-                self.output = Some(out);
-            }
-            Kernel::Svd => {
-                let out = if self.spec.bridge == Bridge::InDatabase {
-                    // Madlib SVD: Lanczos whose matvec is simulated in SQL.
-                    let (patient_ids, gene_ids) = (&self.patient_ids, &self.gene_ids);
-                    let stream_scan;
-                    let scan: &dyn TripleScan = match self.stream.as_ref() {
-                        Some(st) => {
-                            stream_scan = st.scan();
-                            &stream_scan
-                        }
-                        None => self.joined()?,
-                    };
-                    tracer.exec(
-                        OpKind::Analytics,
-                        Phase::Analytics,
-                        "Lanczos with SQL-simulated matvec (two triple scans/iter)",
-                        || {
-                            let op = SqlSimGramOp::new(scan, patient_ids, gene_ids);
-                            let k = params.svd_k.min(gene_ids.len()).max(1);
-                            let res = lanczos_topk(&op, k, 0, params.seed, &r_opts)?;
-                            Ok(QueryOutput::Svd {
-                                eigenvalues: res.eigenvalues,
-                            })
-                        },
-                    )?
-                } else {
-                    let mat = self.mat()?;
-                    tracer.exec(
-                        OpKind::Analytics,
-                        Phase::Analytics,
-                        "R svd(): Lanczos top-k eigenpairs",
-                        || analytics::svd_output(mat, params.svd_k, params.seed, &r_opts),
-                    )?
-                };
-                self.output = Some(out);
-            }
-            Kernel::Enrichment => {
-                let (scores, memberships) = (&self.scores, &self.memberships);
-                let out = tracer.exec(
-                    OpKind::Analytics,
-                    Phase::Analytics,
-                    "per-GO-term wilcox.test",
-                    || analytics::enrichment_output(scores, memberships, &r_opts),
-                )?;
-                self.output = Some(out);
-            }
+            None => self.joined()?,
+        };
+        if kernel == Kernel::Covariance {
+            let cov = tracer.exec(
+                OpKind::Analytics,
+                Phase::Analytics,
+                "covariance simulated in SQL: pair-product hash aggregate",
+                || {
+                    let cov = sql_sim_covariance(scan, patient_ids, gene_ids, db_budget)?;
+                    Ok(analytics::pairs_from_cov(&cov, params.top_pair_fraction))
+                },
+            )?;
+            slot.cov = Some(cov);
+        } else {
+            let out = tracer.exec(
+                OpKind::Analytics,
+                Phase::Analytics,
+                "Lanczos with SQL-simulated matvec (two triple scans/iter)",
+                || {
+                    let op = SqlSimGramOp::new(scan, patient_ids, gene_ids);
+                    let k = params.svd_k.min(gene_ids.len()).max(1);
+                    let res = lanczos_topk(&op, k, 0, params.seed, r_opts)?;
+                    Ok(QueryOutput::Svd {
+                        eigenvalues: res.eigenvalues,
+                    })
+                },
+            )?;
+            slot.output = Some(out);
         }
         Ok(())
     }
-}
-
-/// One covariance output row: `(gene_a, gene_b, cov, function_a, function_b)`.
-pub type CovRow = (i64, i64, f64, i64, i64);
-
-/// Join covariance pairs back to gene metadata (function codes).
-pub fn attach_gene_metadata(
-    idx_pairs: &[(usize, usize, f64)],
-    gene_ids: &[i64],
-    functions: &HashMap<i64, i64>,
-) -> Result<Vec<CovRow>> {
-    idx_pairs
-        .iter()
-        .map(|&(a, b, v)| {
-            let ga = gene_ids[a];
-            let gb = gene_ids[b];
-            let fa = *functions
-                .get(&ga)
-                .ok_or_else(|| Error::invalid(format!("no metadata for gene {ga}")))?;
-            let fb = *functions
-                .get(&gb)
-                .ok_or_else(|| Error::invalid(format!("no metadata for gene {gb}")))?;
-            Ok((ga, gb, v, fa, fb))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1843,33 +1476,44 @@ mod tests {
         generate(&GeneratorConfig::new(SizeSpec::tiny())).unwrap()
     }
 
+    fn filtered_genes(store: &SqlStore) -> Vec<i64> {
+        let (pred, b) = (Pred::IntLt(4, 250), Budget::unlimited());
+        store.filter_ids(Dim::Genes, &pred, &b).unwrap()
+    }
+
+    fn join(store: &SqlStore, dim: Dim, ids: &[i64]) -> TripleSet {
+        let joined = store.join_triples(dim, ids, None, (0, 0), &Budget::unlimited(), &mem());
+        joined.unwrap().0
+    }
+
+    fn pivot_in_db(set: &TripleSet, patient_ids: &[i64], gene_ids: &[i64]) -> Matrix {
+        let (view, b) = (set.view(), Budget::unlimited());
+        storage::pivot_dense(&view, (1, 0, 2), patient_ids, gene_ids, 1, &mem(), &b).unwrap()
+    }
+
     #[test]
     fn stores_agree_on_filters() {
         let data = tiny();
-        let row = SqlStore::ingest(StoreKind::Row, &data).unwrap();
-        let col = SqlStore::ingest(StoreKind::Column, &data).unwrap();
+        let row = SqlStore::ingest(StoreKind::Row, &data, true).unwrap();
+        let col = SqlStore::ingest(StoreKind::Column, &data, true).unwrap();
         let b = Budget::unlimited();
-        assert_eq!(
-            row.filter_gene_ids(250, &b).unwrap(),
-            col.filter_gene_ids(250, &b).unwrap()
-        );
+        assert_eq!(filtered_genes(&row), filtered_genes(&col));
         let pred = Pred::IntEq(2, 1).and(Pred::IntLt(1, 40));
         assert_eq!(
-            row.filter_patient_ids(&pred, &b).unwrap(),
-            col.filter_patient_ids(&pred, &b).unwrap()
+            row.filter_ids(Dim::Patients, &pred, &b).unwrap(),
+            col.filter_ids(Dim::Patients, &pred, &b).unwrap()
         );
     }
 
     #[test]
     fn join_and_pivot_reconstruct_submatrix() {
         let data = tiny();
-        let store = SqlStore::ingest(StoreKind::Column, &data).unwrap();
-        let b = Budget::unlimited();
-        let gene_ids = store.filter_gene_ids(250, &b).unwrap();
-        let joined = store.join_triples_on_genes(&gene_ids, &b, &mem()).unwrap();
+        let store = SqlStore::ingest(StoreKind::Column, &data, true).unwrap();
+        let gene_ids = filtered_genes(&store);
+        let joined = join(&store, Dim::Genes, &gene_ids);
         assert_eq!(joined.n_rows(), gene_ids.len() * data.n_patients());
         let patient_ids: Vec<i64> = (0..data.n_patients() as i64).collect();
-        let mat = pivot(&joined, &patient_ids, &gene_ids, &b, &mem()).unwrap();
+        let mat = pivot_in_db(&joined, &patient_ids, &gene_ids);
         assert_eq!(mat.shape(), (data.n_patients(), gene_ids.len()));
         for (ci, &g) in gene_ids.iter().enumerate() {
             for p in 0..data.n_patients() {
@@ -1881,14 +1525,15 @@ mod tests {
     #[test]
     fn export_bridge_matches_in_process_pivot() {
         let data = tiny();
-        let store = SqlStore::ingest(StoreKind::Row, &data).unwrap();
+        let store = SqlStore::ingest(StoreKind::Row, &data, true).unwrap();
         let b = Budget::unlimited();
-        let gene_ids = store.filter_gene_ids(250, &b).unwrap();
-        let joined = store.join_triples_on_genes(&gene_ids, &b, &mem()).unwrap();
+        let gene_ids = filtered_genes(&store);
+        let joined = join(&store, Dim::Genes, &gene_ids);
         let patient_ids: Vec<i64> = (0..data.n_patients() as i64).collect();
-        let direct = pivot(&joined, &patient_ids, &gene_ids, &b, &mem()).unwrap();
+        let direct = pivot_in_db(&joined, &patient_ids, &gene_ids);
+        let text = storage::export_csv_tracked(&joined, &mem(), &b).unwrap();
         let via_csv =
-            export_and_pivot_in_r(&joined, &patient_ids, &gene_ids, &b, &b, &mem()).unwrap();
+            storage::pivot_csv_tracked(&text, &patient_ids, &gene_ids, &mem(), &b).unwrap();
         assert!(direct.approx_eq(&via_csv, 0.0), "CSV round trip is exact");
     }
 
@@ -1902,15 +1547,13 @@ mod tests {
     #[test]
     fn sql_sim_covariance_matches_fast_path() {
         let data = tiny();
-        let store = SqlStore::ingest(StoreKind::Row, &data).unwrap();
-        let b = Budget::unlimited();
+        let store = SqlStore::ingest(StoreKind::Row, &data, true).unwrap();
         let patient_ids: Vec<i64> = (0..20).collect();
-        let joined = store
-            .join_triples_on_patients(&patient_ids, &b, &mem())
-            .unwrap();
+        let joined = join(&store, Dim::Patients, &patient_ids);
         let gene_ids: Vec<i64> = (0..data.n_genes() as i64).collect();
+        let b = Budget::unlimited();
         let slow = sql_sim_covariance(&joined, &patient_ids, &gene_ids, &b).unwrap();
-        let mat = pivot(&joined, &patient_ids, &gene_ids, &b, &mem()).unwrap();
+        let mat = pivot_in_db(&joined, &patient_ids, &gene_ids);
         let fast = genbase_linalg::covariance(&mat, &ExecOpts::serial()).unwrap();
         assert!(slow.approx_eq(&fast, 1e-9));
     }
@@ -1918,13 +1561,12 @@ mod tests {
     #[test]
     fn sql_sim_gram_op_matches_dense() {
         let data = tiny();
-        let store = SqlStore::ingest(StoreKind::Column, &data).unwrap();
-        let b = Budget::unlimited();
-        let gene_ids = store.filter_gene_ids(250, &b).unwrap();
-        let joined = store.join_triples_on_genes(&gene_ids, &b, &mem()).unwrap();
+        let store = SqlStore::ingest(StoreKind::Column, &data, true).unwrap();
+        let gene_ids = filtered_genes(&store);
+        let joined = join(&store, Dim::Genes, &gene_ids);
         let patient_ids: Vec<i64> = (0..data.n_patients() as i64).collect();
         let op = SqlSimGramOp::new(&joined, &patient_ids, &gene_ids);
-        let mat = pivot(&joined, &patient_ids, &gene_ids, &b, &mem()).unwrap();
+        let mat = pivot_in_db(&joined, &patient_ids, &gene_ids);
         let x: Vec<f64> = (0..gene_ids.len()).map(|i| (i % 5) as f64 - 2.0).collect();
         let mut y = vec![0.0; gene_ids.len()];
         op.apply(&x, &mut y).unwrap();
@@ -1933,15 +1575,5 @@ mod tests {
         for (a, e) in y.iter().zip(&expect) {
             assert!((a - e).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn metadata_attachment() {
-        let mut functions = HashMap::new();
-        functions.insert(5i64, 100i64);
-        functions.insert(9, 200);
-        let pairs = attach_gene_metadata(&[(0, 1, 0.5)], &[5, 9], &functions).unwrap();
-        assert_eq!(pairs, vec![(5, 9, 0.5, 100, 200)]);
-        assert!(attach_gene_metadata(&[(0, 1, 0.5)], &[5, 7], &functions).is_err());
     }
 }

@@ -44,7 +44,6 @@ impl Engine for PostgresMadlib {
             return Err(genbase_util::Error::unsupported(self.name(), query.name()));
         }
         SqlEngineSpec {
-            name: self.name(),
             kind: StoreKind::Row,
             bridge: Bridge::InDatabase,
             udf_q3_penalty: false,
@@ -78,7 +77,6 @@ impl Engine for PostgresR {
         ctx: &ExecContext,
     ) -> Result<QueryReport> {
         SqlEngineSpec {
-            name: self.name(),
             kind: StoreKind::Row,
             bridge: Bridge::ExportToR,
             udf_q3_penalty: false,
@@ -111,7 +109,6 @@ impl Engine for ColumnR {
         ctx: &ExecContext,
     ) -> Result<QueryReport> {
         SqlEngineSpec {
-            name: self.name(),
             kind: StoreKind::Column,
             bridge: Bridge::ExportToR,
             udf_q3_penalty: false,
@@ -153,7 +150,6 @@ impl Engine for ColumnUdf {
             return run_multinode(MnFlavor::ColumnUdf, query, data, params, ctx);
         }
         SqlEngineSpec {
-            name: self.name(),
             kind: StoreKind::Column,
             bridge: Bridge::InProcess,
             udf_q3_penalty: true,

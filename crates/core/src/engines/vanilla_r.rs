@@ -16,13 +16,13 @@
 //! restructure op (it is part of the measured query in R, unlike the other
 //! engines' untimed ingest).
 
-use crate::analytics;
+use crate::analytics::{self, KernelInput};
 use crate::engine::{Engine, ExecContext};
-use crate::plan::{self, Kernel, LogicalOp, OpKind, Phase, PhysicalBackend, Tracer};
-use crate::query::{Query, QueryOutput, QueryParams};
+use crate::plan::{self, Kernel, LogicalOp, OpKind, Phase, PhysicalBackend, PlanSlot, Tracer};
+use crate::query::{Query, QueryParams};
 use crate::report::QueryReport;
 use genbase_datagen::Dataset;
-use genbase_linalg::{ExecOpts, Matrix, RegressionMethod};
+use genbase_linalg::{ExecOpts, Matrix};
 use genbase_storage::{self as storage, DenseHandle, MemTracker};
 use genbase_util::{budget::AllocGuard, Budget, Error, Result};
 
@@ -68,8 +68,6 @@ impl Engine for VanillaR {
             sub_guard: None,
             y: Vec::new(),
             scores: Vec::new(),
-            cov: None,
-            output: None,
         };
         plan::run_plan(backend, query, Tracer::new().with_mem(mem))
     }
@@ -92,16 +90,21 @@ struct RBackend<'a> {
     sub_guard: Option<AllocGuard>,
     y: Vec<f64>,
     scores: Vec<f64>,
-    cov: Option<analytics::CovPairs>,
-    output: Option<QueryOutput>,
 }
 
 impl RBackend<'_> {
-    fn sub(&self) -> Result<&Matrix> {
-        self.sub
-            .as_ref()
-            .map(DenseHandle::matrix)
-            .ok_or_else(|| Error::invalid("restructure did not run before analytics"))
+    /// `matrix[rows, ]`: the patient-row subset of the loaded matrix.
+    fn subset_rows(&mut self, what: &str, tracer: &mut Tracer) -> Result<()> {
+        let matrix = self.matrix.as_ref().expect("loaded");
+        let (rows, mem) = (&self.rows, &self.mem);
+        let sub = tracer.exec(
+            OpKind::Restructure,
+            Phase::DataManagement,
+            format!("matrix[{what} {} patients, ]", rows.len()),
+            || DenseHandle::new(mem, storage::select_rows_tracked(mem, matrix, rows)),
+        )?;
+        self.sub = Some(sub);
+        Ok(())
     }
 }
 
@@ -153,112 +156,54 @@ impl PhysicalBackend for RBackend<'_> {
         Ok(())
     }
 
-    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer) -> Result<()> {
+    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer, slot: &mut PlanSlot) -> Result<()> {
         let data = self.data;
         let params = self.params;
+        let query = self.query;
         match op {
             LogicalOp::FilterGenes => {
-                let gene_ids = tracer.exec(
+                let ids = tracer.exec(
                     OpKind::Filter,
                     Phase::DataManagement,
                     format!("genes[function < {}]", params.function_threshold),
-                    || {
-                        let ids: Vec<i64> = data
-                            .genes
-                            .iter()
-                            .filter(|g| g.function < params.function_threshold)
-                            .map(|g| g.id as i64)
-                            .collect();
-                        if ids.is_empty() {
-                            return Err(Error::invalid("gene filter selected nothing"));
-                        }
-                        Ok(ids)
-                    },
+                    || params.selected_genes(query, data),
                 )?;
-                self.gene_ids = gene_ids;
+                self.gene_ids = ids.iter().map(|&g| g as i64).collect();
             }
-            LogicalOp::FilterPatients => {
-                let query = self.query;
+            LogicalOp::FilterPatients | LogicalOp::SamplePatients => {
                 let label = match query {
                     Query::Covariance => {
                         format!("patients[disease_id == {}]", params.disease_id)
                     }
+                    Query::Statistics => format!(
+                        "sample {} patients (seeded)",
+                        params.sample_count(data.n_patients())
+                    ),
                     _ => format!(
                         "patients[gender == {} & age < {}]",
                         params.gender, params.max_age
                     ),
                 };
-                let ids = tracer.exec(OpKind::Filter, Phase::DataManagement, label, || {
-                    Ok(match query {
-                        Query::Covariance => data
-                            .patients
-                            .iter()
-                            .filter(|p| p.disease_id == params.disease_id)
-                            .map(|p| p.id as i64)
-                            .collect::<Vec<i64>>(),
-                        _ => data
-                            .patients
-                            .iter()
-                            .filter(|p| p.gender == params.gender && p.age < params.max_age)
-                            .map(|p| p.id as i64)
-                            .collect::<Vec<i64>>(),
-                    })
+                let rows = tracer.exec(OpKind::Filter, Phase::DataManagement, label, || {
+                    params.selected_patients(query, data)
                 })?;
-                match self.query {
-                    Query::Covariance if ids.len() < 2 => {
-                        return Err(Error::invalid("disease filter selected < 2 patients"))
-                    }
-                    Query::Biclustering if ids.len() < params.bicluster.min_rows => {
-                        return Err(Error::invalid(
-                            "age/gender filter selected too few patients",
-                        ))
-                    }
-                    _ => {}
-                }
-                self.rows = ids.iter().map(|&p| p as usize).collect();
-                self.patient_ids = ids;
-            }
-            LogicalOp::SamplePatients => {
-                let count = params.sample_count(data.n_patients());
-                let sampled = tracer.exec(
-                    OpKind::Filter,
-                    Phase::DataManagement,
-                    format!("sample {count} patients (seeded)"),
-                    || {
-                        Ok(analytics::sample_patients(
-                            data.n_patients(),
-                            count,
-                            params.seed,
-                        ))
-                    },
-                )?;
-                self.patient_ids = sampled.iter().map(|&p| p as i64).collect();
-                self.rows = sampled;
+                self.patient_ids = rows.iter().map(|&p| p as i64).collect();
+                self.rows = rows;
             }
             // Query 5 has no restructure op (no pivot in the workflow), so
             // R realizes the sample join as the matrix row subset here.
-            LogicalOp::JoinOnPatients if self.query == Query::Statistics => {
-                let rows = self.rows.clone();
-                let matrix = self.matrix.take().expect("loaded");
-                let mem = self.mem.clone();
-                let sub = tracer.exec(
-                    OpKind::Restructure,
-                    Phase::DataManagement,
-                    format!("matrix[sampled {} patients, ]", rows.len()),
-                    || DenseHandle::new(&mem, storage::select_rows_tracked(&mem, &matrix, &rows)),
-                )?;
-                self.matrix = Some(matrix);
-                self.sub = Some(sub);
+            LogicalOp::JoinOnPatients if query == Query::Statistics => {
+                self.subset_rows("sampled", tracer)?;
             }
             // R already holds the pivoted matrix: the triple joins and the
             // GO join fold away (subsetting happens in Restructure).
             LogicalOp::JoinOnGenes | LogicalOp::JoinOnPatients | LogicalOp::JoinGoTerms => {}
-            LogicalOp::Restructure => match self.query {
+            LogicalOp::Restructure => match query {
                 Query::Regression | Query::Svd => {
                     let cols: Vec<usize> = self.gene_ids.iter().map(|&g| g as usize).collect();
                     let matrix = self.matrix.take().expect("loaded");
                     let budget = self.budget.clone();
-                    let want_y = self.query == Query::Regression;
+                    let want_y = query == Query::Regression;
                     let mem = self.mem.clone();
                     let (sub, guard, y) = tracer.exec(
                         OpKind::Restructure,
@@ -288,22 +233,8 @@ impl PhysicalBackend for RBackend<'_> {
                     self.y = y;
                 }
                 _ => {
-                    let rows = self.rows.clone();
-                    let matrix = self.matrix.take().expect("loaded");
-                    let mem = self.mem.clone();
-                    let sub = tracer.exec(
-                        OpKind::Restructure,
-                        Phase::DataManagement,
-                        format!("matrix[selected {} patients, ]", rows.len()),
-                        || {
-                            DenseHandle::new(
-                                &mem,
-                                storage::select_rows_tracked(&mem, &matrix, &rows),
-                            )
-                        },
-                    )?;
-                    self.matrix = Some(matrix);
-                    self.sub = Some(sub);
+                    self.subset_rows("selected", tracer)?;
+                    self.gene_ids = (0..data.n_genes() as i64).collect();
                 }
             },
             LogicalOp::GroupAgg => {
@@ -330,108 +261,45 @@ impl PhysicalBackend for RBackend<'_> {
                 self.scores = scores;
             }
             LogicalOp::Analytics(kernel) => {
-                let opts = self.opts.clone();
-                match kernel {
-                    Kernel::Regression => {
-                        let x = self.sub()?;
-                        let out = tracer.exec(
-                            OpKind::Analytics,
-                            Phase::Analytics,
-                            "lm(): QR least squares",
-                            || {
-                                analytics::fit_regression(
-                                    x,
-                                    &self.y,
-                                    &self.gene_ids,
-                                    RegressionMethod::Qr,
-                                    &opts,
-                                )
-                            },
-                        )?;
-                        self.sub_guard = None;
-                        self.output = Some(out);
-                    }
-                    Kernel::Covariance => {
-                        let sub = self.sub()?;
-                        let cov = tracer.exec(
-                            OpKind::Analytics,
-                            Phase::Analytics,
-                            "cov() + top-fraction threshold",
-                            || analytics::covariance_pairs(sub, params.top_pair_fraction, &opts),
-                        )?;
-                        self.cov = Some(cov);
-                    }
-                    Kernel::Biclustering => {
-                        let sub = self.sub()?;
-                        let gene_ids: Vec<i64> = (0..data.n_genes() as i64).collect();
-                        let out = tracer.exec(
-                            OpKind::Analytics,
-                            Phase::Analytics,
-                            "Cheng-Church delta-biclustering",
-                            || {
-                                analytics::bicluster_output(
-                                    sub,
-                                    &self.patient_ids,
-                                    &gene_ids,
-                                    &params.bicluster,
-                                    &opts,
-                                )
-                            },
-                        )?;
-                        self.output = Some(out);
-                    }
-                    Kernel::Svd => {
-                        let x = self.sub()?;
-                        let out = tracer.exec(
-                            OpKind::Analytics,
-                            Phase::Analytics,
-                            "Lanczos top-k eigenpairs",
-                            || analytics::svd_output(x, params.svd_k, params.seed, &opts),
-                        )?;
-                        self.output = Some(out);
-                    }
-                    Kernel::Enrichment => {
-                        let scores = std::mem::take(&mut self.scores);
-                        let out = tracer.exec(
-                            OpKind::Analytics,
-                            Phase::Analytics,
-                            "per-GO-term wilcox.test",
-                            || analytics::enrichment_output(&scores, &data.ontology.members, &opts),
-                        )?;
-                        self.output = Some(out);
-                    }
-                }
+                let label = match kernel {
+                    Kernel::Regression => "lm(): QR least squares",
+                    Kernel::Covariance => "cov() + top-fraction threshold",
+                    Kernel::Biclustering => "Cheng-Church delta-biclustering",
+                    Kernel::Svd => "Lanczos top-k eigenpairs",
+                    Kernel::Enrichment => "per-GO-term wilcox.test",
+                };
+                let input = KernelInput {
+                    mat: self.sub.as_ref().map(DenseHandle::matrix),
+                    y: &self.y,
+                    patient_ids: &self.patient_ids,
+                    gene_ids: &self.gene_ids,
+                    scores: &self.scores,
+                    memberships: &data.ontology.members,
+                    ..Default::default()
+                };
+                tracer.exec(OpKind::Analytics, Phase::Analytics, label, || {
+                    analytics::dense_kernel(kernel, &input, params, &self.opts, slot)
+                })?;
             }
             LogicalOp::JoinGeneMetadata => {
-                let (threshold, idx_pairs) = self.cov.take().ok_or_else(|| {
-                    Error::invalid("covariance kernel did not run before metadata join")
-                })?;
-                let pairs = tracer.exec(
+                let cov = slot.take_cov()?;
+                let gene_ids = &self.gene_ids;
+                let out = tracer.exec(
                     OpKind::Join,
                     Phase::DataManagement,
                     "merge(pairs, genes) for function codes",
                     || {
-                        let gene_ids: Vec<i64> = (0..data.n_genes() as i64).collect();
-                        let functions = data
-                            .genes
-                            .iter()
-                            .map(|g| (g.id as i64, g.function))
-                            .collect();
-                        super::sql_common::attach_gene_metadata(&idx_pairs, &gene_ids, &functions)
+                        analytics::covariance_output(
+                            cov,
+                            gene_ids,
+                            &analytics::gene_functions(data),
+                        )
                     },
                 )?;
-                self.output = Some(QueryOutput::Covariance { threshold, pairs });
+                slot.output = Some(out);
             }
         }
         Ok(())
-    }
-
-    fn finish(&mut self) -> Result<QueryOutput> {
-        let cells = (self.data.n_patients() * self.data.n_genes()) as u64;
-        self.budget.free(cells * 8); // the working matrix
-        self.output
-            .take()
-            .ok_or_else(|| Error::invalid("plan produced no output"))
     }
 }
 

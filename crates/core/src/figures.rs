@@ -393,21 +393,18 @@ fn render_table1(harness: &Harness, size: SizeClass, grid: &ReportGrid) -> Resul
             let an = &phases.analytics;
             // Per-node share of the analytics workload.
             let m = data.n_patients() / nodes;
+            let selected_patients = || {
+                let patients = data.patients.iter();
+                patients
+                    .filter(|p| params.selects_patient(query, p))
+                    .count()
+            };
             let profile = match query {
                 Query::Covariance => {
-                    let sel = data
-                        .patients
-                        .iter()
-                        .filter(|p| p.disease_id == params.disease_id)
-                        .count();
-                    OpProfile::covariance((sel / nodes).max(2), data.n_genes())
+                    OpProfile::covariance((selected_patients() / nodes).max(2), data.n_genes())
                 }
                 Query::Svd => {
-                    let sel = data
-                        .genes
-                        .iter()
-                        .filter(|g| g.function < params.function_threshold)
-                        .count();
+                    let sel = data.genes.iter().filter(|g| params.selects_gene(g)).count();
                     OpProfile::svd_lanczos(m.max(2), sel.max(2), params.svd_k.min(sel.max(2)))
                 }
                 Query::Statistics => OpProfile::statistics(
@@ -415,14 +412,11 @@ fn render_table1(harness: &Harness, size: SizeClass, grid: &ReportGrid) -> Resul
                     data.n_genes(),
                     data.ontology.n_terms(),
                 ),
-                Query::Biclustering => {
-                    let sel = data
-                        .patients
-                        .iter()
-                        .filter(|p| p.gender == params.gender && p.age < params.max_age)
-                        .count();
-                    OpProfile::biclustering((sel / nodes).max(2), data.n_genes(), 40)
-                }
+                Query::Biclustering => OpProfile::biclustering(
+                    (selected_patients() / nodes).max(2),
+                    data.n_genes(),
+                    40,
+                ),
                 Query::Regression => unreachable!("not in PHI set"),
             };
             let host_total = an.total_secs();

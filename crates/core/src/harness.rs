@@ -12,7 +12,7 @@
 //! first cell of that class that reads it and borrowed by every later one.
 
 use crate::engine::{Engine, ExecContext};
-use crate::engines::sql_common::LoadedTables;
+use crate::engines::loaded::LoadedTables;
 use crate::query::{Query, QueryParams};
 use crate::report::RunOutcome;
 use genbase_datagen::{Dataset, DatasetPool, SizeClass};
@@ -155,11 +155,6 @@ impl Harness {
     /// different fingerprints.
     pub fn set_artifact_cache(&mut self, cache: Arc<genbase_storage::ArtifactCache>) {
         self.cache = Some(cache);
-    }
-
-    /// The attached artifact cache, if any.
-    pub fn artifact_cache(&self) -> Option<&Arc<genbase_storage::ArtifactCache>> {
-        self.cache.as_ref()
     }
 
     /// The active configuration.

@@ -32,6 +32,7 @@
 //! through as `f64` seconds unchanged. The SimOnly conformance tier pins
 //! this: sweep output is byte-identical to the pre-IR engines.
 
+use crate::analytics::CovPairs;
 use crate::query::{Query, QueryOutput};
 use crate::report::{PhaseTimes, QueryReport};
 use genbase_storage::{MemDelta, MemTracker};
@@ -248,6 +249,11 @@ pub struct OpCost {
     /// `sel rows` explain column), same contract as `cache_hits`: never
     /// serialized.
     pub rows_selected: u64,
+    /// Thread budget the op's analytics kernel ran under (zero for ops that
+    /// ran none through [`crate::analytics::dense_kernel`]). In memory only:
+    /// never serialized and in no table, so it cannot move a grid, golden
+    /// or wire byte — [`crate::sched::CellOutcome`] drops it.
+    pub kernel_threads: u64,
 }
 
 impl OpCost {
@@ -367,6 +373,7 @@ impl OpTrace {
                 // Display-only columns never round-trip (see `OpCost`).
                 cache_hits: 0,
                 rows_selected: 0,
+                kernel_threads: 0,
             },
         })
     }
@@ -581,16 +588,54 @@ impl Tracer {
         });
     }
 
+    /// Note the thread budget the most recent op's kernel ran under.
+    fn note_kernel_threads(&mut self, threads: usize) {
+        if let Some(op) = self.ops.last_mut() {
+            op.cost.kernel_threads = threads as u64;
+        }
+    }
+
     /// Finish tracing.
     pub fn finish(self) -> PlanTrace {
         PlanTrace { ops: self.ops }
     }
 }
 
+/// What a plan's operators hand on outside any backend's own state. The
+/// driver owns it, so "nothing was produced" and "the kernel has not run
+/// yet" are each checked in one place for every lowering.
+#[derive(Debug, Default)]
+pub struct PlanSlot {
+    /// Query 2's thresholded pairs, between the covariance kernel and the
+    /// gene-metadata join ([`PlanSlot::take_cov`]).
+    pub cov: Option<CovPairs>,
+    /// The finished output.
+    pub output: Option<QueryOutput>,
+    /// Thread budget of the kernel the current op ran, set by
+    /// [`crate::analytics::dense_kernel`]; [`run_plan`] moves it onto the
+    /// op's [`OpCost::kernel_threads`].
+    pub kernel_threads: Option<usize>,
+}
+
+impl PlanSlot {
+    /// The covariance pairs awaiting their metadata join.
+    pub fn take_cov(&mut self) -> Result<CovPairs> {
+        self.cov
+            .take()
+            .ok_or_else(|| Error::invalid("covariance kernel did not run before metadata join"))
+    }
+}
+
 /// An engine's physical lowering: executes each [`LogicalOp`] against its
 /// native store, recording the physical steps into the tracer. State flows
 /// between ops through the backend itself (the selected ids, the joined
-/// triples, the restructured matrix).
+/// triples, the restructured matrix); results leave through the
+/// [`PlanSlot`].
+///
+/// A backend owns its scans, joins, restructuring, op labels, `ExecOpts`
+/// and cost model. What every lowering must do identically — the selection
+/// rules ([`crate::query::QueryParams`]), the dense kernels and the output
+/// hand-offs ([`crate::analytics`]) — it calls, never re-implements.
 pub trait PhysicalBackend {
     /// One-time setup before the plan runs. Untimed ingest (loading the
     /// dataset into native storage is not timed, per the paper) records
@@ -603,24 +648,27 @@ pub trait PhysicalBackend {
 
     /// Lower and execute one logical operator. A backend may record zero
     /// (op folded away by the storage model), one, or several physical ops.
-    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer) -> Result<()>;
-
-    /// The typed output, after every op has executed.
-    fn finish(&mut self) -> Result<QueryOutput>;
+    fn execute(&mut self, op: LogicalOp, tracer: &mut Tracer, slot: &mut PlanSlot) -> Result<()>;
 }
 
 /// Drive `backend` through `query`'s logical plan and assemble the report:
-/// output from the backend, phases as the rollup of the trace.
+/// output from the slot, phases as the rollup of the trace.
 pub fn run_plan<B: PhysicalBackend>(
     mut backend: B,
     query: Query,
     mut tracer: Tracer,
 ) -> Result<QueryReport> {
     backend.prepare(&mut tracer)?;
+    let mut slot = PlanSlot::default();
     for op in logical_plan(query).ops {
-        backend.execute(op, &mut tracer)?;
+        backend.execute(op, &mut tracer, &mut slot)?;
+        if let Some(threads) = slot.kernel_threads.take() {
+            tracer.note_kernel_threads(threads);
+        }
     }
-    let output = backend.finish()?;
+    let output = slot
+        .output
+        .ok_or_else(|| Error::invalid("plan produced no output"))?;
     Ok(QueryReport::from_trace(output, tracer.finish()))
 }
 

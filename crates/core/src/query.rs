@@ -1,7 +1,8 @@
 //! Query identifiers, parameters and typed outputs.
 
 use genbase_bicluster::ChengChurchConfig;
-use genbase_datagen::Dataset;
+use genbase_datagen::{Dataset, GeneRecord, PatientRecord};
+use genbase_util::{Error, Result};
 
 /// The five benchmark queries (§3.2 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,6 +119,64 @@ impl QueryParams {
         ((n_patients as f64 * self.patient_sample_frac).round() as usize)
             .max(self.min_sampled_patients)
             .min(n_patients)
+    }
+
+    /// Whether the Query 1/4 gene filter keeps `gene`.
+    pub fn selects_gene(&self, gene: &GeneRecord) -> bool {
+        gene.function < self.function_threshold
+    }
+
+    /// Whether `query`'s patient filter keeps `patient`: the disease for
+    /// Query 2, gender and age for Query 3.
+    pub fn selects_patient(&self, query: Query, patient: &PatientRecord) -> bool {
+        match query {
+            Query::Covariance => patient.disease_id == self.disease_id,
+            _ => patient.gender == self.gender && patient.age < self.max_age,
+        }
+    }
+
+    /// Refuse a filter result `query`'s kernel cannot run on: `n` is the
+    /// number of genes (Queries 1/4) or patients (Queries 2/3) selected.
+    /// Every lowering calls this on its own filter's output, so they all
+    /// refuse the same selections with the same error.
+    pub fn check_selection(&self, query: Query, n: usize) -> Result<()> {
+        let refusal = match query {
+            Query::Regression | Query::Svd if n == 0 => "gene filter selected nothing",
+            Query::Covariance if n < 2 => "disease filter selected < 2 patients",
+            Query::Biclustering if n < self.bicluster.min_rows => {
+                "age/gender filter selected too few patients"
+            }
+            _ => return Ok(()),
+        };
+        Err(Error::invalid(refusal))
+    }
+
+    /// Ids of the genes [`QueryParams::selects_gene`] keeps, ascending,
+    /// checked for `query` (the lowerings that filter `data`'s own records).
+    pub fn selected_genes(&self, query: Query, data: &Dataset) -> Result<Vec<usize>> {
+        let genes = data.genes.iter().filter(|g| self.selects_gene(g));
+        let ids: Vec<usize> = genes.map(|g| g.id as usize).collect();
+        self.check_selection(query, ids.len())?;
+        Ok(ids)
+    }
+
+    /// Ids of the patients `query` reads, ascending: the ones
+    /// [`QueryParams::selects_patient`] keeps, checked — or, for Query 5,
+    /// the seeded sample (identical on every engine and node).
+    pub fn selected_patients(&self, query: Query, data: &Dataset) -> Result<Vec<usize>> {
+        if query == Query::Statistics {
+            let n = data.n_patients();
+            return Ok(crate::analytics::sample_patients(
+                n,
+                self.sample_count(n),
+                self.seed,
+            ));
+        }
+        let patients = data.patients.iter();
+        let patients = patients.filter(|p| self.selects_patient(query, p));
+        let ids: Vec<usize> = patients.map(|p| p.id as usize).collect();
+        self.check_selection(query, ids.len())?;
+        Ok(ids)
     }
 }
 

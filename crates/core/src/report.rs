@@ -69,16 +69,6 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// Total seconds for plotting; infinite outcomes return `f64::INFINITY`
-    /// and unsupported returns `NAN` (no bar).
-    pub fn plot_secs(&self) -> f64 {
-        match self {
-            RunOutcome::Completed(r) => r.phases.total_secs(),
-            RunOutcome::Infinite { .. } => f64::INFINITY,
-            RunOutcome::Unsupported => f64::NAN,
-        }
-    }
-
     /// Cell text for harness tables.
     pub fn cell(&self) -> String {
         match self {
@@ -143,16 +133,13 @@ mod tests {
     #[test]
     fn outcome_rendering() {
         let done = RunOutcome::Completed(report(0.5, 0.5));
-        assert!((done.plot_secs() - 1.5).abs() < 1e-12);
         assert!(done.report().is_some());
         let inf = RunOutcome::Infinite {
             reason: "cutoff".into(),
         };
-        assert!(inf.plot_secs().is_infinite());
         assert_eq!(inf.cell(), "inf");
         assert!(inf.report().is_none());
         let uns = RunOutcome::Unsupported;
-        assert!(uns.plot_secs().is_nan());
         assert_eq!(uns.cell(), "-");
     }
 }

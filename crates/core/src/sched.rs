@@ -178,7 +178,18 @@ impl CellOutcome {
             RunOutcome::Completed(r) => CellOutcome::Completed {
                 dm: r.phases.data_management,
                 an: r.phases.analytics,
-                trace: r.trace.ops.clone(),
+                // What a cell serializes is all it carries: the kernel
+                // thread budget stays on the run's own report.
+                trace: r
+                    .trace
+                    .ops
+                    .iter()
+                    .map(|op| {
+                        let mut op = op.clone();
+                        op.cost.kernel_threads = 0;
+                        op
+                    })
+                    .collect(),
             },
             RunOutcome::Infinite { reason } => CellOutcome::Infinite {
                 reason: reason.clone(),
@@ -842,20 +853,6 @@ impl Scheduler {
             wall_secs: start.elapsed().as_secs_f64(),
             recovered,
         })
-    }
-
-    /// Run a sweep and render each requested figure from the grid
-    /// (single-shard convenience; byte-identical to the serial wrappers).
-    pub fn run_and_render(
-        &self,
-        figs: &[FigureId],
-        mn_size: SizeClass,
-        sweep: &SweepOptions,
-    ) -> Result<Vec<figures::Figure>> {
-        let outcome = self.run_sweep(figs, mn_size, sweep)?;
-        figs.iter()
-            .map(|&f| figures::render(f, &self.harness, mn_size, &outcome.grid))
-            .collect()
     }
 }
 

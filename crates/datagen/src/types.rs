@@ -67,11 +67,6 @@ impl GeneOntology {
         }
         mask
     }
-
-    /// Total number of (gene, term) membership pairs.
-    pub fn total_memberships(&self) -> usize {
-        self.members.iter().map(Vec::len).sum()
-    }
 }
 
 /// What the generator planted; used by tests and examples to validate query
@@ -173,6 +168,5 @@ mod tests {
             go.term_mask(1),
             vec![false, true, false, false, false, true]
         );
-        assert_eq!(go.total_memberships(), 5);
     }
 }

@@ -73,14 +73,6 @@ impl Cholesky {
     pub fn l(&self) -> &Matrix {
         &self.l
     }
-
-    /// log-determinant of `A` (2·Σ log L_ii); used in diagnostics.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows())
-            .map(|i| self.l.get(i, i).ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -130,12 +122,6 @@ mod tests {
     #[test]
     fn rejects_non_square() {
         assert!(Cholesky::factor(&Matrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn log_det_identity_is_zero() {
-        let ch = Cholesky::factor(&Matrix::identity(5)).unwrap();
-        assert!(ch.log_det().abs() < 1e-12);
     }
 
     #[test]

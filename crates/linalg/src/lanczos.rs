@@ -347,19 +347,6 @@ fn restore_lanczos_state(state: &Json, n: usize, m_target: usize) -> Option<Lanc
     })
 }
 
-/// Singular values of `a` derived from the eigenvalues of `AᵀA`
-/// (σ_i = sqrt(λ_i)); the paper's Lanczos-SVD formulation.
-pub fn lanczos_singular_values(
-    a: &Matrix,
-    k: usize,
-    seed: u64,
-    opts: &ExecOpts,
-) -> Result<Vec<f64>> {
-    let op = GramOp::new(a).with_threads(opts.threads);
-    let res = lanczos_topk(&op, k, 0, seed, opts)?;
-    Ok(res.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,15 +441,15 @@ mod tests {
     }
 
     #[test]
-    fn singular_values_match_eigen_sqrt() {
+    fn implicit_gram_topk_matches_jacobi_reference() {
         let mut rng = Pcg64::new(66);
         let a = random_tall(&mut rng, 45, 14);
         let g = gram(&a, &ExecOpts::serial()).unwrap();
         let reference = jacobi_eigen(&g).unwrap();
-        let sv = lanczos_singular_values(&a, 3, 5, &ExecOpts::serial()).unwrap();
+        let res = lanczos_topk(&GramOp::new(&a), 3, 0, 5, &ExecOpts::serial()).unwrap();
         for i in 0..3 {
-            let expect = reference.values[i].max(0.0).sqrt();
-            assert!((sv[i] - expect).abs() < 1e-7 * (1.0 + expect));
+            let expect = reference.values[i];
+            assert!((res.eigenvalues[i] - expect).abs() < 1e-7 * (1.0 + expect));
         }
     }
 

@@ -23,7 +23,6 @@ pub mod matmul;
 pub mod matrix;
 pub mod qr;
 pub mod regression;
-pub mod rsvd;
 
 pub use covariance::{
     center_columns, center_columns_par, column_means, column_means_par, covariance,
@@ -37,7 +36,6 @@ pub use matmul::{
 pub use matrix::Matrix;
 pub use qr::QrFactor;
 pub use regression::{LinearRegression, RegressionMethod};
-pub use rsvd::{randomized_gram_eigen, RsvdConfig};
 
 use genbase_util::{Budget, ProgressHandle};
 

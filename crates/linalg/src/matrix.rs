@@ -130,11 +130,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -179,23 +174,6 @@ impl Matrix {
             cols: idx.len(),
             data,
         }
-    }
-
-    /// Append a column, returning a new `rows x (cols+1)` matrix.
-    pub fn append_col(&self, col: &[f64]) -> Result<Matrix> {
-        if col.len() != self.rows {
-            return Err(Error::invalid("appended column has wrong length"));
-        }
-        let mut data = Vec::with_capacity(self.rows * (self.cols + 1));
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.push(col[r]);
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols + 1,
-            data,
-        })
     }
 
     /// Apply `f` to every cell in place.
@@ -328,15 +306,6 @@ mod tests {
         let csel = m.select_cols(&[2, 0]);
         assert_eq!(csel.get(1, 0), m.get(1, 2));
         assert_eq!(csel.get(1, 1), m.get(1, 0));
-    }
-
-    #[test]
-    fn append_col_works() {
-        let m = Matrix::from_fn(3, 2, |r, c| (r + c) as f64);
-        let m2 = m.append_col(&[9.0, 8.0, 7.0]).unwrap();
-        assert_eq!(m2.shape(), (3, 3));
-        assert_eq!(m2.col(2), vec![9.0, 8.0, 7.0]);
-        assert!(m.append_col(&[1.0]).is_err());
     }
 
     #[test]

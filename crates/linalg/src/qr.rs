@@ -14,7 +14,7 @@
 //! textbook column-by-column loops (the reference in this module's tests)
 //! at any panel width or thread count, while every inner loop is stride-1.
 
-use crate::matrix::{norm2, Matrix};
+use crate::matrix::Matrix;
 use crate::ExecOpts;
 use genbase_util::{runtime, Error, Result, SharedSlice};
 use std::ops::Range;
@@ -249,16 +249,17 @@ pub fn least_squares(a: Matrix, b: &[f64], opts: &ExecOpts) -> Result<Vec<f64>> 
     QrFactor::factor(a, opts)?.solve_ls(b)
 }
 
-/// Residual 2-norm `||A x - b||` (diagnostic helper).
-pub fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-    let ax = crate::matmul::matvec(a, x);
-    norm2(&ax.iter().zip(b).map(|(p, q)| p - q).collect::<Vec<f64>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::norm2;
     use genbase_util::Pcg64;
+
+    /// Residual 2-norm `||A x - b||`.
+    fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
+        let ax = crate::matmul::matvec(a, x);
+        norm2(&ax.iter().zip(b).map(|(p, q)| p - q).collect::<Vec<f64>>())
+    }
 
     fn random_matrix(rng: &mut Pcg64, rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| rng.normal())

@@ -14,9 +14,10 @@ use crate::ExecOpts;
 use genbase_util::{Error, Result};
 
 /// Solver selection for [`LinearRegression::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RegressionMethod {
     /// Householder QR least squares (numerically robust).
+    #[default]
     Qr,
     /// Normal equations with Cholesky solve (single streaming pass, as in
     /// MADlib's in-database aggregate).
@@ -109,16 +110,6 @@ impl LinearRegression {
             r_squared,
         })
     }
-
-    /// Predict targets for new feature rows.
-    pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if x.cols() != self.coefficients.len() {
-            return Err(Error::invalid("feature count mismatch"));
-        }
-        Ok((0..x.rows())
-            .map(|r| self.intercept + crate::matrix::dot(x.row(r), &self.coefficients))
-            .collect())
-    }
 }
 
 fn r2(x: &Matrix, y: &[f64], intercept: f64, coef: &[f64]) -> f64 {
@@ -197,20 +188,6 @@ mod tests {
         }
         assert!((qr.r_squared - ne.r_squared).abs() < 1e-9);
         assert!(qr.r_squared > 0.9, "strong signal expected");
-    }
-
-    #[test]
-    fn prediction_matches_model() {
-        let mut rng = Pcg64::new(83);
-        let coef = [0.5, 2.0];
-        let (x, y) = synthetic(&mut rng, 60, &coef, 1.0, 0.0);
-        let model =
-            LinearRegression::fit(&x, &y, RegressionMethod::Qr, &ExecOpts::serial()).unwrap();
-        let preds = model.predict(&x).unwrap();
-        for (p, t) in preds.iter().zip(&y) {
-            assert!((p - t).abs() < 1e-9);
-        }
-        assert!(model.predict(&Matrix::zeros(2, 5)).is_err());
     }
 
     #[test]

@@ -86,13 +86,6 @@ impl RowTable {
         self.pages.iter().map(|p| p.capacity() as u64).sum()
     }
 
-    /// Deserialize the row at `idx`.
-    pub fn get_row(&self, idx: usize) -> Vec<Value> {
-        let mut row = Vec::with_capacity(self.schema.arity());
-        self.append_row(idx, &mut row);
-        row
-    }
-
     /// Deserialize the row at `idx` onto the end of `buf`.
     fn append_row(&self, idx: usize, buf: &mut Vec<Value>) {
         assert!(idx < self.n_rows, "row index out of range");
@@ -279,6 +272,13 @@ mod tests {
     use super::*;
     use crate::value::DataType;
 
+    /// Deserialize the row at `idx`.
+    fn get_row(table: &RowTable, idx: usize) -> Vec<Value> {
+        let mut row = Vec::new();
+        table.append_row(idx, &mut row);
+        row
+    }
+
     fn patient_schema() -> Schema {
         Schema::new(&[
             ("id", DataType::Int),
@@ -308,7 +308,7 @@ mod tests {
     fn insert_and_get_round_trip() {
         let t = sample_table(1000);
         assert_eq!(t.n_rows(), 1000);
-        let row = t.get_row(123);
+        let row = get_row(&t, 123);
         assert_eq!(row[0], Value::Int(123));
         assert_eq!(row[3], Value::Float(61.5));
     }
@@ -347,7 +347,7 @@ mod tests {
         let t = sample_table(10);
         let p = t.project(&[3, 0], &Budget::unlimited()).unwrap();
         assert_eq!(p.schema().col_name(0), "resp");
-        let row = p.get_row(4);
+        let row = get_row(&p, 4);
         assert_eq!(row, vec![Value::Float(2.0), Value::Int(4)]);
         assert!(t.project(&[9], &Budget::unlimited()).is_err());
     }
@@ -415,7 +415,7 @@ mod tests {
             if let Value::Int(k) = row[self_key] {
                 for &b in table.get(&k).into_iter().flatten() {
                     let mut joined = row.to_vec();
-                    joined.extend(build.get_row(b));
+                    joined.extend(get_row(build, b));
                     out.insert(&joined).unwrap();
                 }
             }

@@ -12,7 +12,7 @@
 //! materializes something new.
 
 use crate::tracker::MemTracker;
-use genbase_relational::{ColumnData, ColumnTable, DataType, Relation, Schema, Value};
+use genbase_relational::{ColumnData, DataType, Relation, Schema, Value};
 use genbase_util::{idindex, Error, Result};
 
 /// One typed column of a [`ColumnarTable`].
@@ -242,17 +242,6 @@ impl ColumnarTable {
         let vals = self.float_col(val_col)?;
         Ok(idindex::group_sum(keys, vals))
     }
-
-    /// Convert into a relational [`ColumnTable`] (column moves, no copy).
-    /// The tracker's charge is released: ownership leaves the storage layer.
-    pub fn into_column_table(mut self) -> Result<ColumnTable> {
-        let bytes = self.heap_bytes();
-        let schema = self.schema.clone();
-        let cols: Vec<ColumnData> = self.cols.drain(..).map(ColumnData::from).collect();
-        self.tracker.release(bytes);
-        self.n_rows = 0;
-        ColumnTable::from_columns(schema, cols)
-    }
 }
 
 impl Drop for ColumnarTable {
@@ -445,15 +434,5 @@ mod tests {
         drop(table);
         drop(rebuilt);
         assert_eq!(t.current(), 0, "adopted charge released exactly once");
-    }
-
-    #[test]
-    fn into_column_table_releases_charge() {
-        let t = MemTracker::unlimited();
-        let table = sample(&t);
-        assert!(t.current() > 0);
-        let ct = table.into_column_table().unwrap();
-        assert_eq!(t.current(), 0);
-        assert_eq!(ct.n_rows(), 4);
     }
 }

@@ -2,8 +2,12 @@
 //! the defining correctness property of a benchmark suite. Performance may
 //! differ by orders of magnitude; results may not.
 
+use genbase::engine::StreamConfig;
+use genbase::engines::loaded::LoadedTables;
+use genbase::engines::sql_common::{filter_pred, Dim, StoreKind};
 use genbase::prelude::*;
-use genbase_datagen::{generate, GeneratorConfig, SizeSpec};
+use genbase_datagen::{generate, GeneratorConfig, SizeClass, SizeSpec};
+use genbase_util::{Budget, Error};
 
 fn dataset() -> genbase_datagen::Dataset {
     generate(&GeneratorConfig::new(SizeSpec::custom(80, 70, 10))).unwrap()
@@ -132,5 +136,104 @@ fn enrichment_finds_planted_terms() {
             *z > 1.5 && *p < 0.15,
             "planted term {term} should enrich: z = {z}, p = {p}"
         );
+    }
+}
+
+/// Quick-scale SimOnly harness over the 60x60 Small dataset, materializing
+/// or streaming in 64-row morsels.
+fn small_harness(stream: bool) -> Harness {
+    let mut config = HarnessConfig {
+        threads: 4,
+        ..HarnessConfig::quick()
+    }
+    .sim_only();
+    config.stream = stream.then(|| StreamConfig {
+        batch_rows: 64,
+        ..StreamConfig::default()
+    });
+    Harness::new(config).unwrap()
+}
+
+/// Parameters that trip one selection rule, the queries it guards, and the
+/// refusal every lowering must answer with.
+type Trip = (fn(&mut QueryParams), &'static [Query], &'static str);
+
+const TRIPS: [Trip; 3] = [
+    (
+        |p| p.function_threshold = i64::MIN,
+        &[Query::Regression, Query::Svd],
+        "gene filter selected nothing",
+    ),
+    (
+        |p| p.disease_id = -1,
+        &[Query::Covariance],
+        "disease filter selected < 2 patients",
+    ),
+    (
+        |p| p.max_age = 0,
+        &[Query::Biclustering],
+        "age/gender filter selected too few patients",
+    ),
+];
+
+#[test]
+fn every_lowering_refuses_an_unusable_selection_with_the_same_error() {
+    for stream in [false, true] {
+        let harness = small_harness(stream);
+        let data = harness.dataset(SizeClass::Small).unwrap();
+        for (trip, queries, message) in &TRIPS {
+            let mut params = QueryParams::for_dataset(&data);
+            trip(&mut params);
+            for engine in engines::all_engines() {
+                for &query in queries.iter().filter(|&&q| engine.supports(q)) {
+                    for nodes in (1..=2).filter(|&n| n <= engine.max_nodes()) {
+                        let mut ctx = harness.context(nodes);
+                        ctx.tables = harness.loaded_tables(SizeClass::Small);
+                        let got = engine.run(query, &data, &params, &ctx).map(|r| r.output);
+                        assert!(
+                            matches!(&got, Err(Error::Invalid(m)) if m == message),
+                            "{} / {query:?} / {nodes} node(s) / stream={stream}: {got:?}",
+                            engine.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_native_filter_selects_what_the_record_predicates_select() {
+    let data = dataset();
+    let params = QueryParams::for_dataset(&data);
+    let budget = Budget::unlimited();
+    let as_ids = |ids: Vec<usize>| ids.into_iter().map(|i| i as i64).collect::<Vec<i64>>();
+    let arrays = LoadedTables::default().arrays(&data).unwrap();
+    let stores = [StoreKind::Row, StoreKind::Column]
+        .map(|kind| LoadedTables::default().store(kind, false, &data).unwrap());
+
+    let genes = params.selected_genes(Query::Regression, &data).unwrap();
+    assert!(!genes.is_empty() && genes.len() < data.n_genes());
+    assert_eq!(arrays.filter_genes(&params), genes);
+    let genes = as_ids(genes);
+    for store in &stores {
+        let pred = filter_pred(Query::Regression, &params);
+        assert_eq!(store.filter_ids(Dim::Genes, &pred, &budget).unwrap(), genes);
+    }
+
+    for query in [Query::Covariance, Query::Biclustering] {
+        let patients = params.selected_patients(query, &data).unwrap();
+        assert!(!patients.is_empty() && patients.len() < data.n_patients());
+        assert_eq!(
+            arrays.filter_patients(query, &params),
+            patients,
+            "{query:?}"
+        );
+        let patients = as_ids(patients);
+        for store in &stores {
+            let pred = filter_pred(query, &params);
+            let ids = store.filter_ids(Dim::Patients, &pred, &budget).unwrap();
+            assert_eq!(ids, patients, "{query:?}");
+        }
     }
 }

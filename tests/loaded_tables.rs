@@ -8,7 +8,7 @@
 //! dataset refuses to serve another.
 
 use genbase::engine::StreamConfig;
-use genbase::engines::sql_common::{LoadedTables, StoreKind};
+use genbase::engines::{loaded::LoadedTables, sql_common::StoreKind};
 use genbase::prelude::*;
 use genbase_datagen::{generate, GeneratorConfig, SizeClass, SizeSpec};
 use std::sync::{Arc, Barrier};
