@@ -86,6 +86,10 @@
 //!                                measured timing)
 //! ```
 //!
+//! A flag is accepted only by the subcommands that read it (the
+//! `FLAG_READERS` table below — the `coordinate:` / `serve:` / `work:`
+//! prefixes above, as data); given to any other it is a usage error, exit 2.
+//!
 //! `coordinate` runs the sweep across worker *processes* instead of
 //! in-process jobs: it listens on `--listen`, leases one cell at a time to
 //! every `work` process that connects (handshake-checked against this
@@ -178,6 +182,8 @@ struct Args {
     json: bool,
     per_op: bool,
     positionals: Vec<String>,
+    /// Every flag given, in order, for [`check_flags`].
+    flags: Vec<String>,
 }
 
 /// A malformed command line: printed to stderr, exit code 2. The message
@@ -225,6 +231,7 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
         json: false,
         per_op: false,
         positionals: Vec::new(),
+        flags: Vec::new(),
     };
     // The raw string value following a flag; a flag at the end of the
     // command line is a usage error naming that flag.
@@ -245,6 +252,9 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
     }
     let mut i = 0;
     while i < argv.len() {
+        if argv[i].starts_with("--") {
+            args.flags.push(argv[i].clone());
+        }
         match argv[i].as_str() {
             "--scale" => args.scale = parsed!(&mut i, "--scale", "a float"),
             "--sizes" => {
@@ -351,6 +361,79 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
     Ok(args)
 }
 
+/// The figure subcommands: `fig1` … `fig5`, `table1` and `all`.
+const FIGS: &str = "figN";
+
+/// Every subcommand that builds a `HarnessConfig` from the dataset, timing
+/// and memory flags.
+const CONFIGURED: &str = "figN explain coordinate work serve";
+
+/// Which subcommands read each flag (space-separated lists). A flag given
+/// to any other subcommand is a usage error, not silently ignored.
+const FLAG_READERS: &[(&str, &[&str])] = &[
+    ("--scale", &[CONFIGURED, "weak"]),
+    ("--sizes", &[CONFIGURED, "query"]),
+    ("--cutoff", &[CONFIGURED]),
+    ("--threads", &[CONFIGURED]),
+    ("--sim-only", &[CONFIGURED]),
+    ("--mem-budget", &[CONFIGURED]),
+    ("--stream", &[CONFIGURED]),
+    ("--batch-rows", &[CONFIGURED]),
+    ("--spill-dir", &[CONFIGURED]),
+    ("--mn-size", &[FIGS, "coordinate"]),
+    ("--per-op", &[FIGS, "coordinate"]),
+    ("--checkpoint", &[FIGS, "coordinate"]),
+    ("--grid-out", &[FIGS, "coordinate"]),
+    ("--grid-in", &[FIGS]),
+    ("--shards", &[FIGS]),
+    ("--shard-id", &[FIGS]),
+    ("--jobs", &[FIGS, "work"]),
+    ("--nodes", &["explain query"]),
+    ("--json", &["explain status"]),
+    ("--figures", &["coordinate"]),
+    ("--lease-timeout", &["coordinate"]),
+    ("--rebalance-after", &["coordinate"]),
+    ("--listen", &["coordinate serve"]),
+    ("--listen-http", &["serve"]),
+    ("--queue-depth", &["serve"]),
+    ("--cache-budget", &["serve"]),
+    ("--result-cache", &["serve"]),
+    ("--connect", &["work query status"]),
+    ("--connect-window", &["work status"]),
+    ("--auth-token", &["coordinate work status serve query"]),
+    // `weak` and `explain` pass no fault site.
+    ("--faults", &[FIGS, "coordinate work status serve query"]),
+];
+
+/// The subcommands reading `flag`, per [`FLAG_READERS`].
+fn readers(flag: &str) -> impl Iterator<Item = &'static str> {
+    let row = FLAG_READERS.iter().find(|(name, _)| *name == flag);
+    row.into_iter()
+        .flat_map(|(_, lists)| lists.iter().flat_map(|list| list.split(' ')))
+}
+
+/// Refuse flags the chosen subcommand does not read. (An unknown subcommand
+/// is `run`'s error to report.)
+fn check_flags(args: &Args) -> std::result::Result<(), UsageError> {
+    let family = match args.what.as_str() {
+        "all" => FIGS,
+        what if FigureId::from_name(what).is_some() => FIGS,
+        what => what,
+    };
+    let reads = |flag: &str| readers(flag).any(|r| r == family);
+    if !FLAG_READERS.iter().any(|(flag, _)| reads(flag)) {
+        return Ok(());
+    }
+    match args.flags.iter().find(|flag| !reads(flag)) {
+        Some(flag) => Err(UsageError(format!(
+            "{flag} is not read by {} (read by: {})",
+            args.what,
+            readers(flag).collect::<Vec<_>>().join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
 fn requested_figures(what: &str) -> Result<Vec<FigureId>> {
     if what == "all" {
         Ok(FigureId::ALL.to_vec())
@@ -394,7 +477,7 @@ fn harness_config(args: &Args) -> HarnessConfig {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
+    let args = match parse_args(&argv).and_then(|args| check_flags(&args).map(|()| args)) {
         Ok(args) => args,
         Err(usage) => {
             // Usage errors get their own exit code (2) so scripts can tell
@@ -502,16 +585,10 @@ fn run(args: &Args) -> Result<()> {
         // The grids must come from the configuration we are rendering
         // under — table1 regenerates the dataset from the render-time
         // config, so a scale mismatch would silently produce wrong numbers.
-        let expect = genbase::sched::config_fingerprint(&config);
-        if let Some(have) = grid.fingerprint() {
-            if have != expect {
-                return Err(Error::invalid(format!(
-                    "grid files were produced under a different configuration \
-                     ({have} vs {expect}); repeat the sweep's \
-                     --scale/--sim-only/... flags when rendering"
-                )));
-            }
-        }
+        grid.check_config(
+            "the --grid-in merge",
+            &genbase::sched::config_fingerprint(&config),
+        )?;
         let harness = Harness::new(config)?;
         for &fig in &figs {
             let figure = render_figure(fig, &harness, args, &grid)?;
@@ -872,5 +949,99 @@ mod tests {
             let err = parse_args(&argv).err().expect("usage error");
             assert_eq!(err.0, format!("unknown flag {flag:?}"));
         }
+    }
+
+    /// `parse_args` + `check_flags`, as `main` runs them.
+    fn usage(line: &str) -> std::result::Result<(), String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let checked = parse_args(&argv).and_then(|args| check_flags(&args));
+        checked.map_err(|e| e.0)
+    }
+
+    /// Every flag is read by some subcommand and refused — by name, with
+    /// the subcommand named too — by some other. (A flag `parse_args` knows
+    /// and `FLAG_READERS` does not is refused everywhere.)
+    #[test]
+    fn every_flag_is_read_somewhere_and_refused_elsewhere() {
+        let commands = [
+            "fig1",
+            "table1",
+            "all",
+            "weak",
+            "explain",
+            "coordinate",
+            "work",
+            "status",
+            "serve",
+            "query",
+        ];
+        // A value each flag's parser takes (ignored by the three switches'
+        // neighbours: a stray positional is only legal after explain/query).
+        let value = |flag: &str| match flag {
+            "--sim-only" | "--stream" | "--result-cache" | "--json" | "--per-op" => "",
+            "--sizes" | "--mn-size" => "small",
+            "--figures" => "fig1",
+            "--faults" => "worker.cell@2=abort",
+            _ => "1",
+        };
+        for (flag, _) in FLAG_READERS {
+            let (mut read, mut refused) = (0, 0);
+            for command in commands {
+                match usage(&format!("{command} {flag} {}", value(flag))) {
+                    Ok(()) => read += 1,
+                    Err(e) => {
+                        assert_eq!(
+                            e.split(" (").next(),
+                            Some(&*format!("{flag} is not read by {command}"))
+                        );
+                        refused += 1;
+                    }
+                }
+            }
+            assert!(
+                read > 0 && refused > 0,
+                "{flag}: read by {read}, refused by {refused}"
+            );
+        }
+        // The three the issue names.
+        assert!(usage("fig1 --lease-timeout 5").is_err());
+        assert!(usage("work --shards 2").is_err());
+        assert!(usage("serve --grid-out x").is_err());
+    }
+
+    /// Every `paper_harness` invocation in the CI workflow still parses.
+    #[test]
+    fn ci_invocations_parse() {
+        let ci = include_str!("../../../../.github/workflows/ci.yml");
+        let (mut flags, mut checked) = (String::new(), 0);
+        let mut lines = ci.lines().map(str::trim).filter(|l| !l.starts_with('#'));
+        while let Some(first) = lines.next() {
+            // Join shell continuation lines.
+            let mut line = first.to_string();
+            while line.ends_with('\\') {
+                line.pop();
+                line.push_str(lines.next().unwrap_or_default());
+            }
+            if let Some(rest) = line.strip_prefix("FLAGS=\"") {
+                flags = rest.trim_end_matches('"').to_string();
+            }
+            let Some((_, command)) = line.split_once("paper_harness ") else {
+                continue;
+            };
+            // `${{ matrix.x }}` stands for a number; the command ends at the
+            // first redirection, pipe or `&`.
+            let mut command = command.replace("$FLAGS", &flags);
+            while let Some((before, after)) = command.split_once("${{") {
+                let (_, after) = after.split_once("}}").expect("closed expression");
+                command = format!("{before}1{after}");
+            }
+            let words = command.split_whitespace();
+            let argv: Vec<&str> = words
+                .take_while(|w| !w.starts_with(['>', '|', '&', '2']) || w.parse::<f64>().is_ok())
+                .collect();
+            usage(&argv.join(" ")).unwrap_or_else(|e| panic!("ci.yml: {argv:?}: {e}"));
+            checked += 1;
+        }
+        assert!(checked >= 20, "only {checked} invocations found");
     }
 }

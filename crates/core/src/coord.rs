@@ -1,15 +1,13 @@
 //! Distributed sweep coordinator: lease cells to workers over TCP.
 //!
-//! The sharded scheduler in [`crate::sched`] splits a sweep into static
-//! shards that merge by grid *files* — which requires a shared filesystem
-//! (or artifact copying) and fixes the partition up front. This module
-//! removes both constraints: a **coordinator** process listens on a TCP
-//! socket, hands out [`CellKey`] work **leases** to connecting **workers**,
-//! and streams each completed cell's outcome back as a length-prefixed
-//! `genbase_util::json` message ([`genbase_util::frame`]), folding it into
-//! one authoritative [`ReportGrid`]. Workers can live on other machines, or
-//! be N local processes; the file-based shard merge remains as the fallback
-//! path for batch clusters without connectivity.
+//! A sweep's books — which cells are left, the grid, the first failure, the
+//! checkpoint — are a [`Ledger`], the same one a local sweep drains with
+//! in-process jobs. Here a **coordinator** process drains it over TCP: it
+//! hands out [`CellKey`] work **leases** to connecting **workers** (other
+//! machines, or N local processes) and settles each outcome they stream
+//! back as a length-prefixed `genbase_util::json` message
+//! ([`genbase_util::frame`]). This module is about the *workers*: who holds
+//! which lease since when, and what happens when one dies, leaves or idles.
 //!
 //! ## Wire protocol (`genbase-coord-v1`)
 //!
@@ -28,12 +26,11 @@
 //! - **Worker death is a first-class event:** each connection is served by
 //!   a dedicated blocking thread, so a dying worker — process kill, crash,
 //!   connection reset — surfaces as an I/O error/EOF, and its outstanding
-//!   lease is returned to the front of the pending queue for the next
-//!   requester. Completed cells are already in the grid (and in the
-//!   checkpoint file, when configured), so no work is lost and none
-//!   repeats. (A machine that vanishes *without* a TCP reset — power
-//!   loss, hard partition — is not detected until its connection errors
-//!   unless a `--lease-timeout` deadline is configured.)
+//!   lease is given back to the ledger for the next requester. Settled
+//!   cells are already in the ledger's grid (and checkpoint), so no work is
+//!   lost and none repeats. (A machine that vanishes *without* a TCP reset
+//!   — power loss, hard partition — is not detected until its connection
+//!   errors unless a `--lease-timeout` deadline is configured.)
 //! - **Workers are elastic.** A worker told to stop (SIGTERM, or a
 //!   [`WorkerOptions::stop`] flag) departs cleanly: it sends `leave`, the
 //!   coordinator re-queues any held cell *without* charging the re-issue
@@ -48,20 +45,14 @@
 //!   identical under `SimOnly`).
 //! - **Intra-cell checkpoints:** long iterative kernels (Lanczos SVD,
 //!   Cheng–Church) periodically stream a `progress` snapshot through the
-//!   worker's connection; the coordinator stores it in the grid's progress
-//!   map (riding the checkpoint file) and delivers it with the next lease
-//!   of the same cell, so a re-issued cell resumes mid-iteration
-//!   bit-identically instead of starting over.
-//! - **Checkpoint reuse:** the coordinator persists the grid through the
-//!   same `--checkpoint` JSON file as a local sweep, after every streamed
-//!   result. A killed coordinator restarts with only the missing cells
-//!   pending, exactly like a killed local sweep.
+//!   worker's connection; the coordinator notes it in the ledger (it rides
+//!   the checkpoint file) and delivers it with the next lease of the same
+//!   cell, so a re-issued cell resumes mid-iteration bit-identically
+//!   instead of starting over.
 //!
-//! Determinism: the grid is keyed and ordered by cell id, so the rendered
-//! figures are independent of which worker ran which cell and of arrival
-//! order. Under [`TimingMode::SimOnly`](crate::harness::TimingMode) a
-//! coordinated sweep renders **byte-identical** output to the serial
-//! single-process run (`tests/coord_distributed.rs` pins this).
+//! Under [`TimingMode::SimOnly`](crate::harness::TimingMode) a coordinated
+//! sweep renders **byte-identical** output to the serial single-process run
+//! whichever worker ran which cell (`tests/coord_distributed.rs` pins this).
 //!
 //! Listening, the `hello` gate, the frame loop and the accept/drain model
 //! are the session layer's (`session.rs`, shared with [`crate::serve`]);
@@ -70,7 +61,7 @@
 use crate::figures;
 use crate::harness::HarnessConfig;
 use crate::sched::{
-    config_fingerprint, save_text, CellKey, CellOutcome, FigureId, ReportGrid, Scheduler,
+    config_fingerprint, CellKey, CellOutcome, CellState, FigureId, Ledger, ReportGrid, Scheduler,
 };
 pub use crate::session::PROTOCOL;
 use crate::session::{self, hello, msg, msg_type, Gate};
@@ -78,11 +69,11 @@ use genbase_datagen::SizeClass;
 use genbase_util::frame::{read_frame_opt, write_frame};
 use genbase_util::retry::Backoff;
 use genbase_util::{faults, lock, shutdown, CellProgress, Error, Json, ProgressHandle, Result};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Milliseconds a worker waits before re-requesting when the coordinator
@@ -92,9 +83,9 @@ const IDLE_BACKOFF_MS: u64 = 50;
 /// How many times one cell may be re-issued after worker deaths before it
 /// is abandoned as a hard failure. Bounds the livelock where a cell
 /// reliably kills (OOMs, segfaults) every worker that leases it: after
-/// this many dead workers the cell is written off through `first_error`
-/// and the rest of the sweep completes, mirroring how the local scheduler
-/// surfaces an in-process crash instead of retrying forever.
+/// this many dead workers the cell is written off as failed and the rest of
+/// the sweep completes, mirroring how the local scheduler surfaces an
+/// in-process crash instead of retrying forever.
 const MAX_REISSUES_PER_CELL: usize = 3;
 
 /// Coordinator tuning knobs.
@@ -196,28 +187,19 @@ struct WorkerStats {
     connected: Instant,
 }
 
-/// Shared lease-scheduler state behind the connection handlers.
+/// What the coordinator knows about its *workers*; what it knows about the
+/// sweep's cells is the [`Ledger`]'s.
+#[derive(Default)]
 struct State {
-    pending: VecDeque<CellKey>,
     /// Outstanding lease per live worker connection.
     leased: HashMap<u64, Lease>,
-    grid: ReportGrid,
-    executed: usize,
     reissued: usize,
     workers: usize,
-    /// First hard (non-outcome) cell failure, reported after drain.
-    first_error: Option<Error>,
-    /// Cells abandoned because a worker reported a hard error.
-    failed: usize,
-    /// Coordinator-side failure (e.g. an unwritable checkpoint): the
-    /// sweep cannot meaningfully continue, so workers are drained with
-    /// `done` and this error is returned from `serve`.
-    fatal: Option<Error>,
     /// Per-cell re-issue counts (worker deaths while holding the lease),
     /// for the [`MAX_REISSUES_PER_CELL`] cap.
     reissue_counts: HashMap<String, usize>,
     /// Workers currently parked on an `idle` reply — the population the
-    /// rebalancer weighs against the pending queue.
+    /// rebalancer weighs against the pending cells.
     idle: HashSet<u64>,
     /// Clean `leave` departures.
     departed: usize,
@@ -229,33 +211,18 @@ struct State {
     worker_stats: HashMap<u64, WorkerStats>,
 }
 
-impl State {
-    /// No work left and none in flight (hard-failed cells count as
-    /// drained — they are reported through `first_error`, not retried
-    /// forever), or the coordinator itself failed.
-    fn complete(&self) -> bool {
-        self.fatal.is_some() || (self.pending.is_empty() && self.leased.is_empty())
-    }
-}
-
-/// Everything a connection handler needs.
-struct Shared {
-    state: Mutex<State>,
+/// The coordinator half: plans the sweep, listens, leases, collects.
+pub struct Coordinator {
+    listener: TcpListener,
+    config: HarnessConfig,
     fingerprint: String,
-    /// Required worker auth token, when configured.
-    auth_token: Option<String>,
-    checkpoint: Option<PathBuf>,
-    /// Serializes checkpoint render+write+rename: a writer renders the
-    /// grid *inside* this lock, so renames land in render order and a
-    /// newer on-disk grid is never replaced by an older snapshot (the
-    /// hazard the local sweep's authoritative rewrite also guards).
-    checkpoint_io: Mutex<()>,
-    /// Per-lease deadline, if configured.
-    lease_timeout: Option<Duration>,
-    /// Work-stealing deadline, if configured.
-    rebalance_after: Option<Duration>,
-    /// Cells in the full plan (for status snapshots).
-    planned: usize,
+    plan: Vec<CellKey>,
+    options: CoordOptions,
+    /// Lock order: `state`, then the ledger's own locks; the ledger's
+    /// checkpoint writes (`settle`, `note_progress`) run with `state`
+    /// released.
+    state: Mutex<State>,
+    ledger: Ledger,
     /// Cells restored from the checkpoint at startup.
     restored: usize,
     /// Live connections by worker id (`try_clone` handles), so the deadline
@@ -264,18 +231,10 @@ struct Shared {
     streams: Mutex<HashMap<u64, TcpStream>>,
 }
 
-/// The coordinator half: plans the sweep, listens, leases, collects.
-pub struct Coordinator {
-    listener: TcpListener,
-    config: HarnessConfig,
-    fingerprint: String,
-    plan: Vec<CellKey>,
-    options: CoordOptions,
-}
-
 impl Coordinator {
-    /// Bind to `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and plan
-    /// the sweep for `figs`. Nothing is leased until [`Coordinator::serve`].
+    /// Bind to `addr` (e.g. `127.0.0.1:0` for an ephemeral port), plan the
+    /// sweep for `figs` and open its ledger (loading the checkpoint, if
+    /// any). Nothing is leased until [`Coordinator::serve`].
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: HarnessConfig,
@@ -290,12 +249,21 @@ impl Coordinator {
             .flat_map(|&f| figures::plan(f, &config, mn_size))
             .collect();
         let fingerprint = config_fingerprint(&config);
+        let ledger = Ledger::open(
+            plan.clone(),
+            fingerprint.clone(),
+            options.checkpoint.clone(),
+        )?;
         Ok(Coordinator {
             listener,
             config,
             fingerprint,
             plan,
             options,
+            state: Mutex::default(),
+            restored: ledger.count(CellState::Settled),
+            ledger,
+            streams: Mutex::default(),
         })
     }
 
@@ -312,82 +280,14 @@ impl Coordinator {
     }
 
     /// Serve until every planned cell has an outcome (or was abandoned by
-    /// a hard failure): accept workers, lease cells, stream results into
-    /// the grid, re-lease on worker death, checkpoint after every result.
+    /// a hard failure): accept workers, lease cells, settle streamed
+    /// results in the ledger, re-lease on worker death.
     ///
     /// Like [`Scheduler::run_sweep`](crate::sched::Scheduler::run_sweep),
-    /// a hard cell failure does not stop other cells; the first failure is
-    /// returned once no work remains, and the checkpoint keeps everything
-    /// that did complete.
+    /// a hard cell failure does not stop other cells; the first failure in
+    /// plan order is returned once no work remains, and the checkpoint
+    /// keeps everything that did complete.
     pub fn serve(&self) -> Result<CoordOutcome> {
-        let (shared, recovered) = self.open()?;
-        self.serve_shared(&shared, recovered)
-    }
-
-    /// Load the checkpoint (if any) and build the sweep's shared state:
-    /// everything [`Coordinator::serve`] does before its first `accept`.
-    /// Also returns the torn-checkpoint recovery note.
-    fn open(&self) -> Result<(Shared, Option<String>)> {
-        let mut recovered = None;
-        let mut base = match &self.options.checkpoint {
-            Some(path) if path.exists() => {
-                let (grid, note) = ReportGrid::load_with_recovery(path)?;
-                recovered = note;
-                if let Some(have) = grid.fingerprint() {
-                    if have != self.fingerprint {
-                        return Err(Error::invalid(format!(
-                            "checkpoint {} is from a different configuration \
-                             ({have} vs {}); delete it or match the flags",
-                            path.display(),
-                            self.fingerprint
-                        )));
-                    }
-                }
-                grid
-            }
-            _ => ReportGrid::default(),
-        };
-        base.set_fingerprint(self.fingerprint.clone());
-        let pending: VecDeque<CellKey> = self
-            .plan
-            .iter()
-            .filter(|c| !base.contains(c))
-            .cloned()
-            .collect();
-        let restored = self.plan.len() - pending.len();
-        let shared = Shared {
-            state: Mutex::new(State {
-                pending,
-                leased: HashMap::new(),
-                grid: base,
-                executed: 0,
-                reissued: 0,
-                workers: 0,
-                first_error: None,
-                failed: 0,
-                fatal: None,
-                reissue_counts: HashMap::new(),
-                idle: HashSet::new(),
-                departed: 0,
-                rebalanced: 0,
-                resumed: 0,
-                worker_stats: HashMap::new(),
-            }),
-            fingerprint: self.fingerprint.clone(),
-            auth_token: self.options.auth_token.clone(),
-            checkpoint: self.options.checkpoint.clone(),
-            checkpoint_io: Mutex::new(()),
-            lease_timeout: self.options.lease_timeout,
-            rebalance_after: self.options.rebalance_after,
-            planned: self.plan.len(),
-            restored,
-            streams: Mutex::new(HashMap::new()),
-        };
-        Ok((shared, recovered))
-    }
-
-    /// The accept/lease/drain loop of [`Coordinator::serve`] over `shared`.
-    fn serve_shared(&self, shared: &Shared, recovered: Option<String>) -> Result<CoordOutcome> {
         let next_worker = AtomicU64::new(0);
         let handler = |stream: TcpStream| {
             if faults::hit("coord.accept").is_err() {
@@ -398,7 +298,7 @@ impl Coordinator {
             let worker = next_worker.fetch_add(1, Ordering::Relaxed) + 1;
             match stream.try_clone() {
                 Ok(clone) => {
-                    lock(&shared.streams).insert(worker, clone);
+                    lock(&self.streams).insert(worker, clone);
                 }
                 // Without a clone handle the deadline reaper could revoke
                 // this worker's lease but never unblock its handler thread
@@ -406,11 +306,11 @@ impl Coordinator {
                 // prevent. Refuse the connection instead (the worker sees
                 // EOF and can be restarted); without a deadline configured
                 // the handle is unused, so the connection is fine.
-                Err(_) if shared.lease_timeout.is_some() => return,
+                Err(_) if self.options.lease_timeout.is_some() => return,
                 Err(_) => {}
             }
-            handle_worker(stream, worker, shared);
-            lock(&shared.streams).remove(&worker);
+            handle_worker(stream, worker, self);
+            lock(&self.streams).remove(&worker);
         };
         // Drain: once the plan is complete every connection — parked on an
         // idle poll, or still queued in the listen backlog — gets `done` on
@@ -419,147 +319,132 @@ impl Coordinator {
             "coordinator",
             &[(&self.listener, &handler)],
             || {
-                reap_expired_leases(shared);
-                rebalance_leases(shared);
-                !lock(&shared.state).complete()
+                reap_expired_leases(self);
+                rebalance_leases(self);
+                !self.complete()
             },
             || (),
         )?;
 
-        let mut state = lock(&shared.state);
-        if let Some(e) = state.fatal.take() {
-            return Err(e);
-        }
-        if let Some(path) = &self.options.checkpoint {
-            state.grid.save(path)?;
-        }
-        if let Some(e) = state.first_error.take() {
-            return Err(e);
-        }
+        // Every handler has exited: what they settled is in the ledger.
+        let done = self.ledger.finish()?;
+        let state = lock(&self.state);
         Ok(CoordOutcome {
-            grid: std::mem::take(&mut state.grid),
-            planned: self.plan.len(),
-            executed: state.executed,
-            restored: shared.restored,
+            grid: done.grid,
+            planned: done.planned,
+            executed: done.executed,
+            restored: done.skipped,
             reissued: state.reissued,
             workers: state.workers,
             departed: state.departed,
             rebalanced: state.rebalanced,
             resumed: state.resumed,
-            recovered,
+            recovered: done.recovered,
         })
+    }
+
+    /// No work left and none in flight (hard-failed cells count as
+    /// drained — they are reported at the end, not retried forever), or the
+    /// ledger halted on a checkpoint write: the sweep cannot meaningfully
+    /// continue, so workers are drained with `done`.
+    fn complete(&self) -> bool {
+        let s = lock(&self.state);
+        self.ledger.halted() || (self.pending() == 0 && s.leased.is_empty())
+    }
+
+    /// Planned cells nobody holds or has settled.
+    fn pending(&self) -> usize {
+        self.ledger.count(CellState::Pending)
     }
 }
 
-/// Return a revoked/dead worker's cell to the head of the queue — or, past
-/// [`MAX_REISSUES_PER_CELL`] losses, abandon it as a hard failure so a
-/// worker-killing cell cannot livelock the sweep.
-fn requeue_or_abandon(s: &mut State, cell: CellKey, why: &str) {
-    let id = cell.id();
-    let losses = {
-        let count = s.reissue_counts.entry(id.clone()).or_insert(0);
-        *count += 1;
-        *count
+/// Take `worker`'s lease away, if it holds one, and give the cell back to
+/// the ledger. A `loss` — why the worker lost it — is charged to the cell:
+/// past [`MAX_REISSUES_PER_CELL`] losses it is abandoned as a hard failure,
+/// so a worker-killing cell cannot livelock the sweep. `None`: the holder
+/// did nothing wrong (a clean `leave`, a rebalance).
+fn revoke(s: &mut State, ledger: &Ledger, worker: u64, loss: Option<&str>) {
+    let Some(Lease { cell, .. }) = s.leased.remove(&worker) else {
+        return;
     };
-    if losses > MAX_REISSUES_PER_CELL {
-        s.failed += 1;
-        let err = Error::invalid(format!(
-            "cell {id}: abandoned after {losses} lost leases (last: {why})"
-        ));
-        s.first_error.get_or_insert(err);
+    let Some(why) = loss else {
+        return ledger.give_back(&cell);
+    };
+    let id = cell.id();
+    let losses = s.reissue_counts.entry(id.clone()).or_insert(0);
+    *losses += 1;
+    if *losses > MAX_REISSUES_PER_CELL {
+        let err = format!("cell {id}: abandoned after {losses} lost leases (last: {why})");
+        ledger.fail(&cell, Error::invalid(err));
     } else {
         // Only an actual re-queue counts as a re-issue.
         s.reissued += 1;
-        s.pending.push_front(cell);
+        ledger.give_back(&cell);
     }
 }
 
-/// Return a dead worker's outstanding lease to the head of the queue.
-fn release_lease(worker: u64, shared: &Shared) {
-    let mut s = lock(&shared.state);
-    s.idle.remove(&worker);
-    if let Some(lease) = s.leased.remove(&worker) {
-        requeue_or_abandon(&mut s, lease.cell, "worker connection ended");
-    }
-}
-
-/// Work-stealing sweep: when idle workers outnumber pending cells, revoke
-/// the longest-held lease past [`CoordOptions::rebalance_after`], re-queue
-/// its cell for an idle worker, and cut the holder's connection. The cell
-/// is *not* charged against the re-issue cap — its holder is healthy, just
-/// slow or over-committed — and the holder's finished result can still
-/// land later through the reconnect/resume path (first copy wins).
-fn rebalance_leases(shared: &Shared) {
-    let Some(after) = shared.rebalance_after else {
-        return;
-    };
-    let now = Instant::now();
-    let victim = {
-        let mut s = lock(&shared.state);
-        if s.fatal.is_some() || s.idle.len() <= s.pending.len() {
-            return;
-        }
-        let longest = s
-            .leased
-            .iter()
-            .max_by_key(|(_, lease)| now.duration_since(lease.since))
-            .filter(|(_, lease)| now.duration_since(lease.since) > after)
-            .map(|(&worker, _)| worker);
-        match longest {
-            Some(worker) => {
-                let lease = s.leased.remove(&worker).expect("present under lock");
-                s.pending.push_front(lease.cell);
-                s.rebalanced += 1;
-                worker
-            }
-            None => return,
-        }
-    };
-    if let Some(stream) = lock(&shared.streams).remove(&victim) {
+/// Shut down a worker's connection, unblocking its handler thread even when
+/// it is parked in a read on a half-open link; the handler then exits
+/// through the normal error path and finds no lease left to release.
+fn cut(coord: &Coordinator, worker: u64) {
+    if let Some(stream) = lock(&coord.streams).remove(&worker) {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
-/// Deadline sweep: revoke leases held past `lease_timeout`, re-queue their
-/// cells, and shut down the holders' connections. Shutdown unblocks a
-/// handler thread parked in a read on a half-open link — the gap the
-/// EOF-only recovery path cannot close — so `serve()`'s final join stays
-/// bounded. The handler then exits through the normal error path and finds
-/// no lease left to release.
-fn reap_expired_leases(shared: &Shared) {
-    let Some(timeout) = shared.lease_timeout else {
+/// Work-stealing sweep: when idle workers outnumber pending cells, revoke
+/// the longest-held lease past [`CoordOptions::rebalance_after`] for an
+/// idle worker and cut the holder's connection. The cell is *not* charged
+/// against the re-issue cap — its holder is healthy, just slow or
+/// over-committed — and the holder's finished result can still land later
+/// through the reconnect/resume path (first copy wins).
+fn rebalance_leases(coord: &Coordinator) {
+    let Some(after) = coord.options.rebalance_after else {
+        return;
+    };
+    let now = Instant::now();
+    let victim = {
+        let mut s = lock(&coord.state);
+        if coord.ledger.halted() || s.idle.len() <= coord.pending() {
+            return;
+        }
+        let held = s
+            .leased
+            .iter()
+            .map(|(&worker, lease)| (lease.since, worker));
+        let Some((_, worker)) = held.min().filter(|(since, _)| now - *since > after) else {
+            return;
+        };
+        revoke(&mut s, &coord.ledger, worker, None);
+        s.rebalanced += 1;
+        worker
+    };
+    cut(coord, victim);
+}
+
+/// Deadline sweep: revoke leases held past `lease_timeout`, charged to
+/// their cells, and cut the holders' connections — the gap the EOF-only
+/// recovery path cannot close — so `serve()`'s final join stays bounded.
+fn reap_expired_leases(coord: &Coordinator) {
+    let Some(timeout) = coord.options.lease_timeout else {
         return;
     };
     let now = Instant::now();
     let expired: Vec<u64> = {
-        let s = lock(&shared.state);
-        s.leased
+        let mut s = lock(&coord.state);
+        let held = s
+            .leased
             .iter()
-            .filter(|(_, lease)| now.duration_since(lease.since) > timeout)
-            .map(|(&worker, _)| worker)
-            .collect()
+            .filter(|(_, lease)| now - lease.since > timeout);
+        let expired: Vec<u64> = held.map(|(&worker, _)| worker).collect();
+        let why = Some("lease deadline exceeded");
+        for &worker in &expired {
+            revoke(&mut s, &coord.ledger, worker, why);
+        }
+        expired
     };
     for worker in expired {
-        let revoked = {
-            let mut s = lock(&shared.state);
-            // Re-check under the lock: between the snapshot above and now
-            // the worker may have returned its result and taken a *fresh*
-            // lease — revoking that one would cut a healthy worker and run
-            // its cell twice.
-            match s.leased.get(&worker) {
-                Some(lease) if now.duration_since(lease.since) > timeout => {
-                    let lease = s.leased.remove(&worker).expect("present under lock");
-                    requeue_or_abandon(&mut s, lease.cell, "lease deadline exceeded");
-                    true
-                }
-                _ => false,
-            }
-        };
-        if revoked {
-            if let Some(stream) = lock(&shared.streams).remove(&worker) {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        cut(coord, worker);
     }
 }
 
@@ -576,20 +461,20 @@ const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(60);
 /// (a `status` monitor may only poll snapshots). However the connection
 /// ends, whatever lease it still holds is re-queued — nothing, after a
 /// refused handshake, an idle timeout or a clean `leave`.
-fn handle_worker(mut stream: TcpStream, worker: u64, shared: &Shared) {
+fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
     // Monitors authenticate but need no fingerprint: a status poll must
     // work from hosts that never built a matching config. They are not
     // counted as workers either.
     let gate = Gate {
-        token: shared.auth_token.as_deref(),
-        fingerprint: &shared.fingerprint,
+        token: coord.options.auth_token.as_deref(),
+        fingerprint: &coord.fingerprint,
         roles: &[("worker", true), ("status", false)],
     };
     let Ok(role) = session::admit(&mut stream, &gate) else {
         return;
     };
     let remaining = {
-        let mut s = lock(&shared.state);
+        let mut s = lock(&coord.state);
         if role == "worker" {
             s.workers += 1;
             s.worker_stats.insert(
@@ -601,7 +486,7 @@ fn handle_worker(mut stream: TcpStream, worker: u64, shared: &Shared) {
                 },
             );
         }
-        s.pending.len() + s.leased.len()
+        coord.pending() + s.leased.len()
     };
     let mut welcome = msg("welcome");
     welcome.set("worker", Json::from(worker));
@@ -610,15 +495,15 @@ fn handle_worker(mut stream: TcpStream, worker: u64, shared: &Shared) {
         session::frame_loop(
             &mut stream,
             |stream| {
-                let leased = lock(&shared.state).leased.contains_key(&worker);
+                let leased = lock(&coord.state).leased.contains_key(&worker);
                 let _ = stream.set_read_timeout((!leased).then_some(IDLE_READ_TIMEOUT));
                 faults::hit("coord.read").is_ok()
             },
             |frame| {
                 let reply = match role {
-                    "worker" => apply_frame(frame, worker, shared)?,
+                    "worker" => apply_frame(frame, worker, coord)?,
                     // Monitors never touch lease state.
-                    _ if matches!(msg_type(frame), Ok("status")) => status_snapshot(shared),
+                    _ if matches!(msg_type(frame), Ok("status")) => status_snapshot(coord),
                     _ => return Err(Error::invalid("status connections may only poll status")),
                 };
                 // An injected write failure drops the reply on the floor.
@@ -626,29 +511,37 @@ fn handle_worker(mut stream: TcpStream, worker: u64, shared: &Shared) {
             },
         );
     }
-    release_lease(worker, shared);
+    let mut s = lock(&coord.state);
+    s.idle.remove(&worker);
+    revoke(
+        &mut s,
+        &coord.ledger,
+        worker,
+        Some("worker connection ended"),
+    );
 }
 
 /// Process one post-handshake worker frame and produce the single reply.
-fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
+fn apply_frame(frame: &Json, worker: u64, coord: &Coordinator) -> Result<Json> {
     let kind = msg_type(frame)?;
+    let field = |name: &str| {
+        let missing = || Error::invalid(format!("{kind} missing {name}"));
+        frame.get(name).ok_or_else(missing)
+    };
     // Results and failures settle the worker's outstanding lease first.
     if kind == "result" || kind == "failed" {
-        let cell = CellKey::from_json(
-            frame
-                .get("cell")
-                .ok_or_else(|| Error::invalid("result missing cell"))?,
-        )?;
-        let resume = matches!(frame.get("resume"), Some(&Json::Bool(true)));
-        let mut s = lock(&shared.state);
-        let held = match s.leased.get(&worker) {
-            Some(have) if have.cell.id() == cell.id() => {
-                s.leased.remove(&worker);
-                true
-            }
-            _ => false,
+        let cell = CellKey::from_json(field("cell")?)?;
+        // Parsed before any lease changes hands: a malformed report must
+        // leave its cell where the connection's end can give it back.
+        let outcome = match kind {
+            "result" => Some(CellOutcome::from_json(field("outcome")?)?),
+            _ => None,
         };
-        if !held {
+        let resume = matches!(frame.get("resume"), Some(&Json::Bool(true)));
+        let mut s = lock(&coord.state);
+        if matches!(s.leased.get(&worker), Some(have) if have.cell == cell) {
+            s.leased.remove(&worker);
+        } else {
             // Without a `resume` flag, an unleased report is a forged (or
             // hopelessly confused) message and stays a protocol error.
             if !resume {
@@ -660,126 +553,94 @@ fn apply_frame(frame: &Json, worker: u64, shared: &Shared) -> Result<Json> {
             // A resumed report: the worker finished a cell whose lease it
             // lost to a reconnect, rebalance, or deadline. Reconcile
             // against where the cell is now.
-            if s.grid.contains(&cell) {
-                // Someone already settled it (identical under SimOnly);
-                // drop the duplicate and move on.
-                drop(s);
-                return next_assignment(worker, shared);
-            }
-            if let Some(i) = s.pending.iter().position(|c| c.id() == cell.id()) {
-                s.pending.remove(i);
-            } else if s.leased.values().any(|l| l.cell.id() == cell.id()) {
-                // Leased to another worker. A finished result beats an
-                // in-flight recompute, so accept it (the other copy
-                // dedups when it lands); a resumed *failure* must not
-                // pre-empt a run that may yet succeed, so drop it.
-                if kind == "failed" {
+            match (coord.ledger.state_of(&cell), &outcome) {
+                // Someone already settled it (identical under SimOnly): drop
+                // the duplicate. Or it is leased to another worker: a
+                // finished result beats an in-flight recompute, so accept
+                // that (the other copy dedups when it lands), but a resumed
+                // *failure* must not pre-empt a run that may yet succeed.
+                (Some(CellState::Settled), _) | (Some(CellState::Out), None) => {
                     drop(s);
-                    return next_assignment(worker, shared);
+                    return next_assignment(worker, coord);
                 }
-            } else {
-                return Err(Error::invalid(format!(
-                    "worker {worker} resumed cell {} unknown to this sweep",
-                    cell.id()
-                )));
+                (Some(CellState::Pending | CellState::Out), _) => {}
+                (Some(CellState::Failed) | None, _) => {
+                    return Err(Error::invalid(format!(
+                        "worker {worker} resumed cell {} unknown to this sweep",
+                        cell.id()
+                    )))
+                }
             }
             s.resumed += 1;
         }
-        if kind == "failed" {
-            let reason = frame
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown worker error");
-            s.failed += 1;
-            if let Some(stats) = s.worker_stats.get_mut(&worker) {
-                stats.failed += 1;
+        let stats = s.worker_stats.get_mut(&worker);
+        match outcome {
+            Some(outcome) => {
+                stats.into_iter().for_each(|stats| stats.completed += 1);
+                // The checkpoint write runs with the state lock released.
+                drop(s);
+                coord.ledger.settle(&cell, outcome);
             }
-            let err = Error::invalid(format!("cell {}: {reason}", cell.id()));
-            s.first_error.get_or_insert(err);
-            drop(s);
-        } else {
-            let outcome = CellOutcome::from_json(
-                frame
-                    .get("outcome")
-                    .ok_or_else(|| Error::invalid("result missing outcome"))?,
-            )?;
-            // A rebalanced cell can land twice; only the first (distinct)
-            // copy counts as executed.
-            if !s.grid.contains(&cell) {
-                s.executed += 1;
+            None => {
+                stats.into_iter().for_each(|stats| stats.failed += 1);
+                let reason = frame
+                    .get("reason")
+                    .and_then(Json::as_str)
+                    .unwrap_or("unknown worker error");
+                let err = Error::invalid(format!("cell {}: {reason}", cell.id()));
+                coord.ledger.fail(&cell, err);
+                drop(s);
             }
-            s.grid.insert(&cell, outcome);
-            if let Some(stats) = s.worker_stats.get_mut(&worker) {
-                stats.completed += 1;
-            }
-            checkpoint_or_fail(s, worker, shared);
         }
-        return next_assignment(worker, shared);
+        return next_assignment(worker, coord);
     }
     if kind == "progress" {
-        // An intra-cell snapshot from the lease holder: store it in the
-        // grid's progress map (riding the checkpoint), so a re-issue of
-        // this cell resumes mid-iteration.
-        let cell = CellKey::from_json(
-            frame
-                .get("cell")
-                .ok_or_else(|| Error::invalid("progress missing cell"))?,
-        )?;
-        let kernel = frame
-            .get("kernel")
-            .and_then(Json::as_str)
-            .ok_or_else(|| Error::invalid("progress missing kernel"))?
-            .to_string();
-        let state = frame
-            .get("state")
-            .ok_or_else(|| Error::invalid("progress missing state"))?
-            .clone();
-        let mut s = lock(&shared.state);
-        match s.leased.get(&worker) {
-            Some(have) if have.cell.id() == cell.id() => {}
-            _ => {
-                return Err(Error::invalid(format!(
-                    "worker {worker} sent progress for cell {} it does not hold",
-                    cell.id()
-                )))
-            }
+        // An intra-cell snapshot from the lease holder: note it in the
+        // ledger (riding the checkpoint), so a re-issue of this cell
+        // resumes mid-iteration.
+        let cell = CellKey::from_json(field("cell")?)?;
+        let kernel = field("kernel")?.as_str();
+        let kernel = kernel.ok_or_else(|| Error::invalid("progress kernel is not a string"))?;
+        let state = field("state")?.clone();
+        if !matches!(lock(&coord.state).leased.get(&worker), Some(have) if have.cell == cell) {
+            return Err(Error::invalid(format!(
+                "worker {worker} sent progress for cell {} it does not hold",
+                cell.id()
+            )));
         }
-        s.grid.set_progress(&cell.id(), &kernel, state);
-        checkpoint_or_fail(s, worker, shared);
+        coord.ledger.note_progress(&cell, kernel, state);
         return Ok(msg("ack"));
     }
     if kind == "leave" {
-        // Clean departure: hand back any held cell at the front of the
-        // queue without charging the re-issue cap — the worker is healthy,
-        // it was *asked* to stop.
-        let mut s = lock(&shared.state);
+        // Clean departure: hand back any held cell without charging the
+        // re-issue cap — the worker is healthy, it was *asked* to stop.
+        let mut s = lock(&coord.state);
         s.idle.remove(&worker);
         s.departed += 1;
-        if let Some(lease) = s.leased.remove(&worker) {
-            s.pending.push_front(lease.cell);
-        }
+        revoke(&mut s, &coord.ledger, worker, None);
         return Ok(msg("bye"));
     }
     if kind == "status" {
-        return Ok(status_snapshot(shared));
+        return Ok(status_snapshot(coord));
     }
     if kind != "request" {
         return Err(Error::invalid(format!("unexpected frame type {kind:?}")));
     }
-    next_assignment(worker, shared)
+    next_assignment(worker, coord)
 }
 
 /// Render the live sweep state as a `status` frame.
-fn status_snapshot(shared: &Shared) -> Json {
-    let s = lock(&shared.state);
+fn status_snapshot(coord: &Coordinator) -> Json {
+    let s = lock(&coord.state);
+    let done = coord.ledger.count(CellState::Settled);
     let mut m = msg("status");
-    m.set("planned", Json::from(shared.planned));
-    m.set("restored", Json::from(shared.restored));
-    m.set("pending", Json::from(s.pending.len()));
+    m.set("planned", Json::from(coord.plan.len()));
+    m.set("restored", Json::from(coord.restored));
+    m.set("pending", Json::from(coord.pending()));
     m.set("leased", Json::from(s.leased.len()));
-    m.set("done", Json::from(s.grid.len()));
-    m.set("failed", Json::from(s.failed));
-    m.set("executed", Json::from(s.executed));
+    m.set("done", Json::from(done));
+    m.set("failed", Json::from(coord.ledger.count(CellState::Failed)));
+    m.set("executed", Json::from(done - coord.restored));
     m.set("reissued", Json::from(s.reissued));
     m.set("departed", Json::from(s.departed));
     m.set("rebalanced", Json::from(s.rebalanced));
@@ -827,63 +688,33 @@ fn status_snapshot(shared: &Shared) -> Json {
     m
 }
 
-/// Release the state lock and persist the grid it just changed. The change
-/// stands either way — the worker did the work and the grid has it. A
-/// checkpoint write failure is a *coordinator* failure: it is recorded as
-/// fatal (the sweep drains and reports it) instead of blaming the worker,
-/// and once one is recorded no further writes are attempted.
-fn checkpoint_or_fail(s: MutexGuard<'_, State>, worker: u64, shared: &Shared) {
-    let skip = s.fatal.is_some();
-    drop(s);
-    if let (Some(path), false) = (&shared.checkpoint, skip) {
-        if let Err(e) = write_checkpoint(path, worker, shared) {
-            lock(&shared.state).fatal.get_or_insert(e);
-        }
-    }
-}
-
-/// Persist the grid. Render-and-rename runs under `checkpoint_io`, so
-/// concurrent completions serialize and the on-disk file monotonically
-/// gains cells: a snapshot rendered earlier can never rename over one
-/// rendered later.
-fn write_checkpoint(path: &std::path::Path, worker: u64, shared: &Shared) -> Result<()> {
-    let _io = lock(&shared.checkpoint_io);
-    let json = lock(&shared.state).grid.to_json();
-    save_text(path, &json, worker as usize)
-}
-
 /// Lease the next pending cell, or tell the worker to wait / stop.
-fn next_assignment(worker: u64, shared: &Shared) -> Result<Json> {
-    let mut s = lock(&shared.state);
-    if s.fatal.is_some() {
+fn next_assignment(worker: u64, coord: &Coordinator) -> Result<Json> {
+    let mut s = lock(&coord.state);
+    if coord.ledger.halted() {
         // The coordinator is going down; drain workers cleanly.
         return Ok(msg("done"));
     }
     if let Some(held) = s.leased.get(&worker) {
         // A `request` while already holding a lease would silently orphan
         // the held cell if we just overwrote it. Protocol error: the
-        // handler rejects the connection and release_lease re-queues.
+        // handler rejects the connection and its end re-queues the cell.
         return Err(Error::invalid(format!(
             "worker {worker} requested work while still holding cell {}",
             held.cell.id()
         )));
     }
-    if let Some(cell) = s.pending.pop_front() {
+    if let Some((cell, progress)) = coord.ledger.take() {
         s.idle.remove(&worker);
         let mut lease = msg("lease");
         lease.set("cell", cell.to_json());
         // Ship any intra-cell snapshot a previous holder streamed, so the
         // new holder resumes mid-iteration instead of starting over.
-        if let Some(progress) = s.grid.progress_for(&cell.id()) {
-            lease.set("progress", progress.clone());
+        if let Some(progress) = progress {
+            lease.set("progress", progress);
         }
-        s.leased.insert(
-            worker,
-            Lease {
-                cell,
-                since: Instant::now(),
-            },
-        );
+        let since = Instant::now();
+        s.leased.insert(worker, Lease { cell, since });
         Ok(lease)
     } else if s.leased.is_empty() {
         s.idle.remove(&worker);
@@ -1610,16 +1441,15 @@ mod tests {
         .unwrap();
         let addr = coord.local_addr().unwrap();
         let planned = coord.plan.len();
-        let (shared, recovered) = coord.open().unwrap();
         let holder = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = shared.state.lock().unwrap();
+                let _guard = coord.state.lock().unwrap();
                 panic!("handler died holding the coordinator state lock");
             })
             .join()
         });
-        assert!(holder.is_err() && shared.state.is_poisoned());
-        let serve = std::thread::spawn(move || coord.serve_shared(&shared, recovered));
+        assert!(holder.is_err() && coord.state.is_poisoned());
+        let serve = std::thread::spawn(move || coord.serve());
 
         let snap = fetch_status(addr, None, Duration::from_secs(5)).unwrap();
         assert_eq!(

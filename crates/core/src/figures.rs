@@ -1,10 +1,13 @@
 //! Regeneration of every table and figure in the paper's evaluation.
 //!
-//! Each exhibit is described twice, deliberately:
+//! Each exhibit is described once, as an `Exhibit`: which systems are its
+//! columns, which queries it covers, whether its rows walk the dataset sizes
+//! or the node counts, and what a cell shows. Both directions derive from
+//! that one description:
 //! - [`plan`] decomposes it into independent [`CellKey`] work units in a
 //!   fixed order (what the scheduler executes, serially or sharded);
-//! - [`render`] turns a [`ReportGrid`] of cell outcomes back into the
-//!   paper's rows/series as a **pure function of the grid**.
+//! - [`render`] / [`render_per_op`] turn a [`ReportGrid`] of cell outcomes
+//!   back into the paper's rows/series as a **pure function of the grid**.
 //!
 //! Because rendering never looks at how or where cells ran, the sharded
 //! scheduler's output is byte-identical to the serial path's. The classic
@@ -16,14 +19,15 @@
 //! configuration.
 
 use crate::engine::Engine;
-use crate::engines;
-use crate::harness::Harness;
+use crate::engines::{self, SciDb, SciDbPhi};
+use crate::harness::{Harness, HarnessConfig};
+use crate::plan::{OpKind, Phase};
 use crate::query::Query;
 use crate::sched::{run_cells_serial, CellKey, CellOutcome, FigureId, ReportGrid};
 use genbase_accel::{Coprocessor, OpProfile};
 use genbase_datagen::SizeClass;
 use genbase_util::table::{Align, TextTable};
-use genbase_util::{fmt_secs, Error, Result};
+use genbase_util::{fmt_bytes, fmt_secs, Error, Result};
 
 /// A rendered figure: a title plus one or more captioned tables.
 #[derive(Debug)]
@@ -63,94 +67,146 @@ const TABLE1_QUERIES: [Query; 4] = [
     Query::Biclustering,
 ];
 
-fn cell(
-    figure: FigureId,
-    query: Query,
-    size: SizeClass,
-    nodes: usize,
-    engine: &dyn Engine,
-) -> CellKey {
-    CellKey {
-        figure,
-        query,
-        size,
-        nodes,
-        engine: engine.name().to_string(),
+/// What an exhibit's rows walk.
+enum Rows {
+    /// The configured dataset sizes, on one node.
+    Sizes,
+    /// The configured node counts, on the multi-node dataset.
+    Nodes,
+}
+
+/// What an exhibit shows for each of its cells. Caption and title templates
+/// take `{query}` (the query's title) and `{size}` (the multi-node
+/// dataset's label).
+enum Body {
+    /// One table per query of total times, under this caption.
+    Total(&'static str),
+    /// The query's data-management and analytics tables; `--per-op`
+    /// renders the same cells under `per_op_title`.
+    PhaseSplit { per_op_title: &'static str },
+    /// Table 1's modeled Phi speed-up: queries down, node counts across.
+    PhiSpeedup,
+}
+
+/// One exhibit of the evaluation: the single description [`plan`],
+/// [`render`] and [`render_per_op`] all derive from. Cells run (and tables
+/// fill) query by query, row by row, system by system.
+struct Exhibit {
+    title: &'static str,
+    /// The systems compared, in column order.
+    engines: fn() -> Vec<Box<dyn Engine>>,
+    queries: &'static [Query],
+    rows: Rows,
+    body: Body,
+}
+
+fn exhibit(figure: FigureId) -> Exhibit {
+    match figure {
+        FigureId::Fig1 => Exhibit {
+            title: "Figure 1: Overall performance of the various systems",
+            engines: engines::single_node_engines,
+            queries: &Query::ALL,
+            rows: Rows::Sizes,
+            body: Body::Total("{query} Query Performance"),
+        },
+        FigureId::Fig2 => Exhibit {
+            title: "Figure 2: Data management and analytics performance (regression)",
+            engines: engines::single_node_engines,
+            queries: &[Query::Regression],
+            rows: Rows::Sizes,
+            body: Body::PhaseSplit {
+                per_op_title: "Figure 2 (per-op): regression cost by physical operator",
+            },
+        },
+        FigureId::Fig3 => Exhibit {
+            title: "Figure 3: Overall performance, varying number of nodes",
+            engines: engines::multi_node_engines,
+            queries: &Query::ALL,
+            rows: Rows::Nodes,
+            body: Body::Total("{query} Query Performance, {size} Dataset"),
+        },
+        FigureId::Fig4 => Exhibit {
+            title: "Figure 4: Multi-node regression breakdown, {size} dataset",
+            engines: engines::multi_node_engines,
+            queries: &[Query::Regression],
+            rows: Rows::Nodes,
+            body: Body::PhaseSplit {
+                per_op_title: "Figure 4 (per-op): multi-node regression cost by physical \
+                               operator, {size} dataset",
+            },
+        },
+        FigureId::Fig5 => Exhibit {
+            title: "Figure 5: SciDB and SciDB + Intel Xeon Phi coprocessor",
+            engines: || vec![Box::new(SciDb::new()), Box::new(SciDbPhi::new())],
+            queries: &PHI_QUERIES,
+            rows: Rows::Sizes,
+            body: Body::Total("{query} Query Performance, SciDB v. SciDB + Xeon Phi"),
+        },
+        FigureId::Table1 => Exhibit {
+            title: "Table 1: Analytics speedup of the Xeon Phi system vs the Xeon system ({size})",
+            engines: || vec![Box::new(SciDb::new())],
+            queries: &TABLE1_QUERIES,
+            rows: Rows::Nodes,
+            body: Body::PhiSpeedup,
+        },
     }
 }
 
+impl Exhibit {
+    /// `((dataset, nodes), label)` of every row, top to bottom.
+    fn rows(&self, cfg: &HarnessConfig, mn_size: SizeClass) -> Vec<((SizeClass, usize), String)> {
+        let (sizes, nodes) = (cfg.sizes.iter(), cfg.node_counts.iter());
+        match self.rows {
+            Rows::Sizes => sizes.map(|&s| ((s, 1), s.label().to_string())).collect(),
+            Rows::Nodes => nodes.map(|&n| ((mn_size, n), n.to_string())).collect(),
+        }
+    }
+}
+
+/// "1 node" / "4 nodes".
+fn node_count(nodes: usize) -> String {
+    format!("{nodes} node{}", if nodes == 1 { "" } else { "s" })
+}
+
 /// Decompose one exhibit into its cell list, in the serial harness's
-/// historical execution order. `mn_size` selects the dataset for the
+/// historical execution order (shard membership is `index % shards`, so the
+/// order is an on-disk contract). `mn_size` selects the dataset for the
 /// multi-node exhibits (fig3/fig4/table1).
-pub fn plan(
-    figure: FigureId,
-    cfg: &crate::harness::HarnessConfig,
-    mn_size: SizeClass,
-) -> Vec<CellKey> {
+pub fn plan(figure: FigureId, cfg: &HarnessConfig, mn_size: SizeClass) -> Vec<CellKey> {
+    let exhibit = exhibit(figure);
+    let (engines, rows) = ((exhibit.engines)(), exhibit.rows(cfg, mn_size));
     let mut cells = Vec::new();
-    match figure {
-        FigureId::Fig1 => {
-            let engines = engines::single_node_engines();
-            for query in Query::ALL {
-                for &size in &cfg.sizes {
-                    for engine in &engines {
-                        cells.push(cell(figure, query, size, 1, engine.as_ref()));
-                    }
-                }
-            }
-        }
-        FigureId::Fig2 => {
-            let engines = engines::single_node_engines();
-            for &size in &cfg.sizes {
-                for engine in &engines {
-                    cells.push(cell(figure, Query::Regression, size, 1, engine.as_ref()));
-                }
-            }
-        }
-        FigureId::Fig3 => {
-            let engines = engines::multi_node_engines();
-            for query in Query::ALL {
-                for &nodes in &cfg.node_counts {
-                    for engine in &engines {
-                        cells.push(cell(figure, query, mn_size, nodes, engine.as_ref()));
-                    }
-                }
-            }
-        }
-        FigureId::Fig4 => {
-            let engines = engines::multi_node_engines();
-            for &nodes in &cfg.node_counts {
-                for engine in &engines {
-                    cells.push(cell(
-                        figure,
-                        Query::Regression,
-                        mn_size,
-                        nodes,
-                        engine.as_ref(),
-                    ));
-                }
-            }
-        }
-        FigureId::Fig5 => {
-            let scidb = engines::SciDb::new();
-            let phi = engines::SciDbPhi::new();
-            for query in PHI_QUERIES {
-                for &size in &cfg.sizes {
-                    cells.push(cell(figure, query, size, 1, &scidb));
-                    cells.push(cell(figure, query, size, 1, &phi));
-                }
-            }
-        }
-        FigureId::Table1 => {
-            let scidb = engines::SciDb::new();
-            for query in TABLE1_QUERIES {
-                for &nodes in &cfg.node_counts {
-                    cells.push(cell(figure, query, mn_size, nodes, &scidb));
-                }
+    for &query in exhibit.queries {
+        for (row, _) in &rows {
+            for engine in &engines {
+                cells.push(cell(figure, query, *row, engine.as_ref()));
             }
         }
     }
     cells
+}
+
+fn cell(figure: FigureId, query: Query, row: (SizeClass, usize), engine: &dyn Engine) -> CellKey {
+    CellKey {
+        figure,
+        query,
+        size: row.0,
+        nodes: row.1,
+        engine: engine.name().to_string(),
+    }
+}
+
+fn lookup(grid: &ReportGrid, key: CellKey) -> Result<&CellOutcome> {
+    grid.get(&key)
+        .ok_or_else(|| Error::invalid(format!("grid missing cell {}", key.id())))
+}
+
+/// An empty table with a `first` label column and one right-aligned column
+/// per system.
+fn system_table(first: &str, engines: &[Box<dyn Engine>]) -> TextTable {
+    let mut cols = vec![(first, Align::Left)];
+    cols.extend(engines.iter().map(|e| (e.name(), Align::Right)));
+    TextTable::new(&cols)
 }
 
 /// Render one exhibit from a grid of cell outcomes. Every cell the exhibit
@@ -162,231 +218,87 @@ pub fn render(
     mn_size: SizeClass,
     grid: &ReportGrid,
 ) -> Result<Figure> {
-    match figure {
-        FigureId::Fig1 => render_fig1(harness, grid),
-        FigureId::Fig2 => render_fig2(harness, grid),
-        FigureId::Fig3 => render_fig3(harness, mn_size, grid),
-        FigureId::Fig4 => render_fig4(harness, mn_size, grid),
-        FigureId::Fig5 => render_fig5(harness, grid),
-        FigureId::Table1 => render_table1(harness, mn_size, grid),
-    }
-}
-
-fn lookup<'g>(grid: &'g ReportGrid, key: &CellKey) -> Result<&'g CellOutcome> {
-    grid.get(key)
-        .ok_or_else(|| Error::invalid(format!("grid missing cell {}", key.id())))
-}
-
-fn outcome_columns(engines: &[Box<dyn Engine>]) -> Vec<(String, Align)> {
-    let mut cols = vec![("dataset".to_string(), Align::Left)];
-    cols.extend(engines.iter().map(|e| (e.name().to_string(), Align::Right)));
-    cols
-}
-
-fn table_with_columns(cols: &[(String, Align)]) -> TextTable {
-    let refs: Vec<(&str, Align)> = cols.iter().map(|(n, a)| (n.as_str(), *a)).collect();
-    TextTable::new(&refs)
-}
-
-fn node_columns(engines: &[Box<dyn Engine>]) -> Vec<(String, Align)> {
-    let mut cols = vec![("nodes".to_string(), Align::Left)];
-    cols.extend(engines.iter().map(|e| (e.name().to_string(), Align::Right)));
-    cols
-}
-
-/// Phase-split cell text pair (dm, an) — "inf"/"-" for failures.
-fn phase_cells(outcome: &CellOutcome) -> (String, String) {
-    match outcome {
-        CellOutcome::Completed { dm, an, .. } => {
-            (fmt_secs(dm.total_secs()), fmt_secs(an.total_secs()))
-        }
-        CellOutcome::Infinite { .. } => ("inf".into(), "inf".into()),
-        CellOutcome::Unsupported => ("-".into(), "-".into()),
-    }
-}
-
-/// Figure 1: overall performance of the single-node systems — one table per
-/// query, rows = dataset sizes, columns = systems.
-fn render_fig1(harness: &Harness, grid: &ReportGrid) -> Result<Figure> {
-    let engines = engines::single_node_engines();
-    let cols = outcome_columns(&engines);
-    let mut tables = Vec::new();
-    for query in Query::ALL {
-        let mut table = table_with_columns(&cols);
-        for &size in &harness.config().sizes {
-            let mut row = vec![size.label().to_string()];
-            for engine in &engines {
-                let key = cell(FigureId::Fig1, query, size, 1, engine.as_ref());
-                row.push(lookup(grid, &key)?.cell());
-            }
-            table.row(row);
-        }
-        tables.push((format!("{} Query Performance", query.title()), table));
-    }
-    Ok(Figure {
-        title: "Figure 1: Overall performance of the various systems".into(),
-        tables,
-    })
-}
-
-/// Figure 2: data-management and analytics breakdown for the regression
-/// query across the single-node systems.
-fn render_fig2(harness: &Harness, grid: &ReportGrid) -> Result<Figure> {
-    let engines = engines::single_node_engines();
-    let cols = outcome_columns(&engines);
-    let mut dm_table = table_with_columns(&cols);
-    let mut an_table = table_with_columns(&cols);
-    for &size in &harness.config().sizes {
-        let mut dm_row = vec![size.label().to_string()];
-        let mut an_row = vec![size.label().to_string()];
-        for engine in &engines {
-            let key = cell(FigureId::Fig2, Query::Regression, size, 1, engine.as_ref());
-            let (dm, an) = phase_cells(lookup(grid, &key)?);
-            dm_row.push(dm);
-            an_row.push(an);
-        }
-        dm_table.row(dm_row);
-        an_table.row(an_row);
-    }
-    Ok(Figure {
-        title: "Figure 2: Data management and analytics performance (regression)".into(),
-        tables: vec![
+    let exhibit = exhibit(figure);
+    // One table per query and part: its caption, and which phase's seconds
+    // a completed cell shows in it (`None`: their total).
+    let parts = match exhibit.body {
+        Body::Total(caption) => vec![(caption, None)],
+        Body::PhaseSplit { .. } => vec![
             (
-                "Linear Regression Data Management Performance".into(),
-                dm_table,
+                "{query} Data Management Performance",
+                Some(Phase::DataManagement),
             ),
-            ("Linear Regression Analytics Performance".into(), an_table),
+            ("{query} Analytics Performance", Some(Phase::Analytics)),
         ],
-    })
-}
-
-/// Figure 3: multi-node overall performance on the large dataset — one
-/// table per query, rows = node counts, columns = systems.
-fn render_fig3(harness: &Harness, size: SizeClass, grid: &ReportGrid) -> Result<Figure> {
-    let engines = engines::multi_node_engines();
-    let cols = node_columns(&engines);
+        Body::PhiSpeedup => return render_phi_speedup(&exhibit, harness, mn_size, grid),
+    };
+    let engines = (exhibit.engines)();
+    let row_header = match exhibit.rows {
+        Rows::Sizes => "dataset",
+        Rows::Nodes => "nodes",
+    };
+    let rows = exhibit.rows(harness.config(), mn_size);
     let mut tables = Vec::new();
-    for query in Query::ALL {
-        let mut table = table_with_columns(&cols);
-        for &nodes in &harness.config().node_counts {
-            let mut row = vec![nodes.to_string()];
-            for engine in &engines {
-                let key = cell(FigureId::Fig3, query, size, nodes, engine.as_ref());
-                row.push(lookup(grid, &key)?.cell());
+    for &query in exhibit.queries {
+        for (caption, phase) in &parts {
+            let mut table = system_table(row_header, &engines);
+            for (row, label) in &rows {
+                let mut texts = vec![label.clone()];
+                for engine in &engines {
+                    let outcome = lookup(grid, cell(figure, query, *row, engine.as_ref()))?;
+                    texts.push(match (outcome.phases(), phase) {
+                        (None, _) => outcome.cell(),
+                        (Some(p), None) => fmt_secs(p.total_secs()),
+                        (Some(p), Some(Phase::DataManagement)) => {
+                            fmt_secs(p.data_management.total_secs())
+                        }
+                        (Some(p), Some(Phase::Analytics)) => fmt_secs(p.analytics.total_secs()),
+                    });
+                }
+                table.row(texts);
             }
-            table.row(row);
+            let caption = caption
+                .replace("{size}", mn_size.label())
+                .replace("{query}", query.title());
+            tables.push((caption, table));
         }
-        tables.push((
-            format!(
-                "{} Query Performance, {} Dataset",
-                query.title(),
-                size.label()
-            ),
-            table,
-        ));
     }
     Ok(Figure {
-        title: "Figure 3: Overall performance, varying number of nodes".into(),
-        tables,
-    })
-}
-
-/// Figure 4: multi-node regression breakdown on the large dataset.
-fn render_fig4(harness: &Harness, size: SizeClass, grid: &ReportGrid) -> Result<Figure> {
-    let engines = engines::multi_node_engines();
-    let cols = node_columns(&engines);
-    let mut dm_table = table_with_columns(&cols);
-    let mut an_table = table_with_columns(&cols);
-    for &nodes in &harness.config().node_counts {
-        let mut dm_row = vec![nodes.to_string()];
-        let mut an_row = vec![nodes.to_string()];
-        for engine in &engines {
-            let key = cell(
-                FigureId::Fig4,
-                Query::Regression,
-                size,
-                nodes,
-                engine.as_ref(),
-            );
-            let (dm, an) = phase_cells(lookup(grid, &key)?);
-            dm_row.push(dm);
-            an_row.push(an);
-        }
-        dm_table.row(dm_row);
-        an_table.row(an_row);
-    }
-    Ok(Figure {
-        title: format!(
-            "Figure 4: Multi-node regression breakdown, {} dataset",
-            size.label()
-        ),
-        tables: vec![
-            (
-                "Linear Regression Data Management Performance".into(),
-                dm_table,
-            ),
-            ("Linear Regression Analytics Performance".into(), an_table),
-        ],
-    })
-}
-
-/// Figure 5: SciDB vs SciDB + Xeon Phi across dataset sizes, one table per
-/// accelerable query.
-fn render_fig5(harness: &Harness, grid: &ReportGrid) -> Result<Figure> {
-    let scidb = engines::SciDb::new();
-    let phi = engines::SciDbPhi::new();
-    let mut tables = Vec::new();
-    for query in PHI_QUERIES {
-        let mut table = TextTable::new(&[
-            ("dataset", Align::Left),
-            ("SciDB", Align::Right),
-            ("SciDB + Xeon Phi", Align::Right),
-        ]);
-        for &size in &harness.config().sizes {
-            let base = lookup(grid, &cell(FigureId::Fig5, query, size, 1, &scidb))?;
-            let accel = lookup(grid, &cell(FigureId::Fig5, query, size, 1, &phi))?;
-            table.row(vec![size.label().to_string(), base.cell(), accel.cell()]);
-        }
-        tables.push((
-            format!(
-                "{} Query Performance, SciDB v. SciDB + Xeon Phi",
-                query.title()
-            ),
-            table,
-        ));
-    }
-    Ok(Figure {
-        title: "Figure 5: SciDB and SciDB + Intel Xeon Phi coprocessor".into(),
+        title: exhibit.title.replace("{size}", mn_size.label()),
         tables,
     })
 }
 
 /// Table 1: analytics speedup of the Phi-based system versus the Xeon
-/// system, per benchmark and node count, on the large dataset.
+/// system, per benchmark and node count, on the large dataset — the one
+/// exhibit whose cells are not outcomes.
 ///
 /// Multi-node speedups are derived the same way the single-node engine
 /// derives them: each node's measured analytics time is scaled through the
 /// roofline model for its share of the data (per-node transfer overhead and
 /// the unchanged network time shrink the speedup as nodes grow — the
 /// paper's observed pattern).
-fn render_table1(harness: &Harness, size: SizeClass, grid: &ReportGrid) -> Result<Figure> {
+fn render_phi_speedup(
+    exhibit: &Exhibit,
+    harness: &Harness,
+    size: SizeClass,
+    grid: &ReportGrid,
+) -> Result<Figure> {
     let co = Coprocessor::phi_on_e5();
-    let scidb = engines::SciDb::new();
+    let scidb = &(exhibit.engines)()[0];
+    let columns = exhibit.rows(harness.config(), size);
     let data = harness.dataset(size)?;
     let params = harness.params(size)?;
-    let mut cols = vec![("benchmark".to_string(), Align::Left)];
-    for &nodes in &harness.config().node_counts {
-        cols.push((
-            format!("{nodes} node{}", if nodes == 1 { "" } else { "s" }),
-            Align::Right,
-        ));
-    }
-    let mut table = table_with_columns(&cols);
-    for query in TABLE1_QUERIES {
+    let heads: Vec<String> = columns.iter().map(|(c, _)| node_count(c.1)).collect();
+    let mut cols = vec![("benchmark", Align::Left)];
+    cols.extend(heads.iter().map(|h| (h.as_str(), Align::Right)));
+    let mut table = TextTable::new(&cols);
+    for &query in exhibit.queries {
         let mut row = vec![query.title().to_string()];
-        for &nodes in &harness.config().node_counts {
-            let key = cell(FigureId::Table1, query, size, nodes, &scidb);
-            let Some(phases) = lookup(grid, &key)?.phases() else {
+        for &(column, _) in &columns {
+            let nodes = column.1;
+            let outcome = lookup(grid, cell(FigureId::Table1, query, column, scidb.as_ref()))?;
+            let Some(phases) = outcome.phases() else {
                 row.push("-".into());
                 continue;
             };
@@ -433,10 +345,7 @@ fn render_table1(harness: &Harness, size: SizeClass, grid: &ReportGrid) -> Resul
         table.row(row);
     }
     Ok(Figure {
-        title: format!(
-            "Table 1: Analytics speedup of the Xeon Phi system vs the Xeon system ({})",
-            size.label()
-        ),
+        title: exhibit.title.replace("{size}", size.label()),
         tables: vec![("SciDB + ScaLAPACK".into(), table)],
     })
 }
@@ -519,9 +428,9 @@ pub fn explain(
     }
     Ok(Figure {
         title: format!(
-            "Explain: per-operator plan cost, {} dataset, {nodes} node{}",
+            "Explain: per-operator plan cost, {} dataset, {}",
             size.label(),
-            if nodes == 1 { "" } else { "s" }
+            node_count(nodes)
         ),
         tables,
     })
@@ -636,7 +545,6 @@ pub fn render_per_op(
     mn_size: SizeClass,
     grid: &ReportGrid,
 ) -> Result<Figure> {
-    use crate::plan::OpKind;
     const KINDS: [OpKind; 7] = [
         OpKind::Filter,
         OpKind::Join,
@@ -646,87 +554,50 @@ pub fn render_per_op(
         OpKind::Marshal,
         OpKind::Analytics,
     ];
-    let (engines, title) = match figure {
-        FigureId::Fig2 => (
-            engines::single_node_engines(),
-            "Figure 2 (per-op): regression cost by physical operator".to_string(),
-        ),
-        FigureId::Fig4 => (
-            engines::multi_node_engines(),
-            format!(
-                "Figure 4 (per-op): multi-node regression cost by physical operator, {} dataset",
-                mn_size.label()
-            ),
-        ),
-        other => {
-            return Err(Error::invalid(format!(
-                "--per-op renders fig2 or fig4, not {}",
-                other.name()
-            )))
-        }
+    let exhibit = exhibit(figure);
+    let Body::PhaseSplit { per_op_title } = exhibit.body else {
+        return Err(Error::invalid(format!(
+            "--per-op renders fig2 or fig4, not {}",
+            figure.name()
+        )));
     };
-    let mut cols = vec![("op".to_string(), Align::Left)];
-    cols.extend(engines.iter().map(|e| (e.name().to_string(), Align::Right)));
+    let engines = (exhibit.engines)();
+    let query = exhibit.queries[0];
     let mut tables = Vec::new();
-    let row_keys: Vec<(SizeClass, usize, String)> = match figure {
-        FigureId::Fig2 => harness
-            .config()
-            .sizes
-            .iter()
-            .map(|&s| (s, 1, format!("{} dataset", s.label())))
-            .collect(),
-        _ => harness
-            .config()
-            .node_counts
-            .iter()
-            .map(|&n| {
-                (
-                    mn_size,
-                    n,
-                    format!("{n} node{}", if n == 1 { "" } else { "s" }),
-                )
-            })
-            .collect(),
-    };
-    for (size, nodes, caption) in row_keys {
-        let mut time_table = table_with_columns(&cols);
-        let mut bytes_table = table_with_columns(&cols);
-        for kind in KINDS {
-            let mut time_row = vec![kind.name().to_string()];
-            let mut bytes_row = vec![kind.name().to_string()];
-            for engine in &engines {
-                let key = cell(figure, Query::Regression, size, nodes, engine.as_ref());
-                match lookup(grid, &key)? {
-                    CellOutcome::Completed { trace, .. } => {
-                        let ops = trace.iter().filter(|op| op.kind == kind);
-                        let (mut secs, mut bytes) = (0.0f64, 0u64);
-                        for op in ops {
-                            secs += op.cost.total_secs();
-                            bytes += op.cost.bytes_moved();
+    for (row, label) in exhibit.rows(harness.config(), mn_size) {
+        let caption = match exhibit.rows {
+            Rows::Sizes => format!("{label} dataset"),
+            Rows::Nodes => node_count(row.1),
+        };
+        for (in_seconds, what) in [
+            (true, "seconds per operator class"),
+            (false, "storage-layer bytes moved per operator class"),
+        ] {
+            let mut table = system_table("op", &engines);
+            for kind in KINDS {
+                let mut texts = vec![kind.name().to_string()];
+                for engine in &engines {
+                    let outcome = lookup(grid, cell(figure, query, row, engine.as_ref()))?;
+                    texts.push(match outcome.trace() {
+                        None => outcome.cell(),
+                        Some(trace) => {
+                            let ops = trace.iter().filter(|op| op.kind == kind);
+                            match in_seconds {
+                                true => fmt_secs(ops.fold(0.0, |s, op| s + op.cost.total_secs())),
+                                false => fmt_bytes(ops.map(|op| op.cost.bytes_moved()).sum()),
+                            }
                         }
-                        time_row.push(fmt_secs(secs));
-                        bytes_row.push(genbase_util::fmt_bytes(bytes));
-                    }
-                    CellOutcome::Infinite { .. } => {
-                        time_row.push("inf".into());
-                        bytes_row.push("inf".into());
-                    }
-                    CellOutcome::Unsupported => {
-                        time_row.push("-".into());
-                        bytes_row.push("-".into());
-                    }
+                    });
                 }
+                table.row(texts);
             }
-            time_table.row(time_row);
-            bytes_table.row(bytes_row);
+            tables.push((format!("{caption}: {what}"), table));
         }
-        tables.push((format!("{caption}: seconds per operator class"), time_table));
-        tables.push((
-            format!("{caption}: storage-layer bytes moved per operator class"),
-            bytes_table,
-        ));
     }
-    Ok(Figure { title, tables })
+    Ok(Figure {
+        title: per_op_title.replace("{size}", mn_size.label()),
+        tables,
+    })
 }
 
 /// Weak-scaling experiment — the paper's stated future work ("in reality,
@@ -743,8 +614,7 @@ pub fn weak_scaling(
 ) -> Result<Figure> {
     use genbase_datagen::{generate, GeneratorConfig, SizeSpec};
     let engines = engines::multi_node_engines();
-    let cols = node_columns(&engines);
-    let mut table = table_with_columns(&cols);
+    let mut table = system_table("nodes", &engines);
     for &nodes in node_counts {
         let spec = SizeSpec::custom(base_genes, base_patients * nodes, (base_genes / 12).max(8));
         let data = generate(&GeneratorConfig::new(spec))?;

@@ -310,23 +310,6 @@ impl Harness {
             outcome,
         })
     }
-
-    /// Run a full single-node matrix over the given engines and queries.
-    pub fn run_matrix(
-        &self,
-        engines: &[Box<dyn Engine>],
-        queries: &[Query],
-    ) -> Result<Vec<RunRecord>> {
-        let mut records = Vec::new();
-        for &query in queries {
-            for &class in &self.config.sizes {
-                for engine in engines {
-                    records.push(self.run_cell(engine.as_ref(), query, class, 1)?);
-                }
-            }
-        }
-        Ok(records)
-    }
 }
 
 #[cfg(test)]

@@ -16,9 +16,11 @@
 //! itself is deterministic, so independent runs — including CI shard
 //! fan-out via `--shards N --shard-id I` — agree byte for byte.
 //!
-//! Resumability: with a checkpoint path, the grid is persisted as JSON
-//! after every completed cell (write-to-temp + rename); an interrupted
-//! sweep resumes by loading the checkpoint and running only missing cells.
+//! Resumability: every sweep — in-process jobs here, coordinator leases in
+//! [`crate::coord`] — keeps its books in a [`Ledger`]. With a checkpoint
+//! path it persists the grid as JSON after every completed cell
+//! (write-to-temp + rename, one writer at a time); an interrupted sweep
+//! resumes by loading the checkpoint and running only missing cells.
 
 use crate::engine::Engine;
 use crate::engines;
@@ -28,7 +30,7 @@ use crate::plan::OpTrace;
 use crate::query::Query;
 use crate::report::{PhaseTimes, RunOutcome};
 use genbase_datagen::SizeClass;
-use genbase_util::{lock, parallel_map, CostReport, Error, Json, Result};
+use genbase_util::{lock, parallel_for, CostReport, Error, Json, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -397,8 +399,12 @@ impl ReportGrid {
         self.cells.insert(id, outcome);
     }
 
-    /// Record an intra-cell progress snapshot for one kernel of `cell_id`.
+    /// Record an intra-cell progress snapshot for one kernel of `cell_id`
+    /// (ignored once the cell has an outcome: a completed cell needs none).
     pub fn set_progress(&mut self, cell_id: &str, kernel: &str, state: Json) {
+        if self.cells.contains_key(cell_id) {
+            return;
+        }
         self.progress
             .entry(cell_id.to_string())
             .or_insert_with(Json::obj)
@@ -516,54 +522,72 @@ impl ReportGrid {
 
     /// Load a grid file.
     pub fn load(path: &Path) -> Result<ReportGrid> {
-        genbase_util::faults::hit("checkpoint.load")
-            .map_err(|e| Error::invalid(format!("read {}: {e}", path.display())))?;
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| Error::invalid(format!("read {}: {e}", path.display())))?;
-        ReportGrid::from_json(&text)
+        ReportGrid::load_if_present(path)?
+            .ok_or_else(|| Error::invalid(format!("read {}: no such file", path.display())))
     }
 
-    /// Load a grid file, falling back to the last-good `.bak` rotated by
-    /// `save_text` when the primary is torn or truncated (a writer died
-    /// mid-write). Returns the grid plus a human-readable note when
+    /// [`ReportGrid::load`], with `None` for a file that does not exist.
+    fn load_if_present(path: &Path) -> Result<Option<ReportGrid>> {
+        let unreadable =
+            |e: &dyn std::fmt::Display| Error::invalid(format!("read {}: {e}", path.display()));
+        genbase_util::faults::hit("checkpoint.load").map_err(|e| unreadable(&e))?;
+        match std::fs::read_to_string(path) {
+            Ok(text) => ReportGrid::from_json(&text).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(unreadable(&e)),
+        }
+    }
+
+    /// Load the checkpoint of a sweep under `fingerprint`, falling back to
+    /// the last-good `.bak` rotated by `save_text` when the primary is torn
+    /// (a writer died mid-write) or missing (it died between the two
+    /// renames). Returns the grid — empty when neither file exists: the
+    /// sweep has not checkpointed yet — plus a human-readable note when
     /// recovery happened.
-    pub fn load_with_recovery(path: &Path) -> Result<(ReportGrid, Option<String>)> {
-        let primary = ReportGrid::load(path);
-        match primary {
-            Ok(grid) => Ok((grid, None)),
-            Err(first) => {
+    fn load_with_recovery(path: &Path, fingerprint: &str) -> Result<(ReportGrid, Option<String>)> {
+        let (grid, note) = match ReportGrid::load_if_present(path) {
+            Ok(Some(grid)) => (grid, None),
+            lost => {
                 let bak = path.with_extension("bak");
-                if !bak.exists() {
-                    return Err(first);
-                }
-                let grid = ReportGrid::load(&bak).map_err(|second| {
-                    Error::invalid(format!(
-                        "checkpoint {} unreadable ({first}) and so is its backup ({second})",
-                        path.display()
-                    ))
-                })?;
-                let note = format!(
-                    "checkpoint {} was torn ({first}); recovered {} cells from {}",
-                    path.display(),
-                    grid.len(),
-                    bak.display()
-                );
-                Ok((grid, Some(note)))
+                let Some(grid) = ReportGrid::load_if_present(&bak)? else {
+                    return lost.map(|_| Default::default());
+                };
+                let why = lost
+                    .err()
+                    .map_or("is missing".into(), |e| format!("was torn ({e})"));
+                let (path, bak, cells) = (path.display(), bak.display(), grid.len());
+                let note = format!("checkpoint {path} {why}; recovered {cells} cells from {bak}");
+                (grid, Some(note))
             }
+        };
+        grid.check_config(&format!("checkpoint {}", path.display()), fingerprint)?;
+        Ok((grid, note))
+    }
+
+    /// Refuse a grid stamped by another configuration (`what` names the
+    /// file for the error); unstamped legacy grids pass.
+    pub fn check_config(&self, what: &str, fingerprint: &str) -> Result<()> {
+        match self.fingerprint() {
+            Some(have) if have != fingerprint => Err(Error::invalid(format!(
+                "{what} is from a different configuration ({have} vs {fingerprint}); \
+                 repeat its --scale/--sim-only/... flags, or delete it"
+            ))),
+            _ => Ok(()),
         }
     }
 
     /// Persist atomically (write temp file, then rename), so a sweep killed
     /// mid-write never corrupts its checkpoint.
     pub fn save(&self, path: &Path) -> Result<()> {
-        save_text(path, &self.to_json(), 0)
+        save_text(path, &self.to_json())
     }
 }
 
-/// Atomic file write: temp file (tagged, so concurrent writers never share
-/// one) then rename over the target, rotating the previous file to `.bak`
-/// first so a reader always has one last-good generation to fall back on.
-pub(crate) fn save_text(path: &Path, text: &str, tag: usize) -> Result<()> {
+/// Atomic file write: temp file, then rename over the target, rotating the
+/// previous file to `.bak` first so a reader always has one last-good
+/// generation to fall back on. One writer per target at a time (a sweep's
+/// [`Ledger`] serialises its own).
+fn save_text(path: &Path, text: &str) -> Result<()> {
     // Fault site: a `torn:<n>` rule here clobbers the target with a prefix
     // of the new content and fails, exactly like a writer crashing mid-way
     // through a non-atomic write. Recovery must come from the `.bak`.
@@ -581,18 +605,214 @@ pub(crate) fn save_text(path: &Path, text: &str, tag: usize) -> Result<()> {
             return Err(Error::invalid(format!("write {}: {e}", path.display())));
         }
     }
-    let tmp = path.with_extension(format!("tmp{tag}"));
+    let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, text)
         .map_err(|e| Error::invalid(format!("write {}: {e}", tmp.display())))?;
-    // Rotate the current generation to `.bak` before replacing it.
-    // Best-effort: parallel local sweeps have concurrent writers racing on
-    // the same target, and a missing backup only weakens recovery.
-    if path.exists() {
-        let _ = std::fs::rename(path, path.with_extension("bak"));
-    }
+    // Best-effort: with no previous generation there is nothing to rotate,
+    // and a missing backup only weakens recovery.
+    let _ = std::fs::rename(path, path.with_extension("bak"));
     std::fs::rename(&tmp, path)
         .map_err(|e| Error::invalid(format!("rename {}: {e}", path.display())))?;
     Ok(())
+}
+
+/// Where one planned cell stands in a sweep's [`Ledger`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellState {
+    /// Not handed out, or handed out and given back.
+    Pending,
+    /// Handed out by [`Ledger::take`], not reported on yet.
+    Out,
+    /// Its outcome is in the grid (this run's, or the checkpoint's).
+    Settled,
+    /// Ended in a hard error the sweep will report.
+    Failed,
+}
+
+/// The mutable half of a [`Ledger`].
+#[derive(Default)]
+struct Book {
+    grid: ReportGrid,
+    /// One state per planned cell, in plan order.
+    states: Vec<CellState>,
+    /// Hard errors by plan index: the first in plan order comes first.
+    errors: BTreeMap<usize, Error>,
+    write_error: Option<Error>,
+}
+
+/// What a sweep *is* between its plan and its grid, whoever runs the cells
+/// (in-process jobs, a shard of them, a coordinator's workers): which
+/// planned cells are still to run, the outcomes of those that have, the
+/// hard failures, and the checkpoint file.
+///
+/// The checkpoint has one writer: every change renders and renames under
+/// one lock, so the file on disk only ever gains cells, always parses, and
+/// its `.bak` is the generation before it; [`Ledger::open`] recovers from
+/// whichever of the two survives. A failed write halts the sweep: nothing
+/// more is handed out or written, and [`Ledger::finish`] reports it.
+pub struct Ledger {
+    plan: Vec<CellKey>,
+    checkpoint: Option<PathBuf>,
+    /// Planned cells the checkpoint already held at [`Ledger::open`].
+    restored: usize,
+    recovered: Option<String>,
+    opened: std::time::Instant,
+    book: Mutex<Book>,
+    /// Held from rendering the grid until its file is in place.
+    writer: Mutex<()>,
+}
+
+impl Ledger {
+    /// Open the books on `plan`: load `checkpoint` if it (or its `.bak`)
+    /// exists, refuse one written under another `fingerprint`, and count the
+    /// planned cells it already holds as settled.
+    pub fn open(
+        plan: Vec<CellKey>,
+        fingerprint: String,
+        checkpoint: Option<PathBuf>,
+    ) -> Result<Ledger> {
+        let opened = std::time::Instant::now();
+        let (mut grid, recovered) = match &checkpoint {
+            Some(path) => ReportGrid::load_with_recovery(path, &fingerprint)?,
+            None => Default::default(),
+        };
+        grid.set_fingerprint(fingerprint);
+        let held = |cell| match grid.contains(cell) {
+            true => CellState::Settled,
+            false => CellState::Pending,
+        };
+        let states: Vec<CellState> = plan.iter().map(held).collect();
+        let restored = states.iter().filter(|s| **s == CellState::Settled).count();
+        let book = Book {
+            grid,
+            states,
+            ..Book::default()
+        };
+        Ok(Ledger {
+            plan,
+            checkpoint,
+            restored,
+            recovered,
+            opened,
+            book: Mutex::new(book),
+            writer: Mutex::default(),
+        })
+    }
+
+    /// Run `change` on the book and on `cell`'s index in the plan.
+    fn at<T>(&self, cell: &CellKey, change: impl FnOnce(&mut Book, usize) -> T) -> Option<T> {
+        let i = self.plan.iter().position(|c| c == cell)?;
+        Some(change(&mut lock(&self.book), i))
+    }
+
+    /// Hand out the first pending cell in plan order, with whatever
+    /// progress ({kernel → state}) an earlier holder saved for it.
+    pub fn take(&self) -> Option<(CellKey, Option<Json>)> {
+        let mut book = lock(&self.book);
+        if book.write_error.is_some() {
+            return None;
+        }
+        let i = book.states.iter().position(|s| *s == CellState::Pending)?;
+        book.states[i] = CellState::Out;
+        let progress = book.grid.progress_for(&self.plan[i].id()).cloned();
+        Some((self.plan[i].clone(), progress))
+    }
+
+    /// Return a cell that was handed out and not run.
+    pub fn give_back(&self, cell: &CellKey) {
+        self.at(cell, |book, i| {
+            if book.states[i] == CellState::Out {
+                book.states[i] = CellState::Pending;
+            }
+        });
+    }
+
+    /// Record a planned cell's outcome and checkpoint it. (The same outcome
+    /// may arrive twice: a re-issued lease whose first holder also finished.)
+    pub fn settle(&self, cell: &CellKey, outcome: CellOutcome) {
+        self.at(cell, |book, i| {
+            book.grid.insert(cell, outcome);
+            book.states[i] = CellState::Settled;
+        });
+        self.persist();
+    }
+
+    /// Record that an unsettled cell ended in a hard error. The rest of the
+    /// sweep goes on; [`Ledger::finish`] reports the first failure in plan
+    /// order.
+    pub fn fail(&self, cell: &CellKey, error: Error) {
+        self.at(cell, |book, i| {
+            if book.states[i] != CellState::Settled {
+                book.states[i] = CellState::Failed;
+                book.errors.entry(i).or_insert(error);
+            }
+        });
+    }
+
+    /// Save an intra-cell progress snapshot of one kernel of an unsettled
+    /// cell and checkpoint it, so a later holder resumes mid-iteration.
+    pub fn note_progress(&self, cell: &CellKey, kernel: &str, state: Json) {
+        let id = cell.id();
+        lock(&self.book).grid.set_progress(&id, kernel, state);
+        self.persist();
+    }
+
+    /// Where `cell` stands; `None` for a cell outside the plan.
+    pub fn state_of(&self, cell: &CellKey) -> Option<CellState> {
+        self.at(cell, |book, i| book.states[i])
+    }
+
+    /// How many planned cells are in `state` right now.
+    pub fn count(&self, state: CellState) -> usize {
+        let book = lock(&self.book);
+        book.states.iter().filter(|s| **s == state).count()
+    }
+
+    /// Whether a checkpoint write failed: nothing more is handed out.
+    pub fn halted(&self) -> bool {
+        lock(&self.book).write_error.is_some()
+    }
+
+    /// Render the grid and put it in place, one writer at a time: a
+    /// snapshot rendered earlier can never rename over one rendered later.
+    fn persist(&self) {
+        let Some(path) = &self.checkpoint else { return };
+        let _writer = lock(&self.writer);
+        if self.halted() {
+            return;
+        }
+        let text = lock(&self.book).grid.to_json();
+        if let Err(e) = save_text(path, &text) {
+            lock(&self.book).write_error = Some(e);
+        }
+    }
+
+    /// Close the books: leave the checkpoint holding exactly the returned
+    /// grid (also when nothing was left to run, e.g. after a recovery), then
+    /// report the failed checkpoint write, or the first failed cell in plan
+    /// order, if there was one. The checkpoint keeps what did complete; the
+    /// ledger is spent.
+    pub fn finish(&self) -> Result<SweepOutcome> {
+        let executed = self.count(CellState::Settled) - self.restored;
+        let mut book = lock(&self.book);
+        if let Some(e) = book.write_error.take() {
+            return Err(e);
+        }
+        if let Some(path) = &self.checkpoint {
+            book.grid.save(path)?;
+        }
+        if let Some((_, e)) = book.errors.pop_first() {
+            return Err(e);
+        }
+        Ok(SweepOutcome {
+            grid: std::mem::take(&mut book.grid),
+            planned: self.plan.len(),
+            executed,
+            skipped: self.restored,
+            wall_secs: self.opened.elapsed().as_secs_f64(),
+            recovered: self.recovered.clone(),
+        })
+    }
 }
 
 /// How a sweep is split and dispatched.
@@ -663,7 +883,8 @@ pub struct SweepOutcome {
     pub executed: usize,
     /// Cells skipped because the checkpoint already had them.
     pub skipped: usize,
-    /// Sweep wall-clock seconds (dataset generation + all cells).
+    /// Sweep wall-clock seconds from opening its ledger to closing it
+    /// (dataset generation + all cells).
     pub wall_secs: f64,
     /// Human-readable note when the checkpoint was recovered from its
     /// `.bak` (torn primary file).
@@ -743,9 +964,9 @@ impl Scheduler {
         Ok(CellOutcome::from_run(&rec.outcome))
     }
 
-    /// Run the sweep for `figures`: shard-filter the planned cells, skip
-    /// checkpointed ones, dispatch the rest with `cells_in_flight`
-    /// concurrency, and collect a deterministic grid.
+    /// Run the sweep for `figures`: shard-filter the planned cells, open a
+    /// [`Ledger`] on them (skipping checkpointed ones), and drain it with
+    /// `cells_in_flight` concurrent tasks into a deterministic grid.
     ///
     /// On a cell failure every other cell still runs and checkpoints; the
     /// first failure (in plan order) is then returned, so a resumed sweep
@@ -756,7 +977,6 @@ impl Scheduler {
         mn_size: SizeClass,
         sweep: &SweepOptions,
     ) -> Result<SweepOutcome> {
-        let start = std::time::Instant::now();
         let shards = sweep.shards.max(1);
         if sweep.shard_id >= shards {
             return Err(Error::invalid(format!(
@@ -764,95 +984,24 @@ impl Scheduler {
                 sweep.shard_id
             )));
         }
-        let cells: Vec<CellKey> = self
-            .plan(figs, mn_size)
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| i % shards == sweep.shard_id)
-            .map(|(_, c)| c)
-            .collect();
-
+        // Shard `id` of `n` runs the cells at plan index `id`, `id + n`, …
+        let cells = self.plan(figs, mn_size).into_iter();
+        let cells: Vec<CellKey> = cells.skip(sweep.shard_id).step_by(shards).collect();
         let fingerprint = config_fingerprint(self.harness.config());
-        let mut recovered = None;
-        let mut base = match &sweep.checkpoint {
-            Some(path) if path.exists() => {
-                let (grid, note) = ReportGrid::load_with_recovery(path)?;
-                recovered = note;
-                if let Some(have) = grid.fingerprint() {
-                    if have != fingerprint {
-                        return Err(Error::invalid(format!(
-                            "checkpoint {} is from a different configuration \
-                             ({have} vs {fingerprint}); delete it or match the flags",
-                            path.display()
-                        )));
-                    }
-                }
-                grid
-            }
-            _ => ReportGrid::default(),
-        };
-        base.set_fingerprint(fingerprint);
-        let pending: Vec<&CellKey> = cells.iter().filter(|c| !base.contains(c)).collect();
-        let skipped = cells.len() - pending.len();
+        let ledger = Ledger::open(cells, fingerprint, sweep.checkpoint.clone())?;
 
         let in_flight = sweep.cells_in_flight.max(1);
         let per_cell_threads = (self.harness.config().threads / in_flight).max(1);
-        // Incremental checkpoint state, only maintained when a checkpoint
-        // is configured (checkpoint-less sweeps collect from `results`).
-        let live = sweep.checkpoint.as_ref().map(|_| Mutex::new(base.clone()));
-        let results: Vec<Result<CellOutcome>> =
-            parallel_map(in_flight, pending.len(), |i| -> Result<CellOutcome> {
-                let key = pending[i];
-                if let Some(hook) = &self.hook {
-                    hook(key)?;
-                }
-                let outcome = self.run_cell(key, per_cell_threads)?;
-                // Serialize under the lock, write outside it: completions
-                // must not queue behind each other's disk I/O. Concurrent
-                // writers use distinct temp files; renames may land out of
-                // order, leaving an older-but-valid intermediate file —
-                // the authoritative checkpoint is rewritten once, from the
-                // complete grid, after the dispatch loop below.
-                if let Some(live) = &live {
-                    let json = {
-                        let mut grid = lock(live);
-                        grid.insert(key, outcome.clone());
-                        grid.to_json()
-                    };
-                    save_text(sweep.checkpoint.as_ref().expect("checkpoint"), &json, i)?;
-                }
-                Ok(outcome)
-            });
-
-        // Rebuild the grid from results in plan order (deterministic,
-        // independent of completion interleaving).
-        let mut grid = base;
-        let mut first_err = None;
-        for (key, result) in pending.iter().zip(results) {
-            match result {
-                Ok(outcome) => grid.insert(key, outcome),
-                Err(e) => {
-                    first_err.get_or_insert(e);
+        parallel_for(in_flight, in_flight, |_| {
+            while let Some((cell, _)) = ledger.take() {
+                let hooked = self.hook.as_ref().map_or(Ok(()), |hook| hook(&cell));
+                match hooked.and_then(|()| self.run_cell(&cell, per_cell_threads)) {
+                    Ok(outcome) => ledger.settle(&cell, outcome),
+                    Err(e) => ledger.fail(&cell, e),
                 }
             }
-        }
-        // Authoritative checkpoint write: every completed cell, even if an
-        // out-of-order incremental rename left an older file, and even when
-        // some cells failed (the resume then re-runs only those).
-        if let Some(path) = &sweep.checkpoint {
-            grid.save(path)?;
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(SweepOutcome {
-            planned: cells.len(),
-            executed: pending.len(),
-            skipped,
-            grid,
-            wall_secs: start.elapsed().as_secs_f64(),
-            recovered,
-        })
+        });
+        ledger.finish()
     }
 }
 

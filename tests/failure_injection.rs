@@ -479,6 +479,148 @@ fn torn_local_checkpoint_recovers_from_bak() {
     let _ = std::fs::remove_file(ckpt.with_extension("bak"));
 }
 
+/// Half a Figure 1 sweep on disk, with the primary checkpoint gone and only
+/// its `.bak` left — what a kill between `save_text`'s two renames
+/// (`ckpt → .bak`, then `tmp → ckpt`) leaves behind. Returns the checkpoint
+/// path and how many cells the `.bak` holds.
+fn half_swept_with_only_the_bak(tag: &str) -> (std::path::PathBuf, usize) {
+    use genbase_datagen::SizeClass;
+
+    let ckpt = std::env::temp_dir().join(format!(
+        "genbase-lone-bak-{tag}-{}.json",
+        std::process::id()
+    ));
+    let bak = ckpt.with_extension("bak");
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(&bak);
+    let mut sched = Scheduler::new(chaos_config()).unwrap();
+    sched.set_cell_hook(Box::new(|key: &CellKey| match key.query {
+        Query::Regression | Query::Covariance => Ok(()),
+        _ => Err(genbase_util::Error::invalid("injected kill")),
+    }));
+    let sweep = SweepOptions::serial().with_checkpoint(&ckpt);
+    sched
+        .run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)
+        .unwrap_err();
+    std::fs::remove_file(&ckpt).expect("the half sweep wrote its checkpoint");
+    let held = ReportGrid::load(&bak).expect("rotation left a .bak").len();
+    assert!(held > 0 && held < 35, "the .bak holds part of the sweep");
+    (ckpt, held)
+}
+
+/// A local resume that finds only the `.bak` recovers from it instead of
+/// starting over.
+#[test]
+fn a_lone_bak_resumes_the_local_sweep() {
+    use genbase_datagen::SizeClass;
+
+    let _guard = fault_lock();
+    let (ckpt, held) = half_swept_with_only_the_bak("local");
+    let sched = Scheduler::new(chaos_config()).unwrap();
+    let sweep = SweepOptions::serial().with_checkpoint(&ckpt);
+    let resumed = sched
+        .run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)
+        .unwrap();
+    assert_eq!(resumed.skipped, held, "every cell in the .bak is spared");
+    assert_eq!(resumed.executed, 35 - held);
+    let note = resumed.recovered.expect("the resume reports the recovery");
+    assert!(note.contains(".bak"), "the note names the backup: {note}");
+    let (grid_json, rendered) = chaos_golden();
+    assert_eq!(&resumed.grid.to_json(), grid_json);
+    assert_eq!(&chaos_render(&resumed.grid), rendered);
+    assert_eq!(&ReportGrid::load(&ckpt).unwrap().to_json(), grid_json);
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
+}
+
+/// The same for a restarted coordinator.
+#[test]
+fn a_lone_bak_resumes_the_coordinated_sweep() {
+    use genbase::coord::{run_worker, CoordOptions, Coordinator};
+    use genbase_datagen::SizeClass;
+
+    let _guard = fault_lock();
+    let (ckpt, held) = half_swept_with_only_the_bak("coord");
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        chaos_config(),
+        &[FigureId::Fig1],
+        SizeClass::Small,
+        CoordOptions::default().with_checkpoint(&ckpt),
+    )
+    .unwrap();
+    let addr = coordinator.local_addr().unwrap();
+    let serve = std::thread::spawn(move || coordinator.serve());
+    let report = run_worker(addr, chaos_config(), Duration::from_secs(10)).unwrap();
+    let outcome = serve.join().unwrap().unwrap();
+    assert_eq!(outcome.restored, held, "every cell in the .bak is spared");
+    assert_eq!(report.completed, 35 - held);
+    let note = outcome.recovered.expect("the restart reports the recovery");
+    assert!(note.contains(".bak"), "the note names the backup: {note}");
+    let (grid_json, rendered) = chaos_golden();
+    assert_eq!(&outcome.grid.to_json(), grid_json);
+    assert_eq!(&chaos_render(&outcome.grid), rendered);
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
+}
+
+/// Under `cells_in_flight = 8` the checkpoint on disk only ever gains cells:
+/// whenever a task looks (before each of its cells, i.e. right after its
+/// previous one settled) the file parses and holds at least as many cells
+/// as any earlier look found.
+#[test]
+fn a_parallel_sweep_never_shrinks_its_checkpoint() {
+    use genbase_datagen::SizeClass;
+    use std::sync::{Arc, Mutex};
+
+    let _guard = fault_lock();
+    let ckpt = std::env::temp_dir().join(format!("genbase-monotone-{}.json", std::process::id()));
+    let bak = ckpt.with_extension("bak");
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(&bak);
+    // Readers take turns, so "earlier look" is well defined.
+    let most_seen = Arc::new(Mutex::new(0usize));
+    let look = {
+        let (ckpt, bak, most_seen) = (ckpt.clone(), bak, Arc::clone(&most_seen));
+        move || {
+            let mut most = most_seen.lock().unwrap();
+            // Between the writer's two renames the newest complete
+            // generation is the `.bak`.
+            let text = std::fs::read_to_string(&ckpt).or_else(|_| std::fs::read_to_string(&bak));
+            let Ok(text) = text else { return };
+            let cells = ReportGrid::from_json(&text)
+                .expect("the checkpoint parses whenever it is read")
+                .len();
+            assert!(
+                cells >= *most,
+                "checkpoint shrank from {most} to {cells} cells"
+            );
+            *most = cells;
+        }
+    };
+    let mut sched = Scheduler::new(chaos_config()).unwrap();
+    let hooked = look.clone();
+    sched.set_cell_hook(Box::new(move |_: &CellKey| {
+        hooked();
+        Ok(())
+    }));
+    let sweep = SweepOptions::default()
+        .with_cells_in_flight(8)
+        .with_checkpoint(&ckpt);
+    let outcome = sched
+        .run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)
+        .unwrap();
+    look();
+    assert_eq!(
+        *most_seen.lock().unwrap(),
+        35,
+        "the finished file is complete"
+    );
+    assert_eq!(&outcome.grid.to_json(), &chaos_golden().0);
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
+}
+
 #[test]
 fn harness_converts_failures_without_crashing() {
     use genbase::harness::{Harness, HarnessConfig};
