@@ -5,10 +5,10 @@
 //! chunked arrays. It belongs to none of them, so it lives beside them.
 
 use super::scidb::ArrayData;
-use super::sql_common::{triple_schema, SqlStore, StoreKind};
+use super::sql_common::{SqlStore, StoreKind};
 use crate::engine::StreamConfig;
 use genbase_datagen::Dataset;
-use genbase_storage::{self as storage, Column, Spool};
+use genbase_storage::{self as storage, Spool};
 use genbase_util::{lock, Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,16 +137,10 @@ impl std::fmt::Debug for LoadedTables {
 /// exact order both stores ingest in, which is the expression matrix's own
 /// row-major order).
 fn spool_triples(data: &Dataset, cfg: &StreamConfig) -> Result<Spool> {
-    let n_genes = data.n_genes();
-    let values = data.expression.data();
-    let ranges = storage::batch_ranges(values.len(), cfg.batch_rows)?;
-    let mut spool = Spool::create(triple_schema(), cfg.spill_dir.as_deref())?;
-    for (start, end) in ranges {
-        spool.append(&[
-            Column::Ints((start..end).map(|i| (i % n_genes) as i64).collect()),
-            Column::Ints((start..end).map(|i| (i / n_genes) as i64).collect()),
-            Column::Floats(values[start..end].to_vec()),
-        ])?;
+    let cells = data.expression.data().len();
+    let mut spool = Spool::create(storage::triple_schema(), cfg.spill_dir.as_deref())?;
+    for (start, end) in storage::batch_ranges(cells, cfg.batch_rows)? {
+        spool.append(&storage::triple_columns(&data.expression, start..end))?;
     }
     Ok(spool)
 }

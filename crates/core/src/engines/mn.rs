@@ -32,8 +32,7 @@ use genbase_cluster::{
 };
 use genbase_datagen::Dataset;
 use genbase_linalg::{lanczos_topk, ExecOpts, Matrix};
-use genbase_relational::{DataType, Schema};
-use genbase_storage::{self as storage, Column, ColumnarTable, MemDelta, MemTracker};
+use genbase_storage::{self as storage, ColumnarTable, MemDelta, MemTracker};
 use genbase_util::{csv, Budget, Error, Result};
 
 /// Which multi-node configuration is running.
@@ -81,32 +80,12 @@ impl LocalStore {
                 })
             }
             MnFlavor::ColumnUdf | MnFlavor::ColumnPbdr => {
-                let n_genes = data.n_genes();
-                let mut gene_col = Vec::with_capacity(rows.len() * n_genes);
-                let mut patient_col = Vec::with_capacity(rows.len() * n_genes);
-                let mut value_col = Vec::with_capacity(rows.len() * n_genes);
-                for &p in &rows {
-                    let row = data.expression.row(p);
-                    for (g, &v) in row.iter().enumerate() {
-                        gene_col.push(g as i64);
-                        patient_col.push(p as i64);
-                        value_col.push(v);
-                    }
-                }
-                let schema = Schema::new(&[
-                    ("gene_id", DataType::Int),
-                    ("patient_id", DataType::Int),
-                    ("value", DataType::Float),
-                ])?;
+                let cells = band.start * data.n_genes()..band.end * data.n_genes();
                 Ok(LocalStore::Column {
                     triples: ColumnarTable::from_columns(
                         mem,
-                        schema,
-                        vec![
-                            Column::Ints(gene_col),
-                            Column::Ints(patient_col),
-                            Column::Floats(value_col),
-                        ],
+                        storage::triple_schema(),
+                        storage::triple_columns(&data.expression, cells),
                     )?,
                 })
             }

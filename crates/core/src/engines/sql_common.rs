@@ -29,8 +29,8 @@ use genbase_relational::{
     ColumnData, ColumnTable, DataType, Pred, Relation, RowTable, Schema, Value,
 };
 use genbase_storage::{
-    self as storage, BatchReel, CachePin, CacheScope, CacheValue, Column, ColumnarTable,
-    DenseHandle, MemTracker, Morsel,
+    self as storage, BatchReel, CachePin, CacheScope, CacheValue, ColumnarTable, DenseHandle,
+    MemTracker, Morsel,
 };
 use genbase_util::{Budget, Error, IdIndex, Result};
 use std::collections::HashMap;
@@ -125,15 +125,6 @@ pub fn filter_pred(query: Query, params: &QueryParams) -> Pred {
     }
 }
 
-pub(super) fn triple_schema() -> Schema {
-    Schema::new(&[
-        ("gene_id", DataType::Int),
-        ("patient_id", DataType::Int),
-        ("value", DataType::Float),
-    ])
-    .expect("static schema")
-}
-
 fn patient_schema() -> Schema {
     Schema::new(&[
         ("patient_id", DataType::Int),
@@ -206,13 +197,40 @@ impl SqlStore {
     /// base table; the store keeps empty triple tables so every metadata
     /// path is unchanged).
     pub fn ingest(kind: StoreKind, data: &Dataset, with_triples: bool) -> Result<SqlStore> {
+        // The metadata tables' rows, stated once; each store lays them out
+        // its own way.
+        let patients = data.patients.iter().map(|p| {
+            vec![
+                Value::Int(p.id as i64),
+                Value::Int(p.age),
+                Value::Int(p.gender),
+                Value::Int(p.zipcode),
+                Value::Int(p.disease_id),
+                Value::Float(p.drug_response),
+            ]
+        });
+        let genes = data.genes.iter().map(|g| {
+            vec![
+                Value::Int(g.id as i64),
+                Value::Int(g.target),
+                Value::Int(g.position),
+                Value::Int(g.length),
+                Value::Int(g.function),
+            ]
+        });
+        let go = data.ontology.members.iter().enumerate();
+        let go = go.flat_map(|(term, members)| {
+            let pair = move |&g| vec![Value::Int(i64::from(g)), Value::Int(term as i64)];
+            members.iter().map(pair)
+        });
+        // The triples are each store's own ingest — row inserts against
+        // three column vectors is the paper's row-vs-column contrast.
         match kind {
             StoreKind::Row => {
-                let mut triples = RowTable::new(triple_schema());
+                let mut triples = RowTable::new(storage::triple_schema());
                 if with_triples {
                     for p in 0..data.n_patients() {
-                        let row = data.expression.row(p);
-                        for (g, &v) in row.iter().enumerate() {
+                        for (g, &v) in data.expression.row(p).iter().enumerate() {
                             triples.insert(&[
                                 Value::Int(g as i64),
                                 Value::Int(p as i64),
@@ -221,110 +239,27 @@ impl SqlStore {
                         }
                     }
                 }
-                let patients = RowTable::from_rows(
-                    patient_schema(),
-                    data.patients.iter().map(|p| {
-                        vec![
-                            Value::Int(p.id as i64),
-                            Value::Int(p.age),
-                            Value::Int(p.gender),
-                            Value::Int(p.zipcode),
-                            Value::Int(p.disease_id),
-                            Value::Float(p.drug_response),
-                        ]
-                    }),
-                )?;
-                let genes = RowTable::from_rows(
-                    gene_schema(),
-                    data.genes.iter().map(|g| {
-                        vec![
-                            Value::Int(g.id as i64),
-                            Value::Int(g.target),
-                            Value::Int(g.position),
-                            Value::Int(g.length),
-                            Value::Int(g.function),
-                        ]
-                    }),
-                )?;
-                let mut go_rows = Vec::new();
-                for (term, members) in data.ontology.members.iter().enumerate() {
-                    for &g in members {
-                        go_rows.push(vec![Value::Int(g as i64), Value::Int(term as i64)]);
-                    }
-                }
-                let go = RowTable::from_rows(go_schema(), go_rows)?;
                 Ok(SqlStore::Row {
                     triples,
-                    patients,
-                    genes,
-                    go,
+                    patients: RowTable::from_rows(patient_schema(), patients)?,
+                    genes: RowTable::from_rows(gene_schema(), genes)?,
+                    go: RowTable::from_rows(go_schema(), go)?,
                 })
             }
             StoreKind::Column => {
-                let n = if with_triples {
-                    data.n_patients() * data.n_genes()
+                let cells = if with_triples {
+                    data.expression.data().len()
                 } else {
                     0
                 };
-                let mut gene_col = Vec::with_capacity(n);
-                let mut patient_col = Vec::with_capacity(n);
-                let mut value_col = Vec::with_capacity(n);
-                if with_triples {
-                    for p in 0..data.n_patients() {
-                        let row = data.expression.row(p);
-                        for (g, &v) in row.iter().enumerate() {
-                            gene_col.push(g as i64);
-                            patient_col.push(p as i64);
-                            value_col.push(v);
-                        }
-                    }
-                }
-                let triples = ColumnTable::from_columns(
-                    triple_schema(),
-                    vec![
-                        ColumnData::Ints(gene_col),
-                        ColumnData::Ints(patient_col),
-                        ColumnData::Floats(value_col),
-                    ],
-                )?;
-                let patients = ColumnTable::from_columns(
-                    patient_schema(),
-                    vec![
-                        ColumnData::Ints(data.patients.iter().map(|p| p.id as i64).collect()),
-                        ColumnData::Ints(data.patients.iter().map(|p| p.age).collect()),
-                        ColumnData::Ints(data.patients.iter().map(|p| p.gender).collect()),
-                        ColumnData::Ints(data.patients.iter().map(|p| p.zipcode).collect()),
-                        ColumnData::Ints(data.patients.iter().map(|p| p.disease_id).collect()),
-                        ColumnData::Floats(data.patients.iter().map(|p| p.drug_response).collect()),
-                    ],
-                )?;
-                let genes = ColumnTable::from_columns(
-                    gene_schema(),
-                    vec![
-                        ColumnData::Ints(data.genes.iter().map(|g| g.id as i64).collect()),
-                        ColumnData::Ints(data.genes.iter().map(|g| g.target).collect()),
-                        ColumnData::Ints(data.genes.iter().map(|g| g.position).collect()),
-                        ColumnData::Ints(data.genes.iter().map(|g| g.length).collect()),
-                        ColumnData::Ints(data.genes.iter().map(|g| g.function).collect()),
-                    ],
-                )?;
-                let mut go_gene = Vec::new();
-                let mut go_term = Vec::new();
-                for (term, members) in data.ontology.members.iter().enumerate() {
-                    for &g in members {
-                        go_gene.push(g as i64);
-                        go_term.push(term as i64);
-                    }
-                }
-                let go = ColumnTable::from_columns(
-                    go_schema(),
-                    vec![ColumnData::Ints(go_gene), ColumnData::Ints(go_term)],
-                )?;
                 Ok(SqlStore::Column {
-                    triples,
-                    patients,
-                    genes,
-                    go,
+                    triples: ColumnTable::from_columns(
+                        storage::triple_schema(),
+                        storage::triple_columns(&data.expression, 0..cells),
+                    )?,
+                    patients: ColumnTable::from_rows(patient_schema(), patients)?,
+                    genes: ColumnTable::from_rows(gene_schema(), genes)?,
+                    go: ColumnTable::from_rows(go_schema(), go)?,
                 })
             }
         }
@@ -388,28 +323,18 @@ impl SqlStore {
 
     /// Rebuild a cached join's working set, replaying the cold path's
     /// accounting exactly (base-table read, conversion input, output note).
-    fn replay_join(
-        &self,
-        schema: &Schema,
-        columns: &[Column],
-        mem: &MemTracker,
-    ) -> Result<TripleSet> {
-        let n_rows = columns.first().map_or(0, Column::len);
+    fn replay_join(&self, cached: &ColumnTable, mem: &MemTracker) -> Result<TripleSet> {
         match self {
             SqlStore::Row { triples, .. } => {
                 mem.note_input(triples.heap_bytes());
                 // The row store's join output leaves its pages through
                 // `columnar_from_relation`; replay its input note.
-                mem.note_input((n_rows * schema.arity() * 8) as u64);
+                mem.note_input(cached.heap_bytes());
             }
-            SqlStore::Column { triples, .. } => {
-                // `columnar_from_column_table` adopts the columns directly.
-                mem.note_input(triples.heap_bytes());
-            }
+            SqlStore::Column { triples, .. } => mem.note_input(triples.heap_bytes()),
         }
-        let table = ColumnarTable::from_columns(mem, schema.clone(), columns.to_vec())?;
-        mem.note_output(table.heap_bytes(), table.n_rows() as u64);
-        Ok(table)
+        // Both cold paths end in a charge and an output note; so does this.
+        storage::columnar_from_column_table(mem, cached.clone())
     }
 
     /// Join the microarray triples against a set of `dim` ids, projecting
@@ -438,24 +363,17 @@ impl SqlStore {
         let key = scope.key(shape.0, shape.1, conversion, &extra);
         match scope.cache().begin(&key) {
             storage::Lookup::Hit(value, pin) => {
-                let (schema, columns) = value
+                let cached = value
                     .as_columnar()
                     .ok_or_else(|| Error::invalid("cache type confusion on a join key"))?;
-                let table = self.replay_join(schema, columns, mem)?;
+                let table = self.replay_join(cached, mem)?;
                 mem.note_cache_hit();
                 Ok((table, Some(pin)))
             }
             storage::Lookup::Build(slot) => {
                 let table = self.join_cold(dim, ids, budget, mem)?;
-                let columns: Vec<Column> = (0..table.schema().arity())
-                    .map(|i| table.view().column_copy(i))
-                    .collect();
-                let pin = slot
-                    .fill(CacheValue::Columnar {
-                        schema: table.schema().clone(),
-                        columns,
-                    })
-                    .map(|(_, pin)| pin);
+                let cached = CacheValue::Columnar(ColumnTable::clone(&table));
+                let pin = slot.fill(cached).map(|(_, pin)| pin);
                 Ok((table, pin))
             }
         }
@@ -585,11 +503,10 @@ pub trait TripleScan {
 
 impl TripleScan for TripleSet {
     fn scan(&self, f: &mut dyn FnMut(i64, i64, f64)) -> Result<()> {
-        self.for_each(&mut |row: &[Value]| {
-            if let (Value::Int(g), Value::Int(p), Value::Float(v)) = (row[0], row[1], row[2]) {
-                f(g, p, v);
-            }
-        });
+        let (genes, patients, values) = (self.int_col(0)?, self.int_col(1)?, self.float_col(2)?);
+        for ((&g, &p), &v) in genes.iter().zip(patients).zip(values) {
+            f(g, p, v);
+        }
         Ok(())
     }
 }

@@ -377,6 +377,41 @@ impl Shared {
             .ok_or_else(|| Error::invalid(format!("unknown engine {name:?}")))
     }
 
+    /// The query a request names, if it names one.
+    fn query_from_request(req: &Json) -> Result<Option<Query>> {
+        let name = req.get("query").and_then(Json::as_str);
+        let parse = |name| {
+            Query::from_name(name).ok_or_else(|| Error::invalid(format!("unknown query {name:?}")))
+        };
+        name.map(parse).transpose()
+    }
+
+    /// The size class a request names — the first configured one when it
+    /// names none — which must be resident on this server.
+    fn size_from_request(&self, req: &Json) -> Result<SizeClass> {
+        let sizes = &self.config().sizes;
+        let size = match req.get("size").and_then(Json::as_str) {
+            Some(slug) => SizeClass::from_slug(slug)
+                .ok_or_else(|| Error::invalid(format!("unknown size {slug:?}")))?,
+            None => *sizes
+                .first()
+                .ok_or_else(|| Error::invalid("server has no configured sizes"))?,
+        };
+        if !sizes.contains(&size) {
+            return Err(Error::invalid(format!(
+                "size {:?} is not resident on this server (configured: {:?})",
+                size.slug(),
+                sizes.iter().map(|s| s.slug()).collect::<Vec<_>>()
+            )));
+        }
+        Ok(size)
+    }
+
+    /// The node count a request names (default 1).
+    fn nodes_from_request(req: &Json) -> usize {
+        req.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize
+    }
+
     /// Build the cell key a query request names. `engine` and `query` are
     /// required; `size` defaults to the first configured size class,
     /// `nodes` to 1 and `figure` to fig1. Unlike other unknown keys, a
@@ -394,32 +429,9 @@ impl Shared {
             .get("engine")
             .and_then(Json::as_str)
             .ok_or_else(|| Error::invalid("query request missing engine"))?;
-        let query = req
-            .get("query")
-            .and_then(Json::as_str)
+        let query = Self::query_from_request(req)?
             .ok_or_else(|| Error::invalid("query request missing query"))?;
-        let query = Query::from_name(query)
-            .ok_or_else(|| Error::invalid(format!("unknown query {query:?}")))?;
-        let size = match req.get("size").and_then(Json::as_str) {
-            Some(slug) => SizeClass::from_slug(slug)
-                .ok_or_else(|| Error::invalid(format!("unknown size {slug:?}")))?,
-            None => *self
-                .config()
-                .sizes
-                .first()
-                .ok_or_else(|| Error::invalid("server has no configured sizes"))?,
-        };
-        if !self.config().sizes.contains(&size) {
-            return Err(Error::invalid(format!(
-                "size {:?} is not resident on this server (configured: {:?})",
-                size.slug(),
-                self.config()
-                    .sizes
-                    .iter()
-                    .map(|s| s.slug())
-                    .collect::<Vec<_>>()
-            )));
-        }
+        let size = self.size_from_request(req)?;
         let figure = match req.get("figure").and_then(Json::as_str) {
             Some(name) => FigureId::from_name(name)
                 .ok_or_else(|| Error::invalid(format!("unknown figure {name:?}")))?,
@@ -429,7 +441,7 @@ impl Shared {
             figure,
             query,
             size,
-            nodes: req.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize,
+            nodes: Self::nodes_from_request(req),
             engine: self.canonical_engine(engine)?,
         })
     }
@@ -449,6 +461,14 @@ impl Shared {
             .cache()
             .bytes_under_prefix(&scope.size_prefix(spec.patients, spec.genes));
         base.saturating_sub(resident).max(MIN_ESTIMATE_BYTES)
+    }
+
+    /// Reserve `estimate` bytes of the admission budget, queueing behind
+    /// requests already in flight; a rejection is counted before it is
+    /// returned.
+    fn admit(&self, estimate: u64) -> std::result::Result<Reservation, Rejection> {
+        let admitted = self.admission.admit(estimate, &|| self.draining());
+        admitted.inspect_err(|r| self.metrics.record_rejection(r))
     }
 
     /// Admit and execute one query request; the reservation is held for
@@ -471,13 +491,7 @@ impl Shared {
         self.metrics
             .last_estimate
             .store(estimate, Ordering::Relaxed);
-        let _reservation = self
-            .admission
-            .admit(estimate, &|| self.draining())
-            .map_err(|r| {
-                self.metrics.record_rejection(&r);
-                ServeError::Rejected(r)
-            })?;
+        let _reservation = self.admit(estimate).map_err(ServeError::Rejected)?;
         self.metrics.inflight.fetch_add(1, Ordering::Relaxed);
         let threads = self.config().threads.max(1);
         let run = self.scheduler.run_cell(key, threads);
@@ -942,24 +956,27 @@ fn handle_frame_conn(mut stream: TcpStream, shared: &Shared) {
     );
 }
 
-/// Route one post-handshake frame to its reply. Admission rejections are
-/// `busy` replies (the connection stays open so the client can retry);
-/// protocol errors bubble up as `Err` and close the connection.
+/// The `busy` reply to a request the admission controller turned away.
+/// `retry` is false only for a request that can never fit the budget.
+fn busy_reply(rejection: &Rejection) -> Json {
+    let mut busy = msg("busy");
+    busy.set("reason", Json::from(rejection.reason().as_str()));
+    let retry = !matches!(rejection, Rejection::OverBudget { .. });
+    busy.set("retry", Json::Bool(retry));
+    busy
+}
+
+/// Route one post-handshake frame to its reply. Admission rejections, of a
+/// `query` or an `explain` alike, are `busy` replies (the connection stays
+/// open so the client can retry); protocol errors bubble up as `Err` and
+/// close the connection.
 fn dispatch_frame(frame: &Json, shared: &Shared) -> Result<Json> {
     match msg_type(frame)? {
         "query" => {
             let key = shared.cell_from_request(frame)?;
             match shared.execute(&key) {
                 Ok(reply) => Ok(reply),
-                Err(ServeError::Rejected(r)) => {
-                    let mut busy = msg("busy");
-                    busy.set("reason", Json::from(r.reason().as_str()));
-                    busy.set(
-                        "retry",
-                        Json::Bool(!matches!(r, Rejection::OverBudget { .. })),
-                    );
-                    Ok(busy)
-                }
+                Err(ServeError::Rejected(r)) => Ok(busy_reply(&r)),
                 Err(ServeError::Failed(e)) => {
                     let mut failed = msg("failed");
                     failed.set("cell", Json::from(key.id().as_str()));
@@ -970,31 +987,13 @@ fn dispatch_frame(frame: &Json, shared: &Shared) -> Result<Json> {
         }
         "explain" => {
             let engine = frame.get("engine").and_then(Json::as_str);
-            let query = match frame.get("query").and_then(Json::as_str) {
-                Some(name) => Some(
-                    Query::from_name(name)
-                        .ok_or_else(|| Error::invalid(format!("unknown query {name:?}")))?,
-                ),
-                None => None,
+            let query = Shared::query_from_request(frame)?;
+            let size = shared.size_from_request(frame)?;
+            let nodes = Shared::nodes_from_request(frame);
+            let _reservation = match shared.admit(shared.admission_estimate(size)) {
+                Ok(reservation) => reservation,
+                Err(r) => return Ok(busy_reply(&r)),
             };
-            let size = match frame.get("size").and_then(Json::as_str) {
-                Some(slug) => SizeClass::from_slug(slug)
-                    .ok_or_else(|| Error::invalid(format!("unknown size {slug:?}")))?,
-                None => *shared
-                    .config()
-                    .sizes
-                    .first()
-                    .ok_or_else(|| Error::invalid("server has no configured sizes"))?,
-            };
-            let nodes = frame.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize;
-            let estimate = shared.admission_estimate(size);
-            let _reservation = shared
-                .admission
-                .admit(estimate, &|| shared.draining())
-                .map_err(|r| {
-                    shared.metrics.record_rejection(&r);
-                    Error::invalid(r.reason())
-                })?;
             let harness = shared.scheduler.harness();
             let mut reply = msg("result");
             if matches!(frame.get("json"), Some(Json::Bool(true))) {

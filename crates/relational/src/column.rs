@@ -44,6 +44,27 @@ impl ColumnData {
         }
     }
 
+    /// Heap bytes of the column's storage.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.len() * 8) as u64
+    }
+
+    /// The values of an integer column.
+    pub fn ints(&self) -> Result<&[i64]> {
+        match self {
+            ColumnData::Ints(v) => Ok(v),
+            ColumnData::Floats(_) => Err(Error::invalid("column is Float, not Int")),
+        }
+    }
+
+    /// The values of a float column.
+    pub fn floats(&self) -> Result<&[f64]> {
+        match self {
+            ColumnData::Floats(v) => Ok(v),
+            ColumnData::Ints(_) => Err(Error::invalid("column is Int, not Float")),
+        }
+    }
+
     fn value_at(&self, i: usize) -> Value {
         match self {
             ColumnData::Ints(v) => Value::Int(v[i]),
@@ -51,13 +72,33 @@ impl ColumnData {
         }
     }
 
-    fn gather(&self, sel: &[u32]) -> ColumnData {
+    /// Copy of the values at the given positions, in `sel` order. Panics on
+    /// a position past the end.
+    pub fn gather(&self, sel: &[u32]) -> ColumnData {
         match self {
             ColumnData::Ints(v) => ColumnData::Ints(sel.iter().map(|&i| v[i as usize]).collect()),
             ColumnData::Floats(v) => {
                 ColumnData::Floats(sel.iter().map(|&i| v[i as usize]).collect())
             }
         }
+    }
+
+    /// Copy of the `start..end` range of this column.
+    pub fn slice_range(&self, start: usize, end: usize) -> ColumnData {
+        match self {
+            ColumnData::Ints(v) => ColumnData::Ints(v[start..end].to_vec()),
+            ColumnData::Floats(v) => ColumnData::Floats(v[start..end].to_vec()),
+        }
+    }
+
+    /// Append another column's values; the types must match.
+    pub fn append(&mut self, other: &ColumnData) -> Result<()> {
+        match (self, other) {
+            (ColumnData::Ints(a), ColumnData::Ints(b)) => a.extend_from_slice(b),
+            (ColumnData::Floats(a), ColumnData::Floats(b)) => a.extend_from_slice(b),
+            _ => return Err(Error::invalid("column type mismatch on append")),
+        }
+        Ok(())
     }
 }
 
@@ -135,23 +176,22 @@ impl ColumnTable {
 
     /// Heap bytes of column storage.
     pub fn heap_bytes(&self) -> u64 {
-        self.cols.iter().map(|c| (c.len() * 8) as u64).sum()
+        self.cols.iter().map(ColumnData::heap_bytes).sum()
+    }
+
+    /// Borrow all columns (schema order).
+    pub fn columns(&self) -> &[ColumnData] {
+        &self.cols
     }
 
     /// Borrow an integer column.
     pub fn int_col(&self, i: usize) -> Result<&[i64]> {
-        match &self.cols[i] {
-            ColumnData::Ints(v) => Ok(v),
-            ColumnData::Floats(_) => Err(Error::invalid(format!("column {i} is Float"))),
-        }
+        self.cols[i].ints()
     }
 
     /// Borrow a float column.
     pub fn float_col(&self, i: usize) -> Result<&[f64]> {
-        match &self.cols[i] {
-            ColumnData::Floats(v) => Ok(v),
-            ColumnData::Ints(_) => Err(Error::invalid(format!("column {i} is Int"))),
-        }
+        self.cols[i].floats()
     }
 
     /// Vectorized predicate evaluation into a selection mask.
@@ -286,12 +326,6 @@ impl ColumnTable {
         let keys = self.int_col(key_col)?;
         let vals = self.float_col(val_col)?;
         Ok(idindex::group_sum(keys, vals))
-    }
-
-    /// Decompose into the schema and owned columns (no copy) — the handoff
-    /// into the unified storage layer's columnar representation.
-    pub fn into_columns(self) -> (Schema, Vec<ColumnData>) {
-        (self.schema, self.cols)
     }
 
     /// Distinct values of an integer column, ascending.
@@ -482,8 +516,8 @@ mod tests {
         assert!(p.int_col(0).is_err());
         assert!(t.project(&[11]).is_err());
         // The consuming form keeps the same columns without copying them.
-        let (schema, cols) = t.clone().into_projected(&[3, 1]).unwrap().into_columns();
-        assert_eq!((schema, cols), p.clone().into_columns());
+        let moved = t.clone().into_projected(&[3, 1]).unwrap();
+        assert_eq!((moved.schema(), moved.columns()), (p.schema(), p.columns()));
         assert!(t.clone().into_projected(&[11]).is_err());
         assert!(t.clone().into_projected(&[1, 1]).is_err());
     }

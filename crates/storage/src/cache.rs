@@ -27,10 +27,9 @@
 //! production user (the SQL engines' memoized triple join) replays that
 //! accounting on the hit path and skips only the compute.
 
-use crate::table::Column;
 use crate::tracker::MemTracker;
 use genbase_linalg::Matrix;
-use genbase_relational::Schema;
+use genbase_relational::ColumnTable;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -40,15 +39,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// kernels produce.
 #[derive(Debug, Clone)]
 pub enum CacheValue {
-    /// A columnar table, stored as its parts so a hit can re-run
-    /// [`crate::table::ColumnarTable::from_columns`] (re-charging the run's
-    /// tracker exactly as the cold path does).
-    Columnar {
-        /// The table's schema.
-        schema: Schema,
-        /// The table's columns, in schema order.
-        columns: Vec<Column>,
-    },
+    /// A columnar table. A hit clones it into the run through
+    /// [`crate::columnar_from_column_table`], which charges the run's
+    /// tracker and notes the output exactly as the cold path does.
+    Columnar(ColumnTable),
     /// A dense matrix. No engine caches one (see the module docs); the
     /// repo benchmark's `storage.cache.*` rungs fill and hit this variant.
     Dense(Matrix),
@@ -59,16 +53,16 @@ impl CacheValue {
     /// against the cache budget.
     pub fn heap_bytes(&self) -> u64 {
         match self {
-            CacheValue::Columnar { columns, .. } => columns.iter().map(Column::heap_bytes).sum(),
+            CacheValue::Columnar(table) => table.heap_bytes(),
             CacheValue::Dense(mat) => mat.heap_bytes(),
         }
     }
 
     /// The columnar payload, if this is a [`CacheValue::Columnar`].
-    pub fn as_columnar(&self) -> Option<(&Schema, &[Column])> {
+    pub fn as_columnar(&self) -> Option<&ColumnTable> {
         match self {
-            CacheValue::Columnar { schema, columns } => Some((schema, columns)),
-            _ => None,
+            CacheValue::Columnar(table) => Some(table),
+            CacheValue::Dense(_) => None,
         }
     }
 }
@@ -368,7 +362,7 @@ mod tests {
     fn first_cell(value: &CacheValue) -> f64 {
         match value {
             CacheValue::Dense(mat) => mat.get(0, 0),
-            CacheValue::Columnar { .. } => panic!("expected a dense value"),
+            CacheValue::Columnar(_) => panic!("expected a dense value"),
         }
     }
 

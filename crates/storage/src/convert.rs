@@ -66,50 +66,59 @@ pub fn columnar_from_column_table(
     tracker: &MemTracker,
     table: ColumnTable,
 ) -> Result<ColumnarTable> {
-    let (schema, cols) = table.into_columns();
-    let cols: Vec<Column> = cols.into_iter().map(Column::from).collect();
-    let out = ColumnarTable::from_columns(tracker, schema, cols)?;
+    let out = ColumnarTable::charged(tracker, table)?;
     tracker.note_output(out.heap_bytes(), out.n_rows() as u64);
     Ok(out)
 }
 
+/// Schema of the microarray in its relational form, one row per matrix cell.
+pub fn triple_schema() -> Schema {
+    Schema::new(&[
+        ("gene_id", DataType::Int),
+        ("patient_id", DataType::Int),
+        ("value", DataType::Float),
+    ])
+    .expect("static schema")
+}
+
+/// The [`triple_schema`] columns of a dense `patients x genes` matrix for a
+/// range of its cells in row-major order — patient-major, gene-minor: the
+/// one order every triple representation of the microarray is laid out in
+/// (both SQL stores' base tables, the streaming spool's batches, a node's
+/// columnar band). A band of patient rows `a..b` is the cells
+/// `a * genes..b * genes`.
+pub fn triple_columns(expression: &Matrix, cells: std::ops::Range<usize>) -> Vec<Column> {
+    let n_genes = expression.cols();
+    let mut genes = Vec::with_capacity(cells.len());
+    let mut patients = Vec::with_capacity(cells.len());
+    let mut at = cells.start;
+    while at < cells.end {
+        // The rest of patient `at / n_genes`'s row, or of the range.
+        let first = at % n_genes;
+        let last = (first + cells.end - at).min(n_genes);
+        genes.extend(first as i64..last as i64);
+        patients.resize(genes.len(), (at / n_genes) as i64);
+        at += last - first;
+    }
+    vec![
+        Column::Ints(genes),
+        Column::Ints(patients),
+        Column::Floats(expression.data()[cells].to_vec()),
+    ]
+}
+
 /// Dense → triples: explode a dense `patients x genes` matrix into a
 /// `(gene_id, patient_id, value)` table (the relational engines' microarray
-/// representation).
+/// representation). `schema` may rename the [`triple_schema`] columns, not
+/// retype them.
 pub fn triples_from_dense(
     tracker: &MemTracker,
     dense: &Matrix,
     schema: Schema,
 ) -> Result<ColumnarTable> {
-    if schema.arity() != 3
-        || schema.col_type(0) != DataType::Int
-        || schema.col_type(1) != DataType::Int
-        || schema.col_type(2) != DataType::Float
-    {
-        return Err(Error::invalid("triple schema must be (Int, Int, Float)"));
-    }
     tracker.note_input(dense.heap_bytes());
-    let n = dense.rows() * dense.cols();
-    let mut gene_col = Vec::with_capacity(n);
-    let mut patient_col = Vec::with_capacity(n);
-    let mut value_col = Vec::with_capacity(n);
-    for p in 0..dense.rows() {
-        let row = dense.row(p);
-        for (g, &v) in row.iter().enumerate() {
-            gene_col.push(g as i64);
-            patient_col.push(p as i64);
-            value_col.push(v);
-        }
-    }
-    let table = ColumnarTable::from_columns(
-        tracker,
-        schema,
-        vec![
-            Column::Ints(gene_col),
-            Column::Ints(patient_col),
-            Column::Floats(value_col),
-        ],
-    )?;
+    let cols = triple_columns(dense, 0..dense.rows() * dense.cols());
+    let table = ColumnarTable::from_columns(tracker, schema, cols)?;
     tracker.note_output(table.heap_bytes(), table.n_rows() as u64);
     Ok(table)
 }
@@ -317,15 +326,6 @@ pub fn pivot_csv_tracked(
 mod tests {
     use super::*;
     use genbase_relational::RowTable;
-
-    fn triple_schema() -> Schema {
-        Schema::new(&[
-            ("gene_id", DataType::Int),
-            ("patient_id", DataType::Int),
-            ("value", DataType::Float),
-        ])
-        .unwrap()
-    }
 
     fn dense() -> Matrix {
         Matrix::from_fn(5, 7, |r, c| (r * 7 + c) as f64 * 0.5)

@@ -11,13 +11,19 @@
 //!
 //! - [`ColumnarTable`] / [`Column`] / [`TableView`]: the shared columnar
 //!   working-set representation every engine's lowering materializes
-//!   filtered/joined data into. Tables are registered against a
-//!   [`MemTracker`] on construction and release their bytes on drop, so
-//!   resident working-set size is observable at any instant.
+//!   filtered/joined data into. It wraps the relational column store's own
+//!   types rather than copying them: [`Column`] *is*
+//!   [`genbase_relational::ColumnData`], and a [`ColumnarTable`] is a
+//!   [`genbase_relational::ColumnTable`] (the one validating constructor)
+//!   plus the [`Reservation`] that keeps its bytes charged against a
+//!   [`MemTracker`] until it drops, so resident working-set size is
+//!   observable at any instant. [`Reservation`] is the one charge guard
+//!   under every tracked value ([`Morsel`] and [`DenseHandle`] too).
 //! - [`convert`]: the conversion kernels — dense↔triples↔chunked and the
 //!   row↔column pivot — implemented once, instrumented (bytes in, bytes
 //!   out, rows materialized), and parallelized on the shared
-//!   `genbase_util::runtime` pool.
+//!   `genbase_util::runtime` pool; and the one statement of the
+//!   microarray's triple layout ([`triple_schema`], [`triple_columns`]).
 //! - [`MemTracker`]: the allocation tracker behind per-operator memory
 //!   traces (`bytes_in` / `bytes_out` / `peak_alloc_bytes` /
 //!   `rows_materialized`) and the per-cell `--mem-budget` enforcement.
@@ -43,7 +49,7 @@ pub use cache::{digest_ids, ArtifactCache, CachePin, CacheScope, CacheValue, Loo
 pub use convert::{
     chunked_from_dense, columnar_from_column_table, columnar_from_relation, export_csv_tracked,
     gather_chunked, pivot_csv_tracked, pivot_dense, scatter_csv_triples, select_cols_tracked,
-    select_rows_tracked, triples_from_dense,
+    select_rows_tracked, triple_columns, triple_schema, triples_from_dense,
 };
 pub use pipeline::{csv_selected, fused_scan, scatter_selected, SelVec, SlotLookup};
 pub use stream::{

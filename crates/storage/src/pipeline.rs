@@ -194,19 +194,10 @@ pub fn csv_selected(m: &Morsel, sel: &SelVec, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::triple_schema;
     use crate::stream::batch_ranges;
     use crate::table::ColumnarTable;
     use crate::tracker::MemTracker;
-    use genbase_relational::{DataType, Schema};
-
-    fn triple_schema() -> Schema {
-        Schema::new(&[
-            ("gene_id", DataType::Int),
-            ("patient_id", DataType::Int),
-            ("value", DataType::Float),
-        ])
-        .unwrap()
-    }
 
     fn sample_table(tracker: &MemTracker, n: usize) -> ColumnarTable {
         ColumnarTable::from_columns(

@@ -36,7 +36,7 @@
 //!   reel that live only on disk.
 
 use crate::table::{Column, ColumnarTable, TableView};
-use crate::tracker::MemTracker;
+use crate::tracker::{MemTracker, Reservation};
 use genbase_relational::{DataType, Schema};
 use genbase_util::{faults, runtime, Error, Result};
 use std::fs::File;
@@ -58,7 +58,7 @@ const REPLAY_WINDOW: usize = 8;
 pub struct Morsel {
     cols: Vec<Column>,
     n_rows: usize,
-    tracker: MemTracker,
+    charge: Reservation,
 }
 
 impl Morsel {
@@ -70,12 +70,11 @@ impl Morsel {
                 return Err(Error::invalid(format!("morsel column {i} ragged")));
             }
         }
-        let bytes: u64 = cols.iter().map(Column::heap_bytes).sum();
-        tracker.charge(bytes)?;
+        let charge = tracker.reserve(cols.iter().map(Column::heap_bytes).sum())?;
         Ok(Morsel {
             cols,
             n_rows,
-            tracker: tracker.clone(),
+            charge,
         })
     }
 
@@ -86,12 +85,6 @@ impl Morsel {
         start: usize,
         end: usize,
     ) -> Result<Morsel> {
-        if start > end || end > view.n_rows() {
-            return Err(Error::invalid(format!(
-                "morsel {start}..{end} out of range (rows = {})",
-                view.n_rows()
-            )));
-        }
         let sub = view.subview(start, end)?;
         let cols: Vec<Column> = (0..view.schema().arity())
             .map(|i| sub.column_copy(i))
@@ -111,23 +104,17 @@ impl Morsel {
 
     /// Heap bytes of the batch's column storage.
     pub fn heap_bytes(&self) -> u64 {
-        self.cols.iter().map(Column::heap_bytes).sum()
+        self.charge.bytes()
     }
 
     /// Borrow an integer column.
     pub fn int_col(&self, i: usize) -> Result<&[i64]> {
-        match &self.cols[i] {
-            Column::Ints(v) => Ok(v),
-            Column::Floats(_) => Err(Error::invalid(format!("morsel column {i} is Float"))),
-        }
+        self.cols[i].ints()
     }
 
     /// Borrow a float column.
     pub fn float_col(&self, i: usize) -> Result<&[f64]> {
-        match &self.cols[i] {
-            Column::Floats(v) => Ok(v),
-            Column::Ints(_) => Err(Error::invalid(format!("morsel column {i} is Int"))),
-        }
+        self.cols[i].floats()
     }
 
     /// Copy only the rows named by `sel` (ascending batch-local positions,
@@ -142,21 +129,8 @@ impl Morsel {
                 )));
             }
         }
-        let cols: Vec<Column> = self
-            .cols
-            .iter()
-            .map(|c| match c {
-                Column::Ints(v) => Column::Ints(sel.iter().map(|&i| v[i as usize]).collect()),
-                Column::Floats(v) => Column::Floats(sel.iter().map(|&i| v[i as usize]).collect()),
-            })
-            .collect();
-        Morsel::from_columns(&self.tracker, cols)
-    }
-}
-
-impl Drop for Morsel {
-    fn drop(&mut self) {
-        self.tracker.release(self.heap_bytes());
+        let cols = self.cols.iter().map(|c| c.gather(sel)).collect();
+        Morsel::from_columns(self.charge.tracker(), cols)
     }
 }
 
@@ -624,16 +598,7 @@ impl std::fmt::Debug for BatchReel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::ColumnarTable;
-
-    fn triple_schema() -> Schema {
-        Schema::new(&[
-            ("gene_id", DataType::Int),
-            ("patient_id", DataType::Int),
-            ("value", DataType::Float),
-        ])
-        .unwrap()
-    }
+    use crate::convert::triple_schema;
 
     fn sample_table(tracker: &MemTracker, n: usize) -> ColumnarTable {
         ColumnarTable::from_columns(

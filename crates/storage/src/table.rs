@@ -1,137 +1,50 @@
 //! The shared columnar working-set representation.
 //!
-//! A [`ColumnarTable`] is the storage layer's one table shape: a
-//! [`genbase_relational::Schema`] plus typed [`Column`]s, registered
-//! against a [`MemTracker`] on construction and released on drop. Every
-//! engine's physical lowering materializes its filtered/joined working sets
-//! into this form, so "bytes resident per operator" means the same thing in
-//! every engine family.
+//! A [`ColumnarTable`] is the storage layer's one table shape, and it is the
+//! relational column store's own: a [`genbase_relational::ColumnTable`] (one
+//! schema, typed [`Column`]s, one validating constructor) held together with
+//! the [`Reservation`] that keeps its heap bytes charged against a
+//! [`MemTracker`] until it drops. Every engine's physical lowering
+//! materializes its filtered/joined working sets into this form, so "bytes
+//! resident per operator" means the same thing in every engine family, and a
+//! column-store operator's output enters the layer by a move.
 //!
 //! [`TableView`] is the zero-copy window the conversion kernels consume: a
 //! borrowed row range over a table, no bytes moved until a kernel
 //! materializes something new.
 
-use crate::tracker::MemTracker;
-use genbase_relational::{ColumnData, DataType, Relation, Schema, Value};
-use genbase_util::{idindex, Error, Result};
+use crate::tracker::{MemTracker, Reservation};
+use genbase_relational::{ColumnTable, Relation, Schema, Value};
+use genbase_util::{Error, Result};
 
-/// One typed column of a [`ColumnarTable`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Column {
-    /// 64-bit integer column.
-    Ints(Vec<i64>),
-    /// 64-bit float column.
-    Floats(Vec<f64>),
-}
+/// One typed column: the relational column store's, not a copy of it.
+pub use genbase_relational::ColumnData as Column;
 
-impl Column {
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        match self {
-            Column::Ints(v) => v.len(),
-            Column::Floats(v) => v.len(),
-        }
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Column data type.
-    pub fn data_type(&self) -> DataType {
-        match self {
-            Column::Ints(_) => DataType::Int,
-            Column::Floats(_) => DataType::Float,
-        }
-    }
-
-    /// Heap bytes of the column's storage.
-    pub fn heap_bytes(&self) -> u64 {
-        (self.len() * 8) as u64
-    }
-
-    fn value_at(&self, i: usize) -> Value {
-        match self {
-            Column::Ints(v) => Value::Int(v[i]),
-            Column::Floats(v) => Value::Float(v[i]),
-        }
-    }
-
-    /// Copy of the `start..end` range of this column.
-    pub fn slice_range(&self, start: usize, end: usize) -> Column {
-        match self {
-            Column::Ints(v) => Column::Ints(v[start..end].to_vec()),
-            Column::Floats(v) => Column::Floats(v[start..end].to_vec()),
-        }
-    }
-
-    /// Append another column's values; the types must match.
-    pub fn append(&mut self, other: &Column) -> Result<()> {
-        match (self, other) {
-            (Column::Ints(a), Column::Ints(b)) => a.extend_from_slice(b),
-            (Column::Floats(a), Column::Floats(b)) => a.extend_from_slice(b),
-            _ => return Err(Error::invalid("column type mismatch on append")),
-        }
-        Ok(())
-    }
-}
-
-impl From<ColumnData> for Column {
-    fn from(data: ColumnData) -> Column {
-        match data {
-            ColumnData::Ints(v) => Column::Ints(v),
-            ColumnData::Floats(v) => Column::Floats(v),
-        }
-    }
-}
-
-impl From<Column> for ColumnData {
-    fn from(col: Column) -> ColumnData {
-        match col {
-            Column::Ints(v) => ColumnData::Ints(v),
-            Column::Floats(v) => ColumnData::Floats(v),
-        }
-    }
-}
-
-/// A columnar table registered with the storage layer's allocation tracker.
+/// A [`ColumnTable`] registered with the storage layer's allocation tracker.
+/// The read API (`schema`, `n_rows`, `heap_bytes`, `int_col`, `float_col`,
+/// `group_sum`, ...) is the wrapped table's, through `Deref`.
 #[derive(Debug)]
 pub struct ColumnarTable {
-    schema: Schema,
-    cols: Vec<Column>,
-    n_rows: usize,
-    tracker: MemTracker,
+    table: ColumnTable,
+    _charge: Reservation,
 }
 
 impl ColumnarTable {
     /// Build from pre-assembled columns, charging the tracker for the
-    /// table's heap bytes (released again when the table drops).
+    /// table's heap bytes (released again when the table drops). A refused
+    /// shape charges nothing.
     pub fn from_columns(
         tracker: &MemTracker,
         schema: Schema,
         cols: Vec<Column>,
     ) -> Result<ColumnarTable> {
-        if cols.len() != schema.arity() {
-            return Err(Error::invalid("column count does not match schema"));
-        }
-        let n_rows = cols.first().map(Column::len).unwrap_or(0);
-        for (i, c) in cols.iter().enumerate() {
-            if c.len() != n_rows {
-                return Err(Error::invalid(format!("column {i} has ragged length")));
-            }
-            if c.data_type() != schema.col_type(i) {
-                return Err(Error::invalid(format!("column {i} type mismatch")));
-            }
-        }
-        let bytes: u64 = cols.iter().map(Column::heap_bytes).sum();
-        tracker.charge(bytes)?;
-        Ok(ColumnarTable {
-            schema,
-            cols,
-            n_rows,
-            tracker: tracker.clone(),
-        })
+        ColumnarTable::charged(tracker, ColumnTable::from_columns(schema, cols)?)
+    }
+
+    /// Take a relational table into the layer as it is, charging its bytes.
+    pub(crate) fn charged(tracker: &MemTracker, table: ColumnTable) -> Result<ColumnarTable> {
+        let _charge = tracker.reserve(table.heap_bytes())?;
+        Ok(ColumnarTable { table, _charge })
     }
 
     /// Build from columns whose heap bytes are *already* charged against
@@ -149,132 +62,47 @@ impl ColumnarTable {
         schema: Schema,
         cols: Vec<Column>,
     ) -> Result<ColumnarTable> {
-        if cols.len() != schema.arity() {
-            return Err(Error::invalid("column count does not match schema"));
-        }
-        let n_rows = cols.first().map(Column::len).unwrap_or(0);
-        for (i, c) in cols.iter().enumerate() {
-            if c.len() != n_rows {
-                return Err(Error::invalid(format!("column {i} has ragged length")));
-            }
-            if c.data_type() != schema.col_type(i) {
-                return Err(Error::invalid(format!("column {i} type mismatch")));
-            }
-        }
-        Ok(ColumnarTable {
-            schema,
-            cols,
-            n_rows,
-            tracker: tracker.clone(),
-        })
-    }
-
-    /// Table schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Row count.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// True when the table holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
-    }
-
-    /// Heap bytes of column storage.
-    pub fn heap_bytes(&self) -> u64 {
-        self.cols.iter().map(Column::heap_bytes).sum()
-    }
-
-    /// The tracker this table is registered with.
-    pub fn tracker(&self) -> &MemTracker {
-        &self.tracker
-    }
-
-    /// Borrow an integer column.
-    pub fn int_col(&self, i: usize) -> Result<&[i64]> {
-        match &self.cols[i] {
-            Column::Ints(v) => Ok(v),
-            Column::Floats(_) => Err(Error::invalid(format!("column {i} is Float"))),
-        }
-    }
-
-    /// Borrow a float column.
-    pub fn float_col(&self, i: usize) -> Result<&[f64]> {
-        match &self.cols[i] {
-            Column::Floats(v) => Ok(v),
-            Column::Ints(_) => Err(Error::invalid(format!("column {i} is Int"))),
-        }
+        let table = ColumnTable::from_columns(schema, cols)?;
+        let _charge = Reservation::adopt(tracker, table.heap_bytes());
+        Ok(ColumnarTable { table, _charge })
     }
 
     /// Zero-copy view of the whole table.
     pub fn view(&self) -> TableView<'_> {
         TableView {
-            table: self,
+            table: &self.table,
             start: 0,
-            end: self.n_rows,
+            end: self.table.n_rows(),
         }
-    }
-
-    /// Zero-copy view of a row range.
-    pub fn slice(&self, start: usize, end: usize) -> Result<TableView<'_>> {
-        if start > end || end > self.n_rows {
-            return Err(Error::invalid(format!(
-                "slice {start}..{end} out of range (rows = {})",
-                self.n_rows
-            )));
-        }
-        Ok(TableView {
-            table: self,
-            start,
-            end,
-        })
-    }
-
-    /// Group by an integer key, summing a float column. Returns
-    /// `(key, sum, count)` sorted by key — identical semantics to the
-    /// per-store `group_sum` implementations this layer replaces.
-    pub fn group_sum(&self, key_col: usize, val_col: usize) -> Result<Vec<(i64, f64, u64)>> {
-        let keys = self.int_col(key_col)?;
-        let vals = self.float_col(val_col)?;
-        Ok(idindex::group_sum(keys, vals))
     }
 }
 
-impl Drop for ColumnarTable {
-    fn drop(&mut self) {
-        self.tracker.release(self.heap_bytes());
+impl std::ops::Deref for ColumnarTable {
+    type Target = ColumnTable;
+
+    fn deref(&self) -> &ColumnTable {
+        &self.table
     }
 }
 
 impl Relation for ColumnarTable {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.table.schema()
     }
 
     fn n_rows(&self) -> usize {
-        self.n_rows
+        self.table.n_rows()
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&[Value])) {
-        let mut buf: Vec<Value> = Vec::with_capacity(self.schema.arity());
-        for r in 0..self.n_rows {
-            buf.clear();
-            for c in &self.cols {
-                buf.push(c.value_at(r));
-            }
-            f(&buf);
-        }
+        self.table.for_each(f)
     }
 }
 
 /// Zero-copy row-range view over a [`ColumnarTable`].
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
-    table: &'a ColumnarTable,
+    table: &'a ColumnTable,
     start: usize,
     end: usize,
 }
@@ -308,7 +136,7 @@ impl<'a> TableView<'a> {
     /// Owned copy of column `i` restricted to the view's row range (the
     /// materializing step of carving a morsel out of a view).
     pub fn column_copy(&self, i: usize) -> Column {
-        self.table.cols[i].slice_range(self.start, self.end)
+        self.table.columns()[i].slice_range(self.start, self.end)
     }
 
     /// A narrower view over rows `start..end` *of this view*.
@@ -330,15 +158,7 @@ impl<'a> TableView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn triple_schema() -> Schema {
-        Schema::new(&[
-            ("gene_id", DataType::Int),
-            ("patient_id", DataType::Int),
-            ("value", DataType::Float),
-        ])
-        .unwrap()
-    }
+    use crate::convert::triple_schema;
 
     fn sample(tracker: &MemTracker) -> ColumnarTable {
         ColumnarTable::from_columns(
@@ -385,13 +205,13 @@ mod tests {
         let t = MemTracker::unlimited();
         let table = sample(&t);
         let before = t.current();
-        let v = table.slice(1, 3).unwrap();
+        let v = table.view().subview(1, 3).unwrap();
         assert_eq!(v.n_rows(), 2);
         assert_eq!(v.int_col(0).unwrap(), &[1, 0]);
         assert_eq!(v.float_col(2).unwrap(), &[2.0, 3.0]);
         assert_eq!(t.current(), before, "views charge nothing");
-        assert!(table.slice(3, 2).is_err());
-        assert!(table.slice(0, 9).is_err());
+        assert!(table.view().subview(3, 2).is_err());
+        assert!(table.view().subview(0, 9).is_err());
     }
 
     #[test]

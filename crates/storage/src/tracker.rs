@@ -263,10 +263,7 @@ impl MemTracker {
     /// cannot collectively overshoot the budget.
     pub fn reserve(&self, bytes: u64) -> Result<Reservation> {
         self.charge(bytes)?;
-        Ok(Reservation {
-            bytes,
-            tracker: self.clone(),
-        })
+        Ok(Reservation::adopt(self, bytes))
     }
 
     /// Open an operator scope: snapshot the cumulative counters and reset
@@ -302,7 +299,11 @@ impl MemTracker {
 }
 
 /// An RAII claim on a slice of a tracker's budget, made with
-/// [`MemTracker::reserve`]; the bytes are released when it drops.
+/// [`MemTracker::reserve`]; the bytes are released when it drops. This is
+/// the layer's one charge guard: an admission's working-set estimate is a
+/// bare reservation, and every tracker-charged value
+/// ([`crate::ColumnarTable`], [`crate::Morsel`], [`DenseHandle`]) is its
+/// payload plus the reservation for the payload's heap bytes.
 #[derive(Debug)]
 pub struct Reservation {
     bytes: u64,
@@ -310,9 +311,23 @@ pub struct Reservation {
 }
 
 impl Reservation {
+    /// Guard `bytes` that are *already* charged against `tracker`: nothing
+    /// is charged now, the drop releases them.
+    pub(crate) fn adopt(tracker: &MemTracker, bytes: u64) -> Reservation {
+        Reservation {
+            bytes,
+            tracker: tracker.clone(),
+        }
+    }
+
     /// Bytes this reservation holds.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// The tracker the bytes are charged against.
+    pub(crate) fn tracker(&self) -> &MemTracker {
+        &self.tracker
     }
 }
 
@@ -329,17 +344,14 @@ impl Drop for Reservation {
 #[derive(Debug)]
 pub struct DenseHandle {
     mat: Matrix,
-    tracker: MemTracker,
+    _charge: Reservation,
 }
 
 impl DenseHandle {
     /// Charge `mat`'s heap bytes against `tracker` and wrap it.
     pub fn new(tracker: &MemTracker, mat: Matrix) -> Result<DenseHandle> {
-        tracker.charge(mat.heap_bytes())?;
-        Ok(DenseHandle {
-            mat,
-            tracker: tracker.clone(),
-        })
+        let _charge = tracker.reserve(mat.heap_bytes())?;
+        Ok(DenseHandle { mat, _charge })
     }
 
     /// The wrapped matrix.
@@ -353,12 +365,6 @@ impl std::ops::Deref for DenseHandle {
 
     fn deref(&self) -> &Matrix {
         &self.mat
-    }
-}
-
-impl Drop for DenseHandle {
-    fn drop(&mut self) {
-        self.tracker.release(self.mat.heap_bytes());
     }
 }
 

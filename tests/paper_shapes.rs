@@ -2,9 +2,10 @@
 //! numbers differ (our substrate is a simulator, not the authors' 2013
 //! testbed), but who-beats-whom must hold. Timing margins are deliberately
 //! generous (2x) to stay robust on noisy CI machines; the two data-management
-//! shapes and the R-vs-SciDB threading shape assert on the deterministic
-//! per-op trace instead (storage-layer bytes moved; the kernel's thread
-//! budget), with their wall-clock forms kept as `#[ignore]`d tests.
+//! shapes, the R-vs-SciDB threading shape and the Madlib SQL-simulation shape
+//! assert on the deterministic per-op trace instead (storage-layer bytes
+//! moved; the thread budget of the dense kernel an op ran, if it ran one),
+//! with their wall-clock forms kept as `#[ignore]`d tests.
 
 use genbase::prelude::*;
 use genbase_datagen::{generate, GeneratorConfig, SizeSpec};
@@ -212,27 +213,64 @@ fn vanilla_r_dies_on_large_but_db_backed_r_survives() {
     assert!(ok.is_ok(), "DB-backed R must survive: {:?}", ok.err());
 }
 
+/// `query`'s analytics op on `engine`: the thread budget its dense kernel
+/// ran under (0 = it ran none), and its total seconds.
+fn analytics_kernel(
+    engine: &dyn Engine,
+    query: Query,
+    data: &genbase_datagen::Dataset,
+    ctx: &ExecContext,
+) -> (u64, f64) {
+    let params = QueryParams::for_dataset(data);
+    let report = engine
+        .run(query, data, &params, ctx)
+        .unwrap_or_else(|e| panic!("{}/{query:?}: {e}", engine.name()));
+    let kernel = report
+        .trace
+        .ops
+        .iter()
+        .find(|op| op.kind == OpKind::Analytics)
+        .expect("the query runs an analytics op");
+    (
+        kernel.cost.kernel_threads,
+        report.phases.analytics.total_secs(),
+    )
+}
+
 #[test]
 fn madlib_simulated_sql_analytics_are_slow() {
     // Paper: Madlib's C++ regression is fast, but SVD "in effect simulates
     // matrix computations in SQL" and is much slower than native kernels.
-    let data = mid_dataset();
+    // Whatever the host, the trace records why: Madlib's regression and
+    // SciDB's SVD each ran a dense kernel, Madlib's SVD ran none — every
+    // Lanczos step is two row-at-a-time scans of the joined triples.
+    let mut ctx = ExecContext::single_node();
+    ctx.threads = 4;
+    let (data, madlib) = (mid_dataset(), engines::PostgresMadlib::new());
+    let (regression, _) = analytics_kernel(&madlib, Query::Regression, &data, &ctx);
+    let (madlib_svd, _) = analytics_kernel(&madlib, Query::Svd, &data, &ctx);
+    let (scidb_svd, _) = analytics_kernel(&engines::SciDb::new(), Query::Svd, &data, &ctx);
+    assert!(regression >= 1, "Madlib's regression is a native kernel");
+    assert_eq!(madlib_svd, 0, "Madlib's SVD never reaches a dense kernel");
+    assert_eq!(
+        scidb_svd, 4,
+        "SciDB's SVD is a native, multithreaded kernel"
+    );
+}
+
+/// Wall-clock form of [`madlib_simulated_sql_analytics_are_slow`]. The scan
+/// under the simulated matvec reads typed column slices, which took the
+/// ratio from 13x to 4.7x in release and from 6x to 2.8x under debug
+/// codegen — below the 3x asserted here, so release only. See
+/// [`export_bridge_costs_more_than_udf_bridge_wall_clock`] for how to run it.
+#[test]
+#[ignore = "asserts on measured wall-clock"]
+fn madlib_simulated_sql_analytics_are_slow_wall_clock() {
+    let (data, ctx) = (mid_dataset(), ExecContext::single_node());
     let madlib = engines::PostgresMadlib::new();
-    let scidb = engines::SciDb::new();
-    let params = QueryParams::for_dataset(&data);
-    let ctx = ExecContext::single_node();
-    let madlib_svd = madlib
-        .run(Query::Svd, &data, &params, &ctx)
-        .unwrap()
-        .phases
-        .analytics
-        .total_secs();
-    let scidb_svd = scidb
-        .run(Query::Svd, &data, &params, &ctx)
-        .unwrap()
-        .phases
-        .analytics
-        .total_secs();
+    let (_, madlib_svd) = analytics_kernel(&madlib, Query::Svd, &data, &ctx);
+    let (_, scidb_svd) = analytics_kernel(&engines::SciDb::new(), Query::Svd, &data, &ctx);
+    println!("margin madlib/scidb svd {:.3}", madlib_svd / scidb_svd);
     assert!(
         madlib_svd > 3.0 * scidb_svd,
         "SQL-simulated SVD {madlib_svd:.4}s vs native {scidb_svd:.4}s"
@@ -266,21 +304,7 @@ fn phi_accelerates_compute_heavy_queries_not_biclustering() {
 /// The covariance query's analytics op on `engine`: the thread budget its
 /// kernel ran under, and its total seconds.
 fn covariance_kernel(engine: &dyn Engine, ctx: &ExecContext) -> (u64, f64) {
-    let data = mid_dataset();
-    let params = QueryParams::for_dataset(&data);
-    let report = engine
-        .run(Query::Covariance, &data, &params, ctx)
-        .unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
-    let kernel = report
-        .trace
-        .ops
-        .iter()
-        .find(|op| op.kind == OpKind::Analytics)
-        .expect("covariance runs an analytics op");
-    (
-        kernel.cost.kernel_threads,
-        report.phases.analytics.total_secs(),
-    )
+    analytics_kernel(engine, Query::Covariance, &mid_dataset(), ctx)
 }
 
 #[test]

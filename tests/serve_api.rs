@@ -431,6 +431,51 @@ fn over_budget_requests_get_clean_rejections_not_ooms() {
     );
 }
 
+/// An `explain` the admission controller turns away is answered like a
+/// `query` is: a `busy` frame on a connection that stays open. (It used to
+/// be a `reject` followed by EOF.)
+#[test]
+fn a_rejected_explain_is_busy_and_keeps_the_connection() {
+    let server = start_server(ServeOptions::default().with_mem_budget(1024));
+    let mut conn = TcpStream::connect(server.frame).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut exchange = |frame: &Json| {
+        write_frame(&mut conn, frame).unwrap();
+        let reply = read_frame_opt(&mut conn).unwrap();
+        reply.expect("a reply, not EOF")
+    };
+    let type_of = |reply: &Json| reply.get("type").and_then(Json::as_str).map(str::to_owned);
+    let mut hello = Json::obj();
+    hello.set("type", Json::from("hello"));
+    hello.set("protocol", Json::from(PROTOCOL));
+    hello.set("role", Json::from("client"));
+    assert_eq!(type_of(&exchange(&hello)).as_deref(), Some("welcome"));
+
+    let mut explain = query_frame("SciDB", "covariance");
+    explain.set("type", Json::from("explain"));
+    let busy = exchange(&explain);
+    assert_eq!(type_of(&busy).as_deref(), Some("busy"), "{}", busy.render());
+    assert!(
+        matches!(busy.get("retry"), Some(Json::Bool(false))),
+        "an estimate over the whole budget is not retryable"
+    );
+    let reason = busy.get("reason").and_then(Json::as_str).unwrap();
+    assert!(reason.contains("memory budget"), "{reason}");
+
+    let mut status = Json::obj();
+    status.set("type", Json::from("status"));
+    let status = exchange(&status);
+    assert_eq!(
+        status.get("service").and_then(Json::as_str),
+        Some("serve"),
+        "the connection outlived the rejection: {}",
+        status.render()
+    );
+    drop(conn);
+    assert_eq!(server.shutdown().rejected, 1);
+}
+
 #[test]
 fn a_budget_for_one_admits_contending_clients_in_turn() {
     let estimate = working_set_estimate(&sim_config(), SizeClass::Small);

@@ -11,20 +11,12 @@ use genbase_relational::{
 use genbase_storage::{
     batch_ranges, columnar_from_column_table, columnar_from_relation, export_csv_tracked,
     gather_chunked, pivot_csv_tracked, pivot_dense, select_cols_tracked, select_rows_tracked,
-    triples_from_dense, BatchReel, Column, ColumnarTable, MemTracker, Morsel, Spool,
+    triple_columns, triple_schema, triples_from_dense, BatchReel, Column, ColumnarTable,
+    MemTracker, Morsel, Spool,
 };
 use genbase_util::Budget;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn triple_schema() -> Schema {
-    Schema::new(&[
-        ("gene_id", DataType::Int),
-        ("patient_id", DataType::Int),
-        ("value", DataType::Float),
-    ])
-    .unwrap()
-}
 
 /// Random triple tables: ids deliberately collide so duplicate-key
 /// last-write-wins resolution is exercised.
@@ -195,6 +187,208 @@ proptest! {
         prop_assert_eq!(opened_tracker.current(), 0);
         prop_assert_eq!(pushed_tracker.current(), 0);
     }
+}
+
+/// A column of either type with `len` values that depend on `salt`.
+fn column(is_int: bool, len: usize, salt: usize) -> Column {
+    if is_int {
+        Column::Ints((0..len).map(|i| (i * 7 + salt) as i64 % 23).collect())
+    } else {
+        Column::Floats((0..len).map(|i| (i + salt) as f64 * 0.25).collect())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // One constructor validates a columnar table. The tracked table's two
+    // constructors accept and refuse what `ColumnTable::from_columns` does,
+    // in the same words; a refusal charges nothing; adoption never charges
+    // and its drop releases exactly the table's heap bytes.
+    #[test]
+    fn tracked_and_plain_columnar_constructors_agree(
+        schema_types in proptest::collection::vec(proptest::bool::ANY, 0..4),
+        cols in proptest::collection::vec((proptest::bool::ANY, 0usize..4), 0..5),
+        // Mostly derive the columns from the schema, so that accepted
+        // shapes are as common as refused ones.
+        conform in 0usize..3,
+    ) {
+        // The storage layer's column type *is* the relational one.
+        let _: Column = genbase_relational::ColumnData::Ints(vec![]);
+
+        let names = ["c0", "c1", "c2", "c3"];
+        let type_of = |is_int: bool| if is_int { DataType::Int } else { DataType::Float };
+        let fields: Vec<(&str, DataType)> =
+            names.iter().copied().zip(schema_types.iter().map(|&t| type_of(t))).collect();
+        let schema = Schema::new(&fields).unwrap();
+        let cols: Vec<Column> = if conform > 0 {
+            let len = cols.first().map_or(3, |c| c.1);
+            schema_types.iter().enumerate().map(|(i, &t)| column(t, len, i)).collect()
+        } else {
+            cols.iter().enumerate().map(|(i, &(t, len))| column(t, len, i)).collect()
+        };
+        let bytes: u64 = cols.iter().map(Column::heap_bytes).sum();
+
+        let plain = ColumnTable::from_columns(schema.clone(), cols.clone());
+        let charging = MemTracker::unlimited();
+        let charged = ColumnarTable::from_columns(&charging, schema.clone(), cols.clone());
+        // Adoption's contract: the bytes are charged already.
+        let adopting = MemTracker::unlimited();
+        adopting.charge(bytes).unwrap();
+        let adopted = ColumnarTable::adopt_charged_columns(&adopting, schema, cols.clone());
+        prop_assert_eq!((adopting.current(), adopting.peak()), (bytes, bytes));
+
+        match (plain, charged, adopted) {
+            (Ok(plain), Ok(charged), Ok(adopted)) => {
+                prop_assert_eq!(charging.current(), bytes);
+                for table in [&charged, &adopted] {
+                    prop_assert_eq!(table.columns(), &cols[..]);
+                    prop_assert_eq!(table.n_rows(), plain.n_rows());
+                    prop_assert_eq!(table.heap_bytes(), bytes);
+                }
+                drop((charged, adopted));
+                prop_assert_eq!((charging.current(), adopting.current()), (0, 0));
+            }
+            (Err(plain), Err(charged), Err(adopted)) => {
+                prop_assert_eq!(plain.to_string(), charged.to_string());
+                prop_assert_eq!(plain.to_string(), adopted.to_string());
+                prop_assert_eq!((charging.current(), charging.peak()), (0, 0));
+                prop_assert_eq!(adopting.current(), bytes);
+            }
+            (plain, charged, adopted) => prop_assert!(
+                false,
+                "the constructors disagree: {:?} / {:?} / {:?}",
+                plain.map(|_| ()), charged.map(|_| ()), adopted.map(|_| ())
+            ),
+        }
+    }
+
+    // `gather`, `slice_range` and `append` on the one column type against a
+    // plain `Vec`, and a morsel's gather over the same selection — which
+    // refuses a position past its rows instead of panicking.
+    #[test]
+    fn column_kernels_match_a_vec_model(
+        values in proptest::collection::vec(-1000i64..1000, 0..60),
+        picks in proptest::collection::vec(0usize..60, 0..40),
+        cut in (0usize..61, 0usize..61),
+        is_int in proptest::bool::ANY,
+    ) {
+        let n = values.len();
+        let as_column = |model: &[i64]| if is_int {
+            Column::Ints(model.to_vec())
+        } else {
+            Column::Floats(model.iter().map(|&v| v as f64 * 0.5).collect())
+        };
+        let col = as_column(&values);
+        prop_assert_eq!(col.heap_bytes(), 8 * n as u64);
+
+        let mut sel: Vec<u32> = picks.iter().filter(|&&i| i < n).map(|&i| i as u32).collect();
+        let picked: Vec<i64> = sel.iter().map(|&i| values[i as usize]).collect();
+        prop_assert_eq!(col.gather(&sel), as_column(&picked));
+
+        let (start, end) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
+        prop_assert_eq!(col.slice_range(start, end), as_column(&values[start..end]));
+
+        let mut joined = col.slice_range(0, start);
+        joined.append(&col.slice_range(start, n)).unwrap();
+        prop_assert_eq!(&joined, &col);
+        let other_type = if is_int { Column::Floats(vec![1.0]) } else { Column::Ints(vec![1]) };
+        prop_assert!(joined.append(&other_type).is_err());
+        prop_assert_eq!(&joined, &col, "a refused append changes nothing");
+
+        // A morsel gathers through the same kernel (ascending positions).
+        let tracker = MemTracker::unlimited();
+        let morsel = Morsel::from_columns(&tracker, vec![col.clone()]).unwrap();
+        sel.sort_unstable();
+        let survivors = morsel.gather(&sel).unwrap();
+        prop_assert_eq!(&survivors.columns()[0], &col.gather(&sel));
+        prop_assert_eq!(tracker.current(), 8 * (n + sel.len()) as u64);
+        drop(survivors);
+        sel.push(n as u32);
+        prop_assert!(morsel.gather(&sel).is_err(), "position {} of {} rows", n, n);
+        prop_assert_eq!(tracker.current(), 8 * n as u64, "a refused gather charges nothing");
+    }
+
+    // The triple layout is stated once: `triple_columns` over a band of
+    // patient rows is `triples_from_dense` of that band (with the band's own
+    // patient ids), and any split of a cell range concatenates to the whole.
+    #[test]
+    fn triple_columns_of_a_band_are_the_bands_triples(
+        m in small_matrix(9),
+        band in (0usize..9, 0usize..9),
+        split in 0usize..81,
+    ) {
+        let (rows, genes) = m.shape();
+        let (a, b) = (band.0.min(band.1).min(rows), band.0.max(band.1).min(rows));
+        let cells = a * genes..b * genes;
+        let cols = triple_columns(&m, cells.clone());
+
+        let band_rows: Vec<usize> = (a..b).collect();
+        let tracker = MemTracker::unlimited();
+        let of_band = triples_from_dense(&tracker, &m.select_rows(&band_rows), triple_schema())
+            .unwrap();
+        prop_assert_eq!(cols[0].ints().unwrap(), of_band.int_col(0).unwrap());
+        let local: Vec<i64> = cols[1].ints().unwrap().iter().map(|&p| p - a as i64).collect();
+        prop_assert_eq!(&local[..], of_band.int_col(1).unwrap());
+        prop_assert_eq!(cols[2].floats().unwrap(), of_band.float_col(2).unwrap());
+
+        let mid = cells.start + split % (cells.len() + 1);
+        let mut glued = triple_columns(&m, cells.start..mid);
+        for (head, tail) in glued.iter_mut().zip(triple_columns(&m, mid..cells.end)) {
+            head.append(&tail).unwrap();
+        }
+        prop_assert_eq!(glued, cols);
+    }
+}
+
+/// On the generator's Small dataset the one layout is what every consumer
+/// holds: the row store's insert order, the column store's base table, and
+/// the streaming spool's batches, concatenated.
+#[test]
+fn every_triple_representation_is_triple_columns() {
+    use genbase::engine::StreamConfig;
+    use genbase::engines::{loaded::LoadedTables, sql_common::SqlStore, sql_common::StoreKind};
+    use genbase_datagen::{generate, GeneratorConfig, SizeClass, SizeSpec};
+    let data = generate(&GeneratorConfig::new(SizeSpec::scaled(
+        SizeClass::Small,
+        0.012,
+    )))
+    .unwrap();
+    let cells = data.n_patients() * data.n_genes();
+    let want = triple_columns(&data.expression, 0..cells);
+    let want_rows = ColumnTable::from_columns(triple_schema(), want.clone()).unwrap();
+    let mut want_scan = Vec::new();
+    want_rows.for_each(&mut |row: &[Value]| want_scan.push(row.to_vec()));
+
+    let SqlStore::Row { triples, .. } = SqlStore::ingest(StoreKind::Row, &data, true).unwrap()
+    else {
+        panic!("asked for the row store");
+    };
+    assert_eq!(triples.scan(), want_scan, "row-store insert order");
+    let SqlStore::Column { triples, .. } =
+        SqlStore::ingest(StoreKind::Column, &data, true).unwrap()
+    else {
+        panic!("asked for the column store");
+    };
+    assert_eq!(triples.columns(), &want[..], "column-store base table");
+
+    let cfg = StreamConfig {
+        batch_rows: 64,
+        ..StreamConfig::default()
+    };
+    let spool = LoadedTables::default().spool(&cfg, &data).unwrap();
+    let reel = BatchReel::open(&MemTracker::unlimited(), spool, 0).unwrap();
+    assert_eq!(reel.n_batches(), cells.div_ceil(64));
+    let mut spooled = triple_columns(&data.expression, 0..0);
+    reel.replay(|m| {
+        let batch = m.columns().iter();
+        spooled
+            .iter_mut()
+            .zip(batch)
+            .try_for_each(|(all, b)| all.append(b))
+    })
+    .unwrap();
+    assert_eq!(spooled, want, "spooled batches, concatenated");
 }
 
 /// The export bridge on the generator's own Small dataset: every field of
