@@ -8,7 +8,8 @@
 //!
 //! - a **framed** listener behind the session layer's `hello` gate
 //!   (`session.rs`, shared with the sweep coordinator), then `query` /
-//!   `explain` / `status` request frames;
+//!   `explain` / `status` request frames (a `query` or `explain` naming a
+//!   size outside the server's configured, resident ones is a `reject`);
 //! - a minimal **HTTP/1.1** listener (`GET /status`, `GET /metrics` in
 //!   Prometheus text format, `POST /query`).
 //!
@@ -407,11 +408,6 @@ impl Shared {
         Ok(size)
     }
 
-    /// The node count a request names (default 1).
-    fn nodes_from_request(req: &Json) -> usize {
-        req.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize
-    }
-
     /// Build the cell key a query request names. `engine` and `query` are
     /// required; `size` defaults to the first configured size class,
     /// `nodes` to 1 and `figure` to fig1. Unlike other unknown keys, a
@@ -441,7 +437,7 @@ impl Shared {
             figure,
             query,
             size,
-            nodes: Self::nodes_from_request(req),
+            nodes: req.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize,
             engine: self.canonical_engine(engine)?,
         })
     }
@@ -968,8 +964,9 @@ fn busy_reply(rejection: &Rejection) -> Json {
 
 /// Route one post-handshake frame to its reply. Admission rejections, of a
 /// `query` or an `explain` alike, are `busy` replies (the connection stays
-/// open so the client can retry); protocol errors bubble up as `Err` and
-/// close the connection.
+/// open so the client can retry); protocol errors — an `explain`, like a
+/// `query`, naming a size that is not resident here is one — bubble up as
+/// `Err` and close the connection.
 fn dispatch_frame(frame: &Json, shared: &Shared) -> Result<Json> {
     match msg_type(frame)? {
         "query" => {
@@ -989,7 +986,7 @@ fn dispatch_frame(frame: &Json, shared: &Shared) -> Result<Json> {
             let engine = frame.get("engine").and_then(Json::as_str);
             let query = Shared::query_from_request(frame)?;
             let size = shared.size_from_request(frame)?;
-            let nodes = Shared::nodes_from_request(frame);
+            let nodes = frame.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize;
             let _reservation = match shared.admit(shared.admission_estimate(size)) {
                 Ok(reservation) => reservation,
                 Err(r) => return Ok(busy_reply(&r)),

@@ -87,7 +87,11 @@ pub fn triple_schema() -> Schema {
 /// (both SQL stores' base tables, the streaming spool's batches, a node's
 /// columnar band). A band of patient rows `a..b` is the cells
 /// `a * genes..b * genes`.
+///
+/// # Panics
+/// If `cells` is inverted or runs past `expression`'s last cell.
 pub fn triple_columns(expression: &Matrix, cells: std::ops::Range<usize>) -> Vec<Column> {
+    let values = expression.data()[cells.clone()].to_vec();
     let n_genes = expression.cols();
     let mut genes = Vec::with_capacity(cells.len());
     let mut patients = Vec::with_capacity(cells.len());
@@ -103,7 +107,7 @@ pub fn triple_columns(expression: &Matrix, cells: std::ops::Range<usize>) -> Vec
     vec![
         Column::Ints(genes),
         Column::Ints(patients),
-        Column::Floats(expression.data()[cells].to_vec()),
+        Column::Floats(values),
     ]
 }
 

@@ -2,10 +2,9 @@
 //! numbers differ (our substrate is a simulator, not the authors' 2013
 //! testbed), but who-beats-whom must hold. Timing margins are deliberately
 //! generous (2x) to stay robust on noisy CI machines; the two data-management
-//! shapes, the R-vs-SciDB threading shape and the Madlib SQL-simulation shape
-//! assert on the deterministic per-op trace instead (storage-layer bytes
-//! moved; the thread budget of the dense kernel an op ran, if it ran one),
-//! with their wall-clock forms kept as `#[ignore]`d tests.
+//! shapes and the R-vs-SciDB threading shape assert on the deterministic
+//! per-op trace instead (storage-layer bytes moved; the kernel's thread
+//! budget), with their wall-clock forms kept as `#[ignore]`d tests.
 
 use genbase::prelude::*;
 use genbase_datagen::{generate, GeneratorConfig, SizeSpec};
@@ -241,38 +240,31 @@ fn analytics_kernel(
 fn madlib_simulated_sql_analytics_are_slow() {
     // Paper: Madlib's C++ regression is fast, but SVD "in effect simulates
     // matrix computations in SQL" and is much slower than native kernels.
-    // Whatever the host, the trace records why: Madlib's regression and
-    // SciDB's SVD each ran a dense kernel, Madlib's SVD ran none — every
-    // Lanczos step is two row-at-a-time scans of the joined triples.
+    // The trace records why: Madlib's regression and SciDB's SVD each ran a
+    // dense kernel, Madlib's SVD ran none — every Lanczos step is two
+    // row-at-a-time scans of the joined triples.
     let mut ctx = ExecContext::single_node();
     ctx.threads = 4;
     let (data, madlib) = (mid_dataset(), engines::PostgresMadlib::new());
+    let scidb = engines::SciDb::new();
     let (regression, _) = analytics_kernel(&madlib, Query::Regression, &data, &ctx);
-    let (madlib_svd, _) = analytics_kernel(&madlib, Query::Svd, &data, &ctx);
-    let (scidb_svd, _) = analytics_kernel(&engines::SciDb::new(), Query::Svd, &data, &ctx);
     assert!(regression >= 1, "Madlib's regression is a native kernel");
-    assert_eq!(madlib_svd, 0, "Madlib's SVD never reaches a dense kernel");
-    assert_eq!(
-        scidb_svd, 4,
-        "SciDB's SVD is a native, multithreaded kernel"
-    );
-}
-
-/// Wall-clock form of [`madlib_simulated_sql_analytics_are_slow`]. The scan
-/// under the simulated matvec reads typed column slices, which took the
-/// ratio from 13x to 4.7x in release and from 6x to 2.8x under debug
-/// codegen — below the 3x asserted here, so release only. See
-/// [`export_bridge_costs_more_than_udf_bridge_wall_clock`] for how to run it.
-#[test]
-#[ignore = "asserts on measured wall-clock"]
-fn madlib_simulated_sql_analytics_are_slow_wall_clock() {
-    let (data, ctx) = (mid_dataset(), ExecContext::single_node());
-    let madlib = engines::PostgresMadlib::new();
-    let (_, madlib_svd) = analytics_kernel(&madlib, Query::Svd, &data, &ctx);
-    let (_, scidb_svd) = analytics_kernel(&engines::SciDb::new(), Query::Svd, &data, &ctx);
+    // Who beats whom is a wall-clock ordering. Best of three a side keeps a
+    // neighbour's burst on a shared host out of it; unoptimized codegen
+    // measures 2.9-3.7x here, release above 4x.
+    let best = |engine: &dyn Engine, kernel_threads: u64| {
+        (0..3)
+            .map(|_| {
+                let (threads, secs) = analytics_kernel(engine, Query::Svd, &data, &ctx);
+                assert_eq!(threads, kernel_threads, "{}'s SVD kernel", engine.name());
+                secs
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (madlib_svd, scidb_svd) = (best(&madlib, 0), best(&scidb, 4));
     println!("margin madlib/scidb svd {:.3}", madlib_svd / scidb_svd);
     assert!(
-        madlib_svd > 3.0 * scidb_svd,
+        madlib_svd > 1.5 * scidb_svd,
         "SQL-simulated SVD {madlib_svd:.4}s vs native {scidb_svd:.4}s"
     );
 }

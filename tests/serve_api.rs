@@ -307,6 +307,14 @@ fn explain_frames_match_the_direct_render() {
         reply.get("explain_json").and_then(Json::as_str),
         Some(expected.as_str())
     );
+
+    // Like a `query`, an `explain` names a size this server holds: any
+    // other is a protocol error (`reject`), not a plan of absent data.
+    req.set("size", Json::from("large"));
+    let reply = client_request(server.frame, None, &req).unwrap();
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("reject"));
+    let reason = reply.get("reason").and_then(Json::as_str).unwrap();
+    assert!(reason.contains("not resident"), "{reason}");
     server.shutdown();
 }
 
@@ -432,8 +440,7 @@ fn over_budget_requests_get_clean_rejections_not_ooms() {
 }
 
 /// An `explain` the admission controller turns away is answered like a
-/// `query` is: a `busy` frame on a connection that stays open. (It used to
-/// be a `reject` followed by EOF.)
+/// `query` is: a `busy` frame on a connection that stays open.
 #[test]
 fn a_rejected_explain_is_busy_and_keeps_the_connection() {
     let server = start_server(ServeOptions::default().with_mem_budget(1024));
