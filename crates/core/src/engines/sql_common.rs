@@ -25,9 +25,7 @@ use crate::query::{Query, QueryOutput, QueryParams};
 use crate::report::QueryReport;
 use genbase_datagen::Dataset;
 use genbase_linalg::{lanczos_topk, ExecOpts, LinearOp, Matrix, RegressionMethod};
-use genbase_relational::{
-    ColumnData, ColumnTable, DataType, Pred, Relation, RowTable, Schema, Value,
-};
+use genbase_relational::{ColumnTable, DataType, Pred, RowTable, Schema, Value};
 use genbase_storage::{
     self as storage, BatchReel, CachePin, CacheScope, CacheValue, ColumnarTable, DenseHandle,
     MemTracker, Morsel,
@@ -181,8 +179,8 @@ pub enum SqlStore {
 
 /// A filtered/joined triple working set. Regardless of which store
 /// produced it, it is held in the unified storage layer's columnar form —
-/// the row-store path pays an instrumented row→column pivot to get there,
-/// the column-store path adopts its columns without copying. Downstream
+/// the row store decodes the joined tuples out of its pages into columns,
+/// the column store gathers them from its own. Downstream
 /// consumers (pivot, export, the Madlib SQL-simulation paths) are written
 /// once against this one representation.
 pub type TripleSet = ColumnarTable;
@@ -265,7 +263,8 @@ impl SqlStore {
         }
     }
 
-    /// Ids of the `dim` metadata rows matching `pred`, ascending.
+    /// Distinct ids of the `dim` metadata rows matching `pred`, ascending —
+    /// the same list from either store, whatever the table repeats.
     pub fn filter_ids(&self, dim: Dim, pred: &Pred, budget: &Budget) -> Result<Vec<i64>> {
         match self {
             SqlStore::Row {
@@ -284,6 +283,7 @@ impl SqlStore {
                     sel.iter().map(|&i| col[i as usize]).collect()
                 };
                 ids.sort_unstable();
+                ids.dedup();
                 Ok(ids)
             }
         }
@@ -321,28 +321,27 @@ impl SqlStore {
         }
     }
 
-    /// Rebuild a cached join's working set, replaying the cold path's
-    /// accounting exactly (base-table read, conversion input, output note).
-    fn replay_join(&self, cached: &ColumnTable, mem: &MemTracker) -> Result<TripleSet> {
+    /// The join's accounting, shared by the cold path and a cache hit: the
+    /// base-table read; on the row store, the read of the selected tuples
+    /// decoded out of their pages; then the working set's charge and output
+    /// note.
+    fn account_join(&self, joined: ColumnTable, mem: &MemTracker) -> Result<TripleSet> {
         match self {
             SqlStore::Row { triples, .. } => {
                 mem.note_input(triples.heap_bytes());
-                // The row store's join output leaves its pages through
-                // `columnar_from_relation`; replay its input note.
-                mem.note_input(cached.heap_bytes());
+                mem.note_input(joined.heap_bytes());
             }
             SqlStore::Column { triples, .. } => mem.note_input(triples.heap_bytes()),
         }
-        // Both cold paths end in a charge and an output note; so does this.
-        storage::columnar_from_column_table(mem, cached.clone())
+        storage::columnar_from_column_table(mem, joined)
     }
 
-    /// Join the microarray triples against a set of `dim` ids, projecting
-    /// `(gene_id, patient_id, value)` into the unified columnar working
-    /// set. Memoized under `cache`: a hit skips the hash join and the
-    /// row→column conversion, rebuilding the working set from the cached
-    /// columns with the cold path's accounting; a miss publishes its
-    /// columns. `shape` names the source dataset (`patients x genes`).
+    /// Join the microarray triples against a set of distinct `dim` ids,
+    /// projecting `(gene_id, patient_id, value)` into the unified columnar
+    /// working set. Memoized under `cache`: a hit skips the probe and the
+    /// gather, rebuilding the working set from the cached columns with the
+    /// cold path's accounting; a miss publishes its columns. `shape` names
+    /// the source dataset (`patients x genes`).
     pub fn join_triples(
         &self,
         dim: Dim,
@@ -366,7 +365,7 @@ impl SqlStore {
                 let cached = value
                     .as_columnar()
                     .ok_or_else(|| Error::invalid("cache type confusion on a join key"))?;
-                let table = self.replay_join(cached, mem)?;
+                let table = self.account_join(cached.clone(), mem)?;
                 mem.note_cache_hit();
                 Ok((table, Some(pin)))
             }
@@ -379,7 +378,9 @@ impl SqlStore {
         }
     }
 
-    /// The hash join behind [`SqlStore::join_triples`].
+    /// The join behind [`SqlStore::join_triples`]: the ids are a set of
+    /// primary keys, so joining on them is a semijoin — each store probes
+    /// its own key column for positions, then gathers those rows.
     fn join_cold(
         &self,
         dim: Dim,
@@ -387,28 +388,25 @@ impl SqlStore {
         budget: &Budget,
         mem: &MemTracker,
     ) -> Result<TripleSet> {
-        let (key, column) = dim.key();
-        let key_schema = Schema::new(&[(key, DataType::Int)]).expect("static schema");
-        match self {
+        let index = IdIndex::new(ids);
+        // Only a repeated id would make the join emit a triple twice.
+        if index.len() != ids.len() {
+            return Err(Error::invalid(format!(
+                "triple join needs distinct ids: {} listed, {} distinct",
+                ids.len(),
+                index.len()
+            )));
+        }
+        let column = dim.key().1;
+        let joined = match self {
             SqlStore::Row { triples, .. } => {
-                mem.note_input(triples.heap_bytes());
-                let build =
-                    RowTable::from_rows(key_schema, ids.iter().map(|&id| vec![Value::Int(id)]))?;
-                let joined = triples.hash_join(column, &build, 0, budget)?;
-                let projected = joined.project(&[0, 1, 2], budget)?;
-                drop(joined);
-                // Row store output leaves the pages through a row→column
-                // pivot (genuine reformatting work, and measured as such).
-                storage::columnar_from_relation(mem, &projected)
+                triples.gather(&triples.select_in(column, &index, budget)?)
             }
             SqlStore::Column { triples, .. } => {
-                mem.note_input(triples.heap_bytes());
-                let build =
-                    ColumnTable::from_columns(key_schema, vec![ColumnData::Ints(ids.to_vec())])?;
-                let joined = triples.hash_join(column, &build, 0, budget)?;
-                storage::columnar_from_column_table(mem, joined.into_projected(&[0, 1, 2])?)
+                triples.gather(&triples.select_in(column, &index, budget)?)
             }
-        }
+        };
+        self.account_join(joined, mem)
     }
 
     /// Drug response for each patient id, in the ids' order.
@@ -1104,8 +1102,9 @@ impl PhysicalBackend for SqlBackend<'_> {
 }
 
 impl SqlBackend<'_> {
-    /// Materializing lowering of the triple joins: hash-join the base
-    /// table against the ids selected on `dim`.
+    /// Materializing lowering of the triple joins: join the base table
+    /// against the ids selected on `dim` (traced as the paper's hash join;
+    /// run as a semijoin, see [`SqlStore::join_triples`]).
     fn hash_join(&mut self, dim: Dim, tracer: &mut Tracer) -> Result<()> {
         let ids = match dim {
             Dim::Genes => &self.gene_ids,
@@ -1408,6 +1407,30 @@ mod tests {
         storage::pivot_dense(&view, (1, 0, 2), patient_ids, gene_ids, 1, &mem(), &b).unwrap()
     }
 
+    /// Both stores over a hand-built gene table whose ids repeat, with no
+    /// triples and no patients or GO pairs.
+    fn stores_with_gene_rows(genes: &[[i64; 5]]) -> [SqlStore; 2] {
+        let rows = || {
+            genes
+                .iter()
+                .map(|g| g.iter().map(|&v| Value::Int(v)).collect())
+        };
+        [
+            SqlStore::Row {
+                triples: RowTable::new(storage::triple_schema()),
+                patients: RowTable::new(patient_schema()),
+                genes: RowTable::from_rows(gene_schema(), rows()).unwrap(),
+                go: RowTable::new(go_schema()),
+            },
+            SqlStore::Column {
+                triples: ColumnTable::from_rows(storage::triple_schema(), []).unwrap(),
+                patients: ColumnTable::from_rows(patient_schema(), []).unwrap(),
+                genes: ColumnTable::from_rows(gene_schema(), rows()).unwrap(),
+                go: ColumnTable::from_rows(go_schema(), []).unwrap(),
+            },
+        ]
+    }
+
     #[test]
     fn stores_agree_on_filters() {
         let data = tiny();
@@ -1420,6 +1443,79 @@ mod tests {
             row.filter_ids(Dim::Patients, &pred, &b).unwrap(),
             col.filter_ids(Dim::Patients, &pred, &b).unwrap()
         );
+        // A metadata table that repeats an id: both stores list it once, so
+        // the join's distinct-ids check passes on both.
+        let [row, col] = stores_with_gene_rows(&[
+            [9, 0, 0, 0, 10],
+            [3, 0, 0, 0, 20],
+            [9, 1, 1, 1, 30],
+            [5, 0, 0, 0, 900],
+            [3, 2, 2, 2, 40],
+        ]);
+        for store in [&row, &col] {
+            let ids = filtered_genes(store);
+            assert_eq!(ids, [3, 9]);
+            assert_eq!(join(store, Dim::Genes, &ids).n_rows(), 0);
+        }
+    }
+
+    /// The join op's `(bytes_in, bytes_out, peak_alloc_bytes,
+    /// rows_materialized)` on `kind`'s store over the tiny dataset, cold and
+    /// then replayed from the artifact cache, with the base tables charged
+    /// the way a cell charges them.
+    fn join_op_accounting(kind: StoreKind, dim: Dim) -> Vec<(u64, u64, u64, u64)> {
+        let data = tiny();
+        let store = SqlStore::ingest(kind, &data, true).unwrap();
+        let ids = match dim {
+            Dim::Genes => filtered_genes(&store),
+            Dim::Patients => (0..20).collect(),
+        };
+        let scope = CacheScope::new(storage::ArtifactCache::new(1 << 30), "accounting");
+        let shape = (data.n_patients(), data.n_genes());
+        (0..2)
+            .map(|hits| {
+                let mem = mem();
+                mem.charge(store.heap_bytes()).unwrap();
+                let op = mem.op_begin();
+                let b = Budget::unlimited();
+                let joined = store.join_triples(dim, &ids, Some(&scope), shape, &b, &mem);
+                let d = mem.op_delta(op);
+                assert_eq!(d.cache_hits, hits, "{kind:?} {dim:?}");
+                drop(joined.unwrap());
+                (
+                    d.bytes_in,
+                    d.bytes_out,
+                    d.peak_alloc_bytes,
+                    d.rows_materialized,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn join_accounting_is_pinned_cold_and_cached() {
+        // Read off the general hash join's build (PR 24) and held since.
+        let pinned = [
+            (StoreKind::Row, Dim::Genes, (92_856, 19_200, 117_368, 800)),
+            (
+                StoreKind::Row,
+                Dim::Patients,
+                (102_456, 28_800, 126_968, 1_200),
+            ),
+            (StoreKind::Column, Dim::Genes, (72_000, 19_200, 96_800, 800)),
+            (
+                StoreKind::Column,
+                Dim::Patients,
+                (72_000, 28_800, 106_400, 1_200),
+            ),
+        ];
+        for (kind, dim, want) in pinned {
+            assert_eq!(
+                join_op_accounting(kind, dim),
+                [want, want],
+                "{kind:?} {dim:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::join::BuildSide;
 use crate::pred::Pred;
 use crate::value::{DataType, Schema, Value};
 use crate::Relation;
-use genbase_util::{idindex, Budget, Error, Result};
+use genbase_util::{idindex, Budget, Error, IdIndex, Result};
 
 /// One column's data.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +23,24 @@ pub enum ColumnData {
 }
 
 impl ColumnData {
+    /// Empty column of type `ty` with room for `n` values.
+    pub fn with_capacity(ty: DataType, n: usize) -> ColumnData {
+        match ty {
+            DataType::Int => ColumnData::Ints(Vec::with_capacity(n)),
+            DataType::Float => ColumnData::Floats(Vec::with_capacity(n)),
+        }
+    }
+
+    /// Append one value. Panics on a value of the other type: callers push
+    /// schema-checked rows.
+    pub fn push(&mut self, v: Value) {
+        match (self, v) {
+            (ColumnData::Ints(vec), Value::Int(x)) => vec.push(x),
+            (ColumnData::Floats(vec), Value::Float(x)) => vec.push(x),
+            _ => panic!("value type does not match the column"),
+        }
+    }
+
     /// Number of values.
     pub fn len(&self) -> usize {
         match self {
@@ -140,20 +158,13 @@ impl ColumnTable {
         let mut cols: Vec<ColumnData> = schema
             .fields()
             .iter()
-            .map(|(_, t)| match t {
-                DataType::Int => ColumnData::Ints(Vec::new()),
-                DataType::Float => ColumnData::Floats(Vec::new()),
-            })
+            .map(|&(_, t)| ColumnData::with_capacity(t, 0))
             .collect();
         let mut n_rows = 0;
         for row in rows {
             schema.check_row(&row)?;
-            for (c, v) in cols.iter_mut().zip(&row) {
-                match (c, v) {
-                    (ColumnData::Ints(vec), Value::Int(x)) => vec.push(*x),
-                    (ColumnData::Floats(vec), Value::Float(x)) => vec.push(*x),
-                    _ => unreachable!("check_row verified types"),
-                }
+            for (c, &v) in cols.iter_mut().zip(&row) {
+                c.push(v);
             }
             n_rows += 1;
         }
@@ -261,24 +272,25 @@ impl ColumnTable {
         })
     }
 
-    /// [`ColumnTable::project`] that consumes the table: the kept columns
-    /// move, the rest are freed, nothing is copied. Each column can be kept
-    /// once.
-    pub fn into_projected(self, cols: &[usize]) -> Result<ColumnTable> {
-        let mut source: Vec<Option<ColumnData>> = self.cols.into_iter().map(Some).collect();
-        let kept = cols
-            .iter()
-            .map(|&c| {
-                source.get_mut(c).and_then(Option::take).ok_or_else(|| {
-                    Error::invalid(format!("projection column {c} out of range or kept twice"))
-                })
-            })
-            .collect::<Result<Vec<ColumnData>>>()?;
-        Ok(ColumnTable {
-            schema: self.schema.project(cols),
-            cols: kept,
-            n_rows: self.n_rows,
-        })
+    /// Semijoin probe: positions, ascending, of the rows whose Int column
+    /// `key` holds an id of `ids`. Reads the key slice alone.
+    pub fn select_in(&self, key: usize, ids: &IdIndex, budget: &Budget) -> Result<Vec<u32>> {
+        let keys = self
+            .cols
+            .get(key)
+            .ok_or_else(|| Error::invalid(format!("semijoin key {key} out of range")))?
+            .ints()?;
+        budget.check("column-store semijoin probe")?;
+        let mut sel = Vec::new();
+        for (i, &k) in keys.iter().enumerate() {
+            if i % 65_536 == 65_535 {
+                budget.check("column-store semijoin probe")?;
+            }
+            if ids.contains(k) {
+                sel.push(i as u32);
+            }
+        }
+        Ok(sel)
     }
 
     /// Hash join on integer key columns; builds on `build`, probes `self`.
@@ -515,11 +527,6 @@ mod tests {
         assert_eq!(p.float_col(0).unwrap()[4], 2.0);
         assert!(p.int_col(0).is_err());
         assert!(t.project(&[11]).is_err());
-        // The consuming form keeps the same columns without copying them.
-        let moved = t.clone().into_projected(&[3, 1]).unwrap();
-        assert_eq!((moved.schema(), moved.columns()), (p.schema(), p.columns()));
-        assert!(t.clone().into_projected(&[11]).is_err());
-        assert!(t.clone().into_projected(&[1, 1]).is_err());
     }
 
     #[test]

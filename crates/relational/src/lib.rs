@@ -10,7 +10,8 @@
 //!   evaluation producing selection vectors — the column-store profile.
 //!
 //! Both implement the same logical operations (filter, project, hash join,
-//! group-by aggregate, sort) so the engine layer can swap them freely, and
+//! semijoin probe + gather, group-by aggregate, sort) so the engine layer
+//! can swap them freely, and
 //! both export to CSV text via `genbase-util` to model the paper's
 //! "copy & reformat into R" path.
 

@@ -6,12 +6,13 @@
 //! predicate evaluation, which is exactly the per-tuple overhead profile the
 //! paper attributes to row stores.
 
+use crate::column::{ColumnData, ColumnTable};
 use crate::join::BuildSide;
 use crate::pred::Pred;
-use crate::value::{Schema, Value};
+use crate::value::{DataType, Schema, Value};
 use crate::Relation;
 use genbase_util::idindex::{self, GroupSums};
-use genbase_util::{Budget, Error, Result};
+use genbase_util::{Budget, Error, IdIndex, Result};
 
 /// Heap page size in bytes (Postgres default).
 pub const PAGE_SIZE: usize = 8192;
@@ -224,6 +225,49 @@ impl RowTable {
             Some(e) => Err(e),
             None => Ok(out),
         }
+    }
+
+    /// Semijoin probe: positions, ascending, of the rows whose Int column
+    /// `key` holds an id of `ids`. Walks every tuple of every page but
+    /// decodes only the key field, the way a heap scan deforms a tuple only
+    /// up to the attribute its qual reads.
+    pub fn select_in(&self, key: usize, ids: &IdIndex, budget: &Budget) -> Result<Vec<u32>> {
+        if key >= self.schema.arity() || self.schema.col_type(key) != DataType::Int {
+            return Err(Error::invalid(format!(
+                "semijoin key {key} is not an Int column"
+            )));
+        }
+        budget.check("row-store semijoin probe")?;
+        let mut sel = Vec::new();
+        for (row, k) in self.int_col(key).enumerate() {
+            if row % 8192 == 8191 {
+                budget.check("row-store semijoin probe")?;
+            }
+            if ids.contains(k) {
+                sel.push(row as u32);
+            }
+        }
+        Ok(sel)
+    }
+
+    /// Decode the rows at `sel`, in `sel` order, straight into exact-size
+    /// columns. Panics on a position past the end.
+    pub fn gather(&self, sel: &[u32]) -> ColumnTable {
+        let mut cols: Vec<ColumnData> = self
+            .schema
+            .fields()
+            .iter()
+            .map(|&(_, t)| ColumnData::with_capacity(t, sel.len()))
+            .collect();
+        let mut row: Vec<Value> = Vec::with_capacity(self.schema.arity());
+        for &at in sel {
+            row.clear();
+            self.append_row(at as usize, &mut row);
+            for (col, &v) in cols.iter_mut().zip(&row) {
+                col.push(v);
+            }
+        }
+        ColumnTable::from_columns(self.schema.clone(), cols).expect("columns follow the schema")
     }
 
     /// Group by an integer key, summing a float column. Returns

@@ -39,18 +39,11 @@ pub fn columnar_from_relation(tracker: &MemTracker, rel: &dyn Relation) -> Resul
     let mut cols: Vec<Column> = schema
         .fields()
         .iter()
-        .map(|(_, t)| match t {
-            DataType::Int => Column::Ints(Vec::with_capacity(n_rows)),
-            DataType::Float => Column::Floats(Vec::with_capacity(n_rows)),
-        })
+        .map(|&(_, t)| Column::with_capacity(t, n_rows))
         .collect();
     rel.for_each(&mut |row: &[Value]| {
-        for (c, v) in cols.iter_mut().zip(row) {
-            match (c, v) {
-                (Column::Ints(vec), Value::Int(x)) => vec.push(*x),
-                (Column::Floats(vec), Value::Float(x)) => vec.push(*x),
-                _ => unreachable!("schema-checked row"),
-            }
+        for (c, &v) in cols.iter_mut().zip(row) {
+            c.push(v);
         }
     });
     let table = ColumnarTable::from_columns(tracker, schema, cols)?;

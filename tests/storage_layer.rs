@@ -33,6 +33,36 @@ fn triple_rows(max: usize) -> impl Strategy<Value = Vec<Vec<Value>>> {
     })
 }
 
+/// Triple tuples per 8 KB row-store page (three 8-byte fields).
+const TRIPLES_PER_PAGE: usize = 8192 / 24;
+
+/// The sparse id the semijoin cases mix into tables and id lists.
+const FAR_ID: i64 = 1 << 40;
+
+/// Random triple tables over 2-4 full row-store pages plus a ragged last
+/// page, ids drawn from `0..width` with [`FAR_ID`] mixed in; and the width.
+fn paged_triple_rows() -> impl Strategy<Value = (Vec<Vec<Value>>, i64)> {
+    (2usize..5, 1usize..TRIPLES_PER_PAGE, 1i64..150).prop_flat_map(|(pages, ragged, width)| {
+        let id = move |v: i64| Value::Int(if v == width { FAR_ID } else { v });
+        proptest::collection::vec(
+            ((0i64..width + 1), (0i64..width + 1), (-1000.0f64..1000.0)),
+            pages * TRIPLES_PER_PAGE + ragged,
+        )
+        .prop_map(move |trips| {
+            let rows = trips
+                .into_iter()
+                .map(|(g, p, v)| vec![id(g), id(p), Value::Float(v)]);
+            (rows.collect(), width)
+        })
+    })
+}
+
+fn rows_of(rel: &dyn Relation) -> Vec<Vec<Value>> {
+    let mut rows = Vec::new();
+    rel.for_each(&mut |r: &[Value]| rows.push(r.to_vec()));
+    rows
+}
+
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     ((1..max_dim), (1..max_dim)).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-100.0f64..100.0, r * c)
@@ -79,6 +109,92 @@ proptest! {
         table.for_each(&mut |r: &[Value]| got.push(r.to_vec()));
         prop_assert_eq!(got, rows);
         prop_assert_eq!(tracker.current(), table.heap_bytes());
+    }
+
+    // The triple join is a semijoin probe + gather on each store: it equals
+    // the general hash join against a one-column build table of the ids,
+    // projected to the triple columns; the stores agree; an expired budget
+    // stops either probe; and the engine's join refuses a repeated id —
+    // the one input on which a semijoin and a join differ.
+    #[test]
+    fn semijoin_probe_and_gather_is_the_hash_join(
+        (rows, width) in paged_triple_rows(),
+        key in 0usize..2,
+        list in 0usize..5,
+        picks in proptest::collection::vec(0i64..150, 0..40),
+    ) {
+        use genbase::engines::sql_common::{Dim, SqlStore};
+        use genbase_util::{Error, IdIndex};
+
+        let rt = RowTable::from_rows(triple_schema(), rows.clone()).unwrap();
+        let ct = ColumnTable::from_rows(triple_schema(), rows.clone()).unwrap();
+        prop_assert!(!rt.n_rows().is_multiple_of(TRIPLES_PER_PAGE), "ragged last page");
+        let mut ids: Vec<i64> = match list {
+            0 => Vec::new(),
+            1 => rows.iter().map(|r| r[key].as_int().unwrap()).collect(),
+            2 => vec![-3, -1, width + 1, width + 7],
+            3 => picks.into_iter().filter(|&p| p < width).collect(),
+            _ => vec![0, FAR_ID],
+        };
+        ids.sort_unstable();
+        ids.dedup();
+        let index = IdIndex::new(&ids);
+        let b = Budget::unlimited();
+
+        let key_schema = Schema::new(&[("id", DataType::Int)]).unwrap();
+        let keys = || ids.iter().map(|&id| vec![Value::Int(id)]);
+        let row_build = RowTable::from_rows(key_schema.clone(), keys()).unwrap();
+        let col_build = ColumnTable::from_rows(key_schema, keys()).unwrap();
+        let row_join = rt.hash_join(key, &row_build, 0, &b).unwrap();
+        let row_join = row_join.project(&[0, 1, 2], &b).unwrap();
+        let col_join = ct.hash_join(key, &col_build, 0, &b).unwrap().project(&[0, 1, 2]).unwrap();
+
+        let row_sel = rt.select_in(key, &index, &b).unwrap();
+        let col_sel = ct.select_in(key, &index, &b).unwrap();
+        prop_assert_eq!(&row_sel, &col_sel);
+        let (row_out, col_out) = (rt.gather(&row_sel), ct.gather(&col_sel));
+        prop_assert_eq!(rows_of(&row_out), row_join.scan());
+        prop_assert_eq!(col_out.columns(), col_join.columns());
+        prop_assert_eq!(col_out.schema(), col_join.schema());
+        prop_assert_eq!(row_out.columns(), col_out.columns());
+        prop_assert_eq!(row_out.schema(), col_out.schema());
+
+        let expired = Budget::with_timeout(std::time::Duration::ZERO);
+        let timed_out = |r: genbase_util::Result<Vec<u32>>| matches!(r, Err(Error::Timeout { .. }));
+        prop_assert!(timed_out(rt.select_in(key, &index, &expired)));
+        prop_assert!(timed_out(ct.select_in(key, &index, &expired)));
+
+        // The engine's join over the same tables, as each store holds them.
+        let meta = || Schema::new(&[("id", DataType::Int)]).unwrap();
+        let stores = [
+            SqlStore::Row {
+                triples: rt,
+                patients: RowTable::new(meta()),
+                genes: RowTable::new(meta()),
+                go: RowTable::new(meta()),
+            },
+            SqlStore::Column {
+                triples: ct,
+                patients: ColumnTable::from_rows(meta(), []).unwrap(),
+                genes: ColumnTable::from_rows(meta(), []).unwrap(),
+                go: ColumnTable::from_rows(meta(), []).unwrap(),
+            },
+        ];
+        let dim = if key == 0 { Dim::Genes } else { Dim::Patients };
+        let mut repeated = ids.clone();
+        repeated.push(ids.first().copied().unwrap_or(7));
+        repeated.push(7);
+        for store in &stores {
+            let tracker = MemTracker::unlimited();
+            let (joined, _) = store.join_triples(dim, &ids, None, (0, 0), &b, &tracker).unwrap();
+            prop_assert_eq!(joined.columns(), col_out.columns());
+            prop_assert_eq!(tracker.current(), joined.heap_bytes());
+            let tracker = MemTracker::unlimited();
+            let refused = store.join_triples(dim, &repeated, None, (0, 0), &b, &tracker);
+            let distinct = |e: &Error| matches!(e, Error::Invalid(m) if m.contains("distinct"));
+            prop_assert!(refused.as_ref().err().is_some_and(distinct));
+            prop_assert_eq!(tracker.peak(), 0, "a refused join charges nothing");
+        }
     }
 
     // Dense → triples → dense round trip is exact, and the CSV export
