@@ -62,15 +62,22 @@ pub struct SubmatrixStats {
 
 /// The residue engine: a compacted, contiguous `|I| x |J|` copy of the
 /// selection plus its always-current [`SubmatrixStats`]. Cheng–Church
-/// deletes rows and columns from it in place, so every sweep is two
-/// stride-1 passes over a block that shrinks with the selection (and soon
-/// fits in cache) instead of index gathers through the full-width source.
+/// deletes rows and columns from it in place, and each deletion recomputes
+/// only what it changed: a row deletion re-sums the columns (every other
+/// row's sum stands), a column deletion re-sums each row as it closes it up
+/// (every other column's mean stands). The residue pass then runs over the
+/// block. Every loop is stride-1 over a block that shrinks with the
+/// selection (and soon fits in cache), and every statistic has the bits a
+/// fresh [`ResidueBlock::gather`] of the same selection would give.
 pub(crate) struct ResidueBlock {
     /// `nr * nc` live cells, row-major with stride `nc`.
     cells: Vec<f64>,
     nr: usize,
     nc: usize,
     stats: SubmatrixStats,
+    /// Lane sum of each live row; the row means and the overall mean are
+    /// derived from these.
+    row_sums: Vec<f64>,
     /// One row of squared residues, between the two loops that read it.
     squares: Vec<f64>,
 }
@@ -90,6 +97,7 @@ impl ResidueBlock {
                 row_residues: Vec::new(),
                 col_residues: Vec::new(),
             },
+            row_sums: Vec::new(),
             squares: Vec::new(),
         };
         block.regather(data, rows, cols);
@@ -108,11 +116,11 @@ impl ResidueBlock {
             self.cells.extend(cols.iter().map(|&c| row[c]));
         }
         (self.nr, self.nc) = (nr, nc);
-        self.stats.row_means.resize(nr, 0.0);
-        self.stats.row_residues.resize(nr, 0.0);
-        self.stats.col_means.resize(nc, 0.0);
-        self.stats.col_residues.resize(nc, 0.0);
-        self.sweep();
+        self.row_sums.clear();
+        self.row_sums
+            .extend(self.cells.chunks_exact(nc).map(lane_sum));
+        self.sum_cols();
+        self.finish();
     }
 
     /// Statistics of the current block.
@@ -120,55 +128,72 @@ impl ResidueBlock {
         &self.stats
     }
 
-    /// Drop the row at position `ri` and recompute the stats.
+    /// Drop the row at position `ri` and recompute the stats. The other
+    /// rows keep their cells, so their sums stand; the column means are
+    /// re-summed over the rows that are left.
     pub(crate) fn delete_row(&mut self, ri: usize) {
         let nc = self.nc;
         self.cells.copy_within((ri + 1) * nc..self.nr * nc, ri * nc);
         self.nr -= 1;
         self.cells.truncate(self.nr * nc);
-        self.stats.row_means.truncate(self.nr);
-        self.stats.row_residues.truncate(self.nr);
-        self.sweep();
+        self.row_sums.remove(ri);
+        self.sum_cols();
+        self.finish();
     }
 
     /// Drop the column at position `ci`, closing every row up so the block
-    /// stays contiguous, and recompute the stats.
+    /// stays contiguous, and recompute the stats. Each row is re-summed as
+    /// soon as it is closed up; the other columns keep their cells in the
+    /// same row order, so their means stand.
     pub(crate) fn delete_col(&mut self, ci: usize) {
         let (nr, nc) = (self.nr, self.nc);
         // Cells before (0, ci) stay put; each later run of `nc - 1` kept
-        // cells moves left by one more than the run before it.
+        // cells moves left by one more than the run before it. Run `i` ends
+        // new row `i`, whose head the run before it already moved.
         for i in 0..nr {
             let src = i * nc + ci + 1;
             let len = if i + 1 < nr { nc - 1 } else { nc - 1 - ci };
             self.cells.copy_within(src..src + len, src - 1 - i);
+            self.row_sums[i] = lane_sum(&self.cells[i * (nc - 1)..(i + 1) * (nc - 1)]);
         }
         self.nc -= 1;
         self.cells.truncate(nr * self.nc);
-        self.stats.col_means.truncate(self.nc);
-        self.stats.col_residues.truncate(self.nc);
-        self.sweep();
+        self.stats.col_means.remove(ci);
+        self.finish();
     }
 
-    /// Recompute every statistic of the current block.
-    fn sweep(&mut self) {
+    /// Column means of the current block: each column summed row by row.
+    fn sum_cols(&mut self) {
+        let means = &mut self.stats.col_means;
+        means.clear();
+        means.resize(self.nc, 0.0);
+        for row in self.cells.chunks_exact(self.nc) {
+            for (c, &a) in means.iter_mut().zip(row) {
+                *c += a;
+            }
+        }
+        for m in means.iter_mut() {
+            *m /= self.nr as f64;
+        }
+    }
+
+    /// Row means and the overall mean from the row sums (in row order),
+    /// then the residue pass, given current column means.
+    fn finish(&mut self) {
         let (nr, nc) = (self.nr, self.nc);
         let st = &mut self.stats;
 
-        st.col_means.fill(0.0);
+        st.row_means.clear();
+        st.row_means
+            .extend(self.row_sums.iter().map(|&sum| sum / nc as f64));
         let mut overall = 0.0;
-        for (row, mean) in self.cells.chunks_exact(nc).zip(&mut st.row_means) {
-            for (c, &a) in st.col_means.iter_mut().zip(row) {
-                *c += a;
-            }
-            let sum = lane_sum(row);
+        for &sum in &self.row_sums {
             overall += sum;
-            *mean = sum / nc as f64;
-        }
-        for m in &mut st.col_means {
-            *m /= nr as f64;
         }
         overall /= (nr * nc) as f64;
 
+        st.row_residues.resize(nr, 0.0);
+        st.col_residues.resize(nc, 0.0);
         st.col_residues.fill(0.0);
         self.squares.resize(nc, 0.0);
         let mut msr = 0.0;
@@ -323,6 +348,75 @@ pub(crate) mod tests {
         );
     }
 
+    /// The engine's full sweep as it ran before deletions reused sums: one
+    /// pass for the column sums, the row lane sums and the overall sum, a
+    /// second for the residues. A fresh gather must match it bit for bit.
+    fn full_sweep_stats(data: &Matrix, rows: &[usize], cols: &[usize]) -> SubmatrixStats {
+        let (nr, nc) = (rows.len(), cols.len());
+        let cells: Vec<f64> = rows
+            .iter()
+            .flat_map(|&r| cols.iter().map(move |&c| data.get(r, c)))
+            .collect();
+        let mut row_means = vec![0.0; nr];
+        let mut col_means = vec![0.0; nc];
+        let mut overall = 0.0;
+        for (row, mean) in cells.chunks_exact(nc).zip(&mut row_means) {
+            for (c, &a) in col_means.iter_mut().zip(row) {
+                *c += a;
+            }
+            let sum = lane_sum(row);
+            overall += sum;
+            *mean = sum / nc as f64;
+        }
+        col_means.iter_mut().for_each(|m| *m /= nr as f64);
+        overall /= (nr * nc) as f64;
+        let mut row_residues = vec![0.0; nr];
+        let mut col_residues = vec![0.0; nc];
+        let mut squares = vec![0.0; nc];
+        let mut msr = 0.0;
+        for ((row, &rm), d) in cells
+            .chunks_exact(nc)
+            .zip(&row_means)
+            .zip(&mut row_residues)
+        {
+            for (ci, &a) in row.iter().enumerate() {
+                let resid = a - rm - col_means[ci] + overall;
+                squares[ci] = resid * resid;
+                col_residues[ci] += squares[ci];
+            }
+            let sum = lane_sum(&squares);
+            msr += sum;
+            *d = sum / nc as f64;
+        }
+        col_residues.iter_mut().for_each(|d| *d /= nr as f64);
+        SubmatrixStats {
+            row_means,
+            col_means,
+            overall_mean: overall,
+            msr: msr / (nr * nc) as f64,
+            row_residues,
+            col_residues,
+        }
+    }
+
+    /// Every field of `got` has exactly the bits of the same field of `want`.
+    fn assert_same_bits(got: &SubmatrixStats, want: &SubmatrixStats, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fields = |s: &SubmatrixStats| {
+            [
+                ("row_means", bits(&s.row_means)),
+                ("col_means", bits(&s.col_means)),
+                ("overall_mean", bits(&[s.overall_mean])),
+                ("msr", bits(&[s.msr])),
+                ("row_residues", bits(&s.row_residues)),
+                ("col_residues", bits(&s.col_residues)),
+            ]
+        };
+        for ((name, g), (_, w)) in fields(got).into_iter().zip(fields(want)) {
+            assert_eq!(g, w, "{what}: {name}");
+        }
+    }
+
     #[test]
     fn engine_matches_reference_after_random_deletions() {
         for seed in 0..40u64 {
@@ -347,6 +441,11 @@ pub(crate) mod tests {
                 scale,
                 "gathered",
             );
+            assert_same_bits(
+                block.stats(),
+                &full_sweep_stats(&data, &rows, &cols),
+                "gathered",
+            );
             while rows.len() > 1 || cols.len() > 1 {
                 let drop_row = rows.len() > 1 && (cols.len() == 1 || rng.chance(0.4));
                 if drop_row {
@@ -365,10 +464,11 @@ pub(crate) mod tests {
                     scale,
                     &what,
                 );
-                // Deleting in place and gathering afresh are the same block.
+                // Deleting in place and gathering afresh are the same block,
+                // down to every bit of every statistic.
                 let fresh = SubmatrixStats::compute(&data, &rows, &cols);
-                assert_eq!(block.stats().msr.to_bits(), fresh.msr.to_bits(), "{what}");
-                assert_eq!(block.stats().col_residues, fresh.col_residues, "{what}");
+                assert_same_bits(block.stats(), &fresh, &what);
+                assert_same_bits(&fresh, &full_sweep_stats(&data, &rows, &cols), &what);
             }
         }
     }

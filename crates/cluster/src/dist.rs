@@ -7,7 +7,7 @@
 //! assert that — so only the *cost* differs across node counts.
 
 use crate::comm::NodeCtx;
-use genbase_linalg::{gram, matvec, matvec_transposed, qr::QrFactor, ExecOpts, LinearOp, Matrix};
+use genbase_linalg::{gram, matvec_transposed, qr::QrFactor, ExecOpts, GramOp, LinearOp, Matrix};
 use genbase_util::{Error, Result};
 
 /// Split `total` rows into `n` contiguous bands (node `i` gets `bands[i]`).
@@ -188,9 +188,10 @@ pub fn dist_least_squares(
 }
 
 /// Distributed implicit Gram operator `B = AᵀA` for Lanczos: the data matrix
-/// is row-partitioned; `apply` does local `A_i v`, local `A_iᵀ (A_i v)`, and
-/// one allreduce. Every node runs the same deterministic Lanczos loop, so
-/// all nodes converge to identical eigenpairs.
+/// is row-partitioned; `apply` does the local `A_iᵀ (A_i v)` (one fused
+/// [`GramOp`] pass over the band) and one allreduce. Every node runs the
+/// same deterministic Lanczos loop, so all nodes converge to identical
+/// eigenpairs.
 pub struct DistGramOp<'a> {
     ctx: &'a NodeCtx,
     local: &'a Matrix,
@@ -209,19 +210,8 @@ impl LinearOp for DistGramOp<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        let local_ax = if self.local.rows() > 0 {
-            matvec(self.local, x)
-        } else {
-            vec![]
-        };
-        let mut local_atax = if self.local.rows() > 0 {
-            matvec_transposed(self.local, &local_ax)
-        } else {
-            vec![0.0; self.local.cols()]
-        };
-        self.ctx.allreduce_sum(&mut local_atax)?;
-        y.copy_from_slice(&local_atax);
-        Ok(())
+        GramOp::new(self.local).apply(x, y)?;
+        self.ctx.allreduce_sum(y)
     }
 }
 

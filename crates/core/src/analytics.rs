@@ -103,8 +103,7 @@ pub fn bicluster_output(
 /// expression matrix via Lanczos (never materializing the Gram matrix).
 pub fn svd_output(mat: &Matrix, k: usize, seed: u64, opts: &ExecOpts) -> Result<QueryOutput> {
     let k = k.min(mat.cols()).max(1);
-    let op = GramOp::new(mat).with_threads(opts.threads);
-    let res = lanczos_topk(&op, k, 0, seed, opts)?;
+    let res = lanczos_topk(&GramOp::new(mat), k, 0, seed, opts)?;
     Ok(QueryOutput::Svd {
         eigenvalues: res.eigenvalues,
     })

@@ -131,6 +131,12 @@ pub struct CovPair {
 
 /// Extract the off-diagonal pairs with `|cov| >= threshold`, sorted by
 /// descending absolute covariance (ties broken by index for determinism).
+///
+/// NaN never passes the threshold test, so every kept `|v|` is a
+/// non-negative float whose bit pattern orders like its value. The key
+/// `(!|v|.to_bits(), a, b)` is therefore descending in `|v|`, ascending in
+/// the indices, and unique per pair, so an unstable sort on it yields the
+/// one order a stable comparator sort would.
 pub fn top_pairs_by_threshold(cov: &Matrix, threshold: f64) -> Vec<CovPair> {
     let n = cov.cols();
     let mut out = Vec::new();
@@ -146,7 +152,7 @@ pub fn top_pairs_by_threshold(cov: &Matrix, threshold: f64) -> Vec<CovPair> {
             }
         }
     }
-    sort_pairs(&mut out);
+    out.sort_unstable_by_key(|p| (!p.value.abs().to_bits(), p.a, p.b));
     out
 }
 
@@ -170,16 +176,6 @@ pub fn quantile_abs_threshold(cov: &Matrix, fraction: f64) -> f64 {
     let (_, kth, _) =
         vals.select_nth_unstable_by(keep - 1, |a, b| b.partial_cmp(a).expect("NaN covariance"));
     *kth
-}
-
-fn sort_pairs(pairs: &mut [CovPair]) {
-    pairs.sort_by(|x, y| {
-        y.value
-            .abs()
-            .partial_cmp(&x.value.abs())
-            .expect("NaN covariance")
-            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-    });
 }
 
 #[cfg(test)]

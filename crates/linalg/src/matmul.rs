@@ -520,70 +520,22 @@ fn mirror_lower(out: &mut [f64], n: usize, opts: &ExecOpts) {
     });
 }
 
-/// Matrix-vector product `A x`.
+/// Matrix-vector product `A x`: one `dot` per row.
 pub fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
-    matvec_par(a, x, 1)
-}
-
-/// Parallel `A x` on the shared runtime: rows split into bands, each row's
-/// dot product folded in the same ascending-`c` order as the serial path,
-/// so results are **bit-identical for every thread count**.
-pub fn matvec_par(a: &Matrix, x: &[f64], threads: usize) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "matvec shape mismatch");
-    let rows = a.rows();
-    if threads <= 1 || rows < 2 * MC {
-        return (0..rows).map(|r| crate::matrix::dot(a.row(r), x)).collect();
-    }
-    let mut out = vec![0.0; rows];
-    let tasks = rows.div_ceil(MC);
-    let shared = SharedSlice::new(&mut out);
-    runtime::parallel_for(threads, tasks, |t| {
-        let rb = t * MC;
-        let r_end = (rb + MC).min(rows);
-        // SAFETY: each task owns the disjoint row range rb..r_end.
-        let band = unsafe { shared.slice_mut(rb, r_end - rb) };
-        for (i, y) in band.iter_mut().enumerate() {
-            *y = crate::matrix::dot(a.row(rb + i), x);
-        }
-    });
-    out
+    (0..a.rows())
+        .map(|r| crate::matrix::dot(a.row(r), x))
+        .collect()
 }
 
-/// Transposed matrix-vector product `Aᵀ x` without materializing `Aᵀ`.
+/// Transposed matrix-vector product `Aᵀ x` without materializing `Aᵀ`:
+/// `x[r] · a_r` added row by row in ascending `r`.
 pub fn matvec_transposed(a: &Matrix, x: &[f64]) -> Vec<f64> {
-    matvec_transposed_par(a, x, 1)
-}
-
-/// Parallel `Aᵀ x` on the shared runtime: output columns split into bands;
-/// within a band, rows stream in ascending order (row-major reads of the
-/// band's column stripe), accumulating each output element in exactly the
-/// serial path's `r` order — results are **bit-identical for every thread
-/// count**.
-pub fn matvec_transposed_par(a: &Matrix, x: &[f64], threads: usize) -> Vec<f64> {
     assert_eq!(a.rows(), x.len(), "matvec_transposed shape mismatch");
-    let (_rows, cols) = a.shape();
-    let mut out = vec![0.0; cols];
-    if threads <= 1 || cols < 2 * MC {
-        for (r, &xv) in x.iter().enumerate() {
-            crate::matrix::axpy(xv, a.row(r), &mut out);
-        }
-        return out;
+    let mut out = vec![0.0; a.cols()];
+    for (r, &xv) in x.iter().enumerate() {
+        crate::matrix::axpy(xv, a.row(r), &mut out);
     }
-    let tasks = cols.div_ceil(MC);
-    let shared = SharedSlice::new(&mut out);
-    let data = a.data();
-    runtime::parallel_for(threads, tasks, |t| {
-        let cb = t * MC;
-        let c_end = (cb + MC).min(cols);
-        // SAFETY: each task owns the disjoint column range cb..c_end.
-        let band = unsafe { shared.slice_mut(cb, c_end - cb) };
-        for (r, &xv) in x.iter().enumerate() {
-            let row = &data[r * cols + cb..r * cols + c_end];
-            for (acc, &av) in band.iter_mut().zip(row) {
-                *acc += xv * av;
-            }
-        }
-    });
     out
 }
 
@@ -727,23 +679,6 @@ mod tests {
         let ytm = at_mul(&a, &ym, &ExecOpts::serial()).unwrap();
         for c in 0..20 {
             assert!((yt[c] - ytm.get(c, 0)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn parallel_matvec_bitwise_matches_serial() {
-        let mut rng = Pcg64::new(41);
-        // Tall and wide enough that both kernels actually split into bands.
-        let a = random_matrix(&mut rng, 3 * MC + 17, 2 * MC + 9);
-        let x: Vec<f64> = (0..a.cols()).map(|_| rng.normal()).collect();
-        let xt: Vec<f64> = (0..a.rows()).map(|_| rng.normal()).collect();
-        let serial = matvec(&a, &x);
-        let serial_t = matvec_transposed(&a, &xt);
-        for threads in [2, 4, 8] {
-            let par = matvec_par(&a, &x, threads);
-            let par_t = matvec_transposed_par(&a, &xt, threads);
-            assert_eq!(par, serial, "matvec threads={threads}");
-            assert_eq!(par_t, serial_t, "matvec_transposed threads={threads}");
         }
     }
 

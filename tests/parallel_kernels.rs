@@ -6,10 +6,19 @@
 //! reduction order). The same invariance is pinned for the QR regression
 //! (column slabs on the pool) and for Cheng–Church (which takes `ExecOpts`
 //! but sweeps serially) at thread counts {1, 2, 3, 8}.
+//!
+//! Two kernels that were rewritten for speed are held bit for bit to the
+//! code they replaced, kept here as oracles: the fused Lanczos Gram
+//! operator (`GramOp`) against `matvec_transposed(a, &matvec(a, x))`, and
+//! the keyed top-pair sort against the stable float-comparator sort. Both
+//! depend on exact floating-point association, so they run under release
+//! codegen too.
 
 use genbase_bicluster::{find_biclusters, ChengChurchConfig};
+use genbase_linalg::covariance::{top_pairs_by_threshold, CovPair};
 use genbase_linalg::{
-    covariance, gram, matmul, matmul_naive, ExecOpts, LinearRegression, Matrix, RegressionMethod,
+    covariance, gram, matmul, matmul_naive, matvec, matvec_transposed, ExecOpts, GramOp, LinearOp,
+    LinearRegression, Matrix, RegressionMethod,
 };
 use genbase_util::Pcg64;
 use proptest::prelude::*;
@@ -168,4 +177,99 @@ fn cheng_church_bit_identical_across_thread_counts() {
             assert_eq!(many, one, "{m}x{n} threads={threads}");
         }
     }
+}
+
+#[test]
+fn fused_gram_op_is_bit_identical_to_two_matvecs() {
+    // Row counts below, at and around the 8-row block (remainder rows, no
+    // full block at all); widths below, at and around the dot's 4-wide body
+    // (tail only, no tail, both).
+    for m in [0usize, 1, 3, 7, 8, 9, 17, 64, 203] {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 13, 64, 130] {
+            let a = random_matrix((m * 1000 + n) as u64, m, n);
+            let mut rng = Pcg64::new(n as u64);
+            let x: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
+            let want: Vec<u64> = matvec_transposed(&a, &matvec(&a, &x))
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for threads in THREAD_COUNTS {
+                // Stale contents in `y` must not leak into the result.
+                let mut y = vec![f64::NAN; n];
+                GramOp::new(&a)
+                    .with_threads(threads)
+                    .apply(&x, &mut y)
+                    .unwrap();
+                let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{m}x{n} threads={threads}");
+            }
+        }
+    }
+}
+
+/// The top-pair sort as it was: a stable sort by descending `|v|` through a
+/// float comparator, ties by ascending index pair.
+fn top_pairs_stable_oracle(cov: &Matrix, threshold: f64) -> Vec<CovPair> {
+    let n = cov.cols();
+    let mut out = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let v = cov.get(i, j);
+            if v.abs() >= threshold {
+                out.push(CovPair {
+                    a: i,
+                    b: j,
+                    value: v,
+                });
+            }
+        }
+    }
+    out.sort_by(|x, y| {
+        y.value
+            .abs()
+            .partial_cmp(&x.value.abs())
+            .expect("NaN covariance")
+            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+    });
+    out
+}
+
+#[test]
+fn keyed_top_pair_sort_matches_the_stable_comparator_sort() {
+    let mut rng = Pcg64::new(0x70b);
+    let n = 60;
+    // Heavy planted ties: equal |v| with opposite signs, exact duplicates,
+    // both zeros; plus continuous values, and one NaN pair that no
+    // threshold may keep.
+    let palette = [0.0, -0.0, 0.5, -0.5, 1.25, -1.25, 3.0, f64::MIN_POSITIVE];
+    let mut cov = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in i..n {
+            let v = if rng.chance(0.7) {
+                palette[rng.next_below(palette.len() as u64) as usize]
+            } else {
+                rng.normal()
+            };
+            cov.set(i, j, v);
+            cov.set(j, i, v);
+        }
+    }
+    cov.set(3, 9, f64::NAN);
+    cov.set(9, 3, f64::NAN);
+    let bits = |pairs: &[CovPair]| {
+        pairs
+            .iter()
+            .map(|p| (p.a, p.b, p.value.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    for threshold in [0.0, -1.0, f64::MIN_POSITIVE, 0.5, 1.25, 2.0, 10.0] {
+        let got = top_pairs_by_threshold(&cov, threshold);
+        let want = top_pairs_stable_oracle(&cov, threshold);
+        assert_eq!(bits(&got), bits(&want), "threshold {threshold}");
+    }
+    assert_eq!(
+        top_pairs_by_threshold(&cov, 0.0).len(),
+        n * (n - 1) / 2 - 1,
+        "every pair but the NaN one"
+    );
 }
