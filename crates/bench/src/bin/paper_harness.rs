@@ -80,10 +80,6 @@
 //!                                under LRU eviction, charged against a
 //!                                dedicated tracker (never a run's
 //!                                --mem-budget)
-//!               [--result-cache] serve: replay completed --sim-only
-//!                                outcomes byte-identically for repeat
-//!                                queries on the same cell (inert under
-//!                                measured timing)
 //! ```
 //!
 //! A flag is accepted only by the subcommands that read it (the
@@ -169,7 +165,6 @@ struct Args {
     connect_window_secs: u64,
     figures: Option<Vec<FigureId>>,
     cache_budget: Option<u64>,
-    result_cache: bool,
     nodes: usize,
     lease_timeout_secs: u64,
     rebalance_after_secs: u64,
@@ -218,7 +213,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
         connect_window_secs: 30,
         figures: None,
         cache_budget: None,
-        result_cache: false,
         nodes: 1,
         lease_timeout_secs: 0,
         rebalance_after_secs: 0,
@@ -307,7 +301,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
             "--cache-budget" => {
                 args.cache_budget = Some(parsed!(&mut i, "--cache-budget", "bytes"))
             }
-            "--result-cache" => args.result_cache = true,
             "--nodes" => args.nodes = parsed!(&mut i, "--nodes", "an integer"),
             "--lease-timeout" => {
                 args.lease_timeout_secs = parsed!(&mut i, "--lease-timeout", "seconds")
@@ -397,7 +390,6 @@ const FLAG_READERS: &[(&str, &[&str])] = &[
     ("--listen-http", &["serve"]),
     ("--queue-depth", &["serve"]),
     ("--cache-budget", &["serve"]),
-    ("--result-cache", &["serve"]),
     ("--connect", &["work query status"]),
     ("--connect-window", &["work status"]),
     ("--auth-token", &["coordinate work status serve query"]),
@@ -677,9 +669,6 @@ fn serve(args: &Args) -> Result<()> {
     }
     if let Some(budget) = args.cache_budget {
         options = options.with_cache_budget(budget);
-    }
-    if args.result_cache {
-        options = options.with_result_cache();
     }
     let server = genbase::BenchServer::bind(
         args.listen.as_str(),
@@ -978,7 +967,7 @@ mod tests {
         // A value each flag's parser takes (ignored by the three switches'
         // neighbours: a stray positional is only legal after explain/query).
         let value = |flag: &str| match flag {
-            "--sim-only" | "--stream" | "--result-cache" | "--json" | "--per-op" => "",
+            "--sim-only" | "--stream" | "--json" | "--per-op" => "",
             "--sizes" | "--mn-size" => "small",
             "--figures" => "fig1",
             "--faults" => "worker.cell@2=abort",

@@ -3,15 +3,20 @@
 //! A batch sweep pays dataset generation and plan compilation on every
 //! invocation. This module keeps that state resident — the pool-backed
 //! [`Scheduler`] (datasets, engine registry) and the compiled
-//! [`LogicalPlan`]s — inside one long-running process that answers query /
-//! explain / status requests from many concurrent clients, on two listeners:
+//! [`LogicalPlan`]s — inside one long-running process that answers many
+//! concurrent clients on two fronts: a **framed** listener behind the
+//! session layer's `hello` gate (`session.rs`, shared with the sweep
+//! coordinator), and a minimal **HTTP/1.1** listener (`GET /status`,
+//! `GET /metrics` in Prometheus text format, `POST /query`).
 //!
-//! - a **framed** listener behind the session layer's `hello` gate
-//!   (`session.rs`, shared with the sweep coordinator), then `query` /
-//!   `explain` / `status` request frames (a `query` or `explain` naming a
-//!   size outside the server's configured, resident ones is a `reject`);
-//! - a minimal **HTTP/1.1** listener (`GET /status`, `GET /metrics` in
-//!   Prometheus text format, `POST /query`).
+//! **One request path.** Each front decodes what it reads into one private
+//! `Request` (query, explain, status, metrics or leave) through one parser,
+//! `Shared::decode`, so a request is valid on one front exactly when it is
+//! on the other. `Shared::answer` admits, executes and counts it and returns
+//! one `Reply`, which the front renders: the framed front owns only the
+//! `hello` gate and the idle-drain poll, the HTTP front only the bearer check
+//! and its status codes. Every exported number is one row of `STATS`, which
+//! renders `/metrics` and `/status` both.
 //!
 //! Under `TimingMode::SimOnly` a served query's outcome JSON is byte-identical
 //! to the same cell's entry in a batch sweep grid: both sides are
@@ -31,7 +36,7 @@
 //! [`BenchServer::serve`] returns a final [`ServeReport`].
 
 use crate::figures;
-use crate::harness::{HarnessConfig, TimingMode};
+use crate::harness::HarnessConfig;
 use crate::plan::{logical_plan, LogicalPlan, Phase};
 use crate::query::Query;
 use crate::sched::{config_fingerprint, CellKey, CellOutcome, FigureId, Scheduler};
@@ -39,11 +44,12 @@ use crate::session::{self, msg, msg_type, Gate};
 use genbase_datagen::{SizeClass, SizeSpec};
 use genbase_storage::{ArtifactCache, CacheScope, MemTracker, Reservation};
 use genbase_util::frame::write_frame;
-use genbase_util::{http, lock, shutdown, Error, Json, Result};
-use std::collections::{BTreeMap, HashMap};
+use genbase_util::http::{self, HttpRequest};
+use genbase_util::{lock, shutdown, Error, Json, Result};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Multiplier from raw microarray bytes to a conservative working-set
@@ -88,11 +94,6 @@ pub struct ServeOptions {
     /// the cache and every join runs cold. The cache charges its own
     /// [`MemTracker`], never a run's `--mem-budget` tracker.
     pub cache_budget: Option<u64>,
-    /// Enable the served-result cache (`--result-cache`): a completed
-    /// SimOnly outcome is replayed byte-identically for repeat queries on
-    /// the same cell. Ignored (always cold) under measured timing, where
-    /// wall-clock fields make replays non-identical by construction.
-    pub result_cache: bool,
     /// External stop flag (tests); SIGTERM via [`shutdown`] always works.
     pub stop: Option<Arc<AtomicBool>>,
 }
@@ -122,12 +123,6 @@ impl ServeOptions {
         self
     }
 
-    /// Enable the served-result cache.
-    pub fn with_result_cache(mut self) -> ServeOptions {
-        self.result_cache = true;
-        self
-    }
-
     /// Attach an external stop flag (set it to drain the server).
     pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> ServeOptions {
         self.stop = Some(stop);
@@ -138,7 +133,8 @@ impl ServeOptions {
 /// Final tallies returned by [`BenchServer::serve`] after a drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeReport {
-    /// Query/explain requests answered (including "infinite" outcomes).
+    /// Query requests answered (including "infinite" outcomes); explain
+    /// requests are not counted.
     pub served: u64,
     /// Requests that failed with a hard error.
     pub failed: u64,
@@ -166,6 +162,10 @@ pub enum Rejection {
 }
 
 impl Rejection {
+    /// The `reason` label values of the rejected-requests family in
+    /// [`STATS`], indexed by [`Rejection::slot`].
+    const LABELS: [&'static str; 3] = ["over_budget", "queue_full", "draining"];
+
     /// Human-readable rejection reason (busy frames, HTTP bodies).
     pub fn reason(&self) -> String {
         match self {
@@ -180,12 +180,21 @@ impl Rejection {
         }
     }
 
-    /// The `/metrics` label and HTTP status for this rejection.
-    fn label_and_status(&self) -> (&'static str, u16) {
+    /// This rejection's counter in `Metrics::rejected` (and label in
+    /// [`Rejection::LABELS`]).
+    fn slot(&self) -> usize {
         match self {
-            Rejection::OverBudget { .. } => ("over_budget", 429),
-            Rejection::QueueFull { .. } => ("queue_full", 429),
-            Rejection::Draining => ("draining", 503),
+            Rejection::OverBudget { .. } => 0,
+            Rejection::QueueFull { .. } => 1,
+            Rejection::Draining => 2,
+        }
+    }
+
+    /// The HTTP status for this rejection.
+    fn http_status(&self) -> u16 {
+        match self {
+            Rejection::Draining => 503,
+            _ => 429,
         }
     }
 }
@@ -195,8 +204,7 @@ impl Rejection {
 struct Admission {
     tracker: MemTracker,
     queue_depth: usize,
-    queued: Mutex<usize>,
-    freed: Condvar,
+    queued: AtomicUsize,
 }
 
 impl Admission {
@@ -204,13 +212,12 @@ impl Admission {
         Admission {
             tracker: MemTracker::new(budget),
             queue_depth,
-            queued: Mutex::new(0),
-            freed: Condvar::new(),
+            queued: AtomicUsize::new(0),
         }
     }
 
     fn queued(&self) -> usize {
-        *lock(&self.queued)
+        self.queued.load(Ordering::Relaxed)
     }
 
     /// Reserve `estimate` bytes, waiting in the bounded queue if the budget
@@ -232,58 +239,52 @@ impl Admission {
         if let Ok(r) = self.tracker.reserve(estimate) {
             return Ok(r);
         }
-        let mut queued = lock(&self.queued);
-        if *queued >= self.queue_depth {
+        let (queued, join) = (&self.queued, |q: usize| {
+            (q < self.queue_depth).then_some(q + 1)
+        });
+        if queued
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, join)
+            .is_err()
+        {
             return Err(Rejection::QueueFull {
                 depth: self.queue_depth,
             });
         }
-        *queued += 1;
-        loop {
+        // Reservations release through RAII drops that signal nothing, so
+        // waiting for memory is a bounded poll.
+        let admitted = loop {
             if draining() {
-                *queued -= 1;
-                return Err(Rejection::Draining);
+                break Err(Rejection::Draining);
             }
-            match self.tracker.reserve(estimate) {
-                Ok(r) => {
-                    *queued -= 1;
-                    return Ok(r);
-                }
-                Err(_) => {
-                    // Reservations release through RAII drops that cannot
-                    // signal the condvar, so the wait is a bounded poll.
-                    let (guard, _) = self
-                        .freed
-                        .wait_timeout(queued, ADMIT_POLL)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    queued = guard;
-                }
+            if let Ok(r) = self.tracker.reserve(estimate) {
+                break Ok(r);
             }
-        }
+            std::thread::sleep(ADMIT_POLL);
+        };
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        admitted
     }
 }
 
-/// Monotonic counters and gauges behind `GET /metrics`.
+/// The counters the server keeps itself; [`STATS`] says how each one (and
+/// every number read from elsewhere) is exported.
 #[derive(Default)]
 struct Metrics {
     /// Answered queries per engine (completed + infinite + unsupported).
     queries: Mutex<BTreeMap<String, u64>>,
     served: AtomicU64,
     failed: AtomicU64,
-    dm_sim_nanos: AtomicU64,
-    an_sim_nanos: AtomicU64,
+    /// Simulated nanoseconds per plan phase: data management, analytics.
+    phase_sim_nanos: [AtomicU64; 2],
     bytes_moved: AtomicU64,
     peak_alloc: AtomicU64,
     stream_batches: AtomicU64,
     spill_bytes: AtomicU64,
-    rejected_over_budget: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_draining: AtomicU64,
+    /// Admission rejections, indexed by [`Rejection::slot`].
+    rejected: [AtomicU64; 3],
     inflight: AtomicU64,
     connections: AtomicU64,
-    /// Result-cache replays (a subset of `served`).
-    result_hits: AtomicU64,
-    /// The most recent admission reservation estimate, after any
+    /// The most recent query's admission reservation estimate, after any
     /// artifact-cache shrink — the observable that warm admission is
     /// cheaper than cold.
     last_estimate: AtomicU64,
@@ -295,12 +296,8 @@ impl Metrics {
         *lock(&self.queries).entry(engine.to_string()).or_insert(0) += 1;
         if let CellOutcome::Completed { trace, .. } = outcome {
             for op in trace {
-                let nanos = op.cost.sim_nanos;
-                match op.phase {
-                    Phase::DataManagement => &self.dm_sim_nanos,
-                    Phase::Analytics => &self.an_sim_nanos,
-                }
-                .fetch_add(nanos, Ordering::Relaxed);
+                let phase = usize::from(matches!(op.phase, Phase::Analytics));
+                self.phase_sim_nanos[phase].fetch_add(op.cost.sim_nanos, Ordering::Relaxed);
                 self.bytes_moved
                     .fetch_add(op.cost.bytes_moved(), Ordering::Relaxed);
                 self.peak_alloc
@@ -312,21 +309,126 @@ impl Metrics {
             }
         }
     }
+}
 
-    fn record_rejection(&self, rejection: &Rejection) {
-        match rejection.label_and_status().0 {
-            "over_budget" => &self.rejected_over_budget,
-            "queue_full" => &self.rejected_queue_full,
-            _ => &self.rejected_draining,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
+/// How a [`STATS`] row reads its value off the server.
+enum Reading {
+    /// One value; `None` leaves the family out of `/metrics` and is `null`
+    /// in `/status`.
+    One(fn(&Shared) -> Option<u64>),
+    /// One line per value of the named label; `/status` carries their sum.
+    By(&'static str, fn(&Shared) -> Vec<(String, u64)>),
+}
 
-    fn rejected_total(&self) -> u64 {
-        self.rejected_over_budget.load(Ordering::Relaxed)
-            + self.rejected_queue_full.load(Ordering::Relaxed)
-            + self.rejected_draining.load(Ordering::Relaxed)
-    }
+use Reading::{By, One};
+
+fn load(counter: &AtomicU64) -> Option<u64> {
+    Some(counter.load(Ordering::Relaxed))
+}
+
+/// `labels` paired with the current values of `counters`.
+fn labelled(labels: &[&str], counters: &[AtomicU64]) -> Vec<(String, u64)> {
+    let values = counters.iter().map(|c| c.load(Ordering::Relaxed));
+    labels.iter().map(|l| l.to_string()).zip(values).collect()
+}
+
+/// Every number `/metrics` and `/status` export, one row each, in `/metrics`
+/// order: the Prometheus name (by Prometheus convention a `_total` name is a
+/// counter and any other a gauge), the `/status` key when `/status` carries
+/// the number too, the help text, and the reading. `done`, `failed`,
+/// `pending`, `leased`, `rejected` and `workers` mirror the coordinator
+/// snapshot's progress keys, so `paper_harness status` reads either service.
+/// The cache rows read 0 when caching is off, so dashboards and the CI
+/// identity check can grep them unconditionally.
+#[rustfmt::skip]
+const STATS: &[(&str, Option<&str>, &str, Reading)] = &[
+    ("genbase_queries_total", None, "Answered query requests per engine.",
+        By("engine", Shared::queries)),
+    ("genbase_served_total", Some("done"), "Answered query requests, all engines.",
+        One(|s| load(&s.metrics.served))),
+    ("genbase_query_failures_total", Some("failed"),
+        "Query requests that failed with a hard error.",
+        One(|s| load(&s.metrics.failed))),
+    ("genbase_phase_sim_nanos_total", None, "Simulated nanoseconds per plan phase.",
+        By("phase", |s| labelled(&["dm", "analytics"], &s.metrics.phase_sim_nanos))),
+    ("genbase_bytes_moved_total", None,
+        "Storage-layer bytes read plus materialized across served queries.",
+        One(|s| load(&s.metrics.bytes_moved))),
+    ("genbase_peak_alloc_bytes", None, "Largest per-operator peak allocation observed.",
+        One(|s| load(&s.metrics.peak_alloc))),
+    ("genbase_stream_batches_total", None,
+        "Morsel batches streamed across served queries (zero unless serving with --stream).",
+        One(|s| load(&s.metrics.stream_batches))),
+    ("genbase_spill_bytes_total", None,
+        "Bytes spilled to disk by streaming reels across served queries.",
+        One(|s| load(&s.metrics.spill_bytes))),
+    ("genbase_rejected_total", Some("rejected"), "Requests turned away by admission control.",
+        By("reason", |s| labelled(&Rejection::LABELS, &s.metrics.rejected))),
+    ("genbase_queue_depth", Some("pending"), "Requests currently waiting for admission.",
+        One(|s| Some(s.admission.queued() as u64))),
+    ("genbase_inflight", Some("leased"), "Queries currently executing.",
+        One(|s| load(&s.metrics.inflight))),
+    ("genbase_mem_reserved_bytes", Some("mem_reserved"),
+        "Bytes currently reserved by admitted requests.",
+        One(|s| Some(s.admission.tracker.current()))),
+    ("genbase_mem_budget_bytes", Some("mem_budget"), "Configured admission budget.",
+        One(|s| s.options.mem_budget)),
+    ("genbase_connections", Some("workers"), "Open client connections (framed + HTTP).",
+        One(|s| load(&s.metrics.connections))),
+    ("genbase_cache_hits_total", Some("cache_hits"),
+        "Artifact-cache hits (joins replayed from the cache).",
+        One(|s| s.cache_stat(ArtifactCache::hit_count))),
+    ("genbase_cache_misses_total", Some("cache_misses"),
+        "Artifact-cache misses (cold joins that filled or bypassed the cache).",
+        One(|s| s.cache_stat(ArtifactCache::miss_count))),
+    ("genbase_cache_evictions_total", Some("cache_evictions"),
+        "Artifact-cache entries evicted under the --cache-budget LRU.",
+        One(|s| s.cache_stat(ArtifactCache::eviction_count))),
+    ("genbase_cache_bytes", Some("cache_bytes"),
+        "Bytes currently charged to the artifact cache's tracker.",
+        One(|s| s.cache_stat(ArtifactCache::bytes))),
+    ("genbase_loaded_tables_bytes", Some("loaded_tables_bytes"),
+        "Heap bytes of the SQL base tables and SciDB arrays resident for the configured datasets.",
+        One(|s| Some(s.scheduler.harness().loaded_tables_stats().0))),
+    ("genbase_loaded_tables_builds_total", Some("loaded_tables_builds"),
+        "Loads of a dataset's base tables, streaming spool or arrays (each at most once; queries borrow them).",
+        One(|s| Some(s.scheduler.harness().loaded_tables_stats().1))),
+    ("genbase_loaded_spool_bytes", Some("loaded_spool_bytes"),
+        "Bytes of streaming spool files held on disk for the configured datasets.",
+        One(|s| Some(s.scheduler.harness().loaded_spool_bytes()))),
+    ("genbase_admission_estimate_bytes", None,
+        "Most recent admission reservation estimate (shrinks on warm artifacts).",
+        One(|s| load(&s.metrics.last_estimate))),
+];
+
+/// A request either front decoded ([`Shared::decode`]): the one vocabulary
+/// [`Shared::answer`] serves.
+enum Request {
+    Query(CellKey),
+    Explain {
+        engine: Option<String>,
+        query: Option<Query>,
+        size: SizeClass,
+        nodes: usize,
+        json: bool,
+    },
+    Status,
+    Metrics,
+    Leave,
+}
+
+/// What [`Shared::answer`] made of a request; each front renders it.
+enum Reply {
+    /// A JSON document: a `result`, the `status` snapshot or `bye`.
+    Doc(Json),
+    /// The Prometheus text exposition.
+    Text(String),
+    /// Admission control turned the request away.
+    Busy(Rejection),
+    /// The named cell ran and failed with a hard error.
+    Failed(String, Error),
+    /// A decoded request this server could still not answer.
+    Invalid(Error),
 }
 
 /// State shared by the accept loop and every connection handler.
@@ -345,10 +447,6 @@ struct Shared {
     /// server's config fingerprint — the same scope the harness injects
     /// into every run's [`crate::engine::ExecContext`].
     cache: Option<CacheScope>,
-    /// Completed SimOnly replies by cell id, replayed byte-identically for
-    /// repeat queries. `None` when `--result-cache` is off or timing is
-    /// measured.
-    results: Option<Mutex<HashMap<String, Json>>>,
 }
 
 impl Shared {
@@ -357,43 +455,56 @@ impl Shared {
     }
 
     fn stop_requested(&self) -> bool {
-        shutdown::requested()
-            || self
-                .options
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::Relaxed))
+        let stop = self.options.stop.as_ref();
+        shutdown::requested() || stop.is_some_and(|s| s.load(Ordering::Relaxed))
     }
 
     fn config(&self) -> &HarnessConfig {
         self.scheduler.harness().config()
     }
 
-    /// Resolve an engine name case-insensitively to its canonical form.
-    fn canonical_engine(&self, name: &str) -> Result<String> {
-        self.engine_names
-            .iter()
-            .find(|e| e.eq_ignore_ascii_case(name))
-            .cloned()
-            .ok_or_else(|| Error::invalid(format!("unknown engine {name:?}")))
+    /// One artifact-cache counter, 0 when caching is off.
+    fn cache_stat(&self, stat: fn(&ArtifactCache) -> u64) -> Option<u64> {
+        Some(self.cache.as_ref().map_or(0, |scope| stat(scope.cache())))
     }
 
-    /// The query a request names, if it names one.
-    fn query_from_request(req: &Json) -> Result<Option<Query>> {
-        let name = req.get("query").and_then(Json::as_str);
-        let parse = |name| {
-            Query::from_name(name).ok_or_else(|| Error::invalid(format!("unknown query {name:?}")))
+    /// Answered queries per engine.
+    fn queries(&self) -> Vec<(String, u64)> {
+        let queries = lock(&self.metrics.queries);
+        queries.iter().map(|(e, n)| (e.clone(), *n)).collect()
+    }
+
+    /// Decode one request of kind `kind` — a post-handshake frame, or
+    /// `POST /query`'s body as a `query` — for [`Shared::answer`]. A `query`
+    /// needs `engine` (any case) and `query`, and defaults `figure` to fig1;
+    /// both kinds default `size` to the first configured size class and
+    /// `nodes` to 1, and refuse a size this server does not hold and a
+    /// `nodes` that is not a whole number of at least 1. Unlike other unknown
+    /// keys, a `query`'s `stream` key is refused: its sender expects to pick a
+    /// streaming lowering per request, and must not silently get a
+    /// differently-traced cell.
+    fn decode(&self, kind: &str, req: &Json) -> Result<Request> {
+        match kind {
+            "query" | "explain" => {}
+            "status" => return Ok(Request::Status),
+            "leave" => return Ok(Request::Leave),
+            other => return Err(Error::invalid(format!("unexpected frame type {other:?}"))),
+        }
+        if kind == "query" && req.get("stream").is_some() {
+            return Err(Error::invalid(
+                "the per-request \"stream\" key is retired: the server's --stream \
+                 configuration is the only streaming control",
+            ));
+        }
+        let text = |key| req.get(key).and_then(Json::as_str);
+        let unknown = |what, name: &str| Error::invalid(format!("unknown {what} {name:?}"));
+        let query = match text("query") {
+            Some(name) => Some(Query::from_name(name).ok_or_else(|| unknown("query", name))?),
+            None => None,
         };
-        name.map(parse).transpose()
-    }
-
-    /// The size class a request names — the first configured one when it
-    /// names none — which must be resident on this server.
-    fn size_from_request(&self, req: &Json) -> Result<SizeClass> {
         let sizes = &self.config().sizes;
-        let size = match req.get("size").and_then(Json::as_str) {
-            Some(slug) => SizeClass::from_slug(slug)
-                .ok_or_else(|| Error::invalid(format!("unknown size {slug:?}")))?,
+        let size = match text("size") {
+            Some(slug) => SizeClass::from_slug(slug).ok_or_else(|| unknown("size", slug))?,
             None => *sizes
                 .first()
                 .ok_or_else(|| Error::invalid("server has no configured sizes"))?,
@@ -405,41 +516,39 @@ impl Shared {
                 sizes.iter().map(|s| s.slug()).collect::<Vec<_>>()
             )));
         }
-        Ok(size)
-    }
-
-    /// Build the cell key a query request names. `engine` and `query` are
-    /// required; `size` defaults to the first configured size class,
-    /// `nodes` to 1 and `figure` to fig1. Unlike other unknown keys, a
-    /// `stream` key is rejected: clients that send it expect to pick a
-    /// streaming lowering per request, and must not silently get a
-    /// differently-traced cell.
-    fn cell_from_request(&self, req: &Json) -> Result<CellKey> {
-        if req.get("stream").is_some() {
-            return Err(Error::invalid(
-                "the per-request \"stream\" key is retired: the server's --stream \
-                 configuration is the only streaming control",
-            ));
+        let nodes = match req.get("nodes") {
+            None => 1,
+            Some(nodes) => (nodes.as_u64().filter(|&n| n >= 1))
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| Error::invalid("nodes must be a whole number of at least 1"))?,
+        };
+        if kind == "explain" {
+            let engine = text("engine").map(str::to_string);
+            let json = matches!(req.get("json"), Some(Json::Bool(true)));
+            return Ok(Request::Explain {
+                engine,
+                query,
+                size,
+                nodes,
+                json,
+            });
         }
-        let engine = req
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| Error::invalid("query request missing engine"))?;
-        let query = Self::query_from_request(req)?
-            .ok_or_else(|| Error::invalid("query request missing query"))?;
-        let size = self.size_from_request(req)?;
-        let figure = match req.get("figure").and_then(Json::as_str) {
-            Some(name) => FigureId::from_name(name)
-                .ok_or_else(|| Error::invalid(format!("unknown figure {name:?}")))?,
+        let engine =
+            text("engine").ok_or_else(|| Error::invalid("query request missing engine"))?;
+        let figure = match text("figure") {
+            Some(name) => FigureId::from_name(name).ok_or_else(|| unknown("figure", name))?,
             None => FigureId::Fig1,
         };
-        Ok(CellKey {
+        Ok(Request::Query(CellKey {
             figure,
-            query,
+            query: query.ok_or_else(|| Error::invalid("query request missing query"))?,
             size,
-            nodes: req.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize,
-            engine: self.canonical_engine(engine)?,
-        })
+            nodes,
+            engine: (self.engine_names.iter())
+                .find(|e| e.eq_ignore_ascii_case(engine))
+                .ok_or_else(|| unknown("engine", engine))?
+                .clone(),
+        }))
     }
 
     /// The working-set bytes the admission controller reserves for a query
@@ -459,338 +568,135 @@ impl Shared {
         base.saturating_sub(resident).max(MIN_ESTIMATE_BYTES)
     }
 
-    /// Reserve `estimate` bytes of the admission budget, queueing behind
-    /// requests already in flight; a rejection is counted before it is
-    /// returned.
-    fn admit(&self, estimate: u64) -> std::result::Result<Reservation, Rejection> {
-        let admitted = self.admission.admit(estimate, &|| self.draining());
-        admitted.inspect_err(|r| self.metrics.record_rejection(r))
-    }
-
-    /// Admit and execute one query request; the reservation is held for
-    /// exactly the duration of the run. A result-cache hit replays the
-    /// stored reply without admission: no storage is touched, so there is
-    /// nothing to reserve.
-    fn execute(&self, key: &CellKey) -> std::result::Result<Json, ServeError> {
-        let id = key.id();
-        if let Some(results) = &self.results {
-            if let Some(reply) = lock(results).get(&id) {
-                self.metrics.result_hits.fetch_add(1, Ordering::Relaxed);
-                self.metrics.served.fetch_add(1, Ordering::Relaxed);
-                *lock(&self.metrics.queries)
-                    .entry(key.engine.clone())
-                    .or_insert(0) += 1;
-                return Ok(reply.clone());
+    /// Run `work` holding a reservation of `estimate` bytes of the admission
+    /// budget, queueing behind requests already in flight; a rejection is
+    /// counted and answered as `busy`.
+    fn reserved(&self, estimate: u64, work: impl FnOnce() -> Reply) -> Reply {
+        match self.admission.admit(estimate, &|| self.draining()) {
+            Ok(_reservation) => work(),
+            Err(rejection) => {
+                self.metrics.rejected[rejection.slot()].fetch_add(1, Ordering::Relaxed);
+                Reply::Busy(rejection)
             }
         }
-        let estimate = self.admission_estimate(key.size);
-        self.metrics
-            .last_estimate
-            .store(estimate, Ordering::Relaxed);
-        let _reservation = self.admit(estimate).map_err(ServeError::Rejected)?;
-        self.metrics.inflight.fetch_add(1, Ordering::Relaxed);
-        let threads = self.config().threads.max(1);
-        let run = self.scheduler.run_cell(key, threads);
-        self.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-        match run {
-            Ok(outcome) => {
-                self.metrics.record_outcome(&key.engine, &outcome);
-                let mut reply = Json::obj();
-                reply.set("type", Json::from("result"));
-                reply.set("cell", Json::from(id.as_str()));
-                reply.set("outcome", outcome.to_json());
-                if let (Some(results), CellOutcome::Completed { .. }) = (&self.results, &outcome) {
-                    lock(results).insert(id, reply.clone());
+    }
+
+    /// Answer one decoded request: the one place either front's requests
+    /// are admitted, executed and counted. A query or an explain holds its
+    /// working-set reservation for exactly the duration of its run.
+    fn answer(&self, request: Request) -> Reply {
+        match request {
+            Request::Query(key) => {
+                let (m, estimate) = (&self.metrics, self.admission_estimate(key.size));
+                m.last_estimate.store(estimate, Ordering::Relaxed);
+                self.reserved(estimate, || {
+                    m.inflight.fetch_add(1, Ordering::Relaxed);
+                    let run = self.scheduler.run_cell(&key, self.config().threads.max(1));
+                    m.inflight.fetch_sub(1, Ordering::Relaxed);
+                    match run {
+                        Ok(outcome) => {
+                            m.record_outcome(&key.engine, &outcome);
+                            let mut reply = msg("result");
+                            reply.set("cell", Json::from(key.id()));
+                            reply.set("outcome", outcome.to_json());
+                            Reply::Doc(reply)
+                        }
+                        Err(e) => {
+                            m.failed.fetch_add(1, Ordering::Relaxed);
+                            Reply::Failed(key.id(), e)
+                        }
+                    }
+                })
+            }
+            Request::Explain {
+                engine,
+                query,
+                size,
+                nodes,
+                json,
+            } => self.reserved(self.admission_estimate(size), || {
+                let (harness, engine) = (self.scheduler.harness(), engine.as_deref());
+                let explained = if json {
+                    let text = figures::explain_json(harness, size, nodes, engine, query);
+                    text.map(|text| ("explain_json", text))
+                } else {
+                    let fig = figures::explain(harness, size, nodes, engine, query);
+                    fig.map(|fig| ("explain", fig.render()))
+                };
+                match explained {
+                    Ok((field, text)) => {
+                        let mut reply = msg("result");
+                        reply.set(field, Json::from(text));
+                        Reply::Doc(reply)
+                    }
+                    Err(e) => Reply::Invalid(e),
                 }
-                Ok(reply)
-            }
-            Err(e) => {
-                self.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Failed(e))
-            }
+            }),
+            Request::Status => Reply::Doc(self.status_json()),
+            Request::Metrics => Reply::Text(self.metrics_text()),
+            Request::Leave => Reply::Doc(msg("bye")),
         }
     }
 
-    /// The `/status` document (also the framed `status` reply).
+    /// The `/status` document (also the framed `status` reply): who this
+    /// server is, then every [`STATS`] row that has a `/status` key.
     fn status_json(&self) -> Json {
-        let mut m = Json::obj();
-        m.set("type", Json::from("status"));
+        let mut m = msg("status");
         m.set("service", Json::from("serve"));
-        m.set(
-            "state",
-            Json::from(if self.draining() {
-                "draining"
-            } else {
-                "serving"
-            }),
-        );
+        let state = if self.draining() {
+            "draining"
+        } else {
+            "serving"
+        };
+        m.set("state", Json::from(state));
         m.set("fingerprint", Json::from(self.fingerprint.as_str()));
         m.set("plans", Json::from(self.plans.len()));
-        m.set(
-            "engines",
-            Json::Arr(
-                self.engine_names
-                    .iter()
-                    .map(|e| Json::from(e.as_str()))
-                    .collect(),
-            ),
-        );
-        m.set(
-            "sizes",
-            Json::Arr(
-                self.config()
-                    .sizes
-                    .iter()
-                    .map(|s| Json::from(s.slug()))
-                    .collect(),
-            ),
-        );
-        // Mirrors of the coordinator snapshot's progress keys.
-        m.set(
-            "done",
-            Json::from(self.metrics.served.load(Ordering::Relaxed)),
-        );
-        m.set(
-            "failed",
-            Json::from(self.metrics.failed.load(Ordering::Relaxed)),
-        );
-        m.set("pending", Json::from(self.admission.queued()));
-        m.set(
-            "leased",
-            Json::from(self.metrics.inflight.load(Ordering::Relaxed)),
-        );
-        m.set("rejected", Json::from(self.metrics.rejected_total()));
-        m.set(
-            "workers",
-            Json::from(self.metrics.connections.load(Ordering::Relaxed)),
-        );
-        m.set(
-            "mem_budget",
-            match self.options.mem_budget {
-                Some(bytes) => Json::from(bytes),
-                None => Json::Null,
-            },
-        );
-        m.set("mem_reserved", Json::from(self.admission.tracker.current()));
+        let engines = self.engine_names.iter().map(|e| Json::from(e.as_str()));
+        m.set("engines", Json::Arr(engines.collect()));
+        let sizes = self.config().sizes.iter().map(|s| Json::from(s.slug()));
+        m.set("sizes", Json::Arr(sizes.collect()));
         m.set("queue_depth", Json::from(self.admission.queue_depth));
-        match &self.cache {
-            Some(scope) => {
-                let cache = scope.cache();
-                m.set("cache_budget", Json::from(cache.budget()));
-                m.set("cache_bytes", Json::from(cache.bytes()));
-                m.set("cache_entries", Json::from(cache.entries()));
-                m.set("cache_hits", Json::from(cache.hit_count()));
-                m.set("cache_misses", Json::from(cache.miss_count()));
-                m.set("cache_evictions", Json::from(cache.eviction_count()));
-            }
-            None => m.set("cache_budget", Json::Null),
-        }
-        let (tables_bytes, tables_builds) = self.scheduler.harness().loaded_tables_stats();
-        m.set("loaded_tables_bytes", Json::from(tables_bytes));
-        m.set("loaded_tables_builds", Json::from(tables_builds));
-        m.set(
-            "loaded_spool_bytes",
-            Json::from(self.scheduler.harness().loaded_spool_bytes()),
-        );
-        m.set("result_cache", Json::Bool(self.results.is_some()));
-        m.set(
-            "result_cache_hits",
-            Json::from(self.metrics.result_hits.load(Ordering::Relaxed)),
-        );
-        if let Some(results) = &self.results {
-            m.set("result_cache_entries", Json::from(lock(results).len()));
+        let (budget, entries) = match &self.cache {
+            Some(scope) => (Json::from(scope.cache().budget()), scope.cache().entries()),
+            None => (Json::Null, 0),
+        };
+        m.set("cache_budget", budget);
+        m.set("cache_entries", Json::from(entries));
+        for (_, status, _, reading) in STATS {
+            let Some(key) = status else { continue };
+            let value = match reading {
+                One(read) => read(self),
+                By(_, read) => Some(read(self).iter().map(|(_, n)| n).sum()),
+            };
+            m.set(key, value.map_or(Json::Null, Json::from));
         }
         m
     }
 
     /// Render the Prometheus text exposition for `GET /metrics`.
     fn metrics_text(&self) -> String {
-        let m = &self.metrics;
         let mut out = String::new();
-        let counter = |out: &mut String, name: &str, help: &str, value: u64| {
+        for (name, _, help, reading) in STATS {
+            let lines: String = match reading {
+                One(read) => match read(self) {
+                    Some(value) => format!("{name} {value}\n"),
+                    None => continue,
+                },
+                By(label, read) => (read(self).iter())
+                    .map(|(key, value)| format!("{name}{{{label}=\"{key}\"}} {value}\n"))
+                    .collect(),
+            };
+            let kind = if name.ends_with("_total") {
+                "counter"
+            } else {
+                "gauge"
+            };
             out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        };
-        let gauge = |out: &mut String, name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        };
-        out.push_str(
-            "# HELP genbase_queries_total Answered query requests per engine.\n\
-             # TYPE genbase_queries_total counter\n",
-        );
-        for (engine, count) in lock(&m.queries).iter() {
-            out.push_str(&format!(
-                "genbase_queries_total{{engine=\"{engine}\"}} {count}\n"
-            ));
-        }
-        counter(
-            &mut out,
-            "genbase_served_total",
-            "Answered query requests, all engines.",
-            m.served.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "genbase_query_failures_total",
-            "Query requests that failed with a hard error.",
-            m.failed.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP genbase_phase_sim_nanos_total Simulated nanoseconds per plan phase.\n\
-             # TYPE genbase_phase_sim_nanos_total counter\n",
-        );
-        for (phase, counter_ref) in [("dm", &m.dm_sim_nanos), ("analytics", &m.an_sim_nanos)] {
-            out.push_str(&format!(
-                "genbase_phase_sim_nanos_total{{phase=\"{phase}\"}} {}\n",
-                counter_ref.load(Ordering::Relaxed)
+                "# HELP {name} {help}\n# TYPE {name} {kind}\n{lines}"
             ));
         }
-        counter(
-            &mut out,
-            "genbase_bytes_moved_total",
-            "Storage-layer bytes read plus materialized across served queries.",
-            m.bytes_moved.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "genbase_peak_alloc_bytes",
-            "Largest per-operator peak allocation observed.",
-            m.peak_alloc.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "genbase_stream_batches_total",
-            "Morsel batches streamed across served queries (zero unless serving with --stream).",
-            m.stream_batches.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "genbase_spill_bytes_total",
-            "Bytes spilled to disk by streaming reels across served queries.",
-            m.spill_bytes.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP genbase_rejected_total Requests turned away by admission control.\n\
-             # TYPE genbase_rejected_total counter\n",
-        );
-        for (reason, counter_ref) in [
-            ("over_budget", &m.rejected_over_budget),
-            ("queue_full", &m.rejected_queue_full),
-            ("draining", &m.rejected_draining),
-        ] {
-            out.push_str(&format!(
-                "genbase_rejected_total{{reason=\"{reason}\"}} {}\n",
-                counter_ref.load(Ordering::Relaxed)
-            ));
-        }
-        gauge(
-            &mut out,
-            "genbase_queue_depth",
-            "Requests currently waiting for admission.",
-            self.admission.queued() as u64,
-        );
-        gauge(
-            &mut out,
-            "genbase_inflight",
-            "Queries currently executing.",
-            m.inflight.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "genbase_mem_reserved_bytes",
-            "Bytes currently reserved by admitted requests.",
-            self.admission.tracker.current(),
-        );
-        if let Some(budget) = self.options.mem_budget {
-            gauge(
-                &mut out,
-                "genbase_mem_budget_bytes",
-                "Configured admission budget.",
-                budget,
-            );
-        }
-        gauge(
-            &mut out,
-            "genbase_connections",
-            "Open client connections (framed + HTTP).",
-            m.connections.load(Ordering::Relaxed),
-        );
-        // Cache counters are always exposed (zero when caching is off), so
-        // dashboards and the CI identity check can grep unconditionally.
-        let (artifact_hits, artifact_misses, evictions, cache_bytes) = match &self.cache {
-            Some(scope) => {
-                let c = scope.cache();
-                (c.hit_count(), c.miss_count(), c.eviction_count(), c.bytes())
-            }
-            None => (0, 0, 0, 0),
-        };
-        let result_hits = m.result_hits.load(Ordering::Relaxed);
-        counter(
-            &mut out,
-            "genbase_cache_hits_total",
-            "Cache hits: artifact-cache join replays plus result-cache reply replays.",
-            artifact_hits + result_hits,
-        );
-        counter(
-            &mut out,
-            "genbase_cache_misses_total",
-            "Artifact-cache misses (cold joins that filled or bypassed the cache).",
-            artifact_misses,
-        );
-        counter(
-            &mut out,
-            "genbase_cache_evictions_total",
-            "Artifact-cache entries evicted under the --cache-budget LRU.",
-            evictions,
-        );
-        gauge(
-            &mut out,
-            "genbase_cache_bytes",
-            "Bytes currently charged to the artifact cache's tracker.",
-            cache_bytes,
-        );
-        counter(
-            &mut out,
-            "genbase_result_cache_hits_total",
-            "Served queries answered by replaying a completed SimOnly result.",
-            result_hits,
-        );
-        let (tables_bytes, tables_builds) = self.scheduler.harness().loaded_tables_stats();
-        gauge(
-            &mut out,
-            "genbase_loaded_tables_bytes",
-            "Heap bytes of the SQL base tables and SciDB arrays resident for the configured datasets.",
-            tables_bytes,
-        );
-        counter(
-            &mut out,
-            "genbase_loaded_tables_builds_total",
-            "Loads of a dataset's base tables, streaming spool or arrays (each at most once; queries borrow them).",
-            tables_builds,
-        );
-        gauge(
-            &mut out,
-            "genbase_loaded_spool_bytes",
-            "Bytes of streaming spool files held on disk for the configured datasets.",
-            self.scheduler.harness().loaded_spool_bytes(),
-        );
-        gauge(
-            &mut out,
-            "genbase_admission_estimate_bytes",
-            "Most recent admission reservation estimate (shrinks on warm artifacts).",
-            m.last_estimate.load(Ordering::Relaxed),
-        );
         out
     }
-}
-
-/// How a request ended without an answer.
-enum ServeError {
-    Rejected(Rejection),
-    Failed(Error),
 }
 
 /// The resident benchmark server: bind with [`BenchServer::bind`], run with
@@ -823,12 +729,6 @@ impl BenchServer {
             scheduler.harness_mut().set_artifact_cache(cache.clone());
             CacheScope::new(cache, fingerprint.clone())
         });
-        // Result replays are only byte-identical under deterministic
-        // timing; measured runs carry wall-clock fields, so the flag is
-        // inert there and every query runs cold.
-        let results = (options.result_cache
-            && scheduler.harness().config().timing == TimingMode::SimOnly)
-            .then(|| Mutex::new(HashMap::new()));
         // Warm the pool: every configured size is generated now, so the
         // first query pays no generation latency and concurrent first
         // requests cannot race dataset construction.
@@ -854,7 +754,6 @@ impl BenchServer {
                 metrics: Metrics::default(),
                 draining: AtomicBool::new(false),
                 cache,
-                results,
             },
         })
     }
@@ -900,10 +799,11 @@ impl BenchServer {
             || !shared.stop_requested(),
             || shared.draining.store(true, Ordering::Relaxed),
         )?;
+        let m = &shared.metrics;
         Ok(ServeReport {
-            served: shared.metrics.served.load(Ordering::Relaxed),
-            failed: shared.metrics.failed.load(Ordering::Relaxed),
-            rejected: shared.metrics.rejected_total(),
+            served: m.served.load(Ordering::Relaxed),
+            failed: m.failed.load(Ordering::Relaxed),
+            rejected: m.rejected.iter().map(|r| r.load(Ordering::Relaxed)).sum(),
         })
     }
 }
@@ -948,125 +848,88 @@ fn handle_frame_conn(mut stream: TcpStream, shared: &Shared) {
                 Err(_) => return false,
             }
         },
-        |frame| dispatch_frame(frame, shared).map(Some),
+        |frame| {
+            let request = shared.decode(msg_type(frame)?, frame)?;
+            frame_reply(shared.answer(request)).map(Some)
+        },
     );
 }
 
-/// The `busy` reply to a request the admission controller turned away.
-/// `retry` is false only for a request that can never fit the budget.
-fn busy_reply(rejection: &Rejection) -> Json {
-    let mut busy = msg("busy");
-    busy.set("reason", Json::from(rejection.reason().as_str()));
-    let retry = !matches!(rejection, Rejection::OverBudget { .. });
-    busy.set("retry", Json::Bool(retry));
-    busy
-}
-
-/// Route one post-handshake frame to its reply. Admission rejections, of a
-/// `query` or an `explain` alike, are `busy` replies (the connection stays
-/// open so the client can retry); protocol errors — an `explain`, like a
-/// `query`, naming a size that is not resident here is one — bubble up as
-/// `Err` and close the connection.
-fn dispatch_frame(frame: &Json, shared: &Shared) -> Result<Json> {
-    match msg_type(frame)? {
-        "query" => {
-            let key = shared.cell_from_request(frame)?;
-            match shared.execute(&key) {
-                Ok(reply) => Ok(reply),
-                Err(ServeError::Rejected(r)) => Ok(busy_reply(&r)),
-                Err(ServeError::Failed(e)) => {
-                    let mut failed = msg("failed");
-                    failed.set("cell", Json::from(key.id().as_str()));
-                    failed.set("error", Json::from(e.to_string().as_str()));
-                    Ok(failed)
-                }
-            }
+/// A [`Reply`] as a frame. An admission rejection is a `busy` frame on a
+/// connection that stays open (`retry` is false only for a request that can
+/// never fit the budget); an invalid request is `Err`, which the frame loop
+/// sends as a `reject` before it closes the connection.
+fn frame_reply(reply: Reply) -> Result<Json> {
+    Ok(match reply {
+        Reply::Doc(doc) => doc,
+        Reply::Busy(rejection) => {
+            let mut busy = msg("busy");
+            busy.set("reason", Json::from(rejection.reason()));
+            let retry = !matches!(rejection, Rejection::OverBudget { .. });
+            busy.set("retry", Json::Bool(retry));
+            busy
         }
-        "explain" => {
-            let engine = frame.get("engine").and_then(Json::as_str);
-            let query = Shared::query_from_request(frame)?;
-            let size = shared.size_from_request(frame)?;
-            let nodes = frame.get("nodes").and_then(Json::as_u64).unwrap_or(1) as usize;
-            let _reservation = match shared.admit(shared.admission_estimate(size)) {
-                Ok(reservation) => reservation,
-                Err(r) => return Ok(busy_reply(&r)),
-            };
-            let harness = shared.scheduler.harness();
-            let mut reply = msg("result");
-            if matches!(frame.get("json"), Some(Json::Bool(true))) {
-                let text = figures::explain_json(harness, size, nodes, engine, query)?;
-                reply.set("explain_json", Json::from(text.as_str()));
-            } else {
-                let fig = figures::explain(harness, size, nodes, engine, query)?;
-                reply.set("explain", Json::from(fig.render().as_str()));
-            }
-            Ok(reply)
+        Reply::Failed(cell, e) => {
+            let mut failed = msg("failed");
+            failed.set("cell", Json::from(cell));
+            failed.set("error", Json::from(e.to_string()));
+            failed
         }
-        "status" => Ok(shared.status_json()),
-        "leave" => Ok(msg("bye")),
-        other => Err(Error::invalid(format!("unexpected frame type {other:?}"))),
-    }
+        Reply::Invalid(e) => return Err(e),
+        Reply::Text(_) => unreachable!("no frame decodes to a metrics request"),
+    })
 }
 
 /// One HTTP connection: a single request, a single response, close.
 fn handle_http_conn(stream: TcpStream, shared: &Shared) {
-    let (status, content_type, body) = match session::read_http(&stream) {
-        Ok(Some(request)) => route_http(&request, shared),
+    let answered = match session::read_http(&stream) {
+        Ok(Some(request)) => decode_http(&request, shared).map(|r| shared.answer(r)),
         Ok(None) => return,
-        Err(e) => (400, "text/plain", format!("bad request: {e}\n")),
+        Err(e) => Err((400, format!("bad request: {e}\n"))),
+    };
+    let text = "text/plain";
+    let (status, content_type, body) = match answered {
+        Ok(Reply::Doc(doc)) => (200, "application/json", doc.render()),
+        Ok(Reply::Text(metrics)) => (200, "text/plain; version=0.0.4; charset=utf-8", metrics),
+        Ok(Reply::Busy(r)) => (r.http_status(), text, format!("{}\n", r.reason())),
+        Ok(Reply::Failed(_, e)) => (500, text, format!("query failed: {e}\n")),
+        Ok(Reply::Invalid(e)) => (400, text, format!("{e}\n")),
+        Err((status, body)) => (status, text, body),
     };
     let _ = http::write_response(&mut &stream, status, content_type, body.as_bytes());
 }
 
-/// Route one HTTP request to `(status, content-type, body)`.
-fn route_http(request: &http::HttpRequest, shared: &Shared) -> (u16, &'static str, String) {
+/// Decode one HTTP request, or give the status and body this front answers
+/// it with itself: 401 without the bearer token, 400 for a body that does
+/// not decode, 405 and 404 for anything but the three endpoints.
+fn decode_http(
+    request: &HttpRequest,
+    shared: &Shared,
+) -> std::result::Result<Request, (u16, String)> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/status") => (200, "application/json", shared.status_json().render()),
-        ("GET", "/metrics") => (
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            shared.metrics_text(),
-        ),
+        ("GET", "/status") => Ok(Request::Status),
+        ("GET", "/metrics") => Ok(Request::Metrics),
         ("POST", "/query") => {
             if let Some(token) = shared.options.auth_token.as_deref() {
                 let authorized = request.header("authorization")
                     == Some(format!("Bearer {token}").as_str())
                     || request.header("x-genbase-token") == Some(token);
                 if !authorized {
-                    return (
-                        401,
-                        "text/plain",
-                        "missing or wrong auth token\n".to_string(),
-                    );
+                    return Err((401, "missing or wrong auth token\n".to_string()));
                 }
             }
-            let body = match std::str::from_utf8(&request.body) {
-                Ok(text) => text,
-                Err(_) => return (400, "text/plain", "body is not UTF-8\n".to_string()),
-            };
-            let req = match Json::parse(body) {
-                Ok(req) => req,
-                Err(e) => return (400, "text/plain", format!("bad request body: {e}\n")),
-            };
-            let key = match shared.cell_from_request(&req) {
-                Ok(key) => key,
-                Err(e) => return (400, "text/plain", format!("{e}\n")),
-            };
-            match shared.execute(&key) {
-                Ok(reply) => (200, "application/json", reply.render()),
-                Err(ServeError::Rejected(r)) => {
-                    let (_, status) = r.label_and_status();
-                    (status, "text/plain", format!("{}\n", r.reason()))
-                }
-                Err(ServeError::Failed(e)) => (500, "text/plain", format!("query failed: {e}\n")),
-            }
+            let body = std::str::from_utf8(&request.body)
+                .map_err(|_| (400, "body is not UTF-8\n".to_string()))?;
+            let req = Json::parse(body).map_err(|e| (400, format!("bad request body: {e}\n")))?;
+            shared
+                .decode("query", &req)
+                .map_err(|e| (400, format!("{e}\n")))
         }
-        ("GET", "/query") => (405, "text/plain", "use POST /query\n".to_string()),
-        _ => (
+        ("GET", "/query") => Err((405, "use POST /query\n".to_string())),
+        _ => Err((
             404,
-            "text/plain",
             "not found; endpoints: GET /status, GET /metrics, POST /query\n".to_string(),
-        ),
+        )),
     }
 }
 
@@ -1191,7 +1054,9 @@ mod tests {
             nodes: 1,
             engine: "SciDB".to_string(),
         };
-        let reply = shared.execute(&key).ok().expect("a result");
+        let Reply::Doc(reply) = shared.answer(Request::Query(key.clone())) else {
+            panic!("expected a result");
+        };
         let expected = Scheduler::new(HarnessConfig::quick().sim_only())
             .unwrap()
             .run_cell(&key, shared.config().threads.max(1))

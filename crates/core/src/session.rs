@@ -178,17 +178,21 @@ pub(crate) struct Gate<'a> {
 }
 
 /// The listening side of the handshake: read `hello` within
-/// [`HANDSHAKE_TIMEOUT`] and check it against `gate`. A refusal is written
-/// to the peer as a `reject` frame; admission returns the role, and the
-/// service answers with its own `welcome`.
+/// [`HANDSHAKE_TIMEOUT`] and check it against `gate`. A refusal — a first
+/// frame that is malformed, late or wrong — is written to the peer as a
+/// `reject` frame; admission returns the role, and the service answers with
+/// its own `welcome`.
 pub(crate) fn admit<'a>(stream: &mut TcpStream, gate: &Gate<'a>) -> Result<&'a str> {
     admit_by(stream, gate, Instant::now() + HANDSHAKE_TIMEOUT)
 }
 
 fn admit_by<'a>(stream: &mut TcpStream, gate: &Gate<'a>, deadline: Instant) -> Result<&'a str> {
-    let hello = read_frame_opt(&mut DeadlineReader { stream, deadline })?
-        .ok_or_else(|| Error::invalid("closed before hello"))?;
-    check_hello(&hello, gate).map_err(|reason| {
+    let checked = match read_frame_opt(&mut DeadlineReader { stream, deadline }) {
+        Ok(Some(hello)) => check_hello(&hello, gate),
+        Ok(None) => return Err(Error::invalid("closed before hello")),
+        Err(e) => Err(e.to_string()),
+    };
+    checked.map_err(|reason| {
         let _ = write_frame(stream, &reject(&reason));
         Error::invalid(reason)
     })

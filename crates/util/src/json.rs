@@ -2,13 +2,25 @@
 //! report grids, bench records).
 //!
 //! The workspace is dependency-free by design, so this is a small
-//! recursive-descent parser plus a deterministic writer: objects preserve
-//! insertion order and `f64` values render through Rust's shortest
+//! recursive-descent parser (its nesting capped at `MAX_DEPTH`, so hostile
+//! input is an error, not a stack overflow) plus a deterministic writer:
+//! objects preserve insertion order and `f64` values render through Rust's shortest
 //! round-trip formatting, so `parse(render(v)) == v` for every value the
 //! harness produces and byte-identical inputs yield byte-identical files.
 
 use crate::error::{Error, Result};
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts; one level deeper is
+/// `Error::Invalid`. The parser recurses once per level, so without a cap a
+/// socket peer could overflow the stack with a few kilobytes of `[`.
+/// Measured by logging the nesting of every document rendered or parsed
+/// during `all`, `explain --json`, a coordinated fig1+fig3 sweep with
+/// `--checkpoint`, and the serve, coordinator, checkpoint and golden
+/// integration tests: the deepest is 7 (a grid or checkpoint holding
+/// in-flight `progress` snapshots), then 5 (explain JSON, `progress` frames
+/// and plain grids). 64 leaves ninefold headroom at a few kilobytes of stack.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Objects keep insertion order (deterministic output
 /// matters more to the harness than hash-speed lookups on tiny documents).
@@ -145,7 +157,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(Error::invalid(format!(
@@ -222,11 +234,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+/// Parse the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(Error::invalid(format!(
+            "JSON nested deeper than {MAX_DEPTH} levels at offset {}",
+            *pos
+        ))),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -316,7 +333,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -325,7 +342,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -343,7 +360,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -356,7 +373,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -475,6 +492,17 @@ mod tests {
         assert_eq!(parse(b"\"ok\"\xff").unwrap(), ("ok".to_string(), 4));
         assert!(parse(b"\"open").is_err(), "unterminated");
         assert!(parse(b"\"bad\\q\"").is_err(), "bad escape");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

@@ -584,15 +584,11 @@ fn metric(metrics: &str, name: &str) -> u64 {
 
 #[test]
 fn repeat_queries_replay_byte_identically_from_the_caches() {
-    let server = start_server(
-        ServeOptions::default()
-            .with_cache_budget(256 << 20)
-            .with_result_cache(),
-    );
+    let server = start_server(ServeOptions::default().with_cache_budget(256 << 20));
 
     // The batch side of the identity: the cold scheduler's rendering of
-    // the same cell, which every served answer — cold, artifact-warm, and
-    // result-replayed — must match byte for byte.
+    // the same cell, which every served answer — cold and artifact-warm —
+    // must match byte for byte.
     let config = sim_config();
     let key = CellKey {
         figure: FigureId::Fig1,
@@ -608,7 +604,7 @@ fn repeat_queries_replay_byte_identically_from_the_caches() {
         .to_json()
         .render();
 
-    // Framed: cold, then replayed — the full reply frames must be equal.
+    // Framed: cold, then warm — the full reply frames must be equal.
     let request = query_frame(&key.engine, key.query.name());
     let cold = client_request(server.frame, None, &request).unwrap();
     let warm = client_request(server.frame, None, &request).unwrap();
@@ -616,7 +612,7 @@ fn repeat_queries_replay_byte_identically_from_the_caches() {
     assert_eq!(
         cold.render(),
         warm.render(),
-        "a result-cache replay must be byte-identical to the cold reply"
+        "an artifact-warm reply must be byte-identical to the cold reply"
     );
 
     // HTTP: the same two requests, the same byte-identity on raw bodies.
@@ -628,7 +624,7 @@ fn repeat_queries_replay_byte_identically_from_the_caches() {
     let (status_a, first) = http_request(server.http, "POST", "/query", &body, &[]);
     let (status_b, second) = http_request(server.http, "POST", "/query", &body, &[]);
     assert_eq!((status_a, status_b), (200, 200));
-    assert_eq!(first, second, "HTTP replay must be byte-identical");
+    assert_eq!(first, second, "HTTP repeats must be byte-identical");
     assert_eq!(
         Json::parse(&first)
             .unwrap()
@@ -638,29 +634,21 @@ fn repeat_queries_replay_byte_identically_from_the_caches() {
         expected
     );
 
-    // The caches actually did the work: the artifact cache filled on the
-    // cold run, and three of the four requests replayed the stored result.
+    // The cache actually did the work: the join artifact filled on the
+    // cold run and the three repeats replayed it.
     let (_, metrics) = http_request(server.http, "GET", "/metrics", "", &[]);
-    assert!(metric(&metrics, "genbase_cache_hits_total") > 0);
-    assert!(metric(&metrics, "genbase_cache_misses_total") > 0);
-    assert_eq!(metric(&metrics, "genbase_result_cache_hits_total"), 3);
+    assert_eq!(metric(&metrics, "genbase_cache_hits_total"), 3);
+    assert_eq!(metric(&metrics, "genbase_cache_misses_total"), 1);
     assert!(metric(&metrics, "genbase_cache_bytes") > 0);
-
     let (_, body) = http_request(server.http, "GET", "/status", "", &[]);
     let doc = Json::parse(&body).unwrap();
-    assert_eq!(doc.get("result_cache"), Some(&Json::Bool(true)));
-    assert_eq!(doc.get("result_cache_hits").and_then(Json::as_u64), Some(3));
     assert_eq!(
-        doc.get("result_cache_entries").and_then(Json::as_u64),
-        Some(1)
+        doc.get("cache_hits").and_then(Json::as_u64),
+        Some(metric(&metrics, "genbase_cache_hits_total"))
     );
-    // The artifact cache filled on the cold run; the repeats never reached
-    // it (the result cache answered first), so its own hits stay 0 here —
-    // artifact hits are exercised by the admission-estimate test below.
-    assert!(doc.get("cache_misses").and_then(Json::as_u64).unwrap() > 0);
 
     let report = server.shutdown();
-    assert_eq!(report.served, 4, "replays count as served queries");
+    assert_eq!(report.served, 4);
     assert_eq!((report.failed, report.rejected), (0, 0));
 }
 
@@ -672,12 +660,7 @@ fn warm_artifacts_shrink_the_admission_estimate() {
     let mut config = sim_config();
     config.scale = 0.048;
     let cold_estimate = working_set_estimate(&config, SizeClass::Small);
-    let server = start_server_with(
-        config,
-        // No result cache: the repeat query must reach admission to show
-        // the smaller reservation.
-        ServeOptions::default().with_cache_budget(256 << 20),
-    );
+    let server = start_server_with(config, ServeOptions::default().with_cache_budget(256 << 20));
 
     let request = query_frame("Postgres + R", "regression");
     client_request(server.frame, None, &request).unwrap();
@@ -851,4 +834,61 @@ fn drain_says_bye_to_idle_connections_and_reports_final_tallies() {
             rejected: 0
         }
     );
+}
+
+/// `nodes` below 1, or not a whole number, is refused by the one request
+/// parser on both fronts, for `query` and `explain` alike — not answered
+/// as a one-node cell labelled `n0`.
+#[test]
+fn nodes_below_one_is_refused_on_both_fronts() {
+    let server = start_server(ServeOptions::default());
+    for nodes in [Json::from(0u64), Json::Num(1.5), Json::from("two")] {
+        for kind in ["query", "explain"] {
+            let mut frame = query_frame("SciDB", "covariance");
+            frame.set("type", Json::from(kind));
+            frame.set("nodes", nodes.clone());
+            let reply = client_request(server.frame, None, &frame).unwrap();
+            assert_eq!(reply.get("type").and_then(Json::as_str), Some("reject"));
+            let reason = reply.get("reason").and_then(Json::as_str).unwrap();
+            assert!(reason.contains("nodes"), "{reason}");
+        }
+        let mut body = query_frame("SciDB", "covariance");
+        body.set("nodes", nodes);
+        let (status, reply) = http_request(server.http, "POST", "/query", &body.render(), &[]);
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("nodes"), "{reply}");
+    }
+    assert_eq!(server.shutdown(), ServeReport::default());
+}
+
+/// One small frame of nothing but `[` — sent before any handshake — and
+/// the same bytes as a `POST /query` body each get a typed refusal, not a
+/// stack overflow that takes the whole server down.
+#[test]
+fn a_deeply_nested_frame_or_body_is_refused_and_the_server_keeps_serving() {
+    let server = start_server(ServeOptions::default());
+    let brackets = "[".repeat(20_000);
+
+    let mut conn = TcpStream::connect(server.frame).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all(&(brackets.len() as u32).to_be_bytes())
+        .unwrap();
+    conn.write_all(brackets.as_bytes()).unwrap();
+    let reply = read_frame_opt(&mut conn)
+        .unwrap()
+        .expect("a reject, not EOF");
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("reject"));
+    let reason = reply.get("reason").and_then(Json::as_str).unwrap();
+    assert!(reason.contains("nested deeper"), "{reason}");
+
+    let (status, body) = http_request(server.http, "POST", "/query", &brackets, &[]);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nested deeper"), "{body}");
+
+    let (status, body) = http_request(server.http, "GET", "/status", "", &[]);
+    assert_eq!(status, 200, "{body}");
+    let reply = client_request(server.frame, None, &query_frame("SciDB", "covariance")).unwrap();
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("result"));
+    server.shutdown();
 }
