@@ -783,8 +783,9 @@ fn explain(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// The `status` role: poll a serving coordinator for a live sweep
-/// snapshot and print it as a table (or raw JSON with `--json`).
+/// The `status` role: poll a serving coordinator or resident server for a
+/// live snapshot and print it as a table (or raw JSON with `--json`),
+/// headed by the `service` the snapshot names.
 fn status(args: &Args) -> Result<()> {
     use genbase_util::Json;
     let snap = genbase::coord::fetch_status(
@@ -798,7 +799,8 @@ fn status(args: &Args) -> Result<()> {
         return Ok(());
     }
     let count = |key: &str| snap.get(key).and_then(Json::as_u64).unwrap_or(0);
-    println!("coordinated sweep @ {}", args.connect);
+    let service = snap.get("service").and_then(Json::as_str);
+    println!("{} @ {}", service.unwrap_or("coordinate"), args.connect);
     println!(
         "  cells    {:>5} planned  {:>5} done  {:>5} pending  {:>5} leased  {:>5} failed",
         count("planned"),
@@ -807,6 +809,9 @@ fn status(args: &Args) -> Result<()> {
         count("leased"),
         count("failed"),
     );
+    if snap.get("rejected").is_some() {
+        println!("  rejected {:>5} requests", count("rejected"));
+    }
     println!(
         "  history  {:>5} executed  {:>5} restored  {:>5} reissued  {:>5} resumed  \
          {:>5} rebalanced  {:>5} departed",

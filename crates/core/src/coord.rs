@@ -8,6 +8,9 @@
 //! back as a length-prefixed `genbase_util::json` message
 //! ([`genbase_util::frame`]). This module is about the *workers*: who holds
 //! which lease since when, and what happens when one dies, leaves or idles.
+//! Each connected worker is one record under one lock — its connection
+//! handle, its lease, whether it idles, what it has done — and the service
+//! tick runs one pass over those records for leases held too long.
 //!
 //! ## Wire protocol (`genbase-coord-v1`)
 //!
@@ -42,7 +45,8 @@
 //!   [`CoordOptions::rebalance_after`] is revoked and handed to an idle
 //!   worker; the original holder's eventual result still lands through the
 //!   resume path, and whichever copy arrives first wins (they are
-//!   identical under `SimOnly`).
+//!   identical under `SimOnly`). A lease whose cell settled meanwhile is
+//!   no loss: its holder's death is neither charged nor counted.
 //! - **Intra-cell checkpoints:** long iterative kernels (Lanczos SVD,
 //!   Cheng–Church) periodically stream a `progress` snapshot through the
 //!   worker's connection; the coordinator notes it in the ledger (it rides
@@ -69,8 +73,8 @@ use genbase_datagen::SizeClass;
 use genbase_util::frame::{read_frame_opt, write_frame};
 use genbase_util::retry::Backoff;
 use genbase_util::{faults, lock, shutdown, CellProgress, Error, Json, ProgressHandle, Result};
-use std::collections::{HashMap, HashSet};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::{BTreeMap, HashMap};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -180,35 +184,76 @@ struct Lease {
     since: Instant,
 }
 
-/// Per-worker throughput counters for the `status` snapshot.
-struct WorkerStats {
+/// One admitted worker connection, from its `hello` to its end.
+struct Worker {
+    /// A clone of the connection, so the service tick can shut it down —
+    /// unblocking the handler thread even on a half-open link.
+    handle: TcpStream,
+    lease: Option<Lease>,
+    /// Parked on an `idle` reply: spare capacity the rebalancer weighs
+    /// against the pending cells.
+    idle: bool,
     completed: usize,
     failed: usize,
     connected: Instant,
 }
 
 /// What the coordinator knows about its *workers*; what it knows about the
-/// sweep's cells is the [`Ledger`]'s.
+/// sweep's cells is the [`Ledger`]'s. Everything per worker is its one
+/// [`Worker`] record; the rest are sweep-wide tallies.
 #[derive(Default)]
 struct State {
-    /// Outstanding lease per live worker connection.
-    leased: HashMap<u64, Lease>,
+    /// One record per connected worker, in id order (status monitors have
+    /// none: nothing leases to them or cuts them).
+    workers: BTreeMap<u64, Worker>,
+    /// Worker connections admitted so far.
+    admitted: usize,
     reissued: usize,
-    workers: usize,
-    /// Per-cell re-issue counts (worker deaths while holding the lease),
-    /// for the [`MAX_REISSUES_PER_CELL`] cap.
+    /// Per-cell re-issue counts (lost leases), for the
+    /// [`MAX_REISSUES_PER_CELL`] cap.
     reissue_counts: HashMap<String, usize>,
-    /// Workers currently parked on an `idle` reply — the population the
-    /// rebalancer weighs against the pending cells.
-    idle: HashSet<u64>,
     /// Clean `leave` departures.
     departed: usize,
     /// Leases revoked by the rebalancer.
     rebalanced: usize,
     /// Results accepted through the resume path.
     resumed: usize,
-    /// Per-worker completion counters for the status snapshot.
-    worker_stats: HashMap<u64, WorkerStats>,
+}
+
+impl State {
+    /// Every outstanding lease with its holder, in worker order.
+    fn leases(&self) -> impl Iterator<Item = (u64, &Lease)> {
+        let held = self.workers.iter();
+        held.filter_map(|(&worker, w)| Some((worker, w.lease.as_ref()?)))
+    }
+
+    /// `worker`'s record, if it holds `cell`'s lease.
+    fn holder(&mut self, worker: u64, cell: &CellKey) -> Option<&mut Worker> {
+        let holds = |w: &&mut Worker| w.lease.as_ref().is_some_and(|l| l.cell == *cell);
+        self.workers.get_mut(&worker).filter(holds)
+    }
+
+    /// Give a revoked lease's cell back to the ledger. A `loss` — why its
+    /// holder lost it — is charged to the cell when the cell was still out
+    /// (one that settled meanwhile cost nothing): past
+    /// [`MAX_REISSUES_PER_CELL`] losses it is abandoned as a hard failure,
+    /// so a worker-killing cell cannot livelock the sweep. `None`: the
+    /// holder did nothing wrong (a clean `leave`, a rebalance).
+    fn give_back(&mut self, ledger: &Ledger, lease: Lease, loss: Option<&str>) {
+        let requeued = ledger.give_back(&lease.cell);
+        let Some(why) = loss.filter(|_| requeued) else {
+            return;
+        };
+        let id = lease.cell.id();
+        let losses = self.reissue_counts.entry(id.clone()).or_insert(0);
+        *losses += 1;
+        if *losses > MAX_REISSUES_PER_CELL {
+            let err = format!("cell {id}: abandoned after {losses} lost leases (last: {why})");
+            ledger.fail(&lease.cell, Error::invalid(err));
+        } else {
+            self.reissued += 1;
+        }
+    }
 }
 
 /// The coordinator half: plans the sweep, listens, leases, collects.
@@ -225,10 +270,6 @@ pub struct Coordinator {
     ledger: Ledger,
     /// Cells restored from the checkpoint at startup.
     restored: usize,
-    /// Live connections by worker id (`try_clone` handles), so the deadline
-    /// reaper can shut down the holder of an expired lease — unblocking its
-    /// handler thread even on a half-open link.
-    streams: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl Coordinator {
@@ -263,7 +304,6 @@ impl Coordinator {
             state: Mutex::default(),
             restored: ledger.count(CellState::Settled),
             ledger,
-            streams: Mutex::default(),
         })
     }
 
@@ -296,21 +336,7 @@ impl Coordinator {
                 return;
             }
             let worker = next_worker.fetch_add(1, Ordering::Relaxed) + 1;
-            match stream.try_clone() {
-                Ok(clone) => {
-                    lock(&self.streams).insert(worker, clone);
-                }
-                // Without a clone handle the deadline reaper could revoke
-                // this worker's lease but never unblock its handler thread
-                // — the unkillable-handler hang the timeout exists to
-                // prevent. Refuse the connection instead (the worker sees
-                // EOF and can be restarted); without a deadline configured
-                // the handle is unused, so the connection is fine.
-                Err(_) if self.options.lease_timeout.is_some() => return,
-                Err(_) => {}
-            }
             handle_worker(stream, worker, self);
-            lock(&self.streams).remove(&worker);
         };
         // Drain: once the plan is complete every connection — parked on an
         // idle poll, or still queued in the listen backlog — gets `done` on
@@ -319,8 +345,7 @@ impl Coordinator {
             "coordinator",
             &[(&self.listener, &handler)],
             || {
-                reap_expired_leases(self);
-                rebalance_leases(self);
+                revoke_stale_leases(self);
                 !self.complete()
             },
             || (),
@@ -335,7 +360,7 @@ impl Coordinator {
             executed: done.executed,
             restored: done.skipped,
             reissued: state.reissued,
-            workers: state.workers,
+            workers: state.admitted,
             departed: state.departed,
             rebalanced: state.rebalanced,
             resumed: state.resumed,
@@ -349,7 +374,7 @@ impl Coordinator {
     /// continue, so workers are drained with `done`.
     fn complete(&self) -> bool {
         let s = lock(&self.state);
-        self.ledger.halted() || (self.pending() == 0 && s.leased.is_empty())
+        self.ledger.halted() || (self.pending() == 0 && s.leases().next().is_none())
     }
 
     /// Planned cells nobody holds or has settled.
@@ -358,93 +383,41 @@ impl Coordinator {
     }
 }
 
-/// Take `worker`'s lease away, if it holds one, and give the cell back to
-/// the ledger. A `loss` — why the worker lost it — is charged to the cell:
-/// past [`MAX_REISSUES_PER_CELL`] losses it is abandoned as a hard failure,
-/// so a worker-killing cell cannot livelock the sweep. `None`: the holder
-/// did nothing wrong (a clean `leave`, a rebalance).
-fn revoke(s: &mut State, ledger: &Ledger, worker: u64, loss: Option<&str>) {
-    let Some(Lease { cell, .. }) = s.leased.remove(&worker) else {
-        return;
-    };
-    let Some(why) = loss else {
-        return ledger.give_back(&cell);
-    };
-    let id = cell.id();
-    let losses = s.reissue_counts.entry(id.clone()).or_insert(0);
-    *losses += 1;
-    if *losses > MAX_REISSUES_PER_CELL {
-        let err = format!("cell {id}: abandoned after {losses} lost leases (last: {why})");
-        ledger.fail(&cell, Error::invalid(err));
-    } else {
-        // Only an actual re-queue counts as a re-issue.
-        s.reissued += 1;
-        ledger.give_back(&cell);
-    }
-}
-
-/// Shut down a worker's connection, unblocking its handler thread even when
-/// it is parked in a read on a half-open link; the handler then exits
-/// through the normal error path and finds no lease left to release.
-fn cut(coord: &Coordinator, worker: u64) {
-    if let Some(stream) = lock(&coord.streams).remove(&worker) {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// Work-stealing sweep: when idle workers outnumber pending cells, revoke
-/// the longest-held lease past [`CoordOptions::rebalance_after`] for an
-/// idle worker and cut the holder's connection. The cell is *not* charged
-/// against the re-issue cap — its holder is healthy, just slow or
-/// over-committed — and the holder's finished result can still land later
-/// through the reconnect/resume path (first copy wins).
-fn rebalance_leases(coord: &Coordinator) {
-    let Some(after) = coord.options.rebalance_after else {
-        return;
-    };
+/// The service tick's one pass over the leases. First every lease held past
+/// [`CoordOptions::lease_timeout`] is revoked and charged to its cell — the
+/// gap EOF detection cannot close. Then, when idle workers outnumber pending
+/// cells, the oldest lease past [`CoordOptions::rebalance_after`] is revoked
+/// for that spare capacity, uncharged: its holder is healthy, just slow, and
+/// its finished result can still land through the resume path (first copy
+/// wins). Each holder's connection is shut down from its record; its
+/// handler then exits and finds no lease left to give back.
+fn revoke_stale_leases(coord: &Coordinator) {
     let now = Instant::now();
-    let victim = {
-        let mut s = lock(&coord.state);
-        if coord.ledger.halted() || s.idle.len() <= coord.pending() {
-            return;
+    let policies = [
+        (coord.options.lease_timeout, Some("lease deadline exceeded")),
+        (coord.options.rebalance_after, None),
+    ];
+    let mut s = lock(&coord.state);
+    for (limit, loss) in policies {
+        let held = s.leases().map(|(worker, lease)| (lease.since, worker));
+        let past = |&(since, _): &(Instant, u64)| limit.is_some_and(|limit| now - since > limit);
+        let mut stale: Vec<(Instant, u64)> = held.filter(past).collect();
+        if loss.is_none() {
+            // Rebalancing takes the oldest, and only for spare capacity.
+            let idle = s.workers.values().filter(|w| w.idle).count();
+            let spare = !coord.ledger.halted() && idle > coord.pending();
+            stale.sort();
+            stale.truncate(usize::from(spare));
         }
-        let held = s
-            .leased
-            .iter()
-            .map(|(&worker, lease)| (lease.since, worker));
-        let Some((_, worker)) = held.min().filter(|(since, _)| now - *since > after) else {
-            return;
-        };
-        revoke(&mut s, &coord.ledger, worker, None);
-        s.rebalanced += 1;
-        worker
-    };
-    cut(coord, victim);
-}
-
-/// Deadline sweep: revoke leases held past `lease_timeout`, charged to
-/// their cells, and cut the holders' connections — the gap the EOF-only
-/// recovery path cannot close — so `serve()`'s final join stays bounded.
-fn reap_expired_leases(coord: &Coordinator) {
-    let Some(timeout) = coord.options.lease_timeout else {
-        return;
-    };
-    let now = Instant::now();
-    let expired: Vec<u64> = {
-        let mut s = lock(&coord.state);
-        let held = s
-            .leased
-            .iter()
-            .filter(|(_, lease)| now - lease.since > timeout);
-        let expired: Vec<u64> = held.map(|(&worker, _)| worker).collect();
-        let why = Some("lease deadline exceeded");
-        for &worker in &expired {
-            revoke(&mut s, &coord.ledger, worker, why);
+        for (_, worker) in stale {
+            let w = s.workers.get_mut(&worker);
+            let w = w.expect("a stale lease has a holder");
+            let _ = w.handle.shutdown(Shutdown::Both);
+            if let Some(lease) = w.lease.take() {
+                s.rebalanced += usize::from(loss.is_none());
+                s.give_back(&coord.ledger, lease, loss);
+            }
         }
-        expired
-    };
-    for worker in expired {
-        cut(coord, worker);
     }
 }
 
@@ -458,9 +431,10 @@ fn reap_expired_leases(coord: &Coordinator) {
 const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One connection: the `hello` gate, `welcome`, then the lease/result loop
-/// (a `status` monitor may only poll snapshots). However the connection
-/// ends, whatever lease it still holds is re-queued — nothing, after a
-/// refused handshake, an idle timeout or a clean `leave`.
+/// (a `status` monitor may only poll snapshots). An admitted worker's
+/// record lives from `welcome` to the connection's end, which removes it
+/// and re-queues whatever lease it still holds — nothing, after an idle
+/// timeout or a clean `leave`.
 fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
     // Monitors authenticate but need no fingerprint: a status poll must
     // work from hosts that never built a matching config. They are not
@@ -473,20 +447,30 @@ fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
     let Ok(role) = session::admit(&mut stream, &gate) else {
         return;
     };
+    // A worker without a clone handle could lose its lease to the stale
+    // pass but never be cut off: refuse it (it sees EOF and can restart).
+    let handle = match role {
+        "worker" => match stream.try_clone() {
+            Ok(handle) => Some(handle),
+            Err(_) => return,
+        },
+        _ => None,
+    };
     let remaining = {
         let mut s = lock(&coord.state);
-        if role == "worker" {
-            s.workers += 1;
-            s.worker_stats.insert(
-                worker,
-                WorkerStats {
-                    completed: 0,
-                    failed: 0,
-                    connected: Instant::now(),
-                },
-            );
+        if let Some(handle) = handle {
+            s.admitted += 1;
+            let record = Worker {
+                handle,
+                lease: None,
+                idle: false,
+                completed: 0,
+                failed: 0,
+                connected: Instant::now(),
+            };
+            s.workers.insert(worker, record);
         }
-        coord.pending() + s.leased.len()
+        coord.pending() + s.leases().count()
     };
     let mut welcome = msg("welcome");
     welcome.set("worker", Json::from(worker));
@@ -495,7 +479,7 @@ fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
         session::frame_loop(
             &mut stream,
             |stream| {
-                let leased = lock(&coord.state).leased.contains_key(&worker);
+                let leased = lock(&coord.state).leases().any(|(w, _)| w == worker);
                 let _ = stream.set_read_timeout((!leased).then_some(IDLE_READ_TIMEOUT));
                 faults::hit("coord.read").is_ok()
             },
@@ -512,13 +496,9 @@ fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
         );
     }
     let mut s = lock(&coord.state);
-    s.idle.remove(&worker);
-    revoke(
-        &mut s,
-        &coord.ledger,
-        worker,
-        Some("worker connection ended"),
-    );
+    if let Some(lease) = s.workers.remove(&worker).and_then(|w| w.lease) {
+        s.give_back(&coord.ledger, lease, Some("worker connection ended"));
+    }
 }
 
 /// Process one post-handshake worker frame and produce the single reply.
@@ -539,8 +519,8 @@ fn apply_frame(frame: &Json, worker: u64, coord: &Coordinator) -> Result<Json> {
         };
         let resume = matches!(frame.get("resume"), Some(&Json::Bool(true)));
         let mut s = lock(&coord.state);
-        if matches!(s.leased.get(&worker), Some(have) if have.cell == cell) {
-            s.leased.remove(&worker);
+        if let Some(w) = s.holder(worker, &cell) {
+            w.lease = None;
         } else {
             // Without a `resume` flag, an unleased report is a forged (or
             // hopelessly confused) message and stays a protocol error.
@@ -573,16 +553,16 @@ fn apply_frame(frame: &Json, worker: u64, coord: &Coordinator) -> Result<Json> {
             }
             s.resumed += 1;
         }
-        let stats = s.worker_stats.get_mut(&worker);
+        let w = s.workers.get_mut(&worker);
         match outcome {
             Some(outcome) => {
-                stats.into_iter().for_each(|stats| stats.completed += 1);
+                w.into_iter().for_each(|w| w.completed += 1);
                 // The checkpoint write runs with the state lock released.
                 drop(s);
                 coord.ledger.settle(&cell, outcome);
             }
             None => {
-                stats.into_iter().for_each(|stats| stats.failed += 1);
+                w.into_iter().for_each(|w| w.failed += 1);
                 let reason = frame
                     .get("reason")
                     .and_then(Json::as_str)
@@ -602,7 +582,7 @@ fn apply_frame(frame: &Json, worker: u64, coord: &Coordinator) -> Result<Json> {
         let kernel = field("kernel")?.as_str();
         let kernel = kernel.ok_or_else(|| Error::invalid("progress kernel is not a string"))?;
         let state = field("state")?.clone();
-        if !matches!(lock(&coord.state).leased.get(&worker), Some(have) if have.cell == cell) {
+        if lock(&coord.state).holder(worker, &cell).is_none() {
             return Err(Error::invalid(format!(
                 "worker {worker} sent progress for cell {} it does not hold",
                 cell.id()
@@ -615,9 +595,14 @@ fn apply_frame(frame: &Json, worker: u64, coord: &Coordinator) -> Result<Json> {
         // Clean departure: hand back any held cell without charging the
         // re-issue cap — the worker is healthy, it was *asked* to stop.
         let mut s = lock(&coord.state);
-        s.idle.remove(&worker);
         s.departed += 1;
-        revoke(&mut s, &coord.ledger, worker, None);
+        let lease = s.workers.get_mut(&worker).and_then(|w| {
+            w.idle = false;
+            w.lease.take()
+        });
+        if let Some(lease) = lease {
+            s.give_back(&coord.ledger, lease, None);
+        }
         return Ok(msg("bye"));
     }
     if kind == "status" {
@@ -634,10 +619,11 @@ fn status_snapshot(coord: &Coordinator) -> Json {
     let s = lock(&coord.state);
     let done = coord.ledger.count(CellState::Settled);
     let mut m = msg("status");
+    m.set("service", Json::from("coordinate"));
     m.set("planned", Json::from(coord.plan.len()));
     m.set("restored", Json::from(coord.restored));
     m.set("pending", Json::from(coord.pending()));
-    m.set("leased", Json::from(s.leased.len()));
+    m.set("leased", Json::from(s.leases().count()));
     m.set("done", Json::from(done));
     m.set("failed", Json::from(coord.ledger.count(CellState::Failed)));
     m.set("executed", Json::from(done - coord.restored));
@@ -645,46 +631,32 @@ fn status_snapshot(coord: &Coordinator) -> Json {
     m.set("departed", Json::from(s.departed));
     m.set("rebalanced", Json::from(s.rebalanced));
     m.set("resumed", Json::from(s.resumed));
-    m.set("workers", Json::from(s.workers));
+    m.set("workers", Json::from(s.admitted));
     let now = Instant::now();
-    let mut by_worker: Vec<(&u64, &Lease)> = s.leased.iter().collect();
-    by_worker.sort_by_key(|(&worker, _)| worker);
-    let leases: Vec<Json> = by_worker
-        .into_iter()
-        .map(|(&worker, lease)| {
-            let mut l = Json::obj();
-            l.set("worker", Json::from(worker));
-            l.set("cell", Json::from(lease.cell.id().as_str()));
-            l.set(
-                "held_secs",
-                Json::from(now.duration_since(lease.since).as_secs_f64()),
-            );
-            l
-        })
-        .collect();
-    m.set("leases", Json::Arr(leases));
-    let mut by_worker: Vec<(&u64, &WorkerStats)> = s.worker_stats.iter().collect();
-    by_worker.sort_by_key(|(&worker, _)| worker);
-    let throughput: Vec<Json> = by_worker
-        .into_iter()
-        .map(|(&worker, stats)| {
-            let mut t = Json::obj();
-            t.set("worker", Json::from(worker));
-            t.set("completed", Json::from(stats.completed));
-            t.set("failed", Json::from(stats.failed));
-            let secs = now.duration_since(stats.connected).as_secs_f64();
-            t.set(
-                "cells_per_sec",
-                Json::from(if secs > 0.0 {
-                    stats.completed as f64 / secs
-                } else {
-                    0.0
-                }),
-            );
-            t
-        })
-        .collect();
-    m.set("throughput", Json::Arr(throughput));
+    let leases = s.leases().map(|(worker, lease)| {
+        let mut l = Json::obj();
+        l.set("worker", Json::from(worker));
+        l.set("cell", Json::from(lease.cell.id().as_str()));
+        let held = now.duration_since(lease.since);
+        l.set("held_secs", Json::from(held.as_secs_f64()));
+        l
+    });
+    m.set("leases", Json::Arr(leases.collect()));
+    let throughput = s.workers.iter().map(|(&worker, w)| {
+        let mut t = Json::obj();
+        t.set("worker", Json::from(worker));
+        t.set("completed", Json::from(w.completed));
+        t.set("failed", Json::from(w.failed));
+        let secs = now.duration_since(w.connected).as_secs_f64();
+        let rate = if secs > 0.0 {
+            w.completed as f64 / secs
+        } else {
+            0.0
+        };
+        t.set("cells_per_sec", Json::from(rate));
+        t
+    });
+    m.set("throughput", Json::Arr(throughput.collect()));
     m
 }
 
@@ -695,7 +667,10 @@ fn next_assignment(worker: u64, coord: &Coordinator) -> Result<Json> {
         // The coordinator is going down; drain workers cleanly.
         return Ok(msg("done"));
     }
-    if let Some(held) = s.leased.get(&worker) {
+    let outstanding = s.leases().next().is_some();
+    let w = s.workers.get_mut(&worker);
+    let w = w.expect("a worker's record lives as long as its connection");
+    if let Some(held) = &w.lease {
         // A `request` while already holding a lease would silently orphan
         // the held cell if we just overwrote it. Protocol error: the
         // handler rejects the connection and its end re-queues the cell.
@@ -704,34 +679,33 @@ fn next_assignment(worker: u64, coord: &Coordinator) -> Result<Json> {
             held.cell.id()
         )));
     }
-    if let Some((cell, progress)) = coord.ledger.take() {
-        s.idle.remove(&worker);
-        let mut lease = msg("lease");
-        lease.set("cell", cell.to_json());
-        // Ship any intra-cell snapshot a previous holder streamed, so the
-        // new holder resumes mid-iteration instead of starting over.
-        if let Some(progress) = progress {
-            lease.set("progress", progress);
+    let next = coord.ledger.take();
+    // With nothing pending but another worker's lease outstanding (it may
+    // yet fail and re-queue), the worker polls back — and counts as spare
+    // capacity to the rebalancer while it does.
+    w.idle = next.is_none() && outstanding;
+    let Some((cell, progress)) = next else {
+        if !w.idle {
+            return Ok(msg("done"));
         }
-        let since = Instant::now();
-        s.leased.insert(worker, Lease { cell, since });
-        Ok(lease)
-    } else if s.leased.is_empty() {
-        s.idle.remove(&worker);
-        Ok(msg("done"))
-    } else {
-        // Another worker's lease may yet fail and re-queue; poll back.
-        // Parking in the idle set makes this worker visible to the
-        // rebalancer as spare capacity.
-        s.idle.insert(worker);
         let mut idle = msg("idle");
         idle.set("backoff_ms", Json::from(IDLE_BACKOFF_MS));
-        Ok(idle)
+        return Ok(idle);
+    };
+    let mut lease = msg("lease");
+    lease.set("cell", cell.to_json());
+    // Ship any intra-cell snapshot a previous holder streamed, so the new
+    // holder resumes mid-iteration instead of starting over.
+    if let Some(progress) = progress {
+        lease.set("progress", progress);
     }
+    let since = Instant::now();
+    w.lease = Some(Lease { cell, since });
+    Ok(lease)
 }
 
 /// What one worker process contributed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WorkerReport {
     /// Cells this worker completed (including `Infinite`/`Unsupported`
     /// outcomes, which are results, not failures).
@@ -797,13 +771,9 @@ pub fn run_worker_with(
 ) -> Result<WorkerReport> {
     let jobs = options.jobs.max(1);
     let threads = (config.threads / jobs).max(1);
-    let scheduler = Scheduler::new(config)?;
+    let scheduler = &Scheduler::new(config)?;
     let auth = options.auth_token.as_deref();
     let stop = options.stop.as_ref();
-    if jobs == 1 {
-        return worker_connection(addr, &scheduler, threads, connect_window, auth, stop);
-    }
-    let scheduler = &scheduler;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
@@ -813,10 +783,7 @@ pub fn run_worker_with(
                 })
             })
             .collect();
-        let mut report = WorkerReport {
-            completed: 0,
-            failed: 0,
-        };
+        let mut report = WorkerReport::default();
         let mut first_err = None;
         for handle in handles {
             match handle.join().expect("worker job thread") {
@@ -829,10 +796,7 @@ pub fn run_worker_with(
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        first_err.map_or(Ok(report), Err)
     })
 }
 
@@ -863,10 +827,7 @@ fn worker_connection(
     auth_token: Option<&str>,
     stop: Option<&Arc<AtomicBool>>,
 ) -> Result<WorkerReport> {
-    let mut report = WorkerReport {
-        completed: 0,
-        failed: 0,
-    };
+    let mut report = WorkerReport::default();
     let mut backoff = Backoff::new(100, 5_000, faults::plan_seed().unwrap_or(0x57ee1));
     let mut reconnects: u32 = 0;
     // A computed `result`/`failed` whose acknowledgement never arrived.
@@ -912,6 +873,9 @@ fn worker_session(
     let fingerprint = config_fingerprint(scheduler.harness().config());
     hello(stream, None, Some(&fingerprint), auth_token).map_err(SessionEnd::Fatal)?;
 
+    let fault =
+        |site, op| faults::hit(site).map_err(|e| Error::invalid(format!("{op} frame: {e}")));
+    let fatal = |why: String| SessionEnd::Fatal(Error::invalid(why));
     let mut outbound = match pending_send.take() {
         // Re-submit the report that was in flight when the last session
         // died. The flag tells the coordinator this settles compute from
@@ -927,34 +891,19 @@ fn worker_session(
         if stop_requested(stop) && !is_report {
             outbound = msg("leave");
         }
-        let wrote = match faults::hit("worker.write") {
-            Ok(()) if is_report => match faults::hit("worker.result") {
-                Ok(()) => write_frame(stream, &outbound),
-                Err(e) => Err(Error::invalid(format!("write frame: {e}"))),
-            },
-            Ok(()) => write_frame(stream, &outbound),
-            Err(e) => Err(Error::invalid(format!("write frame: {e}"))),
-        };
-        if let Err(e) = wrote {
+        let mut exchange = || -> Result<Json> {
+            fault("worker.write", "write")?;
             if is_report {
-                *pending_send = Some(outbound);
+                fault("worker.result", "write")?;
             }
-            return Err(SessionEnd::Io(e));
-        }
-        let reply = match faults::hit("worker.read")
-            .map_err(|e| Error::invalid(format!("read frame: {e}")))
-            .and_then(|_| read_frame_opt(stream))
-        {
-            Ok(Some(reply)) => reply,
-            Ok(None) => {
-                if is_report {
-                    *pending_send = Some(outbound);
-                }
-                return Err(SessionEnd::Io(Error::invalid(
-                    "coordinator hung up mid-sweep",
-                )));
-            }
+            write_frame(stream, &outbound)?;
+            fault("worker.read", "read")?;
+            read_frame_opt(stream)?.ok_or_else(|| Error::invalid("coordinator hung up mid-sweep"))
+        };
+        let reply = match exchange() {
+            Ok(reply) => reply,
             Err(e) => {
+                // Unacknowledged: the next session re-submits it.
                 if is_report {
                     *pending_send = Some(outbound);
                 }
@@ -962,8 +911,7 @@ fn worker_session(
             }
         };
         match msg_type(&reply).map_err(SessionEnd::Fatal)? {
-            "done" => return Ok(()),
-            "bye" => return Ok(()),
+            "done" | "bye" => return Ok(()),
             "idle" => {
                 let ms = reply
                     .get("backoff_ms")
@@ -973,13 +921,12 @@ fn worker_session(
                 outbound = msg("request");
             }
             "lease" => {
-                let cell = CellKey::from_json(
-                    reply
-                        .get("cell")
-                        .ok_or_else(|| Error::invalid("lease missing cell"))
-                        .map_err(SessionEnd::Fatal)?,
-                )
-                .map_err(SessionEnd::Fatal)?;
+                let cell = reply
+                    .get("cell")
+                    .ok_or_else(|| Error::invalid("lease missing cell"));
+                let cell = cell
+                    .and_then(CellKey::from_json)
+                    .map_err(SessionEnd::Fatal)?;
                 if stop_requested(stop) {
                     // Wind down: hand the fresh lease straight back.
                     outbound = msg("leave");
@@ -988,17 +935,13 @@ fn worker_session(
                 if let Err(e) = faults::hit("worker.cell") {
                     // Simulated crash between lease and compute; the
                     // coordinator re-issues through the EOF path.
-                    return Err(SessionEnd::Fatal(Error::invalid(format!(
-                        "worker crash: {e}"
-                    ))));
+                    return Err(fatal(format!("worker crash: {e}")));
                 }
-                let progress = Arc::new(CoordProgress::new(
-                    stream
-                        .try_clone()
-                        .map_err(|e| SessionEnd::Fatal(Error::invalid(format!("clone: {e}"))))?,
-                    cell.to_json(),
-                    reply.get("progress").cloned(),
-                ));
+                let clone = stream
+                    .try_clone()
+                    .map_err(|e| fatal(format!("clone: {e}")))?;
+                let saved = reply.get("progress").cloned();
+                let progress = Arc::new(CoordProgress::new(clone, cell.to_json(), saved));
                 let handle = ProgressHandle::new(progress.clone());
                 match scheduler.run_cell_with_progress(&cell, threads, Some(handle)) {
                     Ok(outcome) => {
@@ -1012,9 +955,7 @@ fn worker_session(
                         // logical worker mid-cell: die like one — no
                         // failure report, no reconnect. The coordinator
                         // sees EOF and re-issues the cell.
-                        return Err(SessionEnd::Fatal(Error::invalid(
-                            "worker killed by injected fault mid-cell",
-                        )));
+                        return Err(fatal("worker killed by injected fault mid-cell".into()));
                     }
                     Err(e) => {
                         report.failed += 1;
@@ -1025,19 +966,11 @@ fn worker_session(
                 }
             }
             "reject" => {
-                let reason = reply
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unspecified");
-                return Err(SessionEnd::Fatal(Error::invalid(format!(
-                    "coordinator rejected worker: {reason}"
-                ))));
+                let reason = reply.get("reason").and_then(Json::as_str);
+                let reason = reason.unwrap_or("unspecified");
+                return Err(fatal(format!("coordinator rejected worker: {reason}")));
             }
-            other => {
-                return Err(SessionEnd::Fatal(Error::invalid(format!(
-                    "unexpected reply {other:?}"
-                ))))
-            }
+            other => return Err(fatal(format!("unexpected reply {other:?}"))),
         }
     }
 }
@@ -1144,6 +1077,29 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         hello(&mut stream, None, Some(fingerprint), None).unwrap();
         stream
+    }
+
+    /// Send `request` and return the leased cell.
+    fn lease_one(stream: &mut TcpStream) -> CellKey {
+        write_frame(stream, &msg("request")).unwrap();
+        let reply = read_frame_opt(stream).unwrap().unwrap();
+        assert_eq!(msg_type(&reply).unwrap(), "lease");
+        CellKey::from_json(reply.get("cell").unwrap()).unwrap()
+    }
+
+    /// Poll `status` until `ready` holds for the snapshot.
+    fn await_status(addr: SocketAddr, ready: impl Fn(&Json) -> bool) -> Json {
+        loop {
+            let snap = fetch_status(addr, None, Duration::from_secs(5)).unwrap();
+            if ready(&snap) {
+                return snap;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    fn count(snap: &Json, key: &str) -> u64 {
+        snap.get(key).and_then(Json::as_u64).unwrap()
     }
 
     #[test]
@@ -1406,6 +1362,10 @@ mod tests {
         // ...but skip the config fingerprint: monitoring needs no flags.
         let snap = fetch_status(addr, Some("sweep-secret"), Duration::from_secs(5)).unwrap();
         assert_eq!(
+            snap.get("service").and_then(Json::as_str),
+            Some("coordinate")
+        );
+        assert_eq!(
             snap.get("planned").and_then(Json::as_u64),
             Some(planned as u64)
         );
@@ -1491,5 +1451,93 @@ mod tests {
         let report = run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
         let outcome = serve.join().unwrap().unwrap();
         assert_eq!(report.completed, outcome.planned);
+    }
+    #[test]
+    fn a_lost_lease_on_a_settled_cell_is_neither_charged_nor_counted() {
+        let coord = Coordinator::bind(
+            "127.0.0.1:0",
+            quick_config(),
+            &[FigureId::Fig1],
+            SizeClass::Small,
+            CoordOptions::default(),
+        )
+        .unwrap();
+        let addr = coord.local_addr().unwrap();
+        let fingerprint = config_fingerprint(coord.config());
+        let serve = std::thread::spawn(move || coord.serve());
+
+        // A leases X and its link drops: X is re-queued (one re-issue).
+        let mut a = connect_handshake(addr, &fingerprint);
+        let cell = lease_one(&mut a);
+        drop(a);
+        await_status(addr, |snap| count(snap, "leased") == 0);
+        // B leases X: `take` goes in plan order.
+        let mut b = connect_handshake(addr, &fingerprint);
+        assert_eq!(lease_one(&mut b), cell);
+        // A reconnects and resumes X's result, which settles X.
+        let mut a = connect_handshake(addr, &fingerprint);
+        let mut result = msg("result");
+        result.set("cell", cell.to_json());
+        result.set("outcome", CellOutcome::Unsupported.to_json());
+        result.set("resume", Json::Bool(true));
+        write_frame(&mut a, &result).unwrap();
+        let reply = read_frame_opt(&mut a).unwrap().unwrap();
+        assert_eq!(msg_type(&reply).unwrap(), "lease", "{reply:?}");
+        write_frame(&mut a, &msg("leave")).unwrap();
+        let bye = read_frame_opt(&mut a).unwrap().unwrap();
+        assert_eq!(msg_type(&bye).unwrap(), "bye");
+        drop(a);
+        // B dies holding the lease on a cell that is already settled.
+        drop(b);
+
+        run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
+        let outcome = serve.join().unwrap().unwrap();
+        assert_eq!(outcome.reissued, 1, "only A's drop re-queued X");
+        assert_eq!(outcome.resumed, 1);
+        assert_eq!(outcome.executed, outcome.planned);
+    }
+
+    #[test]
+    fn a_lease_past_both_limits_is_revoked_and_charged_once() {
+        let limit = Duration::from_secs(1);
+        let options = CoordOptions::default()
+            .with_lease_timeout(limit)
+            .with_rebalance_after(limit);
+        let coord = Coordinator::bind(
+            "127.0.0.1:0",
+            quick_config(),
+            &[FigureId::Fig1],
+            SizeClass::Small,
+            options,
+        )
+        .unwrap();
+        let addr = coord.local_addr().unwrap();
+        let fingerprint = config_fingerprint(coord.config());
+        let serve = std::thread::spawn(move || coord.serve());
+
+        // A wedged holder: both the deadline and the rebalancer match its
+        // lease on the same tick.
+        let mut wedged = connect_handshake(addr, &fingerprint);
+        lease_one(&mut wedged);
+        let healthy =
+            std::thread::spawn(move || run_worker(addr, quick_config(), Duration::from_secs(5)));
+        // The healthy worker drains the rest and idles before the limit.
+        let snap = await_status(addr, |snap| {
+            count(snap, "pending") == 0 && count(snap, "done") + 1 == count(snap, "planned")
+        });
+        let lease = &snap.get("leases").and_then(Json::as_arr).unwrap()[0];
+        let held = lease.get("held_secs").and_then(Json::as_f64).unwrap();
+        assert!(
+            held < limit.as_secs_f64(),
+            "drained within the limit: {held}"
+        );
+        assert!(matches!(read_frame_opt(&mut wedged), Ok(None) | Err(_)));
+
+        let report = healthy.join().unwrap().unwrap();
+        let outcome = serve.join().unwrap().unwrap();
+        assert_eq!(report.completed, outcome.planned);
+        assert_eq!(outcome.reissued, 1, "revoked once, charged once");
+        assert_eq!(outcome.rebalanced, 0, "nothing left to steal");
+        assert_eq!(outcome.executed, outcome.planned);
     }
 }

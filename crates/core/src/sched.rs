@@ -718,13 +718,16 @@ impl Ledger {
         Some((self.plan[i].clone(), progress))
     }
 
-    /// Return a cell that was handed out and not run.
-    pub fn give_back(&self, cell: &CellKey) {
+    /// Return a cell that was handed out and not run; whether it was still
+    /// out (and so is pending again) rather than settled or failed meanwhile.
+    pub fn give_back(&self, cell: &CellKey) -> bool {
         self.at(cell, |book, i| {
-            if book.states[i] == CellState::Out {
+            let out = book.states[i] == CellState::Out;
+            if out {
                 book.states[i] = CellState::Pending;
             }
-        });
+            out
+        }) == Some(true)
     }
 
     /// Record a planned cell's outcome and checkpoint it. (The same outcome
