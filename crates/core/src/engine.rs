@@ -90,7 +90,8 @@ pub struct ExecContext {
     /// cell's output or trace bytes.
     pub cache: Option<genbase_storage::CacheScope>,
     /// What the engines load from the dataset this run reads — the SQL base
-    /// tables, the streaming triple spool, SciDB's chunked arrays — shared
+    /// tables, the streaming triple spool, SciDB's chunked arrays, Hadoop's
+    /// Hive triple table — shared
     /// by every cell of that dataset: the harness sets its own
     /// per-size-class set here; a context built without one carries an
     /// empty private set that loads on first use. Not a cache — no budget,
@@ -188,8 +189,8 @@ pub trait Engine: Sync {
     /// data-management/analytics phase split. Ingest (loading the dataset
     /// into the engine's native storage) is *not* in the report's phases,
     /// matching the paper's methodology of timing queries against loaded
-    /// data; the SQL engines and SciDB do not pay it per run in wall-clock
-    /// either (`ExecContext::tables`).
+    /// data; no engine that loads pays it per run in wall-clock either
+    /// (`ExecContext::tables`).
     fn run(
         &self,
         query: Query,

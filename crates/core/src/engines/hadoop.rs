@@ -33,13 +33,14 @@ use std::sync::Mutex;
 /// The process's one simulated Hadoop cluster. A run owns every task slot
 /// (the cost model sizes each job from `sim_threads` as if it did), so
 /// concurrent runs — server connections, `--jobs` sweep cells — queue for
-/// it the way jobs queued behind Hadoop 1.x's FIFO JobTracker. The queue
-/// also bounds the engine's real footprint: the boxed-row triple table plus
-/// a join's shuffle buffers are about 4.5x what the tracker models (19 MB
-/// of heap at Small against 4.2 MB tracked), and two runs that happened to
-/// overlap doubled it, so a server's peak RSS depended on request timing.
-/// Nothing is timed or charged before the first op, so the wait is in no
-/// reported cost.
+/// it the way jobs queued behind Hadoop 1.x's FIFO JobTracker. Modelling
+/// that queue is the mutex's one job. It is no footprint guard: the triple
+/// table is flat and loaded once per dataset (2.8 MB at Small, 240x240), and
+/// a run's own heap peaks 10.7 MB above it for regression's repartition
+/// join, 3.1 MB for covariance and 0.35 MB for statistics (counting
+/// allocator, 2-core host), against 4.2 / 2.9 / 2.9 MB tracked. Nothing is
+/// timed or charged before the first op, so the wait is in no reported
+/// cost.
 static CLUSTER: Mutex<()> = Mutex::new(());
 
 /// Simulated per-job launch latency (JVM spin-up + scheduling), charged to
@@ -75,22 +76,25 @@ impl Hadoop {
     }
 }
 
-/// Modeled bytes of a Hive split: every field is a boxed 16-byte [`Cell`]
-/// record (tag + payload), which is exactly the storage profile the
-/// tracker accounts MapReduce working sets at.
-fn hive_bytes(t: &HiveTable) -> u64 {
-    t.rows.iter().map(|r| (r.len() * 16) as u64).sum()
+/// Modeled bytes of a Hive split: every field is a 16-byte [`Cell`] (tag +
+/// payload), which is exactly the storage profile the tracker accounts
+/// MapReduce working sets at — and, since tables are flat, their heap.
+pub(crate) fn hive_bytes(t: &HiveTable) -> u64 {
+    (t.len() * t.width() * 16) as u64
 }
 
-fn triples_table(data: &Dataset) -> HiveTable {
-    let mut rows = Vec::with_capacity(data.n_patients() * data.n_genes());
+/// `data`'s `(gene, patient, value)` triples as the Hive table every Hadoop
+/// cell scans, in the expression matrix's row-major order. Loaded once per
+/// dataset ([`super::loaded::LoadedTables::hive_triples`]).
+pub(crate) fn triples_table(data: &Dataset) -> Result<HiveTable> {
+    let mut cells = Vec::with_capacity(3 * data.expression.len());
     for p in 0..data.n_patients() {
         let row = data.expression.row(p);
         for (g, &v) in row.iter().enumerate() {
-            rows.push(vec![Cell::I(g as i64), Cell::I(p as i64), Cell::F(v)]);
+            cells.extend([Cell::I(g as i64), Cell::I(p as i64), Cell::F(v)]);
         }
     }
-    HiveTable::new(rows)
+    HiveTable::from_cells(3, cells)
 }
 
 fn genes_table(data: &Dataset) -> HiveTable {
@@ -113,34 +117,28 @@ fn rows_by_patient(
     let gene_index: std::collections::HashMap<i64, usize> =
         gene_ids.iter().enumerate().map(|(i, &g)| (g, i)).collect();
     let n = gene_ids.len();
-    let input: Vec<(i64, Vec<Cell>)> = joined
-        .rows
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i as i64, r.clone()))
-        .collect();
-    let gene_index_ref = &gene_index;
-    let mut out = genbase_mapreduce::job::run_job::<i64, Vec<Cell>, i64, (i64, f64), i64, Vec<f64>>(
-        &input,
-        &|_, row, e| {
-            if let (Cell::I(g), Cell::I(p), Cell::F(v)) = (row[0], row[1], row[2]) {
-                if gene_index_ref.contains_key(&g) {
+    let out = genbase_mapreduce::job::run_job::<i64, (i64, f64)>(
+        joined.len(),
+        &|i, e| {
+            if let [Cell::I(g), Cell::I(p), Cell::F(v), ..] = *joined.row(i) {
+                if gene_index.contains_key(&g) {
                     e.emit(&p, &(g, v));
                 }
             }
         },
         None,
-        &|&p, gene_vals, emit| {
+        &|p, gene_vals, e| {
             let mut vec = vec![0.0; n];
             for (g, v) in gene_vals.iter() {
-                if let Some(&gi) = gene_index_ref.get(g) {
+                if let Some(&gi) = gene_index.get(g) {
                     vec[gi] = *v;
                 }
             }
-            emit(p, vec)
+            e.emit(p, &vec)
         },
         cfg,
     )?;
+    let mut out = out.records::<i64, Vec<f64>>()?;
     out.sort_by_key(|&(p, _)| p);
     Ok(out)
 }
@@ -177,15 +175,17 @@ impl Engine for Hadoop {
         let cfg = self.job_config(ctx);
         let sim = cfg.sim.clone();
         let mem = ctx.mem_tracker();
-        let triples = triples_table(data); // untimed HDFS residency
-        mem.charge(hive_bytes(&triples))?; // split residency under the tracker
+        // Loaded once per dataset (untimed HDFS residency); the split each
+        // cell reads is still charged to its own tracker.
+        let triples = ctx.tables.hive_triples(data)?;
+        mem.charge(hive_bytes(&triples))?;
         let backend = MrBackend {
             data,
             params,
             query,
             db_budget: ctx.db_budget(),
             mem: mem.clone(),
-            triples,
+            triples: &triples,
             cfg,
             gene_ids: Vec::new(),
             filtered_genes: None,
@@ -197,8 +197,8 @@ impl Engine for Hadoop {
     }
 }
 
-/// Physical state of one Hadoop run: the HDFS-resident triple table plus
-/// whatever the executed prefix of the plan has produced so far.
+/// Physical state of one Hadoop run: the dataset's HDFS-resident triple
+/// table plus whatever the executed prefix of the plan has produced so far.
 struct MrBackend<'a> {
     data: &'a Dataset,
     params: &'a QueryParams,
@@ -206,7 +206,7 @@ struct MrBackend<'a> {
     cfg: JobConfig,
     db_budget: genbase_util::Budget,
     mem: MemTracker,
-    triples: HiveTable,
+    triples: &'a HiveTable,
     gene_ids: Vec<i64>,
     filtered_genes: Option<HiveTable>,
     joined: Option<HiveTable>,
@@ -245,12 +245,9 @@ impl PhysicalBackend for MrBackend<'_> {
                         // charge them like any other working set (released
                         // with the run's tracker).
                         mem.charge(hive_bytes(&filtered))?;
-                        mem.note_output(hive_bytes(&filtered), filtered.rows.len() as u64);
-                        let mut gene_ids: Vec<i64> = filtered
-                            .rows
-                            .iter()
-                            .filter_map(|r| r[0].as_int().ok())
-                            .collect();
+                        mem.note_output(hive_bytes(&filtered), filtered.len() as u64);
+                        let mut gene_ids: Vec<i64> =
+                            filtered.rows().filter_map(|r| r[0].as_int().ok()).collect();
                         gene_ids.sort_unstable();
                         Ok((filtered, gene_ids))
                     },
@@ -277,7 +274,7 @@ impl PhysicalBackend for MrBackend<'_> {
             LogicalOp::JoinOnGenes => {
                 let cfg = &self.cfg;
                 let mem = &self.mem;
-                let triples = &self.triples;
+                let triples = self.triples;
                 let filtered = self
                     .filtered_genes
                     .as_ref()
@@ -290,7 +287,7 @@ impl PhysicalBackend for MrBackend<'_> {
                         mem.note_input(hive_bytes(triples) + hive_bytes(filtered));
                         let joined = triples.join(0, filtered, 0, cfg)?;
                         mem.charge(hive_bytes(&joined))?;
-                        mem.note_output(hive_bytes(&joined), joined.rows.len() as u64);
+                        mem.note_output(hive_bytes(&joined), joined.len() as u64);
                         Ok(joined)
                     },
                 )?;
@@ -299,7 +296,7 @@ impl PhysicalBackend for MrBackend<'_> {
             LogicalOp::JoinOnPatients => {
                 let cfg = &self.cfg;
                 let mem = &self.mem;
-                let triples = &self.triples;
+                let triples = self.triples;
                 let sel_set: HashSet<i64> = self.rows.iter().map(|&(p, _)| p).collect();
                 let joined = tracer.exec(
                     OpKind::Join,
@@ -315,7 +312,7 @@ impl PhysicalBackend for MrBackend<'_> {
                             cfg,
                         )?;
                         mem.charge(hive_bytes(&joined))?;
-                        mem.note_output(hive_bytes(&joined), joined.rows.len() as u64);
+                        mem.note_output(hive_bytes(&joined), joined.len() as u64);
                         Ok(joined)
                     },
                 )?;

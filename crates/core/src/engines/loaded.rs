@@ -1,13 +1,16 @@
 //! What one dataset's cells share instead of loading per cell.
 //!
 //! [`LoadedTables`] serves every engine family that loads: the SQL stores'
-//! base tables, the streaming reels' on-disk triple spool, and SciDB's
-//! chunked arrays. It belongs to none of them, so it lives beside them.
+//! base tables, the streaming reels' on-disk triple spool, SciDB's chunked
+//! arrays and Hadoop's Hive triple table. It belongs to none of them, so it
+//! lives beside them.
 
+use super::hadoop;
 use super::scidb::ArrayData;
 use super::sql_common::{SqlStore, StoreKind};
 use crate::engine::StreamConfig;
 use genbase_datagen::Dataset;
+use genbase_mapreduce::HiveTable;
 use genbase_storage::{self as storage, Spool};
 use genbase_util::{lock, Error, Result};
 use std::collections::HashMap;
@@ -22,8 +25,8 @@ type Slot<T> = OnceLock<Result<Arc<T>>>;
 /// What one dataset's cells share instead of loading per cell: an immutable
 /// [`SqlStore`] per [`StoreKind`], with or without the triple table
 /// (`--stream` cells share only the metadata tables); the triples as an
-/// on-disk [`Spool`] per morsel size under every streaming cell's reel; and
-/// SciDB's chunked [`ArrayData`].
+/// on-disk [`Spool`] per morsel size under every streaming cell's reel;
+/// SciDB's chunked [`ArrayData`]; and Hadoop's flat Hive triple table.
 ///
 /// Each is built exactly once, by the first cell that asks; cells asking
 /// meanwhile block on that build and every later cell gets an `Arc` clone —
@@ -44,6 +47,7 @@ pub struct LoadedTables {
     /// By `batch_rows`.
     spools: Mutex<HashMap<usize, Arc<Slot<Spool>>>>,
     arrays: Slot<ArrayData>,
+    hive: Slot<HiveTable>,
     builds: AtomicU64,
 }
 
@@ -93,22 +97,29 @@ impl LoadedTables {
         self.load(&self.arrays, data, || ArrayData::ingest(data))
     }
 
-    /// Loads run so far, stores, spools and arrays alike (each at most
-    /// once: under one harness, which either streams at one morsel size or
-    /// does not, at most 2 stores + 1 spool + 1 array set).
+    /// `data`'s `(gene, patient, value)` triples as Hadoop's Hive table,
+    /// built on first use.
+    pub fn hive_triples(&self, data: &Dataset) -> Result<Arc<HiveTable>> {
+        self.load(&self.hive, data, || hadoop::triples_table(data))
+    }
+
+    /// Loads run so far, of every kind (each at most once: under one
+    /// harness, which either streams at one morsel size or does not, at
+    /// most 2 stores + 1 spool + 1 array set + 1 Hive table).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Heap bytes of the stores and arrays resident now.
+    /// Heap bytes of the stores, arrays and Hive table resident now.
     pub fn heap_bytes(&self) -> u64 {
+        fn built<T>(slot: &Slot<T>, bytes: impl Fn(&T) -> u64) -> Option<u64> {
+            Some(bytes(slot.get()?.as_ref().ok()?))
+        }
         let stores = self.stores.iter().flatten();
-        let stores = stores.filter_map(|slot| Some(slot.get()?.as_ref().ok()?.heap_bytes()));
-        let arrays = self
-            .arrays
-            .get()
-            .and_then(|a| Some(a.as_ref().ok()?.heap_bytes()));
-        stores.chain(arrays).sum()
+        let stores = stores.filter_map(|slot| built(slot, SqlStore::heap_bytes));
+        let arrays = built(&self.arrays, ArrayData::heap_bytes);
+        let hive = built(&self.hive, hadoop::hive_bytes);
+        stores.chain(arrays).chain(hive).sum()
     }
 
     /// Bytes of the spool files on disk now.

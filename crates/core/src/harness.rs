@@ -7,8 +7,8 @@
 //! across every in-flight cell, and cached for the harness's lifetime —
 //! the substrate the sharded scheduler in [`crate::sched`] dispatches
 //! onto. What the engines load from a dataset ([`LoadedTables`]: the SQL
-//! base tables, the streaming spool, SciDB's chunked arrays) follows the
-//! dataset: one set per generated size class, each member loaded by the
+//! base tables, the streaming spool, SciDB's chunked arrays, Hadoop's Hive
+//! triples) follows the dataset: one set per generated size class, each member loaded by the
 //! first cell of that class that reads it and borrowed by every later one.
 
 use crate::engine::{Engine, ExecContext};
@@ -176,8 +176,8 @@ impl Harness {
         self.pool.get(class)
     }
 
-    /// The loaded tables of `class`'s dataset (an empty set until a SQL or
-    /// SciDB cell of that class runs).
+    /// The loaded tables of `class`'s dataset (an empty set until a SQL,
+    /// SciDB or Hadoop cell of that class runs).
     pub fn loaded_tables(&self, class: SizeClass) -> Arc<LoadedTables> {
         Arc::clone(lock(&self.tables).entry(class).or_default())
     }

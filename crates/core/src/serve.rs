@@ -388,10 +388,10 @@ const STATS: &[(&str, Option<&str>, &str, Reading)] = &[
         "Bytes currently charged to the artifact cache's tracker.",
         One(|s| s.cache_stat(ArtifactCache::bytes))),
     ("genbase_loaded_tables_bytes", Some("loaded_tables_bytes"),
-        "Heap bytes of the SQL base tables and SciDB arrays resident for the configured datasets.",
+        "Heap bytes of the SQL base tables, SciDB arrays and Hive triple tables resident for the configured datasets.",
         One(|s| Some(s.scheduler.harness().loaded_tables_stats().0))),
     ("genbase_loaded_tables_builds_total", Some("loaded_tables_builds"),
-        "Loads of a dataset's base tables, streaming spool or arrays (each at most once; queries borrow them).",
+        "Loads of a dataset's base tables, streaming spool, arrays or Hive triples (each at most once; queries borrow them).",
         One(|s| Some(s.scheduler.harness().loaded_tables_stats().1))),
     ("genbase_loaded_spool_bytes", Some("loaded_spool_bytes"),
         "Bytes of streaming spool files held on disk for the configured datasets.",

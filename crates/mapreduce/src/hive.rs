@@ -6,8 +6,8 @@
 //! repartition join (tag, shuffle on key, cross-product in the reducer), an
 //! aggregate is a full map-shuffle-reduce.
 
-use crate::job::{run_job, run_map_only, JobConfig};
-use crate::record::Writable;
+use crate::job::{run_job, run_map_only, JobConfig, Output};
+use crate::record::{Encode, Writable};
 use genbase_util::{Error, Result};
 
 /// One field of a Hive row.
@@ -37,7 +37,7 @@ impl Cell {
     }
 }
 
-impl Writable for Cell {
+impl Encode for Cell {
     fn write(&self, out: &mut Vec<u8>) {
         match self {
             Cell::I(v) => {
@@ -50,7 +50,9 @@ impl Writable for Cell {
             }
         }
     }
+}
 
+impl Writable for Cell {
     fn read(input: &mut &[u8]) -> Result<Self> {
         let tag = u8::read(input)?;
         match tag {
@@ -61,37 +63,117 @@ impl Writable for Cell {
     }
 }
 
-/// An "HDFS file" of rows. Row ids exist only as MR input keys.
+/// `row` projected onto `cols`, encoded as the `Vec<Cell>` it would be.
+struct Picked<'a> {
+    row: &'a [Cell],
+    cols: &'a [usize],
+}
+
+impl Encode for Picked<'_> {
+    fn write(&self, out: &mut Vec<u8>) {
+        (self.cols.len() as u64).write(out);
+        for &c in self.cols {
+            self.row[c].write(out);
+        }
+    }
+}
+
+/// An "HDFS file" of rows, stored flat: `width` cells per row, row after
+/// row. Row ids exist only as MR input keys. Every job reads its rows in
+/// place as `&[Cell]` slices, so the map side copies no row; what crosses
+/// a job boundary is still serialized (a forwarded row encodes exactly as
+/// a `Vec<Cell>` of the same cells).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HiveTable {
-    /// The rows; each row is a vector of cells.
-    pub rows: Vec<Vec<Cell>>,
+    cells: Vec<Cell>,
+    width: usize,
 }
 
 impl HiveTable {
-    /// Build from rows.
+    /// Build from rows of one width. A table from no rows has width 0.
+    ///
+    /// # Panics
+    ///
+    /// If the rows differ in width or are empty: a table's rows share one
+    /// width of at least one field.
     pub fn new(rows: Vec<Vec<Cell>>) -> HiveTable {
-        HiveTable { rows }
+        let width = rows.first().map_or(0, Vec::len);
+        assert!(
+            rows.iter().all(|r| r.len() == width) && (width > 0 || rows.is_empty()),
+            "Hive rows must share one width of at least one field"
+        );
+        HiveTable {
+            cells: rows.concat(),
+            width,
+        }
+    }
+
+    /// `cells.len() / width` rows of `width` cells, row after row.
+    pub fn from_cells(width: usize, cells: Vec<Cell>) -> Result<HiveTable> {
+        if width == 0 || !cells.len().is_multiple_of(width) {
+            return Err(Error::invalid(format!(
+                "{} cells are not rows of width {width}",
+                cells.len()
+            )));
+        }
+        Ok(HiveTable { cells, width })
     }
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cells.len().checked_div(self.width).unwrap_or(0)
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.cells.is_empty()
     }
 
-    fn as_input(&self) -> Vec<(i64, Vec<Cell>)> {
-        // Hive re-reads the table from HDFS for every job; the clone here is
-        // that re-read.
-        self.rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i as i64, r.clone()))
-            .collect()
+    /// Cells per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[Cell] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The rows in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Cell]> {
+        self.cells.chunks_exact(self.width.max(1))
+    }
+
+    /// `Error::Invalid` naming the first of `cols` past the row width. A
+    /// table of width 0 has no row to miss any column.
+    fn check_columns(&self, cols: &[usize], what: &str) -> Result<()> {
+        match cols.iter().find(|&&c| self.width > 0 && c >= self.width) {
+            Some(c) => Err(Error::invalid(format!(
+                "{what} column {c} out of range for rows of width {}",
+                self.width
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Read a job's `(row id, row)` output back as a table of `width`.
+    fn from_output(out: &Output, width: usize) -> Result<HiveTable> {
+        // Every record is an 8-byte id, an 8-byte length and 9 bytes a cell.
+        let bytes: usize = out.files().iter().map(Vec::len).sum();
+        let mut cells = Vec::with_capacity(bytes / (16 + 9 * width) * width);
+        for file in out.files() {
+            let mut input = file.as_slice();
+            while !input.is_empty() {
+                i64::read(&mut input)?;
+                if u64::read(&mut input)? != width as u64 {
+                    return Err(Error::invalid("job output row of the wrong width"));
+                }
+                for _ in 0..width {
+                    cells.push(Cell::read(&mut input)?);
+                }
+            }
+        }
+        Ok(HiveTable { cells, width })
     }
 
     /// Map-only filter job.
@@ -100,40 +182,34 @@ impl HiveTable {
         pred: impl Fn(&[Cell]) -> bool + Sync,
         cfg: &JobConfig,
     ) -> Result<HiveTable> {
-        let input = self.as_input();
-        let out = run_map_only::<i64, Vec<Cell>, i64, Vec<Cell>>(
-            &input,
-            &|&id, row, emit| {
+        let out = run_map_only(
+            self.len(),
+            &|i, e| {
+                let row = self.row(i);
                 if pred(row) {
-                    emit(id, row.clone())
+                    e.emit(&(i as i64), row)
                 }
             },
             cfg,
         )?;
-        Ok(HiveTable {
-            rows: out.into_iter().map(|(_, r)| r).collect(),
-        })
+        HiveTable::from_output(&out, self.width)
     }
 
     /// Map-only projection job.
     pub fn project(&self, cols: &[usize], cfg: &JobConfig) -> Result<HiveTable> {
-        for &c in cols {
-            if self.rows.first().is_some_and(|r| c >= r.len()) {
-                return Err(Error::invalid(format!(
-                    "projection column {c} out of range"
-                )));
-            }
+        if cols.is_empty() {
+            return Err(Error::invalid("a projection needs at least one column"));
         }
-        let cols_owned = cols.to_vec();
-        let input = self.as_input();
-        let out = run_map_only::<i64, Vec<Cell>, i64, Vec<Cell>>(
-            &input,
-            &|&id, row, emit| emit(id, cols_owned.iter().map(|&c| row[c]).collect()),
+        self.check_columns(cols, "projection")?;
+        let out = run_map_only(
+            self.len(),
+            &|i, e| {
+                let row = self.row(i);
+                e.emit(&(i as i64), &Picked { row, cols })
+            },
             cfg,
         )?;
-        Ok(HiveTable {
-            rows: out.into_iter().map(|(_, r)| r).collect(),
-        })
+        HiveTable::from_output(&out, cols.len())
     }
 
     /// Repartition (reduce-side) equi-join on integer key columns. Output
@@ -145,46 +221,40 @@ impl HiveTable {
         other_key: usize,
         cfg: &JobConfig,
     ) -> Result<HiveTable> {
-        // Tag each side, shuffle on the join key, cross the groups.
-        let mut input: Vec<(u8, Vec<Cell>)> = Vec::with_capacity(self.len() + other.len());
-        for r in &self.rows {
-            input.push((0, r.clone()));
-        }
-        for r in &other.rows {
-            input.push((1, r.clone()));
-        }
-        let out = run_job::<u8, Vec<Cell>, i64, (u8, Vec<Cell>), i64, Vec<Cell>>(
-            &input,
-            &|&side, row, e| {
-                let key_col = if side == 0 { self_key } else { other_key };
-                if let Some(Cell::I(k)) = row.get(key_col) {
-                    e.emit(k, &(side, row.clone()));
+        self.check_columns(&[self_key], "join key")?;
+        other.check_columns(&[other_key], "join key")?;
+        let width = self.width + other.width;
+        // Tag each side, shuffle on the join key, cross the groups. The
+        // input is `self`'s rows, then `other`'s.
+        let n_self = self.len();
+        let out = run_job::<i64, (u8, Vec<Cell>)>(
+            n_self + other.len(),
+            &|i, e| {
+                let (side, row, key_col) = match i.checked_sub(n_self) {
+                    None => (0u8, self.row(i), self_key),
+                    Some(j) => (1u8, other.row(j), other_key),
+                };
+                if let Cell::I(k) = row[key_col] {
+                    e.emit(&k, &(side, row));
                 }
             },
             None,
-            &|&_k, tagged, emit| {
-                let mut left: Vec<&Vec<Cell>> = Vec::new();
-                let mut right: Vec<&Vec<Cell>> = Vec::new();
-                for (side, row) in tagged.iter() {
-                    if *side == 0 {
-                        left.push(row);
-                    } else {
-                        right.push(row);
-                    }
-                }
-                for l in &left {
-                    for r in &right {
-                        let mut joined: Vec<Cell> = (*l).clone();
+            &|_, tagged, e| {
+                let (left, right): (Vec<_>, Vec<_>) =
+                    tagged.iter().partition(|(side, _)| *side == 0);
+                let mut joined = Vec::with_capacity(width);
+                for (_, l) in &left {
+                    for (_, r) in &right {
+                        joined.clear();
+                        joined.extend_from_slice(l);
                         joined.extend_from_slice(r);
-                        emit(0, joined);
+                        e.emit(&0i64, &joined);
                     }
                 }
             },
             cfg,
         )?;
-        Ok(HiveTable {
-            rows: out.into_iter().map(|(_, r)| r).collect(),
-        })
+        HiveTable::from_output(&out, width)
     }
 
     /// Group by an integer key column, summing a float column. Returns
@@ -195,8 +265,8 @@ impl HiveTable {
         val_col: usize,
         cfg: &JobConfig,
     ) -> Result<Vec<(i64, f64, u64)>> {
-        let input = self.as_input();
-        let combiner = |_: &i64, vs: Vec<(f64, u64)>| {
+        self.check_columns(&[key_col, val_col], "group-sum")?;
+        let fold = |vs: &[(f64, u64)]| {
             let mut s = 0.0;
             let mut c = 0u64;
             for (v, n) in vs {
@@ -205,26 +275,23 @@ impl HiveTable {
             }
             (s, c)
         };
-        let out = run_job::<i64, Vec<Cell>, i64, (f64, u64), i64, (f64, u64)>(
-            &input,
-            &|_, row, e| {
-                if let (Some(Cell::I(k)), Some(Cell::F(v))) = (row.get(key_col), row.get(val_col)) {
-                    e.emit(k, &(*v, 1));
+        let out = run_job::<i64, (f64, u64)>(
+            self.len(),
+            &|i, e| {
+                let row = self.row(i);
+                if let (Cell::I(k), Cell::F(v)) = (row[key_col], row[val_col]) {
+                    e.emit(&k, &(v, 1u64));
                 }
             },
-            Some(&combiner),
-            &|&k, vs, emit| {
-                let mut s = 0.0;
-                let mut c = 0u64;
-                for (v, n) in vs.iter() {
-                    s += v;
-                    c += n;
-                }
-                emit(k, (s, c))
-            },
+            Some(&|_, vs| fold(&vs)),
+            &|k, vs, e| e.emit(k, &fold(vs)),
             cfg,
         )?;
-        let mut rows: Vec<(i64, f64, u64)> = out.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
+        let mut rows: Vec<(i64, f64, u64)> = out
+            .records::<i64, (f64, u64)>()?
+            .into_iter()
+            .map(|(k, (s, c))| (k, s, c))
+            .collect();
         rows.sort_unstable_by_key(|&(k, _, _)| k);
         Ok(rows)
     }
@@ -271,7 +338,7 @@ mod tests {
             .filter(|r| matches!(r[0], Cell::I(g) if g < 2), &cfg)
             .unwrap();
         assert_eq!(f.len(), 6);
-        for r in &f.rows {
+        for r in f.rows() {
             assert!(matches!(r[0], Cell::I(g) if g < 2));
         }
     }
@@ -282,8 +349,8 @@ mod tests {
         let cfg = JobConfig::local(2);
         let p = t.project(&[2, 0], &cfg).unwrap();
         assert_eq!(p.len(), 12);
-        assert_eq!(p.rows[0].len(), 2);
-        assert!(t.project(&[7], &cfg).is_err());
+        assert_eq!(p.width(), 2);
+        assert_eq!(p.row(5), [t.row(5)[2], t.row(5)[0]]);
     }
 
     #[test]
@@ -291,18 +358,18 @@ mod tests {
         let t = triples();
         let m = gene_meta();
         let cfg = JobConfig::local(3);
-        let mut joined = t.join(0, &m, 0, &cfg).unwrap();
+        let joined = t.join(0, &m, 0, &cfg).unwrap();
+        assert_eq!(joined.width(), 5);
         // Reference nested loop join.
         let mut expect: Vec<Vec<Cell>> = Vec::new();
-        for l in &t.rows {
-            for r in &m.rows {
+        for l in t.rows() {
+            for r in m.rows() {
                 if l[0] == r[0] {
-                    let mut row = l.clone();
-                    row.extend_from_slice(r);
-                    expect.push(row);
+                    expect.push([l, r].concat());
                 }
             }
         }
+        let mut joined: Vec<Vec<Cell>> = joined.rows().map(<[Cell]>::to_vec).collect();
         let key = |r: &Vec<Cell>| {
             (
                 r[0].as_int().unwrap(),
@@ -310,9 +377,9 @@ mod tests {
                 r[4].as_int().unwrap(),
             )
         };
-        joined.rows.sort_by_key(key);
+        joined.sort_by_key(key);
         expect.sort_by_key(key);
-        assert_eq!(joined.rows, expect);
+        assert_eq!(joined, expect);
         assert_eq!(joined.len(), 12, "every triple matches exactly one gene");
     }
 
@@ -352,5 +419,64 @@ mod tests {
         assert!(t.filter(|_| true, &cfg).unwrap().is_empty());
         assert!(t.join(0, &triples(), 0, &cfg).unwrap().is_empty());
         assert!(t.group_sum(0, 1, &cfg).unwrap().is_empty());
+    }
+
+    #[test]
+    fn flat_rows_are_the_rows_given() {
+        let rows = vec![
+            vec![Cell::I(1), Cell::F(0.5)],
+            vec![Cell::I(2), Cell::F(1.5)],
+        ];
+        let t = HiveTable::new(rows.clone());
+        assert_eq!((t.len(), t.width()), (2, 2));
+        assert!(t.rows().eq(rows.iter().map(Vec::as_slice)));
+        let flat = HiveTable::from_cells(2, rows.concat()).unwrap();
+        assert_eq!(flat, t);
+        assert!(HiveTable::from_cells(2, vec![Cell::I(1)]).is_err());
+        assert!(HiveTable::from_cells(0, vec![]).is_err());
+        assert_eq!(HiveTable::new(vec![]).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one width")]
+    fn ragged_rows_are_refused_at_construction() {
+        HiveTable::new(vec![vec![Cell::I(1), Cell::I(2)], vec![Cell::I(3)]]);
+    }
+
+    /// An out-of-range column is `Error::Invalid`, never a panic in a task
+    /// or a silently empty result.
+    fn assert_out_of_range<T: std::fmt::Debug>(result: Result<T>) {
+        let err = result.expect_err("column past the row width");
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn project_refuses_a_column_past_the_width() {
+        let cfg = JobConfig::local(2);
+        assert_out_of_range(triples().project(&[0, 3], &cfg));
+        assert!(triples().project(&[], &cfg).is_err());
+    }
+
+    #[test]
+    fn join_refuses_a_key_past_either_width() {
+        let cfg = JobConfig::local(2);
+        assert_out_of_range(triples().join(3, &gene_meta(), 0, &cfg));
+        assert_out_of_range(triples().join(0, &gene_meta(), 2, &cfg));
+    }
+
+    #[test]
+    fn group_sum_refuses_a_key_or_value_past_the_width() {
+        let cfg = JobConfig::local(2);
+        assert_out_of_range(triples().group_sum(3, 2, &cfg));
+        assert_out_of_range(triples().group_sum(0, 9, &cfg));
+    }
+
+    #[test]
+    fn a_filtered_out_table_keeps_its_width() {
+        let cfg = JobConfig::local(2);
+        let none = triples().filter(|_| false, &cfg).unwrap();
+        assert_eq!((none.len(), none.width()), (0, 3));
+        assert_out_of_range(none.group_sum(0, 3, &cfg));
     }
 }

@@ -30,4 +30,4 @@ pub mod record;
 
 pub use hive::{Cell, HiveTable};
 pub use job::{run_job, run_map_only, JobConfig};
-pub use record::Writable;
+pub use record::{Encode, Writable};

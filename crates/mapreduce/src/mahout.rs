@@ -34,34 +34,30 @@ fn n_cols(rows: &RowMatrix) -> Result<usize> {
     Ok(n)
 }
 
+/// Element-wise sum of equal-length partial vectors (a reducer's fold).
+fn sum_vectors(vs: &[Vec<f64>]) -> Vec<f64> {
+    let mut acc = vec![0.0; vs.first().map(Vec::len).unwrap_or(0)];
+    for v in vs {
+        for (a, x) in acc.iter_mut().zip(v) {
+            *a += x;
+        }
+    }
+    acc
+}
+
 /// Per-column sums via a combine-enabled aggregation job.
 pub fn column_sums(rows: &RowMatrix, cfg: &JobConfig) -> Result<Vec<f64>> {
     let n = n_cols(rows)?;
-    let combiner = |_: &i64, vs: Vec<Vec<f64>>| {
-        let mut acc = vec![0.0; vs.first().map(Vec::len).unwrap_or(0)];
-        for v in vs {
-            for (a, x) in acc.iter_mut().zip(&v) {
-                *a += x;
-            }
-        }
-        acc
-    };
-    let out = run_job::<i64, Vec<f64>, i64, Vec<f64>, i64, Vec<f64>>(
-        rows,
-        &|_, row, e| e.emit(&0, row),
+    let combiner = |_: &i64, vs: Vec<Vec<f64>>| sum_vectors(&vs);
+    let out = run_job::<i64, Vec<f64>>(
+        rows.len(),
+        &|i, e| e.emit(&0i64, &rows[i].1),
         Some(&combiner),
-        &|_, vs, emit| {
-            let mut acc = vec![0.0; vs.first().map(Vec::len).unwrap_or(0)];
-            for v in vs.iter() {
-                for (a, x) in acc.iter_mut().zip(v) {
-                    *a += x;
-                }
-            }
-            emit(0, acc)
-        },
+        &|k, vs, e| e.emit(k, &sum_vectors(vs)),
         cfg,
     )?;
     let sums = out
+        .records::<i64, Vec<f64>>()?
         .into_iter()
         .next()
         .map(|(_, v)| v)
@@ -75,12 +71,16 @@ pub fn center_columns(rows: &RowMatrix, means: &[f64], cfg: &JobConfig) -> Resul
     if means.len() != n {
         return Err(Error::invalid("means length mismatch"));
     }
-    let means = means.to_vec();
-    run_map_only::<i64, Vec<f64>, i64, Vec<f64>>(
-        rows,
-        &|&i, row, emit| emit(i, row.iter().zip(&means).map(|(v, m)| v - m).collect()),
+    let out = run_map_only(
+        rows.len(),
+        &|i, e| {
+            let (k, row) = &rows[i];
+            let centered: Vec<f64> = row.iter().zip(means).map(|(v, m)| v - m).collect();
+            e.emit(k, &centered)
+        },
         cfg,
-    )
+    )?;
+    out.records()
 }
 
 /// `AᵀA` as a MapReduce job with in-mapper combining: each map task folds
@@ -124,21 +124,14 @@ pub fn gram(rows: &RowMatrix, cfg: &JobConfig) -> Result<RowMatrix> {
     for p in partials {
         job_input.extend(p?);
     }
-    let mut out = run_job::<i64, Vec<f64>, i64, Vec<f64>, i64, Vec<f64>>(
-        &job_input,
-        &|&j, partial, e| e.emit(&j, partial),
+    let out = run_job::<i64, Vec<f64>>(
+        job_input.len(),
+        &|i, e| e.emit(&job_input[i].0, &job_input[i].1),
         None,
-        &|&j, vs, emit| {
-            let mut acc = vec![0.0; vs.first().map(Vec::len).unwrap_or(0)];
-            for v in vs.iter() {
-                for (a, x) in acc.iter_mut().zip(v) {
-                    *a += x;
-                }
-            }
-            emit(j, acc)
-        },
+        &|j, vs, e| e.emit(j, &sum_vectors(vs)),
         cfg,
     )?;
+    let mut out = out.records::<i64, Vec<f64>>()?;
     out.sort_by_key(|&(j, _)| j);
     Ok(out)
 }
@@ -155,11 +148,15 @@ pub fn covariance_rows(rows: &RowMatrix, cfg: &JobConfig) -> Result<RowMatrix> {
     let g = gram(&centered, cfg)?;
     let inv = 1.0 / (m - 1) as f64;
     // Final map-only scaling job.
-    run_map_only::<i64, Vec<f64>, i64, Vec<f64>>(
-        &g,
-        &|&j, row, emit| emit(j, row.iter().map(|v| v * inv).collect()),
+    let out = run_map_only(
+        g.len(),
+        &|i, e| {
+            let (j, row) = &g[i];
+            e.emit(j, &row.iter().map(|v| v * inv).collect::<Vec<f64>>())
+        },
         cfg,
-    )
+    )?;
+    out.records()
 }
 
 /// Normal-equation aggregates for least squares: input records are
@@ -208,22 +205,15 @@ pub fn xtx_xty(rows: &RowMatrix, cfg: &JobConfig) -> Result<(Vec<Vec<f64>>, Vec<
         .into_iter()
         .map(|acc| (0i64, acc))
         .collect();
-    let out = run_job::<i64, Vec<f64>, i64, Vec<f64>, i64, Vec<f64>>(
-        &job_input,
-        &|&k, acc, e| e.emit(&k, acc),
+    let out = run_job::<i64, Vec<f64>>(
+        job_input.len(),
+        &|i, e| e.emit(&job_input[i].0, &job_input[i].1),
         None,
-        &|&k, vs, emit| {
-            let mut acc = vec![0.0; vs.first().map(Vec::len).unwrap_or(0)];
-            for v in vs.iter() {
-                for (a, x) in acc.iter_mut().zip(v) {
-                    *a += x;
-                }
-            }
-            emit(k, acc)
-        },
+        &|k, vs, e| e.emit(k, &sum_vectors(vs)),
         cfg,
     )?;
     let acc = out
+        .records::<i64, Vec<f64>>()?
         .into_iter()
         .next()
         .map(|(_, v)| v)
@@ -237,18 +227,17 @@ pub fn xtx_xty(rows: &RowMatrix, cfg: &JobConfig) -> Result<(Vec<Vec<f64>>, Vec<
 /// and assigns 1-based average ranks (ties averaged). The single-reducer
 /// total sort is the standard Hadoop ranking idiom and a real bottleneck.
 pub fn rank_rows(values: &[(i64, f64)], cfg: &JobConfig) -> Result<Vec<(i64, f64)>> {
-    let input: Vec<(i64, f64)> = values.to_vec();
     let single_reduce = JobConfig {
         reduce_tasks: 1,
         ..cfg.clone()
     };
     // Shuffle everything to one reducer keyed by a constant; the reducer
     // sorts by value and assigns average ranks.
-    let out = run_job::<i64, f64, i64, (i64, f64), i64, f64>(
-        &input,
-        &|&id, &v, e| e.emit(&0, &(id, v)),
+    let out = run_job::<i64, (i64, f64)>(
+        values.len(),
+        &|i, e| e.emit(&0i64, &values[i]),
         None,
-        &|_, pairs, emit| {
+        &|_, pairs, e| {
             pairs.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN in ranking"));
             let n = pairs.len();
             let mut i = 0;
@@ -259,14 +248,14 @@ pub fn rank_rows(values: &[(i64, f64)], cfg: &JobConfig) -> Result<Vec<(i64, f64
                 }
                 let avg = (i + j) as f64 / 2.0 + 1.0;
                 for p in pairs.iter().take(j + 1).skip(i) {
-                    emit(p.0, avg);
+                    e.emit(&p.0, &avg);
                 }
                 i = j + 1;
             }
         },
         &single_reduce,
     )?;
-    Ok(out)
+    out.records()
 }
 
 #[cfg(test)]

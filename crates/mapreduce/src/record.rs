@@ -3,13 +3,23 @@
 //! Every key and value crossing a map/shuffle/reduce boundary goes through
 //! these encoders — that serialization traffic is a core part of the
 //! MapReduce cost profile the benchmark measures.
+//!
+//! The codec has two halves. [`Encode`] is what an emitter needs, and a
+//! borrowed record has it: `[T]` and `&T` write exactly the bytes their
+//! owned forms do, so a mapper can forward a row it reads in place. The
+//! decode half, [`Writable::read`], is what a reducer or a reader of a job's
+//! output needs, and only owned types have it.
 
 use genbase_util::{Error, Result};
 
-/// A type that can serialize itself to bytes and back.
-pub trait Writable: Sized {
+/// The encode half: a value that can append its encoding to a buffer.
+pub trait Encode {
     /// Append the encoding of `self` to `out`.
     fn write(&self, out: &mut Vec<u8>);
+}
+
+/// A type that can serialize itself to bytes and back.
+pub trait Writable: Encode + Sized {
     /// Decode from the front of `input`, advancing it past the record.
     fn read(input: &mut &[u8]) -> Result<Self>;
 }
@@ -23,70 +33,64 @@ fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
     Ok(head)
 }
 
-impl Writable for i64 {
-    fn write(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
+/// Fixed-width scalars: their little-endian bytes (an `f64` as its bit
+/// pattern).
+macro_rules! le_scalar {
+    ($($t:ty),*) => {$(
+        impl Encode for $t {
+            fn write(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+        }
 
-    fn read(input: &mut &[u8]) -> Result<Self> {
-        let b = take(input, 8)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
+        impl Writable for $t {
+            fn read(input: &mut &[u8]) -> Result<Self> {
+                let b = take(input, std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(b.try_into().expect("sized take")))
+            }
+        }
+    )*};
 }
 
-impl Writable for u64 {
-    fn write(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
+le_scalar!(i64, u64, u8, f64);
 
-    fn read(input: &mut &[u8]) -> Result<Self> {
-        let b = take(input, 8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-}
-
-impl Writable for u8 {
-    fn write(&self, out: &mut Vec<u8>) {
-        out.push(*self);
-    }
-
-    fn read(input: &mut &[u8]) -> Result<Self> {
-        Ok(take(input, 1)?[0])
-    }
-}
-
-impl Writable for f64 {
-    fn write(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-
-    fn read(input: &mut &[u8]) -> Result<Self> {
-        let b = take(input, 8)?;
-        Ok(f64::from_bits(u64::from_le_bytes(
-            b.try_into().expect("8 bytes"),
-        )))
-    }
-}
-
-impl<A: Writable, B: Writable> Writable for (A, B) {
+impl<A: Encode, B: Encode> Encode for (A, B) {
     fn write(&self, out: &mut Vec<u8>) {
         self.0.write(out);
         self.1.write(out);
     }
+}
 
+impl<A: Writable, B: Writable> Writable for (A, B) {
     fn read(input: &mut &[u8]) -> Result<Self> {
         Ok((A::read(input)?, B::read(input)?))
     }
 }
 
-impl<T: Writable> Writable for Vec<T> {
+/// A borrowed value encodes as the value.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn write(&self, out: &mut Vec<u8>) {
+        (**self).write(out);
+    }
+}
+
+/// A slice encodes exactly as the `Vec` holding the same elements.
+impl<T: Encode> Encode for [T] {
     fn write(&self, out: &mut Vec<u8>) {
         (self.len() as u64).write(out);
         for v in self {
             v.write(out);
         }
     }
+}
 
+impl<T: Encode> Encode for Vec<T> {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.as_slice().write(out);
+    }
+}
+
+impl<T: Writable> Writable for Vec<T> {
     fn read(input: &mut &[u8]) -> Result<Self> {
         let n = u64::read(input)? as usize;
         // Guard against corrupt lengths blowing up allocation.
@@ -102,7 +106,7 @@ impl<T: Writable> Writable for Vec<T> {
 }
 
 /// Encode a single record to a fresh buffer (test helper / convenience).
-pub fn encode<T: Writable>(value: &T) -> Vec<u8> {
+pub fn encode<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     value.write(&mut out);
     out
@@ -141,6 +145,14 @@ mod tests {
         assert_eq!(decode::<(i64, Vec<f64>)>(&encode(&nested)).unwrap(), nested);
         let empty: Vec<i64> = vec![];
         assert_eq!(decode::<Vec<i64>>(&encode(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn borrowed_forms_encode_as_owned_ones() {
+        let v = vec![1.5f64, -2.0];
+        assert_eq!(encode(v.as_slice()), encode(&v));
+        assert_eq!(encode(&(7u8, v.as_slice())), encode(&(7u8, v.clone())));
+        assert_eq!(encode(&(&3i64, &v)), encode(&(3i64, v)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Loaded tables: a harness loads each dataset's SQL base tables once per
-//! store kind, spools its triples once for the streaming cells' reels and
-//! chunks it once for SciDB, and every cell of that dataset borrows them.
+//! store kind, spools its triples once for the streaming cells' reels,
+//! chunks it once for SciDB and lays out Hadoop's Hive triple table once,
+//! and every cell of that dataset borrows them.
 //! Sharing must be invisible in a cell's bytes — every cell is still
 //! charged what it reads — and visible only in how often the loader runs:
 //! once, however many cells ask, from however many threads. The tables (and
@@ -53,10 +54,23 @@ fn array_engines() -> [Box<dyn Engine>; 2] {
 /// The 60x60 Small dataset's triples, spooled.
 const SPOOL_BYTES: u64 = 60 * 60 * 3 * 8;
 
+/// The 60x60 Small dataset's triples as a Hive table: 16 bytes a field.
+const HIVE_BYTES: u64 = 60 * 60 * 3 * 16;
+
 /// A cell's grid bytes and its tracker peak (`None` unless it completed).
 fn cell_bytes(harness: &Harness, engine: &dyn Engine, query: Query) -> (String, Option<u64>) {
+    cell_bytes_at(harness, engine, query, 1)
+}
+
+/// [`cell_bytes`] on `nodes` simulated nodes.
+fn cell_bytes_at(
+    harness: &Harness,
+    engine: &dyn Engine,
+    query: Query,
+    nodes: usize,
+) -> (String, Option<u64>) {
     let record = harness
-        .run_cell(engine, query, SizeClass::Small, 1)
+        .run_cell(engine, query, SizeClass::Small, nodes)
         .unwrap_or_else(|e| panic!("{}/{query:?}: {e}", engine.name()));
     let peak = record.outcome.report().map(|r| r.memory().peak_alloc_bytes);
     (
@@ -112,6 +126,101 @@ fn warm_arrays_change_no_byte_of_any_scidb_cell() {
     }
     // Ten cells (nine supported), twice each, chunked the dataset once.
     assert_eq!(shared.loaded_tables_stats(), (60 * 60 * 8, 1));
+}
+
+#[test]
+fn warm_hive_triples_change_no_byte_of_any_hadoop_cell() {
+    let shared = Harness::new(sim_config(false)).unwrap();
+    let engine = engines::Hadoop::new();
+    for nodes in [1, 4] {
+        for query in Query::ALL {
+            let first = cell_bytes_at(&shared, &engine, query, nodes);
+            let warm = cell_bytes_at(&shared, &engine, query, nodes);
+            let fresh = Harness::new(sim_config(false)).unwrap();
+            let cold = cell_bytes_at(&fresh, &engine, query, nodes);
+            let cell = format!("Hadoop/{query:?} n{nodes}");
+            assert_eq!(cold, first, "{cell}: first run on the shared harness");
+            assert_eq!(cold, warm, "{cell}: warm run on the shared harness");
+            assert_eq!(cold.1.is_some(), engine.supports(query), "{cell}");
+        }
+    }
+    // Twenty cells (twelve supported), twice each, at two node counts: one
+    // Hive table, resident at its modelled size.
+    assert_eq!(shared.loaded_tables_stats(), (HIVE_BYTES, 1));
+}
+
+#[test]
+fn concurrent_hadoop_cells_lay_out_the_hive_triples_once() {
+    let harness = Harness::new(sim_config(false)).unwrap();
+    let data = harness.dataset(SizeClass::Small).unwrap();
+    let queries = [Query::Regression, Query::Covariance, Query::Statistics];
+    let start = Barrier::new(6);
+    let tables: Vec<Arc<_>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..6)
+            .map(|i| {
+                let (harness, data, start) = (&harness, &data, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let record = harness
+                        .run_cell(&engines::Hadoop::new(), queries[i % 3], SizeClass::Small, 1)
+                        .unwrap();
+                    assert!(record.outcome.report().is_some());
+                    harness
+                        .loaded_tables(SizeClass::Small)
+                        .hive_triples(data)
+                        .unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for table in &tables {
+        assert!(Arc::ptr_eq(table, &tables[0]), "Hive triples copied");
+    }
+    assert_eq!((tables[0].len(), tables[0].width()), (60 * 60, 3));
+    assert_eq!(
+        harness.loaded_tables_stats(),
+        (HIVE_BYTES, 1),
+        "one Hive table for six cells"
+    );
+    let weak = Arc::downgrade(&tables[0]);
+    drop(tables);
+    assert!(weak.upgrade().is_some(), "the harness keeps its Hive table");
+    drop(harness);
+    assert!(
+        weak.upgrade().is_none(),
+        "the Hive table outlived its harness"
+    );
+}
+
+#[test]
+fn a_budget_below_the_hive_split_refuses_every_attempt_alike() {
+    let mut config = sim_config(false);
+    config.mem_budget = Some(1024);
+    let harness = Harness::new(config).unwrap();
+    // The refusal is the charge of the resident split against the cell's
+    // own tracker, exactly as when each cell built a private table.
+    let expected = genbase_util::Error::OutOfMemory {
+        requested: HIVE_BYTES,
+        budget: 1024,
+    }
+    .to_string();
+    for query in [Query::Regression, Query::Covariance, Query::Statistics] {
+        for attempt in ["cold", "warm"] {
+            let outcome = harness
+                .run_cell(&engines::Hadoop::new(), query, SizeClass::Small, 1)
+                .unwrap()
+                .outcome;
+            match outcome {
+                RunOutcome::Infinite { reason } => {
+                    assert_eq!(reason, expected, "{query:?} {attempt}")
+                }
+                other => panic!("expected an infinite outcome, got {other:?}"),
+            }
+        }
+    }
+    // The refused cells still laid the table out, once.
+    assert_eq!(harness.loaded_tables_stats().1, 1);
 }
 
 #[test]
@@ -345,13 +454,14 @@ fn tables_of_one_dataset_refuse_another() {
         )
         .is_ok());
 
-    // The same gate stands before the spool and the arrays.
+    // The same gate stands before the spool, the arrays and the Hive table.
     let mut streaming = ExecContext::single_node();
     streaming.stream = Some(StreamConfig::default());
     for (engine, ctx) in [
         (&engine as &dyn Engine, &streaming),
         (&engines::SciDb::new(), &ctx),
         (&engines::SciDbPhi::new(), &ctx),
+        (&engines::Hadoop::new(), &ctx),
     ] {
         engine
             .run(Query::Covariance, &small, &params, ctx)
@@ -372,6 +482,10 @@ fn tables_of_one_dataset_refuse_another() {
     assert!(tables.store(StoreKind::Column, true, &twin).is_err());
     assert!(tables.spool(&StreamConfig::default(), &twin).is_err());
     assert!(tables.arrays(&twin).is_err());
+    assert!(matches!(
+        tables.hive_triples(&twin),
+        Err(genbase_util::Error::Invalid(_))
+    ));
     assert_eq!(tables.builds(), 1, "a refused dataset loads nothing");
     assert_eq!(tables.spool_bytes(), 0, "a refused dataset spools nothing");
 }
