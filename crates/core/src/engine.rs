@@ -91,12 +91,13 @@ pub struct ExecContext {
     pub cache: Option<genbase_storage::CacheScope>,
     /// What the engines load from the dataset this run reads — the SQL base
     /// tables, the streaming triple spool, SciDB's chunked arrays, Hadoop's
-    /// Hive triple table — shared
-    /// by every cell of that dataset: the harness sets its own
+    /// Hive triple table — shared by every cell of that dataset, and by
+    /// every node of a multi-node cell: the harness sets its own
     /// per-size-class set here; a context built without one carries an
     /// empty private set that loads on first use. Not a cache — no budget,
     /// no eviction, no key: the engines always borrow from it and charge
-    /// what they read to the run's tracker as if the copy were their own.
+    /// what they read (a node: its band) to the run's tracker as if the
+    /// copy were their own.
     pub tables: Arc<LoadedTables>,
 }
 

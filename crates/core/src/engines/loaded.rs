@@ -26,7 +26,9 @@ type Slot<T> = OnceLock<Result<Arc<T>>>;
 /// [`SqlStore`] per [`StoreKind`], with or without the triple table
 /// (`--stream` cells share only the metadata tables); the triples as an
 /// on-disk [`Spool`] per morsel size under every streaming cell's reel;
-/// SciDB's chunked [`ArrayData`]; and Hadoop's flat Hive triple table.
+/// SciDB's chunked [`ArrayData`]; and Hadoop's flat Hive triple table. A
+/// multi-node cell's nodes read their patient bands of the column store's
+/// triple table (the column flavors) or of the arrays (SciDB) in place.
 ///
 /// Each is built exactly once, by the first cell that asks; cells asking
 /// meanwhile block on that build and every later cell gets an `Arc` clone —
@@ -105,7 +107,8 @@ impl LoadedTables {
 
     /// Loads run so far, of every kind (each at most once: under one
     /// harness, which either streams at one morsel size or does not, at
-    /// most 2 stores + 1 spool + 1 array set + 1 Hive table).
+    /// most 2 stores + 1 spool + 1 array set + 1 Hive table, and a third
+    /// store when a streaming harness runs multi-node column cells).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }

@@ -12,6 +12,15 @@
 //! integration tests can assert multi-node == single-node outputs while the
 //! costs diverge.
 //!
+//! No node builds storage. The cell fetches the dataset's loaded base table
+//! once ([`ExecContext::tables`]: the dense expression matrix for pbdR,
+//! SciDB's chunked arrays, the column store's triple table for the column
+//! flavors) and every node reads its own patient band of it in place. Each
+//! node is still charged that band as if it held a private copy — 8 B a
+//! cell dense or chunked, 24 B a cell as triples — before its
+//! data-management scope opens, so traces and `--mem-budget` refusals are
+//! what a per-node copy gave.
+//!
 //! Trace granularity: a multi-node run reports the *critical path* — the
 //! per-phase maximum across nodes — so its plan trace is two synthesized
 //! ops (the per-node data-management pipeline and the distributed kernel)
@@ -20,6 +29,8 @@
 //! is not the maximum of per-node sums), so the coarse trace is the one
 //! that keeps phase totals faithful.
 
+use super::scidb;
+use super::sql_common::{SqlStore, StoreKind};
 use crate::analytics::{self, KernelInput};
 use crate::engine::{ExecContext, PhaseClock};
 use crate::plan::{Kernel, OpCost, OpKind, Phase, PlanSlot, PlanTrace, Tracer};
@@ -32,8 +43,9 @@ use genbase_cluster::{
 };
 use genbase_datagen::Dataset;
 use genbase_linalg::{lanczos_topk, ExecOpts, Matrix};
-use genbase_storage::{self as storage, ColumnarTable, MemDelta, MemTracker};
+use genbase_storage::{self as storage, MemDelta, MemTracker, TableView};
 use genbase_util::{csv, Budget, Error, Result};
+use std::ops::Range;
 
 /// Which multi-node configuration is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,72 +60,64 @@ pub enum MnFlavor {
     Pbdr,
 }
 
-/// Per-node storage, held in the unified storage layer: a dense band
-/// (pbdR), a chunked band (SciDB), or a columnar triple band (the column
-/// stores). Every representation registers with the node's [`MemTracker`],
-/// and the selects below go through the shared conversion kernels.
-enum LocalStore {
-    Pbdr { mat: Matrix },
-    SciDb { arr: Array2D },
-    Column { triples: ColumnarTable },
+/// The dataset's loaded base table in a flavor's representation, borrowed
+/// by every node of the cell: the dense expression matrix (pbdR), SciDB's
+/// chunked expression array, or a view of the column store's triple table
+/// (the column flavors).
+#[derive(Clone, Copy)]
+enum Base<'a> {
+    Dense(&'a Matrix),
+    Chunked(&'a Array2D),
+    Triples(TableView<'a>),
 }
 
-impl LocalStore {
-    fn build(
-        flavor: MnFlavor,
+impl<'a> Base<'a> {
+    /// A node's patient `band` of the table, charged as a private copy of
+    /// it would be (see the module docs; SciDB's notes and budget transient
+    /// are [`scidb::charge_ingest`]'s). A triple band is the table's rows
+    /// `band.start * genes..band.end * genes`.
+    fn band(
+        self,
         data: &Dataset,
-        band: std::ops::Range<usize>,
+        band: &Range<usize>,
         budget: &Budget,
         mem: &MemTracker,
-    ) -> Result<LocalStore> {
-        let rows: Vec<usize> = band.clone().collect();
-        match flavor {
-            MnFlavor::Pbdr => {
-                let mat = data.expression.select_rows(&rows);
-                mem.charge(mat.heap_bytes())?;
-                Ok(LocalStore::Pbdr { mat })
-            }
-            MnFlavor::SciDb => {
-                let band_mat = data.expression.select_rows(&rows);
-                Ok(LocalStore::SciDb {
-                    arr: storage::chunked_from_dense(mem, &band_mat, budget)?,
-                })
-            }
-            MnFlavor::ColumnUdf | MnFlavor::ColumnPbdr => {
-                let cells = band.start * data.n_genes()..band.end * data.n_genes();
-                Ok(LocalStore::Column {
-                    triples: ColumnarTable::from_columns(
-                        mem,
-                        storage::triple_schema(),
-                        storage::triple_columns(&data.expression, cells),
-                    )?,
-                })
+    ) -> Result<Base<'a>> {
+        let genes = data.n_genes();
+        match self {
+            Base::Dense(_) => mem.charge((band.len() * genes * 8) as u64)?,
+            Base::Chunked(_) => scidb::charge_ingest(data, band.clone(), budget, mem)?,
+            Base::Triples(view) => {
+                let view = view.subview(band.start * genes, band.end * genes)?;
+                mem.charge(view.span_bytes())?;
+                return Ok(Base::Triples(view));
             }
         }
+        Ok(self)
     }
 
-    /// Local band restricted to the given gene columns (Query 1/4 DM).
-    /// The columnar flavor pivots its triple band straight through the
-    /// storage layer's dense kernel: the id maps *are* the semijoin.
-    fn select_cols(
-        &self,
+    /// The `rows` x `cols` submatrix, `rows` being global patient ids. The
+    /// triple flavor pivots its band straight through the storage layer's
+    /// dense kernel: the id maps *are* the semijoin. The result stays
+    /// resident through the distributed kernel, so it is charged like the
+    /// single-node engines' `DenseHandle`s (released with the node's
+    /// tracker).
+    fn select(
+        self,
+        rows: &[usize],
         cols: &[usize],
-        band: &std::ops::Range<usize>,
         threads: usize,
         budget: &Budget,
         mem: &MemTracker,
     ) -> Result<Matrix> {
         let local = match self {
-            LocalStore::Pbdr { mat } => storage::select_cols_tracked(mem, mat, cols),
-            LocalStore::SciDb { arr } => {
-                let rows: Vec<usize> = (0..arr.rows()).collect();
-                storage::gather_chunked(arr, &rows, cols, threads, mem, budget)?
-            }
-            LocalStore::Column { triples } => {
+            Base::Dense(mat) => storage::select_tracked(mem, mat, rows, cols),
+            Base::Chunked(arr) => storage::gather_chunked(arr, rows, cols, threads, mem, budget)?,
+            Base::Triples(view) => {
+                let patient_ids: Vec<i64> = rows.iter().map(|&r| r as i64).collect();
                 let gene_ids: Vec<i64> = cols.iter().map(|&c| c as i64).collect();
-                let patient_ids: Vec<i64> = band.clone().map(|p| p as i64).collect();
                 storage::pivot_dense(
-                    &triples.view(),
+                    &view,
                     (1, 0, 2),
                     &patient_ids,
                     &gene_ids,
@@ -123,48 +127,6 @@ impl LocalStore {
                 )?
             }
         };
-        // The local working set stays resident through the distributed
-        // kernel: charge it like the single-node engines' DenseHandles
-        // (released with the node's tracker).
-        mem.charge(local.heap_bytes())?;
-        Ok(local)
-    }
-
-    /// Local band restricted to the given *local* row positions over all
-    /// genes (Query 2/3/5 DM).
-    fn select_rows(
-        &self,
-        local_rows: &[usize],
-        band: &std::ops::Range<usize>,
-        n_genes: usize,
-        threads: usize,
-        budget: &Budget,
-        mem: &MemTracker,
-    ) -> Result<Matrix> {
-        let local = match self {
-            LocalStore::Pbdr { mat } => storage::select_rows_tracked(mem, mat, local_rows),
-            LocalStore::SciDb { arr } => {
-                let cols: Vec<usize> = (0..n_genes).collect();
-                storage::gather_chunked(arr, local_rows, &cols, threads, mem, budget)?
-            }
-            LocalStore::Column { triples } => {
-                let patient_ids: Vec<i64> = local_rows
-                    .iter()
-                    .map(|&r| (band.start + r) as i64)
-                    .collect();
-                let gene_ids: Vec<i64> = (0..n_genes as i64).collect();
-                storage::pivot_dense(
-                    &triples.view(),
-                    (1, 0, 2),
-                    &patient_ids,
-                    &gene_ids,
-                    threads,
-                    mem,
-                    budget,
-                )?
-            }
-        };
-        // See select_cols: the local band selection is kernel-resident.
         mem.charge(local.heap_bytes())?;
         Ok(local)
     }
@@ -219,6 +181,22 @@ pub fn run_multinode(
     let bands = row_bands(data.n_patients(), ctx.nodes);
     let threads = ctx.threads_per_node();
     let bands_ref = &bands;
+    // The dataset's loaded table, fetched once for all nodes.
+    let (arrays, store);
+    let base = match flavor {
+        MnFlavor::Pbdr => Base::Dense(&data.expression),
+        MnFlavor::SciDb => {
+            arrays = ctx.tables.arrays(data)?;
+            Base::Chunked(&arrays.expression)
+        }
+        MnFlavor::ColumnUdf | MnFlavor::ColumnPbdr => {
+            store = ctx.tables.store(StoreKind::Column, true, data)?;
+            let SqlStore::Column { triples, .. } = &*store else {
+                return Err(Error::invalid("the column store loaded as a row store"));
+            };
+            Base::Triples(TableView::new(triples))
+        }
+    };
 
     let (results, _) = cluster.run(|nctx: &mut NodeCtx| -> Result<NodeOut> {
         let band = bands_ref[nctx.rank()].clone();
@@ -228,7 +206,7 @@ pub fn run_multinode(
         // trace reports the per-node maximum, matching the time combination.
         let mem = MemTracker::new(ctx.mem_budget);
         let opts = ExecOpts::with_threads(threads).with_budget(budget.clone());
-        let store = LocalStore::build(flavor, data, band.clone(), &budget, &mem)?; // untimed
+        let base = base.band(data, &band, &budget, &mem)?;
         let dm_scope = mem.op_begin();
         let root = nctx.rank() == 0;
         let mut out = NodeOut {
@@ -243,16 +221,17 @@ pub fn run_multinode(
         // Every node knows the whole selection (metadata is replicated);
         // its share is the selected patients inside its row band.
         let local_rows = |selected: &[usize]| -> Vec<usize> {
-            let mine = selected.iter().filter(|&&p| band.contains(&p));
-            mine.map(|&p| p - band.start).collect()
+            let mine = selected.iter().filter(|p| band.contains(p));
+            mine.copied().collect()
         };
-        // The node's share of a patient selection, as its analytics runtime
+        // The node's `rows` x `cols` of the table, as its analytics runtime
         // receives it.
-        let select_rows = |local_rows: &[usize]| {
-            let n_genes = data.n_genes();
-            let sel = store.select_rows(local_rows, &band, n_genes, threads, &budget, &mem)?;
+        let select = |rows: &[usize], cols: &[usize]| {
+            let sel = base.select(rows, cols, threads, &budget, &mem)?;
             maybe_export_to_r(flavor, sel, &budget, &mem)
         };
+        let band_rows: Vec<usize> = band.clone().collect();
+        let all_genes: Vec<usize> = (0..data.n_genes()).collect();
         // A kernel the root runs by itself, on what was gathered to it.
         let root_kernel = |kernel: Kernel, input: KernelInput| {
             let mut slot = PlanSlot::default();
@@ -263,8 +242,7 @@ pub fn run_multinode(
             Query::Regression => {
                 let clock = PhaseClock::start();
                 let cols = params.selected_genes(query, data)?;
-                let local_x = store.select_cols(&cols, &band, threads, &budget, &mem)?;
-                let local_x = maybe_export_to_r(flavor, local_x, &budget, &mem)?;
+                let local_x = select(&band_rows, &cols)?;
                 let local_y: Vec<f64> = band
                     .clone()
                     .map(|p| data.patients[p].drug_response)
@@ -298,7 +276,7 @@ pub fn run_multinode(
             Query::Covariance => {
                 let clock = PhaseClock::start();
                 let local_rows = local_rows(&params.selected_patients(query, data)?);
-                let local_sel = select_rows(&local_rows)?;
+                let local_sel = select(&local_rows, &all_genes)?;
                 out.dm_wall = clock.secs();
                 out.dm_sim = sim.total_secs();
 
@@ -321,12 +299,9 @@ pub fn run_multinode(
             Query::Biclustering => {
                 let clock = PhaseClock::start();
                 let local_rows = local_rows(&params.selected_patients(query, data)?);
-                let local_sel = select_rows(&local_rows)?;
+                let local_sel = select(&local_rows, &all_genes)?;
                 // Gather the filtered submatrix to the root (with the ids).
-                let ids_f64: Vec<f64> = local_rows
-                    .iter()
-                    .map(|&r| (band.start + r) as f64)
-                    .collect();
+                let ids_f64: Vec<f64> = local_rows.iter().map(|&r| r as f64).collect();
                 let gathered_ids = nctx.gather_f64s(0, &ids_f64)?;
                 let gathered = gather_matrix(nctx, 0, &local_sel)?;
                 out.dm_wall = clock.secs();
@@ -356,8 +331,7 @@ pub fn run_multinode(
             Query::Svd => {
                 let clock = PhaseClock::start();
                 let cols = params.selected_genes(query, data)?;
-                let local_x = store.select_cols(&cols, &band, threads, &budget, &mem)?;
-                let local_x = maybe_export_to_r(flavor, local_x, &budget, &mem)?;
+                let local_x = select(&band_rows, &cols)?;
                 out.dm_wall = clock.secs();
                 out.dm_sim = sim.total_secs();
 
@@ -377,7 +351,7 @@ pub fn run_multinode(
                 let clock = PhaseClock::start();
                 let sampled = params.selected_patients(query, data)?;
                 let local_rows = local_rows(&sampled);
-                let local_sel = select_rows(&local_rows)?;
+                let local_sel = select(&local_rows, &all_genes)?;
                 out.dm_wall = clock.secs();
                 out.dm_sim = sim.total_secs();
 

@@ -100,19 +100,24 @@ impl ArrayData {
     }
 }
 
-/// Charge a cell for the chunked array it reads, exactly as when every cell
-/// chunked a private copy ([`storage::chunked_from_dense`]): the dense
-/// input noted, the chunking transient taken from and returned to the
-/// budget, the resident chunks charged to the cell's tracker for the run
-/// (so a `--mem-budget` below the array refuses the cell) and noted as
-/// output.
-fn charge_ingest(data: &Dataset, budget: &Budget, mem: &MemTracker) -> Result<()> {
-    let cells = data.expression.len() as u64;
-    mem.note_input(data.expression.heap_bytes());
+/// Charge a cell (or one multi-node node) for the patient `rows` of the
+/// chunked array it reads, exactly as when it chunked a private copy of
+/// them ([`storage::chunked_from_dense`]): the dense input noted, the
+/// chunking transient taken from and returned to the budget, the resident
+/// chunks charged to the tracker for the run (so a `--mem-budget` below
+/// them refuses the cell) and noted as output.
+pub(crate) fn charge_ingest(
+    data: &Dataset,
+    rows: std::ops::Range<usize>,
+    budget: &Budget,
+    mem: &MemTracker,
+) -> Result<()> {
+    let cells = (rows.len() * data.n_genes()) as u64;
+    mem.note_input(cells * 8);
     budget.alloc(cells * 8, cells)?;
     budget.free(cells * 8);
     mem.charge(cells * 8)?;
-    mem.note_output(cells * 8, data.expression.rows() as u64);
+    mem.note_output(cells * 8, rows.len() as u64);
     Ok(())
 }
 
@@ -158,7 +163,7 @@ pub(crate) fn run_scidb_single(
     let mem = ctx.mem_tracker();
     // Loaded once per dataset; charged per cell.
     let arrays = ctx.tables.arrays(data)?;
-    charge_ingest(data, &budget, &mem)?;
+    charge_ingest(data, 0..data.n_patients(), &budget, &mem)?;
     let backend = ArrayBackend {
         data,
         params,
@@ -430,6 +435,7 @@ impl PhysicalBackend for ArrayBackend<'_> {
 }
 
 /// SciDB with the analytics offloaded to the modeled Intel Xeon Phi 5110P.
+/// Single-node only: Table 1 models multi-node Phi from SciDB's own cells.
 #[derive(Debug)]
 pub struct SciDbPhi {
     co: Coprocessor,
@@ -458,10 +464,6 @@ impl Engine for SciDbPhi {
     fn supports(&self, query: Query) -> bool {
         // Regression offload was unsupported in the paper's MKL release.
         query != Query::Regression
-    }
-
-    fn max_nodes(&self) -> usize {
-        64
     }
 
     fn run(

@@ -746,8 +746,6 @@ pub struct SqlEngineSpec {
     pub kind: StoreKind,
     /// Analytics bridge.
     pub bridge: Bridge,
-    /// Pay the UDF row-marshalling penalty on Query 3 (column store + UDFs).
-    pub udf_q3_penalty: bool,
 }
 
 impl SqlEngineSpec {
@@ -1152,11 +1150,12 @@ impl SqlBackend<'_> {
         Ok(())
     }
 
-    /// The UDF marshalling penalty of Query 3 on the column store's R-UDF
-    /// interface, traced as its own `Marshal` op after the restructure (a
-    /// no-op for every other engine/query pair).
+    /// The UDF marshalling penalty of Query 3 on the R-UDF interface
+    /// ([`Bridge::InProcess`], column store + UDFs), traced as its own
+    /// `Marshal` op after the restructure (a no-op for every other
+    /// bridge/query pair).
     fn udf_marshal(&self, mat: DenseHandle, tracer: &mut Tracer) -> Result<DenseHandle> {
-        if !(self.spec.udf_q3_penalty && self.query == Query::Biclustering) {
+        if !(self.spec.bridge == Bridge::InProcess && self.query == Query::Biclustering) {
             return Ok(mat);
         }
         let (db_budget, mem) = (&self.db_budget, &self.mem);

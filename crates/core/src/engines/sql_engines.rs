@@ -46,7 +46,6 @@ impl Engine for PostgresMadlib {
         SqlEngineSpec {
             kind: StoreKind::Row,
             bridge: Bridge::InDatabase,
-            udf_q3_penalty: false,
         }
         .run(query, data, params, ctx)
     }
@@ -79,7 +78,6 @@ impl Engine for PostgresR {
         SqlEngineSpec {
             kind: StoreKind::Row,
             bridge: Bridge::ExportToR,
-            udf_q3_penalty: false,
         }
         .run(query, data, params, ctx)
     }
@@ -111,7 +109,6 @@ impl Engine for ColumnR {
         SqlEngineSpec {
             kind: StoreKind::Column,
             bridge: Bridge::ExportToR,
-            udf_q3_penalty: false,
         }
         .run(query, data, params, ctx)
     }
@@ -152,7 +149,6 @@ impl Engine for ColumnUdf {
         SqlEngineSpec {
             kind: StoreKind::Column,
             bridge: Bridge::InProcess,
-            udf_q3_penalty: true,
         }
         .run(query, data, params, ctx)
     }

@@ -101,7 +101,10 @@ impl RBackend<'_> {
             OpKind::Restructure,
             Phase::DataManagement,
             format!("matrix[{what} {} patients, ]", rows.len()),
-            || DenseHandle::new(mem, storage::select_rows_tracked(mem, matrix, rows)),
+            || {
+                let all_genes: Vec<usize> = (0..matrix.cols()).collect();
+                DenseHandle::new(mem, storage::select_tracked(mem, matrix, rows, &all_genes))
+            },
         )?;
         self.sub = Some(sub);
         Ok(())
@@ -215,9 +218,10 @@ impl PhysicalBackend for RBackend<'_> {
                                 (matrix.rows() * cols.len() * 8) as u64,
                                 (matrix.rows() * cols.len()) as u64,
                             )?;
+                            let all_patients: Vec<usize> = (0..matrix.rows()).collect();
                             let sub = DenseHandle::new(
                                 &mem,
-                                storage::select_cols_tracked(&mem, &matrix, &cols),
+                                storage::select_tracked(&mem, &matrix, &all_patients, &cols),
                             )?;
                             let y: Vec<f64> = if want_y {
                                 data.patients.iter().map(|p| p.drug_response).collect()

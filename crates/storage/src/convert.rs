@@ -237,17 +237,24 @@ pub fn gather_chunked(
     Ok(mat)
 }
 
-/// Dense row subset with accounting (vanilla R's `matrix[rows, ]`).
-pub fn select_rows_tracked(tracker: &MemTracker, mat: &Matrix, idx: &[usize]) -> Matrix {
-    let sub = mat.select_rows(idx);
-    tracker.note_input(sub.heap_bytes());
-    tracker.note_output(sub.heap_bytes(), sub.rows() as u64);
-    sub
-}
-
-/// Dense column subset with accounting (vanilla R's `matrix[, cols]`).
-pub fn select_cols_tracked(tracker: &MemTracker, mat: &Matrix, idx: &[usize]) -> Matrix {
-    let sub = mat.select_cols(idx);
+/// Dense submatrix with accounting: R's `matrix[rows, cols]`, rows and
+/// columns in the given order (pass the full axis for `matrix[rows, ]` or
+/// `matrix[, cols]`).
+///
+/// # Panics
+/// If an index is out of range.
+pub fn select_tracked(
+    tracker: &MemTracker,
+    mat: &Matrix,
+    rows: &[usize],
+    cols: &[usize],
+) -> Matrix {
+    let mut data = Vec::with_capacity(rows.len() * cols.len());
+    for &r in rows {
+        let row = mat.row(r);
+        data.extend(cols.iter().map(|&c| row[c]));
+    }
+    let sub = Matrix::from_vec(rows.len(), cols.len(), data).expect("rows x cols values");
     tracker.note_input(sub.heap_bytes());
     tracker.note_output(sub.heap_bytes(), sub.rows() as u64);
     sub

@@ -48,8 +48,8 @@ pub mod tracker;
 pub use cache::{digest_ids, ArtifactCache, CachePin, CacheScope, CacheValue, Lookup};
 pub use convert::{
     chunked_from_dense, columnar_from_column_table, columnar_from_relation, export_csv_tracked,
-    gather_chunked, pivot_csv_tracked, pivot_dense, scatter_csv_triples, select_cols_tracked,
-    select_rows_tracked, triple_columns, triple_schema, triples_from_dense,
+    gather_chunked, pivot_csv_tracked, pivot_dense, scatter_csv_triples, select_tracked,
+    triple_columns, triple_schema, triples_from_dense,
 };
 pub use pipeline::{csv_selected, fused_scan, scatter_selected, SelVec, SlotLookup};
 pub use stream::{

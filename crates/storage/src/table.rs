@@ -69,11 +69,7 @@ impl ColumnarTable {
 
     /// Zero-copy view of the whole table.
     pub fn view(&self) -> TableView<'_> {
-        TableView {
-            table: &self.table,
-            start: 0,
-            end: self.table.n_rows(),
-        }
+        TableView::new(&self.table)
     }
 }
 
@@ -99,7 +95,8 @@ impl Relation for ColumnarTable {
     }
 }
 
-/// Zero-copy row-range view over a [`ColumnarTable`].
+/// Zero-copy row-range view over a [`ColumnarTable`], or over a borrowed
+/// [`ColumnTable`] whose bytes someone else charges (a loaded base table).
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
     table: &'a ColumnTable,
@@ -108,6 +105,15 @@ pub struct TableView<'a> {
 }
 
 impl<'a> TableView<'a> {
+    /// Zero-copy view of the whole of `table`.
+    pub fn new(table: &'a ColumnTable) -> TableView<'a> {
+        TableView {
+            table,
+            start: 0,
+            end: table.n_rows(),
+        }
+    }
+
     /// Rows in the view.
     pub fn n_rows(&self) -> usize {
         self.end - self.start

@@ -174,3 +174,20 @@ fn explain_json_matches_golden() {
         }
     }
 }
+
+/// `explain --json --nodes 2` matches its committed golden: each
+/// multi-node cell's data-management op pins what a node is charged and
+/// reads (`mem_in` / `mem_out` / `mem_peak` / `rows`).
+#[test]
+fn explain_json_two_nodes_matches_golden() {
+    let h = golden_harness();
+    let got = format!(
+        "{}\n",
+        figures::explain_json(&h, SizeClass::Small, 2, None, None).unwrap()
+    );
+    let want = std::fs::read_to_string("tests/golden/explain_small_n2.json").unwrap();
+    assert_eq!(
+        got, want,
+        "explain --json --nodes 2 drifted from the golden snapshot"
+    );
+}

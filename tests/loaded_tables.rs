@@ -1,7 +1,8 @@
 //! Loaded tables: a harness loads each dataset's SQL base tables once per
 //! store kind, spools its triples once for the streaming cells' reels,
 //! chunks it once for SciDB and lays out Hadoop's Hive triple table once,
-//! and every cell of that dataset borrows them.
+//! and every cell of that dataset borrows them — a multi-node cell's nodes
+//! each reading their own patient band.
 //! Sharing must be invisible in a cell's bytes — every cell is still
 //! charged what it reads — and visible only in how often the loader runs:
 //! once, however many cells ask, from however many threads. The tables (and
@@ -48,6 +49,17 @@ fn array_engines() -> [Box<dyn Engine>; 2] {
     [
         Box::new(engines::SciDb::new()),
         Box::new(engines::SciDbPhi::new()),
+    ]
+}
+
+/// The engines whose multi-node nodes each read a patient band of a loaded
+/// table, with the bytes a node is charged per band cell.
+fn band_engines() -> [(Box<dyn Engine>, u64); 4] {
+    [
+        (Box::new(engines::Pbdr::new()), 8),
+        (Box::new(engines::ColumnPbdr::new()), 24),
+        (Box::new(engines::ColumnUdf::new()), 24),
+        (Box::new(engines::SciDb::new()), 8),
     ]
 }
 
@@ -147,6 +159,60 @@ fn warm_hive_triples_change_no_byte_of_any_hadoop_cell() {
     // Twenty cells (twelve supported), twice each, at two node counts: one
     // Hive table, resident at its modelled size.
     assert_eq!(shared.loaded_tables_stats(), (HIVE_BYTES, 1));
+}
+
+#[test]
+fn warm_tables_change_no_byte_of_any_multi_node_cell() {
+    let shared = Harness::new(sim_config(false)).unwrap();
+    for (engine, _) in band_engines() {
+        for nodes in [2, 4] {
+            for query in Query::ALL {
+                let first = cell_bytes_at(&shared, engine.as_ref(), query, nodes);
+                let warm = cell_bytes_at(&shared, engine.as_ref(), query, nodes);
+                let fresh = Harness::new(sim_config(false)).unwrap();
+                let cold = cell_bytes_at(&fresh, engine.as_ref(), query, nodes);
+                let cell = format!("{}/{query:?} n{nodes}", engine.name());
+                assert_eq!(cold, first, "{cell}: first run on the shared harness");
+                assert_eq!(cold, warm, "{cell}: warm run on the shared harness");
+                assert!(cold.1.is_some(), "{cell} did not complete");
+            }
+        }
+    }
+    // Forty cells, twice each: the column flavors' nodes read one column
+    // store (with its triples), SciDB's one array set, pbdR's the dataset.
+    assert_eq!(shared.loaded_tables_stats().1, 2);
+}
+
+#[test]
+fn a_budget_below_a_node_band_refuses_every_attempt_alike() {
+    let mut config = sim_config(false);
+    config.mem_budget = Some(1024);
+    let harness = Harness::new(config).unwrap();
+    for (engine, per_cell) in band_engines() {
+        // The refusal is the charge of a node's 30-patient band against the
+        // node's own tracker, exactly as when each node built a private copy.
+        let expected = genbase_util::Error::OutOfMemory {
+            requested: 30 * 60 * per_cell,
+            budget: 1024,
+        }
+        .to_string();
+        for query in Query::ALL {
+            for attempt in ["cold", "warm"] {
+                let outcome = harness
+                    .run_cell(engine.as_ref(), query, SizeClass::Small, 2)
+                    .unwrap()
+                    .outcome;
+                match outcome {
+                    RunOutcome::Infinite { reason } => {
+                        assert_eq!(reason, expected, "{}/{query:?} {attempt}", engine.name())
+                    }
+                    other => panic!("expected an infinite outcome, got {other:?}"),
+                }
+            }
+        }
+    }
+    // The refused cells still loaded the column store and the arrays, once.
+    assert_eq!(harness.loaded_tables_stats().1, 2);
 }
 
 #[test]

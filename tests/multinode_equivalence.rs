@@ -41,6 +41,28 @@ fn every_multi_node_engine_matches_single_node_reference() {
     }
 }
 
+/// The Phi engine runs single-node SciDB with an offload model, so a
+/// multi-node cell of it is unsupported, not a single-node trace labelled
+/// with the node count.
+#[test]
+fn phi_is_single_node_only() {
+    let harness = Harness::new(HarnessConfig::quick().sim_only()).unwrap();
+    let phi = engines::SciDbPhi::new();
+    let run = |nodes| {
+        harness
+            .run_cell(
+                &phi,
+                Query::Covariance,
+                genbase_datagen::SizeClass::Small,
+                nodes,
+            )
+            .unwrap()
+            .outcome
+    };
+    assert!(matches!(run(1), RunOutcome::Completed(_)));
+    assert!(matches!(run(2), RunOutcome::Unsupported));
+}
+
 #[test]
 fn network_time_appears_only_on_multi_node_runs() {
     let data = dataset();

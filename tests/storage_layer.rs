@@ -10,9 +10,8 @@ use genbase_relational::{
 };
 use genbase_storage::{
     batch_ranges, columnar_from_column_table, columnar_from_relation, export_csv_tracked,
-    gather_chunked, pivot_csv_tracked, pivot_dense, select_cols_tracked, select_rows_tracked,
-    triple_columns, triple_schema, triples_from_dense, BatchReel, Column, ColumnarTable,
-    MemTracker, Morsel, Spool,
+    gather_chunked, pivot_csv_tracked, pivot_dense, select_tracked, triple_columns, triple_schema,
+    triples_from_dense, BatchReel, Column, ColumnarTable, MemTracker, Morsel, Spool,
 };
 use genbase_util::Budget;
 use proptest::prelude::*;
@@ -216,8 +215,9 @@ proptest! {
         prop_assert_eq!(&via_csv, &m);
     }
 
-    // Chunked gather == direct dense subsetting, and the tracked dense
-    // selects == the plain `Matrix` selects they wrap.
+    // Chunked gather == direct dense subsetting == the tracked dense
+    // select, which over a full axis is the plain `Matrix` row or column
+    // select.
     #[test]
     fn chunked_gather_matches_dense_select(m in small_matrix(14)) {
         let tracker = MemTracker::unlimited();
@@ -228,12 +228,15 @@ proptest! {
         let gathered = gather_chunked(&arr, &rows, &cols, 4, &tracker, &budget).unwrap();
         let direct = m.select_rows(&rows).select_cols(&cols);
         prop_assert_eq!(&gathered, &direct);
+        let all_rows: Vec<usize> = (0..m.rows()).collect();
+        let all_cols: Vec<usize> = (0..m.cols()).collect();
+        prop_assert_eq!(select_tracked(&tracker, &m, &rows, &cols), direct);
         prop_assert_eq!(
-            select_rows_tracked(&tracker, &m, &rows),
+            select_tracked(&tracker, &m, &rows, &all_cols),
             m.select_rows(&rows)
         );
         prop_assert_eq!(
-            select_cols_tracked(&tracker, &m, &cols),
+            select_tracked(&tracker, &m, &all_rows, &cols),
             m.select_cols(&cols)
         );
     }
