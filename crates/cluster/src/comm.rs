@@ -84,7 +84,9 @@ impl Cluster {
 
     /// Run `f` on every node in parallel. Returns each node's result plus
     /// the maximum simulated network seconds across nodes (the critical
-    /// path). Fails if any node fails.
+    /// path). Fails if any node fails, with the first error by rank that is
+    /// not [`Error::HungUp`]: a node that fails drops its endpoints, so its
+    /// peers hang up on it, and the cause is its own error, not theirs.
     pub fn run<R, F>(&self, f: F) -> Result<(Vec<R>, f64)>
     where
         R: Send,
@@ -138,8 +140,18 @@ impl Cluster {
                 .collect()
         });
         let mut out = Vec::with_capacity(self.n);
+        let mut hung_up = None;
         for r in results {
-            out.push(r?);
+            match r {
+                Ok(r) => out.push(r),
+                Err(e @ Error::HungUp { .. }) => {
+                    hung_up.get_or_insert(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(e) = hung_up {
+            return Err(e);
         }
         let max_sim = sims.iter().map(|s| s.total_secs()).fold(0.0, f64::max);
         Ok((out, max_sim))
@@ -168,14 +180,14 @@ impl NodeCtx {
         }
         self.senders[to]
             .send(bytes)
-            .map_err(|_| Error::invalid(format!("node {to} hung up")))
+            .map_err(|_| Error::HungUp { node: to })
     }
 
     /// Receive raw bytes from `from`, charging the receive cost.
     pub fn recv_bytes(&self, from: usize) -> Result<Vec<u8>> {
         let bytes = self.receivers[from]
             .recv()
-            .map_err(|_| Error::invalid(format!("node {from} hung up")))?;
+            .map_err(|_| Error::HungUp { node: from })?;
         if from != self.rank {
             self.sim.charge_transfer(
                 bytes.len() as u64,
@@ -388,6 +400,33 @@ mod tests {
             })
             .unwrap();
         assert_eq!(results[0], 0.0, "self-send must not charge network time");
+    }
+
+    #[test]
+    fn a_failed_node_is_the_error_not_the_peer_that_waited_on_it() {
+        let oom = Error::OutOfMemory {
+            requested: 2048,
+            budget: 1024,
+        };
+        let cluster = Cluster::new(3, NetModel::free());
+        // Rank 0 waits on rank 2, which fails instead of sending; rank 1
+        // finishes. Rank 0's hang-up comes first by rank, the cause last.
+        let err = cluster
+            .run(|ctx| match ctx.rank() {
+                0 => ctx.recv_f64s(2).map(|_| ()),
+                1 => Ok(()),
+                _ => Err(oom.clone()),
+            })
+            .unwrap_err();
+        assert_eq!(err, oom);
+        // With no cause among the nodes, the hang-up itself is reported.
+        let err = cluster
+            .run(|ctx| match ctx.rank() {
+                0 => ctx.recv_f64s(1).map(|_| ()),
+                _ => Err(Error::HungUp { node: 0 }),
+            })
+            .unwrap_err();
+        assert_eq!(err, Error::HungUp { node: 1 });
     }
 
     #[test]

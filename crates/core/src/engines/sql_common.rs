@@ -940,7 +940,7 @@ impl PhysicalBackend for SqlBackend<'_> {
                 if self.stream.is_some() {
                     self.stage_semijoin(dim, tracer)?;
                 } else {
-                    self.hash_join(dim, tracer)?;
+                    self.semijoin_triples(dim, tracer)?;
                 }
             }
             LogicalOp::JoinGoTerms => {
@@ -1100,10 +1100,10 @@ impl PhysicalBackend for SqlBackend<'_> {
 }
 
 impl SqlBackend<'_> {
-    /// Materializing lowering of the triple joins: join the base table
-    /// against the ids selected on `dim` (traced as the paper's hash join;
-    /// run as a semijoin, see [`SqlStore::join_triples`]).
-    fn hash_join(&mut self, dim: Dim, tracer: &mut Tracer) -> Result<()> {
+    /// Materializing lowering of the triple joins: semijoin the base table
+    /// against the ids selected on `dim` (see [`SqlStore::join_triples`]),
+    /// traced under the paper's name for the operator, "hash join".
+    fn semijoin_triples(&mut self, dim: Dim, tracer: &mut Tracer) -> Result<()> {
         let ids = match dim {
             Dim::Genes => &self.gene_ids,
             Dim::Patients => &self.patient_ids,

@@ -9,10 +9,9 @@
 //! - [`render`] / [`render_per_op`] turn a [`ReportGrid`] of cell outcomes
 //!   back into the paper's rows/series as a **pure function of the grid**.
 //!
-//! Because rendering never looks at how or where cells ran, the sharded
-//! scheduler's output is byte-identical to the serial path's. The classic
-//! `figure1(&harness)`-style wrappers below run their own plan serially
-//! and render it — same code path, one cell in flight.
+//! Because rendering never looks at how or where cells ran, a figure is
+//! byte-identical whether its grid came from one cell in flight, many,
+//! shards or a coordinator's workers.
 //!
 //! Figures 1–4 come out as text tables (rows = x-axis, columns = systems);
 //! Figure 5 and Table 1 compare SciDB against the modeled Xeon Phi
@@ -23,7 +22,7 @@ use crate::engines::{self, SciDb, SciDbPhi};
 use crate::harness::{Harness, HarnessConfig};
 use crate::plan::{OpKind, Phase};
 use crate::query::Query;
-use crate::sched::{run_cells_serial, CellKey, CellOutcome, FigureId, ReportGrid};
+use crate::sched::{CellKey, CellOutcome, FigureId, ReportGrid};
 use genbase_accel::{Coprocessor, OpProfile};
 use genbase_datagen::SizeClass;
 use genbase_util::table::{Align, TextTable};
@@ -350,48 +349,6 @@ fn render_phi_speedup(
     })
 }
 
-/// Plan one exhibit, run it serially (one cell at a time, full thread
-/// budget each — the classic path), and render.
-fn run_serial_and_render(
-    harness: &Harness,
-    figure: FigureId,
-    mn_size: SizeClass,
-) -> Result<Figure> {
-    let cells = plan(figure, harness.config(), mn_size);
-    let grid = run_cells_serial(harness, &engines::all_engines(), &cells)?;
-    render(figure, harness, mn_size, &grid)
-}
-
-/// Figure 1 via the serial path (see [`render`] for the grid-based form).
-pub fn figure1(harness: &Harness) -> Result<Figure> {
-    run_serial_and_render(harness, FigureId::Fig1, SizeClass::Small)
-}
-
-/// Figure 2 via the serial path.
-pub fn figure2(harness: &Harness) -> Result<Figure> {
-    run_serial_and_render(harness, FigureId::Fig2, SizeClass::Small)
-}
-
-/// Figure 3 via the serial path, on the `size` dataset.
-pub fn figure3(harness: &Harness, size: SizeClass) -> Result<Figure> {
-    run_serial_and_render(harness, FigureId::Fig3, size)
-}
-
-/// Figure 4 via the serial path, on the `size` dataset.
-pub fn figure4(harness: &Harness, size: SizeClass) -> Result<Figure> {
-    run_serial_and_render(harness, FigureId::Fig4, size)
-}
-
-/// Figure 5 via the serial path.
-pub fn figure5(harness: &Harness) -> Result<Figure> {
-    run_serial_and_render(harness, FigureId::Fig5, SizeClass::Small)
-}
-
-/// Table 1 via the serial path, on the `size` dataset.
-pub fn table1(harness: &Harness, size: SizeClass) -> Result<Figure> {
-    run_serial_and_render(harness, FigureId::Table1, size)
-}
-
 /// Per-operator cost breakdown ("explain") for engine × query pairs: each
 /// pair runs once on the `size` dataset over `nodes` simulated nodes, and
 /// its plan trace renders as a table of physical operators with per-op
@@ -653,26 +610,39 @@ mod tests {
     use crate::harness::HarnessConfig;
     use std::time::Duration;
 
-    fn micro_harness() -> Harness {
-        let cfg = HarnessConfig {
+    fn micro_config() -> HarnessConfig {
+        HarnessConfig {
             scale: 0.012,
             sizes: vec![SizeClass::Small],
             cutoff: Duration::from_secs(60),
             r_mem_bytes: u64::MAX,
             node_counts: vec![1, 2],
             ..HarnessConfig::quick()
-        };
-        Harness::new(cfg).unwrap()
+        }
+    }
+
+    fn micro_harness() -> Harness {
+        Harness::new(micro_config()).unwrap()
+    }
+
+    /// Sweep one exhibit with one cell in flight and render it.
+    fn swept(figure: FigureId) -> Figure {
+        use crate::sched::{Scheduler, SweepOptions};
+        let sched = Scheduler::new(micro_config()).unwrap();
+        let sweep = SweepOptions::serial();
+        let out = sched
+            .run_sweep(&[figure], SizeClass::Small, &sweep)
+            .unwrap();
+        render(figure, sched.harness(), SizeClass::Small, &out.grid).unwrap()
     }
 
     #[test]
     fn figure5_and_table1_render() {
-        let h = micro_harness();
-        let f5 = figure5(&h).unwrap();
+        let f5 = swept(FigureId::Fig5);
         assert_eq!(f5.tables.len(), 4);
         let rendered = f5.render();
         assert!(rendered.contains("SciDB + Xeon Phi"));
-        let t1 = table1(&h, SizeClass::Small).unwrap();
+        let t1 = swept(FigureId::Table1);
         let rendered = t1.render();
         assert!(rendered.contains("Covariance"));
         assert!(rendered.contains("Biclustering"));
@@ -688,8 +658,7 @@ mod tests {
 
     #[test]
     fn figure2_renders_both_phases() {
-        let h = micro_harness();
-        let f2 = figure2(&h).unwrap();
+        let f2 = swept(FigureId::Fig2);
         assert_eq!(f2.tables.len(), 2);
         let rendered = f2.render();
         assert!(rendered.contains("Data Management"));

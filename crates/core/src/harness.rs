@@ -203,13 +203,9 @@ impl Harness {
         Ok(QueryParams::for_dataset(self.dataset(class)?.as_ref()))
     }
 
-    /// Execution context for a run.
-    pub fn context(&self, nodes: usize) -> ExecContext {
-        self.context_with_threads(nodes, self.config.threads)
-    }
-
-    /// Execution context with an explicit thread budget — the scheduler
-    /// splits `config.threads` between concurrent cells through this.
+    /// Execution context for a run under an explicit thread budget — the
+    /// scheduler splits `config.threads` between concurrent cells through
+    /// this.
     pub fn context_with_threads(&self, nodes: usize, threads: usize) -> ExecContext {
         let mut ctx = ExecContext::multi_node(nodes);
         ctx.threads = threads.max(1);
@@ -248,25 +244,13 @@ impl Harness {
         size: SizeClass,
         nodes: usize,
     ) -> Result<RunRecord> {
-        self.run_cell_with_threads(engine, query, size, nodes, self.config.threads)
+        self.run_cell_with_progress(engine, query, size, nodes, self.config.threads, None)
     }
 
-    /// [`Harness::run_cell`] under an explicit per-cell thread budget.
-    pub fn run_cell_with_threads(
-        &self,
-        engine: &dyn Engine,
-        query: Query,
-        size: SizeClass,
-        nodes: usize,
-        threads: usize,
-    ) -> Result<RunRecord> {
-        self.run_cell_with_progress(engine, query, size, nodes, threads, None)
-    }
-
-    /// [`Harness::run_cell_with_threads`] with an optional intra-cell
-    /// progress sink threaded into the engine's kernels, so long iterative
-    /// cells (Lanczos SVD, Cheng–Church) checkpoint mid-run and a re-issued
-    /// cell resumes bit-identically.
+    /// [`Harness::run_cell`] under an explicit per-cell thread budget, with
+    /// an optional intra-cell progress sink threaded into the engine's
+    /// kernels, so long iterative cells (Lanczos SVD, Cheng–Church)
+    /// checkpoint mid-run and a re-issued cell resumes bit-identically.
     pub fn run_cell_with_progress(
         &self,
         engine: &dyn Engine,

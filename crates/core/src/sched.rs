@@ -1,16 +1,17 @@
 //! Sharded benchmark scheduler.
 //!
 //! The paper's evaluation is a sweep over (engine × dataset-scale × query ×
-//! nodes) cells. The serial harness runs them one at a time; this module
-//! decomposes every figure into independent [`CellKey`] work units and
-//! dispatches them onto the shared `genbase_util::runtime` pool, so
-//! inter-cell and intra-kernel parallelism compose under one thread budget
-//! (`HarnessConfig.threads` split across `cells_in_flight` concurrent
-//! cells, remainder to each cell's kernels — no oversubscription).
+//! nodes) cells. This module decomposes every figure into independent
+//! [`CellKey`] work units and dispatches them onto the shared
+//! `genbase_util::runtime` pool, so inter-cell and intra-kernel parallelism
+//! compose under one thread budget (`HarnessConfig.threads` split across
+//! `cells_in_flight` concurrent cells, remainder to each cell's kernels — no
+//! oversubscription). [`Scheduler::run_sweep`] and the coordinator in
+//! [`crate::coord`] are the only ways to drain a plan.
 //!
 //! Determinism: cells report into a fixed-order [`ReportGrid`] keyed by
 //! cell id; figure rendering is a pure function of the grid, so fig1–fig5 /
-//! table1 output is **byte-identical** between the serial path and any
+//! table1 output is **byte-identical** between one cell in flight and any
 //! sharded/parallel execution (pinned by `tests/sched_determinism.rs`).
 //! Under [`TimingMode::SimOnly`](crate::harness::TimingMode) the grid
 //! itself is deterministic, so independent runs — including CI shard
@@ -514,6 +515,13 @@ impl ReportGrid {
         }
         if let Some(pairs) = doc.get("progress").and_then(Json::as_obj) {
             for (id, state) in pairs {
+                // A lease ships this value and the next snapshot sets a
+                // kernel key on it: anything but {kernel → state} is torn.
+                if state.as_obj().is_none() {
+                    return Err(Error::invalid(format!(
+                        "grid progress for cell {id} is not an object"
+                    )));
+                }
                 grid.progress.insert(id.clone(), state.clone());
             }
         }
@@ -1008,26 +1016,6 @@ impl Scheduler {
     }
 }
 
-/// Serial grid construction for the classic `figures::figureN` wrappers:
-/// run `cells` one at a time, in order, with the harness's full thread
-/// budget per cell.
-pub fn run_cells_serial(
-    harness: &Harness,
-    engines: &[Box<dyn Engine>],
-    cells: &[CellKey],
-) -> Result<ReportGrid> {
-    let mut grid = ReportGrid::default();
-    for key in cells {
-        let engine = engines
-            .iter()
-            .find(|e| e.name() == key.engine)
-            .ok_or_else(|| Error::invalid(format!("unknown engine {:?}", key.engine)))?;
-        let rec = harness.run_cell(engine.as_ref(), key.query, key.size, key.nodes)?;
-        grid.insert(key, CellOutcome::from_run(&rec.outcome));
-    }
-    Ok(grid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1215,6 +1203,37 @@ mod tests {
         );
         let err = ReportGrid::from_json(&text).unwrap_err();
         assert!(err.to_string().contains("non-numeric"), "{err}");
+    }
+
+    /// A `progress` entry is shipped in the cell's next lease and the next
+    /// snapshot sets a kernel key on it, so one that is not an object is a
+    /// torn file: refused on load, and the sweep resumes from the `.bak`.
+    #[test]
+    fn a_non_object_progress_entry_is_torn_and_the_bak_resumes() {
+        let cell = key(FigureId::Fig1, 1, "SciDB");
+        let id = cell.id();
+        let torn =
+            format!("{{\"schema\":\"{GRID_SCHEMA}\",\"cells\":{{}},\"progress\":{{\"{id}\":5}}}}");
+        let err = ReportGrid::from_json(&torn).unwrap_err();
+        assert!(err.to_string().contains(&id), "{err}");
+
+        let path =
+            std::env::temp_dir().join(format!("genbase-ckpt-progress-{}.json", std::process::id()));
+        let mut good = ReportGrid::default();
+        good.set_progress(&id, "lanczos", Json::from(1u64));
+        good.save(&path).unwrap();
+        save_text(&path, &torn).unwrap();
+        let ledger = Ledger::open(vec![cell.clone()], "fp".into(), Some(path.clone())).unwrap();
+        ledger.note_progress(&cell, "lanczos", Json::from(2u64));
+        let (_, progress) = ledger.take().unwrap();
+        let outcome = ledger.finish().unwrap();
+        for file in [path.clone(), path.with_extension("bak")] {
+            let _ = std::fs::remove_file(file);
+        }
+        let lanczos = progress.as_ref().and_then(|p| p.get("lanczos"));
+        assert_eq!(lanczos.and_then(Json::as_u64), Some(2));
+        let note = outcome.recovered.unwrap();
+        assert!(note.contains("was torn") && note.contains(&id), "{note}");
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn pack_b(b: &[f64], k: usize, n: usize, opts: &ExecOpts) -> Vec<f64> {
 }
 
 /// Packed parallel kernel body: `out += A * B` with B pre-packed.
-pub(crate) fn mm_packed(
+fn mm_packed(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -296,66 +296,6 @@ fn micro_1x4(
     for (ol, cl) in orow.iter_mut().zip(&c) {
         *ol += cl;
     }
-}
-
-/// Blocked parallel transpose on the shared runtime, writing `aᵀ`
-/// (cols×rows, row-major) into `at`, which must hold exactly `rows * cols`
-/// elements and is fully overwritten. Tasks split the output rows (input
-/// columns).
-pub(crate) fn par_transpose_into(
-    a: &[f64],
-    rows: usize,
-    cols: usize,
-    at: &mut [f64],
-    opts: &ExecOpts,
-) {
-    debug_assert_eq!(at.len(), rows * cols);
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    let tasks = cols.div_ceil(BLOCK);
-    let shared = SharedSlice::new(at);
-    runtime::parallel_for(opts.threads, tasks, |t| {
-        let cb = t * BLOCK;
-        let c_end = (cb + BLOCK).min(cols);
-        // SAFETY: each task owns output rows cb..c_end of aᵀ.
-        let band = unsafe { shared.slice_mut(cb * rows, (c_end - cb) * rows) };
-        for rb in (0..rows).step_by(BLOCK) {
-            let r_end = (rb + BLOCK).min(rows);
-            for c in cb..c_end {
-                let out_row = &mut band[(c - cb) * rows..(c - cb + 1) * rows];
-                for r in rb..r_end {
-                    out_row[r] = a[r * cols + c];
-                }
-            }
-        }
-    });
-}
-
-/// `Aᵀ * B` without materializing the transpose in the caller: A's
-/// transpose is packed in parallel into a pooled scratch buffer (no
-/// per-call allocation in steady state), then the packed kernel runs on it.
-pub fn at_mul(a: &Matrix, b: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
-    if a.rows() != b.rows() {
-        return Err(Error::invalid(format!(
-            "at_mul shape mismatch: {:?} vs {:?}",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(k, n);
-    if m == 0 || k == 0 || n == 0 {
-        return Ok(out);
-    }
-    let mut at = genbase_util::scratch::take(m * k);
-    par_transpose_into(a.data(), m, k, &mut at, opts);
-    if (k as u64) * (m as u64) * (n as u64) <= PACK_THRESHOLD {
-        mm_block_into(&at, b.data(), out.data_mut(), k, m, n, opts)?;
-    } else {
-        mm_packed(&at, b.data(), out.data_mut(), k, m, n, opts)?;
-    }
-    Ok(out)
 }
 
 /// Column-block edge for the symmetric rank-k update. A 128×128 block
@@ -630,23 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn at_mul_matches_explicit_transpose() {
-        let mut rng = Pcg64::new(23);
-        let a = random_matrix(&mut rng, 60, 40);
-        let b = random_matrix(&mut rng, 60, 25);
-        let opts = ExecOpts::with_threads(3);
-        let direct = at_mul(&a, &b, &opts).unwrap();
-        let reference = matmul(&a.transpose(), &b, &ExecOpts::serial()).unwrap();
-        assert!(direct.approx_eq(&reference, 1e-9));
-    }
-
-    #[test]
-    fn gram_matches_at_mul_self() {
+    fn gram_matches_the_transpose_product() {
         let mut rng = Pcg64::new(24);
         let a = random_matrix(&mut rng, 80, 50);
         let opts = ExecOpts::with_threads(4);
         let g = gram(&a, &opts).unwrap();
-        let reference = at_mul(&a, &a, &ExecOpts::serial()).unwrap();
+        let reference = matmul(&a.transpose(), &a, &ExecOpts::serial()).unwrap();
         assert!(g.approx_eq(&reference, 1e-9));
         // symmetry
         assert!(g.approx_eq(&g.transpose(), 1e-12));
@@ -676,23 +605,9 @@ mod tests {
             assert!((y[r] - ym.get(r, 0)).abs() < 1e-10);
         }
         let yt = matvec_transposed(&a, &y);
-        let ytm = at_mul(&a, &ym, &ExecOpts::serial()).unwrap();
+        let ytm = matmul(&a.transpose(), &ym, &ExecOpts::serial()).unwrap();
         for c in 0..20 {
             assert!((yt[c] - ytm.get(c, 0)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn at_mul_scratch_reuse_stays_correct_across_shapes() {
-        // Back-to-back calls with different shapes exercise the pooled
-        // scratch buffer resize paths (shrink, grow, exact fit).
-        let mut rng = Pcg64::new(42);
-        for (m, k, n) in [(90, 40, 30), (33, 70, 20), (90, 40, 30), (8, 9, 10)] {
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, m, n);
-            let direct = at_mul(&a, &b, &ExecOpts::with_threads(2)).unwrap();
-            let reference = matmul(&a.transpose(), &b, &ExecOpts::serial()).unwrap();
-            assert!(direct.approx_eq(&reference, 1e-9), "({m},{k},{n})");
         }
     }
 
@@ -701,7 +616,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 2);
         assert!(matmul(&a, &b, &ExecOpts::serial()).is_err());
-        assert!(at_mul(&a, &b, &ExecOpts::serial()).is_err());
     }
 
     #[test]

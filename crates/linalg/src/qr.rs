@@ -417,7 +417,7 @@ mod tests {
         let a = random_matrix(&mut rng, 25, 10);
         let f = QrFactor::factor(a, &ExecOpts::serial()).unwrap();
         let q = f.q();
-        let qtq = crate::matmul::at_mul(&q, &q, &ExecOpts::serial()).unwrap();
+        let qtq = crate::matmul::matmul(&q.transpose(), &q, &ExecOpts::serial()).unwrap();
         assert!(qtq.approx_eq(&Matrix::identity(10), 1e-10));
     }
 

@@ -13,9 +13,7 @@
 //!   output row;
 //! - [`covariance_rows`]: center then gram then scale;
 //! - [`xtx_xty`]: the normal-equation aggregates for regression (the final
-//!   small solve happens on the driver, as in real Mahout programs);
-//! - [`rank_rows`]: single-reducer average-rank job (the Hadoop idiom for
-//!   global ranking).
+//!   small solve happens on the driver, as in real Mahout programs).
 
 use crate::job::{run_job, run_map_only, JobConfig};
 use genbase_util::{Error, Result};
@@ -223,41 +221,6 @@ pub fn xtx_xty(rows: &RowMatrix, cfg: &JobConfig) -> Result<(Vec<Vec<f64>>, Vec<
     Ok((xtx, xty))
 }
 
-/// Global average-rank job: single reducer sorts all `(id, value)` records
-/// and assigns 1-based average ranks (ties averaged). The single-reducer
-/// total sort is the standard Hadoop ranking idiom and a real bottleneck.
-pub fn rank_rows(values: &[(i64, f64)], cfg: &JobConfig) -> Result<Vec<(i64, f64)>> {
-    let single_reduce = JobConfig {
-        reduce_tasks: 1,
-        ..cfg.clone()
-    };
-    // Shuffle everything to one reducer keyed by a constant; the reducer
-    // sorts by value and assigns average ranks.
-    let out = run_job::<i64, (i64, f64)>(
-        values.len(),
-        &|i, e| e.emit(&0i64, &values[i]),
-        None,
-        &|_, pairs, e| {
-            pairs.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN in ranking"));
-            let n = pairs.len();
-            let mut i = 0;
-            while i < n {
-                let mut j = i;
-                while j + 1 < n && pairs[j + 1].1 == pairs[i].1 {
-                    j += 1;
-                }
-                let avg = (i + j) as f64 / 2.0 + 1.0;
-                for p in pairs.iter().take(j + 1).skip(i) {
-                    e.emit(&p.0, &avg);
-                }
-                i = j + 1;
-            }
-        },
-        &single_reduce,
-    )?;
-    out.records()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,18 +338,6 @@ mod tests {
         assert!((beta[0] - 2.0).abs() < 1e-8, "intercept {}", beta[0]);
         assert!((beta[1] - 3.0).abs() < 1e-8);
         assert!((beta[2] + 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn rank_rows_average_ties() {
-        let values = vec![(10i64, 5.0), (11, 1.0), (12, 5.0), (13, 0.5)];
-        let cfg = JobConfig::local(2);
-        let mut ranks = rank_rows(&values, &cfg).unwrap();
-        ranks.sort_by_key(|&(id, _)| id);
-        assert_eq!(ranks[0], (10, 3.5));
-        assert_eq!(ranks[1], (11, 2.0));
-        assert_eq!(ranks[2], (12, 3.5));
-        assert_eq!(ranks[3], (13, 1.0));
     }
 
     #[test]

@@ -108,16 +108,6 @@ impl ColumnData {
             ColumnData::Floats(v) => ColumnData::Floats(v[start..end].to_vec()),
         }
     }
-
-    /// Append another column's values; the types must match.
-    pub fn append(&mut self, other: &ColumnData) -> Result<()> {
-        match (self, other) {
-            (ColumnData::Ints(a), ColumnData::Ints(b)) => a.extend_from_slice(b),
-            (ColumnData::Floats(a), ColumnData::Floats(b)) => a.extend_from_slice(b),
-            _ => return Err(Error::invalid("column type mismatch on append")),
-        }
-        Ok(())
-    }
 }
 
 /// A column-oriented table.

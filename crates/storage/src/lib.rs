@@ -52,8 +52,6 @@ pub use convert::{
     triple_columns, triple_schema, triples_from_dense,
 };
 pub use pipeline::{csv_selected, fused_scan, scatter_selected, SelVec, SlotLookup};
-pub use stream::{
-    batch_ranges, carve_view, reassemble, BatchReel, Morsel, Spool, DEFAULT_BATCH_ROWS,
-};
+pub use stream::{batch_ranges, carve_view, BatchReel, Morsel, Spool, DEFAULT_BATCH_ROWS};
 pub use table::{Column, ColumnarTable, TableView};
 pub use tracker::{DenseHandle, MemDelta, MemTracker, OpScope, Reservation};

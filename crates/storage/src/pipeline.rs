@@ -299,15 +299,9 @@ mod tests {
         reel.replay(|m| {
             let p = m.int_col(1)?;
             let sel = SelVec::from_predicate(m.n_rows(), |i| p[i] % 2 == 1);
-            let picked = m.gather(sel.positions())?;
-            let chunk = genbase_relational::ColumnTable::from_columns(
-                triple_schema(),
-                vec![
-                    genbase_relational::ColumnData::Ints(picked.int_col(0)?.to_vec()),
-                    genbase_relational::ColumnData::Ints(picked.int_col(1)?.to_vec()),
-                    genbase_relational::ColumnData::Floats(picked.float_col(2)?.to_vec()),
-                ],
-            )?;
+            let picked = m.columns().iter().map(|c| c.gather(sel.positions()));
+            let chunk =
+                genbase_relational::ColumnTable::from_columns(triple_schema(), picked.collect())?;
             want.push_str(&genbase_relational::export_csv(
                 &chunk,
                 &genbase_util::Budget::unlimited(),

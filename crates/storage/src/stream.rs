@@ -35,7 +35,7 @@
 //!   shared spool or pushed; a cell's `spill_bytes` are the bytes of its
 //!   reel that live only on disk.
 
-use crate::table::{Column, ColumnarTable, TableView};
+use crate::table::{Column, TableView};
 use crate::tracker::{MemTracker, Reservation};
 use genbase_relational::{DataType, Schema};
 use genbase_util::{faults, runtime, Error, Result};
@@ -116,22 +116,6 @@ impl Morsel {
     pub fn float_col(&self, i: usize) -> Result<&[f64]> {
         self.cols[i].floats()
     }
-
-    /// Copy only the rows named by `sel` (ascending batch-local positions,
-    /// e.g. [`crate::pipeline::SelVec::positions`]) into a new morsel,
-    /// charging the tracker for survivor bytes only.
-    pub fn gather(&self, sel: &[u32]) -> Result<Morsel> {
-        if let Some(&last) = sel.last() {
-            if last as usize >= self.n_rows {
-                return Err(Error::invalid(format!(
-                    "selection position {last} out of range (rows = {})",
-                    self.n_rows
-                )));
-            }
-        }
-        let cols = self.cols.iter().map(|c| c.gather(sel)).collect();
-        Morsel::from_columns(self.charge.tracker(), cols)
-    }
 }
 
 /// The `(start, end)` row ranges that carve `n_rows` into `batch_rows`-row
@@ -161,37 +145,6 @@ pub fn carve_view(
         .into_iter()
         .map(|(s, e)| Morsel::carve(tracker, view, s, e))
         .collect()
-}
-
-/// Reassemble morsels into a [`ColumnarTable`], transferring their tracker
-/// charges instead of re-registering the bytes (see
-/// [`ColumnarTable::adopt_charged_columns`] for the double-charge this
-/// boundary used to hit). Peak while reassembling is the table plus one
-/// in-flight batch, never 2x.
-pub fn reassemble(
-    tracker: &MemTracker,
-    schema: Schema,
-    morsels: Vec<Morsel>,
-) -> Result<ColumnarTable> {
-    let arity = schema.arity();
-    let mut acc: Vec<Column> = (0..arity)
-        .map(|i| match schema.col_type(i) {
-            DataType::Int => Column::Ints(Vec::new()),
-            DataType::Float => Column::Floats(Vec::new()),
-        })
-        .collect();
-    for m in morsels {
-        if m.cols.len() != arity {
-            return Err(Error::invalid("morsel arity does not match schema"));
-        }
-        // Charge the appended copy, then drop the morsel (releasing its
-        // charge): the accumulated buffers stay exactly-once accounted.
-        tracker.charge(m.heap_bytes())?;
-        for (i, c) in m.cols.iter().enumerate() {
-            acc[i].append(c)?;
-        }
-    }
-    ColumnarTable::adopt_charged_columns(tracker, schema, acc)
 }
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -599,6 +552,7 @@ impl std::fmt::Debug for BatchReel {
 mod tests {
     use super::*;
     use crate::convert::triple_schema;
+    use crate::table::ColumnarTable;
 
     fn sample_table(tracker: &MemTracker, n: usize) -> ColumnarTable {
         ColumnarTable::from_columns(
@@ -622,29 +576,6 @@ mod tests {
         // batch_rows = 0 is a usage error, not a silent 1-row fallback.
         assert!(batch_ranges(3, 0).is_err());
         assert!(batch_ranges(0, 0).is_err());
-    }
-
-    #[test]
-    fn carve_reassemble_round_trip_transfers_charges() {
-        let t = MemTracker::unlimited();
-        let table = sample_table(&t, 23);
-        let bytes = table.heap_bytes();
-        let morsels = carve_view(&t, &table.view(), 7).unwrap();
-        assert_eq!(morsels.len(), 4);
-        assert_eq!(t.current(), 2 * bytes, "table + carved copies");
-        let rebuilt = reassemble(&t, triple_schema(), morsels).unwrap();
-        assert_eq!(rebuilt.n_rows(), 23);
-        assert_eq!(rebuilt.int_col(0).unwrap(), table.int_col(0).unwrap());
-        assert_eq!(rebuilt.float_col(2).unwrap(), table.float_col(2).unwrap());
-        assert_eq!(t.current(), 2 * bytes, "reassembly holds exactly one copy");
-        assert!(
-            t.peak() <= 2 * bytes + 7 * 3 * 8,
-            "peak bounded by one in-flight batch, not 2x ({})",
-            t.peak()
-        );
-        drop(rebuilt);
-        drop(table);
-        assert_eq!(t.current(), 0);
     }
 
     #[test]
@@ -846,21 +777,6 @@ mod tests {
             let want: Vec<i64> = serial_ids.iter().copied().filter(|g| g % 2 == 0).collect();
             assert_eq!(ids, want, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn gather_charges_only_survivor_bytes() {
-        let t = MemTracker::unlimited();
-        let table = sample_table(&t, 10);
-        let m = Morsel::carve(&t, &table.view(), 0, 10).unwrap();
-        let before = t.current();
-        let picked = m.gather(&[1, 4, 7]).unwrap();
-        assert_eq!(picked.n_rows(), 3);
-        assert_eq!(picked.int_col(0).unwrap(), &[1, 4, 7]);
-        assert_eq!(t.current() - before, 3 * 3 * 8);
-        assert!(m.gather(&[3, 10]).is_err(), "out-of-range position");
-        drop(picked);
-        assert_eq!(t.current(), before);
     }
 
     #[test]

@@ -47,26 +47,6 @@ impl ColumnarTable {
         Ok(ColumnarTable { table, _charge })
     }
 
-    /// Build from columns whose heap bytes are *already* charged against
-    /// `tracker` — the charge-transfer side of a conversion boundary.
-    ///
-    /// When a streaming operator reassembles tracker-charged morsels into a
-    /// table, routing the buffers through [`ColumnarTable::from_columns`]
-    /// would re-register bytes the tracker already counts, so the boundary
-    /// would briefly hold a 2x charge and inflate `peak_alloc` (and could
-    /// spuriously trip a `--mem-budget` that the real working set fits).
-    /// This constructor adopts the existing charge instead; the table still
-    /// releases it on drop.
-    pub fn adopt_charged_columns(
-        tracker: &MemTracker,
-        schema: Schema,
-        cols: Vec<Column>,
-    ) -> Result<ColumnarTable> {
-        let table = ColumnTable::from_columns(schema, cols)?;
-        let _charge = Reservation::adopt(tracker, table.heap_bytes());
-        Ok(ColumnarTable { table, _charge })
-    }
-
     /// Zero-copy view of the whole table.
     pub fn view(&self) -> TableView<'_> {
         TableView::new(&self.table)
@@ -235,30 +215,5 @@ mod tests {
             rows[1],
             vec![Value::Int(1), Value::Int(0), Value::Float(2.0)]
         );
-    }
-
-    #[test]
-    fn adopting_charged_columns_does_not_double_charge() {
-        // Regression: re-registering view-carved buffers across a
-        // conversion boundary used to go through `from_columns`, charging
-        // bytes the tracker already counted — a transient 2x that inflated
-        // peaks and could trip budgets the real working set fit.
-        let t = MemTracker::unlimited();
-        let table = sample(&t);
-        let bytes = table.heap_bytes();
-        let view = table.view();
-        let cols: Vec<Column> = (0..3).map(|i| view.column_copy(i)).collect();
-        let copy_bytes: u64 = cols.iter().map(Column::heap_bytes).sum();
-        t.charge(copy_bytes).unwrap();
-        let rebuilt = ColumnarTable::adopt_charged_columns(&t, triple_schema(), cols).unwrap();
-        assert_eq!(
-            t.current(),
-            bytes + copy_bytes,
-            "adoption must not re-register already-charged buffers"
-        );
-        assert_eq!(t.peak(), bytes + copy_bytes, "no transient double charge");
-        drop(table);
-        drop(rebuilt);
-        assert_eq!(t.current(), 0, "adopted charge released exactly once");
     }
 }

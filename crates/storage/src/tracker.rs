@@ -263,7 +263,10 @@ impl MemTracker {
     /// cannot collectively overshoot the budget.
     pub fn reserve(&self, bytes: u64) -> Result<Reservation> {
         self.charge(bytes)?;
-        Ok(Reservation::adopt(self, bytes))
+        Ok(Reservation {
+            bytes,
+            tracker: self.clone(),
+        })
     }
 
     /// Open an operator scope: snapshot the cumulative counters and reset
@@ -311,23 +314,9 @@ pub struct Reservation {
 }
 
 impl Reservation {
-    /// Guard `bytes` that are *already* charged against `tracker`: nothing
-    /// is charged now, the drop releases them.
-    pub(crate) fn adopt(tracker: &MemTracker, bytes: u64) -> Reservation {
-        Reservation {
-            bytes,
-            tracker: tracker.clone(),
-        }
-    }
-
     /// Bytes this reservation holds.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The tracker the bytes are charged against.
-    pub(crate) fn tracker(&self) -> &MemTracker {
-        &self.tracker
     }
 }
 

@@ -38,6 +38,12 @@ pub enum Error {
     Invalid(String),
     /// Numerical failure (singular system, non-convergence).
     Numerical(String),
+    /// A simulated node's peer went away mid-exchange: the symptom of a
+    /// failure on that peer, never the cause of a run's outcome.
+    HungUp {
+        /// Rank of the node that went away.
+        node: usize,
+    },
 }
 
 impl Error {
@@ -74,6 +80,7 @@ impl fmt::Display for Error {
             }
             Error::Invalid(msg) => write!(f, "invalid input: {msg}"),
             Error::Numerical(msg) => write!(f, "numerical failure: {msg}"),
+            Error::HungUp { node } => write!(f, "node {node} hung up"),
         }
     }
 }
@@ -109,5 +116,6 @@ mod tests {
         .is_infinite_result());
         assert!(!Error::invalid("x").is_infinite_result());
         assert!(!Error::unsupported("e", "w").is_infinite_result());
+        assert!(!Error::HungUp { node: 1 }.is_infinite_result());
     }
 }

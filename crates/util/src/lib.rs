@@ -25,7 +25,6 @@ pub mod progress;
 pub mod retry;
 pub mod rng;
 pub mod runtime;
-pub mod scratch;
 pub mod shutdown;
 pub mod sim;
 pub mod table;

@@ -187,7 +187,8 @@ fn every_lowering_refuses_an_unusable_selection_with_the_same_error() {
             for engine in engines::all_engines() {
                 for &query in queries.iter().filter(|&&q| engine.supports(q)) {
                     for nodes in (1..=2).filter(|&n| n <= engine.max_nodes()) {
-                        let mut ctx = harness.context(nodes);
+                        let threads = harness.config().threads;
+                        let mut ctx = harness.context_with_threads(nodes, threads);
                         ctx.tables = harness.loaded_tables(SizeClass::Small);
                         let got = engine.run(query, &data, &params, &ctx).map(|r| r.output);
                         assert!(

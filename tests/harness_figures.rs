@@ -1,26 +1,42 @@
 //! End-to-end: the harness regenerates every figure/table at micro scale.
 
-use genbase::figures;
+use genbase::figures::{self, Figure};
 use genbase::harness::{Harness, HarnessConfig};
+use genbase::sched::{FigureId, ReportGrid, Scheduler, SweepOptions};
 use genbase_datagen::SizeClass;
 use std::time::Duration;
 
-fn micro_harness() -> Harness {
-    let cfg = HarnessConfig {
+fn micro_config() -> HarnessConfig {
+    HarnessConfig {
         scale: 0.014, // 70x70 "small"
         sizes: vec![SizeClass::Small],
         cutoff: Duration::from_secs(120),
         r_mem_bytes: u64::MAX,
         node_counts: vec![1, 2],
         ..HarnessConfig::quick()
-    };
-    Harness::new(cfg).unwrap()
+    }
+}
+
+/// A scheduler over `config` and the grid of one serial sweep of `figs`
+/// (multi-node exhibits on the Small dataset).
+fn swept(config: HarnessConfig, figs: &[FigureId]) -> (Scheduler, ReportGrid) {
+    let sched = Scheduler::new(config).unwrap();
+    let sweep = SweepOptions::serial();
+    let grid = sched
+        .run_sweep(figs, SizeClass::Small, &sweep)
+        .unwrap()
+        .grid;
+    (sched, grid)
+}
+
+fn render(sched: &Scheduler, grid: &ReportGrid, fig: FigureId) -> Figure {
+    figures::render(fig, sched.harness(), SizeClass::Small, grid).unwrap()
 }
 
 #[test]
 fn all_figures_and_tables_render() {
-    let h = micro_harness();
-    let f1 = figures::figure1(&h).unwrap();
+    let (sched, grid) = swept(micro_config(), &FigureId::ALL);
+    let [f1, f2, f3, f4, f5, t1] = FigureId::ALL.map(|fig| render(&sched, &grid, fig));
     assert_eq!(f1.tables.len(), 5, "one table per query");
     let rendered = f1.render();
     for engine in [
@@ -37,23 +53,18 @@ fn all_figures_and_tables_render() {
     // Hadoop shows no bar for biclustering/SVD (missing functionality).
     assert!(rendered.contains('-'));
 
-    let f2 = figures::figure2(&h).unwrap();
     assert_eq!(f2.tables.len(), 2);
 
-    let f3 = figures::figure3(&h, SizeClass::Small).unwrap();
     assert_eq!(f3.tables.len(), 5);
     let rendered = f3.render();
     for engine in ["Column store + pbdR", "pbdR", "SciDB"] {
         assert!(rendered.contains(engine), "figure 3 must list {engine}");
     }
 
-    let f4 = figures::figure4(&h, SizeClass::Small).unwrap();
     assert_eq!(f4.tables.len(), 2);
 
-    let f5 = figures::figure5(&h).unwrap();
     assert_eq!(f5.tables.len(), 4, "the four offloadable queries");
 
-    let t1 = figures::table1(&h, SizeClass::Small).unwrap();
     let rendered = t1.render();
     for bench in ["Covariance", "SVD", "Statistics", "Biclustering"] {
         assert!(rendered.contains(bench), "table 1 must list {bench}");
@@ -62,13 +73,10 @@ fn all_figures_and_tables_render() {
 
 #[test]
 fn run_matrix_covers_all_cells() {
-    use genbase::sched::{run_cells_serial, FigureId, Scheduler};
     // Figure 1's cells are the single-node matrix: every query on every
     // single-node engine at every configured size.
-    let sched = Scheduler::new(micro_harness().config().clone()).unwrap();
+    let (sched, grid) = swept(micro_config(), &[FigureId::Fig1]);
     let cells = sched.plan(&[FigureId::Fig1], SizeClass::Small);
-    let engines = genbase::engines::single_node_engines();
-    let grid = run_cells_serial(sched.harness(), &engines, &cells).unwrap();
     // 5 queries x 1 size x 7 engines.
     assert_eq!((cells.len(), grid.len()), (35, 35));
     let outcomes = cells.iter().map(|cell| grid.get(cell).unwrap());
@@ -87,7 +95,6 @@ fn run_matrix_covers_all_cells() {
 /// another. Pinned from the commit before the exhibit table existed.
 #[test]
 fn plan_order_matches_golden() {
-    use genbase::sched::{FigureId, Scheduler};
     let sched = Scheduler::new(HarnessConfig::quick()).unwrap();
     let cells = sched.plan(&FigureId::ALL, SizeClass::Small);
     let got: String = cells.iter().map(|cell| cell.id() + "\n").collect();
@@ -101,17 +108,34 @@ fn plan_order_matches_golden() {
 /// Configuration identical to the CI golden-snapshot runs
 /// (`--scale 0.012 --sizes small --sim-only --threads 4`): output must be
 /// deterministic across machines, so the committed goldens pin it.
-fn golden_harness() -> Harness {
+fn golden_config() -> HarnessConfig {
     let scale = 0.012f64;
-    let cfg = HarnessConfig {
+    HarnessConfig {
         scale,
         sizes: vec![SizeClass::Small],
         r_mem_bytes: (48e9 * scale * scale) as u64,
         threads: 4,
         ..HarnessConfig::default()
     }
-    .sim_only();
-    Harness::new(cfg).unwrap()
+    .sim_only()
+}
+
+fn golden_harness() -> Harness {
+    Harness::new(golden_config()).unwrap()
+}
+
+/// Every exhibit renders byte-identically to the committed golden
+/// (regenerate with `paper_harness all --scale 0.012 --sizes small
+/// --mn-size small --sim-only --threads 4 > tests/golden/all_small.txt`).
+#[test]
+fn all_small_matches_golden() {
+    let (sched, grid) = swept(golden_config(), &FigureId::ALL);
+    let got: String = FigureId::ALL
+        .into_iter()
+        .map(|fig| format!("{}\n", render(&sched, &grid, fig).render()))
+        .collect();
+    let want = std::fs::read_to_string("tests/golden/all_small.txt").unwrap();
+    assert_eq!(got, want, "`all` drifted from the golden snapshot");
 }
 
 /// The per-op Figure 2 variant renders byte-identically to the committed
@@ -120,12 +144,9 @@ fn golden_harness() -> Harness {
 /// --per-op > tests/golden/fig2_per_op.txt`).
 #[test]
 fn fig2_per_op_matches_golden() {
-    use genbase::engines;
-    use genbase::sched::{run_cells_serial, FigureId};
-    let h = golden_harness();
-    let cells = figures::plan(FigureId::Fig2, h.config(), SizeClass::Small);
-    let grid = run_cells_serial(&h, &engines::all_engines(), &cells).unwrap();
-    let fig = figures::render_per_op(FigureId::Fig2, &h, SizeClass::Small, &grid).unwrap();
+    let (sched, grid) = swept(golden_config(), &[FigureId::Fig2]);
+    let h = sched.harness();
+    let fig = figures::render_per_op(FigureId::Fig2, h, SizeClass::Small, &grid).unwrap();
     let got = format!("{}\n", fig.render());
     let want = std::fs::read_to_string("tests/golden/fig2_per_op.txt").unwrap();
     assert_eq!(got, want, "fig2 --per-op drifted from the golden snapshot");

@@ -215,6 +215,35 @@ fn a_budget_below_a_node_band_refuses_every_attempt_alike() {
     assert_eq!(harness.loaded_tables_stats().1, 2);
 }
 
+/// A budget that admits a node's band but refuses one node's later step is
+/// that node's refusal, not its peers' hang-up on it: every multi-node cell
+/// completes or renders infinite, at every node count.
+#[test]
+fn a_refusal_on_one_node_is_the_cells_outcome_not_its_peers_hang_up() {
+    let mut config = sim_config(false);
+    config.mem_budget = Some(15_000);
+    let harness = Harness::new(config).unwrap();
+    let mut refused_on_two_nodes = 0;
+    for engine in engines::multi_node_engines() {
+        for nodes in [1, 2, 4] {
+            for query in Query::ALL {
+                let cell = format!("{}/{query:?} n{nodes}", engine.name());
+                let record = harness
+                    .run_cell(engine.as_ref(), query, SizeClass::Small, nodes)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                if let RunOutcome::Infinite { reason } = record.outcome {
+                    assert!(
+                        reason.starts_with("memory allocation failure"),
+                        "{cell}: {reason}"
+                    );
+                    refused_on_two_nodes += usize::from(nodes == 2);
+                }
+            }
+        }
+    }
+    assert!(refused_on_two_nodes > 0);
+}
+
 #[test]
 fn concurrent_hadoop_cells_lay_out_the_hive_triples_once() {
     let harness = Harness::new(sim_config(false)).unwrap();

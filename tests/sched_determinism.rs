@@ -1,6 +1,7 @@
 //! Paper-conformance tier: the sharded scheduler must be a pure
-//! reorganization of the serial sweep — same cells, same grid, byte-for-byte
-//! the same rendered figures — for every sharding/concurrency configuration.
+//! reorganization of the serial sweep (one cell in flight) — same cells,
+//! same grid, byte-for-byte the same rendered figures — for every
+//! sharding/concurrency configuration.
 //!
 //! All sweeps here run in `TimingMode::SimOnly`, which zeroes measured wall
 //! seconds so completed cells are deterministic and whole-output equality
@@ -35,14 +36,22 @@ fn render_all(sched: &Scheduler, grid: &ReportGrid, figs: &[FigureId]) -> String
         .join("\n")
 }
 
+/// A fresh scheduler and its sweep of `figs` with one cell in flight: the
+/// serial reference every other configuration must reproduce.
+fn serial_sweep(figs: &[FigureId]) -> (Scheduler, ReportGrid) {
+    let sched = Scheduler::new(micro_config()).unwrap();
+    let outcome = sched
+        .run_sweep(figs, SizeClass::Small, &SweepOptions::serial())
+        .unwrap();
+    (sched, outcome.grid)
+}
+
 #[test]
 fn fig1_sweep_is_byte_identical_serial_vs_sharded() {
-    // Serial reference: the classic figures::figure1 path.
-    let serial_sched = Scheduler::new(micro_config()).unwrap();
-    let serial_text = figures::figure1(serial_sched.harness()).unwrap().render();
+    let (serial_sched, serial_grid) = serial_sweep(&[FigureId::Fig1]);
+    let serial_text = render_all(&serial_sched, &serial_grid, &[FigureId::Fig1]);
 
-    let mut grids = Vec::new();
-    for cells_in_flight in [1usize, 2, 8] {
+    for cells_in_flight in [2usize, 8] {
         let sched = Scheduler::new(micro_config()).unwrap();
         let sweep = SweepOptions::default().with_cells_in_flight(cells_in_flight);
         let outcome = sched
@@ -56,11 +65,9 @@ fn fig1_sweep_is_byte_identical_serial_vs_sharded() {
             text, serial_text,
             "jobs={cells_in_flight}: sharded rendering must be byte-identical to serial"
         );
-        grids.push(outcome.grid.to_json());
+        // The grids themselves (not just the rendering) must agree bytewise.
+        assert_eq!(outcome.grid.to_json(), serial_grid.to_json());
     }
-    // The grids themselves (not just the rendering) must agree bytewise.
-    assert_eq!(grids[0], grids[1]);
-    assert_eq!(grids[0], grids[2]);
 }
 
 #[test]
@@ -95,37 +102,29 @@ fn shard_partitions_cover_every_cell_exactly_once() {
     assert_eq!(seen_set, all_set, "shards must cover the full plan");
 
     // The merged sharded sweep renders byte-identically to the serial path.
-    let serial_text = figures::figure1(sched.harness()).unwrap().render();
-    assert_eq!(render_all(&sched, &merged, &[FigureId::Fig1]), serial_text);
+    let (serial_sched, serial_grid) = serial_sweep(&[FigureId::Fig1]);
+    assert_eq!(
+        render_all(&sched, &merged, &[FigureId::Fig1]),
+        render_all(&serial_sched, &serial_grid, &[FigureId::Fig1])
+    );
 }
 
 #[test]
 fn every_figure_renders_identically_from_one_shared_sweep() {
     // One sweep over all six exhibits at once (cells interleaved across
-    // figures, 4 in flight) must reproduce each classic serial wrapper.
+    // figures, 4 in flight) must reproduce each exhibit's own serial sweep.
     let sched = Scheduler::new(micro_config()).unwrap();
     let sweep = SweepOptions::default().with_cells_in_flight(4);
     let outcome = sched
         .run_sweep(&FigureId::ALL, SizeClass::Small, &sweep)
         .unwrap();
 
-    let reference = Scheduler::new(micro_config()).unwrap();
-    let h = reference.harness();
-    let serial = [
-        figures::figure1(h).unwrap(),
-        figures::figure2(h).unwrap(),
-        figures::figure3(h, SizeClass::Small).unwrap(),
-        figures::figure4(h, SizeClass::Small).unwrap(),
-        figures::figure5(h).unwrap(),
-        figures::table1(h, SizeClass::Small).unwrap(),
-    ];
-    for (fig, expect) in FigureId::ALL.into_iter().zip(&serial) {
-        let got = figures::render(fig, sched.harness(), SizeClass::Small, &outcome.grid)
-            .unwrap()
-            .render();
+    for fig in FigureId::ALL {
+        let (serial_sched, serial_grid) = serial_sweep(&[fig]);
+        let got = render_all(&sched, &outcome.grid, &[fig]);
         assert_eq!(
             got,
-            expect.render(),
+            render_all(&serial_sched, &serial_grid, &[fig]),
             "{} drifted from the serial path",
             fig.name()
         );

@@ -317,13 +317,24 @@ fn column(is_int: bool, len: usize, salt: usize) -> Column {
     }
 }
 
+/// Extend each column of `head` with the matching column of `tail`.
+fn concat(head: &mut [Column], tail: &[Column]) {
+    for pair in head.iter_mut().zip(tail) {
+        match pair {
+            (Column::Ints(h), Column::Ints(t)) => h.extend_from_slice(t),
+            (Column::Floats(h), Column::Floats(t)) => h.extend_from_slice(t),
+            (h, t) => panic!("column types differ: {h:?} / {t:?}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // One constructor validates a columnar table. The tracked table's two
-    // constructors accept and refuse what `ColumnTable::from_columns` does,
-    // in the same words; a refusal charges nothing; adoption never charges
-    // and its drop releases exactly the table's heap bytes.
+    // One constructor validates a columnar table. The tracked table's
+    // constructor accepts and refuses what `ColumnTable::from_columns` does,
+    // in the same words; a refusal charges nothing, and a table's drop
+    // releases exactly its heap bytes.
     #[test]
     fn tracked_and_plain_columnar_constructors_agree(
         schema_types in proptest::collection::vec(proptest::bool::ANY, 0..4),
@@ -350,41 +361,31 @@ proptest! {
 
         let plain = ColumnTable::from_columns(schema.clone(), cols.clone());
         let charging = MemTracker::unlimited();
-        let charged = ColumnarTable::from_columns(&charging, schema.clone(), cols.clone());
-        // Adoption's contract: the bytes are charged already.
-        let adopting = MemTracker::unlimited();
-        adopting.charge(bytes).unwrap();
-        let adopted = ColumnarTable::adopt_charged_columns(&adopting, schema, cols.clone());
-        prop_assert_eq!((adopting.current(), adopting.peak()), (bytes, bytes));
+        let charged = ColumnarTable::from_columns(&charging, schema, cols.clone());
 
-        match (plain, charged, adopted) {
-            (Ok(plain), Ok(charged), Ok(adopted)) => {
+        match (plain, charged) {
+            (Ok(plain), Ok(charged)) => {
                 prop_assert_eq!(charging.current(), bytes);
-                for table in [&charged, &adopted] {
-                    prop_assert_eq!(table.columns(), &cols[..]);
-                    prop_assert_eq!(table.n_rows(), plain.n_rows());
-                    prop_assert_eq!(table.heap_bytes(), bytes);
-                }
-                drop((charged, adopted));
-                prop_assert_eq!((charging.current(), adopting.current()), (0, 0));
+                prop_assert_eq!(charged.columns(), &cols[..]);
+                prop_assert_eq!(charged.n_rows(), plain.n_rows());
+                prop_assert_eq!(charged.heap_bytes(), bytes);
+                drop(charged);
+                prop_assert_eq!(charging.current(), 0);
             }
-            (Err(plain), Err(charged), Err(adopted)) => {
+            (Err(plain), Err(charged)) => {
                 prop_assert_eq!(plain.to_string(), charged.to_string());
-                prop_assert_eq!(plain.to_string(), adopted.to_string());
                 prop_assert_eq!((charging.current(), charging.peak()), (0, 0));
-                prop_assert_eq!(adopting.current(), bytes);
             }
-            (plain, charged, adopted) => prop_assert!(
+            (plain, charged) => prop_assert!(
                 false,
-                "the constructors disagree: {:?} / {:?} / {:?}",
-                plain.map(|_| ()), charged.map(|_| ()), adopted.map(|_| ())
+                "the constructors disagree: {:?} / {:?}",
+                plain.map(|_| ()), charged.map(|_| ())
             ),
         }
     }
 
-    // `gather`, `slice_range` and `append` on the one column type against a
-    // plain `Vec`, and a morsel's gather over the same selection — which
-    // refuses a position past its rows instead of panicking.
+    // `gather` and `slice_range` on the one column type against a plain
+    // `Vec`.
     #[test]
     fn column_kernels_match_a_vec_model(
         values in proptest::collection::vec(-1000i64..1000, 0..60),
@@ -401,31 +402,12 @@ proptest! {
         let col = as_column(&values);
         prop_assert_eq!(col.heap_bytes(), 8 * n as u64);
 
-        let mut sel: Vec<u32> = picks.iter().filter(|&&i| i < n).map(|&i| i as u32).collect();
+        let sel: Vec<u32> = picks.iter().filter(|&&i| i < n).map(|&i| i as u32).collect();
         let picked: Vec<i64> = sel.iter().map(|&i| values[i as usize]).collect();
         prop_assert_eq!(col.gather(&sel), as_column(&picked));
 
         let (start, end) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
         prop_assert_eq!(col.slice_range(start, end), as_column(&values[start..end]));
-
-        let mut joined = col.slice_range(0, start);
-        joined.append(&col.slice_range(start, n)).unwrap();
-        prop_assert_eq!(&joined, &col);
-        let other_type = if is_int { Column::Floats(vec![1.0]) } else { Column::Ints(vec![1]) };
-        prop_assert!(joined.append(&other_type).is_err());
-        prop_assert_eq!(&joined, &col, "a refused append changes nothing");
-
-        // A morsel gathers through the same kernel (ascending positions).
-        let tracker = MemTracker::unlimited();
-        let morsel = Morsel::from_columns(&tracker, vec![col.clone()]).unwrap();
-        sel.sort_unstable();
-        let survivors = morsel.gather(&sel).unwrap();
-        prop_assert_eq!(&survivors.columns()[0], &col.gather(&sel));
-        prop_assert_eq!(tracker.current(), 8 * (n + sel.len()) as u64);
-        drop(survivors);
-        sel.push(n as u32);
-        prop_assert!(morsel.gather(&sel).is_err(), "position {} of {} rows", n, n);
-        prop_assert_eq!(tracker.current(), 8 * n as u64, "a refused gather charges nothing");
     }
 
     // The triple layout is stated once: `triple_columns` over a band of
@@ -453,9 +435,7 @@ proptest! {
 
         let mid = cells.start + split % (cells.len() + 1);
         let mut glued = triple_columns(&m, cells.start..mid);
-        for (head, tail) in glued.iter_mut().zip(triple_columns(&m, mid..cells.end)) {
-            head.append(&tail).unwrap();
-        }
+        concat(&mut glued, &triple_columns(&m, mid..cells.end));
         prop_assert_eq!(glued, cols);
     }
 }
@@ -500,11 +480,8 @@ fn every_triple_representation_is_triple_columns() {
     assert_eq!(reel.n_batches(), cells.div_ceil(64));
     let mut spooled = triple_columns(&data.expression, 0..0);
     reel.replay(|m| {
-        let batch = m.columns().iter();
-        spooled
-            .iter_mut()
-            .zip(batch)
-            .try_for_each(|(all, b)| all.append(b))
+        concat(&mut spooled, m.columns());
+        Ok(())
     })
     .unwrap();
     assert_eq!(spooled, want, "spooled batches, concatenated");

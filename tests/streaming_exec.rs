@@ -12,9 +12,7 @@ use genbase::figures;
 use genbase::prelude::*;
 use genbase_datagen::SizeClass;
 use genbase_relational::{DataType, Schema};
-use genbase_storage::{
-    batch_ranges, carve_view, reassemble, Column, ColumnarTable, MemTracker, SelVec,
-};
+use genbase_storage::{batch_ranges, carve_view, Column, ColumnarTable, MemTracker, SelVec};
 use genbase_util::CostReport;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -167,7 +165,14 @@ fn streaming_is_byte_identical_across_batch_sizes_and_threads() {
             for threads in [1usize, 3, 8] {
                 let what = format!("{name} {query:?} batch_rows={batch_rows} threads={threads}");
                 let record = harness
-                    .run_cell_with_threads(engine.as_ref(), *query, SizeClass::Small, 1, threads)
+                    .run_cell_with_progress(
+                        engine.as_ref(),
+                        *query,
+                        SizeClass::Small,
+                        1,
+                        threads,
+                        None,
+                    )
                     .unwrap();
                 let report = completed(&record, &what);
                 assert_reports_identical(baseline, &report, &what);
@@ -351,11 +356,11 @@ fn over_budget_streaming_cell_spills_and_completes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Carving a table into morsels and reassembling them is the identity,
-    // for every (row count, batch size) — including ragged tails, batches
-    // larger than the table, and the empty table.
+    // Carving a table into morsels covers it exactly, in order, for every
+    // (row count, batch size) — including ragged tails, batches larger than
+    // the table, and the empty table.
     #[test]
-    fn morsel_carve_reassemble_round_trip(n_rows in 0usize..400, batch_rows in 1usize..97) {
+    fn morsel_carve_round_trip(n_rows in 0usize..400, batch_rows in 1usize..97) {
         let tracker = MemTracker::unlimited();
         let schema = Schema::new(&[
             ("gene_id", DataType::Int),
@@ -367,7 +372,7 @@ proptest! {
         let values: Vec<f64> = (0..n_rows).map(|i| i as f64 * 0.5 - 3.0).collect();
         let table = ColumnarTable::from_columns(
             &tracker,
-            schema.clone(),
+            schema,
             vec![
                 Column::Ints(genes.clone()),
                 Column::Ints(patients.clone()),
@@ -391,23 +396,26 @@ proptest! {
 
         let morsels = carve_view(&tracker, &table.view(), batch_rows).unwrap();
         prop_assert_eq!(morsels.iter().map(|m| m.n_rows()).sum::<usize>(), n_rows);
-        let back = reassemble(&tracker, schema, morsels).unwrap();
-        prop_assert_eq!(back.n_rows(), n_rows);
-        prop_assert_eq!(back.int_col(0).unwrap(), &genes[..]);
-        prop_assert_eq!(back.int_col(1).unwrap(), &patients[..]);
-        prop_assert_eq!(back.float_col(2).unwrap(), &values[..]);
+        let mut back = (Vec::new(), Vec::new(), Vec::new());
+        for m in &morsels {
+            back.0.extend_from_slice(m.int_col(0).unwrap());
+            back.1.extend_from_slice(m.int_col(1).unwrap());
+            back.2.extend_from_slice(m.float_col(2).unwrap());
+        }
+        prop_assert_eq!(back, (genes, patients, values));
 
-        // Memory accounting balances: everything charged during the round
-        // trip is released once both tables drop.
+        // Memory accounting balances: each morsel is charged its own bytes
+        // while it lives, and everything is released once all drop.
+        prop_assert_eq!(tracker.current(), 2 * table.heap_bytes());
         drop(table);
-        drop(back);
+        drop(morsels);
         prop_assert_eq!(tracker.current(), 0);
     }
 
     // Selection-vector filtering is the identity against the copying
-    // filter: carve into morsels, mark survivors with a SelVec, gather,
-    // reassemble — exactly the rows a plain row-copying filter keeps, in
-    // the same order, with all charged bytes released on drop.
+    // filter: carve into morsels, mark survivors with a SelVec, gather —
+    // exactly the rows a plain row-copying filter keeps, in the same order,
+    // with all charged bytes released on drop.
     #[test]
     fn selvec_filter_matches_copying_filter(
         n_rows in 0usize..400,
@@ -425,7 +433,7 @@ proptest! {
         let values: Vec<f64> = (0..n_rows).map(|i| i as f64 * 0.5 - 3.0).collect();
         let table = ColumnarTable::from_columns(
             &tracker,
-            schema.clone(),
+            schema,
             vec![
                 Column::Ints(genes.clone()),
                 Column::Ints(patients.clone()),
@@ -447,23 +455,22 @@ proptest! {
         }
 
         let morsels = carve_view(&tracker, &table.view(), batch_rows).unwrap();
-        let mut survivors = Vec::new();
+        let mut back = (Vec::new(), Vec::new(), Vec::new());
         for m in &morsels {
             let g = m.int_col(0).unwrap();
             let p = m.int_col(1).unwrap();
             let sel = SelVec::from_predicate(m.n_rows(), |i| keep(g[i], p[i]));
             prop_assert!(sel.len() <= m.n_rows());
-            survivors.push(m.gather(sel.positions()).unwrap());
+            let survivors: Vec<Column> =
+                m.columns().iter().map(|c| c.gather(sel.positions())).collect();
+            back.0.extend_from_slice(survivors[0].ints().unwrap());
+            back.1.extend_from_slice(survivors[1].ints().unwrap());
+            back.2.extend_from_slice(survivors[2].floats().unwrap());
         }
-        drop(morsels);
-        let back = reassemble(&tracker, schema, survivors).unwrap();
-        prop_assert_eq!(back.n_rows(), expect_g.len());
-        prop_assert_eq!(back.int_col(0).unwrap(), &expect_g[..]);
-        prop_assert_eq!(back.int_col(1).unwrap(), &expect_p[..]);
-        prop_assert_eq!(back.float_col(2).unwrap(), &expect_v[..]);
+        prop_assert_eq!(back, (expect_g, expect_p, expect_v));
 
+        drop(morsels);
         drop(table);
-        drop(back);
         prop_assert_eq!(tracker.current(), 0);
     }
 }
