@@ -38,18 +38,17 @@ pub fn export_csv(rel: &dyn Relation, budget: &Budget) -> Result<String> {
     budget.check("csv export")?;
     let schema = rel.schema();
     let mut out = String::with_capacity(rel.n_rows() * schema.arity() * 12);
-    let mut fields: Vec<CsvField> = Vec::with_capacity(schema.arity());
-    rel.for_each(&mut |row: &[Value]| {
-        fields.clear();
-        for v in row {
-            fields.push(match v {
-                Value::Int(x) => CsvField::Int(*x),
-                Value::Float(x) => CsvField::Float(*x),
-            });
-        }
-        csv::write_row(&mut out, &fields);
-    });
+    rel.for_each(&mut |row: &[Value]| csv::write_row(&mut out, row.iter().copied()));
     Ok(out)
+}
+
+impl From<Value> for CsvField {
+    fn from(v: Value) -> CsvField {
+        match v {
+            Value::Int(x) => CsvField::Int(x),
+            Value::Float(x) => CsvField::Float(x),
+        }
+    }
 }
 
 /// Parse CSV text into a dense row-major float buffer (the "load into R"

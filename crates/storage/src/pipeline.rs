@@ -178,16 +178,15 @@ pub fn scatter_selected<R: SlotLookup, C: SlotLookup>(
 /// byte-identical to exporting a materialized survivor table (the format
 /// has no header row).
 pub fn csv_selected(m: &Morsel, sel: &SelVec, out: &mut String) {
-    let mut fields: Vec<CsvField> = Vec::with_capacity(m.columns().len());
     for &i in sel.positions() {
-        fields.clear();
-        for c in m.columns() {
-            fields.push(match c {
-                Column::Ints(v) => CsvField::Int(v[i as usize]),
-                Column::Floats(v) => CsvField::Float(v[i as usize]),
-            });
-        }
-        csv::write_row(out, &fields);
+        let i = i as usize;
+        csv::write_row(
+            out,
+            m.columns().iter().map(|c| match c {
+                Column::Ints(v) => CsvField::Int(v[i]),
+                Column::Floats(v) => CsvField::Float(v[i]),
+            }),
+        );
     }
 }
 

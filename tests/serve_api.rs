@@ -11,13 +11,13 @@ use genbase::serve::{
     client_request, working_set_estimate, BenchServer, ServeOptions, ServeReport,
 };
 use genbase_datagen::SizeClass;
-use genbase_util::frame::{read_frame_opt, write_frame};
+use genbase_util::frame::{encode_frame, read_frame_opt, write_frame};
 use genbase_util::Json;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn sim_config() -> HarnessConfig {
     HarnessConfig {
@@ -890,5 +890,86 @@ fn a_deeply_nested_frame_or_body_is_refused_and_the_server_keeps_serving() {
     assert_eq!(status, 200, "{body}");
     let reply = client_request(server.frame, None, &query_frame("SciDB", "covariance")).unwrap();
     assert_eq!(reply.get("type").and_then(Json::as_str), Some("result"));
+    server.shutdown();
+}
+
+/// A frame or HTTP request cut short by the peer's half-close, and one the
+/// peer never finishes, each get a typed refusal — a `reject` frame, a 400 —
+/// within the handshake deadline plus slack, and the server goes on
+/// answering. The six connections run at once, so the test waits out one
+/// deadline, not six.
+#[test]
+fn cut_short_and_unfinished_input_is_refused_within_the_handshake_deadline() {
+    // `session::HANDSHAKE_TIMEOUT`: the whole first message must arrive by then.
+    const DEADLINE: Duration = Duration::from_secs(10);
+    let server = start_server(ServeOptions::default());
+    let (frame, http) = (server.frame, server.http);
+    let mut hello = Json::obj();
+    hello.set("type", Json::from("hello"));
+    hello.set("protocol", Json::from(PROTOCOL));
+    let hello = encode_frame(&hello).unwrap();
+    let cut = hello[..hello.len() - 3].to_vec();
+    let head = b"GET /status HTTP/1.1\r\nHost: test\r\n".to_vec();
+    let short_body = b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"engine\"".to_vec();
+    // (front, the bytes the peer sends, whether it then half-closes, what
+    // the refusal must say)
+    let cases = [
+        (
+            frame,
+            hello[..2].to_vec(),
+            true,
+            "truncated frame length prefix",
+        ),
+        (frame, cut.clone(), true, "truncated frame"),
+        (frame, cut, false, "read frame payload"),
+        (http, head.clone(), true, "EOF before end of headers"),
+        (http, short_body, true, "EOF mid-body"),
+        (http, head, false, "bad request"),
+    ];
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for (addr, bytes, half_close, needle) in cases {
+            scope.spawn(move || {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_read_timeout(Some(DEADLINE * 3)).unwrap();
+                conn.write_all(&bytes).unwrap();
+                if half_close {
+                    conn.shutdown(Shutdown::Write).unwrap();
+                }
+                let refusal = if addr == frame {
+                    let reply = read_frame_opt(&mut conn)
+                        .unwrap()
+                        .expect("a reject, not EOF");
+                    assert_eq!(reply.get("type").and_then(Json::as_str), Some("reject"));
+                    reply
+                        .get("reason")
+                        .and_then(Json::as_str)
+                        .unwrap()
+                        .to_string()
+                } else {
+                    let mut raw = String::new();
+                    conn.read_to_string(&mut raw).unwrap();
+                    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+                    raw
+                };
+                assert!(refusal.contains(needle), "{needle}: {refusal}");
+                let waited = started.elapsed();
+                assert!(
+                    waited < DEADLINE + Duration::from_secs(5),
+                    "{needle}: {waited:?}"
+                );
+                if !half_close {
+                    // The deadline, not an early close, ended the wait.
+                    assert!(waited >= DEADLINE - Duration::from_secs(1), "{waited:?}");
+                }
+            });
+        }
+    });
+    let (status, body) = http_request(http, "GET", "/status", "", &[]);
+    assert_eq!(status, 200, "{body}");
+    let mut status = Json::obj();
+    status.set("type", Json::from("status"));
+    let reply = client_request(frame, None, &status).unwrap();
+    assert_eq!(reply.get("service").and_then(Json::as_str), Some("serve"));
     server.shutdown();
 }
