@@ -1,5 +1,5 @@
 //! The full benchmark driver: regenerates every table and figure from the
-//! GenBase paper's evaluation section through the sharded cell scheduler.
+//! GenBase paper's evaluation section through the cell scheduler.
 //!
 //! ```text
 //! paper_harness [fig1|fig2|fig3|fig4|fig5|table1|weak|all]
@@ -15,11 +15,12 @@
 //!               [--mn-size S]    multi-node dataset: small|medium|large (default medium)
 //!               [--threads N]    simulated machine size / kernel budget
 //!                                (default: host threads; pin it for
-//!                                cross-machine shard or worker runs)
+//!                                cross-machine coordinate/work runs)
 //!               [--jobs K]       benchmark cells in flight (default: host
 //!                                threads); for `work`: leased cells the
 //!                                worker multiplexes (default 1)
-//!               [--nodes N]      explain: simulated cluster size (default 1)
+//!               [--nodes N]      explain/query: simulated cluster size
+//!                                (default 1; must be at least 1)
 //!               [--json]         explain: machine-readable per-op output
 //!                                (genbase-explain-v1, includes the memory
 //!                                columns)
@@ -55,11 +56,9 @@
 //!                                grammar as GENBASE_FAULTS, overrides it):
 //!                                site@N=action[;...], actions err:<kind>/
 //!                                delay:<ms>/torn:<bytes>/abort
-//!               [--shards N] [--shard-id I]  run the I-th of N cell partitions
 //!               [--checkpoint P] resume file: completed cells skip on rerun
+//!                                (a complete one renders without running)
 //!               [--grid-out P]   write the result grid as JSON
-//!               [--grid-in P]    render from grid file(s) instead of running
-//!                                (repeatable; shards merge)
 //!               [--sim-only]     deterministic timing (simulated costs only)
 //!               [--listen ADDR]  coordinate/serve: framed bind address
 //!                                (default 127.0.0.1:7717)
@@ -111,9 +110,9 @@
 //! flight, each under `threads / jobs` kernel threads. Output is
 //! byte-identical to the serial path for any `--jobs`; with `--sim-only`
 //! it is byte-identical across runs and machines too — that is what the CI
-//! shard-conformance job diffs. A multi-shard run renders nothing (its grid
-//! is partial); write `--grid-out` per shard and render the merged result
-//! with `--grid-in`.
+//! `goldens` and `coord-sweep` jobs diff. To spread one sweep across
+//! machines, run `coordinate` and `work`; to re-render a finished sweep,
+//! pass its grid as `--checkpoint` (a complete checkpoint runs no cells).
 //!
 //! `explain` runs engine × query pairs once each and prints one table per
 //! pair with a row per executed physical operator (filter, join,
@@ -152,11 +151,8 @@ struct Args {
     mn_size: SizeClass,
     threads: usize,
     jobs: usize,
-    shards: usize,
-    shard_id: usize,
     checkpoint: Option<String>,
     grid_out: Option<String>,
-    grid_in: Vec<String>,
     sim_only: bool,
     listen: String,
     listen_http: String,
@@ -200,11 +196,8 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
         mn_size: SizeClass::Medium,
         threads: 0,
         jobs: 0,
-        shards: 1,
-        shard_id: 0,
         checkpoint: None,
         grid_out: None,
-        grid_in: Vec::new(),
         sim_only: false,
         listen: "127.0.0.1:7717".to_string(),
         listen_http: "127.0.0.1:7718".to_string(),
@@ -275,11 +268,8 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
             }
             "--threads" => args.threads = parsed!(&mut i, "--threads", "an integer"),
             "--jobs" => args.jobs = parsed!(&mut i, "--jobs", "an integer"),
-            "--shards" => args.shards = parsed!(&mut i, "--shards", "an integer"),
-            "--shard-id" => args.shard_id = parsed!(&mut i, "--shard-id", "an integer"),
             "--checkpoint" => args.checkpoint = Some(value(&mut i, "--checkpoint")?),
             "--grid-out" => args.grid_out = Some(value(&mut i, "--grid-out")?),
-            "--grid-in" => args.grid_in.push(value(&mut i, "--grid-in")?),
             "--sim-only" => args.sim_only = true,
             "--listen" => args.listen = value(&mut i, "--listen")?,
             "--listen-http" => args.listen_http = value(&mut i, "--listen-http")?,
@@ -301,7 +291,12 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
             "--cache-budget" => {
                 args.cache_budget = Some(parsed!(&mut i, "--cache-budget", "bytes"))
             }
-            "--nodes" => args.nodes = parsed!(&mut i, "--nodes", "an integer"),
+            "--nodes" => {
+                args.nodes = parsed!(&mut i, "--nodes", "an integer");
+                if args.nodes == 0 {
+                    return Err(UsageError("--nodes must be at least 1".into()));
+                }
+            }
             "--lease-timeout" => {
                 args.lease_timeout_secs = parsed!(&mut i, "--lease-timeout", "seconds")
             }
@@ -377,9 +372,6 @@ const FLAG_READERS: &[(&str, &[&str])] = &[
     ("--per-op", &[FIGS, "coordinate"]),
     ("--checkpoint", &[FIGS, "coordinate"]),
     ("--grid-out", &[FIGS, "coordinate"]),
-    ("--grid-in", &[FIGS]),
-    ("--shards", &[FIGS]),
-    ("--shard-id", &[FIGS]),
     ("--jobs", &[FIGS, "work"]),
     ("--nodes", &["explain query"]),
     ("--json", &["explain status"]),
@@ -555,51 +547,15 @@ fn run(args: &Args) -> Result<()> {
 
     let figs = requested_figures(&args.what)?;
     let config = harness_config(args);
-    // A multi-shard run renders nothing (its grid is partial); without a
-    // place to persist the grid, the whole shard's work would be discarded.
-    // Catch that before hours of compute, not after.
-    if args.shards > 1 && args.grid_out.is_none() && args.checkpoint.is_none() {
-        return Err(Error::invalid(
-            "--shards > 1 needs --grid-out (or --checkpoint): \
-             nothing would persist the shard's results",
-        ));
-    }
-
-    // Render-only mode: merge grids from earlier (sharded) runs.
-    if !args.grid_in.is_empty() {
-        let mut grid = ReportGrid::default();
-        for path in &args.grid_in {
-            let part = ReportGrid::load(std::path::Path::new(path))
-                .map_err(|e| Error::invalid(format!("load {path}: {e}")))?;
-            grid.merge(part)
-                .map_err(|e| Error::invalid(format!("merge {path}: {e}")))?;
-        }
-        // The grids must come from the configuration we are rendering
-        // under — table1 regenerates the dataset from the render-time
-        // config, so a scale mismatch would silently produce wrong numbers.
-        grid.check_config(
-            "the --grid-in merge",
-            &genbase::sched::config_fingerprint(&config),
-        )?;
-        let harness = Harness::new(config)?;
-        for &fig in &figs {
-            let figure = render_figure(fig, &harness, args, &grid)?;
-            println!("{}", figure.render());
-        }
-        return Ok(());
-    }
-
     eprintln!(
-        "sweeping {} at scale {} (cutoff {}s, simulated R memory {}, shard {}/{})...",
+        "sweeping {} at scale {} (cutoff {}s, simulated R memory {})...",
         figs.iter().map(|f| f.name()).collect::<Vec<_>>().join("+"),
         args.scale,
         args.cutoff_secs,
         genbase_util::fmt_bytes(config.r_mem_bytes),
-        args.shard_id,
-        args.shards.max(1),
     );
     let scheduler = Scheduler::new(config)?;
-    let mut sweep = SweepOptions::default().with_shard(args.shards, args.shard_id);
+    let mut sweep = SweepOptions::default();
     if args.jobs > 0 {
         sweep = sweep.with_cells_in_flight(args.jobs);
     }
@@ -620,13 +576,6 @@ fn run(args: &Args) -> Result<()> {
             .save(std::path::Path::new(path))
             .map_err(|e| Error::invalid(format!("write grid {path}: {e}")))?;
         eprintln!("wrote {path}");
-    }
-    if args.shards.max(1) > 1 {
-        eprintln!(
-            "shard {}/{} complete; render the merged sweep with --grid-in",
-            args.shard_id, args.shards
-        );
-        return Ok(());
     }
     for &fig in &figs {
         let figure = render_figure(fig, scheduler.harness(), args, &outcome.grid)?;
@@ -762,23 +711,11 @@ fn explain(args: &Args) -> Result<()> {
     };
     let harness = Harness::new(config)?;
     if args.json {
-        let json = figures::explain_json(
-            &harness,
-            size,
-            args.nodes.max(1),
-            engine_filter,
-            query_filter,
-        )?;
+        let json = figures::explain_json(&harness, size, args.nodes, engine_filter, query_filter)?;
         println!("{json}");
         return Ok(());
     }
-    let figure = figures::explain(
-        &harness,
-        size,
-        args.nodes.max(1),
-        engine_filter,
-        query_filter,
-    )?;
+    let figure = figures::explain(&harness, size, args.nodes, engine_filter, query_filter)?;
     println!("{}", figure.render());
     Ok(())
 }
@@ -930,15 +867,22 @@ fn coordinate(args: &Args) -> Result<()> {
 mod tests {
     use super::*;
 
-    /// Retired subcommands and flags get no tombstone branch: `bench` is
-    /// rejected by the same errors as any other unknown command or flag.
+    /// Retired subcommands and flags get no tombstone branch: `bench` and
+    /// the file-shard flags are rejected by the same errors as any other
+    /// unknown command or flag.
     #[test]
     fn unknown_commands_and_flags_hit_the_generic_errors() {
         for what in ["bench", "fig9"] {
             let err = requested_figures(what).unwrap_err().to_string();
             assert!(err.contains(&format!("unknown command {what:?}")), "{err}");
         }
-        for flag in ["--no-such-flag", "--fused"] {
+        for flag in [
+            "--no-such-flag",
+            "--fused",
+            "--shards",
+            "--shard-id",
+            "--grid-in",
+        ] {
             let argv = ["fig1".to_string(), flag.to_string()];
             let err = parse_args(&argv).err().expect("usage error");
             assert_eq!(err.0, format!("unknown flag {flag:?}"));
@@ -999,8 +943,20 @@ mod tests {
         }
         // The three the issue names.
         assert!(usage("fig1 --lease-timeout 5").is_err());
-        assert!(usage("work --shards 2").is_err());
+        assert!(usage("work --grid-out x").is_err());
         assert!(usage("serve --grid-out x").is_err());
+    }
+
+    /// A zero `--nodes` or `--batch-rows` is refused at parse time, naming
+    /// the flag, instead of silently running as 1.
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for (line, flag) in [
+            ("explain --nodes 0", "--nodes"),
+            ("fig1 --batch-rows 0", "--batch-rows"),
+        ] {
+            assert_eq!(usage(line), Err(format!("{flag} must be at least 1")));
+        }
     }
 
     /// Every `paper_harness` invocation in the CI workflow still parses.

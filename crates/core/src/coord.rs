@@ -24,8 +24,8 @@
 //!
 //! - The handshake carries the worker's **config fingerprint**
 //!   ([`config_fingerprint`]); a worker built from mismatched flags is
-//!   rejected at connect, the same guard the file-merge path applies to
-//!   grid files.
+//!   rejected at connect, the same guard a local sweep applies to its
+//!   checkpoint file.
 //! - **Worker death is a first-class event:** each connection is served by
 //!   a dedicated blocking thread, so a dying worker — process kill, crash,
 //!   connection reset — surfaces as an I/O error/EOF, and its outstanding

@@ -5,13 +5,13 @@
 //! or the node counts, and what a cell shows. Both directions derive from
 //! that one description:
 //! - [`plan`] decomposes it into independent [`CellKey`] work units in a
-//!   fixed order (what the scheduler executes, serially or sharded);
+//!   fixed order (what the scheduler or a coordinator hands out);
 //! - [`render`] / [`render_per_op`] turn a [`ReportGrid`] of cell outcomes
 //!   back into the paper's rows/series as a **pure function of the grid**.
 //!
 //! Because rendering never looks at how or where cells ran, a figure is
-//! byte-identical whether its grid came from one cell in flight, many,
-//! shards or a coordinator's workers.
+//! byte-identical whether its grid came from one cell in flight, many, a
+//! resumed checkpoint or a coordinator's workers.
 //!
 //! Figures 1–4 come out as text tables (rows = x-axis, columns = systems);
 //! Figure 5 and Table 1 compare SciDB against the modeled Xeon Phi
@@ -168,8 +168,8 @@ fn node_count(nodes: usize) -> String {
 }
 
 /// Decompose one exhibit into its cell list, in the serial harness's
-/// historical execution order (shard membership is `index % shards`, so the
-/// order is an on-disk contract). `mn_size` selects the dataset for the
+/// historical execution order: the order a sweep hands cells out in and
+/// reports the first failure by. `mn_size` selects the dataset for the
 /// multi-node exhibits (fig3/fig4/table1).
 pub fn plan(figure: FigureId, cfg: &HarnessConfig, mn_size: SizeClass) -> Vec<CellKey> {
     let exhibit = exhibit(figure);
@@ -209,8 +209,8 @@ fn system_table(first: &str, engines: &[Box<dyn Engine>]) -> TextTable {
 }
 
 /// Render one exhibit from a grid of cell outcomes. Every cell the exhibit
-/// plans must be present (a missing cell — e.g. rendering a partial shard —
-/// is an error naming the gap).
+/// plans must be present (a missing cell — e.g. rendering a grid of other
+/// exhibits — is an error naming the gap).
 pub fn render(
     figure: FigureId,
     harness: &Harness,

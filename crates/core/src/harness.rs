@@ -5,7 +5,7 @@
 //! is generated the first time any cell asks for it (exactly once, no
 //! matter how many cells ask concurrently), shared by reference count
 //! across every in-flight cell, and cached for the harness's lifetime —
-//! the substrate the sharded scheduler in [`crate::sched`] dispatches
+//! the substrate the cell scheduler in [`crate::sched`] dispatches
 //! onto. What the engines load from a dataset ([`LoadedTables`]: the SQL
 //! base tables, the streaming spool, SciDB's chunked arrays, Hadoop's Hive
 //! triples) follows the dataset: one set per generated size class, each member loaded by the
@@ -31,7 +31,7 @@ pub enum TimingMode {
     /// (machine-dependent) wall-clock cutoff is disabled, making every
     /// cell outcome deterministic. This is the conformance-tier mode —
     /// sweep output becomes byte-identical across runs, machines, and
-    /// serial-vs-sharded execution. Memory budgets still apply (byte
+    /// serial-vs-concurrent execution. Memory budgets still apply (byte
     /// accounting is deterministic).
     SimOnly,
 }

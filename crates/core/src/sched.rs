@@ -1,4 +1,4 @@
-//! Sharded benchmark scheduler.
+//! Benchmark cell scheduler.
 //!
 //! The paper's evaluation is a sweep over (engine × dataset-scale × query ×
 //! nodes) cells. This module decomposes every figure into independent
@@ -12,10 +12,10 @@
 //! Determinism: cells report into a fixed-order [`ReportGrid`] keyed by
 //! cell id; figure rendering is a pure function of the grid, so fig1–fig5 /
 //! table1 output is **byte-identical** between one cell in flight and any
-//! sharded/parallel execution (pinned by `tests/sched_determinism.rs`).
-//! Under [`TimingMode::SimOnly`](crate::harness::TimingMode) the grid
-//! itself is deterministic, so independent runs — including CI shard
-//! fan-out via `--shards N --shard-id I` — agree byte for byte.
+//! number of them (pinned by `tests/sched_determinism.rs`). Under
+//! [`TimingMode::SimOnly`](crate::harness::TimingMode) the grid itself is
+//! deterministic, so independent runs — a local sweep and a coordinator's
+//! workers on other machines — agree byte for byte.
 //!
 //! Resumability: every sweep — in-process jobs here, coordinator leases in
 //! [`crate::coord`] — keeps its books in a [`Ledger`]. With a checkpoint
@@ -162,7 +162,7 @@ pub enum CellOutcome {
         an: CostReport,
         /// Per-operator plan trace the phases roll up from — carried
         /// through grid files and the coordinator wire protocol so
-        /// per-op breakdowns survive sharded and distributed sweeps.
+        /// per-op breakdowns survive checkpoints and distributed sweeps.
         trace: Vec<OpTrace>,
     },
     /// Cutoff or memory failure (the paper's "infinite" bars).
@@ -318,8 +318,7 @@ impl CellOutcome {
 /// renders from. Keys sort lexicographically by cell id, so serialization
 /// is deterministic regardless of completion order. A grid optionally
 /// carries a configuration fingerprint (scale/seed/timing) so checkpoints
-/// and shard files from mismatched runs are rejected instead of silently
-/// mixing outcomes.
+/// from mismatched runs are rejected instead of silently mixing outcomes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportGrid {
     cells: BTreeMap<String, CellOutcome>,
@@ -339,8 +338,8 @@ pub struct ReportGrid {
 /// `threads` is included because it is the *simulated machine size*:
 /// `ExecContext.sim_threads` feeds Hadoop's task-slot count (and with it
 /// the simulated shuffle costs), so hosts with different core counts
-/// produce different grids even under SimOnly. Cross-machine runs — file
-/// shards or coordinator workers — must pin `--threads` explicitly; the
+/// produce different grids even under SimOnly. Cross-machine runs — a
+/// coordinator's workers — must pin `--threads` explicitly; the
 /// per-cell `--jobs` *budget* deliberately stays out of the fingerprint
 /// (kernels are bit-identical across thread budgets).
 pub fn config_fingerprint(config: &HarnessConfig) -> String {
@@ -357,13 +356,13 @@ pub fn config_fingerprint(config: &HarnessConfig) -> String {
         None => String::new(),
     };
     // Streaming mode changes the trace's memory dimension (batches, spill,
-    // peak), so cells from streaming and materializing runs must not merge.
+    // peak), so cells from streaming and materializing runs must not mix.
     // `batch_rows` is semantic; the spill directory is not. Same
     // append-only-when-set pattern as `membudget` for file compatibility.
     // The `+fused` suffix is constant: it named the surviving pipeline when
     // a staged one existed beside it, so files that pipeline wrote still
     // load, and files written by the deleted staged path (no suffix,
-    // different memory columns) are refused instead of merged.
+    // different memory columns) are refused instead of resumed.
     let stream = match &config.stream {
         Some(s) => format!(";stream=batch{}+fused", s.batch_rows),
         None => String::new(),
@@ -427,11 +426,6 @@ impl ReportGrid {
         self.cells.contains_key(&key.id())
     }
 
-    /// Recorded cell ids in sorted order.
-    pub fn ids(&self) -> impl Iterator<Item = &str> {
-        self.cells.keys().map(String::as_str)
-    }
-
     /// The configuration fingerprint, if stamped.
     pub fn fingerprint(&self) -> Option<&str> {
         self.fingerprint.as_deref()
@@ -440,32 +434,6 @@ impl ReportGrid {
     /// Stamp the grid with its producing configuration.
     pub fn set_fingerprint(&mut self, fingerprint: String) {
         self.fingerprint = Some(fingerprint);
-    }
-
-    /// Fold `other` in. Fingerprints (when both stamped) and overlapping
-    /// ids must agree (shards are disjoint by construction; a conflict
-    /// means mismatched runs were mixed).
-    pub fn merge(&mut self, other: ReportGrid) -> Result<()> {
-        match (&self.fingerprint, &other.fingerprint) {
-            (Some(a), Some(b)) if a != b => {
-                return Err(Error::invalid(format!(
-                    "grid merge refused: config fingerprints differ ({a} vs {b})"
-                )))
-            }
-            (None, Some(b)) => self.fingerprint = Some(b.clone()),
-            _ => {}
-        }
-        for (id, outcome) in other.cells {
-            if let Some(have) = self.cells.get(&id) {
-                if *have != outcome {
-                    return Err(Error::invalid(format!(
-                        "grid merge conflict on cell {id}: differing outcomes"
-                    )));
-                }
-            }
-            self.cells.insert(id, outcome);
-        }
-        Ok(())
     }
 
     /// Serialize deterministically.
@@ -568,20 +536,16 @@ impl ReportGrid {
                 (grid, Some(note))
             }
         };
-        grid.check_config(&format!("checkpoint {}", path.display()), fingerprint)?;
-        Ok((grid, note))
-    }
-
-    /// Refuse a grid stamped by another configuration (`what` names the
-    /// file for the error); unstamped legacy grids pass.
-    pub fn check_config(&self, what: &str, fingerprint: &str) -> Result<()> {
-        match self.fingerprint() {
-            Some(have) if have != fingerprint => Err(Error::invalid(format!(
-                "{what} is from a different configuration ({have} vs {fingerprint}); \
-                 repeat its --scale/--sim-only/... flags, or delete it"
-            ))),
-            _ => Ok(()),
+        // Refuse a grid stamped by another configuration; unstamped legacy
+        // grids pass.
+        if let Some(have) = grid.fingerprint().filter(|have| *have != fingerprint) {
+            return Err(Error::invalid(format!(
+                "checkpoint {} is from a different configuration ({have} vs {fingerprint}); \
+                 repeat its --scale/--sim-only/... flags, or delete it",
+                path.display()
+            )));
         }
+        Ok((grid, note))
     }
 
     /// Persist atomically (write temp file, then rename), so a sweep killed
@@ -649,7 +613,7 @@ struct Book {
 }
 
 /// What a sweep *is* between its plan and its grid, whoever runs the cells
-/// (in-process jobs, a shard of them, a coordinator's workers): which
+/// (in-process jobs or a coordinator's workers): which
 /// planned cells are still to run, the outcomes of those that have, the
 /// hard failures, and the checkpoint file.
 ///
@@ -826,13 +790,9 @@ impl Ledger {
     }
 }
 
-/// How a sweep is split and dispatched.
+/// How a sweep is dispatched.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Total shards the cell list is split across (round-robin by index).
-    pub shards: usize,
-    /// This run's shard (0-based).
-    pub shard_id: usize,
     /// Cells executing concurrently; `HarnessConfig.threads` is divided
     /// between them so kernels and scheduler never oversubscribe.
     pub cells_in_flight: usize,
@@ -844,8 +804,6 @@ pub struct SweepOptions {
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
-            shards: 1,
-            shard_id: 0,
             cells_in_flight: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -869,13 +827,6 @@ impl SweepOptions {
         self
     }
 
-    /// Run shard `id` of `n`.
-    pub fn with_shard(mut self, n: usize, id: usize) -> SweepOptions {
-        self.shards = n.max(1);
-        self.shard_id = id;
-        self
-    }
-
     /// Checkpoint to (and resume from) `path`.
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> SweepOptions {
         self.checkpoint = Some(path.into());
@@ -886,9 +837,9 @@ impl SweepOptions {
 /// What a sweep did, plus the grid to render from.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// All outcomes for this shard (including checkpoint-restored cells).
+    /// All outcomes of the sweep (including checkpoint-restored cells).
     pub grid: ReportGrid,
-    /// Cells planned for this shard.
+    /// Cells planned for the sweep.
     pub planned: usize,
     /// Cells actually executed this run.
     pub executed: usize,
@@ -975,9 +926,9 @@ impl Scheduler {
         Ok(CellOutcome::from_run(&rec.outcome))
     }
 
-    /// Run the sweep for `figures`: shard-filter the planned cells, open a
-    /// [`Ledger`] on them (skipping checkpointed ones), and drain it with
-    /// `cells_in_flight` concurrent tasks into a deterministic grid.
+    /// Run the sweep for `figures`: open a [`Ledger`] on the planned cells
+    /// (skipping checkpointed ones), and drain it with `cells_in_flight`
+    /// concurrent tasks into a deterministic grid.
     ///
     /// On a cell failure every other cell still runs and checkpoints; the
     /// first failure (in plan order) is then returned, so a resumed sweep
@@ -988,16 +939,7 @@ impl Scheduler {
         mn_size: SizeClass,
         sweep: &SweepOptions,
     ) -> Result<SweepOutcome> {
-        let shards = sweep.shards.max(1);
-        if sweep.shard_id >= shards {
-            return Err(Error::invalid(format!(
-                "shard id {} out of range (shards = {shards})",
-                sweep.shard_id
-            )));
-        }
-        // Shard `id` of `n` runs the cells at plan index `id`, `id + n`, …
-        let cells = self.plan(figs, mn_size).into_iter();
-        let cells: Vec<CellKey> = cells.skip(sweep.shard_id).step_by(shards).collect();
+        let cells = self.plan(figs, mn_size);
         let fingerprint = config_fingerprint(self.harness.config());
         let ledger = Ledger::open(cells, fingerprint, sweep.checkpoint.clone())?;
 
@@ -1082,40 +1024,16 @@ mod tests {
             &key(FigureId::Fig1, 1, "Vanilla R"),
             CellOutcome::Unsupported,
         );
+        grid.set_fingerprint("scale=0.012;seed=1;timing=SimOnly".into());
         let text = grid.to_json();
         let back = ReportGrid::from_json(&text).unwrap();
         assert_eq!(back, grid);
         assert_eq!(back.to_json(), text, "serialization must be deterministic");
-    }
-
-    #[test]
-    fn grid_merge_detects_conflicts() {
-        let k = key(FigureId::Fig1, 1, "SciDB");
-        let mut a = ReportGrid::default();
-        a.insert(&k, CellOutcome::Unsupported);
-        let mut b = ReportGrid::default();
-        b.insert(&k, CellOutcome::Unsupported);
-        assert!(a.clone().merge(b).is_ok());
-        let mut c = ReportGrid::default();
-        c.insert(&k, CellOutcome::Infinite { reason: "x".into() });
-        assert!(a.merge(c).is_err());
-    }
-
-    #[test]
-    fn mismatched_fingerprints_refuse_to_merge() {
-        let mut a = ReportGrid::default();
-        a.set_fingerprint("scale=0.012;seed=1;timing=SimOnly".into());
-        let mut b = ReportGrid::default();
-        b.set_fingerprint("scale=0.048;seed=1;timing=SimOnly".into());
-        b.insert(&key(FigureId::Fig1, 1, "SciDB"), CellOutcome::Unsupported);
-        assert!(a.clone().merge(b.clone()).is_err());
-        // Unstamped grids (legacy files) adopt the stamped side's config.
-        let mut unstamped = ReportGrid::default();
-        unstamped.merge(b.clone()).unwrap();
-        assert_eq!(unstamped.fingerprint(), b.fingerprint());
         // Fingerprints survive serialization.
-        let back = ReportGrid::from_json(&b.to_json()).unwrap();
-        assert_eq!(back.fingerprint(), b.fingerprint());
+        assert_eq!(
+            back.fingerprint(),
+            Some("scale=0.012;seed=1;timing=SimOnly")
+        );
     }
 
     #[test]
@@ -1137,10 +1055,10 @@ mod tests {
     }
 
     /// Files the surviving pipeline wrote at 64-row morsels while a staged
-    /// one existed beside it carry `;stream=batch64+fused` and still merge
-    /// and resume under `--stream --batch-rows 64`; files written by the
-    /// deleted staged path carry `;stream=batch64` (different memory
-    /// columns) and are refused.
+    /// one existed beside it carry `;stream=batch64+fused` and still resume
+    /// under `--stream --batch-rows 64`; files written by the deleted staged
+    /// path carry `;stream=batch64` (different memory columns) and are
+    /// refused.
     #[test]
     fn streaming_files_load_only_with_the_fused_suffix() {
         let mut config = HarnessConfig::quick().sim_only();
@@ -1166,15 +1084,6 @@ mod tests {
         let (fused, staged) = (
             written_by(";stream=batch64+fused"),
             written_by(";stream=batch64"),
-        );
-
-        let mut ours = ReportGrid::default();
-        ours.set_fingerprint(config_fingerprint(sched.harness().config()));
-        ours.merge(fused.clone()).unwrap();
-        let err = ours.merge(staged.clone()).unwrap_err();
-        assert!(
-            err.to_string().contains("config fingerprints differ"),
-            "{err}"
         );
 
         let path = std::env::temp_dir().join(format!(
@@ -1234,15 +1143,6 @@ mod tests {
         assert_eq!(lanczos.and_then(Json::as_u64), Some(2));
         let note = outcome.recovered.unwrap();
         assert!(note.contains("was torn") && note.contains(&id), "{note}");
-    }
-
-    #[test]
-    fn sweep_rejects_bad_shard_id() {
-        let sched = Scheduler::new(HarnessConfig::quick()).unwrap();
-        let sweep = SweepOptions::serial().with_shard(2, 2);
-        assert!(sched
-            .run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)
-            .is_err());
     }
 
     #[test]

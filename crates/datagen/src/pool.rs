@@ -1,6 +1,6 @@
 //! Shared, lazily-built dataset pool.
 //!
-//! The sharded harness scheduler runs many benchmark cells concurrently,
+//! The harness's cell scheduler runs many benchmark cells concurrently,
 //! and several cells typically want the same dataset (same size class,
 //! scale, seed). [`DatasetPool`] guarantees each configured size class is
 //! generated **exactly once** no matter which cell asks first or how many

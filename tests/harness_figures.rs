@@ -89,10 +89,11 @@ fn run_matrix_covers_all_cells() {
     assert_eq!(completed, 32);
 }
 
-/// The order `Scheduler::plan` lists cells in is an on-disk contract: shard
-/// `i` of `n` runs the cells at plan index `i`, `i + n`, …, so shard grid
-/// files and checkpoints written under one order do not line up with
-/// another. Pinned from the commit before the exhibit table existed.
+/// The order `Scheduler::plan` lists cells in is observable: it is the
+/// order a sweep's ledger hands cells out in (locally and to a
+/// coordinator's workers), and the order `Ledger::finish` picks the first
+/// failure to report by. Pinned from the commit before the exhibit table
+/// existed.
 #[test]
 fn plan_order_matches_golden() {
     let sched = Scheduler::new(HarnessConfig::quick()).unwrap();

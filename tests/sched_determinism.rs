@@ -1,7 +1,7 @@
-//! Paper-conformance tier: the sharded scheduler must be a pure
+//! Paper-conformance tier: the concurrent scheduler must be a pure
 //! reorganization of the serial sweep (one cell in flight) — same cells,
 //! same grid, byte-for-byte the same rendered figures — for every
-//! sharding/concurrency configuration.
+//! concurrency configuration.
 //!
 //! All sweeps here run in `TimingMode::SimOnly`, which zeroes measured wall
 //! seconds so completed cells are deterministic and whole-output equality
@@ -10,7 +10,6 @@
 use genbase::figures;
 use genbase::prelude::*;
 use genbase_datagen::SizeClass;
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn micro_config() -> HarnessConfig {
@@ -47,7 +46,7 @@ fn serial_sweep(figs: &[FigureId]) -> (Scheduler, ReportGrid) {
 }
 
 #[test]
-fn fig1_sweep_is_byte_identical_serial_vs_sharded() {
+fn fig1_sweep_is_byte_identical_serial_vs_concurrent() {
     let (serial_sched, serial_grid) = serial_sweep(&[FigureId::Fig1]);
     let serial_text = render_all(&serial_sched, &serial_grid, &[FigureId::Fig1]);
 
@@ -63,50 +62,11 @@ fn fig1_sweep_is_byte_identical_serial_vs_sharded() {
         let text = render_all(&sched, &outcome.grid, &[FigureId::Fig1]);
         assert_eq!(
             text, serial_text,
-            "jobs={cells_in_flight}: sharded rendering must be byte-identical to serial"
+            "jobs={cells_in_flight}: concurrent rendering must be byte-identical to serial"
         );
         // The grids themselves (not just the rendering) must agree bytewise.
         assert_eq!(outcome.grid.to_json(), serial_grid.to_json());
     }
-}
-
-#[test]
-fn shard_partitions_cover_every_cell_exactly_once() {
-    let sched = Scheduler::new(micro_config()).unwrap();
-    let all_cells: Vec<String> = sched
-        .plan(&[FigureId::Fig1], SizeClass::Small)
-        .iter()
-        .map(|c| c.id())
-        .collect();
-    assert_eq!(all_cells.len(), 35);
-
-    let mut merged = ReportGrid::default();
-    let mut seen = Vec::new();
-    for shard_id in 0..3 {
-        let shard_sched = Scheduler::new(micro_config()).unwrap();
-        let sweep = SweepOptions::default()
-            .with_cells_in_flight(4)
-            .with_shard(3, shard_id);
-        let outcome = shard_sched
-            .run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)
-            .unwrap();
-        for id in outcome.grid.ids() {
-            seen.push(id.to_string());
-        }
-        merged.merge(outcome.grid).unwrap();
-    }
-    // Exactly once: no shard overlap, nothing missing.
-    assert_eq!(seen.len(), all_cells.len(), "no cell may run twice");
-    let seen_set: BTreeSet<&String> = seen.iter().collect();
-    let all_set: BTreeSet<&String> = all_cells.iter().collect();
-    assert_eq!(seen_set, all_set, "shards must cover the full plan");
-
-    // The merged sharded sweep renders byte-identically to the serial path.
-    let (serial_sched, serial_grid) = serial_sweep(&[FigureId::Fig1]);
-    assert_eq!(
-        render_all(&sched, &merged, &[FigureId::Fig1]),
-        render_all(&serial_sched, &serial_grid, &[FigureId::Fig1])
-    );
 }
 
 #[test]

@@ -232,7 +232,7 @@ fn materializing_traces_have_no_streaming_counters() {
 
 /// Figure-level identity: a whole Figure 1 sweep with streaming enabled
 /// renders byte-for-byte the same text as the materializing sweep, and the
-/// streaming sweep itself is invariant under the sharded scheduler.
+/// streaming sweep itself is invariant under cells in flight.
 #[test]
 fn fig1_streaming_sweep_renders_byte_identically() {
     let mat_sched = Scheduler::new(base_config()).unwrap();
@@ -266,17 +266,17 @@ fn fig1_streaming_sweep_renders_byte_identically() {
         "streaming Fig1 must render byte-identically to the materializing sweep"
     );
 
-    // Sharded streaming sweep: identical grid bytes (fingerprints match —
+    // Concurrent streaming sweep: identical grid bytes (fingerprints match —
     // both carry the same `;stream=batch64+fused` suffix).
-    let sharded = Scheduler::new(streaming_config(64)).unwrap();
-    let sharded_out = sharded
+    let concurrent = Scheduler::new(streaming_config(64)).unwrap();
+    let concurrent_out = concurrent
         .run_sweep(
             &[FigureId::Fig1],
             SizeClass::Small,
             &SweepOptions::default().with_cells_in_flight(4),
         )
         .unwrap();
-    assert_eq!(sharded_out.grid.to_json(), stream_out.grid.to_json());
+    assert_eq!(concurrent_out.grid.to_json(), stream_out.grid.to_json());
 }
 
 /// The spill contract: a streaming cell whose working set exceeds
