@@ -563,23 +563,36 @@ fn run(args: &Args) -> Result<()> {
         sweep = sweep.with_checkpoint(path);
     }
     let outcome = scheduler.run_sweep(&figs, args.mn_size, &sweep)?;
-    if let Some(note) = &outcome.recovered {
-        eprintln!("checkpoint recovery: {note}");
-    }
-    eprintln!(
+    let summary = format!(
         "sweep: {} cells ({} executed, {} from checkpoint) in {:.2}s",
         outcome.planned, outcome.executed, outcome.skipped, outcome.wall_secs
     );
+    let (grid, recovered) = (&outcome.grid, outcome.recovered.as_deref());
+    finish_sweep(args, &figs, scheduler.harness(), grid, recovered, &summary)
+}
+
+/// The tail every sweep shares, local or coordinated: the checkpoint
+/// recovery note and `summary` on stderr, the grid to `--grid-out`, then
+/// every exhibit rendered from the grid on stdout.
+fn finish_sweep(
+    args: &Args,
+    figs: &[FigureId],
+    harness: &Harness,
+    grid: &ReportGrid,
+    recovered: Option<&str>,
+    summary: &str,
+) -> Result<()> {
+    if let Some(note) = recovered {
+        eprintln!("checkpoint recovery: {note}");
+    }
+    eprintln!("{summary}");
     if let Some(path) = &args.grid_out {
-        outcome
-            .grid
-            .save(std::path::Path::new(path))
+        grid.save(std::path::Path::new(path))
             .map_err(|e| Error::invalid(format!("write grid {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
-    for &fig in &figs {
-        let figure = render_figure(fig, scheduler.harness(), args, &outcome.grid)?;
-        println!("{}", figure.render());
+    for &fig in figs {
+        println!("{}", render_figure(fig, harness, args, grid)?.render());
     }
     Ok(())
 }
@@ -832,10 +845,7 @@ fn coordinate(args: &Args) -> Result<()> {
     let outcome = coordinator
         .serve()
         .map_err(|e| Error::invalid(format!("coordinated sweep: {e}")))?;
-    if let Some(note) = &outcome.recovered {
-        eprintln!("checkpoint recovery: {note}");
-    }
-    eprintln!(
+    let summary = format!(
         "coordinated sweep: {} cells ({} executed by {} workers, {} from \
          checkpoint, {} leases re-issued, {} resumed, {} rebalanced, \
          {} clean departures)",
@@ -848,19 +858,9 @@ fn coordinate(args: &Args) -> Result<()> {
         outcome.rebalanced,
         outcome.departed,
     );
-    if let Some(path) = &args.grid_out {
-        outcome
-            .grid
-            .save(std::path::Path::new(path))
-            .map_err(|e| Error::invalid(format!("write grid {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
     let harness = Harness::new(config)?;
-    for &fig in &figs {
-        let figure = render_figure(fig, &harness, args, &outcome.grid)?;
-        println!("{}", figure.render());
-    }
-    Ok(())
+    let (grid, recovered) = (&outcome.grid, outcome.recovered.as_deref());
+    finish_sweep(args, &figs, &harness, grid, recovered, &summary)
 }
 
 #[cfg(test)]

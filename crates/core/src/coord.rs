@@ -8,9 +8,16 @@
 //! back as a length-prefixed `genbase_util::json` message
 //! ([`genbase_util::frame`]). This module is about the *workers*: who holds
 //! which lease since when, and what happens when one dies, leaves or idles.
-//! Each connected worker is one record under one lock — its connection
-//! handle, its lease, whether it idles, what it has done — and the service
-//! tick runs one pass over those records for leases held too long.
+//!
+//! The coordinator is two parts. `Core`, the lease scheduler, holds the
+//! plan, the ledger and one record per connected worker under one lock; its
+//! steps — admit, apply a frame, end a connection, tick, status — take the
+//! time as an argument and touch no socket, thread or clock. [`Coordinator`]
+//! is the socket adapter around it: the listener, the `hello` gate, the
+//! frame loop, the clock reads, and the `shutdown` of a revoked holder's
+//! connection. The tests drive `Core` with a seeded fleet simulator —
+//! virtual workers on a virtual clock that die, wedge, leave and resume in
+//! random order — and check the protocol's promises on every seed.
 //!
 //! ## Wire protocol (`genbase-coord-v1`)
 //!
@@ -26,41 +33,31 @@
 //!   ([`config_fingerprint`]); a worker built from mismatched flags is
 //!   rejected at connect, the same guard a local sweep applies to its
 //!   checkpoint file.
-//! - **Worker death is a first-class event:** each connection is served by
-//!   a dedicated blocking thread, so a dying worker — process kill, crash,
-//!   connection reset — surfaces as an I/O error/EOF, and its outstanding
-//!   lease is given back to the ledger for the next requester. Settled
-//!   cells are already in the ledger's grid (and checkpoint), so no work is
-//!   lost and none repeats. (A machine that vanishes *without* a TCP reset
-//!   — power loss, hard partition — is not detected until its connection
-//!   errors unless a `--lease-timeout` deadline is configured.)
+//! - **Worker death is a first-class event:** a dying worker surfaces as
+//!   EOF on its connection's thread, and its lease goes back to the ledger
+//!   for the next requester, charged to the cell. A worker that vanishes
+//!   *without* a TCP reset holds its lease until a `--lease-timeout`
+//!   deadline revokes it.
 //! - **Workers are elastic.** A worker told to stop (SIGTERM, or a
-//!   [`WorkerOptions::stop`] flag) departs cleanly: it sends `leave`, the
-//!   coordinator re-queues any held cell *without* charging the re-issue
-//!   cap, and replies `bye`. A worker that loses its connection mid-cell
-//!   (link flap, coordinator restart) reconnects with capped exponential
-//!   backoff and re-submits its finished result flagged `resume: true`
-//!   rather than recomputing it. When idle workers outnumber pending cells
-//!   the coordinator may *rebalance*: the longest-held lease past
-//!   [`CoordOptions::rebalance_after`] is revoked and handed to an idle
-//!   worker; the original holder's eventual result still lands through the
-//!   resume path, and whichever copy arrives first wins (they are
+//!   [`WorkerOptions::stop`] flag) sends `leave`: its cell is re-queued
+//!   uncharged and it gets `bye`. A worker that loses its connection
+//!   mid-cell reconnects with backoff and re-submits its finished result
+//!   flagged `resume: true`. When idle workers outnumber pending cells the
+//!   coordinator may *rebalance*: the longest-held lease past
+//!   [`CoordOptions::rebalance_after`] is revoked, uncharged, for an idle
+//!   worker; whichever copy of the result arrives first wins (they are
 //!   identical under `SimOnly`). A lease whose cell settled meanwhile is
-//!   no loss: its holder's death is neither charged nor counted.
+//!   no loss: losing it is neither charged nor counted.
 //! - **Intra-cell checkpoints:** long iterative kernels (Lanczos SVD,
-//!   Cheng–Church) periodically stream a `progress` snapshot through the
-//!   worker's connection; the coordinator notes it in the ledger (it rides
-//!   the checkpoint file) and delivers it with the next lease of the same
-//!   cell, so a re-issued cell resumes mid-iteration bit-identically
-//!   instead of starting over.
+//!   Cheng–Church) stream `progress` snapshots; the ledger keeps them (they
+//!   ride the checkpoint) and the next lease of the cell carries them, so a
+//!   re-issued cell resumes mid-iteration bit-identically.
 //!
 //! Under [`TimingMode::SimOnly`](crate::harness::TimingMode) a coordinated
 //! sweep renders **byte-identical** output to the serial single-process run
 //! whichever worker ran which cell (`tests/coord_distributed.rs` pins this).
-//!
 //! Listening, the `hello` gate, the frame loop and the accept/drain model
-//! are the session layer's (`session.rs`, shared with [`crate::serve`]);
-//! this module is the lease scheduler behind them and the worker in front.
+//! are the session layer's (`session.rs`, shared with [`crate::serve`]).
 
 use crate::figures;
 use crate::harness::HarnessConfig;
@@ -84,12 +81,10 @@ use std::time::{Duration, Instant};
 /// has no pending cells but other workers still hold leases.
 const IDLE_BACKOFF_MS: u64 = 50;
 
-/// How many times one cell may be re-issued after worker deaths before it
-/// is abandoned as a hard failure. Bounds the livelock where a cell
-/// reliably kills (OOMs, segfaults) every worker that leases it: after
-/// this many dead workers the cell is written off as failed and the rest of
-/// the sweep completes, mirroring how the local scheduler surfaces an
-/// in-process crash instead of retrying forever.
+/// How many charged lease losses one cell is re-issued after; the next
+/// abandons it as a hard failure, so a cell that kills (OOMs, segfaults)
+/// every worker leasing it cannot livelock the sweep: the rest completes,
+/// as the local scheduler surfaces an in-process crash.
 const MAX_REISSUES_PER_CELL: usize = 3;
 
 /// Coordinator tuning knobs.
@@ -99,28 +94,20 @@ pub struct CoordOptions {
     /// rewritten after every streamed result — the same file format and
     /// fingerprint guard as a local `--checkpoint` sweep.
     pub checkpoint: Option<PathBuf>,
-    /// Per-lease deadline. A cell held longer than this is revoked: the
-    /// holder's connection is shut down (unblocking a handler wedged on a
-    /// half-open link) and the cell re-queued under the usual
-    /// `MAX_REISSUES_PER_CELL` cap. `None` (default) keeps the EOF-only
-    /// behavior: a wedged-but-open connection holds its lease until TCP
-    /// gives up. Size it well above the slowest expected cell — a slow but
-    /// healthy worker past the deadline loses its lease and its connection,
-    /// and the cell runs again elsewhere.
+    /// Per-lease deadline. A cell held longer is revoked, charged to the
+    /// cell, and its holder's connection shut down (unblocking a handler
+    /// wedged on a half-open link). `None` (default): a wedged-but-open
+    /// connection holds its lease until TCP gives up. Size it well above
+    /// the slowest cell: a healthy worker past it loses its lease too.
     pub lease_timeout: Option<Duration>,
-    /// Shared auth token (`--auth-token` / `GENBASE_COORD_TOKEN`). When
-    /// set, every worker must present the same token in its `hello`;
-    /// a missing or different token is a clean protocol reject during the
-    /// config-fingerprint handshake. `None` disables the check (workers
-    /// presenting a token are then rejected too, so a mismatch is always
-    /// loud rather than silently ignored).
+    /// Shared auth token (`--auth-token` / `GENBASE_COORD_TOKEN`): every
+    /// worker's `hello` must carry the same token, or none when this is
+    /// `None`; a mismatch either way is a protocol reject at the handshake.
     pub auth_token: Option<String>,
-    /// Work-stealing deadline. When idle workers outnumber pending cells
-    /// and the longest-held lease is older than this, that lease is
-    /// revoked (without charging the re-issue cap — the holder did nothing
-    /// wrong) and handed to an idle worker; the original holder's
-    /// connection is cut, and its eventual result arrives through the
-    /// reconnect/resume path. `None` (default) disables rebalancing.
+    /// Work-stealing deadline. When idle workers outnumber pending cells,
+    /// the longest-held lease older than this is revoked, uncharged, for
+    /// an idle worker; its holder is cut off and its eventual result lands
+    /// through the resume path. `None` (default) disables rebalancing.
     pub rebalance_after: Option<Duration>,
 }
 
@@ -184,14 +171,15 @@ struct Lease {
     since: Instant,
 }
 
+/// Cuts a worker's connection (in the adapter, a socket `shutdown` that
+/// unblocks even a half-open link): done to the holder of a revoked lease.
+type Cut = Box<dyn Fn() + Send>;
+
 /// One admitted worker connection, from its `hello` to its end.
 struct Worker {
-    /// A clone of the connection, so the service tick can shut it down —
-    /// unblocking the handler thread even on a half-open link.
-    handle: TcpStream,
+    cut: Cut,
     lease: Option<Lease>,
-    /// Parked on an `idle` reply: spare capacity the rebalancer weighs
-    /// against the pending cells.
+    /// Parked on an `idle` reply: spare capacity for the rebalancer.
     idle: bool,
     completed: usize,
     failed: usize,
@@ -233,12 +221,10 @@ impl State {
         self.workers.get_mut(&worker).filter(holds)
     }
 
-    /// Give a revoked lease's cell back to the ledger. A `loss` — why its
-    /// holder lost it — is charged to the cell when the cell was still out
-    /// (one that settled meanwhile cost nothing): past
-    /// [`MAX_REISSUES_PER_CELL`] losses it is abandoned as a hard failure,
-    /// so a worker-killing cell cannot livelock the sweep. `None`: the
-    /// holder did nothing wrong (a clean `leave`, a rebalance).
+    /// Give a revoked lease's cell back to the ledger, charging `loss` (why
+    /// its holder lost it) to a cell still out — one settled meanwhile cost
+    /// nothing — and abandoning it past [`MAX_REISSUES_PER_CELL`] losses.
+    /// `None`: the holder did nothing wrong (a clean `leave`, a rebalance).
     fn give_back(&mut self, ledger: &Ledger, lease: Lease, loss: Option<&str>) {
         let requeued = ledger.give_back(&lease.cell);
         let Some(why) = loss.filter(|_| requeued) else {
@@ -256,12 +242,13 @@ impl State {
     }
 }
 
-/// The coordinator half: plans the sweep, listens, leases, collects.
-pub struct Coordinator {
-    listener: TcpListener,
-    config: HarnessConfig,
-    fingerprint: String,
+/// The lease scheduler: everything that decides the sweep, and nothing
+/// that waits. Each method takes the time it runs at and touches no
+/// socket, thread or clock, so the adapter ([`Coordinator`]) and the
+/// fleet simulator in this module's tests drive the same code.
+struct Core {
     plan: Vec<CellKey>,
+    fingerprint: String,
     options: CoordOptions,
     /// Lock order: `state`, then the ledger's own locks; the ledger's
     /// checkpoint writes (`settle`, `note_progress`) run with `state`
@@ -270,6 +257,338 @@ pub struct Coordinator {
     ledger: Ledger,
     /// Cells restored from the checkpoint at startup.
     restored: usize,
+}
+
+impl Core {
+    /// Open the sweep's ledger on `plan` (loading the checkpoint, if any).
+    fn open(plan: Vec<CellKey>, fingerprint: String, options: CoordOptions) -> Result<Core> {
+        let checkpoint = options.checkpoint.clone();
+        let ledger = Ledger::open(plan.clone(), fingerprint.clone(), checkpoint)?;
+        Ok(Core {
+            plan,
+            fingerprint,
+            options,
+            state: Mutex::default(),
+            restored: ledger.count(CellState::Settled),
+            ledger,
+        })
+    }
+
+    /// Admit connection `worker` and return its `welcome`. A worker brings
+    /// the `cut` that disconnects it and gets a record; a status monitor
+    /// brings none and gets none.
+    fn admit(&self, now: Instant, worker: u64, cut: Option<Cut>) -> Json {
+        let mut s = lock(&self.state);
+        if let Some(cut) = cut {
+            s.admitted += 1;
+            let record = Worker {
+                cut,
+                lease: None,
+                idle: false,
+                completed: 0,
+                failed: 0,
+                connected: now,
+            };
+            s.workers.insert(worker, record);
+        }
+        let mut welcome = msg("welcome");
+        welcome.set("worker", Json::from(worker));
+        welcome.set("remaining", Json::from(self.pending() + s.leases().count()));
+        welcome
+    }
+
+    /// Whether `worker` holds a lease.
+    fn holds_lease(&self, worker: u64) -> bool {
+        lock(&self.state).leases().any(|(w, _)| w == worker)
+    }
+
+    /// Process one post-handshake worker frame and produce the single reply.
+    fn apply(&self, now: Instant, worker: u64, frame: &Json) -> Result<Json> {
+        let kind = msg_type(frame)?;
+        let refuse = |what: String| Err(Error::invalid(format!("worker {worker} {what}")));
+        let field = |name: &str| {
+            let missing = || Error::invalid(format!("{kind} missing {name}"));
+            frame.get(name).ok_or_else(missing)
+        };
+        // Results and failures settle the worker's outstanding lease first.
+        if kind == "result" || kind == "failed" {
+            let cell = CellKey::from_json(field("cell")?)?;
+            // Parsed before any lease changes hands: a malformed report must
+            // leave its cell where the connection's end can give it back.
+            let outcome = match kind {
+                "result" => Some(CellOutcome::from_json(field("outcome")?)?),
+                _ => None,
+            };
+            let resume = matches!(frame.get("resume"), Some(&Json::Bool(true)));
+            let mut s = lock(&self.state);
+            if let Some(w) = s.holder(worker, &cell) {
+                w.lease = None;
+            } else {
+                // Without a `resume` flag, an unleased report is a forged (or
+                // hopelessly confused) message and stays a protocol error.
+                if !resume {
+                    return refuse(format!("reported cell {} it does not hold", cell.id()));
+                }
+                // A resumed report: the worker finished a cell whose lease it
+                // lost to a reconnect, rebalance, or deadline. Reconcile
+                // against where the cell is now.
+                match (self.ledger.state_of(&cell), &outcome) {
+                    // Someone already settled it (identical under SimOnly):
+                    // drop the duplicate. Or it is leased to another worker:
+                    // a finished result beats an in-flight recompute, so
+                    // accept that (the other copy dedups when it lands), but
+                    // a resumed *failure* must not pre-empt a run that may
+                    // yet succeed.
+                    (Some(CellState::Settled), _) | (Some(CellState::Out), None) => {
+                        drop(s);
+                        return self.next_assignment(now, worker);
+                    }
+                    (Some(CellState::Pending | CellState::Out), _) => {}
+                    (Some(CellState::Failed) | None, _) => {
+                        return refuse(format!("resumed cell {} unknown to this sweep", cell.id()))
+                    }
+                }
+                s.resumed += 1;
+            }
+            let w = s.workers.get_mut(&worker);
+            match outcome {
+                Some(outcome) => {
+                    w.into_iter().for_each(|w| w.completed += 1);
+                    // The checkpoint write runs with the state lock released.
+                    drop(s);
+                    self.ledger.settle(&cell, outcome);
+                }
+                None => {
+                    w.into_iter().for_each(|w| w.failed += 1);
+                    let reason = frame
+                        .get("reason")
+                        .and_then(Json::as_str)
+                        .unwrap_or("unknown worker error");
+                    let err = Error::invalid(format!("cell {}: {reason}", cell.id()));
+                    self.ledger.fail(&cell, err);
+                    drop(s);
+                }
+            }
+            return self.next_assignment(now, worker);
+        }
+        if kind == "progress" {
+            // An intra-cell snapshot from the lease holder: note it in the
+            // ledger (riding the checkpoint), so a re-issue of this cell
+            // resumes mid-iteration.
+            let cell = CellKey::from_json(field("cell")?)?;
+            let kernel = field("kernel")?.as_str();
+            let kernel = kernel.ok_or_else(|| Error::invalid("progress kernel is not a string"))?;
+            let state = field("state")?.clone();
+            if lock(&self.state).holder(worker, &cell).is_none() {
+                return refuse(format!(
+                    "sent progress for cell {} it does not hold",
+                    cell.id()
+                ));
+            }
+            self.ledger.note_progress(&cell, kernel, state);
+            return Ok(msg("ack"));
+        }
+        if kind == "leave" {
+            // Clean departure: hand back any held cell without charging the
+            // re-issue cap — the worker is healthy, it was *asked* to stop.
+            let mut s = lock(&self.state);
+            s.departed += 1;
+            let lease = s.workers.get_mut(&worker).and_then(|w| {
+                w.idle = false;
+                w.lease.take()
+            });
+            if let Some(lease) = lease {
+                s.give_back(&self.ledger, lease, None);
+            }
+            return Ok(msg("bye"));
+        }
+        if kind == "status" {
+            return Ok(self.status(now));
+        }
+        if kind != "request" {
+            return Err(Error::invalid(format!("unexpected frame type {kind:?}")));
+        }
+        self.next_assignment(now, worker)
+    }
+
+    /// Lease the next pending cell, or tell the worker to wait / stop.
+    fn next_assignment(&self, now: Instant, worker: u64) -> Result<Json> {
+        let mut s = lock(&self.state);
+        if self.ledger.halted() {
+            // The coordinator is going down; drain workers cleanly.
+            return Ok(msg("done"));
+        }
+        let outstanding = s.leases().next().is_some();
+        let w = s.workers.get_mut(&worker);
+        let w = w.expect("a worker's record lives as long as its connection");
+        if let Some(held) = &w.lease {
+            // A `request` while already holding a lease would silently orphan
+            // the held cell if we just overwrote it. Protocol error: the
+            // handler rejects the connection and its end re-queues the cell.
+            return Err(Error::invalid(format!(
+                "worker {worker} requested work while still holding cell {}",
+                held.cell.id()
+            )));
+        }
+        let next = self.ledger.take();
+        // With nothing pending but another worker's lease outstanding (it may
+        // yet fail and re-queue), the worker polls back — and counts as spare
+        // capacity to the rebalancer while it does.
+        w.idle = next.is_none() && outstanding;
+        let Some((cell, progress)) = next else {
+            if !w.idle {
+                return Ok(msg("done"));
+            }
+            let mut idle = msg("idle");
+            idle.set("backoff_ms", Json::from(IDLE_BACKOFF_MS));
+            return Ok(idle);
+        };
+        let mut lease = msg("lease");
+        lease.set("cell", cell.to_json());
+        // Ship any intra-cell snapshot a previous holder streamed, so the new
+        // holder resumes mid-iteration instead of starting over.
+        if let Some(progress) = progress {
+            lease.set("progress", progress);
+        }
+        w.lease = Some(Lease { cell, since: now });
+        Ok(lease)
+    }
+
+    /// Connection `worker` ended: drop its record and give back whatever
+    /// lease it still holds — nothing, after an idle timeout, a revocation
+    /// or a clean `leave`.
+    fn end(&self, worker: u64) {
+        let mut s = lock(&self.state);
+        if let Some(lease) = s.workers.remove(&worker).and_then(|w| w.lease) {
+            s.give_back(&self.ledger, lease, Some("worker connection ended"));
+        }
+    }
+
+    /// The service tick's one pass over the leases. First every lease held
+    /// past [`CoordOptions::lease_timeout`] is revoked and charged to its
+    /// cell — the gap EOF detection cannot close. Then, when idle workers
+    /// outnumber pending cells, the oldest lease past
+    /// [`CoordOptions::rebalance_after`] is revoked for that spare capacity,
+    /// uncharged: its holder is healthy, just slow, and its finished result
+    /// can still land through the resume path (first copy wins). Each
+    /// holder's connection is cut from its record; its handler then ends
+    /// the connection and finds no lease left to give back.
+    fn tick(&self, now: Instant) {
+        let policies = [
+            (self.options.lease_timeout, Some("lease deadline exceeded")),
+            (self.options.rebalance_after, None),
+        ];
+        let mut s = lock(&self.state);
+        for (limit, loss) in policies {
+            let held = s.leases().map(|(worker, lease)| (lease.since, worker));
+            let past =
+                |&(since, _): &(Instant, u64)| limit.is_some_and(|limit| now - since > limit);
+            let mut stale: Vec<(Instant, u64)> = held.filter(past).collect();
+            if loss.is_none() {
+                // Rebalancing takes the oldest, and only for spare capacity.
+                let idle = s.workers.values().filter(|w| w.idle).count();
+                let spare = !self.ledger.halted() && idle > self.pending();
+                stale.sort();
+                stale.truncate(usize::from(spare));
+            }
+            for (_, worker) in stale {
+                let w = s.workers.get_mut(&worker);
+                let w = w.expect("a stale lease has a holder");
+                (w.cut)();
+                if let Some(lease) = w.lease.take() {
+                    s.rebalanced += usize::from(loss.is_none());
+                    s.give_back(&self.ledger, lease, loss);
+                }
+            }
+        }
+    }
+
+    /// Render the live sweep state as a `status` frame. `leased` counts the
+    /// cells out with a worker: a lease on a cell that settled meanwhile
+    /// (a resumed copy landed first) is listed in `leases` but not counted,
+    /// so `planned = done + failed + pending + leased` always holds.
+    fn status(&self, now: Instant) -> Json {
+        let s = lock(&self.state);
+        let done = self.ledger.count(CellState::Settled);
+        let mut m = msg("status");
+        m.set("service", Json::from("coordinate"));
+        m.set("planned", Json::from(self.plan.len()));
+        m.set("restored", Json::from(self.restored));
+        m.set("pending", Json::from(self.pending()));
+        m.set("leased", Json::from(self.ledger.count(CellState::Out)));
+        m.set("done", Json::from(done));
+        m.set("failed", Json::from(self.ledger.count(CellState::Failed)));
+        m.set("executed", Json::from(done - self.restored));
+        m.set("reissued", Json::from(s.reissued));
+        m.set("departed", Json::from(s.departed));
+        m.set("rebalanced", Json::from(s.rebalanced));
+        m.set("resumed", Json::from(s.resumed));
+        m.set("workers", Json::from(s.admitted));
+        let leases = s.leases().map(|(worker, lease)| {
+            let mut l = Json::obj();
+            l.set("worker", Json::from(worker));
+            l.set("cell", Json::from(lease.cell.id().as_str()));
+            let held = now.duration_since(lease.since);
+            l.set("held_secs", Json::from(held.as_secs_f64()));
+            l
+        });
+        m.set("leases", Json::Arr(leases.collect()));
+        let throughput = s.workers.iter().map(|(&worker, w)| {
+            let mut t = Json::obj();
+            t.set("worker", Json::from(worker));
+            t.set("completed", Json::from(w.completed));
+            t.set("failed", Json::from(w.failed));
+            // No time connected yet is no rate yet (0/0, n/0).
+            let rate = w.completed as f64 / now.duration_since(w.connected).as_secs_f64();
+            t.set(
+                "cells_per_sec",
+                Json::from(if rate.is_finite() { rate } else { 0.0 }),
+            );
+            t
+        });
+        m.set("throughput", Json::Arr(throughput.collect()));
+        m
+    }
+
+    /// No work left and none in flight (hard-failed cells count as
+    /// drained — they are reported at the end, not retried forever), or the
+    /// ledger halted on a checkpoint write: the sweep cannot meaningfully
+    /// continue, so workers are drained with `done`.
+    fn complete(&self) -> bool {
+        let s = lock(&self.state);
+        self.ledger.halted() || (self.pending() == 0 && s.leases().next().is_none())
+    }
+
+    /// Planned cells nobody holds or has settled.
+    fn pending(&self) -> usize {
+        self.ledger.count(CellState::Pending)
+    }
+
+    /// Close the books once every connection has ended.
+    fn finish(&self) -> Result<CoordOutcome> {
+        let done = self.ledger.finish()?;
+        let s = lock(&self.state);
+        Ok(CoordOutcome {
+            grid: done.grid,
+            planned: done.planned,
+            executed: done.executed,
+            restored: done.skipped,
+            reissued: s.reissued,
+            workers: s.admitted,
+            departed: s.departed,
+            rebalanced: s.rebalanced,
+            resumed: s.resumed,
+            recovered: done.recovered,
+        })
+    }
+}
+
+/// The coordinator half: plans the sweep, listens, and runs each worker
+/// connection against the lease scheduler (the socket side of it).
+pub struct Coordinator {
+    listener: TcpListener,
+    config: HarnessConfig,
+    core: Core,
 }
 
 impl Coordinator {
@@ -285,25 +604,13 @@ impl Coordinator {
     ) -> Result<Coordinator> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| Error::invalid(format!("coordinator bind: {e}")))?;
-        let plan: Vec<CellKey> = figs
-            .iter()
-            .flat_map(|&f| figures::plan(f, &config, mn_size))
-            .collect();
-        let fingerprint = config_fingerprint(&config);
-        let ledger = Ledger::open(
-            plan.clone(),
-            fingerprint.clone(),
-            options.checkpoint.clone(),
-        )?;
+        let plan = figs.iter();
+        let plan = plan.flat_map(|&f| figures::plan(f, &config, mn_size));
+        let core = Core::open(plan.collect(), config_fingerprint(&config), options)?;
         Ok(Coordinator {
             listener,
             config,
-            fingerprint,
-            plan,
-            options,
-            state: Mutex::default(),
-            restored: ledger.count(CellState::Settled),
-            ledger,
+            core,
         })
     }
 
@@ -336,7 +643,7 @@ impl Coordinator {
                 return;
             }
             let worker = next_worker.fetch_add(1, Ordering::Relaxed) + 1;
-            handle_worker(stream, worker, self);
+            handle_worker(stream, worker, &self.core);
         };
         // Drain: once the plan is complete every connection — parked on an
         // idle poll, or still queued in the listen backlog — gets `done` on
@@ -345,103 +652,33 @@ impl Coordinator {
             "coordinator",
             &[(&self.listener, &handler)],
             || {
-                revoke_stale_leases(self);
-                !self.complete()
+                self.core.tick(Instant::now());
+                !self.core.complete()
             },
             || (),
         )?;
-
         // Every handler has exited: what they settled is in the ledger.
-        let done = self.ledger.finish()?;
-        let state = lock(&self.state);
-        Ok(CoordOutcome {
-            grid: done.grid,
-            planned: done.planned,
-            executed: done.executed,
-            restored: done.skipped,
-            reissued: state.reissued,
-            workers: state.admitted,
-            departed: state.departed,
-            rebalanced: state.rebalanced,
-            resumed: state.resumed,
-            recovered: done.recovered,
-        })
-    }
-
-    /// No work left and none in flight (hard-failed cells count as
-    /// drained — they are reported at the end, not retried forever), or the
-    /// ledger halted on a checkpoint write: the sweep cannot meaningfully
-    /// continue, so workers are drained with `done`.
-    fn complete(&self) -> bool {
-        let s = lock(&self.state);
-        self.ledger.halted() || (self.pending() == 0 && s.leases().next().is_none())
-    }
-
-    /// Planned cells nobody holds or has settled.
-    fn pending(&self) -> usize {
-        self.ledger.count(CellState::Pending)
+        self.core.finish()
     }
 }
 
-/// The service tick's one pass over the leases. First every lease held past
-/// [`CoordOptions::lease_timeout`] is revoked and charged to its cell — the
-/// gap EOF detection cannot close. Then, when idle workers outnumber pending
-/// cells, the oldest lease past [`CoordOptions::rebalance_after`] is revoked
-/// for that spare capacity, uncharged: its holder is healthy, just slow, and
-/// its finished result can still land through the resume path (first copy
-/// wins). Each holder's connection is shut down from its record; its
-/// handler then exits and finds no lease left to give back.
-fn revoke_stale_leases(coord: &Coordinator) {
-    let now = Instant::now();
-    let policies = [
-        (coord.options.lease_timeout, Some("lease deadline exceeded")),
-        (coord.options.rebalance_after, None),
-    ];
-    let mut s = lock(&coord.state);
-    for (limit, loss) in policies {
-        let held = s.leases().map(|(worker, lease)| (lease.since, worker));
-        let past = |&(since, _): &(Instant, u64)| limit.is_some_and(|limit| now - since > limit);
-        let mut stale: Vec<(Instant, u64)> = held.filter(past).collect();
-        if loss.is_none() {
-            // Rebalancing takes the oldest, and only for spare capacity.
-            let idle = s.workers.values().filter(|w| w.idle).count();
-            let spare = !coord.ledger.halted() && idle > coord.pending();
-            stale.sort();
-            stale.truncate(usize::from(spare));
-        }
-        for (_, worker) in stale {
-            let w = s.workers.get_mut(&worker);
-            let w = w.expect("a stale lease has a holder");
-            let _ = w.handle.shutdown(Shutdown::Both);
-            if let Some(lease) = w.lease.take() {
-                s.rebalanced += usize::from(loss.is_none());
-                s.give_back(&coord.ledger, lease, loss);
-            }
-        }
-    }
-}
-
-/// Read timeout while a worker holds *no* lease. An idle worker polls
-/// every [`IDLE_BACKOFF_MS`], so silence this long means the connection
-/// is wedged (half-open link, stopped process); closing it keeps the
-/// post-completion handler join — and with it `serve()` — bounded. A
-/// worker that *does* hold a lease is legitimately silent for the whole
-/// cell, so its reads stay unbounded (its death still surfaces as
-/// EOF/reset, and re-leasing is the recovery path).
+/// Read timeout while a worker holds *no* lease: an idle worker polls
+/// every [`IDLE_BACKOFF_MS`], so silence this long is a wedged connection,
+/// and closing it keeps `serve()`'s final handler join bounded. A lease
+/// holder is silent for the whole cell, so its reads stay unbounded.
 const IDLE_READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One connection: the `hello` gate, `welcome`, then the lease/result loop
-/// (a `status` monitor may only poll snapshots). An admitted worker's
-/// record lives from `welcome` to the connection's end, which removes it
-/// and re-queues whatever lease it still holds — nothing, after an idle
-/// timeout or a clean `leave`.
-fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
+/// (a `status` monitor may only poll snapshots), each frame applied to
+/// `core` at the time it arrives. An admitted worker's record lives from
+/// `welcome` to the connection's end.
+fn handle_worker(mut stream: TcpStream, worker: u64, core: &Core) {
     // Monitors authenticate but need no fingerprint: a status poll must
     // work from hosts that never built a matching config. They are not
     // counted as workers either.
     let gate = Gate {
-        token: coord.options.auth_token.as_deref(),
-        fingerprint: &coord.fingerprint,
+        token: core.options.auth_token.as_deref(),
+        fingerprint: &core.fingerprint,
         roles: &[("worker", true), ("status", false)],
     };
     let Ok(role) = session::admit(&mut stream, &gate) else {
@@ -449,45 +686,26 @@ fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
     };
     // A worker without a clone handle could lose its lease to the stale
     // pass but never be cut off: refuse it (it sees EOF and can restart).
-    let handle = match role {
-        "worker" => match stream.try_clone() {
-            Ok(handle) => Some(handle),
-            Err(_) => return,
-        },
+    let cut: Option<Cut> = match (role, stream.try_clone()) {
+        ("worker", Ok(handle)) => Some(Box::new(move || drop(handle.shutdown(Shutdown::Both)))),
+        ("worker", Err(_)) => return,
         _ => None,
     };
-    let remaining = {
-        let mut s = lock(&coord.state);
-        if let Some(handle) = handle {
-            s.admitted += 1;
-            let record = Worker {
-                handle,
-                lease: None,
-                idle: false,
-                completed: 0,
-                failed: 0,
-                connected: Instant::now(),
-            };
-            s.workers.insert(worker, record);
-        }
-        coord.pending() + s.leases().count()
-    };
-    let mut welcome = msg("welcome");
-    welcome.set("worker", Json::from(worker));
-    welcome.set("remaining", Json::from(remaining));
+    let welcome = core.admit(Instant::now(), worker, cut);
     if write_frame(&mut stream, &welcome).is_ok() {
         session::frame_loop(
             &mut stream,
             |stream| {
-                let leased = lock(&coord.state).leases().any(|(w, _)| w == worker);
+                let leased = core.holds_lease(worker);
                 let _ = stream.set_read_timeout((!leased).then_some(IDLE_READ_TIMEOUT));
                 faults::hit("coord.read").is_ok()
             },
             |frame| {
+                let now = Instant::now();
                 let reply = match role {
-                    "worker" => apply_frame(frame, worker, coord)?,
+                    "worker" => core.apply(now, worker, frame)?,
                     // Monitors never touch lease state.
-                    _ if matches!(msg_type(frame), Ok("status")) => status_snapshot(coord),
+                    _ if matches!(msg_type(frame), Ok("status")) => core.status(now),
                     _ => return Err(Error::invalid("status connections may only poll status")),
                 };
                 // An injected write failure drops the reply on the floor.
@@ -495,213 +713,7 @@ fn handle_worker(mut stream: TcpStream, worker: u64, coord: &Coordinator) {
             },
         );
     }
-    let mut s = lock(&coord.state);
-    if let Some(lease) = s.workers.remove(&worker).and_then(|w| w.lease) {
-        s.give_back(&coord.ledger, lease, Some("worker connection ended"));
-    }
-}
-
-/// Process one post-handshake worker frame and produce the single reply.
-fn apply_frame(frame: &Json, worker: u64, coord: &Coordinator) -> Result<Json> {
-    let kind = msg_type(frame)?;
-    let field = |name: &str| {
-        let missing = || Error::invalid(format!("{kind} missing {name}"));
-        frame.get(name).ok_or_else(missing)
-    };
-    // Results and failures settle the worker's outstanding lease first.
-    if kind == "result" || kind == "failed" {
-        let cell = CellKey::from_json(field("cell")?)?;
-        // Parsed before any lease changes hands: a malformed report must
-        // leave its cell where the connection's end can give it back.
-        let outcome = match kind {
-            "result" => Some(CellOutcome::from_json(field("outcome")?)?),
-            _ => None,
-        };
-        let resume = matches!(frame.get("resume"), Some(&Json::Bool(true)));
-        let mut s = lock(&coord.state);
-        if let Some(w) = s.holder(worker, &cell) {
-            w.lease = None;
-        } else {
-            // Without a `resume` flag, an unleased report is a forged (or
-            // hopelessly confused) message and stays a protocol error.
-            if !resume {
-                return Err(Error::invalid(format!(
-                    "worker {worker} reported cell {} it does not hold",
-                    cell.id()
-                )));
-            }
-            // A resumed report: the worker finished a cell whose lease it
-            // lost to a reconnect, rebalance, or deadline. Reconcile
-            // against where the cell is now.
-            match (coord.ledger.state_of(&cell), &outcome) {
-                // Someone already settled it (identical under SimOnly): drop
-                // the duplicate. Or it is leased to another worker: a
-                // finished result beats an in-flight recompute, so accept
-                // that (the other copy dedups when it lands), but a resumed
-                // *failure* must not pre-empt a run that may yet succeed.
-                (Some(CellState::Settled), _) | (Some(CellState::Out), None) => {
-                    drop(s);
-                    return next_assignment(worker, coord);
-                }
-                (Some(CellState::Pending | CellState::Out), _) => {}
-                (Some(CellState::Failed) | None, _) => {
-                    return Err(Error::invalid(format!(
-                        "worker {worker} resumed cell {} unknown to this sweep",
-                        cell.id()
-                    )))
-                }
-            }
-            s.resumed += 1;
-        }
-        let w = s.workers.get_mut(&worker);
-        match outcome {
-            Some(outcome) => {
-                w.into_iter().for_each(|w| w.completed += 1);
-                // The checkpoint write runs with the state lock released.
-                drop(s);
-                coord.ledger.settle(&cell, outcome);
-            }
-            None => {
-                w.into_iter().for_each(|w| w.failed += 1);
-                let reason = frame
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown worker error");
-                let err = Error::invalid(format!("cell {}: {reason}", cell.id()));
-                coord.ledger.fail(&cell, err);
-                drop(s);
-            }
-        }
-        return next_assignment(worker, coord);
-    }
-    if kind == "progress" {
-        // An intra-cell snapshot from the lease holder: note it in the
-        // ledger (riding the checkpoint), so a re-issue of this cell
-        // resumes mid-iteration.
-        let cell = CellKey::from_json(field("cell")?)?;
-        let kernel = field("kernel")?.as_str();
-        let kernel = kernel.ok_or_else(|| Error::invalid("progress kernel is not a string"))?;
-        let state = field("state")?.clone();
-        if lock(&coord.state).holder(worker, &cell).is_none() {
-            return Err(Error::invalid(format!(
-                "worker {worker} sent progress for cell {} it does not hold",
-                cell.id()
-            )));
-        }
-        coord.ledger.note_progress(&cell, kernel, state);
-        return Ok(msg("ack"));
-    }
-    if kind == "leave" {
-        // Clean departure: hand back any held cell without charging the
-        // re-issue cap — the worker is healthy, it was *asked* to stop.
-        let mut s = lock(&coord.state);
-        s.departed += 1;
-        let lease = s.workers.get_mut(&worker).and_then(|w| {
-            w.idle = false;
-            w.lease.take()
-        });
-        if let Some(lease) = lease {
-            s.give_back(&coord.ledger, lease, None);
-        }
-        return Ok(msg("bye"));
-    }
-    if kind == "status" {
-        return Ok(status_snapshot(coord));
-    }
-    if kind != "request" {
-        return Err(Error::invalid(format!("unexpected frame type {kind:?}")));
-    }
-    next_assignment(worker, coord)
-}
-
-/// Render the live sweep state as a `status` frame.
-fn status_snapshot(coord: &Coordinator) -> Json {
-    let s = lock(&coord.state);
-    let done = coord.ledger.count(CellState::Settled);
-    let mut m = msg("status");
-    m.set("service", Json::from("coordinate"));
-    m.set("planned", Json::from(coord.plan.len()));
-    m.set("restored", Json::from(coord.restored));
-    m.set("pending", Json::from(coord.pending()));
-    m.set("leased", Json::from(s.leases().count()));
-    m.set("done", Json::from(done));
-    m.set("failed", Json::from(coord.ledger.count(CellState::Failed)));
-    m.set("executed", Json::from(done - coord.restored));
-    m.set("reissued", Json::from(s.reissued));
-    m.set("departed", Json::from(s.departed));
-    m.set("rebalanced", Json::from(s.rebalanced));
-    m.set("resumed", Json::from(s.resumed));
-    m.set("workers", Json::from(s.admitted));
-    let now = Instant::now();
-    let leases = s.leases().map(|(worker, lease)| {
-        let mut l = Json::obj();
-        l.set("worker", Json::from(worker));
-        l.set("cell", Json::from(lease.cell.id().as_str()));
-        let held = now.duration_since(lease.since);
-        l.set("held_secs", Json::from(held.as_secs_f64()));
-        l
-    });
-    m.set("leases", Json::Arr(leases.collect()));
-    let throughput = s.workers.iter().map(|(&worker, w)| {
-        let mut t = Json::obj();
-        t.set("worker", Json::from(worker));
-        t.set("completed", Json::from(w.completed));
-        t.set("failed", Json::from(w.failed));
-        let secs = now.duration_since(w.connected).as_secs_f64();
-        let rate = if secs > 0.0 {
-            w.completed as f64 / secs
-        } else {
-            0.0
-        };
-        t.set("cells_per_sec", Json::from(rate));
-        t
-    });
-    m.set("throughput", Json::Arr(throughput.collect()));
-    m
-}
-
-/// Lease the next pending cell, or tell the worker to wait / stop.
-fn next_assignment(worker: u64, coord: &Coordinator) -> Result<Json> {
-    let mut s = lock(&coord.state);
-    if coord.ledger.halted() {
-        // The coordinator is going down; drain workers cleanly.
-        return Ok(msg("done"));
-    }
-    let outstanding = s.leases().next().is_some();
-    let w = s.workers.get_mut(&worker);
-    let w = w.expect("a worker's record lives as long as its connection");
-    if let Some(held) = &w.lease {
-        // A `request` while already holding a lease would silently orphan
-        // the held cell if we just overwrote it. Protocol error: the
-        // handler rejects the connection and its end re-queues the cell.
-        return Err(Error::invalid(format!(
-            "worker {worker} requested work while still holding cell {}",
-            held.cell.id()
-        )));
-    }
-    let next = coord.ledger.take();
-    // With nothing pending but another worker's lease outstanding (it may
-    // yet fail and re-queue), the worker polls back — and counts as spare
-    // capacity to the rebalancer while it does.
-    w.idle = next.is_none() && outstanding;
-    let Some((cell, progress)) = next else {
-        if !w.idle {
-            return Ok(msg("done"));
-        }
-        let mut idle = msg("idle");
-        idle.set("backoff_ms", Json::from(IDLE_BACKOFF_MS));
-        return Ok(idle);
-    };
-    let mut lease = msg("lease");
-    lease.set("cell", cell.to_json());
-    // Ship any intra-cell snapshot a previous holder streamed, so the new
-    // holder resumes mid-iteration instead of starting over.
-    if let Some(progress) = progress {
-        lease.set("progress", progress);
-    }
-    let since = Instant::now();
-    w.lease = Some(Lease { cell, since });
-    Ok(lease)
+    core.end(worker);
 }
 
 /// What one worker process contributed.
@@ -783,20 +795,15 @@ pub fn run_worker_with(
                 })
             })
             .collect();
-        let mut report = WorkerReport::default();
-        let mut first_err = None;
-        for handle in handles {
-            match handle.join().expect("worker job thread") {
-                Ok(part) => {
-                    report.completed += part.completed;
-                    report.failed += part.failed;
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        first_err.map_or(Ok(report), Err)
+        // The first error in job order; the scope joins the rest.
+        handles
+            .into_iter()
+            .try_fold(WorkerReport::default(), |mut report, job| {
+                let part = job.join().expect("worker job thread")?;
+                report.completed += part.completed;
+                report.failed += part.failed;
+                Ok(report)
+            })
     })
 }
 
@@ -913,11 +920,8 @@ fn worker_session(
         match msg_type(&reply).map_err(SessionEnd::Fatal)? {
             "done" | "bye" => return Ok(()),
             "idle" => {
-                let ms = reply
-                    .get("backoff_ms")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(IDLE_BACKOFF_MS);
-                std::thread::sleep(Duration::from_millis(ms));
+                let ms = reply.get("backoff_ms").and_then(Json::as_u64);
+                std::thread::sleep(Duration::from_millis(ms.unwrap_or(IDLE_BACKOFF_MS)));
                 outbound = msg("request");
             }
             "lease" => {
@@ -940,8 +944,13 @@ fn worker_session(
                 let clone = stream
                     .try_clone()
                     .map_err(|e| fatal(format!("clone: {e}")))?;
-                let saved = reply.get("progress").cloned();
-                let progress = Arc::new(CoordProgress::new(clone, cell.to_json(), saved));
+                let progress = Arc::new(CoordProgress {
+                    stream: Mutex::new(clone),
+                    cell: cell.to_json(),
+                    restored: reply.get("progress").cloned(),
+                    dead: AtomicBool::new(false),
+                    killed: AtomicBool::new(false),
+                });
                 let handle = ProgressHandle::new(progress.clone());
                 match scheduler.run_cell_with_progress(&cell, threads, Some(handle)) {
                     Ok(outcome) => {
@@ -994,16 +1003,6 @@ struct CoordProgress {
 }
 
 impl CoordProgress {
-    fn new(stream: TcpStream, cell: Json, restored: Option<Json>) -> CoordProgress {
-        CoordProgress {
-            stream: Mutex::new(stream),
-            cell,
-            restored,
-            dead: AtomicBool::new(false),
-            killed: AtomicBool::new(false),
-        }
-    }
-
     fn killed(&self) -> bool {
         self.killed.load(Ordering::Relaxed)
     }
@@ -1060,6 +1059,523 @@ pub fn fetch_status(
 }
 
 #[cfg(test)]
+mod fleet {
+    //! A seeded fleet simulator for `Core`: virtual workers on a virtual
+    //! clock connect, lease, report, stream progress, leave, die, wedge and
+    //! reconnect with `resume` in whatever order a `Pcg64` draws, while the
+    //! service tick runs at random virtual times. The fleet keeps its own
+    //! books of what the protocol promises — which losses are charged,
+    //! which tick revokes what, which report settles or fails a cell — and
+    //! checks `Core` against them after every step and at the end.
+
+    use super::*;
+    use crate::Query;
+    use genbase_util::{CostReport, Pcg64};
+
+    /// The `i`-th planned cell; the engine name carries `i` back out.
+    fn cell(i: usize) -> CellKey {
+        CellKey {
+            figure: FigureId::Fig1,
+            query: Query::ALL[i % Query::ALL.len()],
+            size: SizeClass::Small,
+            nodes: 1 + i / Query::ALL.len(),
+            engine: format!("E{i}"),
+        }
+    }
+
+    fn number(cell: &CellKey) -> usize {
+        cell.engine[1..].parse().unwrap()
+    }
+
+    fn index(cell: &Json) -> usize {
+        number(&CellKey::from_json(cell).unwrap())
+    }
+
+    /// The fabricated outcome every run of cell `i` reports.
+    fn outcome(i: usize) -> CellOutcome {
+        match i % 3 {
+            0 => CellOutcome::Unsupported,
+            1 => CellOutcome::Infinite {
+                reason: format!("cutoff in cell {i}"),
+            },
+            _ => CellOutcome::Completed {
+                dm: CostReport {
+                    wall_secs: 0.0,
+                    sim_secs: i as f64 * 0.5,
+                    sim_bytes: i as u64,
+                },
+                an: CostReport::default(),
+                trace: Vec::new(),
+            },
+        }
+    }
+
+    /// A `result` (with cell `i`'s outcome) or `failed` report for cell `i`.
+    fn report(kind: &str, i: usize) -> Json {
+        let mut m = msg(kind);
+        m.set("cell", cell(i).to_json());
+        match kind {
+            "result" => m.set("outcome", outcome(i).to_json()),
+            _ => m.set("reason", Json::from("injected failure")),
+        }
+        m
+    }
+
+    /// One connection, as its worker sees it.
+    struct Conn {
+        id: u64,
+        /// Set when the coordinator cuts the connection.
+        cut: Arc<AtomicBool>,
+        /// The cell it was last leased, and when.
+        lease: Option<(usize, Instant)>,
+        /// Parked on an `idle` reply.
+        idle: bool,
+        /// Holds its lease and stays silent.
+        wedged: bool,
+    }
+
+    /// One virtual worker process.
+    #[derive(Default)]
+    struct VirtualWorker {
+        conn: Option<Conn>,
+        /// A report whose reply never arrived: the next connection re-sends
+        /// it with `resume: true`.
+        unacked: Option<Json>,
+        /// Told `done`: the process exited.
+        exited: bool,
+    }
+
+    struct Fleet {
+        core: Core,
+        rng: Pcg64,
+        now: Instant,
+        workers: Vec<VirtualWorker>,
+        last_id: u64,
+        /// Per cell: losses that must be charged, and whether a failure
+        /// report the ledger must keep was sent.
+        charged: Vec<usize>,
+        failed: Vec<bool>,
+        /// The last progress state streamed per cell.
+        progress: Vec<Option<u64>>,
+        departed: usize,
+        rebalanced: usize,
+        resumed: usize,
+    }
+
+    impl Fleet {
+        fn new(seed: u64) -> Fleet {
+            let mut rng = Pcg64::new(seed);
+            let cells = 1 + rng.next_below(10) as usize;
+            let workers = 1 + rng.next_below(4) as usize;
+            let mut limit = || Duration::from_millis(20 + rng.next_below(300));
+            let (timeout, rebalance) = (limit(), limit());
+            let options = CoordOptions {
+                lease_timeout: (seed & 1 == 1).then_some(timeout),
+                rebalance_after: (seed & 2 == 2).then_some(rebalance),
+                ..CoordOptions::default()
+            };
+            let plan = (0..cells).map(cell).collect();
+            Fleet {
+                core: Core::open(plan, "fleet".into(), options).unwrap(),
+                rng,
+                now: Instant::now(),
+                workers: (0..workers).map(|_| VirtualWorker::default()).collect(),
+                last_id: 0,
+                charged: vec![0; cells],
+                failed: vec![false; cells],
+                progress: vec![None; cells],
+                departed: 0,
+                rebalanced: 0,
+                resumed: 0,
+            }
+        }
+
+        fn state(&self, i: usize) -> CellState {
+            self.core.ledger.state_of(&cell(i)).unwrap()
+        }
+
+        fn conn(&mut self, w: usize) -> &mut Conn {
+            self.workers[w].conn.as_mut().unwrap()
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.rng.next_below(100) < percent
+        }
+
+        /// A lease on cell `i` is lost to a dead connection or a deadline:
+        /// charged only while the cell is still out.
+        fn lose(&mut self, i: usize) {
+            if self.state(i) == CellState::Out {
+                self.charged[i] += 1;
+            }
+        }
+
+        fn connect(&mut self, w: usize) {
+            self.last_id += 1;
+            let cut = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&cut);
+            let cut_fn: Cut = Box::new(move || flag.store(true, Ordering::Relaxed));
+            let welcome = self.core.admit(self.now, self.last_id, Some(cut_fn));
+            assert_eq!(
+                welcome.get("worker").and_then(Json::as_u64),
+                Some(self.last_id)
+            );
+            self.workers[w].conn = Some(Conn {
+                id: self.last_id,
+                cut,
+                lease: None,
+                idle: false,
+                wedged: false,
+            });
+            let Some(mut frame) = self.workers[w].unacked.take() else {
+                return;
+            };
+            // The report from a lost connection, resumed: it settles a cell
+            // still pending, a result also one out to another worker, and
+            // a duplicate of a settled cell is dropped.
+            frame.set("resume", Json::Bool(true));
+            let i = index(frame.get("cell").unwrap());
+            let result = matches!(msg_type(&frame), Ok("result"));
+            let state = self.state(i);
+            let accepted = state == CellState::Pending || (state == CellState::Out && result);
+            self.resumed += usize::from(accepted);
+            self.failed[i] |= accepted && !result;
+            let ok = self.send(w, &frame);
+            assert_eq!(ok, state != CellState::Failed, "resume of a {state:?} cell");
+        }
+
+        /// The connection ends (EOF): the adapter calls `end`.
+        fn hang_up(&mut self, w: usize) {
+            let conn = self.workers[w].conn.take().unwrap();
+            if let Some((i, _)) = conn.lease {
+                self.lose(i);
+            }
+            self.core.end(conn.id);
+        }
+
+        /// Send `frame` and act on the reply as the worker does; whether it
+        /// was accepted. A protocol error is a `reject` that closes the
+        /// connection, and the worker restarts with nothing to resume.
+        fn send(&mut self, w: usize, frame: &Json) -> bool {
+            let id = self.conn(w).id;
+            let reply = match self.core.apply(self.now, id, frame) {
+                Ok(reply) => reply,
+                Err(_) => {
+                    self.hang_up(w);
+                    self.workers[w].unacked = None;
+                    return false;
+                }
+            };
+            let kind = msg_type(&reply).unwrap();
+            self.conn(w).idle = kind == "idle";
+            match kind {
+                "lease" => {
+                    let i = index(reply.get("cell").unwrap());
+                    let saved = reply.get("progress").and_then(|p| p.get("lanczos"));
+                    assert_eq!(saved.and_then(Json::as_u64), self.progress[i], "cell {i}");
+                    let now = self.now;
+                    self.conn(w).lease = Some((i, now));
+                }
+                "idle" | "ack" => {}
+                "done" => {
+                    assert!(self.core.complete(), "done before the sweep completed");
+                    self.hang_up(w);
+                    self.workers[w].exited = true;
+                }
+                "bye" => self.hang_up(w),
+                other => panic!("unexpected reply {other:?}"),
+            }
+            true
+        }
+
+        /// The holder of cell `i` reports it.
+        fn report(&mut self, w: usize, kind: &str) {
+            let (i, _) = self.conn(w).lease.take().unwrap();
+            self.failed[i] |= kind == "failed" && self.state(i) == CellState::Out;
+            assert!(self.send(w, &report(kind, i)), "the holder's report");
+        }
+
+        /// The service tick, checked against what the lease policy says it
+        /// must revoke: every lease past the deadline (charged), then — if
+        /// idle workers outnumber pending cells — the oldest lease past the
+        /// rebalance limit (uncharged).
+        fn tick(&mut self) {
+            let now = self.now;
+            let options = self.core.options.clone();
+            let mut held: Vec<(Instant, u64, usize, usize)> = (self.workers.iter())
+                .enumerate()
+                .filter_map(|(w, v)| {
+                    let c = v.conn.as_ref()?;
+                    c.lease.map(|(i, since)| (since, c.id, w, i))
+                })
+                .collect();
+            held.sort();
+            let past = |since: Instant, limit: Option<Duration>| {
+                limit.is_some_and(|limit| now - since > limit)
+            };
+            let mut revoked = Vec::new();
+            let mut pending = self.core.pending();
+            for &(since, _, w, i) in &held {
+                if past(since, options.lease_timeout) {
+                    revoked.push(w);
+                    self.lose(i);
+                    let requeued = self.state(i) == CellState::Out;
+                    pending += usize::from(requeued && self.charged[i] <= MAX_REISSUES_PER_CELL);
+                }
+            }
+            let idle = self.workers.iter().flat_map(|v| &v.conn).filter(|c| c.idle);
+            if idle.count() > pending {
+                let mut stale = held.iter().filter(|(since, _, w, _)| {
+                    past(*since, options.rebalance_after) && !revoked.contains(w)
+                });
+                if let Some(&(_, _, w, _)) = stale.next() {
+                    revoked.push(w);
+                    self.rebalanced += 1;
+                }
+            }
+            self.core.tick(now);
+            let mut cut: Vec<usize> = (0..self.workers.len())
+                .filter(|&w| {
+                    (self.workers[w].conn.as_ref()).is_some_and(|c| c.cut.load(Ordering::Relaxed))
+                })
+                .collect();
+            cut.sort_unstable();
+            revoked.sort_unstable();
+            assert_eq!(cut, revoked, "the tick's revocations");
+            for w in cut {
+                let conn = self.conn(w);
+                let (i, _) = conn.lease.take().unwrap();
+                if conn.wedged {
+                    self.hang_up(w);
+                    continue;
+                }
+                // A live holder finishes its cell on a cut connection: the
+                // report in flight is refused (it holds no lease and does not
+                // say `resume`), and the next connection resumes it.
+                let kind = if self.chance(10) { "failed" } else { "result" };
+                let frame = report(kind, i);
+                if self.chance(50) {
+                    assert!(!self.send(w, &frame), "a report without its lease");
+                } else {
+                    self.hang_up(w);
+                }
+                self.workers[w].unacked = Some(frame);
+            }
+        }
+
+        /// One chaotic step by worker `w`.
+        fn chaos(&mut self, w: usize) {
+            if self.workers[w].exited {
+                return;
+            }
+            let Some(conn) = &self.workers[w].conn else {
+                if self.chance(60) {
+                    self.connect(w);
+                }
+                return;
+            };
+            let roll = self.rng.next_below(100);
+            match (conn.lease, conn.wedged) {
+                (_, true) => {
+                    if roll < 10 {
+                        // Killed: EOF, and the process's work is gone.
+                        self.hang_up(w);
+                    }
+                }
+                (None, false) => match roll {
+                    0..=69 => {
+                        self.send(w, &msg("request"));
+                    }
+                    70..=79 => {
+                        self.departed += 1;
+                        self.send(w, &msg("leave"));
+                    }
+                    80..=89 => self.hang_up(w),
+                    _ => {
+                        // A forged report: no lease, no `resume`.
+                        let i = self.rng.next_below(self.charged.len() as u64) as usize;
+                        let mut forged = report("result", i);
+                        let lie = CellOutcome::Infinite {
+                            reason: "forged".into(),
+                        };
+                        forged.set("outcome", lie.to_json());
+                        assert!(!self.send(w, &forged), "a forged report");
+                    }
+                },
+                (Some((i, _)), false) => match roll {
+                    0..=34 => self.report(w, "result"),
+                    35..=39 => self.report(w, "failed"),
+                    40..=54 => {
+                        let step = self.rng.next_below(1000);
+                        let mut frame = msg("progress");
+                        frame.set("cell", cell(i).to_json());
+                        frame.set("kernel", Json::from("lanczos"));
+                        frame.set("state", Json::from(step));
+                        if self.state(i) != CellState::Settled {
+                            self.progress[i] = Some(step);
+                        }
+                        assert!(self.send(w, &frame), "the holder's progress");
+                    }
+                    55..=59 => {
+                        // Leave with a lease: given back uncharged.
+                        self.departed += 1;
+                        self.conn(w).lease = None;
+                        self.send(w, &msg("leave"));
+                    }
+                    60..=67 => self.hang_up(w),
+                    68..=77 => self.conn(w).wedged = true,
+                    78..=81 => {
+                        // Asking for more while holding: a protocol error.
+                        assert!(!self.send(w, &msg("request")), "a second lease");
+                    }
+                    _ => {
+                        // The link dies around a finished report — before it
+                        // is sent, or after it landed but before its reply —
+                        // and the worker reconnects to resume it.
+                        let frame = report(if roll < 85 { "failed" } else { "result" }, i);
+                        if roll.is_multiple_of(2) {
+                            self.conn(w).lease = None;
+                            self.failed[i] |= roll < 85 && self.state(i) == CellState::Out;
+                            let (now, id) = (self.now, self.conn(w).id);
+                            let reply = self.core.apply(now, id, &frame).unwrap();
+                            if matches!(msg_type(&reply), Ok("lease")) {
+                                self.conn(w).lease = Some((index(reply.get("cell").unwrap()), now));
+                            }
+                        }
+                        self.hang_up(w);
+                        self.workers[w].unacked = Some(frame);
+                        if self.chance(50) {
+                            self.connect(w);
+                        }
+                    }
+                },
+            }
+        }
+
+        /// One well-behaved step by worker `w`: the fleet settles down.
+        fn calm(&mut self, w: usize) {
+            match &self.workers[w].conn {
+                _ if self.workers[w].exited => {}
+                None => self.connect(w),
+                Some(c) if c.wedged => self.conn(w).wedged = false,
+                Some(c) if c.lease.is_some() => self.report(w, "result"),
+                Some(_) => {
+                    self.send(w, &msg("request"));
+                }
+            }
+        }
+
+        /// What must hold after every step.
+        fn check(&self) {
+            let snap = self.core.status(self.now);
+            let n = |key| snap.get(key).and_then(Json::as_u64).unwrap();
+            let sum = n("done") + n("failed") + n("pending") + n("leased");
+            assert_eq!(n("planned"), sum, "status adds up: {}", snap.render());
+            let s = lock(&self.core.state);
+            let mut out = vec![false; self.charged.len()];
+            for (_, lease) in s.leases() {
+                if self.core.ledger.state_of(&lease.cell) == Some(CellState::Out) {
+                    let twice = std::mem::replace(&mut out[number(&lease.cell)], true);
+                    assert!(!twice, "{} leased twice", lease.cell.id());
+                }
+            }
+            let live: Vec<&Conn> = self.workers.iter().flat_map(|v| &v.conn).collect();
+            assert_eq!(s.workers.len(), live.len());
+            for conn in live {
+                let lease = s.workers[&conn.id].lease.as_ref();
+                let lease = lease.map(|l| number(&l.cell));
+                assert_eq!(lease, conn.lease.map(|(i, _)| i), "worker {}", conn.id);
+            }
+        }
+
+        /// Run the fleet to completion and check the books.
+        fn run(mut self) {
+            let chaos_steps = self.rng.next_below(120);
+            let bound = chaos_steps + 40 * (self.charged.len() + self.workers.len()) as u64;
+            let mut step = 0;
+            while !self.core.complete() {
+                assert!(step < bound, "no completion within {bound} steps");
+                self.now += Duration::from_millis(self.rng.next_below(40));
+                if self.chance(25) {
+                    self.tick();
+                } else {
+                    let w = self.rng.next_below(self.workers.len() as u64) as usize;
+                    match step < chaos_steps {
+                        true => self.chaos(w),
+                        false => self.calm(w),
+                    }
+                }
+                self.check();
+                step += 1;
+            }
+            let abandoned = |i: usize| self.charged[i] > MAX_REISSUES_PER_CELL;
+            let cells = self.charged.len();
+            let failed: Vec<usize> = (0..cells)
+                .filter(|&i| self.failed[i] || abandoned(i))
+                .collect();
+            for i in 0..cells {
+                let expect = match failed.contains(&i) {
+                    true => CellState::Failed,
+                    false => CellState::Settled,
+                };
+                assert_eq!(self.state(i), expect, "cell {i}");
+            }
+            let reissued = self
+                .charged
+                .iter()
+                .map(|&c| c.min(MAX_REISSUES_PER_CELL))
+                .sum();
+            {
+                let s = lock(&self.core.state);
+                assert_eq!(s.reissued, reissued, "charged losses {:?}", self.charged);
+                assert_eq!(s.departed, self.departed);
+                assert_eq!(s.rebalanced, self.rebalanced);
+                assert_eq!(s.resumed, self.resumed);
+            }
+            match (self.core.finish(), failed.first()) {
+                (Ok(done), None) => {
+                    let mut grid = ReportGrid::default();
+                    grid.set_fingerprint("fleet".into());
+                    (0..cells).for_each(|i| grid.insert(&cell(i), outcome(i)));
+                    assert_eq!(done.grid.to_json(), grid.to_json());
+                    assert_eq!(done.executed, cells);
+                }
+                (Err(e), Some(&first)) => {
+                    let id = cell(first).id();
+                    assert!(e.to_string().contains(&format!("cell {id}: ")), "{e}");
+                }
+                (done, first) => panic!("finish {:?} with failed cell {first:?}", done.err()),
+            }
+        }
+    }
+
+    fn run_seeds(seeds: std::ops::Range<u64>) {
+        for seed in seeds {
+            let fleet = Fleet::new(seed);
+            if let Err(panic) =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fleet.run()))
+            {
+                eprintln!("fleet seed {seed} failed");
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_fleets_drain_the_sweep_and_keep_the_books() {
+        run_seeds(0..2_000);
+    }
+
+    /// The same simulator over 100 000 seeds; run it in release:
+    /// `cargo test --release -p genbase --lib coord::fleet -- --ignored`.
+    #[test]
+    #[ignore = "100 000 seeds: run in release"]
+    fn seeded_fleets_drain_the_sweep_and_keep_the_books_100k() {
+        run_seeds(2_000..102_000);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1079,29 +1595,6 @@ mod tests {
         stream
     }
 
-    /// Send `request` and return the leased cell.
-    fn lease_one(stream: &mut TcpStream) -> CellKey {
-        write_frame(stream, &msg("request")).unwrap();
-        let reply = read_frame_opt(stream).unwrap().unwrap();
-        assert_eq!(msg_type(&reply).unwrap(), "lease");
-        CellKey::from_json(reply.get("cell").unwrap()).unwrap()
-    }
-
-    /// Poll `status` until `ready` holds for the snapshot.
-    fn await_status(addr: SocketAddr, ready: impl Fn(&Json) -> bool) -> Json {
-        loop {
-            let snap = fetch_status(addr, None, Duration::from_secs(5)).unwrap();
-            if ready(&snap) {
-                return snap;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    fn count(snap: &Json, key: &str) -> u64 {
-        snap.get(key).and_then(Json::as_u64).unwrap()
-    }
-
     #[test]
     fn cell_keys_round_trip_through_json() {
         let coord = Coordinator::bind(
@@ -1112,8 +1605,8 @@ mod tests {
             CoordOptions::default(),
         )
         .unwrap();
-        assert!(!coord.plan.is_empty());
-        for cell in &coord.plan {
+        assert!(!coord.core.plan.is_empty());
+        for cell in &coord.core.plan {
             let back = CellKey::from_json(&cell.to_json()).unwrap();
             assert_eq!(&back, cell);
         }
@@ -1257,92 +1750,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_steals_longest_held_lease_for_idle_workers() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default().with_rebalance_after(Duration::from_millis(300)),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let fingerprint = config_fingerprint(coord.config());
-        let serve = std::thread::spawn(move || coord.serve());
-
-        // A slow worker: takes a lease and sits on it. Once the healthy
-        // worker has drained the rest of the queue and idles, the
-        // rebalancer must steal this lease (cutting the connection) so the
-        // sweep finishes without waiting on the straggler.
-        let slow = std::thread::spawn(move || {
-            let mut stream = connect_handshake(addr, &fingerprint);
-            write_frame(&mut stream, &msg("request")).unwrap();
-            let reply = read_frame_opt(&mut stream).unwrap().unwrap();
-            assert_eq!(msg_type(&reply).unwrap(), "lease");
-            assert!(matches!(read_frame_opt(&mut stream), Ok(None) | Err(_)));
-        });
-
-        let report = run_worker(addr, quick_config(), Duration::from_secs(10)).unwrap();
-        let outcome = serve.join().unwrap().unwrap();
-        slow.join().unwrap();
-        assert_eq!(outcome.executed, outcome.planned, "every cell ran");
-        assert_eq!(report.completed, outcome.planned);
-        assert!(outcome.rebalanced >= 1, "the straggler's lease was stolen");
-        assert_eq!(outcome.reissued, 0, "rebalance never charges the cap");
-    }
-
-    #[test]
-    fn resumed_result_lands_after_reconnect() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default(),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let fingerprint = config_fingerprint(coord.config());
-        let serve = std::thread::spawn(move || coord.serve());
-
-        // Session one: lease a cell, then lose the connection mid-cell.
-        let mut stream = connect_handshake(addr, &fingerprint);
-        write_frame(&mut stream, &msg("request")).unwrap();
-        let reply = read_frame_opt(&mut stream).unwrap().unwrap();
-        assert_eq!(msg_type(&reply).unwrap(), "lease");
-        let cell = CellKey::from_json(reply.get("cell").unwrap()).unwrap();
-        drop(stream);
-
-        // Session two: the same logical worker reconnects and re-submits
-        // the result it computed under the lost lease, flagged `resume`.
-        // It must be accepted, not rejected as a forgery.
-        let mut stream = connect_handshake(addr, &fingerprint);
-        let mut result = msg("result");
-        result.set("cell", cell.to_json());
-        result.set("outcome", CellOutcome::Unsupported.to_json());
-        result.set("resume", Json::Bool(true));
-        write_frame(&mut stream, &result).unwrap();
-        let reply = read_frame_opt(&mut stream).unwrap().unwrap();
-        assert_ne!(
-            msg_type(&reply).unwrap(),
-            "reject",
-            "resume-flagged result must settle: {reply:?}"
-        );
-        // Hand back whatever the reply leased so nothing is charged.
-        if msg_type(&reply).unwrap() == "lease" {
-            write_frame(&mut stream, &msg("leave")).unwrap();
-            let bye = read_frame_opt(&mut stream).unwrap().unwrap();
-            assert_eq!(msg_type(&bye).unwrap(), "bye");
-        }
-        drop(stream);
-
-        run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
-        let outcome = serve.join().unwrap().unwrap();
-        assert_eq!(outcome.resumed, 1, "the reconnect resume was counted");
-        assert_eq!(outcome.executed, outcome.planned, "no double counting");
-    }
-
-    #[test]
     fn status_snapshot_reports_sweep_state() {
         let coord = Coordinator::bind(
             "127.0.0.1:0",
@@ -1353,7 +1760,7 @@ mod tests {
         )
         .unwrap();
         let addr = coord.local_addr().unwrap();
-        let planned = coord.plan.len();
+        let planned = coord.core.plan.len();
         let serve = std::thread::spawn(move || coord.serve());
 
         // Status polls authenticate like workers...
@@ -1400,15 +1807,15 @@ mod tests {
         )
         .unwrap();
         let addr = coord.local_addr().unwrap();
-        let planned = coord.plan.len();
+        let planned = coord.core.plan.len();
         let holder = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = coord.state.lock().unwrap();
+                let _guard = coord.core.state.lock().unwrap();
                 panic!("handler died holding the coordinator state lock");
             })
             .join()
         });
-        assert!(holder.is_err() && coord.state.is_poisoned());
+        assert!(holder.is_err() && coord.core.state.is_poisoned());
         let serve = std::thread::spawn(move || coord.serve());
 
         let snap = fetch_status(addr, None, Duration::from_secs(5)).unwrap();
@@ -1420,124 +1827,5 @@ mod tests {
         let outcome = serve.join().unwrap().unwrap();
         assert_eq!(report.completed, planned);
         assert_eq!(outcome.executed, planned);
-    }
-
-    #[test]
-    fn result_for_unleased_cell_is_a_protocol_error() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default(),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let fingerprint = config_fingerprint(coord.config());
-        let forged = coord.plan[0].clone();
-        let serve = std::thread::spawn(move || coord.serve());
-
-        let mut stream = connect_handshake(addr, &fingerprint);
-        let mut result = msg("result");
-        result.set("cell", forged.to_json());
-        result.set("outcome", CellOutcome::Unsupported.to_json());
-        write_frame(&mut stream, &result).unwrap();
-        let reply = read_frame_opt(&mut stream).unwrap().unwrap();
-        assert_eq!(msg_type(&reply).unwrap(), "reject");
-        drop(stream);
-
-        // The forged outcome must not have entered the grid: a real worker
-        // still executes every cell.
-        let report = run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
-        let outcome = serve.join().unwrap().unwrap();
-        assert_eq!(report.completed, outcome.planned);
-    }
-    #[test]
-    fn a_lost_lease_on_a_settled_cell_is_neither_charged_nor_counted() {
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            CoordOptions::default(),
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let fingerprint = config_fingerprint(coord.config());
-        let serve = std::thread::spawn(move || coord.serve());
-
-        // A leases X and its link drops: X is re-queued (one re-issue).
-        let mut a = connect_handshake(addr, &fingerprint);
-        let cell = lease_one(&mut a);
-        drop(a);
-        await_status(addr, |snap| count(snap, "leased") == 0);
-        // B leases X: `take` goes in plan order.
-        let mut b = connect_handshake(addr, &fingerprint);
-        assert_eq!(lease_one(&mut b), cell);
-        // A reconnects and resumes X's result, which settles X.
-        let mut a = connect_handshake(addr, &fingerprint);
-        let mut result = msg("result");
-        result.set("cell", cell.to_json());
-        result.set("outcome", CellOutcome::Unsupported.to_json());
-        result.set("resume", Json::Bool(true));
-        write_frame(&mut a, &result).unwrap();
-        let reply = read_frame_opt(&mut a).unwrap().unwrap();
-        assert_eq!(msg_type(&reply).unwrap(), "lease", "{reply:?}");
-        write_frame(&mut a, &msg("leave")).unwrap();
-        let bye = read_frame_opt(&mut a).unwrap().unwrap();
-        assert_eq!(msg_type(&bye).unwrap(), "bye");
-        drop(a);
-        // B dies holding the lease on a cell that is already settled.
-        drop(b);
-
-        run_worker(addr, quick_config(), Duration::from_secs(5)).unwrap();
-        let outcome = serve.join().unwrap().unwrap();
-        assert_eq!(outcome.reissued, 1, "only A's drop re-queued X");
-        assert_eq!(outcome.resumed, 1);
-        assert_eq!(outcome.executed, outcome.planned);
-    }
-
-    #[test]
-    fn a_lease_past_both_limits_is_revoked_and_charged_once() {
-        let limit = Duration::from_secs(1);
-        let options = CoordOptions::default()
-            .with_lease_timeout(limit)
-            .with_rebalance_after(limit);
-        let coord = Coordinator::bind(
-            "127.0.0.1:0",
-            quick_config(),
-            &[FigureId::Fig1],
-            SizeClass::Small,
-            options,
-        )
-        .unwrap();
-        let addr = coord.local_addr().unwrap();
-        let fingerprint = config_fingerprint(coord.config());
-        let serve = std::thread::spawn(move || coord.serve());
-
-        // A wedged holder: both the deadline and the rebalancer match its
-        // lease on the same tick.
-        let mut wedged = connect_handshake(addr, &fingerprint);
-        lease_one(&mut wedged);
-        let healthy =
-            std::thread::spawn(move || run_worker(addr, quick_config(), Duration::from_secs(5)));
-        // The healthy worker drains the rest and idles before the limit.
-        let snap = await_status(addr, |snap| {
-            count(snap, "pending") == 0 && count(snap, "done") + 1 == count(snap, "planned")
-        });
-        let lease = &snap.get("leases").and_then(Json::as_arr).unwrap()[0];
-        let held = lease.get("held_secs").and_then(Json::as_f64).unwrap();
-        assert!(
-            held < limit.as_secs_f64(),
-            "drained within the limit: {held}"
-        );
-        assert!(matches!(read_frame_opt(&mut wedged), Ok(None) | Err(_)));
-
-        let report = healthy.join().unwrap().unwrap();
-        let outcome = serve.join().unwrap().unwrap();
-        assert_eq!(report.completed, outcome.planned);
-        assert_eq!(outcome.reissued, 1, "revoked once, charged once");
-        assert_eq!(outcome.rebalanced, 0, "nothing left to steal");
-        assert_eq!(outcome.executed, outcome.planned);
     }
 }

@@ -63,21 +63,6 @@ impl Writable for Cell {
     }
 }
 
-/// `row` projected onto `cols`, encoded as the `Vec<Cell>` it would be.
-struct Picked<'a> {
-    row: &'a [Cell],
-    cols: &'a [usize],
-}
-
-impl Encode for Picked<'_> {
-    fn write(&self, out: &mut Vec<u8>) {
-        (self.cols.len() as u64).write(out);
-        for &c in self.cols {
-            self.row[c].write(out);
-        }
-    }
-}
-
 /// An "HDFS file" of rows, stored flat: `width` cells per row, row after
 /// row. Row ids exist only as MR input keys. Every job reads its rows in
 /// place as `&[Cell]` slices, so the map side copies no row; what crosses
@@ -193,23 +178,6 @@ impl HiveTable {
             cfg,
         )?;
         HiveTable::from_output(&out, self.width)
-    }
-
-    /// Map-only projection job.
-    pub fn project(&self, cols: &[usize], cfg: &JobConfig) -> Result<HiveTable> {
-        if cols.is_empty() {
-            return Err(Error::invalid("a projection needs at least one column"));
-        }
-        self.check_columns(cols, "projection")?;
-        let out = run_map_only(
-            self.len(),
-            &|i, e| {
-                let row = self.row(i);
-                e.emit(&(i as i64), &Picked { row, cols })
-            },
-            cfg,
-        )?;
-        HiveTable::from_output(&out, cols.len())
     }
 
     /// Repartition (reduce-side) equi-join on integer key columns. Output
@@ -344,16 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn project_selects_columns() {
-        let t = triples();
-        let cfg = JobConfig::local(2);
-        let p = t.project(&[2, 0], &cfg).unwrap();
-        assert_eq!(p.len(), 12);
-        assert_eq!(p.width(), 2);
-        assert_eq!(p.row(5), [t.row(5)[2], t.row(5)[0]]);
-    }
-
-    #[test]
     fn repartition_join_matches_nested_loop() {
         let t = triples();
         let m = gene_meta();
@@ -449,13 +407,6 @@ mod tests {
         let err = result.expect_err("column past the row width");
         assert!(matches!(err, Error::Invalid(_)), "{err}");
         assert!(err.to_string().contains("out of range"), "{err}");
-    }
-
-    #[test]
-    fn project_refuses_a_column_past_the_width() {
-        let cfg = JobConfig::local(2);
-        assert_out_of_range(triples().project(&[0, 3], &cfg));
-        assert!(triples().project(&[], &cfg).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tier for the flat Hive table: on random widths, duplicate keys
-//! and empty sides, `filter` / `project` / `join` / `group_sum` must equal a
+//! and empty sides, `filter` / `join` / `group_sum` must equal a
 //! straightforward loop over the rows. Then the shuffle traffic and output
 //! of the tiny dataset's triple join, semijoin and group-sum are pinned, so a
 //! change to how jobs read their rows can move no simulated byte.
@@ -62,20 +62,6 @@ proptest! {
     }
 
     #[test]
-    fn project_is_a_row_loop(
-        t in arb_table(),
-        picks in collection::vec(0usize..8, 1..5),
-        tasks in 1usize..5,
-    ) {
-        let cols: Vec<usize> = picks.iter().map(|c| c % t.width()).collect();
-        let got = t.project(&cols, &cfg(tasks)).unwrap();
-        prop_assert_eq!(got.width(), cols.len());
-        let expect: Vec<Vec<Cell>> =
-            t.rows().map(|r| cols.iter().map(|&c| r[c]).collect()).collect();
-        prop_assert!(got.rows().eq(expect.iter().map(Vec::as_slice)));
-    }
-
-    #[test]
     fn join_is_a_nested_loop(
         left in arb_table(),
         right in arb_table(),
@@ -122,7 +108,6 @@ proptest! {
     fn a_column_past_the_width_is_refused_by_every_op(t in arb_table(), past in 0usize..3) {
         let c = t.width() + past;
         let cfg = cfg(2);
-        prop_assert!(t.project(&[0, c], &cfg).is_err());
         prop_assert!(t.join(c, &t, 0, &cfg).is_err());
         prop_assert!(t.join(0, &t, c, &cfg).is_err());
         prop_assert!(t.group_sum(c, 0, &cfg).is_err());
