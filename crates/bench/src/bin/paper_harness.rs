@@ -2,88 +2,24 @@
 //! GenBase paper's evaluation section through the cell scheduler.
 //!
 //! ```text
-//! paper_harness [fig1|fig2|fig3|fig4|fig5|table1|weak|all]
+//! paper_harness [fig1|fig2|fig3|fig4|fig5|table1|all ...]  sweep and render
+//!                                the named exhibits (default all)
+//!               [weak]           weak-scaling experiment
 //!               [explain [ENGINE] [QUERY]]  per-operator plan cost tables
-//!               [coordinate|work|status]  distributed sweep roles (see below)
+//!               [coordinate [EXHIBIT ...]|work|status]  distributed sweep
+//!                                roles (see below; no exhibits means all)
 //!               [serve]          resident benchmark server: framed + HTTP
 //!                                listeners, /status /metrics /query
 //!               [query ENGINE QUERY]  submit one query to a running server
 //!                                over the framed protocol
-//!               [--scale F]      per-side scale vs paper sizes (default 0.048)
-//!               [--sizes LIST]   size classes, e.g. small,medium (default all)
-//!               [--cutoff SECS]  per-run cutoff (default 60)
-//!               [--mn-size S]    multi-node dataset: small|medium|large (default medium)
-//!               [--threads N]    simulated machine size / kernel budget
-//!                                (default: host threads; pin it for
-//!                                cross-machine coordinate/work runs)
-//!               [--jobs K]       benchmark cells in flight (default: host
-//!                                threads); for `work`: leased cells the
-//!                                worker multiplexes (default 1)
-//!               [--nodes N]      explain/query: simulated cluster size
-//!                                (default 1; must be at least 1)
-//!               [--json]         explain: machine-readable per-op output
-//!                                (genbase-explain-v1, includes the memory
-//!                                columns)
-//!               [--per-op]       fig2/fig4: stacked per-operator breakdown
-//!                                (seconds + storage-layer bytes moved per
-//!                                operator class) instead of the phase split
-//!               [--mem-budget BYTES]  per-cell storage-layer working-set
-//!                                budget; exhaustion renders as an
-//!                                "infinite" cell, like a cutoff
-//!               [--stream]       morsel-driven streaming execution: SQL
-//!                                engines pull fixed-row batches through
-//!                                one probe+sink pass per morsel (selection
-//!                                vectors, deferred joins) instead of
-//!                                materializing intermediates (output is
-//!                                byte-identical; peak_alloc/batches/spill
-//!                                in the trace change); over-budget
-//!                                streaming cells spill to disk and
-//!                                complete instead of going infinite
-//!               [--batch-rows N] rows per streaming morsel (default 1024;
-//!                                must be at least 1)
-//!               [--spill-dir P]  directory for streaming spill files
-//!                                (default: system temp)
-//!               [--auth-token T] coordinate/work: shared handshake token
-//!                                (falls back to GENBASE_COORD_TOKEN)
-//!               [--lease-timeout SECS]  coordinate: revoke and re-issue a
-//!                                cell leased longer than this (default:
-//!                                off, EOF-only death detection)
-//!               [--rebalance-after SECS]  coordinate: once idle workers
-//!                                outnumber pending cells, steal the
-//!                                longest lease older than this and hand
-//!                                it to an idle worker (default: off)
-//!               [--faults SPEC]  install a fault-injection plan (same
-//!                                grammar as GENBASE_FAULTS, overrides it):
-//!                                site@N=action[;...], actions err:<kind>/
-//!                                delay:<ms>/torn:<bytes>/abort
-//!               [--checkpoint P] resume file: completed cells skip on rerun
-//!                                (a complete one renders without running)
-//!               [--grid-out P]   write the result grid as JSON
-//!               [--sim-only]     deterministic timing (simulated costs only)
-//!               [--listen ADDR]  coordinate/serve: framed bind address
-//!                                (default 127.0.0.1:7717)
-//!               [--listen-http ADDR]  serve: HTTP bind address
-//!                                (default 127.0.0.1:7718)
-//!               [--queue-depth N]  serve: bounded admission queue — how
-//!                                many over-budget requests may wait for
-//!                                memory before rejection (default 16)
-//!               [--connect ADDR] work/query/status: server address
-//!                                (default 127.0.0.1:7717)
-//!               [--connect-window SECS]  work: retry window while the
-//!                                coordinator starts (default 30)
-//!               [--figures LIST] coordinate: exhibits to sweep, e.g.
-//!                                fig1,table1 (default all)
-//!               [--cache-budget BYTES]  serve: artifact-cache budget —
-//!                                the SQL stores' materializing triple
-//!                                joins memoize their output columns
-//!                                under LRU eviction, charged against a
-//!                                dedicated tracker (never a run's
-//!                                --mem-budget)
+//!               [--FLAG [VALUE] ...]  one row each in the `flags!` table
 //! ```
 //!
-//! A flag is accepted only by the subcommands that read it (the
-//! `FLAG_READERS` table below — the `coordinate:` / `serve:` / `work:`
-//! prefixes above, as data); given to any other it is a usage error, exit 2.
+//! Every flag is declared once, in the `flags!` table below: its name, the
+//! value it takes, the subcommands that read it, any default only the CLI
+//! has, and its help. A flag given to any other subcommand is a usage
+//! error, exit 2. So is a malformed fault plan in `GENBASE_FAULTS` (the
+//! grammar is in `genbase_util::faults`), the one way to install a plan.
 //!
 //! `coordinate` runs the sweep across worker *processes* instead of
 //! in-process jobs: it listens on `--listen`, leases one cell at a time to
@@ -143,210 +79,55 @@ use genbase_datagen::SizeClass;
 use genbase_util::{Error, Result};
 use std::time::Duration;
 
-struct Args {
-    what: String,
-    scale: f64,
-    sizes: Option<Vec<SizeClass>>,
-    cutoff_secs: u64,
-    mn_size: SizeClass,
-    threads: usize,
-    jobs: usize,
-    checkpoint: Option<String>,
-    grid_out: Option<String>,
-    sim_only: bool,
-    listen: String,
-    listen_http: String,
-    queue_depth: usize,
-    connect: String,
-    connect_window_secs: u64,
-    figures: Option<Vec<FigureId>>,
-    cache_budget: Option<u64>,
-    nodes: usize,
-    lease_timeout_secs: u64,
-    rebalance_after_secs: u64,
-    faults: Option<String>,
-    mem_budget: Option<u64>,
-    stream: bool,
-    batch_rows: usize,
-    spill_dir: Option<String>,
-    auth_token: Option<String>,
-    json: bool,
-    per_op: bool,
-    positionals: Vec<String>,
-    /// Every flag given, in order, for [`check_flags`].
-    flags: Vec<String>,
+/// What a flag takes after it on the command line.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Nothing: the flag is present or absent.
+    Switch,
+    Float,
+    /// A whole number ≥ 1, called this in the parse error.
+    Count(&'static str),
+    Secs,
+    Bytes,
+    /// One size class.
+    Size,
+    /// Comma-separated size classes.
+    Sizes,
+    Text,
 }
 
-/// A malformed command line: printed to stderr, exit code 2. The message
-/// always names the offending flag.
-struct UsageError(String);
-
-impl std::fmt::Display for UsageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
+/// One row of [`FLAGS`].
+struct Row {
+    flag: Flag,
+    name: &'static str,
+    kind: Kind,
+    /// Space-separated lists of the subcommands that read the flag.
+    readers: &'static [&'static str],
+    /// A default only the CLI has. Defaults the library owns come from
+    /// `HarnessConfig`, `StreamConfig`, `SweepOptions` and `WorkerOptions`.
+    default: Option<&'static str>,
 }
 
-fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
-    let mut args = Args {
-        what: "all".to_string(),
-        scale: 0.048,
-        sizes: None,
-        cutoff_secs: 60,
-        mn_size: SizeClass::Medium,
-        threads: 0,
-        jobs: 0,
-        checkpoint: None,
-        grid_out: None,
-        sim_only: false,
-        listen: "127.0.0.1:7717".to_string(),
-        listen_http: "127.0.0.1:7718".to_string(),
-        queue_depth: 16,
-        connect: "127.0.0.1:7717".to_string(),
-        connect_window_secs: 30,
-        figures: None,
-        cache_budget: None,
-        nodes: 1,
-        lease_timeout_secs: 0,
-        rebalance_after_secs: 0,
-        faults: None,
-        mem_budget: None,
-        stream: false,
-        batch_rows: 0,
-        spill_dir: None,
-        auth_token: std::env::var("GENBASE_COORD_TOKEN").ok(),
-        json: false,
-        per_op: false,
-        positionals: Vec::new(),
-        flags: Vec::new(),
+/// Declares [`Flag`], the handle code reads a value through, and
+/// [`FLAGS`], from one row per flag: its help, handle, name, kind, readers
+/// and any CLI-only default.
+macro_rules! flags {
+    (@default) => { None };
+    (@default $default:literal) => { Some($default) };
+    ($($(#[doc = $help:literal])+ $flag:ident $name:literal $kind:expr,
+       [$($readers:expr),+] $(= $default:literal)?;)+) => {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Flag { $($(#[doc = $help])+ $flag),+ }
+
+        /// Every flag, in [`Flag`] order.
+        const FLAGS: &[Row] = &[$(Row {
+            flag: Flag::$flag,
+            name: $name,
+            kind: $kind,
+            readers: &[$($readers),+],
+            default: flags!(@default $($default)?),
+        }),+];
     };
-    // The raw string value following a flag; a flag at the end of the
-    // command line is a usage error naming that flag.
-    let value = |i: &mut usize, flag: &str| -> std::result::Result<String, UsageError> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| UsageError(format!("{flag} needs a value")))
-    };
-    // A parsed value; a malformed one is a usage error naming the flag and
-    // what it wanted (`--scale takes a float, got "abc"`).
-    macro_rules! parsed {
-        ($i:expr, $flag:expr, $wants:expr) => {{
-            let raw = value($i, $flag)?;
-            raw.parse()
-                .map_err(|_| UsageError(format!("{} takes {}, got {raw:?}", $flag, $wants)))?
-        }};
-    }
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i].starts_with("--") {
-            args.flags.push(argv[i].clone());
-        }
-        match argv[i].as_str() {
-            "--scale" => args.scale = parsed!(&mut i, "--scale", "a float"),
-            "--sizes" => {
-                let raw = value(&mut i, "--sizes")?;
-                let mut sizes = Vec::new();
-                for s in raw.split(',') {
-                    sizes.push(SizeClass::from_slug(s.trim()).ok_or_else(|| {
-                        UsageError(format!(
-                            "--sizes: unknown size {:?} (want small/medium/large)",
-                            s.trim()
-                        ))
-                    })?);
-                }
-                args.sizes = Some(sizes);
-            }
-            "--cutoff" => args.cutoff_secs = parsed!(&mut i, "--cutoff", "seconds"),
-            "--mn-size" => {
-                let raw = value(&mut i, "--mn-size")?;
-                args.mn_size = SizeClass::from_slug(&raw).ok_or_else(|| {
-                    UsageError(format!(
-                        "--mn-size: unknown size {raw:?} (want small/medium/large)"
-                    ))
-                })?;
-            }
-            "--threads" => args.threads = parsed!(&mut i, "--threads", "an integer"),
-            "--jobs" => args.jobs = parsed!(&mut i, "--jobs", "an integer"),
-            "--checkpoint" => args.checkpoint = Some(value(&mut i, "--checkpoint")?),
-            "--grid-out" => args.grid_out = Some(value(&mut i, "--grid-out")?),
-            "--sim-only" => args.sim_only = true,
-            "--listen" => args.listen = value(&mut i, "--listen")?,
-            "--listen-http" => args.listen_http = value(&mut i, "--listen-http")?,
-            "--queue-depth" => args.queue_depth = parsed!(&mut i, "--queue-depth", "an integer"),
-            "--connect" => args.connect = value(&mut i, "--connect")?,
-            "--connect-window" => {
-                args.connect_window_secs = parsed!(&mut i, "--connect-window", "seconds")
-            }
-            "--figures" => {
-                let raw = value(&mut i, "--figures")?;
-                let mut figures = Vec::new();
-                for s in raw.split(',') {
-                    figures.push(FigureId::from_name(s.trim()).ok_or_else(|| {
-                        UsageError(format!("--figures: unknown figure {:?}", s.trim()))
-                    })?);
-                }
-                args.figures = Some(figures);
-            }
-            "--cache-budget" => {
-                args.cache_budget = Some(parsed!(&mut i, "--cache-budget", "bytes"))
-            }
-            "--nodes" => {
-                args.nodes = parsed!(&mut i, "--nodes", "an integer");
-                if args.nodes == 0 {
-                    return Err(UsageError("--nodes must be at least 1".into()));
-                }
-            }
-            "--lease-timeout" => {
-                args.lease_timeout_secs = parsed!(&mut i, "--lease-timeout", "seconds")
-            }
-            "--rebalance-after" => {
-                args.rebalance_after_secs = parsed!(&mut i, "--rebalance-after", "seconds")
-            }
-            "--faults" => {
-                let raw = value(&mut i, "--faults")?;
-                // Validate the plan grammar here so a typo exits 2 with
-                // the flag named, before any side effects.
-                genbase_util::faults::FaultPlan::parse(&raw)
-                    .map_err(|e| UsageError(format!("--faults: {e}")))?;
-                args.faults = Some(raw);
-            }
-            "--mem-budget" => args.mem_budget = Some(parsed!(&mut i, "--mem-budget", "bytes")),
-            "--stream" => args.stream = true,
-            "--batch-rows" => {
-                args.batch_rows = parsed!(&mut i, "--batch-rows", "rows");
-                // 0 used to silently degrade to 1-row batches; reject it
-                // loudly at parse time instead.
-                if args.batch_rows == 0 {
-                    return Err(UsageError("--batch-rows must be at least 1".into()));
-                }
-            }
-            "--spill-dir" => args.spill_dir = Some(value(&mut i, "--spill-dir")?),
-            "--auth-token" => args.auth_token = Some(value(&mut i, "--auth-token")?),
-            "--json" => args.json = true,
-            "--per-op" => args.per_op = true,
-            what => {
-                // A mistyped flag must not be silently swallowed as a
-                // subcommand argument (or the run proceeds with defaults).
-                if what.starts_with("--") {
-                    return Err(UsageError(format!("unknown flag {what:?}")));
-                }
-                if args.what == "all" {
-                    args.what = what.to_string();
-                } else if args.what == "explain" || args.what == "query" {
-                    // Subcommand arguments: `explain|query <engine> <query>`.
-                    args.positionals.push(what.to_string());
-                } else {
-                    return Err(UsageError(format!(
-                        "unexpected argument {what:?} after {:?}",
-                        args.what
-                    )));
-                }
-            }
-        }
-        i += 1;
-    }
-    Ok(args)
 }
 
 /// The figure subcommands: `fig1` … `fig5`, `table1` and `all`.
@@ -356,104 +137,281 @@ const FIGS: &str = "figN";
 /// and memory flags.
 const CONFIGURED: &str = "figN explain coordinate work serve";
 
-/// Which subcommands read each flag (space-separated lists). A flag given
-/// to any other subcommand is a usage error, not silently ignored.
-const FLAG_READERS: &[(&str, &[&str])] = &[
-    ("--scale", &[CONFIGURED, "weak"]),
-    ("--sizes", &[CONFIGURED, "query"]),
-    ("--cutoff", &[CONFIGURED]),
-    ("--threads", &[CONFIGURED]),
-    ("--sim-only", &[CONFIGURED]),
-    ("--mem-budget", &[CONFIGURED]),
-    ("--stream", &[CONFIGURED]),
-    ("--batch-rows", &[CONFIGURED]),
-    ("--spill-dir", &[CONFIGURED]),
-    ("--mn-size", &[FIGS, "coordinate"]),
-    ("--per-op", &[FIGS, "coordinate"]),
-    ("--checkpoint", &[FIGS, "coordinate"]),
-    ("--grid-out", &[FIGS, "coordinate"]),
-    ("--jobs", &[FIGS, "work"]),
-    ("--nodes", &["explain query"]),
-    ("--json", &["explain status"]),
-    ("--figures", &["coordinate"]),
-    ("--lease-timeout", &["coordinate"]),
-    ("--rebalance-after", &["coordinate"]),
-    ("--listen", &["coordinate serve"]),
-    ("--listen-http", &["serve"]),
-    ("--queue-depth", &["serve"]),
-    ("--cache-budget", &["serve"]),
-    ("--connect", &["work query status"]),
-    ("--connect-window", &["work status"]),
-    ("--auth-token", &["coordinate work status serve query"]),
-    // `weak` and `explain` pass no fault site.
-    ("--faults", &[FIGS, "coordinate work status serve query"]),
-];
+flags! {
+    /// Per-side scale vs paper sizes (default 0.048; 1.0 = paper size).
+    Scale "--scale" Kind::Float, [CONFIGURED, "weak"];
+    /// Size classes to run, e.g. `small,medium` (default all); `query`
+    /// sends the first.
+    Sizes "--sizes" Kind::Sizes, [CONFIGURED, "query"];
+    /// Per-cell cutoff (default 60 s); ignored under `--sim-only`.
+    Cutoff "--cutoff" Kind::Secs, [CONFIGURED];
+    /// Simulated machine size and kernel budget (default: host threads);
+    /// pin it for cross-machine coordinate/work runs.
+    Threads "--threads" Kind::Count("an integer"), [CONFIGURED];
+    /// Deterministic timing: simulated costs only.
+    SimOnly "--sim-only" Kind::Switch, [CONFIGURED];
+    /// Per-cell storage-layer working-set budget (exhaustion renders as an
+    /// "infinite" cell); for `serve`, the admission budget.
+    MemBudget "--mem-budget" Kind::Bytes, [CONFIGURED];
+    /// Morsel-driven streaming execution: byte-identical output, and an
+    /// over-budget cell spills instead of going infinite.
+    Stream "--stream" Kind::Switch, [CONFIGURED];
+    /// Rows per streaming morsel (default 1024); implies `--stream`.
+    BatchRows "--batch-rows" Kind::Count("rows"), [CONFIGURED];
+    /// Directory for streaming spill files (default: system temp); implies
+    /// `--stream`.
+    SpillDir "--spill-dir" Kind::Text, [CONFIGURED];
+    /// Dataset class of the multi-node exhibits.
+    MnSize "--mn-size" Kind::Size, [FIGS, "coordinate"] = "medium";
+    /// fig2/fig4: stacked per-operator breakdown (seconds and bytes moved
+    /// per operator class) instead of the phase split.
+    PerOp "--per-op" Kind::Switch, [FIGS, "coordinate"];
+    /// Resume file: completed cells skip on rerun (a complete one renders
+    /// without running).
+    Checkpoint "--checkpoint" Kind::Text, [FIGS, "coordinate"];
+    /// Write the result grid as JSON.
+    GridOut "--grid-out" Kind::Text, [FIGS, "coordinate"];
+    /// Cells in flight (default: host threads); for `work`, leased cells
+    /// the worker multiplexes (default 1).
+    Jobs "--jobs" Kind::Count("an integer"), [FIGS, "work"];
+    /// Simulated cluster size of the explained or queried cells.
+    Nodes "--nodes" Kind::Count("an integer"), ["explain query"] = "1";
+    /// Machine-readable output: explain's `genbase-explain-v1`, or the raw
+    /// status snapshot.
+    Json "--json" Kind::Switch, ["explain status"];
+    /// Revoke and re-issue a cell leased longer than this (default: off).
+    LeaseTimeout "--lease-timeout" Kind::Secs, ["coordinate"];
+    /// Once idle workers outnumber pending cells, hand the longest lease
+    /// older than this to an idle worker (default: off).
+    RebalanceAfter "--rebalance-after" Kind::Secs, ["coordinate"];
+    /// Framed-protocol bind address.
+    Listen "--listen" Kind::Text, ["coordinate serve"] = "127.0.0.1:7717";
+    /// HTTP bind address.
+    ListenHttp "--listen-http" Kind::Text, ["serve"] = "127.0.0.1:7718";
+    /// How many over-budget requests may wait for memory before rejection.
+    QueueDepth "--queue-depth" Kind::Count("an integer"), ["serve"] = "16";
+    /// Artifact-cache budget for the SQL stores' materializing triple
+    /// joins (default: off).
+    CacheBudget "--cache-budget" Kind::Bytes, ["serve"];
+    /// Coordinator or server address.
+    Connect "--connect" Kind::Text, ["work query status"] = "127.0.0.1:7717";
+    /// Shared handshake token (falls back to `GENBASE_COORD_TOKEN`).
+    AuthToken "--auth-token" Kind::Text, ["coordinate work status serve query"];
+}
 
-/// The subcommands reading `flag`, per [`FLAG_READERS`].
-fn readers(flag: &str) -> impl Iterator<Item = &'static str> {
-    let row = FLAG_READERS.iter().find(|(name, _)| *name == flag);
-    row.into_iter()
-        .flat_map(|(_, lists)| lists.iter().flat_map(|list| list.split(' ')))
+/// How long `work` and `status` retry their first connect, so they may
+/// start before the coordinator does.
+const CONNECT_WINDOW: Duration = Duration::from_secs(30);
+
+impl Row {
+    /// The subcommands that read this flag.
+    fn readers(&self) -> impl Iterator<Item = &'static str> {
+        self.readers.iter().flat_map(|list| list.split(' '))
+    }
+
+    /// Refuse a malformed value, naming the flag and what it wanted
+    /// (`--scale takes a float, got "abc"`).
+    fn check(&self, raw: &str) -> std::result::Result<(), UsageError> {
+        let name = self.name;
+        let takes = |wants: &str, ok: bool| match ok {
+            true => Ok(()),
+            false => Err(UsageError(format!("{name} takes {wants}, got {raw:?}"))),
+        };
+        let size = |s: &str| match SizeClass::from_slug(s) {
+            Some(_) => Ok(()),
+            None => Err(UsageError(format!(
+                "{name}: unknown size {s:?} (want small/medium/large)"
+            ))),
+        };
+        match self.kind {
+            Kind::Switch | Kind::Text => Ok(()),
+            Kind::Float => takes("a float", raw.parse::<f64>().is_ok()),
+            Kind::Secs => takes("seconds", raw.parse::<u64>().is_ok()),
+            Kind::Bytes => takes("bytes", raw.parse::<u64>().is_ok()),
+            Kind::Count(wants) => match raw.parse::<usize>() {
+                Ok(0) => Err(UsageError(format!("{name} must be at least 1"))),
+                n => takes(wants, n.is_ok()),
+            },
+            Kind::Size => size(raw),
+            Kind::Sizes => raw.split(',').try_for_each(|s| size(s.trim())),
+        }
+    }
+}
+
+struct Args {
+    /// The subcommand and its arguments, in order.
+    words: Vec<String>,
+    /// Every flag given, in order, with its checked value (empty for a
+    /// switch).
+    given: Vec<(Flag, String)>,
+}
+
+impl Args {
+    /// The subcommand (`all` when none is given).
+    fn what(&self) -> &str {
+        self.words.first().map_or("all", String::as_str)
+    }
+
+    /// Whether a switch was given.
+    fn on(&self, flag: Flag) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value of `flag` — the last one given, else its row's default —
+    /// as `T`.
+    fn get<T: std::str::FromStr<Err: std::fmt::Debug>>(&self, flag: Flag) -> Option<T> {
+        let given = self.given.iter().rev().find(|(f, _)| *f == flag);
+        let raw = given.map(|(_, raw)| raw.as_str());
+        let raw = raw.or(FLAGS[flag as usize].default)?;
+        Some(raw.parse().expect("parse_args checked every value"))
+    }
+
+    /// A size-class flag's value.
+    fn sizes(&self, flag: Flag) -> Option<Vec<SizeClass>> {
+        let raw: String = self.get(flag)?;
+        let slugs = raw.split(',').map(|s| SizeClass::from_slug(s.trim()));
+        Some(slugs.map(|s| s.expect("parse_args checked")).collect())
+    }
+
+    fn mn_size(&self) -> SizeClass {
+        self.sizes(Flag::MnSize).expect("--mn-size has a default")[0]
+    }
+
+    /// The value of a flag whose row has a default.
+    fn value<T: std::str::FromStr<Err: std::fmt::Debug>>(&self, flag: Flag) -> T {
+        self.get(flag).expect("the row has a default")
+    }
+
+    fn auth_token(&self) -> Option<String> {
+        let token = self.get(Flag::AuthToken);
+        token.or_else(|| std::env::var("GENBASE_COORD_TOKEN").ok())
+    }
+}
+
+/// A malformed command line: printed to stderr, exit code 2. The message
+/// always names the offending flag, argument or variable.
+struct UsageError(String);
+
+/// The subcommand family `what` belongs to: [`FIGS`] for an exhibit.
+fn family(what: &str) -> &str {
+    match what {
+        "all" => FIGS,
+        what if FigureId::from_name(what).is_some() => FIGS,
+        what => what,
+    }
+}
+
+fn parse_args(argv: &[String]) -> std::result::Result<Args, UsageError> {
+    let (mut words, mut given) = (Vec::<String>::new(), Vec::new());
+    let mut argv = argv.iter();
+    while let Some(word) = argv.next() {
+        if !word.starts_with("--") {
+            // Exhibits, `coordinate`'s exhibits, `explain|query <engine>
+            // <query>`: only these take more than the subcommand.
+            let takes =
+                |what: &str| matches!(family(what), FIGS | "coordinate" | "explain" | "query");
+            if let Some(what) = words.first().filter(|what| !takes(what)) {
+                return Err(UsageError(format!(
+                    "unexpected argument {word:?} after {what:?}"
+                )));
+            }
+            words.push(word.clone());
+            continue;
+        }
+        // A mistyped flag must not be silently swallowed as a subcommand
+        // argument (or the run proceeds with defaults).
+        let Some(row) = FLAGS.iter().find(|row| row.name == word) else {
+            return Err(UsageError(format!("unknown flag {word:?}")));
+        };
+        let raw = match row.kind {
+            Kind::Switch => "",
+            _ => argv
+                .next()
+                .ok_or_else(|| UsageError(format!("{word} needs a value")))?,
+        };
+        row.check(raw)?;
+        given.push((row.flag, raw.to_string()));
+    }
+    Ok(Args { words, given })
 }
 
 /// Refuse flags the chosen subcommand does not read. (An unknown subcommand
 /// is `run`'s error to report.)
 fn check_flags(args: &Args) -> std::result::Result<(), UsageError> {
-    let family = match args.what.as_str() {
-        "all" => FIGS,
-        what if FigureId::from_name(what).is_some() => FIGS,
-        what => what,
-    };
-    let reads = |flag: &str| readers(flag).any(|r| r == family);
-    if !FLAG_READERS.iter().any(|(flag, _)| reads(flag)) {
+    let family = family(args.what());
+    let reads = |row: &Row| row.readers().any(|r| r == family);
+    if !FLAGS.iter().any(reads) {
         return Ok(());
     }
-    match args.flags.iter().find(|flag| !reads(flag)) {
-        Some(flag) => Err(UsageError(format!(
-            "{flag} is not read by {} (read by: {})",
-            args.what,
-            readers(flag).collect::<Vec<_>>().join(", ")
+    let mut rows = args.given.iter().map(|(flag, _)| &FLAGS[*flag as usize]);
+    match rows.find(|row| !reads(row)) {
+        Some(row) => Err(UsageError(format!(
+            "{} is not read by {} (read by: {})",
+            row.name,
+            args.what(),
+            row.readers().collect::<Vec<_>>().join(", ")
         ))),
         None => Ok(()),
     }
 }
 
-fn requested_figures(what: &str) -> Result<Vec<FigureId>> {
-    if what == "all" {
-        Ok(FigureId::ALL.to_vec())
-    } else {
-        Ok(vec![FigureId::from_name(what).ok_or_else(|| {
-            Error::invalid(format!(
-                "unknown command {what:?} (want figN/table1/weak/explain/\
-                 coordinate/work/status/serve/query/all)"
-            ))
-        })?])
+/// A malformed `GENBASE_FAULTS` is a usage error before dispatch, not a
+/// warning at the first fault site. A valid plan installs itself there.
+fn check_fault_plan() -> std::result::Result<(), UsageError> {
+    let Ok(spec) = std::env::var("GENBASE_FAULTS") else {
+        return Ok(());
+    };
+    let plan = genbase_util::faults::FaultPlan::parse(&spec);
+    plan.map(drop)
+        .map_err(|e| UsageError(format!("GENBASE_FAULTS: {e}")))
+}
+
+/// The exhibits `names` ask for (`all` is every one; none means all).
+fn requested_figures(names: &[String]) -> Result<Vec<FigureId>> {
+    if names.is_empty() {
+        return Ok(FigureId::ALL.to_vec());
     }
+    let mut figs = Vec::new();
+    for what in names {
+        let named = match what.as_str() {
+            "all" => FigureId::ALL.to_vec(),
+            what => vec![FigureId::from_name(what).ok_or_else(|| {
+                Error::invalid(format!(
+                    "unknown command {what:?} (want figN/table1/weak/explain/\
+                     coordinate/work/status/serve/query/all)"
+                ))
+            })?],
+        };
+        for fig in named {
+            if !figs.contains(&fig) {
+                figs.push(fig);
+            }
+        }
+    }
+    Ok(figs)
 }
 
 fn harness_config(args: &Args) -> HarnessConfig {
-    let mut config = HarnessConfig {
-        scale: args.scale,
-        cutoff: Duration::from_secs(args.cutoff_secs),
-        r_mem_bytes: (48e9 * args.scale * args.scale) as u64,
-        ..Default::default()
-    };
-    if let Some(sizes) = &args.sizes {
-        config.sizes = sizes.clone();
+    let mut config = HarnessConfig::default();
+    if let Some(scale) = args.get(Flag::Scale) {
+        config.scale = scale;
+        config.r_mem_bytes = genbase::harness::r_mem_bytes(scale);
     }
-    if args.threads > 0 {
-        config.threads = args.threads;
-    }
-    if args.sim_only {
+    config.sizes = args.sizes(Flag::Sizes).unwrap_or(config.sizes);
+    config.cutoff = args
+        .get(Flag::Cutoff)
+        .map_or(config.cutoff, Duration::from_secs);
+    config.threads = args.get(Flag::Threads).unwrap_or(config.threads);
+    if args.on(Flag::SimOnly) {
         config.timing = TimingMode::SimOnly;
     }
-    config.mem_budget = args.mem_budget;
-    if args.stream || args.batch_rows > 0 || args.spill_dir.is_some() {
+    config.mem_budget = args.get(Flag::MemBudget);
+    let spill_dir: Option<String> = args.get(Flag::SpillDir);
+    let batch_rows = args.get(Flag::BatchRows);
+    if args.on(Flag::Stream) || batch_rows.is_some() || spill_dir.is_some() {
         let mut stream = genbase::engine::StreamConfig::default();
-        if args.batch_rows > 0 {
-            stream.batch_rows = args.batch_rows;
-        }
-        stream.spill_dir = args.spill_dir.as_ref().map(std::path::PathBuf::from);
+        stream.batch_rows = batch_rows.unwrap_or(stream.batch_rows);
+        stream.spill_dir = spill_dir.map(std::path::PathBuf::from);
         config.stream = Some(stream);
     }
     config
@@ -461,9 +419,12 @@ fn harness_config(args: &Args) -> HarnessConfig {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv).and_then(|args| check_flags(&args).map(|()| args)) {
+    let args = parse_args(&argv)
+        .and_then(|args| check_flags(&args).map(|()| args))
+        .and_then(|args| check_fault_plan().map(|()| args));
+    let args = match args {
         Ok(args) => args,
-        Err(usage) => {
+        Err(UsageError(usage)) => {
             // Usage errors get their own exit code (2) so scripts can tell
             // a mistyped command line from a failed run.
             eprintln!("paper_harness: {usage}");
@@ -477,98 +438,87 @@ fn main() {
 }
 
 fn run(args: &Args) -> Result<()> {
-    if let Some(spec) = &args.faults {
-        // An explicit --faults overrides any GENBASE_FAULTS in the
-        // environment (install replaces the plan either way). The spec was
-        // validated during argument parsing.
-        let plan = genbase_util::faults::FaultPlan::parse(spec)
-            .map_err(|e| Error::invalid(format!("--faults: {e}")))?;
-        genbase_util::faults::install(plan);
-        eprintln!("fault plan installed: {spec}");
+    match args.what() {
+        "coordinate" => coordinate(args),
+        "serve" => serve(args),
+        "query" => query_server(args),
+        "work" => work(args),
+        "status" => status(args),
+        "explain" => explain(args),
+        "weak" => weak(args),
+        _ => sweep(args),
     }
-    if args.what == "coordinate" {
-        return coordinate(args);
-    }
-    if args.what == "serve" {
-        return serve(args);
-    }
-    if args.what == "query" {
-        return query_server(args);
-    }
-    if args.what == "work" {
-        // SIGTERM departs cleanly: the worker hands back its lease with
-        // `leave` (uncharged against the re-issue cap) and exits.
-        genbase_util::shutdown::install_sigterm_handler();
-        let config = harness_config(args);
-        let report = genbase::coord::run_worker_with(
-            args.connect.as_str(),
-            config,
-            Duration::from_secs(args.connect_window_secs),
-            genbase::coord::WorkerOptions {
-                jobs: args.jobs.max(1),
-                auth_token: args.auth_token.clone(),
-                stop: None,
-            },
-        )?;
-        eprintln!(
-            "worker done: {} cells completed, {} failed{}",
-            report.completed,
-            report.failed,
-            if genbase_util::shutdown::requested() {
-                " (departed on SIGTERM)"
-            } else {
-                ""
-            }
-        );
-        return Ok(());
-    }
-    if args.what == "status" {
-        return status(args);
-    }
-    if args.what == "explain" {
-        return explain(args);
-    }
-    if args.what == "weak" {
-        // Paper future work (§5.2): weak scaling — per-node data constant.
-        let genes = (5_000.0 * args.scale * 3.0).round() as usize;
-        let patients = (5_000.0 * args.scale * 2.0).round() as usize;
-        println!(
-            "{}",
-            figures::weak_scaling(
-                genes.max(48),
-                patients.max(40),
-                &[1, 2, 4],
-                genbase::Query::Regression,
-            )?
-            .render()
-        );
-        return Ok(());
-    }
+}
 
-    let figs = requested_figures(&args.what)?;
+/// A local sweep of the exhibits named on the command line.
+fn sweep(args: &Args) -> Result<()> {
+    let figs = requested_figures(&args.words)?;
     let config = harness_config(args);
     eprintln!(
         "sweeping {} at scale {} (cutoff {}s, simulated R memory {})...",
         figs.iter().map(|f| f.name()).collect::<Vec<_>>().join("+"),
-        args.scale,
-        args.cutoff_secs,
+        config.scale,
+        config.cutoff.as_secs(),
         genbase_util::fmt_bytes(config.r_mem_bytes),
     );
     let scheduler = Scheduler::new(config)?;
     let mut sweep = SweepOptions::default();
-    if args.jobs > 0 {
-        sweep = sweep.with_cells_in_flight(args.jobs);
+    if let Some(jobs) = args.get(Flag::Jobs) {
+        sweep = sweep.with_cells_in_flight(jobs);
     }
-    if let Some(path) = &args.checkpoint {
+    if let Some(path) = args.get::<String>(Flag::Checkpoint) {
         sweep = sweep.with_checkpoint(path);
     }
-    let outcome = scheduler.run_sweep(&figs, args.mn_size, &sweep)?;
+    let outcome = scheduler.run_sweep(&figs, args.mn_size(), &sweep)?;
     let summary = format!(
         "sweep: {} cells ({} executed, {} from checkpoint) in {:.2}s",
         outcome.planned, outcome.executed, outcome.skipped, outcome.wall_secs
     );
     let (grid, recovered) = (&outcome.grid, outcome.recovered.as_deref());
     finish_sweep(args, &figs, scheduler.harness(), grid, recovered, &summary)
+}
+
+/// The `work` role. SIGTERM departs cleanly: the worker hands back its
+/// lease with `leave` (uncharged against the re-issue cap) and exits.
+fn work(args: &Args) -> Result<()> {
+    genbase_util::shutdown::install_sigterm_handler();
+    let options = genbase::coord::WorkerOptions {
+        jobs: args.get(Flag::Jobs).unwrap_or_default(),
+        auth_token: args.auth_token(),
+        stop: None,
+    };
+    let (connect, config) = (args.value::<String>(Flag::Connect), harness_config(args));
+    let report =
+        genbase::coord::run_worker_with(connect.as_str(), config, CONNECT_WINDOW, options)?;
+    eprintln!(
+        "worker done: {} cells completed, {} failed{}",
+        report.completed,
+        report.failed,
+        if genbase_util::shutdown::requested() {
+            " (departed on SIGTERM)"
+        } else {
+            ""
+        }
+    );
+    Ok(())
+}
+
+/// Paper future work (§5.2): weak scaling — per-node data constant.
+fn weak(args: &Args) -> Result<()> {
+    let scale = harness_config(args).scale;
+    let genes = (5_000.0 * scale * 3.0).round() as usize;
+    let patients = (5_000.0 * scale * 2.0).round() as usize;
+    println!(
+        "{}",
+        figures::weak_scaling(
+            genes.max(48),
+            patients.max(40),
+            &[1, 2, 4],
+            genbase::Query::Regression,
+        )?
+        .render()
+    );
+    Ok(())
 }
 
 /// The tail every sweep shares, local or coordinated: the checkpoint
@@ -586,31 +536,24 @@ fn finish_sweep(
         eprintln!("checkpoint recovery: {note}");
     }
     eprintln!("{summary}");
-    if let Some(path) = &args.grid_out {
-        grid.save(std::path::Path::new(path))
+    if let Some(path) = args.get::<String>(Flag::GridOut) {
+        grid.save(std::path::Path::new(&path))
             .map_err(|e| Error::invalid(format!("write grid {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
     for &fig in figs {
-        println!("{}", render_figure(fig, harness, args, grid)?.render());
+        // `--per-op` replaces fig2/fig4's phase split.
+        let per_op = args.on(Flag::PerOp) && matches!(fig, FigureId::Fig2 | FigureId::Fig4);
+        let figure = match per_op {
+            true => figures::render_per_op(fig, harness, args.mn_size(), grid),
+            false => figures::render(fig, harness, args.mn_size(), grid),
+        };
+        let how = if per_op { " --per-op" } else { "" };
+        let figure =
+            figure.map_err(|e| Error::invalid(format!("render {}{how}: {e}", fig.name())))?;
+        println!("{}", figure.render());
     }
     Ok(())
-}
-
-/// Render one exhibit from a grid, honoring `--per-op` for fig2/fig4.
-fn render_figure(
-    fig: FigureId,
-    harness: &Harness,
-    args: &Args,
-    grid: &ReportGrid,
-) -> Result<figures::Figure> {
-    if args.per_op && matches!(fig, FigureId::Fig2 | FigureId::Fig4) {
-        figures::render_per_op(fig, harness, args.mn_size, grid)
-            .map_err(|e| Error::invalid(format!("render {} --per-op: {e}", fig.name())))
-    } else {
-        figures::render(fig, harness, args.mn_size, grid)
-            .map_err(|e| Error::invalid(format!("render {}: {e}", fig.name())))
-    }
 }
 
 /// The `serve` subcommand: the resident benchmark server. `--mem-budget`
@@ -621,20 +564,18 @@ fn serve(args: &Args) -> Result<()> {
     genbase_util::shutdown::install_sigterm_handler();
     let mut config = harness_config(args);
     config.mem_budget = None;
-    let mut options = genbase::ServeOptions {
-        auth_token: args.auth_token.clone(),
-        queue_depth: args.queue_depth,
+    let options = genbase::ServeOptions {
+        auth_token: args.auth_token(),
+        queue_depth: args.value(Flag::QueueDepth),
+        mem_budget: args.get(Flag::MemBudget),
+        cache_budget: args.get(Flag::CacheBudget),
         ..Default::default()
     };
-    if let Some(budget) = args.mem_budget {
-        options = options.with_mem_budget(budget);
-    }
-    if let Some(budget) = args.cache_budget {
-        options = options.with_cache_budget(budget);
-    }
+    let listen: String = args.value(Flag::Listen);
+    let listen_http: String = args.value(Flag::ListenHttp);
     let server = genbase::BenchServer::bind(
-        args.listen.as_str(),
-        args.listen_http.as_str(),
+        listen.as_str(),
+        listen_http.as_str(),
         config.clone(),
         options,
     )?;
@@ -656,31 +597,24 @@ fn serve(args: &Args) -> Result<()> {
 /// framed protocol and print the reply JSON.
 fn query_server(args: &Args) -> Result<()> {
     use genbase_util::Json;
-    let engine = args
-        .positionals
-        .first()
-        .ok_or_else(|| Error::invalid("query needs ENGINE and QUERY, e.g. query SciDB svd"))?;
-    let query = args
-        .positionals
-        .get(1)
-        .ok_or_else(|| Error::invalid("query needs ENGINE and QUERY, e.g. query SciDB svd"))?;
+    let [_, engine, query, ..] = &args.words[..] else {
+        return Err(Error::invalid(
+            "query needs ENGINE and QUERY, e.g. query SciDB svd",
+        ));
+    };
     let mut request = Json::obj();
     request.set("type", Json::from("query"));
     request.set("engine", Json::from(engine.as_str()));
     request.set("query", Json::from(query.as_str()));
-    if let Some(sizes) = &args.sizes {
-        if let Some(size) = sizes.first() {
-            request.set("size", Json::from(size.slug()));
-        }
+    if let Some(sizes) = args.sizes(Flag::Sizes) {
+        request.set("size", Json::from(sizes[0].slug()));
     }
-    if args.nodes > 1 {
-        request.set("nodes", Json::from(args.nodes));
+    let nodes: usize = args.value(Flag::Nodes);
+    if nodes > 1 {
+        request.set("nodes", Json::from(nodes));
     }
-    let reply = genbase::serve::client_request(
-        args.connect.as_str(),
-        args.auth_token.as_deref(),
-        &request,
-    )?;
+    let (connect, token) = (args.value::<String>(Flag::Connect), args.auth_token());
+    let reply = genbase::serve::client_request(connect.as_str(), token.as_deref(), &request)?;
     match reply.get("type").and_then(Json::as_str) {
         Some("result") => {
             println!("{}", reply.render());
@@ -712,8 +646,8 @@ fn explain(args: &Args) -> Result<()> {
         .sizes
         .first()
         .ok_or_else(|| Error::invalid("--sizes must name at least one size"))?;
-    let engine_filter = args.positionals.first().map(String::as_str);
-    let query_filter = match args.positionals.get(1) {
+    let engine_filter = args.words.get(1).map(String::as_str);
+    let query_filter = match args.words.get(2) {
         Some(name) => Some(genbase::Query::from_name(name).ok_or_else(|| {
             Error::invalid(format!(
                 "unknown query {name:?} (want one of \
@@ -723,12 +657,13 @@ fn explain(args: &Args) -> Result<()> {
         None => None,
     };
     let harness = Harness::new(config)?;
-    if args.json {
-        let json = figures::explain_json(&harness, size, args.nodes, engine_filter, query_filter)?;
+    let nodes = args.value(Flag::Nodes);
+    if args.on(Flag::Json) {
+        let json = figures::explain_json(&harness, size, nodes, engine_filter, query_filter)?;
         println!("{json}");
         return Ok(());
     }
-    let figure = figures::explain(&harness, size, args.nodes, engine_filter, query_filter)?;
+    let figure = figures::explain(&harness, size, nodes, engine_filter, query_filter)?;
     println!("{}", figure.render());
     Ok(())
 }
@@ -738,19 +673,16 @@ fn explain(args: &Args) -> Result<()> {
 /// headed by the `service` the snapshot names.
 fn status(args: &Args) -> Result<()> {
     use genbase_util::Json;
-    let snap = genbase::coord::fetch_status(
-        args.connect.as_str(),
-        args.auth_token.as_deref(),
-        Duration::from_secs(args.connect_window_secs),
-    )
-    .map_err(|e| Error::invalid(format!("status poll @ {}: {e}", args.connect)))?;
-    if args.json {
+    let (connect, token) = (args.value::<String>(Flag::Connect), args.auth_token());
+    let snap = genbase::coord::fetch_status(connect.as_str(), token.as_deref(), CONNECT_WINDOW)
+        .map_err(|e| Error::invalid(format!("status poll @ {connect}: {e}")))?;
+    if args.on(Flag::Json) {
         println!("{}", snap.render());
         return Ok(());
     }
     let count = |key: &str| snap.get(key).and_then(Json::as_u64).unwrap_or(0);
     let service = snap.get("service").and_then(Json::as_str);
-    println!("{} @ {}", service.unwrap_or("coordinate"), args.connect);
+    println!("{} @ {connect}", service.unwrap_or("coordinate"));
     println!(
         "  cells    {:>5} planned  {:>5} done  {:>5} pending  {:>5} leased  {:>5} failed",
         count("planned"),
@@ -812,28 +744,28 @@ fn status(args: &Args) -> Result<()> {
 /// complete, then render the figures exactly as a local sweep would.
 fn coordinate(args: &Args) -> Result<()> {
     let config = harness_config(args);
-    let figs = args
-        .figures
-        .clone()
-        .unwrap_or_else(|| FigureId::ALL.to_vec());
+    let figs = requested_figures(&args.words[1..])?;
     let mut options = genbase::coord::CoordOptions::default();
-    if let Some(path) = &args.checkpoint {
+    if let Some(path) = args.get::<String>(Flag::Checkpoint) {
         options = options.with_checkpoint(path);
     }
-    if args.lease_timeout_secs > 0 {
-        options = options.with_lease_timeout(Duration::from_secs(args.lease_timeout_secs));
+    // Zero seconds is off, as when the flag is absent.
+    let secs = |flag| args.get(flag).filter(|&s| s > 0).map(Duration::from_secs);
+    if let Some(timeout) = secs(Flag::LeaseTimeout) {
+        options = options.with_lease_timeout(timeout);
     }
-    if args.rebalance_after_secs > 0 {
-        options = options.with_rebalance_after(Duration::from_secs(args.rebalance_after_secs));
+    if let Some(after) = secs(Flag::RebalanceAfter) {
+        options = options.with_rebalance_after(after);
     }
-    if let Some(token) = &args.auth_token {
-        options = options.with_auth_token(token.clone());
+    if let Some(token) = args.auth_token() {
+        options = options.with_auth_token(token);
     }
+    let listen: String = args.value(Flag::Listen);
     let coordinator = genbase::coord::Coordinator::bind(
-        args.listen.as_str(),
+        listen.as_str(),
         config.clone(),
         &figs,
-        args.mn_size,
+        args.mn_size(),
         options,
     )?;
     eprintln!(
@@ -867,13 +799,15 @@ fn coordinate(args: &Args) -> Result<()> {
 mod tests {
     use super::*;
 
-    /// Retired subcommands and flags get no tombstone branch: `bench` and
-    /// the file-shard flags are rejected by the same errors as any other
-    /// unknown command or flag.
+    /// Retired subcommands and flags get no tombstone branch: `bench`, the
+    /// file-shard flags, `--faults`, `--figures` and `--connect-window` are
+    /// rejected by the same errors as any other unknown command or flag.
     #[test]
     fn unknown_commands_and_flags_hit_the_generic_errors() {
         for what in ["bench", "fig9"] {
-            let err = requested_figures(what).unwrap_err().to_string();
+            let err = requested_figures(&[what.to_string()])
+                .unwrap_err()
+                .to_string();
             assert!(err.contains(&format!("unknown command {what:?}")), "{err}");
         }
         for flag in [
@@ -882,6 +816,9 @@ mod tests {
             "--shards",
             "--shard-id",
             "--grid-in",
+            "--faults",
+            "--figures",
+            "--connect-window",
         ] {
             let argv = ["fig1".to_string(), flag.to_string()];
             let err = parse_args(&argv).err().expect("usage error");
@@ -897,8 +834,7 @@ mod tests {
     }
 
     /// Every flag is read by some subcommand and refused — by name, with
-    /// the subcommand named too — by some other. (A flag `parse_args` knows
-    /// and `FLAG_READERS` does not is refused everywhere.)
+    /// the subcommand named too — by some other.
     #[test]
     fn every_flag_is_read_somewhere_and_refused_elsewhere() {
         let commands = [
@@ -913,19 +849,18 @@ mod tests {
             "serve",
             "query",
         ];
-        // A value each flag's parser takes (ignored by the three switches'
-        // neighbours: a stray positional is only legal after explain/query).
-        let value = |flag: &str| match flag {
-            "--sim-only" | "--stream" | "--json" | "--per-op" => "",
-            "--sizes" | "--mn-size" => "small",
-            "--figures" => "fig1",
-            "--faults" => "worker.cell@2=abort",
+        // A value each flag's kind takes (none for a switch: a stray
+        // positional would be refused after most subcommands).
+        let value = |row: &Row| match row.kind {
+            Kind::Switch => "",
+            Kind::Size | Kind::Sizes => "small",
             _ => "1",
         };
-        for (flag, _) in FLAG_READERS {
-            let (mut read, mut refused) = (0, 0);
+        for row in FLAGS {
+            let (flag, mut read, mut refused) = (row.name, 0, 0);
+            assert!(row.default.is_none_or(|raw| row.check(raw).is_ok()));
             for command in commands {
-                match usage(&format!("{command} {flag} {}", value(flag))) {
+                match usage(&format!("{command} {flag} {}", value(row))) {
                     Ok(()) => read += 1,
                     Err(e) => {
                         assert_eq!(
@@ -947,16 +882,118 @@ mod tests {
         assert!(usage("serve --grid-out x").is_err());
     }
 
-    /// A zero `--nodes` or `--batch-rows` is refused at parse time, naming
-    /// the flag, instead of silently running as 1.
+    /// A zero count (`--nodes`, `--batch-rows`, `--threads`, `--jobs`,
+    /// `--queue-depth`) is refused at parse time, naming the flag, instead
+    /// of silently running as something else.
     #[test]
     fn zero_counts_are_usage_errors() {
-        for (line, flag) in [
-            ("explain --nodes 0", "--nodes"),
-            ("fig1 --batch-rows 0", "--batch-rows"),
-        ] {
-            assert_eq!(usage(line), Err(format!("{flag} must be at least 1")));
+        let counts = FLAGS
+            .iter()
+            .filter(|row| matches!(row.kind, Kind::Count(_)));
+        for row in counts {
+            let command = row
+                .readers()
+                .next()
+                .expect("a reader")
+                .replace("figN", "fig1");
+            let line = format!("{command} {} 0", row.name);
+            assert_eq!(
+                usage(&line),
+                Err(format!("{} must be at least 1", row.name))
+            );
         }
+    }
+
+    /// A malformed value or a stray argument is refused with a message
+    /// naming the flag (or the subcommand) and what it wanted.
+    #[test]
+    fn malformed_values_name_the_flag_and_what_it_wanted() {
+        let unknown =
+            |flag, size| format!("{flag}: unknown size {size:?} (want small/medium/large)");
+        for (line, want) in [
+            (
+                "fig1 --scale abc",
+                r#"--scale takes a float, got "abc""#.to_string(),
+            ),
+            (
+                "fig1 --cutoff 1.5",
+                r#"--cutoff takes seconds, got "1.5""#.into(),
+            ),
+            (
+                "fig1 --threads x",
+                r#"--threads takes an integer, got "x""#.into(),
+            ),
+            (
+                "fig1 --batch-rows -1",
+                r#"--batch-rows takes rows, got "-1""#.into(),
+            ),
+            (
+                "fig1 --mem-budget 1k",
+                r#"--mem-budget takes bytes, got "1k""#.into(),
+            ),
+            ("fig1 --sizes small,huge", unknown("--sizes", "huge")),
+            ("fig1 --mn-size huge", unknown("--mn-size", "huge")),
+            ("fig1 --scale", "--scale needs a value".into()),
+            (
+                "weak fig1",
+                r#"unexpected argument "fig1" after "weak""#.into(),
+            ),
+            (
+                "work fig1",
+                r#"unexpected argument "fig1" after "work""#.into(),
+            ),
+        ] {
+            assert_eq!(usage(line), Err(want), "{line}");
+        }
+    }
+
+    /// A local sweep and `coordinate` take their exhibits as positionals,
+    /// parsed by the one function (none means all; `all` means all).
+    #[test]
+    fn exhibits_are_positionals() {
+        for line in ["fig1 table1", "coordinate fig1 table1", "coordinate", "all"] {
+            assert_eq!(usage(line), Ok(()), "{line}");
+        }
+        let words = |line: &str| {
+            let argv: Vec<String> = line.split(' ').map(str::to_string).collect();
+            parse_args(&argv).ok().expect("parses").words
+        };
+        let local = requested_figures(&words("fig1 table1 fig1")).unwrap();
+        assert_eq!(local, [FigureId::Fig1, FigureId::Table1]);
+        assert_eq!(requested_figures(&words("all")).unwrap(), FigureId::ALL);
+        let coordinated = requested_figures(&words("coordinate table1 fig1")[1..]).unwrap();
+        assert_eq!(coordinated, [FigureId::Table1, FigureId::Fig1]);
+        assert_eq!(requested_figures(&[]).unwrap(), FigureId::ALL);
+    }
+
+    /// README's flag reference has one row per flag, naming the flag and
+    /// exactly the subcommands its table row says read it.
+    #[test]
+    fn readme_flag_reference_matches_the_table() {
+        let readme = include_str!("../../../../README.md");
+        let sorted = |mut readers: Vec<String>| {
+            readers.sort();
+            readers
+        };
+        let mut documented: Vec<(String, Vec<String>)> = Vec::new();
+        for line in readme.lines().filter(|line| line.starts_with("| `--")) {
+            let cells: Vec<&str> = line.split(" | ").collect();
+            let flag = cells[0].trim_start_matches("| `").split([' ', '`']).next();
+            let readers = cells[1].split(", ").map(str::to_string).collect();
+            documented.push((flag.expect("a flag").to_string(), sorted(readers)));
+        }
+        let mut declared: Vec<(String, Vec<String>)> = FLAGS
+            .iter()
+            .map(|row| {
+                (
+                    row.name.to_string(),
+                    sorted(row.readers().map(str::to_string).collect()),
+                )
+            })
+            .collect();
+        documented.sort();
+        declared.sort();
+        assert_eq!(documented, declared);
     }
 
     /// Every `paper_harness` invocation in the CI workflow still parses.

@@ -15,44 +15,6 @@ pub fn row_bands(total: usize, n: usize) -> Vec<std::ops::Range<usize>> {
     genbase_linalg::split_ranges(total, n)
 }
 
-/// Scatter a matrix from `root` to row bands: node `i` receives band `i`.
-/// The full matrix argument is only read on the root.
-pub fn scatter_rows(ctx: &NodeCtx, root: usize, full: Option<&Matrix>) -> Result<Matrix> {
-    // First broadcast the shape.
-    let shape = if ctx.rank() == root {
-        let m = full.ok_or_else(|| Error::invalid("root must provide the matrix"))?;
-        vec![m.rows() as f64, m.cols() as f64]
-    } else {
-        vec![]
-    };
-    let shape = ctx.broadcast_f64s(root, &shape)?;
-    let (rows, cols) = (shape[0] as usize, shape[1] as usize);
-    let bands = row_bands(rows, ctx.n_nodes());
-    if ctx.rank() == root {
-        let m = full.expect("checked above");
-        for (node, band) in bands.iter().enumerate() {
-            if node == root {
-                continue;
-            }
-            let mut buf = Vec::with_capacity(band.len() * cols);
-            for r in band.clone() {
-                buf.extend_from_slice(m.row(r));
-            }
-            ctx.send_f64s(node, &buf)?;
-        }
-        let band = &bands[root];
-        let mut local = Matrix::zeros(band.len(), cols);
-        for (i, r) in band.clone().enumerate() {
-            local.row_mut(i).copy_from_slice(m.row(r));
-        }
-        Ok(local)
-    } else {
-        let buf = ctx.recv_f64s(root)?;
-        let band = &bands[ctx.rank()];
-        Matrix::from_vec(band.len(), cols, buf)
-    }
-}
-
 /// Gather row bands back into a full matrix on `root` (`None` elsewhere).
 pub fn gather_matrix(ctx: &NodeCtx, root: usize, local: &Matrix) -> Result<Option<Matrix>> {
     let gathered = ctx.gather_f64s(root, local.data())?;
@@ -247,23 +209,24 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| rng.normal())
     }
 
+    /// This node's band of `full`, taken in place as `mn.rs` takes it from
+    /// the loaded table.
+    fn band(ctx: &NodeCtx, full: &Matrix) -> Matrix {
+        let rows: Vec<usize> = row_bands(full.rows(), ctx.n_nodes())[ctx.rank()]
+            .clone()
+            .collect();
+        full.select_rows(&rows)
+    }
+
     #[test]
-    fn scatter_gather_round_trip() {
+    fn gather_round_trip() {
         let full = test_matrix(37, 8, 141);
         for n in [1, 2, 4] {
             let cluster = Cluster::new(n, NetModel::free());
             let full_ref = &full;
             let (results, _) = cluster
                 .run(|ctx| {
-                    let local = scatter_rows(
-                        ctx,
-                        0,
-                        if ctx.rank() == 0 {
-                            Some(full_ref)
-                        } else {
-                            None
-                        },
-                    )?;
+                    let local = band(ctx, full_ref);
                     gather_matrix(ctx, 0, &local)
                 })
                 .unwrap();
@@ -280,15 +243,7 @@ mod tests {
         let full_ref = &full;
         let (results, _) = cluster
             .run(|ctx| {
-                let local = scatter_rows(
-                    ctx,
-                    0,
-                    if ctx.rank() == 0 {
-                        Some(full_ref)
-                    } else {
-                        None
-                    },
-                )?;
+                let local = band(ctx, full_ref);
                 dist_column_means(ctx, &local, 50)
             })
             .unwrap();
@@ -308,15 +263,7 @@ mod tests {
             let full_ref = &full;
             let (results, _) = cluster
                 .run(|ctx| {
-                    let local = scatter_rows(
-                        ctx,
-                        0,
-                        if ctx.rank() == 0 {
-                            Some(full_ref)
-                        } else {
-                            None
-                        },
-                    )?;
+                    let local = band(ctx, full_ref);
                     dist_covariance(ctx, &local, 60, &ExecOpts::serial())
                 })
                 .unwrap();
@@ -335,17 +282,16 @@ mod tests {
             .collect();
         // Serial reference via QR on the same design (no intercept column
         // here; the engine layer adds it).
-        let serial = genbase_linalg::qr::least_squares(x.clone(), &y, &ExecOpts::serial()).unwrap();
+        let serial = QrFactor::factor(x.clone(), &ExecOpts::serial())
+            .and_then(|qr| qr.solve_ls(&y))
+            .unwrap();
         for n in [1, 2, 4] {
             let cluster = Cluster::new(n, NetModel::free());
             let (x_ref, y_ref) = (&x, &y);
             let (results, _) = cluster
                 .run(|ctx| {
-                    let local_x =
-                        scatter_rows(ctx, 0, if ctx.rank() == 0 { Some(x_ref) } else { None })?;
-                    let bands = row_bands(80, ctx.n_nodes());
-                    let band = bands[ctx.rank()].clone();
-                    dist_least_squares(ctx, &local_x, &y_ref[band], &ExecOpts::serial())
+                    let rows = row_bands(80, ctx.n_nodes())[ctx.rank()].clone();
+                    dist_least_squares(ctx, &band(ctx, x_ref), &y_ref[rows], &ExecOpts::serial())
                 })
                 .unwrap();
             for node_coef in &results {
@@ -366,15 +312,7 @@ mod tests {
         let full_ref = &full;
         let (results, _) = cluster
             .run(|ctx| {
-                let local = scatter_rows(
-                    ctx,
-                    0,
-                    if ctx.rank() == 0 {
-                        Some(full_ref)
-                    } else {
-                        None
-                    },
-                )?;
+                let local = band(ctx, full_ref);
                 let op = DistGramOp::new(ctx, &local);
                 let res = lanczos_topk(&op, 4, 0, 99, &ExecOpts::serial())?;
                 Ok(res.eigenvalues)
@@ -395,15 +333,7 @@ mod tests {
         let full_ref = &full;
         let (results, _) = cluster
             .run(|ctx| {
-                let local = scatter_rows(
-                    ctx,
-                    0,
-                    if ctx.rank() == 0 {
-                        Some(full_ref)
-                    } else {
-                        None
-                    },
-                )?;
+                let local = band(ctx, full_ref);
                 // Select every other local row.
                 let sel: Vec<usize> = (0..local.rows()).step_by(2).collect();
                 dist_column_sums_selected(ctx, &local, &sel)
@@ -433,15 +363,7 @@ mod tests {
             let full_ref = &full;
             let (_, sim) = cluster
                 .run(|ctx| {
-                    let local = scatter_rows(
-                        ctx,
-                        0,
-                        if ctx.rank() == 0 {
-                            Some(full_ref)
-                        } else {
-                            None
-                        },
-                    )?;
+                    let local = band(ctx, full_ref);
                     dist_covariance(ctx, &local, 64, &ExecOpts::serial())
                 })
                 .unwrap();
@@ -464,15 +386,7 @@ mod tests {
         let full_ref = &full;
         let (results, _) = cluster
             .run(|ctx| {
-                let local = scatter_rows(
-                    ctx,
-                    0,
-                    if ctx.rank() == 0 {
-                        Some(full_ref)
-                    } else {
-                        None
-                    },
-                )?;
+                let local = band(ctx, full_ref);
                 dist_covariance(ctx, &local, 7, &ExecOpts::serial())
             })
             .unwrap();

@@ -24,6 +24,5 @@ pub mod dist;
 
 pub use comm::{Cluster, NetModel, NodeCtx};
 pub use dist::{
-    dist_column_means, dist_covariance, dist_gram, dist_least_squares, gather_matrix, scatter_rows,
-    DistGramOp,
+    dist_column_means, dist_covariance, dist_gram, dist_least_squares, gather_matrix, DistGramOp,
 };

@@ -46,8 +46,8 @@ pub struct HarnessConfig {
     pub sizes: Vec<SizeClass>,
     /// Per-run cutoff (the paper's two-hour window, scaled with the data).
     pub cutoff: Duration,
-    /// Simulated machine memory for in-memory runtimes (paper: 48 GB,
-    /// scaled by `scale²` by [`HarnessConfig::default`]).
+    /// Simulated machine memory for in-memory runtimes ([`r_mem_bytes`]
+    /// of the default scale by [`HarnessConfig::default`]).
     pub r_mem_bytes: u64,
     /// Hardware threads to use.
     pub threads: usize,
@@ -70,6 +70,12 @@ pub struct HarnessConfig {
     pub stream: Option<crate::engine::StreamConfig>,
 }
 
+/// The simulated memory of an in-memory runtime at `scale`: the paper's
+/// 48 GB machine, scaled by `scale²` like the matrices it must hold.
+pub fn r_mem_bytes(scale: f64) -> u64 {
+    (48e9 * scale * scale) as u64
+}
+
 impl Default for HarnessConfig {
     fn default() -> Self {
         let scale: f64 = 0.048;
@@ -79,7 +85,7 @@ impl Default for HarnessConfig {
             // Two hours scaled by the cell-count ratio (~scale²) would be
             // ~16 s; leave headroom for slow CI machines.
             cutoff: Duration::from_secs(60),
-            r_mem_bytes: (48e9 * scale * scale) as u64,
+            r_mem_bytes: r_mem_bytes(scale),
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),

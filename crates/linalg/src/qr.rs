@@ -244,11 +244,6 @@ impl QrFactor {
     }
 }
 
-/// Convenience wrapper: factor + solve for a single right-hand side.
-pub fn least_squares(a: Matrix, b: &[f64], opts: &ExecOpts) -> Result<Vec<f64>> {
-    QrFactor::factor(a, opts)?.solve_ls(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,7 +422,9 @@ mod tests {
         let a = Matrix::from_vec(3, 3, vec![2.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 4.0]).unwrap();
         let x_true = [1.0, -2.0, 3.0];
         let b = crate::matmul::matvec(&a, &x_true);
-        let x = least_squares(a, &b, &ExecOpts::serial()).unwrap();
+        let x = QrFactor::factor(a, &ExecOpts::serial())
+            .and_then(|qr| qr.solve_ls(&b))
+            .unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10);
         }
@@ -438,7 +435,9 @@ mod tests {
         let mut rng = Pcg64::new(33);
         let a = random_matrix(&mut rng, 50, 5);
         let b: Vec<f64> = (0..50).map(|_| rng.normal()).collect();
-        let x = least_squares(a.clone(), &b, &ExecOpts::serial()).unwrap();
+        let x = QrFactor::factor(a.clone(), &ExecOpts::serial())
+            .and_then(|qr| qr.solve_ls(&b))
+            .unwrap();
         let base = residual_norm(&a, &x, &b);
         // Perturbing the solution in any coordinate direction must not reduce
         // the residual.
@@ -456,7 +455,9 @@ mod tests {
         let mut rng = Pcg64::new(34);
         let a = random_matrix(&mut rng, 40, 6);
         let b: Vec<f64> = (0..40).map(|_| rng.normal()).collect();
-        let x = least_squares(a.clone(), &b, &ExecOpts::serial()).unwrap();
+        let x = QrFactor::factor(a.clone(), &ExecOpts::serial())
+            .and_then(|qr| qr.solve_ls(&b))
+            .unwrap();
         // Aᵀ(Ax - b) = 0 characterizes the LS solution.
         let ax = crate::matmul::matvec(&a, &x);
         let resid: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();

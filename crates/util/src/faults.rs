@@ -6,8 +6,10 @@
 //! hit. With no plan installed every site is a no-op guarded by a single
 //! relaxed atomic load, so the hooks cost nothing in normal operation.
 //!
-//! Plans are written in a compact spec grammar, accepted from the
-//! `GENBASE_FAULTS` environment variable or the `--faults` CLI flag:
+//! Plans are written in a compact spec grammar, read from the
+//! `GENBASE_FAULTS` environment variable at the first fault site (or
+//! installed directly with [`install`]). `paper_harness` parses the
+//! variable before it runs anything and refuses a malformed plan:
 //!
 //! ```text
 //! site@N=action[;site@N=action...]

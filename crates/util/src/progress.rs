@@ -8,9 +8,13 @@
 //! mid-iteration bit-identically instead of recomputing from scratch.
 //!
 //! All numeric state is round-tripped through lossless hex codecs
-//! ([`f64s_to_hex`], [`u128_to_hex`]) rather than JSON numbers, because the
-//! JSON layer stores numbers as `f64` (exact only below 2^53) and bit-exact
-//! resume demands every bit.
+//! ([`f64s_to_hex`], [`u128_to_hex`]) rather than JSON numbers, because
+//! bit-exact resume demands every bit and JSON numbers cannot carry all of
+//! them: finite `f64`s would round-trip (the JSON layer renders the
+//! shortest string that parses back to the same value), but JSON has no NaN
+//! or ±inf, and an integer such as the `u128` RNG state is exact as a JSON
+//! number only below 2^53. Only coordinated sweeps install a sink; a local
+//! sweep's cells run without one.
 
 use crate::error::{Error, Result};
 use crate::json::Json;

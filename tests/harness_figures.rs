@@ -114,7 +114,7 @@ fn golden_config() -> HarnessConfig {
     HarnessConfig {
         scale,
         sizes: vec![SizeClass::Small],
-        r_mem_bytes: (48e9 * scale * scale) as u64,
+        r_mem_bytes: genbase::harness::r_mem_bytes(scale),
         threads: 4,
         ..HarnessConfig::default()
     }
