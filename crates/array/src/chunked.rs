@@ -118,16 +118,6 @@ impl Array2D {
         self.cols
     }
 
-    /// Chunk shape `(chunk_rows, chunk_cols)`.
-    pub fn chunk_shape(&self) -> (usize, usize) {
-        (self.chunk_rows, self.chunk_cols)
-    }
-
-    /// Number of chunks.
-    pub fn n_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Read one cell.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "index out of range");
@@ -317,24 +307,6 @@ impl Array2D {
         Ok(sums)
     }
 
-    /// Re-chunk into a new chunk shape (used when redistributing to
-    /// ScaLAPACK-style block-cyclic layouts).
-    pub fn rechunk(
-        &self,
-        chunk_rows: usize,
-        chunk_cols: usize,
-        budget: &Budget,
-    ) -> Result<Array2D> {
-        budget.check("rechunk")?;
-        let mut out = Self::zeros_chunked(self.rows, self.cols, chunk_rows, chunk_cols);
-        let mut row = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            self.read_row(r, &mut row);
-            out.write_row(r, &row);
-        }
-        Ok(out)
-    }
-
     /// Per-column sums over a set of selected rows (used by the enrichment
     /// query's ranking aggregate), computed chunk-wise.
     pub fn column_sums_over_rows(&self, rows: &[usize], budget: &Budget) -> Result<Vec<f64>> {
@@ -379,7 +351,7 @@ mod tests {
         let m = random_matrix(&mut rng, 97, 53);
         let a = Array2D::from_matrix_chunked(&m, 16, 16, &Budget::unlimited()).unwrap();
         assert_eq!(a.shape(), (97, 53));
-        assert_eq!(a.n_chunks(), 7 * 4);
+        assert_eq!(a.chunk_refs().count(), 7 * 4);
         let back = a.to_matrix(&Budget::unlimited()).unwrap();
         assert!(back.approx_eq(&m, 0.0));
     }
@@ -424,19 +396,6 @@ mod tests {
         }
         assert!(a.select(&[99], &[0], &Budget::unlimited()).is_err());
         assert!(a.select(&[0], &[99], &Budget::unlimited()).is_err());
-    }
-
-    #[test]
-    fn rechunk_preserves_content() {
-        let mut rng = Pcg64::new(123);
-        let m = random_matrix(&mut rng, 45, 33);
-        let a = Array2D::from_matrix_chunked(&m, 32, 32, &Budget::unlimited()).unwrap();
-        let b = a.rechunk(7, 11, &Budget::unlimited()).unwrap();
-        assert_eq!(b.chunk_shape(), (7, 11));
-        assert_eq!(
-            b.to_matrix(&Budget::unlimited()).unwrap(),
-            a.to_matrix(&Budget::unlimited()).unwrap()
-        );
     }
 
     #[test]
@@ -513,7 +472,7 @@ mod tests {
         // 5x5 with 4x4 chunks: edge chunks are 4x1, 1x4, 1x1.
         let m = Matrix::from_fn(5, 5, |r, c| (r * 5 + c) as f64);
         let a = Array2D::from_matrix_chunked(&m, 4, 4, &Budget::unlimited()).unwrap();
-        assert_eq!(a.n_chunks(), 4);
+        assert_eq!(a.chunk_refs().count(), 4);
         assert_eq!(a.get(4, 4), 24.0);
         assert_eq!(a.to_matrix(&Budget::unlimited()).unwrap(), m);
     }

@@ -62,7 +62,7 @@
 //!
 //! `serve` keeps the dataset pool, compiled plans and engine registry
 //! resident and answers query/explain/status requests from concurrent
-//! clients: the framed `genbase-coord-v1` protocol on `--listen` and HTTP
+//! clients: the framed `genbase-coord-v2` protocol on `--listen` and HTTP
 //! (`GET /status`, `GET /metrics`, `POST /query`) on `--listen-http`. In
 //! serve mode `--mem-budget` is the *admission* budget: a request whose
 //! working-set estimate does not fit waits in a `--queue-depth`-bounded
@@ -669,75 +669,87 @@ fn explain(args: &Args) -> Result<()> {
 }
 
 /// The `status` role: poll a serving coordinator or resident server for a
-/// live snapshot and print it as a table (or raw JSON with `--json`),
-/// headed by the `service` the snapshot names.
+/// live snapshot and print it as a table (or raw JSON with `--json`).
 fn status(args: &Args) -> Result<()> {
-    use genbase_util::Json;
     let (connect, token) = (args.value::<String>(Flag::Connect), args.auth_token());
     let snap = genbase::coord::fetch_status(connect.as_str(), token.as_deref(), CONNECT_WINDOW)
         .map_err(|e| Error::invalid(format!("status poll @ {connect}: {e}")))?;
     if args.on(Flag::Json) {
         println!("{}", snap.render());
-        return Ok(());
-    }
-    let count = |key: &str| snap.get(key).and_then(Json::as_u64).unwrap_or(0);
-    let service = snap.get("service").and_then(Json::as_str);
-    println!("{} @ {connect}", service.unwrap_or("coordinate"));
-    println!(
-        "  cells    {:>5} planned  {:>5} done  {:>5} pending  {:>5} leased  {:>5} failed",
-        count("planned"),
-        count("done"),
-        count("pending"),
-        count("leased"),
-        count("failed"),
-    );
-    if snap.get("rejected").is_some() {
-        println!("  rejected {:>5} requests", count("rejected"));
-    }
-    println!(
-        "  history  {:>5} executed  {:>5} restored  {:>5} reissued  {:>5} resumed  \
-         {:>5} rebalanced  {:>5} departed",
-        count("executed"),
-        count("restored"),
-        count("reissued"),
-        count("resumed"),
-        count("rebalanced"),
-        count("departed"),
-    );
-    println!("  workers  {:>5} connections", count("workers"));
-    if let Some(leases) = snap.get("leases").and_then(Json::as_arr) {
-        if !leases.is_empty() {
-            println!("  leases:");
-            println!("    {:>8}  {:>10}  cell", "worker", "held");
-            for lease in leases {
-                println!(
-                    "    {:>8}  {:>9.1}s  {}",
-                    lease.get("worker").and_then(Json::as_u64).unwrap_or(0),
-                    lease.get("held_secs").and_then(Json::as_f64).unwrap_or(0.0),
-                    lease.get("cell").and_then(Json::as_str).unwrap_or("?"),
-                );
-            }
-        }
-    }
-    if let Some(throughput) = snap.get("throughput").and_then(Json::as_arr) {
-        if !throughput.is_empty() {
-            println!("  throughput:");
-            println!(
-                "    {:>8}  {:>9}  {:>6}  {:>10}",
-                "worker", "completed", "failed", "cells/s"
-            );
-            for t in throughput {
-                println!(
-                    "    {:>8}  {:>9}  {:>6}  {:>10.3}",
-                    t.get("worker").and_then(Json::as_u64).unwrap_or(0),
-                    t.get("completed").and_then(Json::as_u64).unwrap_or(0),
-                    t.get("failed").and_then(Json::as_u64).unwrap_or(0),
-                    t.get("cells_per_sec").and_then(Json::as_f64).unwrap_or(0.0),
-                );
-            }
-        }
+    } else {
+        print!("{}", status_table(&snap, &connect));
     }
     Ok(())
+}
+
+/// The counter rows of the `status` table: a label, then each snapshot key
+/// with the word printed after its value. A coordinator's snapshot carries
+/// every key but `rejected`; a server's carries the `cells` keys but
+/// `planned`, and `rejected` and `workers`.
+#[rustfmt::skip]
+const STATUS_ROWS: [(&str, &[(&str, &str)]); 4] = [
+    ("cells", &[("planned", "planned"), ("done", "done"), ("pending", "pending"),
+        ("leased", "leased"), ("failed", "failed")]),
+    ("rejected", &[("rejected", "requests")]),
+    ("history", &[("executed", "executed"), ("restored", "restored"),
+        ("reissued", "reissued"), ("resumed", "resumed"), ("rebalanced", "rebalanced"),
+        ("departed", "departed")]),
+    ("workers", &[("workers", "connections")]),
+];
+
+/// Render a `status` snapshot, headed by the `service` it names: only the
+/// counters it carries (a row with none of its keys is left out, never
+/// shown as zeros), then any leases and per-worker throughput.
+fn status_table(snap: &genbase_util::Json, connect: &str) -> String {
+    use genbase_util::Json;
+    use std::fmt::Write;
+    let mut out = String::new();
+    let service = snap.get("service").and_then(Json::as_str);
+    let _ = writeln!(out, "{} @ {connect}", service.unwrap_or("coordinate"));
+    for (label, keys) in STATUS_ROWS {
+        let counts: Vec<String> = (keys.iter())
+            .filter_map(|(key, word)| {
+                let n = snap.get(key).and_then(Json::as_u64)?;
+                Some(format!("{n:>5} {word}"))
+            })
+            .collect();
+        if !counts.is_empty() {
+            let _ = writeln!(out, "  {label:<8} {}", counts.join("  "));
+        }
+    }
+    let int = |item: &Json, key: &str| item.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let real = |item: &Json, key: &str| item.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    let items = |key: &str| {
+        snap.get(key)
+            .and_then(Json::as_arr)
+            .filter(|a| !a.is_empty())
+    };
+    if let Some(leases) = items("leases") {
+        let _ = writeln!(out, "  leases:\n    {:>8}  {:>10}  cell", "worker", "held");
+        for lease in leases {
+            let cell = lease.get("cell").and_then(Json::as_str).unwrap_or("?");
+            let (worker, held) = (int(lease, "worker"), real(lease, "held_secs"));
+            let _ = writeln!(out, "    {worker:>8}  {held:>9.1}s  {cell}");
+        }
+    }
+    if let Some(throughput) = items("throughput") {
+        let _ = writeln!(
+            out,
+            "  throughput:\n    {:>8}  {:>9}  {:>6}  {:>10}",
+            "worker", "completed", "failed", "cells/s"
+        );
+        for t in throughput {
+            let _ = writeln!(
+                out,
+                "    {:>8}  {:>9}  {:>6}  {:>10.3}",
+                int(t, "worker"),
+                int(t, "completed"),
+                int(t, "failed"),
+                real(t, "cells_per_sec"),
+            );
+        }
+    }
+    out
 }
 
 /// The `coordinate` role: serve leases over TCP until the grid is
@@ -824,6 +836,52 @@ mod tests {
             let err = parse_args(&argv).err().expect("usage error");
             assert_eq!(err.0, format!("unknown flag {flag:?}"));
         }
+    }
+
+    /// A server's snapshot carries no `planned` and no sweep history: the
+    /// table prints what it has, not zeros for what it lacks.
+    #[test]
+    fn status_table_of_a_server_prints_only_its_counters() {
+        let snap = genbase_util::Json::parse(
+            r#"{"type":"status","service":"serve","state":"serving","done":4,"failed":0,
+                "rejected":1,"pending":0,"leased":2,"workers":3,"mem_budget":null}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            status_table(&snap, "127.0.0.1:7761"),
+            "serve @ 127.0.0.1:7761\n\
+             \x20 cells        4 done      0 pending      2 leased      0 failed\n\
+             \x20 rejected     1 requests\n\
+             \x20 workers      3 connections\n"
+        );
+    }
+
+    /// A coordinator's snapshot fills every row but `rejected`, plus its
+    /// leases and per-worker throughput.
+    #[test]
+    fn status_table_of_a_coordinator_prints_every_row() {
+        let snap = genbase_util::Json::parse(
+            r#"{"type":"status","service":"coordinate","planned":35,"restored":5,
+                "pending":3,"leased":1,"done":31,"failed":0,"executed":26,"reissued":2,
+                "departed":1,"rebalanced":0,"resumed":1,"workers":2,
+                "leases":[{"worker":3,"cell":"fig1/svd/small/n1/SciDB","held_secs":1.25}],
+                "throughput":[{"worker":3,"completed":10,"failed":0,"cells_per_sec":2.5}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            status_table(&snap, "127.0.0.1:7751"),
+            "coordinate @ 127.0.0.1:7751\n\
+             \x20 cells       35 planned     31 done      3 pending      1 leased      0 failed\n\
+             \x20 history     26 executed      5 restored      2 reissued      1 resumed  \
+             \x20   0 rebalanced      1 departed\n\
+             \x20 workers      2 connections\n\
+             \x20 leases:\n\
+             \x20     worker        held  cell\n\
+             \x20          3        1.2s  fig1/svd/small/n1/SciDB\n\
+             \x20 throughput:\n\
+             \x20     worker  completed  failed     cells/s\n\
+             \x20          3         10       0       2.500\n"
+        );
     }
 
     /// `parse_args` + `check_flags`, as `main` runs them.

@@ -34,13 +34,6 @@ pub struct Bicluster {
     pub inverted_rows: Vec<usize>,
 }
 
-impl Bicluster {
-    /// Number of cells covered.
-    pub fn area(&self) -> usize {
-        self.rows.len() * self.cols.len()
-    }
-}
-
 /// Tuning parameters for [`find_biclusters`].
 #[derive(Debug, Clone)]
 pub struct ChengChurchConfig {
@@ -657,7 +650,7 @@ mod tests {
             assert!(bc.cols.windows(2).all(|w| w[0] < w[1]));
             assert!(bc.rows.iter().all(|&r| r < 15));
             assert!(bc.cols.iter().all(|&c| c < 12));
-            assert!(bc.area() >= 4);
+            assert!(bc.rows.len() * bc.cols.len() >= 4);
         }
     }
 

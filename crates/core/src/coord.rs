@@ -19,7 +19,7 @@
 //! virtual workers on a virtual clock that die, wedge, leave and resume in
 //! random order — and check the protocol's promises on every seed.
 //!
-//! ## Wire protocol (`genbase-coord-v1`)
+//! ## Wire protocol (`genbase-coord-v2`)
 //!
 //! Every message is one frame: a 4-byte big-endian length prefix followed
 //! by compact JSON (see `ARCHITECTURE.md` for the full schema). After a
@@ -1069,8 +1069,9 @@ mod fleet {
     //! checks `Core` against them after every step and at the end.
 
     use super::*;
+    use crate::plan::{OpCost, OpKind, OpTrace, Phase, PlanTrace};
     use crate::Query;
-    use genbase_util::{CostReport, Pcg64};
+    use genbase_util::Pcg64;
 
     /// The `i`-th planned cell; the engine name carries `i` back out.
     fn cell(i: usize) -> CellKey {
@@ -1099,13 +1100,18 @@ mod fleet {
                 reason: format!("cutoff in cell {i}"),
             },
             _ => CellOutcome::Completed {
-                dm: CostReport {
-                    wall_secs: 0.0,
-                    sim_secs: i as f64 * 0.5,
-                    sim_bytes: i as u64,
+                trace: PlanTrace {
+                    ops: vec![OpTrace {
+                        kind: OpKind::Analytics,
+                        phase: Phase::Analytics,
+                        label: format!("cell {i}"),
+                        cost: OpCost {
+                            sim_nanos: i as u64 * 500_000_000,
+                            sim_bytes: i as u64,
+                            ..OpCost::default()
+                        },
+                    }],
                 },
-                an: CostReport::default(),
-                trace: Vec::new(),
             },
         }
     }

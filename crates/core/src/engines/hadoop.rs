@@ -540,7 +540,8 @@ mod tests {
         let report = Hadoop::new()
             .run(Query::Statistics, &data, &params, &ctx)
             .unwrap();
-        let sim_total = report.phases.data_management.sim_secs + report.phases.analytics.sim_secs;
+        let phases = report.phases();
+        let sim_total = phases.data_management.sim_secs + phases.analytics.sim_secs;
         assert!(
             sim_total >= JOB_LAUNCH_SECS,
             "at least one job launch charged: {sim_total}"
@@ -564,8 +565,9 @@ mod tests {
         let h = Hadoop::new();
         let a = h.run(Query::Covariance, &data, &params, &single).unwrap();
         let b = h.run(Query::Covariance, &data, &params, &multi).unwrap();
-        let sim_a = a.phases.data_management.sim_secs + a.phases.analytics.sim_secs;
-        let sim_b = b.phases.data_management.sim_secs + b.phases.analytics.sim_secs;
+        let sim =
+            |r: &QueryReport| r.phases().data_management.sim_secs + r.phases().analytics.sim_secs;
+        let (sim_a, sim_b) = (sim(&a), sim(&b));
         assert!(sim_b > sim_a, "shuffle traffic must cost more on 4 nodes");
         // Same answer regardless of node count.
         assert!(a.output.consistency_error(&b.output, 1e-9).is_none());

@@ -399,10 +399,10 @@ pub fn run_multinode(
         }
     }
     let output = output.ok_or_else(|| Error::invalid("no node produced output"))?;
-    Ok(QueryReport::from_trace(
+    Ok(QueryReport {
         output,
-        critical_path_trace(flavor, ctx.nodes, dm_wall, dm_sim, an_wall, an_sim, dm_mem),
-    ))
+        trace: critical_path_trace(flavor, ctx.nodes, dm_wall, dm_sim, an_wall, an_sim, dm_mem),
+    })
 }
 
 /// The two-op critical-path trace of a multi-node run (see module docs).

@@ -526,10 +526,10 @@ mod tests {
         assert!(phi.run(Query::Regression, &data, &params, &ctx).is_err());
         let report = phi.run(Query::Covariance, &data, &params, &ctx).unwrap();
         assert!(
-            report.phases.analytics.sim_secs > 0.0,
+            report.phases().analytics.sim_secs > 0.0,
             "modeled device time"
         );
-        assert_eq!(report.phases.analytics.wall_secs, 0.0);
+        assert_eq!(report.phases().analytics.wall_secs, 0.0);
         // The offload shows up as a model-cost analytics op in the trace.
         let offload = report
             .trace

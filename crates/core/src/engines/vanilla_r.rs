@@ -323,7 +323,7 @@ mod tests {
         for q in Query::ALL {
             let report = engine.run(q, &data, &params, &ctx).unwrap();
             assert_eq!(report.output.query(), q, "query {q:?}");
-            assert!(report.phases.total_secs() >= 0.0);
+            assert!(report.phases().total_secs() >= 0.0);
             // The R load is part of the measured query.
             assert!(
                 report.trace.ops[0].label.contains("read.csv"),

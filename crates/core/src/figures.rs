@@ -588,7 +588,7 @@ pub fn weak_scaling(
                 continue;
             }
             match engine.run(query, &data, &params, &ctx) {
-                Ok(report) => row.push(fmt_secs(report.phases.total_secs())),
+                Ok(report) => row.push(fmt_secs(report.phases().total_secs())),
                 Err(e) if e.is_infinite_result() => row.push("inf".into()),
                 Err(e) => return Err(e),
             }

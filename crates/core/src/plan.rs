@@ -241,8 +241,9 @@ pub struct OpCost {
     pub spill_bytes: u64,
     /// Artifact-cache hits the op's conversion kernels took. Display-only
     /// (the `cache` column of `paper_harness explain`): hits never enter
-    /// the serialized trace, because a warm cell must stay byte-identical
-    /// to its cold run on the wire and in grid files.
+    /// the serialized trace or a [`crate::sched::CellOutcome`], because a
+    /// warm cell must stay identical to its cold run on the wire, in grid
+    /// files and in memory.
     pub cache_hits: u64,
     /// Rows the op passed downstream as selection-vector survivors instead
     /// of materialized copies (streaming only). Display-only (the
@@ -350,9 +351,6 @@ impl OpTrace {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| Error::invalid(format!("trace op missing integer {name}")))
         };
-        // Memory columns are absent in pre-storage-layer artifacts; those
-        // load as zero-memory ops (figures only need the time split).
-        let mem = |name: &str| value.get(name).and_then(Json::as_u64).unwrap_or(0);
         Ok(OpTrace {
             kind: OpKind::from_name(field("op")?)
                 .ok_or_else(|| Error::invalid("trace op: unknown kind"))?,
@@ -364,16 +362,14 @@ impl OpTrace {
                 sim_nanos: int("sim_nanos")?,
                 model_secs: num("model")?,
                 sim_bytes: int("bytes")?,
-                bytes_in: mem("mem_in"),
-                bytes_out: mem("mem_out"),
-                peak_alloc_bytes: mem("mem_peak"),
-                rows_materialized: mem("rows"),
-                batches: mem("batches"),
-                spill_bytes: mem("spill"),
+                bytes_in: int("mem_in")?,
+                bytes_out: int("mem_out")?,
+                peak_alloc_bytes: int("mem_peak")?,
+                rows_materialized: int("rows")?,
+                batches: int("batches")?,
+                spill_bytes: int("spill")?,
                 // Display-only columns never round-trip (see `OpCost`).
-                cache_hits: 0,
-                rows_selected: 0,
-                kernel_threads: 0,
+                ..OpCost::default()
             },
         })
     }
@@ -418,9 +414,7 @@ impl PlanTrace {
         }
     }
 
-    /// Zero every op's measured wall seconds (SimOnly timing: the harness
-    /// zeroes the phase split and the trace together, keeping the
-    /// sums-exactly invariant).
+    /// Zero every op's measured wall seconds (SimOnly timing).
     pub fn zero_wall(&mut self) {
         for op in &mut self.ops {
             op.cost.wall_secs = 0.0;
@@ -652,7 +646,7 @@ pub trait PhysicalBackend {
 }
 
 /// Drive `backend` through `query`'s logical plan and assemble the report:
-/// output from the slot, phases as the rollup of the trace.
+/// output from the slot, cost as the trace.
 pub fn run_plan<B: PhysicalBackend>(
     mut backend: B,
     query: Query,
@@ -669,7 +663,10 @@ pub fn run_plan<B: PhysicalBackend>(
     let output = slot
         .output
         .ok_or_else(|| Error::invalid("plan produced no output"))?;
-    Ok(QueryReport::from_trace(output, tracer.finish()))
+    Ok(QueryReport {
+        output,
+        trace: tracer.finish(),
+    })
 }
 
 #[cfg(test)]
@@ -778,6 +775,27 @@ mod tests {
         let back = OpTrace::from_json(&op.to_json()).unwrap();
         assert_eq!(back, op);
         assert!(OpTrace::from_json(&Json::obj()).is_err());
+    }
+
+    /// Every column is required: an op without one of the memory columns
+    /// (as written before the storage layer) is refused, not zero-filled.
+    #[test]
+    fn an_op_missing_a_memory_column_is_refused() {
+        let op = OpTrace {
+            kind: OpKind::Restructure,
+            phase: Phase::DataManagement,
+            label: "pivot".into(),
+            cost: OpCost::wall(0.5),
+        };
+        for column in ["mem_in", "mem_out", "mem_peak", "rows", "batches", "spill"] {
+            let mut json = op.to_json();
+            if let Json::Obj(fields) = &mut json {
+                fields.retain(|(name, _)| name != column);
+            }
+            let err = OpTrace::from_json(&json).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{err:?}");
+            assert!(err.to_string().contains(column), "{column}: {err}");
+        }
     }
 
     #[test]

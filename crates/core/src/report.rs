@@ -25,22 +25,15 @@ impl PhaseTimes {
 pub struct QueryReport {
     /// Typed output (verified for cross-engine consistency in tests).
     pub output: QueryOutput,
-    /// Phase timing split — always the rollup of `trace`
-    /// ([`PlanTrace::phase_times`]), kept materialized for renderers.
-    pub phases: PhaseTimes,
-    /// Per-operator execution trace the phases roll up from.
+    /// Per-operator execution trace: the run's whole cost.
     pub trace: PlanTrace,
 }
 
 impl QueryReport {
-    /// Assemble a report from a plan trace: the phase split *is* the
-    /// trace's per-phase rollup, so per-op costs sum to the phases exactly.
-    pub fn from_trace(output: QueryOutput, trace: PlanTrace) -> QueryReport {
-        QueryReport {
-            output,
-            phases: trace.phase_times(),
-            trace,
-        }
+    /// The phase split behind Figures 2/4: the trace's per-phase rollup
+    /// ([`PlanTrace::phase_times`]), so per-op costs sum to it exactly.
+    pub fn phases(&self) -> PhaseTimes {
+        self.trace.phase_times()
     }
 
     /// Whole-run memory rollup of the trace (bytes read/materialized sum,
@@ -69,15 +62,6 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// Cell text for harness tables.
-    pub fn cell(&self) -> String {
-        match self {
-            RunOutcome::Completed(r) => genbase_util::fmt_secs(r.phases.total_secs()),
-            RunOutcome::Infinite { .. } => "inf".to_string(),
-            RunOutcome::Unsupported => "-".to_string(),
-        }
-    }
-
     /// Borrow the report when completed.
     pub fn report(&self) -> Option<&QueryReport> {
         match self {
@@ -116,18 +100,18 @@ mod tests {
                 },
             ],
         };
-        QueryReport::from_trace(
-            QueryOutput::Svd {
+        QueryReport {
+            output: QueryOutput::Svd {
                 eigenvalues: vec![1.0],
             },
             trace,
-        )
+        }
     }
 
     #[test]
     fn totals_include_simulated() {
         let r = report(1.0, 2.0);
-        assert!((r.phases.total_secs() - 3.5).abs() < 1e-12);
+        assert!((r.phases().total_secs() - 3.5).abs() < 1e-12);
     }
 
     #[test]
@@ -137,9 +121,6 @@ mod tests {
         let inf = RunOutcome::Infinite {
             reason: "cutoff".into(),
         };
-        assert_eq!(inf.cell(), "inf");
         assert!(inf.report().is_none());
-        let uns = RunOutcome::Unsupported;
-        assert_eq!(uns.cell(), "-");
     }
 }

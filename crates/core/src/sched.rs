@@ -27,11 +27,11 @@ use crate::engine::Engine;
 use crate::engines;
 use crate::figures;
 use crate::harness::{Harness, HarnessConfig};
-use crate::plan::OpTrace;
+use crate::plan::{OpTrace, PlanTrace};
 use crate::query::Query;
 use crate::report::{PhaseTimes, RunOutcome};
 use genbase_datagen::SizeClass;
-use genbase_util::{lock, parallel_for, CostReport, Error, Json, Result};
+use genbase_util::{lock, parallel_for, Error, Json, Result};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -150,20 +150,16 @@ impl CellKey {
 }
 
 /// The slimmed, serializable outcome of one cell — exactly what figure
-/// rendering needs (phase costs or failure class), without the full typed
-/// query output.
+/// rendering needs (the operator trace or the failure class), without the
+/// full typed query output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome {
-    /// Finished within budget, with the paper's phase split.
+    /// Finished within budget.
     Completed {
-        /// Data-management phase costs.
-        dm: CostReport,
-        /// Analytics phase costs.
-        an: CostReport,
-        /// Per-operator plan trace the phases roll up from — carried
-        /// through grid files and the coordinator wire protocol so
-        /// per-op breakdowns survive checkpoints and distributed sweeps.
-        trace: Vec<OpTrace>,
+        /// Per-operator plan trace: the cell's whole cost, carried through
+        /// grid files and the coordinator wire protocol. The paper's phase
+        /// split is derived from it ([`CellOutcome::phases`]).
+        trace: PlanTrace,
     },
     /// Cutoff or memory failure (the paper's "infinite" bars).
     Infinite {
@@ -178,22 +174,16 @@ impl CellOutcome {
     /// Convert a harness outcome, dropping the typed query output.
     pub fn from_run(outcome: &RunOutcome) -> CellOutcome {
         match outcome {
-            RunOutcome::Completed(r) => CellOutcome::Completed {
-                dm: r.phases.data_management,
-                an: r.phases.analytics,
-                // What a cell serializes is all it carries: the kernel
-                // thread budget stays on the run's own report.
-                trace: r
-                    .trace
-                    .ops
-                    .iter()
-                    .map(|op| {
-                        let mut op = op.clone();
-                        op.cost.kernel_threads = 0;
-                        op
-                    })
-                    .collect(),
-            },
+            RunOutcome::Completed(r) => {
+                // What a cell serializes is all it carries: the display-only
+                // columns (see `OpCost`) stay on the run's own report.
+                let mut trace = r.trace.clone();
+                for op in &mut trace.ops {
+                    let cost = &mut op.cost;
+                    (cost.cache_hits, cost.rows_selected, cost.kernel_threads) = (0, 0, 0);
+                }
+                CellOutcome::Completed { trace }
+            }
             RunOutcome::Infinite { reason } => CellOutcome::Infinite {
                 reason: reason.clone(),
             },
@@ -201,13 +191,10 @@ impl CellOutcome {
         }
     }
 
-    /// The phase split for completed cells.
+    /// The phase split for completed cells: the trace's per-phase rollup.
     pub fn phases(&self) -> Option<PhaseTimes> {
         match self {
-            CellOutcome::Completed { dm, an, .. } => Some(PhaseTimes {
-                data_management: *dm,
-                analytics: *an,
-            }),
+            CellOutcome::Completed { trace } => Some(trace.phase_times()),
             _ => None,
         }
     }
@@ -215,16 +202,16 @@ impl CellOutcome {
     /// The per-operator trace for completed cells.
     pub fn trace(&self) -> Option<&[OpTrace]> {
         match self {
-            CellOutcome::Completed { trace, .. } => Some(trace),
+            CellOutcome::Completed { trace } => Some(&trace.ops),
             _ => None,
         }
     }
 
-    /// Table-cell text, identical to [`RunOutcome::cell`].
+    /// Table-cell text: total seconds, `inf` or `-`.
     pub fn cell(&self) -> String {
         match self {
-            CellOutcome::Completed { .. } => {
-                genbase_util::fmt_secs(self.phases().expect("completed").total_secs())
+            CellOutcome::Completed { trace } => {
+                genbase_util::fmt_secs(trace.phase_times().total_secs())
             }
             CellOutcome::Infinite { .. } => "inf".to_string(),
             CellOutcome::Unsupported => "-".to_string(),
@@ -235,22 +222,10 @@ impl CellOutcome {
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
         match self {
-            CellOutcome::Completed { dm, an, trace } => {
+            CellOutcome::Completed { trace } => {
                 obj.set("status", Json::from("completed"));
-                for (name, cost) in [("dm", dm), ("an", an)] {
-                    obj.set(
-                        name,
-                        Json::Arr(vec![
-                            Json::Num(cost.wall_secs),
-                            Json::Num(cost.sim_secs),
-                            Json::from(cost.sim_bytes),
-                        ]),
-                    );
-                }
-                obj.set(
-                    "trace",
-                    Json::Arr(trace.iter().map(OpTrace::to_json).collect()),
-                );
+                let ops = trace.ops.iter().map(OpTrace::to_json).collect();
+                obj.set("trace", Json::Arr(ops));
             }
             CellOutcome::Infinite { reason } => {
                 obj.set("status", Json::from("infinite"));
@@ -263,7 +238,8 @@ impl CellOutcome {
         obj
     }
 
-    /// Inverse of [`CellOutcome::to_json`].
+    /// Inverse of [`CellOutcome::to_json`]. A completed cell without its
+    /// trace is malformed: it would render as a zero-cost bar.
     pub fn from_json(value: &Json) -> Result<CellOutcome> {
         let status = value
             .get("status")
@@ -271,34 +247,16 @@ impl CellOutcome {
             .ok_or_else(|| Error::invalid("cell outcome missing status"))?;
         match status {
             "completed" => {
-                let cost = |name: &str| -> Result<CostReport> {
-                    let arr = value
-                        .get(name)
-                        .and_then(Json::as_arr)
-                        .filter(|a| a.len() == 3)
-                        .ok_or_else(|| Error::invalid(format!("bad {name} cost")))?;
-                    // Strict: a malformed entry must fail the load, not
-                    // silently render as a zero-cost cell.
-                    let bad = || Error::invalid(format!("non-numeric {name} cost"));
-                    Ok(CostReport {
-                        wall_secs: arr[0].as_f64().ok_or_else(bad)?,
-                        sim_secs: arr[1].as_f64().ok_or_else(bad)?,
-                        sim_bytes: arr[2].as_u64().ok_or_else(bad)?,
-                    })
-                };
-                // Absent in pre-trace grid files: those load as traceless
-                // cells (figures only need the phase split).
-                let trace = match value.get("trace").and_then(Json::as_arr) {
-                    Some(items) => items
-                        .iter()
-                        .map(OpTrace::from_json)
-                        .collect::<Result<Vec<OpTrace>>>()?,
-                    None => Vec::new(),
-                };
+                let items = value
+                    .get("trace")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| Error::invalid("completed cell missing trace"))?;
+                let ops = items
+                    .iter()
+                    .map(OpTrace::from_json)
+                    .collect::<Result<_>>()?;
                 Ok(CellOutcome::Completed {
-                    dm: cost("dm")?,
-                    an: cost("an")?,
-                    trace,
+                    trace: PlanTrace { ops },
                 })
             }
             "infinite" => Ok(CellOutcome::Infinite {
@@ -348,23 +306,16 @@ pub fn config_fingerprint(config: &HarnessConfig) -> String {
         crate::harness::TimingMode::SimOnly => "off".to_string(),
     };
     // `--mem-budget` changes cell outcomes, so a set budget is part of the
-    // fingerprint — but only when set: the unlimited default keeps the
-    // pre-memory-accounting fingerprint string, so existing checkpoint and
-    // grid files still load.
+    // fingerprint (appended only when set).
     let mem_budget = match config.mem_budget {
         Some(bytes) => format!(";membudget={bytes}"),
         None => String::new(),
     };
     // Streaming mode changes the trace's memory dimension (batches, spill,
     // peak), so cells from streaming and materializing runs must not mix.
-    // `batch_rows` is semantic; the spill directory is not. Same
-    // append-only-when-set pattern as `membudget` for file compatibility.
-    // The `+fused` suffix is constant: it named the surviving pipeline when
-    // a staged one existed beside it, so files that pipeline wrote still
-    // load, and files written by the deleted staged path (no suffix,
-    // different memory columns) are refused instead of resumed.
+    // `batch_rows` is semantic; the spill directory is not.
     let stream = match &config.stream {
-        Some(s) => format!(";stream=batch{}+fused", s.batch_rows),
+        Some(s) => format!(";stream=batch{}", s.batch_rows),
         None => String::new(),
     };
     format!(
@@ -377,8 +328,9 @@ pub fn config_fingerprint(config: &HarnessConfig) -> String {
     )
 }
 
-/// Grid / checkpoint file schema tag.
-pub const GRID_SCHEMA: &str = "genbase-grid-v1";
+/// Grid / checkpoint file schema tag; bump on any change to the file's
+/// shape, so a file from another version is refused by name.
+pub const GRID_SCHEMA: &str = "genbase-grid-v2";
 
 impl ReportGrid {
     /// Number of recorded cells.
@@ -461,13 +413,12 @@ impl ReportGrid {
     /// Parse a serialized grid.
     pub fn from_json(text: &str) -> Result<ReportGrid> {
         let doc = Json::parse(text)?;
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(GRID_SCHEMA) => {}
-            other => {
-                return Err(Error::invalid(format!(
-                    "unexpected grid schema {other:?} (want {GRID_SCHEMA})"
-                )))
-            }
+        let schema = doc.get("schema").and_then(Json::as_str);
+        if schema != Some(GRID_SCHEMA) {
+            let schema = schema.unwrap_or("<none>");
+            return Err(Error::invalid(format!(
+                "grid schema {schema} is not {GRID_SCHEMA}: this version reads only its own grids"
+            )));
         }
         let mut grid = ReportGrid {
             fingerprint: doc.get("config").and_then(Json::as_str).map(str::to_string),
@@ -536,16 +487,17 @@ impl ReportGrid {
                 (grid, Some(note))
             }
         };
-        // Refuse a grid stamped by another configuration; unstamped legacy
-        // grids pass.
-        if let Some(have) = grid.fingerprint().filter(|have| *have != fingerprint) {
-            return Err(Error::invalid(format!(
-                "checkpoint {} is from a different configuration ({have} vs {fingerprint}); \
+        // Refuse a grid stamped by another configuration, or by none: every
+        // grid a sweep writes carries its fingerprint.
+        match grid.fingerprint() {
+            Some(have) if have == fingerprint => Ok((grid, note)),
+            have => Err(Error::invalid(format!(
+                "checkpoint {} is from a different configuration ({} vs {fingerprint}); \
                  repeat its --scale/--sim-only/... flags, or delete it",
-                path.display()
-            )));
+                path.display(),
+                have.unwrap_or("<unstamped>")
+            ))),
         }
-        Ok((grid, note))
     }
 
     /// Persist atomically (write temp file, then rename), so a sweep killed
@@ -972,6 +924,25 @@ mod tests {
         }
     }
 
+    /// A one-op completed cell: 0.125 s wall plus 0.5 s simulated.
+    fn completed() -> CellOutcome {
+        CellOutcome::Completed {
+            trace: PlanTrace {
+                ops: vec![OpTrace {
+                    kind: crate::plan::OpKind::Restructure,
+                    phase: crate::plan::Phase::DataManagement,
+                    label: "chunk gather".into(),
+                    cost: crate::plan::OpCost {
+                        wall_secs: 0.125,
+                        sim_nanos: 500_000_000,
+                        sim_bytes: 1024,
+                        ..crate::plan::OpCost::default()
+                    },
+                }],
+            },
+        }
+    }
+
     #[test]
     fn cell_ids_are_stable() {
         let k = key(FigureId::Fig1, 1, "SciDB");
@@ -991,29 +962,7 @@ mod tests {
     #[test]
     fn grid_json_round_trips() {
         let mut grid = ReportGrid::default();
-        grid.insert(
-            &key(FigureId::Fig1, 1, "SciDB"),
-            CellOutcome::Completed {
-                dm: CostReport {
-                    wall_secs: 0.125,
-                    sim_secs: 0.5,
-                    sim_bytes: 1024,
-                },
-                an: CostReport::default(),
-                trace: vec![crate::plan::OpTrace {
-                    kind: crate::plan::OpKind::Restructure,
-                    phase: crate::plan::Phase::DataManagement,
-                    label: "chunk gather".into(),
-                    cost: crate::plan::OpCost {
-                        wall_secs: 0.125,
-                        sim_nanos: 500_000_000,
-                        model_secs: 0.0,
-                        sim_bytes: 1024,
-                        ..crate::plan::OpCost::default()
-                    },
-                }],
-            },
-        );
+        grid.insert(&key(FigureId::Fig1, 1, "SciDB"), completed());
         grid.insert(
             &key(FigureId::Fig1, 1, "Hadoop"),
             CellOutcome::Infinite {
@@ -1054,13 +1003,8 @@ mod tests {
         assert!(err.to_string().contains("different configuration"), "{err}");
     }
 
-    /// Files the surviving pipeline wrote at 64-row morsels while a staged
-    /// one existed beside it carry `;stream=batch64+fused` and still resume
-    /// under `--stream --batch-rows 64`; files written by the deleted staged
-    /// path carry `;stream=batch64` (different memory columns) and are
-    /// refused.
     #[test]
-    fn streaming_files_load_only_with_the_fused_suffix() {
+    fn streaming_fingerprints_end_with_the_batch_size() {
         let mut config = HarnessConfig::quick().sim_only();
         let plain = config_fingerprint(&config);
         config.stream = Some(crate::engine::StreamConfig {
@@ -1069,49 +1013,81 @@ mod tests {
         });
         assert_eq!(
             config_fingerprint(&config),
-            format!("{plain};stream=batch64+fused")
+            format!("{plain};stream=batch64")
         );
-        let sched = Scheduler::new(config).unwrap();
-        let cells = sched.plan(&[FigureId::Fig1], SizeClass::Small);
-        let written_by = |suffix: &str| {
-            let mut grid = ReportGrid::default();
-            grid.set_fingerprint(format!("{plain}{suffix}"));
-            for cell in &cells {
-                grid.insert(cell, CellOutcome::Unsupported);
-            }
-            grid
-        };
-        let (fused, staged) = (
-            written_by(";stream=batch64+fused"),
-            written_by(";stream=batch64"),
+    }
+
+    /// A completed cell is its trace: the phase split is not stored, on
+    /// the wire or in a grid.
+    #[test]
+    fn a_completed_cell_serializes_its_trace_alone() {
+        let json = completed().to_json();
+        assert!(
+            json.get("dm").is_none() && json.get("an").is_none(),
+            "{json:?}"
+        );
+        let phases = completed().phases().unwrap();
+        assert_eq!(phases.data_management.wall_secs, 0.125);
+        assert_eq!(phases.data_management.sim_secs, 0.5);
+        assert_eq!(phases.data_management.sim_bytes, 1024);
+        assert_eq!(completed().cell(), genbase_util::fmt_secs(0.625));
+    }
+
+    /// The formats this version does not write are refused by name, each
+    /// with a typed error: a grid of another schema, and a completed cell
+    /// without its trace.
+    #[test]
+    fn old_grid_formats_are_refused() {
+        let mut grid = ReportGrid::default();
+        grid.insert(&key(FigureId::Fig1, 1, "SciDB"), completed());
+        let v1 = grid.to_json().replace(GRID_SCHEMA, "genbase-grid-v1");
+        let err = ReportGrid::from_json(&v1).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("genbase-grid-v1") && msg.contains(GRID_SCHEMA),
+            "{msg}"
         );
 
+        // A completed cell as the v1 schema wrote it before traces existed.
+        let traceless = format!(
+            "{{\"schema\":\"{GRID_SCHEMA}\",\"cells\":{{\"fig1/covariance/small/n1/SciDB\":\
+             {{\"status\":\"completed\",\"dm\":[0.5,0.25,10],\"an\":[1.0,0.0,0]}}}}}}"
+        );
+        let err = ReportGrid::from_json(&traceless).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err:?}");
+        assert!(err.to_string().contains("missing trace"), "{err}");
+    }
+
+    /// Every grid a sweep writes is stamped with its configuration, so an
+    /// unstamped checkpoint is refused rather than resumed.
+    #[test]
+    fn an_unstamped_checkpoint_is_refused() {
         let path = std::env::temp_dir().join(format!(
-            "genbase-ckpt-stream-suffix-{}.json",
+            "genbase-ckpt-unstamped-{}.json",
             std::process::id()
         ));
-        let sweep = SweepOptions::serial().with_checkpoint(&path);
-        fused.save(&path).unwrap();
-        let resumed = sched.run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep);
-        staged.save(&path).unwrap();
-        let refused = sched.run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep);
+        ReportGrid::default().save(&path).unwrap();
+        let opened = Ledger::open(
+            vec![key(FigureId::Fig1, 1, "SciDB")],
+            "fp".into(),
+            Some(path.clone()),
+        );
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("bak"));
-        let resumed = resumed.unwrap();
-        assert_eq!((resumed.executed, resumed.skipped), (0, cells.len()));
-        let err = refused.unwrap_err();
-        assert!(err.to_string().contains("different configuration"), "{err}");
+        let err = opened
+            .err()
+            .expect("an unstamped checkpoint must be refused");
+        assert!(matches!(err, Error::Invalid(_)), "{err:?}");
+        assert!(err.to_string().contains("<unstamped>"), "{err}");
     }
 
     #[test]
     fn malformed_checkpoint_costs_are_rejected() {
-        let text = format!(
-            "{{\"schema\":\"{GRID_SCHEMA}\",\"cells\":{{\
-             \"fig1/covariance/small/n1/SciDB\":\
-             {{\"status\":\"completed\",\"dm\":[null,null,null],\"an\":[0,0,0]}}}}}}"
-        );
+        let mut grid = ReportGrid::default();
+        grid.insert(&key(FigureId::Fig1, 1, "SciDB"), completed());
+        let text = grid.to_json().replace("\"wall\":0.125", "\"wall\":null");
         let err = ReportGrid::from_json(&text).unwrap_err();
-        assert!(err.to_string().contains("non-numeric"), "{err}");
+        assert!(err.to_string().contains("missing numeric wall"), "{err}");
     }
 
     /// A `progress` entry is shipped in the cell's next lease and the next
@@ -1129,6 +1105,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("genbase-ckpt-progress-{}.json", std::process::id()));
         let mut good = ReportGrid::default();
+        good.set_fingerprint("fp".into());
         good.set_progress(&id, "lanczos", Json::from(1u64));
         good.save(&path).unwrap();
         save_text(&path, &torn).unwrap();

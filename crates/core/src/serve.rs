@@ -294,7 +294,7 @@ impl Metrics {
     fn record_outcome(&self, engine: &str, outcome: &CellOutcome) {
         self.served.fetch_add(1, Ordering::Relaxed);
         *lock(&self.queries).entry(engine.to_string()).or_insert(0) += 1;
-        if let CellOutcome::Completed { trace, .. } = outcome {
+        if let Some(trace) = outcome.trace() {
             for op in trace {
                 let phase = usize::from(matches!(op.phase, Phase::Analytics));
                 self.phase_sim_nanos[phase].fetch_add(op.cost.sim_nanos, Ordering::Relaxed);

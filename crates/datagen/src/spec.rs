@@ -4,7 +4,7 @@
 //! Small 5K x 5K, Medium 15K x 20K, Large 30K x 40K, Extra-large 60K x 70K
 //! (no system completed the extra-large runs). Benchmarks here default to a
 //! geometrically faithful scale-down (÷ ~20.8 per side) so the full matrix of
-//! systems finishes quickly; `SizeSpec::paper_scale` restores paper sizes.
+//! systems finishes quickly; `SizeSpec::scaled(class, 1.0)` is paper size.
 
 /// The paper's named dataset sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,19 +78,10 @@ pub struct SizeSpec {
 }
 
 impl SizeSpec {
-    /// Paper-scale spec for a size class. GO terms scale with gene count
-    /// (roughly one category per 12 genes, in line with GO slim sizes).
-    pub fn paper_scale(class: SizeClass) -> SizeSpec {
-        let (genes, patients) = class.paper_dims();
-        SizeSpec {
-            genes,
-            patients,
-            go_terms: (genes / 12).max(8),
-        }
-    }
-
     /// Spec scaled down from paper size by `factor` per side (0 < factor <= 1),
-    /// preserving the small:medium:large ratios.
+    /// preserving the small:medium:large ratios; `factor` 1 is paper size.
+    /// GO terms scale with gene count (roughly one category per 12 genes, in
+    /// line with GO slim sizes).
     pub fn scaled(class: SizeClass, factor: f64) -> SizeSpec {
         assert!(factor > 0.0 && factor <= 1.0, "factor in (0, 1]");
         let (genes, patients) = class.paper_dims();

@@ -36,8 +36,8 @@ fn main() {
             let report = engine
                 .run(query, &data, &params, &ctx)
                 .expect("bench-scale runs complete");
-            let wall = report.phases.data_management.wall_secs + report.phases.analytics.wall_secs;
-            let sim = report.phases.data_management.sim_secs + report.phases.analytics.sim_secs;
+            let (dm, an) = (report.phases().data_management, report.phases().analytics);
+            let (wall, sim) = (dm.wall_secs + an.wall_secs, dm.sim_secs + an.sim_secs);
             println!(
                 "{:<22} {:>8} {:>12} {:>12} {:>12}",
                 engine.name(),

@@ -38,8 +38,8 @@ fn main() {
         println!(
             "{:<14} {:>12} {:>12}  {}",
             query.name(),
-            genbase_util::fmt_secs(report.phases.data_management.total_secs()),
-            genbase_util::fmt_secs(report.phases.analytics.total_secs()),
+            genbase_util::fmt_secs(report.phases().data_management.total_secs()),
+            genbase_util::fmt_secs(report.phases().analytics.total_secs()),
             report.output.summary(),
         );
     }

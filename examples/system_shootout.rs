@@ -42,8 +42,8 @@ fn main() {
             .expect("bench-scale runs complete");
         results.push((
             engine.name().to_string(),
-            report.phases.data_management.total_secs(),
-            report.phases.analytics.total_secs(),
+            report.phases().data_management.total_secs(),
+            report.phases().analytics.total_secs(),
             report.output.summary(),
         ));
     }

@@ -642,7 +642,7 @@ fn harness_converts_failures_without_crashing() {
             // Every cell must be a well-formed outcome (infinite or
             // unsupported under these hostile budgets — or completed, for
             // phases too short to hit a checkpoint).
-            let _ = rec.outcome.cell();
+            let _ = genbase::sched::CellOutcome::from_run(&rec.outcome).cell();
         }
     }
 }

@@ -9,10 +9,11 @@
 //! 3. after every `settle` the checkpoint on disk parses, holds the cell
 //!    just settled, and never holds fewer cells than an earlier read found.
 
+use genbase::plan::{OpCost, OpKind, OpTrace, Phase, PlanTrace};
 use genbase::sched::{CellKey, CellOutcome, FigureId, Ledger, ReportGrid, SweepOutcome};
 use genbase::Query;
 use genbase_datagen::SizeClass;
-use genbase_util::{CostReport, Error, Json, Result};
+use genbase_util::{Error, Json, Result};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -64,13 +65,18 @@ fn outcome(i: usize) -> CellOutcome {
             reason: format!("cutoff in cell {i}"),
         },
         _ => CellOutcome::Completed {
-            dm: CostReport {
-                wall_secs: 0.0,
-                sim_secs: i as f64 * 0.5,
-                sim_bytes: i as u64,
+            trace: PlanTrace {
+                ops: vec![OpTrace {
+                    kind: OpKind::Analytics,
+                    phase: Phase::Analytics,
+                    label: format!("cell {i}"),
+                    cost: OpCost {
+                        sim_nanos: i as u64 * 500_000_000,
+                        sim_bytes: i as u64,
+                        ..OpCost::default()
+                    },
+                }],
             },
-            an: CostReport::default(),
-            trace: Vec::new(),
         },
     }
 }

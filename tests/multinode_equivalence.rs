@@ -76,7 +76,7 @@ fn network_time_appears_only_on_multi_node_runs() {
             &ExecContext::single_node(),
         )
         .unwrap();
-    let sim1 = single.phases.data_management.sim_secs + single.phases.analytics.sim_secs;
+    let sim1 = single.phases().data_management.sim_secs + single.phases().analytics.sim_secs;
     assert_eq!(sim1, 0.0, "single node must not charge network time");
     let multi = engine
         .run(
@@ -86,7 +86,7 @@ fn network_time_appears_only_on_multi_node_runs() {
             &ExecContext::multi_node(4),
         )
         .unwrap();
-    let sim4 = multi.phases.data_management.sim_secs + multi.phases.analytics.sim_secs;
+    let sim4 = multi.phases().data_management.sim_secs + multi.phases().analytics.sim_secs;
     assert!(sim4 > 0.0, "4 nodes must charge allreduce traffic");
 }
 
@@ -99,7 +99,7 @@ fn more_nodes_more_network_for_rooted_collectives() {
         let report = engine
             .run(Query::Svd, &data, &params, &ExecContext::multi_node(nodes))
             .unwrap();
-        report.phases.data_management.sim_secs + report.phases.analytics.sim_secs
+        report.phases().data_management.sim_secs + report.phases().analytics.sim_secs
     };
     let two = sim_for(2);
     let four = sim_for(4);

@@ -50,7 +50,7 @@ fn hadoop_is_an_order_of_magnitude_behind_scidb() {
             sim_nanos(&slow)
         );
         assert_eq!(sim_nanos(&fast), 0, "{query:?}: SciDB charges no sim time");
-        let (fast, slow) = (fast.phases.total_secs(), slow.phases.total_secs());
+        let (fast, slow) = (fast.phases().total_secs(), slow.phases().total_secs());
         println!("margin hadoop/scidb {query:?} {:.3}", slow / fast);
         assert!(
             slow > 5.0 * fast,
@@ -83,7 +83,7 @@ fn dm_costs(a: &dyn Engine, b: &dyn Engine, queries: &[Query]) -> Vec<(Query, Dm
             .iter()
             .filter(|op| op.phase == Phase::DataManagement);
         DmCost {
-            secs: report.phases.data_management.total_secs(),
+            secs: report.phases().data_management.total_secs(),
             bytes: dm_ops.map(|op| op.cost.bytes_moved()).sum(),
         }
     };
@@ -159,8 +159,8 @@ fn udf_marshalling_hurts_biclustering() {
         marshal(&with_penalty)
     );
     assert!(marshal(&clean).is_empty(), "SciDB marshals nothing");
-    let with_penalty = with_penalty.phases.data_management.total_secs();
-    let clean = clean.phases.data_management.total_secs();
+    let with_penalty = with_penalty.phases().data_management.total_secs();
+    let clean = clean.phases().data_management.total_secs();
     println!("margin udf/scidb dm {:.3}", with_penalty / clean);
     assert!(
         with_penalty > clean,
@@ -251,7 +251,7 @@ fn analytics_kernel(
         .expect("the query runs an analytics op");
     (
         kernel.cost.kernel_threads,
-        report.phases.analytics.total_secs(),
+        report.phases().analytics.total_secs(),
     )
 }
 
@@ -304,7 +304,7 @@ fn phi_accelerates_compute_heavy_queries_not_biclustering() {
     let scidb = engines::SciDb::new();
     let phi = engines::SciDbPhi::new();
     let analytics =
-        |engine: &dyn Engine, q: Query| report(engine, q, &data).phases.analytics.total_secs();
+        |engine: &dyn Engine, q: Query| report(engine, q, &data).phases().analytics.total_secs();
     // Why, from the model alone: the Phi roofline gives covariance a
     // larger kernel speedup than biclustering on the very matrices these
     // cells offload (their PCIe bytes give the rows; every gene is a

@@ -575,36 +575,3 @@ fn concurrent_cells_account_independently() {
         assert_eq!(cell.current(), (i as u64 + 1) * 1_000, "cell {i} isolated");
     }
 }
-
-/// Pre-memory-dimension artifacts — trace ops without the `mem_*` columns,
-/// grids without traces — must still load (the wire/file compatibility
-/// contract).
-#[test]
-fn old_memoryless_artifacts_still_load() {
-    use genbase::plan::OpTrace;
-    use genbase::sched::ReportGrid;
-    use genbase_util::Json;
-
-    // A trace op exactly as PR 4 serialized it: no mem_in/mem_out/
-    // mem_peak/rows keys.
-    let old_op = Json::parse(
-        r#"{"op":"restructure","phase":"dm","label":"pivot","wall":0.5,"sim_nanos":42,"model":0.0,"bytes":7}"#,
-    )
-    .unwrap();
-    let op = OpTrace::from_json(&old_op).unwrap();
-    assert_eq!(op.cost.sim_nanos, 42);
-    assert_eq!(op.cost.bytes_in, 0);
-    assert_eq!(op.cost.bytes_out, 0);
-    assert_eq!(op.cost.peak_alloc_bytes, 0);
-    assert_eq!(op.cost.rows_materialized, 0);
-
-    // A PR 3-era grid cell: no trace at all.
-    let old_grid = format!(
-        "{{\"schema\":\"{}\",\"cells\":{{\
-         \"fig1/covariance/small/n1/SciDB\":\
-         {{\"status\":\"completed\",\"dm\":[0.5,0.25,10],\"an\":[1.0,0.0,0]}}}}}}",
-        genbase::sched::GRID_SCHEMA
-    );
-    let grid = ReportGrid::from_json(&old_grid).unwrap();
-    assert_eq!(grid.len(), 1);
-}

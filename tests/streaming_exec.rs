@@ -104,13 +104,13 @@ fn assert_cost_bits(base: CostReport, got: CostReport, what: &str) {
 fn assert_reports_identical(base: &QueryReport, got: &QueryReport, what: &str) {
     assert_eq!(got.output, base.output, "{what}: query output drifted");
     assert_cost_bits(
-        base.phases.data_management,
-        got.phases.data_management,
+        base.phases().data_management,
+        got.phases().data_management,
         &format!("{what} (data management)"),
     );
     assert_cost_bits(
-        base.phases.analytics,
-        got.phases.analytics,
+        base.phases().analytics,
+        got.phases().analytics,
         &format!("{what} (analytics)"),
     );
 }
@@ -267,7 +267,7 @@ fn fig1_streaming_sweep_renders_byte_identically() {
     );
 
     // Concurrent streaming sweep: identical grid bytes (fingerprints match —
-    // both carry the same `;stream=batch64+fused` suffix).
+    // both carry the same `;stream=batch64` suffix).
     let concurrent = Scheduler::new(streaming_config(64)).unwrap();
     let concurrent_out = concurrent
         .run_sweep(
@@ -277,6 +277,29 @@ fn fig1_streaming_sweep_renders_byte_identically() {
         )
         .unwrap();
     assert_eq!(concurrent_out.grid.to_json(), stream_out.grid.to_json());
+}
+
+/// A cell outcome carries exactly what it serializes: every streaming cell
+/// (whose ops record display-only selection-vector rows) equals its own
+/// JSON round trip, so an in-memory streaming grid equals the same grid
+/// loaded from its checkpoint.
+#[test]
+fn streaming_cell_outcomes_equal_their_json_round_trip() {
+    let sched = Scheduler::new(streaming_config(64)).unwrap();
+    for engine in STREAMING_ENGINES {
+        for query in QUERIES {
+            let key = CellKey {
+                figure: FigureId::Fig1,
+                query,
+                size: SizeClass::Small,
+                nodes: 1,
+                engine: engine.to_string(),
+            };
+            let outcome = sched.run_cell(&key, 1).unwrap();
+            let back = CellOutcome::from_json(&outcome.to_json()).unwrap();
+            assert_eq!(back, outcome, "{}", key.id());
+        }
+    }
 }
 
 /// The spill contract: a streaming cell whose working set exceeds
