@@ -11,15 +11,31 @@
 //!    rows) whose residue does not exceed the final `H`.
 //! 4. **Masking** — overwrite the found bicluster's cells with uniform noise
 //!    and repeat to extract further biclusters.
+//!
+//! Phases 1 and 2 use `opts.threads`: they run on one runtime team
+//! ([`genbase_util::runtime::team`]), every pass of the residue engine a
+//! round over fixed row bands, with the leader folding the bands and
+//! picking the node to delete between rounds. One member or several, the
+//! rounds and the result bits are the same; inputs under
+//! `TEAM_MIN_CELLS` (2^17) run on the caller alone.
 
 use crate::msr::{ResidueBlock, SubmatrixStats};
 use genbase_linalg::{ExecOpts, Matrix};
 use genbase_util::progress::{f64s_from_hex, f64s_to_hex};
+use genbase_util::runtime::{team, Team};
 use genbase_util::{Error, Json, Pcg64, Result};
 use std::borrow::Cow;
 
 /// Kernel name Cheng–Church snapshots are filed under in a progress sink.
 pub const CHENG_CHURCH_KERNEL: &str = "cheng_church";
+
+/// Input cells below which the deletion sweep runs on the caller alone:
+/// under this, a step's passes are too short for a helper to pay for its
+/// hand-offs. Wall time only. Measured on top-left blocks of the Large
+/// Query 3 input, 2-core host, best of 15, alone vs with one helper:
+/// 150×300 1.4 vs 1.9 ms, 200×400 3.5–4.5 vs 3.4–3.7, 250×500 7.5 vs 6.2,
+/// 310×720 13.5 vs 11.4.
+const TEAM_MIN_CELLS: usize = 1 << 17;
 
 /// One discovered bicluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,55 +215,17 @@ fn single_bicluster(
     let mut rows: Vec<usize> = (0..m).collect();
     let mut cols: Vec<usize> = (0..n).collect();
 
-    // Phase 1: multiple node deletion (only worthwhile above ~100 nodes,
-    // matching the original paper's heuristic).
-    let mut block = ResidueBlock::gather(work, &rows, &cols);
-    loop {
-        opts.budget.check("biclustering: multiple deletion")?;
-        if block.stats().msr <= config.delta {
-            break;
-        }
-        let mut changed = false;
-        if rows.len() > config.min_rows.max(100) {
-            let threshold = config.alpha * block.stats().msr;
-            let keep = within(&rows, &block.stats().row_residues, threshold);
-            if keep.len() >= config.min_rows && keep.len() < rows.len() {
-                rows = keep;
-                changed = true;
-                block.regather(work, &rows, &cols);
-            }
-        }
-        if cols.len() > config.min_cols.max(100) {
-            let threshold = config.alpha * block.stats().msr;
-            let keep = within(&cols, &block.stats().col_residues, threshold);
-            if keep.len() >= config.min_cols && keep.len() < cols.len() {
-                cols = keep;
-                changed = true;
-                block.regather(work, &rows, &cols);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Phase 2: single node deletion, in place on the compacted block.
-    while block.stats().msr > config.delta {
-        opts.budget.check("biclustering: single deletion")?;
-        let (ri, rd) = worst(&block.stats().row_residues);
-        let (ci, cd) = worst(&block.stats().col_residues);
-        let can_drop_row = rows.len() > config.min_rows;
-        let can_drop_col = cols.len() > config.min_cols;
-        if can_drop_row && (rd >= cd || !can_drop_col) {
-            rows.remove(ri);
-            block.delete_row(ri);
-        } else if can_drop_col {
-            cols.remove(ci);
-            block.delete_col(ci);
-        } else {
-            break; // at minimum size on both axes
-        }
-    }
+    // Phases 1 and 2 run their passes as team rounds over row bands: one
+    // pool job for the whole deletion sweep, the same rounds (and bits) at
+    // every member count.
+    let threads = if m * n < TEAM_MIN_CELLS {
+        1
+    } else {
+        opts.threads
+    };
+    team(threads, |team| {
+        delete_nodes(work, config, opts, &mut rows, &mut cols, team)
+    })?;
 
     // Phase 3: node addition against the original (unmasked) data.
     let mut inverted_rows = Vec::new();
@@ -301,6 +279,69 @@ fn single_bicluster(
         msr: final_stats.msr,
         inverted_rows,
     })
+}
+
+/// Phases 1 and 2 on the selection `(rows, cols)` of `work`: multiple
+/// node deletion (only worthwhile above ~100 nodes, matching the original
+/// paper's heuristic), then single node deletion in place on the block.
+fn delete_nodes(
+    work: &Matrix,
+    config: &ChengChurchConfig,
+    opts: &ExecOpts,
+    rows: &mut Vec<usize>,
+    cols: &mut Vec<usize>,
+    team: &Team<'_>,
+) -> Result<()> {
+    // Phase 1: multiple node deletion.
+    let mut block = ResidueBlock::gather(work, rows, cols, team);
+    loop {
+        opts.budget.check("biclustering: multiple deletion")?;
+        if block.stats().msr <= config.delta {
+            break;
+        }
+        let mut changed = false;
+        if rows.len() > config.min_rows.max(100) {
+            let threshold = config.alpha * block.stats().msr;
+            let keep = within(rows, &block.stats().row_residues, threshold);
+            if keep.len() >= config.min_rows && keep.len() < rows.len() {
+                *rows = keep;
+                changed = true;
+                block.regather(work, rows, cols, team);
+            }
+        }
+        if cols.len() > config.min_cols.max(100) {
+            let threshold = config.alpha * block.stats().msr;
+            let keep = within(cols, &block.stats().col_residues, threshold);
+            if keep.len() >= config.min_cols && keep.len() < cols.len() {
+                *cols = keep;
+                changed = true;
+                block.regather(work, rows, cols, team);
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    // Phase 2: single node deletion, in place on the block.
+    while block.stats().msr > config.delta {
+        opts.budget.check("biclustering: single deletion")?;
+        let (ri, rd) = worst(&block.stats().row_residues);
+        let (ci, cd) = worst(&block.stats().col_residues);
+        let can_drop_row = rows.len() > config.min_rows;
+        let can_drop_col = cols.len() > config.min_cols;
+        if can_drop_row && (rd >= cd || !can_drop_col) {
+            rows.remove(ri);
+            block.delete_row(ri, team);
+        } else if can_drop_col {
+            cols.remove(ci);
+            block.delete_col(ci, team);
+        } else {
+            break; // at minimum size on both axes
+        }
+    }
+
+    Ok(())
 }
 
 /// The members whose residue does not exceed `threshold`.

@@ -6,6 +6,8 @@
 //! `H(I, J)` is the mean of `r_ij²`; a perfect (shifted) pattern has H = 0.
 
 use genbase_linalg::Matrix;
+use genbase_util::runtime::{team, Team};
+use genbase_util::SharedSlice;
 
 /// Independent partial sums one row is reduced through. The split is by
 /// position alone (`element j` feeds lane `j % LANES`; lanes fold pairwise
@@ -60,34 +62,115 @@ pub struct SubmatrixStats {
     pub col_residues: Vec<f64>,
 }
 
-/// The residue engine: a compacted, contiguous `|I| x |J|` copy of the
-/// selection plus its always-current [`SubmatrixStats`]. Cheng–Church
-/// deletes rows and columns from it in place, and each deletion recomputes
-/// only what it changed: a row deletion re-sums the columns (every other
-/// row's sum stands), a column deletion re-sums each row as it closes it up
-/// (every other column's mean stands). The residue pass then runs over the
-/// block. Every loop is stride-1 over a block that shrinks with the
-/// selection (and soon fits in cache), and every statistic has the bits a
-/// fresh [`ResidueBlock::gather`] of the same selection would give.
+/// Live rows per band. Column sums and column residues are folded from one
+/// partial per band (rows `b * BAND .. (b + 1) * BAND` by position, summed
+/// row by row), in band order starting from band 0's partial, so a block of
+/// one band sums exactly as a plain row-by-row loop. Bands are the tasks of
+/// a team round, and the fold adds `1 / BAND` of a pass. `find_biclusters`
+/// on the Large Query 3 input (609×1440) at 2 threads, 2-core host, best of
+/// 8 over three alternations: 72–76 ms with 32-row bands, 67–74 with 64,
+/// 75–77 with 16; at Medium (310×720) all three read 12–14 ms. 32 keeps
+/// the split fine enough for more members (a 346-row block is 11 bands).
+const BAND: usize = 32;
+
+/// Number of bands over `nr` live rows.
+fn bands(nr: usize) -> usize {
+    nr.div_ceil(BAND)
+}
+
+/// Positions of band `b`'s rows.
+fn band(b: usize, nr: usize) -> std::ops::Range<usize> {
+    b * BAND..((b + 1) * BAND).min(nr)
+}
+
+/// Fold the first `n` cells of the first `bands` band partials (each
+/// `stride` wide) into `out`, in band order from band 0's partial.
+fn fold_bands(parts: &[f64], stride: usize, bands: usize, n: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend_from_slice(&parts[..n]);
+    for part in parts.chunks_exact(stride).take(bands).skip(1) {
+        for (o, &p) in out.iter_mut().zip(&part[..n]) {
+            *o += p;
+        }
+    }
+}
+
+/// One row of the residue pass: adds each squared residue to its column's
+/// cell of `col_res` and returns the row's sum of them, through the same
+/// lanes as [`lane_sum`].
+#[inline]
+fn residue_row(
+    row: &[f64],
+    col_means: &[f64],
+    row_mean: f64,
+    overall: f64,
+    col_res: &mut [f64],
+) -> f64 {
+    let mut lanes = [0.0; LANES];
+    let mut cells = row.chunks_exact(LANES);
+    let mut means = col_means.chunks_exact(LANES);
+    let mut res = col_res.chunks_exact_mut(LANES);
+    for ((a, cm), c) in (&mut cells).zip(&mut means).zip(&mut res) {
+        for l in 0..LANES {
+            let resid = a[l] - row_mean - cm[l] + overall;
+            let sq = resid * resid;
+            c[l] += sq;
+            lanes[l] += sq;
+        }
+    }
+    let tail = cells.remainder().iter().zip(means.remainder());
+    for ((lane, c), (&a, &cm)) in lanes.iter_mut().zip(res.into_remainder()).zip(tail) {
+        let resid = a - row_mean - cm + overall;
+        let sq = resid * resid;
+        *c += sq;
+        *lane += sq;
+    }
+    fold_lanes(lanes)
+}
+
+/// The residue engine: a gathered copy of the selection plus its
+/// always-current [`SubmatrixStats`]. Cheng–Church deletes rows and columns
+/// from it in place, and each deletion recomputes only what it changed: a
+/// row deletion re-sums the columns (every other row's sum stands), a column
+/// deletion re-sums each row as it closes it up (every other column's mean
+/// stands). The residue pass then runs over the block.
+///
+/// Rows keep the stride of the gathered width, so a column deletion closes
+/// up each row's tail in place and no row depends on another; a row deletion
+/// drops the row's slot and moves no cells. Every pass is a [`Team::round`]
+/// over fixed [`BAND`]s of rows, and the leader folds the bands' column
+/// partials in band order. Bands are assigned by row position, so a fresh
+/// [`ResidueBlock::gather`] of the same selection, any deletion history and
+/// any member count give every statistic the same bits.
 pub(crate) struct ResidueBlock {
-    /// `nr * nc` live cells, row-major with stride `nc`.
+    /// Gathered rows, `stride` cells each; a live row's `nc` cells are the
+    /// head of its row.
     cells: Vec<f64>,
-    nr: usize,
+    stride: usize,
+    /// The gathered row each live row is, in position order.
+    slots: Vec<usize>,
     nc: usize,
     stats: SubmatrixStats,
     /// Lane sum of each live row; the row means and the overall mean are
     /// derived from these.
     row_sums: Vec<f64>,
-    /// One row of squared residues, between the two loops that read it.
-    squares: Vec<f64>,
+    /// One `stride`-wide partial per band: column sums, then column
+    /// residues.
+    parts: Vec<f64>,
 }
 
 impl ResidueBlock {
     /// Copy the selection `(rows, cols)` of `data` and compute its stats.
-    pub(crate) fn gather(data: &Matrix, rows: &[usize], cols: &[usize]) -> ResidueBlock {
+    pub(crate) fn gather(
+        data: &Matrix,
+        rows: &[usize],
+        cols: &[usize],
+        team: &Team<'_>,
+    ) -> ResidueBlock {
         let mut block = ResidueBlock {
             cells: Vec::new(),
-            nr: 0,
+            stride: 0,
+            slots: Vec::new(),
             nc: 0,
             stats: SubmatrixStats {
                 row_means: Vec::new(),
@@ -98,29 +181,59 @@ impl ResidueBlock {
                 col_residues: Vec::new(),
             },
             row_sums: Vec::new(),
-            squares: Vec::new(),
+            parts: Vec::new(),
         };
-        block.regather(data, rows, cols);
+        block.regather(data, rows, cols, team);
         block
     }
 
     /// Replace the block with the selection `(rows, cols)` of `data`,
-    /// reusing its buffers (a narrower selection allocates nothing).
-    pub(crate) fn regather(&mut self, data: &Matrix, rows: &[usize], cols: &[usize]) {
+    /// reusing its buffers (a smaller selection allocates nothing).
+    pub(crate) fn regather(
+        &mut self,
+        data: &Matrix,
+        rows: &[usize],
+        cols: &[usize],
+        team: &Team<'_>,
+    ) {
         let (nr, nc) = (rows.len(), cols.len());
         assert!(nr > 0 && nc > 0, "empty selection");
-        self.cells.clear();
-        self.cells.reserve(nr * nc);
-        for &r in rows {
-            let row = data.row(r);
-            self.cells.extend(cols.iter().map(|&c| row[c]));
-        }
-        (self.nr, self.nc) = (nr, nc);
-        self.row_sums.clear();
-        self.row_sums
-            .extend(self.cells.chunks_exact(nc).map(lane_sum));
-        self.sum_cols();
-        self.finish();
+        (self.stride, self.nc) = (nc, nc);
+        self.slots.clear();
+        self.slots.extend(0..nr);
+        self.cells.resize(nr * nc, 0.0);
+        self.row_sums.resize(nr, 0.0);
+        self.parts.resize(bands(nr) * nc, 0.0);
+        let cells = SharedSlice::new(&mut self.cells);
+        let sums = SharedSlice::new(&mut self.row_sums);
+        let parts = SharedSlice::new(&mut self.parts);
+        team.round(bands(nr), |b| {
+            let span = band(b, nr);
+            // SAFETY: band `b` alone writes its rows, its row sums and its
+            // partial (a fresh gather's slots are the positions).
+            let (sums, part) = unsafe {
+                (
+                    sums.slice_mut(span.start, span.len()),
+                    parts.slice_mut(b * nc, nc),
+                )
+            };
+            part.fill(0.0);
+            for (pos, sum) in span.zip(sums) {
+                // SAFETY: row `pos` is in band `b`, which no other task
+                // touches.
+                let row = unsafe { cells.slice_mut(pos * nc, nc) };
+                let src = data.row(rows[pos]);
+                for (a, &c) in row.iter_mut().zip(cols) {
+                    *a = src[c];
+                }
+                *sum = lane_sum(row);
+                for (p, &a) in part.iter_mut().zip(&*row) {
+                    *p += a;
+                }
+            }
+        });
+        self.finish_cols();
+        self.finish(team);
     }
 
     /// Statistics of the current block.
@@ -131,56 +244,70 @@ impl ResidueBlock {
     /// Drop the row at position `ri` and recompute the stats. The other
     /// rows keep their cells, so their sums stand; the column means are
     /// re-summed over the rows that are left.
-    pub(crate) fn delete_row(&mut self, ri: usize) {
-        let nc = self.nc;
-        self.cells.copy_within((ri + 1) * nc..self.nr * nc, ri * nc);
-        self.nr -= 1;
-        self.cells.truncate(self.nr * nc);
+    pub(crate) fn delete_row(&mut self, ri: usize, team: &Team<'_>) {
+        self.slots.remove(ri);
         self.row_sums.remove(ri);
-        self.sum_cols();
-        self.finish();
-    }
-
-    /// Drop the column at position `ci`, closing every row up so the block
-    /// stays contiguous, and recompute the stats. Each row is re-summed as
-    /// soon as it is closed up; the other columns keep their cells in the
-    /// same row order, so their means stand.
-    pub(crate) fn delete_col(&mut self, ci: usize) {
-        let (nr, nc) = (self.nr, self.nc);
-        // Cells before (0, ci) stay put; each later run of `nc - 1` kept
-        // cells moves left by one more than the run before it. Run `i` ends
-        // new row `i`, whose head the run before it already moved.
-        for i in 0..nr {
-            let src = i * nc + ci + 1;
-            let len = if i + 1 < nr { nc - 1 } else { nc - 1 - ci };
-            self.cells.copy_within(src..src + len, src - 1 - i);
-            self.row_sums[i] = lane_sum(&self.cells[i * (nc - 1)..(i + 1) * (nc - 1)]);
-        }
-        self.nc -= 1;
-        self.cells.truncate(nr * self.nc);
-        self.stats.col_means.remove(ci);
-        self.finish();
-    }
-
-    /// Column means of the current block: each column summed row by row.
-    fn sum_cols(&mut self) {
-        let means = &mut self.stats.col_means;
-        means.clear();
-        means.resize(self.nc, 0.0);
-        for row in self.cells.chunks_exact(self.nc) {
-            for (c, &a) in means.iter_mut().zip(row) {
-                *c += a;
+        let (nr, nc, stride) = (self.slots.len(), self.nc, self.stride);
+        let (cells, slots) = (&self.cells, &self.slots);
+        let parts = SharedSlice::new(&mut self.parts);
+        team.round(bands(nr), |b| {
+            // SAFETY: band `b` alone writes its partial.
+            let part = unsafe { parts.slice_mut(b * stride, nc) };
+            part.fill(0.0);
+            for &slot in &slots[band(b, nr)] {
+                for (p, &a) in part
+                    .iter_mut()
+                    .zip(&cells[slot * stride..slot * stride + nc])
+                {
+                    *p += a;
+                }
             }
-        }
+        });
+        self.finish_cols();
+        self.finish(team);
+    }
+
+    /// Drop the column at position `ci`, closing each row's tail up over
+    /// it, and recompute the stats. Each row is re-summed as soon as it is
+    /// closed up; the other columns keep their cells in the same row order,
+    /// so their means stand.
+    pub(crate) fn delete_col(&mut self, ci: usize, team: &Team<'_>) {
+        let (nr, nc, stride) = (self.slots.len(), self.nc, self.stride);
+        let slots = &self.slots;
+        let cells = SharedSlice::new(&mut self.cells);
+        let sums = SharedSlice::new(&mut self.row_sums);
+        team.round(bands(nr), |b| {
+            let span = band(b, nr);
+            // SAFETY: band `b` alone writes its row sums and its rows (each
+            // live row has its own slot).
+            let sums = unsafe { sums.slice_mut(span.start, span.len()) };
+            for (&slot, sum) in slots[span].iter().zip(sums) {
+                // SAFETY: `slot` is a live row of band `b`; slots are
+                // distinct, so no other task touches its cells.
+                let row = unsafe { cells.slice_mut(slot * stride, nc) };
+                row.copy_within(ci + 1.., ci);
+                *sum = lane_sum(&row[..nc - 1]);
+            }
+        });
+        self.nc -= 1;
+        self.stats.col_means.remove(ci);
+        self.finish(team);
+    }
+
+    /// Column means from the band partials of the column sums.
+    fn finish_cols(&mut self) {
+        let nr = self.slots.len();
+        let means = &mut self.stats.col_means;
+        fold_bands(&self.parts, self.stride, bands(nr), self.nc, means);
         for m in means.iter_mut() {
-            *m /= self.nr as f64;
+            *m /= nr as f64;
         }
     }
 
     /// Row means and the overall mean from the row sums (in row order),
     /// then the residue pass, given current column means.
-    fn finish(&mut self) {
-        let (nr, nc) = (self.nr, self.nc);
+    fn finish(&mut self, team: &Team<'_>) {
+        let (nr, nc, stride) = (self.slots.len(), self.nc, self.stride);
         let st = &mut self.stats;
 
         st.row_means.clear();
@@ -193,25 +320,34 @@ impl ResidueBlock {
         overall /= (nr * nc) as f64;
 
         st.row_residues.resize(nr, 0.0);
-        st.col_residues.resize(nc, 0.0);
-        st.col_residues.fill(0.0);
-        self.squares.resize(nc, 0.0);
-        let mut msr = 0.0;
-        let rows = self.cells.chunks_exact(nc);
-        for ((row, &rm), d) in rows.zip(&st.row_means).zip(&mut st.row_residues) {
-            let cells = row.iter().zip(&st.col_means);
-            for ((sq, c), (&a, &cm)) in self.squares.iter_mut().zip(&mut st.col_residues).zip(cells)
-            {
-                let resid = a - rm - cm + overall;
-                *sq = resid * resid;
-                *c += *sq;
+        let (cells, slots) = (&self.cells, &self.slots);
+        let (row_means, col_means) = (&st.row_means, &st.col_means);
+        let sums = SharedSlice::new(&mut st.row_residues);
+        let parts = SharedSlice::new(&mut self.parts);
+        team.round(bands(nr), |b| {
+            let span = band(b, nr);
+            // SAFETY: band `b` alone writes its rows' residue sums and its
+            // partial.
+            let (sums, part) = unsafe {
+                (
+                    sums.slice_mut(span.start, span.len()),
+                    parts.slice_mut(b * stride, nc),
+                )
+            };
+            part.fill(0.0);
+            for ((&slot, &rm), sum) in slots[span.clone()].iter().zip(&row_means[span]).zip(sums) {
+                let row = &cells[slot * stride..slot * stride + nc];
+                *sum = residue_row(row, col_means, rm, overall, part);
             }
-            let sum = lane_sum(&self.squares);
-            msr += sum;
-            *d = sum / nc as f64;
-        }
+        });
+        fold_bands(&self.parts, stride, bands(nr), nc, &mut st.col_residues);
         for d in &mut st.col_residues {
             *d /= nr as f64;
+        }
+        let mut msr = 0.0;
+        for d in &mut st.row_residues {
+            msr += *d;
+            *d /= nc as f64;
         }
         st.overall_mean = overall;
         st.msr = msr / (nr * nc) as f64;
@@ -221,7 +357,7 @@ impl ResidueBlock {
 impl SubmatrixStats {
     /// Compute all statistics for the selection `(rows, cols)` of `data`.
     pub fn compute(data: &Matrix, rows: &[usize], cols: &[usize]) -> SubmatrixStats {
-        ResidueBlock::gather(data, rows, cols).stats
+        team(1, |team| ResidueBlock::gather(data, rows, cols, team).stats)
     }
 
     /// Mean squared residue a *candidate* row `r` (not currently selected)
@@ -348,47 +484,62 @@ pub(crate) mod tests {
         );
     }
 
-    /// The engine's full sweep as it ran before deletions reused sums: one
-    /// pass for the column sums, the row lane sums and the overall sum, a
-    /// second for the residues. A fresh gather must match it bit for bit.
+    /// The engine's full sweep, written out: one pass for the row lane
+    /// sums, the overall sum and the column sums, a second for the residues.
+    /// Column sums and column residues are summed row by row within each
+    /// band of `BAND` rows and the band partials folded in band order from
+    /// band 0's. A fresh gather must match it bit for bit.
     fn full_sweep_stats(data: &Matrix, rows: &[usize], cols: &[usize]) -> SubmatrixStats {
         let (nr, nc) = (rows.len(), cols.len());
         let cells: Vec<f64> = rows
             .iter()
             .flat_map(|&r| cols.iter().map(move |&c| data.get(r, c)))
             .collect();
+        let fold = |cell: &dyn Fn(usize, usize) -> f64| -> Vec<f64> {
+            let partials: Vec<Vec<f64>> = (0..nr)
+                .step_by(BAND)
+                .map(|start| {
+                    let mut part = vec![0.0; nc];
+                    for i in start..(start + BAND).min(nr) {
+                        for (j, p) in part.iter_mut().enumerate() {
+                            *p += cell(i, j);
+                        }
+                    }
+                    part
+                })
+                .collect();
+            let mut total = partials[0].clone();
+            for part in &partials[1..] {
+                for (t, &p) in total.iter_mut().zip(part) {
+                    *t += p;
+                }
+            }
+            total
+        };
         let mut row_means = vec![0.0; nr];
-        let mut col_means = vec![0.0; nc];
         let mut overall = 0.0;
         for (row, mean) in cells.chunks_exact(nc).zip(&mut row_means) {
-            for (c, &a) in col_means.iter_mut().zip(row) {
-                *c += a;
-            }
             let sum = lane_sum(row);
             overall += sum;
             *mean = sum / nc as f64;
         }
+        let mut col_means = fold(&|i, j| cells[i * nc + j]);
         col_means.iter_mut().for_each(|m| *m /= nr as f64);
         overall /= (nr * nc) as f64;
+        let square = |i: usize, j: usize| {
+            let resid = cells[i * nc + j] - row_means[i] - col_means[j] + overall;
+            resid * resid
+        };
+        let mut col_residues = fold(&square);
+        col_residues.iter_mut().for_each(|d| *d /= nr as f64);
         let mut row_residues = vec![0.0; nr];
-        let mut col_residues = vec![0.0; nc];
-        let mut squares = vec![0.0; nc];
         let mut msr = 0.0;
-        for ((row, &rm), d) in cells
-            .chunks_exact(nc)
-            .zip(&row_means)
-            .zip(&mut row_residues)
-        {
-            for (ci, &a) in row.iter().enumerate() {
-                let resid = a - rm - col_means[ci] + overall;
-                squares[ci] = resid * resid;
-                col_residues[ci] += squares[ci];
-            }
+        for (i, d) in row_residues.iter_mut().enumerate() {
+            let squares: Vec<f64> = (0..nc).map(|j| square(i, j)).collect();
             let sum = lane_sum(&squares);
             msr += sum;
             *d = sum / nc as f64;
         }
-        col_residues.iter_mut().for_each(|d| *d /= nr as f64);
         SubmatrixStats {
             row_means,
             col_means,
@@ -417,14 +568,21 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn engine_matches_reference_after_random_deletions() {
-        for seed in 0..40u64 {
+    /// Random blocks of up to `max_rows x max_cols`, gathered from a
+    /// scattered selection and then deleted down to 1x1 in random order on a
+    /// team of up to `threads` members. After every step each statistic is
+    /// held to the textbook sums within 1e-12 and, bit for bit, to a fresh
+    /// gather and to `full_sweep_stats`.
+    fn check_random_deletions(
+        seeds: std::ops::Range<u64>,
+        max_rows: u64,
+        max_cols: u64,
+        threads: usize,
+    ) {
+        for seed in seeds {
             let mut rng = Pcg64::new(0xde1e7e ^ seed);
-            // Widths around the lane count, so whole steps, tails and
-            // rows shorter than one step all occur as columns go.
-            let m = 2 + rng.next_below(40) as usize;
-            let n = 2 + rng.next_below(70) as usize;
+            let m = 2 + rng.next_below(max_rows - 1) as usize;
+            let n = 2 + rng.next_below(max_cols - 1) as usize;
             let shift = rng.normal() * 10.0;
             let data = Matrix::from_fn(m, n, |_, _| shift + rng.normal() * 3.0);
             let scale = data.data().iter().fold(0.0f64, |s, v| s.max(v.abs()));
@@ -434,42 +592,60 @@ pub(crate) mod tests {
             if rows.is_empty() || cols.is_empty() {
                 continue;
             }
-            let mut block = ResidueBlock::gather(&data, &rows, &cols);
-            assert_close(
-                block.stats(),
-                &reference_stats(&data, &rows, &cols),
-                scale,
-                "gathered",
-            );
-            assert_same_bits(
-                block.stats(),
-                &full_sweep_stats(&data, &rows, &cols),
-                "gathered",
-            );
-            while rows.len() > 1 || cols.len() > 1 {
-                let drop_row = rows.len() > 1 && (cols.len() == 1 || rng.chance(0.4));
-                if drop_row {
-                    let ri = rng.next_below(rows.len() as u64) as usize;
-                    rows.remove(ri);
-                    block.delete_row(ri);
-                } else {
-                    let ci = rng.next_below(cols.len() as u64) as usize;
-                    cols.remove(ci);
-                    block.delete_col(ci);
-                }
-                let what = format!("seed {seed} at {}x{}", rows.len(), cols.len());
+            team(threads, |team| {
+                let mut block = ResidueBlock::gather(&data, &rows, &cols, team);
                 assert_close(
                     block.stats(),
                     &reference_stats(&data, &rows, &cols),
                     scale,
-                    &what,
+                    "gathered",
                 );
-                // Deleting in place and gathering afresh are the same block,
-                // down to every bit of every statistic.
-                let fresh = SubmatrixStats::compute(&data, &rows, &cols);
-                assert_same_bits(block.stats(), &fresh, &what);
-                assert_same_bits(&fresh, &full_sweep_stats(&data, &rows, &cols), &what);
-            }
+                assert_same_bits(
+                    block.stats(),
+                    &full_sweep_stats(&data, &rows, &cols),
+                    "gathered",
+                );
+                while rows.len() > 1 || cols.len() > 1 {
+                    let drop_row = rows.len() > 1 && (cols.len() == 1 || rng.chance(0.4));
+                    if drop_row {
+                        let ri = rng.next_below(rows.len() as u64) as usize;
+                        rows.remove(ri);
+                        block.delete_row(ri, team);
+                    } else {
+                        let ci = rng.next_below(cols.len() as u64) as usize;
+                        cols.remove(ci);
+                        block.delete_col(ci, team);
+                    }
+                    let what = format!("seed {seed} at {}x{}", rows.len(), cols.len());
+                    assert_close(
+                        block.stats(),
+                        &reference_stats(&data, &rows, &cols),
+                        scale,
+                        &what,
+                    );
+                    // Deleting in place and gathering afresh are the same
+                    // block, down to every bit of every statistic.
+                    let fresh = SubmatrixStats::compute(&data, &rows, &cols);
+                    assert_same_bits(block.stats(), &fresh, &what);
+                    assert_same_bits(&fresh, &full_sweep_stats(&data, &rows, &cols), &what);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn engine_matches_reference_after_random_deletions() {
+        // Widths around the lane count, so whole steps, tails and rows
+        // shorter than one step all occur as columns go; one band of rows.
+        check_random_deletions(0..40, 41, 71, 1);
+    }
+
+    #[test]
+    fn engine_matches_reference_across_bands() {
+        // Up to six bands of rows, so band partials fold, bands empty out as
+        // rows go, and a team of more than one member splits them.
+        for threads in [1, 2, 3] {
+            check_random_deletions(100..106, 6 * BAND as u64, 40, threads);
         }
     }
 

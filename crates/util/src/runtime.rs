@@ -1,14 +1,23 @@
 //! Shared parallel runtime: one process-wide worker pool reused by every
 //! kernel instead of spawning scoped threads per call.
 //!
-//! The pool is std-only (no external dependencies) and work-stealing in the
-//! sense that matters for these kernels: a job is a counter over `tasks`
-//! indices, and every participating thread repeatedly claims the next
-//! unclaimed index, so fast workers automatically absorb the slow workers'
-//! share. Compared to the previous per-call `crossbeam::thread::scope`
-//! pattern this removes thread spawn/join from every kernel invocation and
-//! gives all layers (linalg, stats, MapReduce simulation, engines) one
-//! parallelism story governed by `ExecOpts.threads`.
+//! The pool is std-only (no external dependencies) and hands out work in two
+//! shapes:
+//!
+//! - **Jobs** ([`parallel_for`], [`parallel_map`], [`try_parallel_for`]). A
+//!   job is a counter over `tasks` indices, and every participating thread
+//!   repeatedly claims the next unclaimed index, so fast workers absorb the
+//!   slow workers' share. One job costs a worker wake-up (≈ 40 µs on a
+//!   2-core host), so a kernel pays it once per call, not once per step.
+//! - **Teams** ([`team`]). A kernel that runs many short steps (Cheng–Church
+//!   deletes ≈ 1000 nodes one at a time, each step a few hundred µs) makes
+//!   the whole call one job: the caller *leads*, and up to `threads − 1` pool
+//!   workers join as *helpers* when they are free. The leader runs
+//!   [`Team::round`]s; each round splits a fixed list of tasks into
+//!   contiguous runs over the members present when it starts. Between
+//!   rounds, members spin for a bounded time, then yield. The leader never
+//!   waits for a helper that has not joined, so a busy pool or a 1-core host
+//!   leaves the caller working alone, never hung.
 //!
 //! Scheduling is dynamic but **results stay deterministic**: kernels assign
 //! each output region to exactly one task and keep a fixed reduction order
@@ -18,19 +27,25 @@
 //! The submitting thread always participates in its own job, which makes
 //! nested `parallel_for` calls deadlock-free: a worker that submits a job
 //! mid-task drives that job to completion itself even if every other worker
-//! is busy.
+//! is busy. A team's leader is its submitting thread in the same way.
+//!
+//! A panic ends a job or a team the same way: the remaining work is skipped
+//! and the first payload is rethrown on the submitting thread once every
+//! participant has let go of the job. An `Err` the team's leader returns
+//! ends the team and releases its helpers.
 
 use crate::lock;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// One submitted parallel job: a task counter plus completion bookkeeping.
 struct Job {
     /// Lifetime-erased task body. Safety: the submitter blocks in
-    /// [`Runtime::run`] until `pending` reaches zero, and no worker touches
+    /// [`Runtime::complete`] until `pending` reaches zero, and no worker touches
     /// this reference after its final `pending` decrement, so the borrow
     /// outlives every use despite the `'static` lie.
     body: &'static (dyn Fn(usize) + Sync),
@@ -164,8 +179,50 @@ impl Runtime {
             }
             return;
         }
+        // SAFETY: `complete` runs before `body`'s borrow ends.
+        let job = unsafe { self.submit(threads, tasks, body) };
+        self.complete(&job);
+    }
+
+    /// Run `lead` on the calling thread as the leader of a team of at most
+    /// `threads` members; pool workers join as helpers while it runs. See
+    /// the module docs and [`Team::round`].
+    pub fn team<R>(&self, threads: usize, lead: impl FnOnce(&Team<'_>) -> R) -> R {
+        let state = TeamState::new();
+        let team = Team {
+            state: &state,
+            _leader_only: PhantomData,
+        };
+        let helpers = threads.max(1).min(self.pool_size + 1) - 1;
+        if helpers == 0 {
+            return lead(&team);
+        }
+        let help = |_: usize| state.help();
+        // SAFETY: `complete` runs before `help` (and `state`) go out of
+        // scope, including when `lead` panics: the panic is caught first.
+        let job = unsafe { self.submit(threads, helpers, &help) };
+        let out = catch_unwind(AssertUnwindSafe(|| lead(&team)));
+        state.end();
+        // Helper slots no worker claimed are claimed here and return at
+        // once; helpers that joined see the end and return.
+        self.complete(&job);
+        out.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
+    /// Queue a job of `tasks` tasks over at most `threads` threads, the
+    /// caller counted as one of them.
+    ///
+    /// # Safety
+    /// The caller must pass the returned job to [`Runtime::complete`] before
+    /// `body`'s borrow ends: the job holds `body` with its lifetime erased.
+    unsafe fn submit(
+        &self,
+        threads: usize,
+        tasks: usize,
+        body: &(dyn Fn(usize) + Sync),
+    ) -> Arc<Job> {
         // Erase the borrow's lifetime; see the safety note on `Job::body`.
-        let body: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
+        let body: &'static (dyn Fn(usize) + Sync) = std::mem::transmute(body);
         let job = Arc::new(Job {
             body,
             next: AtomicUsize::new(0),
@@ -178,11 +235,14 @@ impl Runtime {
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
-        {
-            let mut q = lock(&self.inject);
-            q.push(Arc::clone(&job));
-        }
+        lock(&self.inject).push(Arc::clone(&job));
         self.available.notify_all();
+        job
+    }
+
+    /// Work on `job` until no task is left unclaimed, wait for every task
+    /// to finish, then rethrow the first panic a task raised.
+    fn complete(&self, job: &Arc<Job>) {
         job.participate();
         let mut done = lock(&job.done);
         while !*done {
@@ -192,8 +252,176 @@ impl Runtime {
                 .unwrap_or_else(PoisonError::into_inner);
         }
         drop(done);
-        lock(&self.inject).retain(|j| !Arc::ptr_eq(j, &job));
+        lock(&self.inject).retain(|j| !Arc::ptr_eq(j, job));
         let payload = lock(&job.panic).take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// How long a team member busy-waits before it starts yielding its core
+/// between checks: a helper waiting for the next round, or the leader
+/// waiting for the round's other members. Cheng–Church's leader spends a
+/// few µs between rounds (folding band partials, picking the node to
+/// delete), so a helper is still spinning when the next round starts. On a
+/// quiet 2-core host the bound does not show: `find_biclusters` at Large, 2
+/// threads, best of 8 over three alternations, read 68–75 ms at 20 µs,
+/// 72–76 at 200 µs and 67–74 at 2 ms. It matters when threads outnumber
+/// cores: a member that has waited this long yields, so the thread it
+/// waits for can run.
+const SPIN: Duration = Duration::from_micros(200);
+
+/// Busy-wait, then yield, until `ready` returns a value.
+fn wait_for<T>(mut ready: impl FnMut() -> Option<T>) -> T {
+    let start = Instant::now();
+    loop {
+        if let Some(v) = ready() {
+            return v;
+        }
+        if start.elapsed() < SPIN {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// The members of a round: the leader (member 0) and the helpers with ids
+/// `1..members`. `state` packs the round number (high 32 bits) with the
+/// member count (low 32 bits); a count of 0 means the team has ended.
+const MEMBERS: u64 = 0xffff_ffff;
+
+/// One round's work, published by the leader before the round starts.
+struct Round {
+    body: &'static (dyn Fn(usize) + Sync),
+    tasks: usize,
+}
+
+/// Shared state of one team; lives on the leader's stack for the team's
+/// lifetime.
+struct TeamState {
+    /// Round number and member count, see [`MEMBERS`].
+    state: AtomicU64,
+    /// Helpers that have joined; helper ids are `1..=joined`.
+    joined: AtomicUsize,
+    /// Helpers done with the current round.
+    finished: AtomicUsize,
+    /// The current round's work. Written only by the leader, while no
+    /// helper is inside a round.
+    round: UnsafeCell<Round>,
+    /// First panic a helper's run raised in the current round.
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+// SAFETY: `state`, `joined`, `finished` and `panic` are thread-safe. `round`
+// is written by the leader only between rounds — before it publishes a round
+// in `state` (a SeqCst store, which a helper's SeqCst load of that round
+// synchronises with) and after every member of the previous round has
+// counted itself in `finished` (Release, read with Acquire) — and read by a
+// helper only inside a round it takes part in. The body it holds is `Sync`.
+unsafe impl Sync for TeamState {}
+
+impl TeamState {
+    fn new() -> TeamState {
+        TeamState {
+            state: AtomicU64::new(1),
+            joined: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            round: UnsafeCell::new(Round {
+                body: &|_| {},
+                tasks: 0,
+            }),
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// A helper's life in the team: join, then take part in every round
+    /// that counts it until the team ends.
+    fn help(&self) {
+        // Read the state before joining: a round that counts this helper
+        // was published after the join, so it differs from `seen`.
+        let mut seen = self.state.load(Ordering::SeqCst);
+        let id = self.joined.fetch_add(1, Ordering::SeqCst) + 1;
+        while seen & MEMBERS != 0 {
+            seen = wait_for(|| {
+                let now = self.state.load(Ordering::SeqCst);
+                (now != seen).then_some(now)
+            });
+            let members = (seen & MEMBERS) as usize;
+            if id >= members {
+                continue; // joined after this round started, or the end
+            }
+            // SAFETY: this helper is a member of the published round, so the
+            // leader does not touch `round` until it counts itself finished.
+            let round = unsafe { &*self.round.get() };
+            let run = share(round.tasks, id, members);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run.for_each(round.body))) {
+                lock(&self.panic).get_or_insert(payload);
+            }
+            self.finished.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Tell every helper the team is over.
+    fn end(&self) {
+        let round = self.state.load(Ordering::SeqCst) >> 32;
+        self.state.store((round + 1) << 32, Ordering::SeqCst);
+    }
+}
+
+/// Member `id`'s contiguous run of `0..tasks` in a round of `members`.
+fn share(tasks: usize, id: usize, members: usize) -> std::ops::Range<usize> {
+    tasks * id / members..tasks * (id + 1) / members
+}
+
+/// A kernel's team, handed to the leader by [`team`]. See the module docs.
+/// Only the leader's thread holds it (it is neither `Send` nor `Sync`), so
+/// rounds never overlap: a round's body cannot start another round.
+pub struct Team<'a> {
+    state: &'a TeamState,
+    _leader_only: PhantomData<*const ()>,
+}
+
+impl Team<'_> {
+    /// Run `body(i)` for every `i in 0..tasks`: the tasks are split into
+    /// contiguous runs over the members present now, the leader taking the
+    /// first. Returns once every run has finished, rethrowing the first
+    /// panic any of them raised. A kernel whose tasks write disjoint
+    /// outputs with a fixed order inside each task gets the same bits
+    /// whoever runs which run.
+    pub fn round(&self, tasks: usize, body: impl Fn(usize) + Sync) {
+        let st = self.state;
+        let members = st.joined.load(Ordering::SeqCst) + 1;
+        if members == 1 {
+            (0..tasks).for_each(body);
+            return;
+        }
+        let body: &(dyn Fn(usize) + Sync) = &body;
+        // SAFETY: every member of the previous round has finished (checked
+        // below before the last round returned), so no helper reads `round`;
+        // `body`'s lifetime is erased, and this function does not return
+        // before every member of this round has finished with it.
+        unsafe {
+            *st.round.get() = Round {
+                body: std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(
+                    body,
+                ),
+                tasks,
+            };
+        }
+        // No helper touches `finished` before it sees the round published
+        // below, so the reset needs no ordering of its own.
+        st.finished.store(0, Ordering::Relaxed);
+        let round = (st.state.load(Ordering::Relaxed) >> 32) + 1;
+        st.state
+            .store(round << 32 | members as u64, Ordering::SeqCst);
+        let mine = catch_unwind(AssertUnwindSafe(|| share(tasks, 0, members).for_each(body)));
+        wait_for(|| (st.finished.load(Ordering::Acquire) == members - 1).then_some(()));
+        if let Err(payload) = mine {
+            resume_unwind(payload);
+        }
+        let payload = lock(&st.panic).take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
@@ -215,6 +443,12 @@ pub fn global() -> &'static Runtime {
 /// `threads` concurrent threads.
 pub fn parallel_for(threads: usize, tasks: usize, body: impl Fn(usize) + Sync) {
     global().run(threads, tasks, &body);
+}
+
+/// Run `lead` as the leader of a team of at most `threads` members on the
+/// global pool, returning what it returns. See [`Runtime::team`].
+pub fn team<R>(threads: usize, lead: impl FnOnce(&Team<'_>) -> R) -> R {
+    global().team(threads, lead)
 }
 
 /// Collect `f(i)` for `i in 0..tasks` in index order, computed in parallel.
@@ -441,6 +675,174 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 32);
+    }
+
+    /// Run `f` on its own thread and return its result, failing the test if
+    /// it takes longer than `secs` (a hung team). A hung thread is left
+    /// behind: it cannot be joined.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("finished in time, without panicking")
+    }
+
+    /// Rounds of `members` tasks until one round ran on `members` distinct
+    /// threads, so every helper of a `members`-thread team has joined.
+    fn await_helpers(team: &Team<'_>, members: usize) {
+        loop {
+            let ids = Mutex::new(Vec::new());
+            team.round(members, |_| lock(&ids).push(std::thread::current().id()));
+            let mut ids = ids.into_inner().expect("no round panicked");
+            ids.sort_by_key(|id| format!("{id:?}"));
+            ids.dedup();
+            if ids.len() == members {
+                return;
+            }
+        }
+    }
+
+    /// Every worker of `rt` is free: a job of `threads` tasks that each
+    /// wait for all the others completes.
+    fn pool_is_free(rt: &Runtime, threads: usize) {
+        let barrier = std::sync::Barrier::new(threads);
+        rt.run(threads, threads, &|_| {
+            barrier.wait();
+        });
+    }
+
+    /// Ten rounds of 40 tasks, each task adding into its own slot.
+    fn team_sums(team: &Team<'_>) -> Vec<u64> {
+        let sums: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
+        for round in 0..10u64 {
+            team.round(40, |i| {
+                sums[i].fetch_add(round * 40 + i as u64, Ordering::Relaxed);
+            });
+        }
+        sums.into_iter().map(AtomicU64::into_inner).collect()
+    }
+
+    #[test]
+    fn team_leader_finishes_alone_when_every_worker_is_busy() {
+        within(60, || {
+            let rt = Runtime::with_workers(2);
+            let want = rt.team(1, team_sums);
+            let started = AtomicUsize::new(0);
+            let released = AtomicBool::new(false);
+            // An outer job holds all three threads; one of its tasks leads a
+            // team that no worker is free to join.
+            rt.run(3, 3, &|i| {
+                if i > 0 {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    while !released.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    return;
+                }
+                while started.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+                let leader = std::thread::current().id();
+                let got = rt.team(3, |team| {
+                    let ran = AtomicUsize::new(0);
+                    team.round(64, |_| {
+                        assert_eq!(std::thread::current().id(), leader);
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(ran.into_inner(), 64);
+                    team_sums(team)
+                });
+                released.store(true, Ordering::SeqCst);
+                assert_eq!(got, want);
+            });
+        });
+    }
+
+    #[test]
+    fn team_results_match_with_helpers() {
+        within(60, || {
+            let rt = Runtime::with_workers(3);
+            let want = rt.team(1, team_sums);
+            let got = rt.team(4, |team| {
+                await_helpers(team, 4);
+                team_sums(team)
+            });
+            assert_eq!(got, want);
+        });
+    }
+
+    #[test]
+    fn team_panic_reaches_the_caller_and_every_helper_exits() {
+        within(60, || {
+            let rt = Runtime::with_workers(2);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                rt.team(3, |team| {
+                    await_helpers(team, 3);
+                    // Task 2 of 3 is the last helper's run.
+                    team.round(3, |i| {
+                        if i == 2 {
+                            panic!("helper boom");
+                        }
+                    });
+                    unreachable!("the round rethrows the helper's panic");
+                })
+            }));
+            let payload = result.expect_err("the panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper boom"));
+            // Both workers left the team: a job that needs all three
+            // threads at once completes, and so does a new team.
+            pool_is_free(&rt, 3);
+            assert_eq!(rt.team(3, team_sums), rt.team(1, team_sums));
+        });
+    }
+
+    #[test]
+    fn team_leader_panic_waits_for_its_helpers() {
+        within(60, || {
+            let rt = Runtime::with_workers(2);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                rt.team(3, |team| {
+                    await_helpers(team, 3);
+                    team.round(3, |i| {
+                        if i == 0 {
+                            panic!("leader boom");
+                        }
+                    });
+                })
+            }));
+            let payload = result.expect_err("the panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"leader boom"));
+            pool_is_free(&rt, 3);
+        });
+    }
+
+    #[test]
+    fn team_runs_inside_a_parallel_for_task() {
+        within(60, || {
+            let want = team(1, team_sums);
+            parallel_for(2, 4, |_| {
+                assert_eq!(team(2, team_sums), want);
+            });
+        });
+    }
+
+    #[test]
+    fn team_err_mid_loop_releases_the_helpers() {
+        within(60, || {
+            let rt = Runtime::with_workers(2);
+            let out: Result<(), usize> = rt.team(3, |team| {
+                await_helpers(team, 3);
+                for round in 0..100 {
+                    team.round(6, |_| {});
+                    if round == 10 {
+                        return Err(round);
+                    }
+                }
+                Ok(())
+            });
+            assert_eq!(out, Err(10));
+            pool_is_free(&rt, 3);
+        });
     }
 
     #[test]

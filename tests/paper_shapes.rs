@@ -2,12 +2,13 @@
 //! numbers differ (our substrate is a simulator, not the authors' 2013
 //! testbed), but who-beats-whom must hold. Timing margins are deliberately
 //! generous (2x) to stay robust on noisy CI machines; the two data-management
-//! shapes, the R-vs-SciDB threading shape and the Madlib SVD shape assert on
-//! the deterministic per-op trace instead (storage-layer bytes moved; the
-//! kernel's thread budget), with their wall-clock forms kept as `#[ignore]`d
-//! tests. The Hadoop, UDF-marshalling and Phi shapes keep their wall-clock
-//! assertion in tier-1, each next to a trace or model assertion that cannot
-//! vary between runs and says why the ordering holds.
+//! shapes, the R-vs-SciDB threading shape, the Madlib SVD shape and the
+//! Hadoop shape assert on the deterministic per-op trace instead
+//! (storage-layer bytes moved; the kernel's thread budget; simulated job
+//! launches), with their wall-clock forms kept as `#[ignore]`d tests. The
+//! UDF-marshalling and Phi shapes keep their wall-clock assertion in tier-1,
+//! each next to a trace or model assertion that cannot vary between runs and
+//! says why the ordering holds.
 
 use genbase::prelude::*;
 use genbase_accel::{Coprocessor, OpProfile};
@@ -34,23 +35,37 @@ fn sim_nanos(report: &QueryReport) -> u64 {
 #[test]
 fn hadoop_is_an_order_of_magnitude_behind_scidb() {
     // Paper: "Hadoop ... offers between one and two orders of magnitude
-    // worse performance than the best system."
+    // worse performance than the best system." Why, from the trace alone:
+    // every Hadoop data-management and analytics step is a MapReduce job
+    // that charges the simulated launch latency, and SciDB's plan charges
+    // no simulated time.
     let data = mid_dataset();
-    let scidb = engines::SciDb::new();
-    let hadoop = engines::Hadoop::new();
     let launch = (engines::hadoop::JOB_LAUNCH_SECS * 1e9) as u64;
     for query in [Query::Regression, Query::Covariance, Query::Statistics] {
-        let (fast, slow) = (report(&scidb, query, &data), report(&hadoop, query, &data));
-        // Why, from the trace alone: every Hadoop data-management and
-        // analytics step is a MapReduce job that charges the simulated
-        // launch latency, and SciDB's plan charges no simulated time.
+        let slow = report(&engines::Hadoop::new(), query, &data);
         assert!(
             sim_nanos(&slow) >= 2 * launch,
             "{query:?}: Hadoop charged {} ns, under two job launches",
             sim_nanos(&slow)
         );
+        let fast = report(&engines::SciDb::new(), query, &data);
         assert_eq!(sim_nanos(&fast), 0, "{query:?}: SciDB charges no sim time");
-        let (fast, slow) = (fast.phases().total_secs(), slow.phases().total_secs());
+    }
+}
+
+/// Wall-clock form of [`hadoop_is_an_order_of_magnitude_behind_scidb`]: the
+/// simulated launches plus measured wall. It failed 1 of 50 tier-1 runs
+/// under `--test-threads=8` on a 2-core host (4.80x), where eight test
+/// threads stretched SciDB's measured side. See
+/// [`export_bridge_costs_more_than_udf_bridge_wall_clock`] for how to run it.
+#[test]
+#[ignore = "asserts on measured wall-clock"]
+fn hadoop_is_an_order_of_magnitude_behind_scidb_wall_clock() {
+    let data = mid_dataset();
+    let (scidb, hadoop) = (engines::SciDb::new(), engines::Hadoop::new());
+    for query in [Query::Regression, Query::Covariance, Query::Statistics] {
+        let fast = report(&scidb, query, &data).phases().total_secs();
+        let slow = report(&hadoop, query, &data).phases().total_secs();
         println!("margin hadoop/scidb {query:?} {:.3}", slow / fast);
         assert!(
             slow > 5.0 * fast,

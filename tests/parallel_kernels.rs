@@ -157,8 +157,10 @@ fn qr_regression_bit_identical_across_thread_counts() {
 
 #[test]
 fn cheng_church_bit_identical_across_thread_counts() {
-    // Below and above the ~100-node threshold of multiple node deletion.
-    for (m, n) in [(30usize, 24usize), (220, 180)] {
+    // Below and above the ~100-node threshold of multiple node deletion,
+    // and above the 2^17-cell floor under which the deletion sweep leaves
+    // its helpers out, so runs at 2, 3 and 8 threads split row bands.
+    for (m, n) in [(30usize, 24usize), (220, 180), (400, 340)] {
         let mut data = random_matrix(7 + m as u64, m, n);
         for r in (0..m).step_by(3) {
             for c in (0..n).step_by(2) {
