@@ -366,6 +366,36 @@ fn check_fault_plan() -> std::result::Result<(), UsageError> {
         .map_err(|e| UsageError(format!("GENBASE_FAULTS: {e}")))
 }
 
+/// The multi-node exhibits (fig3, fig4, table1) run on the `--mn-size`
+/// dataset, and the harness builds only the `--sizes` datasets: refuse a
+/// sweep that plans a cell on any other before it runs a cell, not after
+/// the single-node exhibits have swept.
+fn check_mn_size(args: &Args) -> std::result::Result<(), UsageError> {
+    let names = match family(args.what()) {
+        FIGS => &args.words[..],
+        "coordinate" => &args.words[1..],
+        _ => return Ok(()),
+    };
+    // An unknown exhibit is `run`'s error to report.
+    let Ok(figs) = requested_figures(names) else {
+        return Ok(());
+    };
+    let (config, mn_size) = (harness_config(args), args.mn_size());
+    let mut planned = figs
+        .iter()
+        .flat_map(|&f| figures::plan(f, &config, mn_size));
+    if planned.all(|cell| config.sizes.contains(&cell.size)) {
+        return Ok(());
+    }
+    let sizes: Vec<&str> = config.sizes.iter().map(|s| s.slug()).collect();
+    Err(UsageError(format!(
+        "--mn-size {} is not among --sizes {}: fig3, fig4 and table1 run on the \
+         --mn-size dataset (add it to --sizes, or give --mn-size one of them)",
+        mn_size.slug(),
+        sizes.join(",")
+    )))
+}
+
 /// The exhibits `names` ask for (`all` is every one; none means all).
 fn requested_figures(names: &[String]) -> Result<Vec<FigureId>> {
     if names.is_empty() {
@@ -421,7 +451,8 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv)
         .and_then(|args| check_flags(&args).map(|()| args))
-        .and_then(|args| check_fault_plan().map(|()| args));
+        .and_then(|args| check_fault_plan().map(|()| args))
+        .and_then(|args| check_mn_size(&args).map(|()| args));
     let args = match args {
         Ok(args) => args,
         Err(UsageError(usage)) => {

@@ -4,8 +4,8 @@
 //! columns of a matrix into sub-matrices with similar patterns". We implement
 //! the canonical Cheng–Church δ-bicluster algorithm (Cheng & Church, ISMB
 //! 2000): greedy node deletion driven by the mean squared residue (MSR),
-//! node addition (including inverted rows), and random masking to extract
-//! multiple biclusters.
+//! then node addition (including inverted rows), computing the one
+//! bicluster Query 3 reports.
 
 // Index-based loops are the idiom throughout these numerical kernels:
 // explicit ranges keep the row/column structure of the math visible, and
@@ -15,5 +15,5 @@
 pub mod cheng_church;
 pub mod msr;
 
-pub use cheng_church::{find_biclusters, Bicluster, ChengChurchConfig};
+pub use cheng_church::{find_biclusters, Bicluster, ChengChurchConfig, ALPHA, MIN_COLS, MIN_ROWS};
 pub use msr::{mean_squared_residue, SubmatrixStats};

@@ -401,11 +401,7 @@ mod tests {
         }
         let patient_ids: Vec<i64> = (0..20).map(|i| 1000 + i).collect();
         let gene_ids: Vec<i64> = (0..16).map(|i| 2000 + i).collect();
-        let config = ChengChurchConfig {
-            delta: 0.05,
-            max_biclusters: 1,
-            ..Default::default()
-        };
+        let config = ChengChurchConfig { delta: 0.05 };
         let QueryOutput::Biclusters(bcs) =
             bicluster_output(&mat, &patient_ids, &gene_ids, &config, &ExecOpts::serial()).unwrap()
         else {

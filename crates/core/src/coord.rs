@@ -48,8 +48,8 @@
 //!   worker; whichever copy of the result arrives first wins (they are
 //!   identical under `SimOnly`). A lease whose cell settled meanwhile is
 //!   no loss: losing it is neither charged nor counted.
-//! - **Intra-cell checkpoints:** long iterative kernels (Lanczos SVD,
-//!   Cheng–Church) stream `progress` snapshots; the ledger keeps them (they
+//! - **Intra-cell checkpoints:** the Lanczos SVD kernel, the one snapshot
+//!   producer, streams `progress` snapshots; the ledger keeps them (they
 //!   ride the checkpoint) and the next lease of the cell carries them, so a
 //!   re-issued cell resumes mid-iteration bit-identically.
 //!

@@ -3,7 +3,6 @@
 use crate::engines::loaded::LoadedTables;
 use crate::query::{Query, QueryParams};
 use crate::report::QueryReport;
-use genbase_cluster::NetModel;
 use genbase_datagen::Dataset;
 use genbase_util::{Budget, Result};
 use std::sync::Arc;
@@ -69,8 +68,6 @@ pub struct ExecContext {
     /// Morsel-driven streaming mode (`--stream`). `None` = materializing
     /// lowerings everywhere. Engines without a streaming lowering ignore it.
     pub stream: Option<StreamConfig>,
-    /// Inter-node network model.
-    pub net: NetModel,
     /// Deterministic-timing mode (the harness's `TimingMode::SimOnly`):
     /// model components normally derived from *measured* wall time must
     /// use zero measured time instead, so simulated costs depend only on
@@ -118,7 +115,6 @@ impl ExecContext {
             r_mem_bytes: None,
             mem_budget: None,
             stream: None,
-            net: NetModel::gigabit(),
             deterministic: false,
             progress: None,
             cache: None,

@@ -20,6 +20,7 @@ use crate::engine::{Engine, ExecContext};
 use crate::plan::{self, Kernel, LogicalOp, OpKind, Phase, PhysicalBackend, PlanSlot, Tracer};
 use crate::query::{Query, QueryParams};
 use crate::report::QueryReport;
+use genbase_cluster::NetModel;
 use genbase_datagen::Dataset;
 use genbase_linalg::{cholesky::Cholesky, ExecOpts, Matrix};
 use genbase_mapreduce::hive::{Cell, HiveTable};
@@ -70,7 +71,8 @@ impl Hadoop {
             // A (nodes-1)/nodes fraction of every shuffled partition crosses
             // the network; model it by scaling the link bandwidth.
             let frac = (ctx.nodes - 1) as f64 / ctx.nodes as f64;
-            cfg.shuffle_net = Some((ctx.net.latency_s, ctx.net.bandwidth_bps / frac.max(1e-9)));
+            let net = NetModel::gigabit();
+            cfg.shuffle_net = Some((net.latency_s, net.bandwidth_bps / frac.max(1e-9)));
         }
         cfg
     }

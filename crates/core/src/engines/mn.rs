@@ -39,7 +39,7 @@ use crate::report::QueryReport;
 use genbase_array::Array2D;
 use genbase_cluster::{
     dist::{dist_column_sums_selected, row_bands},
-    dist_covariance, dist_least_squares, gather_matrix, Cluster, DistGramOp, NodeCtx,
+    dist_covariance, dist_least_squares, gather_matrix, Cluster, DistGramOp, NetModel, NodeCtx,
 };
 use genbase_datagen::Dataset;
 use genbase_linalg::{lanczos_topk, ExecOpts, Matrix};
@@ -177,7 +177,7 @@ pub fn run_multinode(
     params: &QueryParams,
     ctx: &ExecContext,
 ) -> Result<QueryReport> {
-    let cluster = Cluster::new(ctx.nodes, ctx.net);
+    let cluster = Cluster::new(ctx.nodes, NetModel::gigabit());
     let bands = row_bands(data.n_patients(), ctx.nodes);
     let threads = ctx.threads_per_node();
     let bands_ref = &bands;

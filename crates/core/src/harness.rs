@@ -255,8 +255,8 @@ impl Harness {
 
     /// [`Harness::run_cell`] under an explicit per-cell thread budget, with
     /// an optional intra-cell progress sink threaded into the engine's
-    /// kernels, so long iterative cells (Lanczos SVD, Cheng–Church)
-    /// checkpoint mid-run and a re-issued cell resumes bit-identically.
+    /// kernels, so a long iterative cell (the Lanczos SVD) checkpoints
+    /// mid-run and a re-issued cell resumes bit-identically.
     pub fn run_cell_with_progress(
         &self,
         engine: &dyn Engine,

@@ -77,7 +77,8 @@ pub struct QueryParams {
     pub top_pair_fraction: f64,
     /// Query 4: eigenpair count (paper: 50; clamped to the filtered width).
     pub svd_k: usize,
-    /// Query 3 algorithm configuration.
+    /// Query 3's Cheng–Church setting, δ (α and the 2×2 minimum are
+    /// constants of `genbase_bicluster`).
     pub bicluster: ChengChurchConfig,
     /// Seed for sampling and iterative analytics (identical across engines
     /// so outputs verify).
@@ -101,15 +102,7 @@ impl QueryParams {
             min_sampled_patients: 12.min(data.n_patients()),
             top_pair_fraction: 0.10,
             svd_k: 50,
-            bicluster: ChengChurchConfig {
-                delta,
-                alpha: 1.2,
-                max_biclusters: 1,
-                min_rows: 2,
-                min_cols: 2,
-                seed: 0xb1c1,
-                node_addition: true,
-            },
+            bicluster: ChengChurchConfig { delta },
             seed: 0x6e55,
         }
     }
@@ -143,7 +136,7 @@ impl QueryParams {
         let refusal = match query {
             Query::Regression | Query::Svd if n == 0 => "gene filter selected nothing",
             Query::Covariance if n < 2 => "disease filter selected < 2 patients",
-            Query::Biclustering if n < self.bicluster.min_rows => {
+            Query::Biclustering if n < genbase_bicluster::MIN_ROWS => {
                 "age/gender filter selected too few patients"
             }
             _ => return Ok(()),

@@ -44,7 +44,8 @@ pub struct ExecOpts {
     /// Cooperative cutoff / memory budget.
     pub budget: Budget,
     /// Optional intra-cell checkpoint sink for long iterative kernels
-    /// (Lanczos, biclustering); `None` disables mid-kernel checkpointing.
+    /// (Lanczos is the one that saves); `None` disables mid-kernel
+    /// checkpointing.
     pub progress: Option<ProgressHandle>,
 }
 

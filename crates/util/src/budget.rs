@@ -26,7 +26,6 @@ struct Inner {
     /// Simulated memory budget in bytes; `u64::MAX` means unlimited.
     mem_limit: u64,
     mem_used: AtomicU64,
-    mem_high_water: AtomicU64,
     /// Maximum number of cells a single dense allocation may hold
     /// (vanilla R's 2^31 - 1 limit); `u64::MAX` means unlimited.
     cell_limit: u64,
@@ -51,7 +50,6 @@ impl Budget {
                 limit,
                 mem_limit,
                 mem_used: AtomicU64::new(0),
-                mem_high_water: AtomicU64::new(0),
                 cell_limit,
             }),
         }
@@ -101,10 +99,7 @@ impl Budget {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    self.inner.mem_high_water.fetch_max(next, Ordering::Relaxed);
-                    return Ok(());
-                }
+                Ok(_) => return Ok(()),
                 Err(actual) => cur = actual,
             }
         }
@@ -118,11 +113,6 @@ impl Budget {
     /// Currently recorded simulated memory use.
     pub fn mem_used(&self) -> u64 {
         self.inner.mem_used.load(Ordering::Relaxed)
-    }
-
-    /// Peak recorded simulated memory use.
-    pub fn mem_high_water(&self) -> u64 {
-        self.inner.mem_high_water.load(Ordering::Relaxed)
     }
 }
 
@@ -193,13 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn high_water_tracks_peak() {
+    fn mem_used_tracks_allocs_and_frees() {
         let b = Budget::new(None, 10_000, u64::MAX);
         b.alloc(4000, 1).unwrap();
         b.alloc(3000, 1).unwrap();
         b.free(5000);
         b.alloc(1000, 1).unwrap();
-        assert_eq!(b.mem_high_water(), 7000);
         assert_eq!(b.mem_used(), 3000);
     }
 

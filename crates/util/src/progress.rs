@@ -1,8 +1,9 @@
 //! Intra-cell progress checkpointing.
 //!
-//! Long analytics kernels (Lanczos SVD, Cheng–Church biclustering)
-//! periodically hand a JSON snapshot of their iteration state to a
-//! [`CellProgress`] sink and ask it for a prior snapshot on startup. In a
+//! A long iterative kernel periodically hands a JSON snapshot of its
+//! iteration state to a [`CellProgress`] sink and asks it for a prior
+//! snapshot on startup. Lanczos (Query 4's SVD) is the one kernel that
+//! does; Cheng–Church computes a single bicluster and saves nothing. In a
 //! coordinated sweep the sink relays snapshots to the coordinator, which
 //! persists them in the sweep checkpoint; a re-issued cell then resumes
 //! mid-iteration bit-identically instead of recomputing from scratch.
