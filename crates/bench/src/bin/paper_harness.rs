@@ -62,7 +62,7 @@
 //!
 //! `serve` keeps the dataset pool, compiled plans and engine registry
 //! resident and answers query/explain/status requests from concurrent
-//! clients: the framed `genbase-coord-v2` protocol on `--listen` and HTTP
+//! clients: the framed `genbase-coord-v3` protocol on `--listen` and HTTP
 //! (`GET /status`, `GET /metrics`, `POST /query`) on `--listen-http`. In
 //! serve mode `--mem-budget` is the *admission* budget: a request whose
 //! working-set estimate does not fit waits in a `--queue-depth`-bounded
@@ -381,10 +381,8 @@ fn check_mn_size(args: &Args) -> std::result::Result<(), UsageError> {
         return Ok(());
     };
     let (config, mn_size) = (harness_config(args), args.mn_size());
-    let mut planned = figs
-        .iter()
-        .flat_map(|&f| figures::plan(f, &config, mn_size));
-    if planned.all(|cell| config.sizes.contains(&cell.size)) {
+    let planned = figures::plan_sweep(&figs, &config, mn_size);
+    if planned.iter().all(|cell| config.sizes.contains(&cell.size)) {
         return Ok(());
     }
     let sizes: Vec<&str> = config.sizes.iter().map(|s| s.slug()).collect();
@@ -895,7 +893,7 @@ mod tests {
             r#"{"type":"status","service":"coordinate","planned":35,"restored":5,
                 "pending":3,"leased":1,"done":31,"failed":0,"executed":26,"reissued":2,
                 "departed":1,"rebalanced":0,"resumed":1,"workers":2,
-                "leases":[{"worker":3,"cell":"fig1/svd/small/n1/SciDB","held_secs":1.25}],
+                "leases":[{"worker":3,"cell":"svd/small/n1/SciDB","held_secs":1.25}],
                 "throughput":[{"worker":3,"completed":10,"failed":0,"cells_per_sec":2.5}]}"#,
         )
         .unwrap();
@@ -908,7 +906,7 @@ mod tests {
              \x20 workers      2 connections\n\
              \x20 leases:\n\
              \x20     worker        held  cell\n\
-             \x20          3        1.2s  fig1/svd/small/n1/SciDB\n\
+             \x20          3        1.2s  svd/small/n1/SciDB\n\
              \x20 throughput:\n\
              \x20     worker  completed  failed     cells/s\n\
              \x20          3         10       0       2.500\n"

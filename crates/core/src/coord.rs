@@ -19,7 +19,7 @@
 //! virtual workers on a virtual clock that die, wedge, leave and resume in
 //! random order — and check the protocol's promises on every seed.
 //!
-//! ## Wire protocol (`genbase-coord-v2`)
+//! ## Wire protocol (`genbase-coord-v3`)
 //!
 //! Every message is one frame: a 4-byte big-endian length prefix followed
 //! by compact JSON (see `ARCHITECTURE.md` for the full schema). After a
@@ -604,9 +604,8 @@ impl Coordinator {
     ) -> Result<Coordinator> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| Error::invalid(format!("coordinator bind: {e}")))?;
-        let plan = figs.iter();
-        let plan = plan.flat_map(|&f| figures::plan(f, &config, mn_size));
-        let core = Core::open(plan.collect(), config_fingerprint(&config), options)?;
+        let plan = figures::plan_sweep(figs, &config, mn_size);
+        let core = Core::open(plan, config_fingerprint(&config), options)?;
         Ok(Coordinator {
             listener,
             config,
@@ -1076,7 +1075,6 @@ mod fleet {
     /// The `i`-th planned cell; the engine name carries `i` back out.
     fn cell(i: usize) -> CellKey {
         CellKey {
-            figure: FigureId::Fig1,
             query: Query::ALL[i % Query::ALL.len()],
             size: SizeClass::Small,
             nodes: 1 + i / Query::ALL.len(),

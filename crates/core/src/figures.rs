@@ -5,13 +5,15 @@
 //! or the node counts, and what a cell shows. Both directions derive from
 //! that one description:
 //! - [`plan`] decomposes it into independent [`CellKey`] work units in a
-//!   fixed order (what the scheduler or a coordinator hands out);
+//!   fixed order, and [`plan_sweep`] merges several exhibits' plans into
+//!   what the scheduler or a coordinator hands out, each cell once;
 //! - [`render`] / [`render_per_op`] turn a [`ReportGrid`] of cell outcomes
 //!   back into the paper's rows/series as a **pure function of the grid**.
 //!
 //! Because rendering never looks at how or where cells ran, a figure is
 //! byte-identical whether its grid came from one cell in flight, many, a
-//! resumed checkpoint or a coordinator's workers.
+//! resumed checkpoint or a coordinator's workers — or from a sweep of a
+//! sibling exhibit that holds its cells (a Figure 1 grid renders Figure 2).
 //!
 //! Figures 1–4 come out as text tables (rows = x-axis, columns = systems);
 //! Figure 5 and Table 1 compare SciDB against the modeled Xeon Phi
@@ -167,10 +169,10 @@ fn node_count(nodes: usize) -> String {
     format!("{nodes} node{}", if nodes == 1 { "" } else { "s" })
 }
 
-/// Decompose one exhibit into its cell list, in the serial harness's
-/// historical execution order: the order a sweep hands cells out in and
-/// reports the first failure by. `mn_size` selects the dataset for the
-/// multi-node exhibits (fig3/fig4/table1).
+/// Decompose one exhibit into its cell list: query by query, row by row,
+/// system by system. `mn_size` selects the dataset for the multi-node
+/// exhibits (fig3/fig4/table1). Exhibits share cells (Figure 2's are all
+/// Figure 1's); [`plan_sweep`] lists each once.
 pub fn plan(figure: FigureId, cfg: &HarnessConfig, mn_size: SizeClass) -> Vec<CellKey> {
     let exhibit = exhibit(figure);
     let (engines, rows) = ((exhibit.engines)(), exhibit.rows(cfg, mn_size));
@@ -178,16 +180,25 @@ pub fn plan(figure: FigureId, cfg: &HarnessConfig, mn_size: SizeClass) -> Vec<Ce
     for &query in exhibit.queries {
         for (row, _) in &rows {
             for engine in &engines {
-                cells.push(cell(figure, query, *row, engine.as_ref()));
+                cells.push(cell(query, *row, engine.as_ref()));
             }
         }
     }
     cells
 }
 
-fn cell(figure: FigureId, query: Query, row: (SizeClass, usize), engine: &dyn Engine) -> CellKey {
+/// The cells a sweep of `figs` runs: their [`plan`]s in order, each cell
+/// at its first occurrence. This is the order a sweep hands cells out in
+/// (locally and to a coordinator's workers) and reports the first failure
+/// by.
+pub fn plan_sweep(figs: &[FigureId], cfg: &HarnessConfig, mn_size: SizeClass) -> Vec<CellKey> {
+    let mut seen = std::collections::HashSet::new();
+    let cells = figs.iter().flat_map(|&f| plan(f, cfg, mn_size));
+    cells.filter(|cell| seen.insert(cell.clone())).collect()
+}
+
+fn cell(query: Query, row: (SizeClass, usize), engine: &dyn Engine) -> CellKey {
     CellKey {
-        figure,
         query,
         size: row.0,
         nodes: row.1,
@@ -209,8 +220,9 @@ fn system_table(first: &str, engines: &[Box<dyn Engine>]) -> TextTable {
 }
 
 /// Render one exhibit from a grid of cell outcomes. Every cell the exhibit
-/// plans must be present (a missing cell — e.g. rendering a grid of other
-/// exhibits — is an error naming the gap).
+/// plans must be present, whichever sweep put it there (a missing cell —
+/// e.g. rendering Figure 3 from a Figure 1 grid — is an error naming the
+/// gap).
 pub fn render(
     figure: FigureId,
     harness: &Harness,
@@ -244,7 +256,7 @@ pub fn render(
             for (row, label) in &rows {
                 let mut texts = vec![label.clone()];
                 for engine in &engines {
-                    let outcome = lookup(grid, cell(figure, query, *row, engine.as_ref()))?;
+                    let outcome = lookup(grid, cell(query, *row, engine.as_ref()))?;
                     texts.push(match (outcome.phases(), phase) {
                         (None, _) => outcome.cell(),
                         (Some(p), None) => fmt_secs(p.total_secs()),
@@ -296,7 +308,7 @@ fn render_phi_speedup(
         let mut row = vec![query.title().to_string()];
         for &(column, _) in &columns {
             let nodes = column.1;
-            let outcome = lookup(grid, cell(FigureId::Table1, query, column, scidb.as_ref()))?;
+            let outcome = lookup(grid, cell(query, column, scidb.as_ref()))?;
             let Some(phases) = outcome.phases() else {
                 row.push("-".into());
                 continue;
@@ -534,7 +546,7 @@ pub fn render_per_op(
             for kind in KINDS {
                 let mut texts = vec![kind.name().to_string()];
                 for engine in &engines {
-                    let outcome = lookup(grid, cell(figure, query, row, engine.as_ref()))?;
+                    let outcome = lookup(grid, cell(query, row, engine.as_ref()))?;
                     texts.push(match outcome.trace() {
                         None => outcome.cell(),
                         Some(trace) => {
@@ -691,6 +703,32 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), cells.len());
+    }
+
+    /// A sweep of any set of exhibits plans every cell each of them needs,
+    /// and no cell twice.
+    #[test]
+    fn sweep_plans_hold_each_exhibit_once() {
+        let cfg = HarnessConfig {
+            sizes: vec![SizeClass::Small, SizeClass::Medium],
+            node_counts: vec![1, 2],
+            ..HarnessConfig::quick()
+        };
+        for mask in 1..1usize << FigureId::ALL.len() {
+            let figs: Vec<FigureId> = (FigureId::ALL.into_iter().enumerate())
+                .filter(|(i, _)| mask >> i & 1 == 1)
+                .map(|(_, f)| f)
+                .collect();
+            let cells = plan_sweep(&figs, &cfg, SizeClass::Small);
+            let distinct: std::collections::HashSet<&CellKey> = cells.iter().collect();
+            assert_eq!(distinct.len(), cells.len(), "{figs:?} plans a cell twice");
+            for &f in &figs {
+                let missing = plan(f, &cfg, SizeClass::Small)
+                    .into_iter()
+                    .find(|cell| !distinct.contains(cell));
+                assert_eq!(missing, None, "{figs:?} lacks a cell of {}", f.name());
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Benchmark cell scheduler.
 //!
 //! The paper's evaluation is a sweep over (engine × dataset-scale × query ×
-//! nodes) cells. This module decomposes every figure into independent
-//! [`CellKey`] work units and dispatches them onto the shared
+//! nodes) cells. This module plans the requested exhibits as independent
+//! [`CellKey`] work units, each cell once, and dispatches them onto the shared
 //! `genbase_util::runtime` pool, so inter-cell and intra-kernel parallelism
 //! compose under one thread budget (`HarnessConfig.threads` split across
 //! `cells_in_flight` concurrent cells, remainder to each cell's kernels — no
@@ -83,12 +83,11 @@ impl FigureId {
 }
 
 /// One independent unit of sweep work: run `query` on `engine` against the
-/// `size` dataset over `nodes` simulated nodes, for exhibit `figure`.
+/// `size` dataset over `nodes` simulated nodes. A cell is what it computes,
+/// not which exhibit shows it: Figure 2 reads Figure 1's regression cells,
+/// Figure 4 and Table 1 read Figure 3's, so a sweep runs each cell once.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellKey {
-    /// Exhibit this cell belongs to (fig2's regression cells are distinct
-    /// work from fig1's, exactly as in the serial harness).
-    pub figure: FigureId,
     /// Query to execute.
     pub query: Query,
     /// Dataset size class.
@@ -100,11 +99,10 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    /// Stable string id, e.g. `fig1/covariance/small/n1/SciDB`.
+    /// Stable string id, e.g. `covariance/small/n1/SciDB`.
     pub fn id(&self) -> String {
         format!(
-            "{}/{}/{}/n{}/{}",
-            self.figure.name(),
+            "{}/{}/n{}/{}",
             self.query.name(),
             self.size.slug(),
             self.nodes,
@@ -116,7 +114,6 @@ impl CellKey {
     /// the display id, so no parsing of engine names containing `/`).
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
-        obj.set("figure", Json::from(self.figure.name()));
         obj.set("query", Json::from(self.query.name()));
         obj.set("size", Json::from(self.size.slug()));
         obj.set("nodes", Json::from(self.nodes));
@@ -133,8 +130,6 @@ impl CellKey {
                 .ok_or_else(|| Error::invalid(format!("cell key missing {name}")))
         };
         Ok(CellKey {
-            figure: FigureId::from_name(field("figure")?)
-                .ok_or_else(|| Error::invalid("cell key: unknown figure"))?,
             query: Query::from_name(field("query")?)
                 .ok_or_else(|| Error::invalid("cell key: unknown query"))?,
             size: SizeClass::from_slug(field("size")?)
@@ -330,7 +325,7 @@ pub fn config_fingerprint(config: &HarnessConfig) -> String {
 
 /// Grid / checkpoint file schema tag; bump on any change to the file's
 /// shape, so a file from another version is refused by name.
-pub const GRID_SCHEMA: &str = "genbase-grid-v2";
+pub const GRID_SCHEMA: &str = "genbase-grid-v3";
 
 impl ReportGrid {
     /// Number of recorded cells.
@@ -587,15 +582,21 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Open the books on `plan`: load `checkpoint` if it (or its `.bak`)
-    /// exists, refuse one written under another `fingerprint`, and count the
-    /// planned cells it already holds as settled.
+    /// Open the books on `plan`: refuse a plan that lists a cell twice (its
+    /// second copy could never settle), load `checkpoint` if it (or its
+    /// `.bak`) exists, refuse one written under another `fingerprint`, and
+    /// count the planned cells it already holds as settled.
     pub fn open(
         plan: Vec<CellKey>,
         fingerprint: String,
         checkpoint: Option<PathBuf>,
     ) -> Result<Ledger> {
         let opened = std::time::Instant::now();
+        let mut seen = std::collections::HashSet::new();
+        if let Some(twice) = plan.iter().find(|cell| !seen.insert(*cell)) {
+            let msg = format!("the sweep plan lists cell {} twice", twice.id());
+            return Err(Error::invalid(msg));
+        }
         let (mut grid, recovered) = match &checkpoint {
             Some(path) => ReportGrid::load_with_recovery(path, &fingerprint)?,
             None => Default::default(),
@@ -843,11 +844,10 @@ impl Scheduler {
         self.hook = Some(hook);
     }
 
-    /// Plan the full cell list for `figures` in deterministic order.
+    /// Plan the cells `figs` need, each once, in deterministic order
+    /// ([`figures::plan_sweep`]).
     pub fn plan(&self, figs: &[FigureId], mn_size: SizeClass) -> Vec<CellKey> {
-        figs.iter()
-            .flat_map(|&f| figures::plan(f, self.harness.config(), mn_size))
-            .collect()
+        figures::plan_sweep(figs, self.harness.config(), mn_size)
     }
 
     fn engine(&self, name: &str) -> Result<&dyn Engine> {
@@ -914,9 +914,8 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn key(figure: FigureId, nodes: usize, engine: &str) -> CellKey {
+    fn key(nodes: usize, engine: &str) -> CellKey {
         CellKey {
-            figure,
             query: Query::Covariance,
             size: SizeClass::Small,
             nodes,
@@ -945,10 +944,10 @@ mod tests {
 
     #[test]
     fn cell_ids_are_stable() {
-        let k = key(FigureId::Fig1, 1, "SciDB");
-        assert_eq!(k.id(), "fig1/covariance/small/n1/SciDB");
-        let k = key(FigureId::Table1, 4, "SciDB + Xeon Phi");
-        assert_eq!(k.id(), "table1/covariance/small/n4/SciDB + Xeon Phi");
+        let k = key(1, "SciDB");
+        assert_eq!(k.id(), "covariance/small/n1/SciDB");
+        let k = key(4, "SciDB + Xeon Phi");
+        assert_eq!(k.id(), "covariance/small/n4/SciDB + Xeon Phi");
     }
 
     #[test]
@@ -962,17 +961,14 @@ mod tests {
     #[test]
     fn grid_json_round_trips() {
         let mut grid = ReportGrid::default();
-        grid.insert(&key(FigureId::Fig1, 1, "SciDB"), completed());
+        grid.insert(&key(1, "SciDB"), completed());
         grid.insert(
-            &key(FigureId::Fig1, 1, "Hadoop"),
+            &key(1, "Hadoop"),
             CellOutcome::Infinite {
                 reason: "cutoff after \"2h\"".into(),
             },
         );
-        grid.insert(
-            &key(FigureId::Fig1, 1, "Vanilla R"),
-            CellOutcome::Unsupported,
-        );
+        grid.insert(&key(1, "Vanilla R"), CellOutcome::Unsupported);
         grid.set_fingerprint("scale=0.012;seed=1;timing=SimOnly".into());
         let text = grid.to_json();
         let back = ReportGrid::from_json(&text).unwrap();
@@ -1039,19 +1035,19 @@ mod tests {
     #[test]
     fn old_grid_formats_are_refused() {
         let mut grid = ReportGrid::default();
-        grid.insert(&key(FigureId::Fig1, 1, "SciDB"), completed());
-        let v1 = grid.to_json().replace(GRID_SCHEMA, "genbase-grid-v1");
-        let err = ReportGrid::from_json(&v1).unwrap_err();
-        assert!(matches!(err, Error::Invalid(_)), "{err:?}");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("genbase-grid-v1") && msg.contains(GRID_SCHEMA),
-            "{msg}"
-        );
+        grid.insert(&key(1, "SciDB"), completed());
+        // v1 stored each cell's phase split; v2 keyed cells by exhibit too.
+        for old in ["genbase-grid-v1", "genbase-grid-v2"] {
+            let text = grid.to_json().replace(GRID_SCHEMA, old);
+            let err = ReportGrid::from_json(&text).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(old) && msg.contains(GRID_SCHEMA), "{msg}");
+        }
 
         // A completed cell as the v1 schema wrote it before traces existed.
         let traceless = format!(
-            "{{\"schema\":\"{GRID_SCHEMA}\",\"cells\":{{\"fig1/covariance/small/n1/SciDB\":\
+            "{{\"schema\":\"{GRID_SCHEMA}\",\"cells\":{{\"covariance/small/n1/SciDB\":\
              {{\"status\":\"completed\",\"dm\":[0.5,0.25,10],\"an\":[1.0,0.0,0]}}}}}}"
         );
         let err = ReportGrid::from_json(&traceless).unwrap_err();
@@ -1068,11 +1064,7 @@ mod tests {
             std::process::id()
         ));
         ReportGrid::default().save(&path).unwrap();
-        let opened = Ledger::open(
-            vec![key(FigureId::Fig1, 1, "SciDB")],
-            "fp".into(),
-            Some(path.clone()),
-        );
+        let opened = Ledger::open(vec![key(1, "SciDB")], "fp".into(), Some(path.clone()));
         let _ = std::fs::remove_file(&path);
         let err = opened
             .err()
@@ -1081,10 +1073,23 @@ mod tests {
         assert!(err.to_string().contains("<unstamped>"), "{err}");
     }
 
+    /// `Ledger::at` finds a cell's first copy, so a second copy could
+    /// never settle and its sweep would never finish: refused at open.
+    #[test]
+    fn a_plan_listing_a_cell_twice_is_refused() {
+        let plan = vec![key(1, "SciDB"), key(2, "SciDB"), key(1, "SciDB")];
+        let err = Ledger::open(plan, "fp".into(), None)
+            .err()
+            .expect("a repeated cell must be refused");
+        assert!(matches!(err, Error::Invalid(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("covariance/small/n1/SciDB twice"), "{msg}");
+    }
+
     #[test]
     fn malformed_checkpoint_costs_are_rejected() {
         let mut grid = ReportGrid::default();
-        grid.insert(&key(FigureId::Fig1, 1, "SciDB"), completed());
+        grid.insert(&key(1, "SciDB"), completed());
         let text = grid.to_json().replace("\"wall\":0.125", "\"wall\":null");
         let err = ReportGrid::from_json(&text).unwrap_err();
         assert!(err.to_string().contains("missing numeric wall"), "{err}");
@@ -1095,7 +1100,7 @@ mod tests {
     /// torn file: refused on load, and the sweep resumes from the `.bak`.
     #[test]
     fn a_non_object_progress_entry_is_torn_and_the_bak_resumes() {
-        let cell = key(FigureId::Fig1, 1, "SciDB");
+        let cell = key(1, "SciDB");
         let id = cell.id();
         let torn =
             format!("{{\"schema\":\"{GRID_SCHEMA}\",\"cells\":{{}},\"progress\":{{\"{id}\":5}}}}");
@@ -1125,7 +1130,7 @@ mod tests {
     #[test]
     fn unknown_engine_is_an_error() {
         let sched = Scheduler::new(HarnessConfig::quick()).unwrap();
-        let k = key(FigureId::Fig1, 1, "No Such Engine");
+        let k = key(1, "No Such Engine");
         assert!(sched.run_cell(&k, 1).is_err());
     }
 }

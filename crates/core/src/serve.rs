@@ -39,7 +39,7 @@ use crate::figures;
 use crate::harness::HarnessConfig;
 use crate::plan::{logical_plan, LogicalPlan, Phase};
 use crate::query::Query;
-use crate::sched::{config_fingerprint, CellKey, CellOutcome, FigureId, Scheduler};
+use crate::sched::{config_fingerprint, CellKey, CellOutcome, Scheduler};
 use crate::session::{self, msg, msg_type, Gate};
 use genbase_datagen::{SizeClass, SizeSpec};
 use genbase_storage::{ArtifactCache, CacheScope, MemTracker, Reservation};
@@ -476,10 +476,10 @@ impl Shared {
 
     /// Decode one request of kind `kind` — a post-handshake frame, or
     /// `POST /query`'s body as a `query` — for [`Shared::answer`]. A `query`
-    /// needs `engine` (any case) and `query`, and defaults `figure` to fig1;
-    /// both kinds default `size` to the first configured size class and
-    /// `nodes` to 1, and refuse a size this server does not hold and a
-    /// `nodes` that is not a whole number of at least 1. Unlike other unknown
+    /// needs `engine` (any case) and `query`; both kinds default `size` to
+    /// the first configured size class and `nodes` to 1, and refuse a size
+    /// this server does not hold and a `nodes` that is not a whole number of
+    /// at least 1. Unlike other unknown
     /// keys, a `query`'s `stream` key is refused: its sender expects to pick a
     /// streaming lowering per request, and must not silently get a
     /// differently-traced cell.
@@ -535,12 +535,7 @@ impl Shared {
         }
         let engine =
             text("engine").ok_or_else(|| Error::invalid("query request missing engine"))?;
-        let figure = match text("figure") {
-            Some(name) => FigureId::from_name(name).ok_or_else(|| unknown("figure", name))?,
-            None => FigureId::Fig1,
-        };
         Ok(Request::Query(CellKey {
-            figure,
             query: query.ok_or_else(|| Error::invalid("query request missing query"))?,
             size,
             nodes,
@@ -1048,7 +1043,6 @@ mod tests {
         // poisoned slot lock must not turn later queries into panics.
         shared.scheduler.harness().pool().poison_for_test();
         let key = CellKey {
-            figure: FigureId::Fig1,
             query: Query::Covariance,
             size: SizeClass::Small,
             nodes: 1,

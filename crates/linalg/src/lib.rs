@@ -29,7 +29,7 @@ pub use covariance::{
 };
 pub use eigen::{jacobi_eigen, tridiag_eigen, EigenPairs};
 pub use lanczos::{lanczos_topk, DenseSymOp, GramOp, LanczosResult, LinearOp, LANCZOS_KERNEL};
-pub use matmul::{gram, matmul, matmul_blocked, matmul_naive, matvec, matvec_transposed};
+pub use matmul::{gram, matmul, matmul_naive, matvec, matvec_transposed};
 pub use matrix::Matrix;
 pub use qr::QrFactor;
 pub use regression::{LinearRegression, RegressionMethod};

@@ -1,23 +1,23 @@
 //! Matrix multiplication kernels.
 //!
-//! Three tiers mirror the performance spread the paper measures:
+//! Two entry points mirror the performance spread the paper measures:
 //! - [`matmul_naive`]: textbook triple loop in i-j-k order. This is what
 //!   "simulating linear algebra in SQL" or Mahout-without-BLAS effectively
-//!   executes per cell; kept public for ablation benches.
-//! - [`matmul_blocked`]: cache-blocked i-k-j kernel, the serial reference
-//!   (the seed repo's fast path; kept for ablations and perf baselines).
-//! - [`matmul`]: the production path — B packed into SIMD-friendly column
-//!   panels, a register-tiled 4×4 microkernel with a branch-free dense
-//!   inner loop, parallelized over row blocks on the shared
-//!   [`genbase_util::runtime`] pool.
+//!   executes per cell; kept public as the tests' reference.
+//! - [`matmul`]: the production path. Products of at most
+//!   `PACK_THRESHOLD` flops run a serial cache-blocked i-k-j kernel;
+//!   larger ones pack B into SIMD-friendly column panels and run a
+//!   register-tiled 4×4 microkernel with a branch-free dense inner loop,
+//!   parallelized over row blocks on the shared [`genbase_util::runtime`]
+//!   pool.
 //!
 //! Every kernel assigns each output element to exactly one task with a
 //! fixed reduction order, so outputs are **bit-identical across thread
-//! counts**. Across tiers: naive and blocked fold every `p` sequentially
-//! and agree bitwise; the packed kernel accumulates each KC-deep panel in
-//! registers before adding it to the output, so for `k > KC` it matches
-//! the other tiers only within floating-point tolerance (typically more
-//! accurately, as panel sums are better conditioned).
+//! counts**. Naive and blocked fold every `p` sequentially and agree
+//! bitwise; the packed kernel accumulates each KC-deep panel in registers
+//! before adding it to the output, so for `k > KC` it matches naive only
+//! within floating-point tolerance (typically more accurately, as panel
+//! sums are better conditioned).
 
 use crate::matrix::Matrix;
 use crate::ExecOpts;
@@ -48,7 +48,7 @@ const NR: usize = 4;
 const PACK_THRESHOLD: u64 = 32 * 32 * 32;
 
 /// Textbook i-j-k matrix multiply. Quadratic cache misses on B; exists as
-/// the "no BLAS" baseline (see `ablation_matmul`).
+/// the "no BLAS" baseline and the other kernels' test reference.
 pub fn matmul_naive(a: &Matrix, b: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
     check_dims(a, b)?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -65,23 +65,6 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
             out.set(i, j, acc);
         }
     }
-    Ok(out)
-}
-
-/// Serial cache-blocked multiply (i-k-j inner order, row-major friendly).
-/// This is the seed repo's fast path, kept as the perf-trajectory baseline.
-pub fn matmul_blocked(a: &Matrix, b: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
-    check_dims(a, b)?;
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    mm_block_into(
-        a.data(),
-        b.data(),
-        out.data_mut(),
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        opts,
-    )?;
     Ok(out)
 }
 
@@ -510,13 +493,19 @@ mod tests {
 
     #[test]
     fn blocked_matches_naive() {
+        // Products of at most PACK_THRESHOLD flops take the blocked path,
+        // which folds p in naive's order: the two agree exactly. The last
+        // two shapes cross BLOCK edges in k and n, and in m.
         let mut rng = Pcg64::new(21);
-        let a = random_matrix(&mut rng, 130, 70);
-        let b = random_matrix(&mut rng, 70, 90);
-        let opts = ExecOpts::serial();
-        let naive = matmul_naive(&a, &b, &opts).unwrap();
-        let blocked = matmul_blocked(&a, &b, &opts).unwrap();
-        assert!(blocked.approx_eq(&naive, 1e-9));
+        for (m, k, n) in [(32, 32, 32), (20, 40, 40), (2, 128, 127), (130, 2, 120)] {
+            assert!((m * k * n) as u64 <= PACK_THRESHOLD);
+            let a = random_matrix(&mut rng, m, k);
+            let b = random_matrix(&mut rng, k, n);
+            let opts = ExecOpts::serial();
+            let naive = matmul_naive(&a, &b, &opts).unwrap();
+            let blocked = matmul(&a, &b, &opts).unwrap();
+            assert!(blocked.approx_eq(&naive, 0.0), "{m}x{k}x{n}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use genbase::engine::StreamConfig;
 use genbase::harness::HarnessConfig;
-use genbase::sched::{CellKey, FigureId, Scheduler};
+use genbase::sched::{CellKey, Scheduler};
 use genbase::Query;
 use genbase_datagen::SizeClass;
 use genbase_storage::ArtifactCache;
@@ -53,7 +53,6 @@ fn scheduler(config: HarnessConfig, cache: Option<&Arc<ArtifactCache>>) -> Sched
 
 fn cell(engine: &str, query: Query) -> CellKey {
     CellKey {
-        figure: FigureId::Fig1,
         query,
         size: SizeClass::Small,
         nodes: 1,

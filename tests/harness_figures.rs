@@ -92,8 +92,9 @@ fn run_matrix_covers_all_cells() {
 /// The order `Scheduler::plan` lists cells in is observable: it is the
 /// order a sweep's ledger hands cells out in (locally and to a
 /// coordinator's workers), and the order `Ledger::finish` picks the first
-/// failure to report by. Pinned from the commit before the exhibit table
-/// existed.
+/// failure to report by: each exhibit's plan in turn, each cell at its
+/// first occurrence. Re-record it only for a deliberate, documented change
+/// of that order.
 #[test]
 fn plan_order_matches_golden() {
     let sched = Scheduler::new(HarnessConfig::quick()).unwrap();
@@ -104,6 +105,39 @@ fn plan_order_matches_golden() {
         got, want,
         "the plan's cell order drifted from the golden list"
     );
+}
+
+/// Exhibits share cells, so a grid renders every exhibit whose cells it
+/// holds: a Figure 1 + Figure 3 checkpoint renders Figures 2, 4 and
+/// Table 1 without running a cell, byte-identically to a fresh sweep.
+#[test]
+fn sibling_exhibits_render_from_one_checkpoint() {
+    let config = HarnessConfig::quick().sim_only();
+    let ckpt = std::env::temp_dir().join(format!("genbase-siblings-{}.json", std::process::id()));
+    let scrub = || {
+        for ext in ["json", "bak", "tmp"] {
+            let _ = std::fs::remove_file(ckpt.with_extension(ext));
+        }
+    };
+    scrub();
+    let sched = Scheduler::new(config.clone()).unwrap();
+    let sweep = SweepOptions::serial().with_checkpoint(&ckpt);
+    let run = |figs: &[FigureId]| sched.run_sweep(figs, SizeClass::Small, &sweep).unwrap();
+    run(&[FigureId::Fig1, FigureId::Fig3]);
+    let siblings = [FigureId::Fig2, FigureId::Fig4, FigureId::Table1];
+    let resumed = run(&siblings);
+    scrub();
+    assert_eq!((resumed.executed, resumed.skipped), (0, resumed.planned));
+
+    let (fresh_sched, fresh) = swept(config, &siblings);
+    for fig in siblings {
+        assert_eq!(
+            render(&sched, &resumed.grid, fig).render(),
+            render(&fresh_sched, &fresh, fig).render(),
+            "{} from the sibling grid differs from a fresh sweep",
+            fig.name()
+        );
+    }
 }
 
 /// Configuration identical to the CI golden-snapshot runs

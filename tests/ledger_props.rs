@@ -10,7 +10,7 @@
 //!    just settled, and never holds fewer cells than an earlier read found.
 
 use genbase::plan::{OpCost, OpKind, OpTrace, Phase, PlanTrace};
-use genbase::sched::{CellKey, CellOutcome, FigureId, Ledger, ReportGrid, SweepOutcome};
+use genbase::sched::{CellKey, CellOutcome, Ledger, ReportGrid, SweepOutcome};
 use genbase::Query;
 use genbase_datagen::SizeClass;
 use genbase_util::{Error, Json, Result};
@@ -45,7 +45,6 @@ fn fate(kind: usize) -> Fate {
 /// The `i`-th planned cell; the engine name carries `i` back out of `take`.
 fn cell(i: usize) -> CellKey {
     CellKey {
-        figure: FigureId::Fig1,
         query: Query::ALL[i % Query::ALL.len()],
         size: SizeClass::Small,
         nodes: 1 + i / Query::ALL.len(),
@@ -104,8 +103,10 @@ fn prefilled(fates: &[Fate], lone_bak: bool) -> PathBuf {
         }
     }
     if !grid.is_empty() {
+        // Plans here hold fewer than 25 cells, so no planned cell runs on
+        // more than 5 nodes.
         let mut foreign = cell(0);
-        foreign.figure = FigureId::Fig5;
+        foreign.nodes = 99;
         grid.insert(&foreign, CellOutcome::Unsupported);
         grid.save(&path).unwrap();
         if lone_bak {

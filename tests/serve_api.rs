@@ -148,7 +148,6 @@ fn concurrent_served_queries_are_byte_identical_to_the_batch_path() {
         .iter()
         .map(|&(engine, query)| {
             let key = CellKey {
-                figure: FigureId::Fig1,
                 query: Query::from_name(query).unwrap(),
                 size: SizeClass::Small,
                 nodes: 1,
@@ -194,16 +193,21 @@ fn concurrent_served_queries_are_byte_identical_to_the_batch_path() {
         );
     }
 
-    // The HTTP front returns the very same bytes.
+    // The HTTP front returns the very same bytes. A `figure` key is
+    // ignored like any other unknown key: a cell names no exhibit.
     let (key, outcome) = &expected[0];
     let body = format!(
-        "{{\"engine\": \"{}\", \"query\": \"{}\", \"size\": \"small\"}}",
+        "{{\"engine\": \"{}\", \"query\": \"{}\", \"size\": \"small\", \"figure\": \"fig2\"}}",
         key.engine,
         key.query.name()
     );
     let (status, reply) = http_request(server.http, "POST", "/query", &body, &[]);
     assert_eq!(status, 200, "{reply}");
     let reply = Json::parse(&reply).unwrap();
+    assert_eq!(
+        reply.get("cell").and_then(Json::as_str),
+        Some(key.id().as_str())
+    );
     assert_eq!(reply.get("outcome").expect("outcome").render(), *outcome);
 
     let report = server.shutdown();
@@ -231,7 +235,6 @@ fn streaming_server_matches_the_streaming_batch_path() {
     let server = start_server_with(config.clone(), ServeOptions::default());
 
     let key = CellKey {
-        figure: FigureId::Fig1,
         query: Query::Covariance,
         size: SizeClass::Small,
         nodes: 1,
@@ -591,7 +594,6 @@ fn repeat_queries_replay_byte_identically_from_the_caches() {
     // must match byte for byte.
     let config = sim_config();
     let key = CellKey {
-        figure: FigureId::Fig1,
         query: Query::Covariance,
         size: SizeClass::Small,
         nodes: 1,
@@ -692,7 +694,6 @@ fn a_tiny_cache_budget_degrades_to_correct_cold_runs() {
     // evict; the server must still answer, byte-identical to batch.
     let server = start_server(ServeOptions::default().with_cache_budget(4096));
     let key = CellKey {
-        figure: FigureId::Fig1,
         query: Query::Svd,
         size: SizeClass::Small,
         nodes: 1,
@@ -733,7 +734,6 @@ fn served_sql_queries_share_one_load_of_the_base_tables() {
         for engine in engines {
             for query in Query::ALL {
                 let key = CellKey {
-                    figure: FigureId::Fig1,
                     query,
                     size: SizeClass::Small,
                     nodes: 1,

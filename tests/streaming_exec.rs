@@ -289,7 +289,6 @@ fn streaming_cell_outcomes_equal_their_json_round_trip() {
     for engine in STREAMING_ENGINES {
         for query in QUERIES {
             let key = CellKey {
-                figure: FigureId::Fig1,
                 query,
                 size: SizeClass::Small,
                 nodes: 1,
