@@ -4,8 +4,7 @@
 //! columns of a matrix into sub-matrices with similar patterns". We implement
 //! the canonical Cheng–Church δ-bicluster algorithm (Cheng & Church, ISMB
 //! 2000): greedy node deletion driven by the mean squared residue (MSR),
-//! then node addition (including inverted rows), computing the one
-//! bicluster Query 3 reports.
+//! then node addition, computing the one bicluster Query 3 reports.
 
 // Index-based loops are the idiom throughout these numerical kernels:
 // explicit ranges keep the row/column structure of the math visible, and

@@ -362,27 +362,13 @@ impl SubmatrixStats {
 
     /// Mean squared residue a *candidate* row `r` (not currently selected)
     /// would contribute, measured against the current selection's means.
-    /// When `inverted` is true the row is evaluated as its mirror image
-    /// (Cheng–Church node addition step for co-regulated but anti-correlated
-    /// rows).
-    pub fn candidate_row_residue(
-        &self,
-        data: &Matrix,
-        row: usize,
-        cols: &[usize],
-        inverted: bool,
-    ) -> f64 {
+    pub fn candidate_row_residue(&self, data: &Matrix, row: usize, cols: &[usize]) -> f64 {
         let nc = cols.len();
         let vals = data.row(row);
         let row_mean: f64 = cols.iter().map(|&c| vals[c]).sum::<f64>() / nc as f64;
         let mut acc = 0.0;
         for (ci, &c) in cols.iter().enumerate() {
-            let resid = if inverted {
-                // Mirror image: -a_ij + a_iJ - a_Ij + a_IJ.
-                -vals[c] + row_mean - self.col_means[ci] + self.overall_mean
-            } else {
-                vals[c] - row_mean - self.col_means[ci] + self.overall_mean
-            };
+            let resid = vals[c] - row_mean - self.col_means[ci] + self.overall_mean;
             acc += resid * resid;
         }
         acc / nc as f64
@@ -714,33 +700,9 @@ pub(crate) mod tests {
         // existing selected row equals its computed row residue when means
         // barely move — here just check it is finite and non-negative.
         for r in 4..10 {
-            let d = st.candidate_row_residue(&m, r, &cols, false);
+            let d = st.candidate_row_residue(&m, r, &cols);
             assert!(d >= 0.0 && d.is_finite());
-            let dinv = st.candidate_row_residue(&m, r, &cols, true);
-            assert!(dinv >= 0.0 && dinv.is_finite());
         }
-    }
-
-    #[test]
-    fn inverted_row_scores_low_for_mirror_pattern() {
-        // Block rows follow pattern p_j; candidate row is -p_j (+ const).
-        let pattern = [1.0, 5.0, 2.0, 8.0];
-        let mut m = Matrix::zeros(4, 4);
-        for r in 0..3 {
-            for c in 0..4 {
-                m.set(r, c, pattern[c] + r as f64);
-            }
-        }
-        for c in 0..4 {
-            m.set(3, c, -pattern[c]);
-        }
-        let rows = [0usize, 1, 2];
-        let cols: Vec<usize> = (0..4).collect();
-        let st = SubmatrixStats::compute(&m, &rows, &cols);
-        let direct = st.candidate_row_residue(&m, 3, &cols, false);
-        let inverted = st.candidate_row_residue(&m, 3, &cols, true);
-        assert!(inverted < 1e-20, "mirror row should fit when inverted");
-        assert!(direct > 1.0, "mirror row should not fit directly");
     }
 
     #[test]

@@ -3,21 +3,41 @@
 //! Query 1 of the benchmark specifies that linear regression is solved "using
 //! a QR decomposition technique"; this module is that implementation.
 //!
-//! The matrix is row-major, so a reflector is applied *row by row*:
-//! `w = vᵀA` accumulates one row of the block at a time into a contiguous
-//! `w`, then the rank-1 update `A += v·sᵀ` walks the same rows again.
-//! Columns are taken `PANEL` at a time: a panel is factored, then its
-//! reflectors are applied, in order, to each `PANEL`-wide slab of the
-//! trailing matrix while the slab is in cache — the unit of parallel work.
-//! A column still meets reflectors `0, 1, 2, …` in that order and still
-//! sums `v_i·a_ij` in ascending `i`, so the factor is bit-identical to the
-//! textbook column-by-column loops (the reference in this module's tests)
-//! at any panel width or thread count, while every inner loop is stride-1.
+//! Columns are taken `PANEL` at a time, and every slab of `PANEL` columns
+//! is worked on in a copy: rows from the current diagonal down, each row
+//! `PANEL` doubles on whole cache lines (a narrower last slab leaves the
+//! rest of each row unused), written back when done.
+//!
+//! - **The panel.** Factored in its copy. Per column, one row pass scales
+//!   the column into its reflector and sums the reflector's dot products
+//!   with the panel's later columns; a second applies it and carries the
+//!   next column's `hypot` norm chain.
+//! - **The trailing update: one row pass per reflector.** The panel's
+//!   reflectors go to each trailing slab in turn. The pass that applies
+//!   reflector *k* to a row also adds the updated row into the next
+//!   reflector's dot products, held with the multipliers in fixed-width
+//!   arrays. Reflectors whose column was zero (pivot 0) drop out of the
+//!   list.
+//! - **One `runtime::team` per factor.** Each panel is one round. The
+//!   leader's first task applies the panel to the next panel's slab and
+//!   factors it (lookahead); the other tasks update the remaining slabs,
+//!   split into contiguous runs over the members. A slab's copy is its
+//!   task's own, so members never write the same cache line while they
+//!   apply a panel, and the trailing passes are stride-1 over whole lines.
+//!
+//! Every column still meets reflectors `0, 1, 2, …` in that order, and
+//! every sum — a dot product `Σ v_i·a_ij`, a norm chain — still runs over
+//! ascending `i` from `0.0`, with the same operations in the same order;
+//! only where and when they run changed. So the factor is bit-identical to
+//! the textbook column-by-column loops (the reference in this module's
+//! tests) at any panel width and thread count.
 
 use crate::matrix::Matrix;
 use crate::ExecOpts;
-use genbase_util::{runtime, Error, Result, SharedSlice};
+use genbase_util::runtime::{self, team};
+use genbase_util::{Error, Result, SharedSlice};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Columns factored together, and the width of one trailing-update task.
 /// A panel's reflectors are applied to one `m x PANEL` slab of the
@@ -26,10 +46,46 @@ use std::ops::Range;
 /// memory once per reflector. Any width gives the same bits.
 const PANEL: usize = 32;
 
-/// Reflector-cell products (rows x columns x reflectors) below which a
-/// panel's trailing update runs inline: under this, waking a pool worker
-/// costs about what the worker would save. Wall time only.
-const PAR_MIN_WORK: usize = 1 << 20;
+/// `m·n²` below which the factor runs on the caller alone: under this, a
+/// helper saves nothing (up to `n = 2·PANEL` a round has no task for it).
+/// Wall time only. Measured on random matrices, 2-core host, best of 15,
+/// alone vs with one helper: 200×64 0.45–0.47 vs 0.46–0.48 ms, 200×96
+/// 0.68–0.69 vs 0.69–0.70, 300×96 1.14–1.16 vs 1.10–1.16, 350×110
+/// 1.69–1.81 vs 1.68–1.79, 400×100 1.87 vs 1.63, 500×128 2.88 vs 2.59,
+/// 900×200 10.5 vs 7.4.
+const TEAM_MIN_WORK: usize = 1 << 22;
+
+/// How many slabs the lookahead task counts for when a round splits its
+/// tasks over the members. It updates one slab and then factors a panel,
+/// which is mostly the latency of the `hypot` chains, about three slab
+/// updates more. The factor of a 1920×386 matrix at 2 threads, 2-core
+/// host, two sweeps with the weights alternated in one process (best of
+/// 20, then 30): one slab 39.7 ms; three 36.1 / 39.7; four 33.6 / 38.1;
+/// five 33.5 / 38.8; six 35.4 / 39.6; seven 37.3; eight 38.0.
+const LOOKAHEAD_SLABS: usize = 4;
+
+/// One row of a slab's copy: `PANEL` columns on whole cache lines, so a
+/// row pass touches `PANEL / 8` lines per row, not one more. Factoring
+/// 1920×386, best of 10, four alternations, 2-core host: 58.9–68.7 ms vs
+/// 63.1–87.1 at 1 thread and 39.5–44.6 vs 41.0–44.8 at 2, against rows at
+/// the allocator's 16-byte alignment.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Row([f64; PANEL]);
+
+/// `len` zeroed rows, carved from a plain `f64` allocation. An allocation
+/// with `Row`'s alignment left slack the allocator did not reuse: twelve
+/// 1920×386 factors in one process peaked at 27.8 MB RSS, 16.2 MB this
+/// way (14.8 MB before the copies).
+fn zeroed_rows(raw: &mut Vec<f64>, len: usize) -> &mut [Row] {
+    *raw = vec![0.0; len * PANEL + 7];
+    let skip = raw.as_ptr().align_offset(std::mem::align_of::<Row>());
+    assert!(skip < 8, "an f64 pointer can be aligned to a line");
+    // SAFETY: `raw[skip..]` starts on a `Row` boundary and holds at least
+    // `len * PANEL` initialised `f64`s, which is `len` rows of plain
+    // `f64`s; the rows borrow `raw` mutably for their lifetime.
+    unsafe { std::slice::from_raw_parts_mut(raw.as_mut_ptr().add(skip).cast::<Row>(), len) }
+}
 
 /// Compact Householder QR factorization of an `m x n` matrix with `m >= n`.
 ///
@@ -50,24 +106,13 @@ fn gather_reflector(a: &Matrix, k: usize, out: &mut [f64]) {
 }
 
 /// Apply the reflector `v` (pivot `v[0] != 0`, acting on rows `k..`) to the
-/// columns `cols` of the row-major, `n`-wide matrix behind `a`: per column
-/// `j`, `s = -(Σ_i v_i·a_ij) / v_0` summed in ascending `i`, then
-/// `a_ij += s·v_i`. Both passes walk rows, so every access is stride-1.
-///
-/// # Safety
-/// Rows `k..k + v.len()` must be in bounds and nothing else may access
-/// their columns `cols` during the call.
-unsafe fn apply_reflector(
-    v: &[f64],
-    a: &SharedSlice<'_, f64>,
-    n: usize,
-    k: usize,
-    cols: Range<usize>,
-) {
-    let row = |i: usize| a.slice_mut((k + i) * n + cols.start, cols.len());
+/// columns `cols` of the row-major, `n`-wide `a`: per column `j`,
+/// `s = -(Σ_i v_i·a_ij) / v_0` summed in ascending `i`, then
+/// `a_ij += s·v_i`.
+fn apply_reflector(v: &[f64], a: &mut [f64], n: usize, k: usize, cols: Range<usize>) {
     let mut w = vec![0.0; cols.len()];
     for (i, &vi) in v.iter().enumerate() {
-        for (wj, &x) in w.iter_mut().zip(row(i).iter()) {
+        for (wj, &x) in w.iter_mut().zip(&a[(k + i) * n..][cols.clone()]) {
             *wj += vi * x;
         }
     }
@@ -75,16 +120,146 @@ unsafe fn apply_reflector(
         *wj = -*wj / v[0];
     }
     for (i, &vi) in v.iter().enumerate() {
-        for (x, &s) in row(i).iter_mut().zip(&w) {
+        for (x, &s) in a[(k + i) * n..][cols.clone()].iter_mut().zip(&w) {
             *x += s * vi;
         }
     }
 }
 
+/// Rows `i0..` of columns `j0..` (at most `PANEL`) of the row-major,
+/// `n`-wide `a`, copied into `slab`.
+///
+/// # Safety
+/// Nothing else may write those cells during the call.
+unsafe fn gather(a: &SharedSlice<'_, f64>, n: usize, i0: usize, j0: usize, slab: &mut [Row]) {
+    let w = PANEL.min(n - j0);
+    for (i, Row(row)) in (i0..).zip(slab) {
+        row[..w].copy_from_slice(a.slice_mut(i * n + j0, w));
+    }
+}
+
+/// Write `slab` back to rows `i0..` of columns `j0..` of `a`, the inverse
+/// of [`gather`].
+///
+/// # Safety
+/// Nothing else may access those cells during the call.
+unsafe fn scatter(a: &SharedSlice<'_, f64>, n: usize, i0: usize, j0: usize, slab: &[Row]) {
+    let w = PANEL.min(n - j0);
+    for (i, Row(row)) in (i0..).zip(slab) {
+        a.slice_mut(i * n + j0, w).copy_from_slice(&row[..w]);
+    }
+}
+
+/// `hypot` chain down column `c` of `rows`.
+fn column_norm(rows: &[Row], c: usize) -> f64 {
+    rows.iter().fold(0.0f64, |nrm, row| nrm.hypot(row.0[c]))
+}
+
+/// Factor the first `w` columns of a panel in place: `rows[r]` is row
+/// `r` of the panel, row 0 on the diagonal. Writes `R`'s diagonal to
+/// `rdiag`. Column `c`'s reflector is left in it from row `c` down; a zero
+/// column is left as it is, pivot 0.
+fn factor_panel(rows: &mut [Row], w: usize, rdiag: &mut [f64]) {
+    let mut nrm = column_norm(rows, 0);
+    for c in 0..w {
+        if nrm == 0.0 {
+            if c + 1 < w {
+                nrm = column_norm(&rows[c + 1..], c + 1);
+            }
+            continue;
+        }
+        if rows[c].0[c] < 0.0 {
+            nrm = -nrm;
+        }
+        // One pass scales the column into the reflector `v` (pivot
+        // `x/nrm + 1`) and sums `Σ v_i·a_ij` for the columns right of it.
+        let mut s = [0.0f64; PANEL];
+        for (r, Row(row)) in rows.iter_mut().enumerate().skip(c) {
+            let v = if r == c {
+                row[c] / nrm + 1.0
+            } else {
+                row[c] / nrm
+            };
+            row[c] = v;
+            for (sj, &x) in s[c + 1..w].iter_mut().zip(&row[c + 1..w]) {
+                *sj += v * x;
+            }
+        }
+        let v0 = rows[c].0[c];
+        for sj in &mut s[c + 1..w] {
+            *sj = -*sj / v0;
+        }
+        // A second applies it and runs the next column's norm chain.
+        let mut next = 0.0f64;
+        if c + 1 < w {
+            for (r, Row(row)) in rows.iter_mut().enumerate().skip(c) {
+                let v = row[c];
+                for (x, &sj) in row[c + 1..w].iter_mut().zip(&s[c + 1..w]) {
+                    *x += sj * v;
+                }
+                if r > c {
+                    next = next.hypot(row[c + 1]);
+                }
+            }
+        }
+        rdiag[c] = -nrm;
+        nrm = next;
+    }
+}
+
+/// `x += s·v[k]` on each row `x` of `xs`, `v` the row of `vs` beside it.
+#[inline(always)]
+fn update(vs: &[Row], xs: &mut [Row], k: usize, s: &[f64; PANEL]) {
+    for (Row(v), Row(x)) in vs.iter().zip(xs) {
+        let vk = v[k];
+        for (xj, &sj) in x.iter_mut().zip(s) {
+            *xj += sj * vk;
+        }
+    }
+}
+
+/// Apply the reflectors `live` (panel columns, ascending) of the factored
+/// panel `panel` to `slab`, both from the panel's diagonal row down, one
+/// row pass per reflector: the pass that applies reflector `k` to a row
+/// also adds the updated row into the next reflector's dot products.
+fn apply_panel(panel: &[Row], live: &[usize], slab: &mut [Row]) {
+    let Some((&first, rest)) = live.split_first() else {
+        return;
+    };
+    // Reflector `first`'s dot products `w_j = Σ v_i·a_ij`.
+    let mut w = [0.0f64; PANEL];
+    for (Row(v), Row(x)) in panel.iter().zip(&*slab).skip(first) {
+        let vi = v[first];
+        for (wj, &xj) in w.iter_mut().zip(x) {
+            *wj += vi * xj;
+        }
+    }
+    let mut k = first;
+    for &next in rest {
+        let v0 = panel[k].0[k];
+        let s = w.map(|wj| -wj / v0);
+        // Rows `k..next` meet reflector `k` only; from row `next` on, the
+        // pass that applies `k` also sums `next`'s dot products.
+        update(&panel[k..next], &mut slab[k..next], k, &s);
+        w = [0.0; PANEL];
+        for (Row(v), Row(x)) in panel[next..].iter().zip(&mut slab[next..]) {
+            let (vk, vn) = (v[k], v[next]);
+            for ((xj, &sj), wj) in x.iter_mut().zip(&s).zip(&mut w) {
+                *xj += sj * vk;
+                *wj += vn * *xj;
+            }
+        }
+        k = next;
+    }
+    let v0 = panel[k].0[k];
+    let s = w.map(|wj| -wj / v0);
+    update(&panel[k..], &mut slab[k..], k, &s);
+}
+
 impl QrFactor {
-    /// Factor `a` (consumed) into QR form. Fails if `m < n`. Each panel's
-    /// trailing update runs on the shared runtime under `opts.threads`;
-    /// the factor is bit-identical at every thread count.
+    /// Factor `a` (consumed) into QR form. Fails if `m < n`. Runs on one
+    /// runtime team of up to `opts.threads` members; the factor is
+    /// bit-identical at every thread count.
     pub fn factor(mut a: Matrix, opts: &ExecOpts) -> Result<QrFactor> {
         let (m, n) = a.shape();
         if m < n {
@@ -93,66 +268,87 @@ impl QrFactor {
             )));
         }
         let mut rdiag = vec![0.0; n];
-        // The current panel's reflectors, contiguous: reflector `k` is
-        // `vs[(k - p0) * m..][..m - k]`, all zero when column `k` was.
-        let mut vs = vec![0.0; PANEL.min(n) * m];
-        for p0 in (0..n).step_by(PANEL) {
-            let p1 = (p0 + PANEL).min(n);
-            // Factor the panel's own columns, left to right.
-            for k in p0..p1 {
-                opts.budget.check("qr factor")?;
-                let v = &mut vs[(k - p0) * m..][..m - k];
-                gather_reflector(&a, k, v);
-                // Column norm below (and including) the diagonal.
-                let mut nrm = 0.0f64;
-                for &x in v.iter() {
-                    nrm = nrm.hypot(x);
-                }
-                if nrm == 0.0 {
-                    continue;
-                }
-                if v[0] < 0.0 {
-                    nrm = -nrm;
-                }
-                for x in v.iter_mut() {
-                    *x /= nrm;
-                }
-                v[0] += 1.0;
-                for (i, &x) in v.iter().enumerate() {
-                    a.set(k + i, k, x);
-                }
-                let shared = SharedSlice::new(a.data_mut());
-                // SAFETY: `a` is exclusively borrowed and nothing else runs.
-                unsafe { apply_reflector(v, &shared, n, k, (k + 1)..p1) };
-                rdiag[k] = -nrm;
-            }
-            // Then apply its reflectors, in order, to everything right of
-            // it, one task per `PANEL`-wide slab.
-            let trailing = n - p1;
-            let work = (m - p0) * trailing * (p1 - p0);
-            let threads = if work < PAR_MIN_WORK { 1 } else { opts.threads };
-            let shared = SharedSlice::new(a.data_mut());
-            // One contiguous run of slabs per thread, at least two: slabs
-            // that are neighbours share a cache line on every row, so
-            // tasks must not work on neighbouring slabs at the same time.
-            let slabs = trailing.div_ceil(PANEL);
-            let run = slabs.div_ceil(threads).max(2);
-            runtime::parallel_for(threads, slabs.div_ceil(run), |t| {
-                for slab in t * run..((t + 1) * run).min(slabs) {
-                    let j0 = p1 + slab * PANEL;
-                    let cols = j0..(j0 + PANEL).min(n);
-                    for k in p0..p1 {
-                        let v = &vs[(k - p0) * m..][..m - k];
-                        if v[0] != 0.0 {
-                            // SAFETY: this task owns columns `cols`,
-                            // disjoint from every other task's and from
-                            // the panel's own.
-                            unsafe { apply_reflector(v, &shared, n, k, cols.clone()) };
-                        }
-                    }
-                }
-            });
+        if n == 0 {
+            return Ok(QrFactor { qr: a, rdiag });
         }
+        let threads = if m * n * n < TEAM_MIN_WORK {
+            1
+        } else {
+            opts.threads
+        };
+        // Rows `p0..` of the panel being applied, which every member
+        // reads, and of the next panel's slab, which the leader updates and
+        // factors meanwhile. The other slabs are updated in `spare` copies:
+        // a task takes the first one free, and no more tasks run at once
+        // than the team has members. Every call allocates the same sizes.
+        let spares = threads.min(runtime::global().pool_size() + 1);
+        let mut raw = Vec::new();
+        let scratch = zeroed_rows(&mut raw, (2 + spares) * m);
+        let (buffers, spare) = scratch.split_at_mut(2 * m);
+        let (mut panel, mut ahead) = buffers.split_at_mut(m);
+        let spare: Vec<Mutex<&mut [Row]>> = spare.chunks_mut(m).map(Mutex::new).collect();
+        let cells = SharedSlice::new(a.data_mut());
+        let diag = SharedSlice::new(&mut rdiag);
+        // Factor the panel whose diagonal is row `p1` (`slab` holds rows
+        // `p0..` of columns `p1..`), then write the slab back.
+        let finish = |slab: &mut [Row], p0: usize, p1: usize| {
+            let w = PANEL.min(n - p1);
+            // SAFETY: the caller owns those columns of `a` and `rdiag`.
+            unsafe {
+                factor_panel(&mut slab[p1 - p0..], w, diag.slice_mut(p1, w));
+                scatter(&cells, n, p0, p1, slab);
+            }
+        };
+        team(threads, |team| {
+            opts.budget.check("qr factor")?;
+            // Panel 0, by the leader while the helpers join.
+            // SAFETY: no round runs yet.
+            unsafe { gather(&cells, n, 0, 0, panel) };
+            finish(panel, 0, 0);
+            // The row of `panel` on the current diagonal.
+            let mut top = 0;
+            for p1 in (PANEL..n).step_by(PANEL) {
+                opts.budget.check("qr factor")?;
+                let (p0, rows) = (p1 - PANEL, m - p1 + PANEL);
+                let applied = &panel[top..top + rows];
+                let live: Vec<usize> = (0..PANEL).filter(|&c| applied[c].0[c] != 0.0).collect();
+                let next = SharedSlice::new(&mut *ahead);
+                // Task 0 is the lookahead: the next panel's slab, then its
+                // factor. Tasks `1..LOOKAHEAD_SLABS` stand for the rest of
+                // its weight; then comes one task per slab right of it.
+                let tasks = (n - p1).div_ceil(PANEL) + LOOKAHEAD_SLABS - 1;
+                team.round(tasks, |t| {
+                    let j0 = match t {
+                        0 => p1,
+                        t if t < LOOKAHEAD_SLABS => return,
+                        t => p1 + (t + 1 - LOOKAHEAD_SLABS) * PANEL,
+                    };
+                    let mut copy;
+                    let slab = if t == 0 {
+                        // SAFETY: `ahead` is task 0's alone.
+                        unsafe { next.slice_mut(0, rows) }
+                    } else {
+                        copy = spare
+                            .iter()
+                            .find_map(|c| c.try_lock().ok())
+                            .expect("a spare copy per member");
+                        &mut copy[..rows]
+                    };
+                    // SAFETY: columns `j0..j0 + PANEL` of `a` are this
+                    // task's alone.
+                    unsafe { gather(&cells, n, p0, j0, slab) };
+                    apply_panel(applied, &live, slab);
+                    if t == 0 {
+                        finish(slab, p0, p1);
+                    } else {
+                        unsafe { scatter(&cells, n, p0, j0, slab) };
+                    }
+                });
+                std::mem::swap(&mut panel, &mut ahead);
+                top = PANEL;
+            }
+            Ok(())
+        })?;
         Ok(QrFactor { qr: a, rdiag })
     }
 
@@ -235,9 +431,7 @@ impl QrFactor {
             let v = &mut v[..m - k];
             gather_reflector(&self.qr, k, v);
             if v[0] != 0.0 {
-                let shared = SharedSlice::new(q.data_mut());
-                // SAFETY: `q` is exclusively borrowed and nothing else runs.
-                unsafe { apply_reflector(v, &shared, n, k, k..n) };
+                apply_reflector(v, q.data_mut(), n, k, k..n);
             }
         }
         q
@@ -248,7 +442,7 @@ impl QrFactor {
 mod tests {
     use super::*;
     use crate::matrix::norm2;
-    use genbase_util::Pcg64;
+    use genbase_util::{runtime, Pcg64};
 
     /// Residual 2-norm `||A x - b||`.
     fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
@@ -345,7 +539,7 @@ mod tests {
 
     #[test]
     fn row_oriented_equals_column_walk_exactly() {
-        // Shapes on both sides of PAR_MIN_WORK, widths below, at and off a
+        // Shapes on both sides of TEAM_MIN_WORK, widths below, at and off a
         // multiple of PANEL, a zero column (the `nrm == 0` skip) and a
         // negative pivot.
         let mut rng = Pcg64::new(35);
@@ -362,6 +556,22 @@ mod tests {
         }
         gap.set(0, 0, -3.0);
         cases.push(gap);
+        // Above the team floor: n ≡ 0, 1 and 31 (mod PANEL), and m == n.
+        for (m, n) in [(300, 128), (300, 129), (300, 127), (170, 170)] {
+            assert!(m * n * n >= TEAM_MIN_WORK, "{m}x{n}");
+            cases.push(random_matrix(&mut rng, m, n));
+        }
+        // Zero columns first, in the middle and last in a panel with
+        // trailing slabs, so the one-pass update skips reflectors, and a
+        // negative pivot; 400·110² is above the team floor too.
+        let mut gaps = random_matrix(&mut rng, 400, 110);
+        for c in [PANEL, PANEL + 16, 2 * PANEL - 1] {
+            for r in 0..400 {
+                gaps.set(r, c, 0.0);
+            }
+        }
+        gaps.set(40, 40, -50.0);
+        cases.push(gaps);
         for a in cases {
             let (m, n) = a.shape();
             let b: Vec<f64> = (0..m).map(|_| rng.normal()).collect();
@@ -395,6 +605,25 @@ mod tests {
                 assert_eq!(bits(&f.solve_ls(&b).unwrap()), bits(&x), "{m}x{n} solve");
             }
         }
+    }
+
+    #[test]
+    fn qr_factor_inside_a_parallel_for_task_matches_serial() {
+        // Sweeps run cells as pool tasks: a factor's team nested in one must
+        // finish (a hang fails after 60 s) with the serial bits.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let a = random_matrix(&mut Pcg64::new(36), 400, 110);
+            let want = QrFactor::factor(a.clone(), &ExecOpts::serial()).unwrap();
+            runtime::parallel_for(2, 4, |_| {
+                let f = QrFactor::factor(a.clone(), &ExecOpts::with_threads(2)).unwrap();
+                assert_eq!(bits(f.qr.data()), bits(want.qr.data()));
+                assert_eq!(bits(&f.rdiag), bits(&want.rdiag));
+            });
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("finished in time, without panicking");
     }
 
     #[test]

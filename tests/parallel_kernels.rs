@@ -130,9 +130,10 @@ proptest! {
 
 #[test]
 fn qr_regression_bit_identical_across_thread_counts() {
-    // One panel; several panels under the QR work floor; and a shape whose
-    // trailing updates are dispatched to the pool.
-    for (m, n) in [(40usize, 6usize), (300, 40), (900, 200)] {
+    // One panel; several panels under the QR team floor; a shape whose
+    // rounds have helpers; and Query 1's Large design (1920×386 with the
+    // intercept column).
+    for (m, n) in [(40usize, 6usize), (300, 40), (900, 200), (1920, 385)] {
         let x = random_matrix(m as u64, m, n);
         let mut rng = Pcg64::new(n as u64);
         let y: Vec<f64> = (0..m).map(|_| rng.normal()).collect();
