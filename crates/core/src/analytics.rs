@@ -16,9 +16,10 @@ use crate::plan::{Kernel, PlanSlot};
 use crate::query::{BiclusterOut, QueryOutput, QueryParams};
 use genbase_bicluster::{find_biclusters, ChengChurchConfig};
 use genbase_datagen::Dataset;
-use genbase_linalg::covariance::{quantile_abs_threshold, top_pairs_by_threshold};
+use genbase_linalg::covariance::top_fraction_pairs;
 use genbase_linalg::{
-    covariance, lanczos_topk, ExecOpts, GramOp, LinearRegression, Matrix, RegressionMethod,
+    covariance, gram, lanczos_topk, DenseSymOp, ExecOpts, GramOp, LinearRegression, Matrix,
+    RegressionMethod,
 };
 use genbase_stats::wilcoxon_rank_sum_par;
 use genbase_util::{Error, Pcg64, Result};
@@ -63,18 +64,16 @@ pub fn fit_regression(
 /// qualifying pairs as matrix-column indices (the caller joins metadata).
 pub fn covariance_pairs(mat: &Matrix, fraction: f64, opts: &ExecOpts) -> Result<CovPairs> {
     let cov = covariance(mat, opts)?;
-    Ok(pairs_from_cov(&cov, fraction))
+    pairs_from_cov(&cov, fraction)
 }
 
 /// Threshold + pair extraction from an already-computed covariance matrix
-/// (used by the distributed and MapReduce paths).
-pub fn pairs_from_cov(cov: &Matrix, fraction: f64) -> (f64, Vec<(usize, usize, f64)>) {
-    let threshold = quantile_abs_threshold(cov, fraction);
-    let pairs = top_pairs_by_threshold(cov, threshold)
-        .into_iter()
-        .map(|p| (p.a, p.b, p.value))
-        .collect();
-    (threshold, pairs)
+/// (used by the distributed and MapReduce paths). A NaN covariance is an
+/// [`Error::Numerical`].
+pub fn pairs_from_cov(cov: &Matrix, fraction: f64) -> Result<CovPairs> {
+    let (threshold, pairs) = top_fraction_pairs(cov, fraction)?;
+    let pairs = pairs.into_iter().map(|p| (p.a, p.b, p.value)).collect();
+    Ok((threshold, pairs))
 }
 
 /// Query 3 analytics: Cheng–Church on the filtered matrix; positions are
@@ -100,10 +99,25 @@ pub fn bicluster_output(
 }
 
 /// Query 4 analytics: top-`k` eigenvalues of `AᵀA` for the filtered
-/// expression matrix via Lanczos (never materializing the Gram matrix).
+/// expression matrix via Lanczos.
+///
+/// The operator follows from the shape. Forming `G = AᵀA` once ([`gram`],
+/// on `opts.threads`) costs `m·n²/2` multiply-adds and then `n²` a step;
+/// applying `AᵀA` implicitly ([`GramOp`], serial) costs `2·m·n` a step.
+/// A run takes `steps = min(2k + 20, n)`, and `G` is formed when that costs
+/// less: at Large (1920×385, 120 steps) it does, while for a tall matrix
+/// more than about `4·steps` wide (Query 4 at `--scale 1.0`) the implicit
+/// operator stays.
 pub fn svd_output(mat: &Matrix, k: usize, seed: u64, opts: &ExecOpts) -> Result<QueryOutput> {
-    let k = k.min(mat.cols()).max(1);
-    let res = lanczos_topk(&GramOp::new(mat), k, 0, seed, opts)?;
+    let (m, n) = mat.shape();
+    let k = k.min(n).max(1);
+    let steps = (2 * k + 20).min(n);
+    let res = if m * n / 2 + steps * n < 2 * steps * m {
+        let g = gram(mat, opts)?;
+        lanczos_topk(&DenseSymOp::new(&g)?, k, 0, seed, opts)?
+    } else {
+        lanczos_topk(&GramOp::new(mat), k, 0, seed, opts)?
+    };
     Ok(QueryOutput::Svd {
         eigenvalues: res.eigenvalues,
     })
@@ -228,22 +242,27 @@ pub fn gene_functions(data: &Dataset) -> HashMap<i64, i64> {
 }
 
 /// Query 2's final join: covariance pairs (matrix-column indices into
-/// `gene_ids`) back to gene ids and their function codes.
+/// `gene_ids`) back to gene ids and their function codes. Each column's
+/// function is looked up once, the first time a pair names it.
 pub fn covariance_output(
     (threshold, idx_pairs): CovPairs,
     gene_ids: &[i64],
     functions: &HashMap<i64, i64>,
 ) -> Result<QueryOutput> {
-    let function = |gene: i64| {
+    let mut by_column: Vec<Option<i64>> = vec![None; gene_ids.len()];
+    let mut function = |col: usize| -> Result<i64> {
+        if let Some(f) = by_column[col] {
+            return Ok(f);
+        }
+        let gene = gene_ids[col];
         let found = functions.get(&gene).copied();
-        found.ok_or_else(|| Error::invalid(format!("no metadata for gene {gene}")))
+        let f = found.ok_or_else(|| Error::invalid(format!("no metadata for gene {gene}")))?;
+        by_column[col] = Some(f);
+        Ok(f)
     };
     let pairs = idx_pairs
         .into_iter()
-        .map(|(a, b, v)| {
-            let (ga, gb) = (gene_ids[a], gene_ids[b]);
-            Ok((ga, gb, v, function(ga)?, function(gb)?))
-        })
+        .map(|(a, b, v)| Ok((gene_ids[a], gene_ids[b], v, function(a)?, function(b)?)))
         .collect::<Result<_>>()?;
     Ok(QueryOutput::Covariance { threshold, pairs })
 }
@@ -340,6 +359,14 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_covariance_is_a_numerical_error() {
+        let mut mat = Matrix::from_fn(8, 5, |r, c| (r * c) as f64 + r as f64);
+        mat.set(4, 2, f64::NAN);
+        let err = covariance_pairs(&mat, 0.1, &ExecOpts::serial()).unwrap_err();
+        assert!(matches!(err, Error::Numerical(_)), "{err}");
+    }
+
+    #[test]
     fn svd_output_descending() {
         let mut rng = Pcg64::new(153);
         let mat = Matrix::from_fn(50, 10, |_, _| rng.normal());
@@ -388,6 +415,20 @@ mod tests {
         };
         assert_eq!(out, expect);
         assert!(covariance_output(pairs(), &[5, 7], &functions).is_err());
+        // Columns repeat across pairs; the first gene in pair order without
+        // metadata is the one the error names.
+        let pairs = (
+            0.1,
+            vec![(0, 1, 0.5), (1, 2, 0.4), (0, 2, -0.3), (2, 3, 0.2)],
+        );
+        let out = covariance_output(pairs.clone(), &[5, 9, 5, 9], &functions).unwrap();
+        let QueryOutput::Covariance { pairs: got, .. } = out else {
+            panic!("wrong variant")
+        };
+        let codes: Vec<_> = got.iter().map(|p| (p.3, p.4)).collect();
+        assert_eq!(codes, [(100, 200), (200, 100), (100, 100), (100, 200)]);
+        let err = covariance_output(pairs, &[5, 9, 7, 8], &functions).unwrap_err();
+        assert!(err.to_string().contains("no metadata for gene 7"), "{err}");
     }
 
     #[test]

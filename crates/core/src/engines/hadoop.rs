@@ -421,7 +421,7 @@ impl PhysicalBackend for MrBackend<'_> {
                             for (j, row) in &cov_rows {
                                 cov.row_mut(*j as usize).copy_from_slice(row);
                             }
-                            Ok(analytics::pairs_from_cov(&cov, params.top_pair_fraction))
+                            analytics::pairs_from_cov(&cov, params.top_pair_fraction)
                         },
                     )?;
                     slot.cov = Some(cov);

@@ -289,7 +289,7 @@ pub fn run_multinode(
 
                 if root {
                     let clock = PhaseClock::start();
-                    let pairs = analytics::pairs_from_cov(&cov, params.top_pair_fraction);
+                    let pairs = analytics::pairs_from_cov(&cov, params.top_pair_fraction)?;
                     let gene_ids: Vec<i64> = (0..data.n_genes() as i64).collect();
                     let functions = analytics::gene_functions(data);
                     out.output = Some(analytics::covariance_output(pairs, &gene_ids, &functions)?);

@@ -1354,7 +1354,7 @@ impl SqlBackend<'_> {
                 "covariance simulated in SQL: pair-product hash aggregate",
                 || {
                     let cov = sql_sim_covariance(scan, patient_ids, gene_ids, db_budget)?;
-                    Ok(analytics::pairs_from_cov(&cov, params.top_pair_fraction))
+                    analytics::pairs_from_cov(&cov, params.top_pair_fraction)
                 },
             )?;
             slot.cov = Some(cov);

@@ -131,6 +131,9 @@ pub struct CovPair {
 
 /// Extract the off-diagonal pairs with `|cov| >= threshold`, sorted by
 /// descending absolute covariance (ties broken by index for determinism).
+/// [`top_fraction_pairs`] selects the same pairs from a fraction instead
+/// of a threshold; this keyed sort stays as the one
+/// `tests/parallel_kernels.rs` holds to the stable comparator sort.
 ///
 /// NaN never passes the threshold test, so every kept `|v|` is a
 /// non-negative float whose bit pattern orders like its value. The key
@@ -152,36 +155,164 @@ pub fn top_pairs_by_threshold(cov: &Matrix, threshold: f64) -> Vec<CovPair> {
             }
         }
     }
-    out.sort_unstable_by_key(|p| (!p.value.abs().to_bits(), p.a, p.b));
+    out.sort_unstable_by_key(pair_key);
     out
 }
 
-/// The threshold value t such that exactly `fraction` of the off-diagonal
-/// pairs satisfy `|cov| >= t` (the paper's "top 10%" selection). Returns 0.0
-/// when there are no pairs.
-pub fn quantile_abs_threshold(cov: &Matrix, fraction: f64) -> f64 {
+/// The unique sort key of a kept pair: descending `|v|`, then ascending
+/// indices.
+fn pair_key(p: &CovPair) -> (u64, usize, usize) {
+    (!abs_bits(p.value), p.a, p.b)
+}
+
+/// `|v|.to_bits()`: for every non-NaN `v` this orders like `|v|`.
+fn abs_bits(v: f64) -> u64 {
+    v.to_bits() & !SIGN_BIT
+}
+
+const SIGN_BIT: u64 = 1 << 63;
+
+/// `abs_bits >> BUCKET_SHIFT` is a pair's bucket in
+/// [`top_fraction_pairs`]: the exponent and the top 5 mantissa bits, 2^16
+/// buckets, ordered like the values they hold.
+const BUCKET_SHIFT: u32 = 47;
+
+/// A pair as one integer whose order is [`pair_key`]'s: `!|v|.to_bits()`,
+/// then `a` (below 2^31), `b` (below 2^32) and, below them, `v`'s sign.
+fn pack(a: usize, b: usize, v: f64) -> u128 {
+    let low = (a as u64) << 33 | (b as u64) << 1 | v.to_bits() >> 63;
+    (!abs_bits(v) as u128) << 64 | low as u128
+}
+
+/// The `|v|.to_bits()` of a packed pair.
+fn packed_abs_bits(key: u128) -> u64 {
+    !((key >> 64) as u64)
+}
+
+/// The pair [`pack`] packed.
+fn unpack(key: u128) -> CovPair {
+    let low = key as u64;
+    CovPair {
+        a: (low >> 33) as usize,
+        b: (low >> 1 & u64::from(u32::MAX)) as usize,
+        value: f64::from_bits(packed_abs_bits(key) | low << 63),
+    }
+}
+
+/// Query 2's selection (the paper's "top 10%"): the threshold `t` such
+/// that `fraction` of the off-diagonal pairs (at least one) have
+/// `|cov| >= t`, and those pairs, sorted by descending `|cov|` then
+/// ascending indices. `t` is the `keep`-th largest `|cov|` with
+/// `keep = ⌈pairs · fraction⌉`; ties at `t` are all kept. With no pairs
+/// the threshold is 0.0. A NaN anywhere in the upper triangle is an
+/// [`Error::Numerical`]: it has no place in the order.
+///
+/// Two passes over the upper triangle and no copy of all of it. Pass 1
+/// counts each pair's bucket (the high bits of `|v|.to_bits()`), which
+/// names the bucket holding the `keep`-th largest value. Pass 2 places
+/// every pair at or above that bucket in its bucket's slot, packed into
+/// one integer that sorts in the pair order. Each slot is sorted, `t` is
+/// then the `keep`-th entry, and the pairs below it (the tail of the last
+/// slot) are dropped. The result equals `top_pairs_by_threshold(cov, t)`
+/// with `t` from a full sort, bit for bit.
+pub fn top_fraction_pairs(cov: &Matrix, fraction: f64) -> Result<(f64, Vec<CovPair>)> {
     let n = cov.cols();
-    let mut vals = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
+    let upper = |i: usize| &cov.row(i)[i + 1..];
+    let total = n * n.saturating_sub(1) / 2;
+    if total == 0 {
+        return Ok((0.0, Vec::new()));
+    }
+    let keep = ((total as f64 * fraction).ceil() as usize).clamp(1, total);
+    assert!(n <= 1 << 31, "`pack` holds indices below 2^31");
+
+    let mut hist = vec![0usize; 1 << (63 - BUCKET_SHIFT)];
+    let mut max_bits = 0;
     for i in 0..n {
-        for j in (i + 1)..n {
-            vals.push(cov.get(i, j).abs());
+        for &v in upper(i) {
+            let bits = abs_bits(v);
+            max_bits = max_bits.max(bits);
+            hist[(bits >> BUCKET_SHIFT) as usize] += 1;
         }
     }
-    if vals.is_empty() {
-        return 0.0;
+    if max_bits > f64::INFINITY.to_bits() {
+        return Err(Error::Numerical("NaN covariance".into()));
     }
-    let keep = ((vals.len() as f64) * fraction).ceil() as usize;
-    let keep = keep.clamp(1, vals.len());
-    // Partial sort: only the `keep`-th value from the top is placed.
-    let (_, kth, _) =
-        vals.select_nth_unstable_by(keep - 1, |a, b| b.partial_cmp(a).expect("NaN covariance"));
-    *kth
+    // The threshold bucket `low`: the highest whose count, with every
+    // bucket above it, reaches `keep`. Each count from it up becomes its
+    // slot's start (the highest bucket first).
+    let mut placed = 0;
+    let mut low = hist.len();
+    while placed < keep {
+        low -= 1;
+        let count = hist[low];
+        hist[low] = placed;
+        placed += count;
+    }
+    let starts = hist[low..].to_vec();
+
+    let mut out = vec![0u128; placed];
+    for i in 0..n {
+        for (j, &v) in upper(i).iter().enumerate() {
+            let bucket = (abs_bits(v) >> BUCKET_SHIFT) as usize;
+            if bucket >= low {
+                let at = &mut hist[bucket];
+                out[*at] = pack(i, i + 1 + j, v);
+                *at += 1;
+            }
+        }
+    }
+    // `hist[b]` is now the end of bucket `b`'s slot.
+    for (&start, &end) in starts.iter().zip(&hist[low..]) {
+        out[start..end].sort_unstable();
+    }
+    let threshold = packed_abs_bits(out[keep - 1]);
+    let kept = out.partition_point(|&key| packed_abs_bits(key) >= threshold);
+    let pairs = out[..kept].iter().map(|&key| unpack(key)).collect();
+    Ok((f64::from_bits(threshold), pairs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use genbase_util::Pcg64;
+
+    /// The threshold as Query 2 first chose it: every `|v|` copied out,
+    /// then a comparator selection of the `keep`-th largest.
+    fn quantile_abs_threshold(cov: &Matrix, fraction: f64) -> f64 {
+        let n = cov.cols();
+        let mut vals = Vec::with_capacity(n * (n.saturating_sub(1)) / 2);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                vals.push(cov.get(i, j).abs());
+            }
+        }
+        if vals.is_empty() {
+            return 0.0;
+        }
+        let keep = ((vals.len() as f64) * fraction).ceil() as usize;
+        let keep = keep.clamp(1, vals.len());
+        let (_, kth, _) =
+            vals.select_nth_unstable_by(keep - 1, |a, b| b.partial_cmp(a).expect("NaN covariance"));
+        *kth
+    }
+
+    /// The pairs at or above `threshold` as Query 2 first sorted them: a
+    /// stable sort by descending `|v|` through a float comparator, over
+    /// pairs collected in ascending index order.
+    fn top_pairs_stable(cov: &Matrix, threshold: f64) -> Vec<CovPair> {
+        let n = cov.cols();
+        let mut out = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let value = cov.get(a, b);
+                if value.abs() >= threshold {
+                    out.push(CovPair { a, b, value });
+                }
+            }
+        }
+        out.sort_by(|x, y| y.value.abs().partial_cmp(&x.value.abs()).unwrap());
+        out
+    }
 
     fn brute_covariance(a: &Matrix) -> Matrix {
         let (m, n) = a.shape();
@@ -319,6 +450,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fraction_selection_equals_the_copy_select_and_sort_it_replaced() {
+        let mut rng = Pcg64::new(77);
+        let bits = |pairs: &[CovPair]| {
+            let key = |p: &CovPair| (p.a, p.b, p.value.to_bits());
+            pairs.iter().map(key).collect::<Vec<_>>()
+        };
+        for n in [0usize, 1, 2, 40] {
+            let random = Matrix::from_fn(n, n, |_, _| rng.normal());
+            let tied = Matrix::from_fn(n, n, |_, _| (rng.next_below(4) as f64 - 1.5) * 0.5);
+            let zeros = Matrix::from_fn(n, n, |r, c| if (r + c) % 3 == 0 { -0.0 } else { 0.0 });
+            let negative = Matrix::from_fn(n, n, |_, _| -rng.normal().abs() * 1e-3);
+            // Three values under one exponent and 5 mantissa bits: one bucket.
+            let one_bucket = Matrix::from_fn(n, n, |_, _| 1.0 + rng.next_below(3) as f64 / 128.0);
+            for cov in [&random, &tied, &zeros, &negative, &one_bucket] {
+                for fraction in [0.0, 0.001, 0.1, 0.5, 0.999, 1.0] {
+                    let want_t = quantile_abs_threshold(cov, fraction);
+                    let want = top_pairs_stable(cov, want_t);
+                    let (t, got) = top_fraction_pairs(cov, fraction).unwrap();
+                    assert_eq!(t.to_bits(), want_t.to_bits(), "n={n} fraction {fraction}");
+                    assert_eq!(bits(&got), bits(&want), "n={n} fraction {fraction}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fraction_selection_refuses_nan() {
+        let mut cov = Matrix::from_fn(5, 5, |r, c| (r * 5 + c) as f64);
+        cov.set(1, 3, f64::NAN);
+        let err = top_fraction_pairs(&cov, 0.5).unwrap_err();
+        assert!(matches!(err, Error::Numerical(_)), "{err}");
+        // Below the diagonal is never read.
+        let mut cov = Matrix::from_fn(5, 5, |r, c| (r * 5 + c) as f64);
+        cov.set(3, 1, f64::NAN);
+        assert!(top_fraction_pairs(&cov, 0.5).is_ok());
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! largest eigenvalues and the corresponding eigenvectors" of the (symmetric
 //! positive semidefinite) Gram matrix of the selected expression data. The
 //! operator is abstracted behind [`LinearOp`] so the same iteration drives
-//! the dense single-node path, the implicit `AᵀA` path (never materializing
-//! the Gram matrix), and the distributed matvec in `genbase-cluster`.
+//! an explicit Gram matrix ([`DenseSymOp`]), the implicit `AᵀA` path that
+//! never forms it ([`GramOp`]), and the distributed matvec in
+//! `genbase-cluster`.
 
 use crate::eigen::tridiag_eigen;
 use crate::matrix::{axpy, dot, norm2, scale, Matrix};
-use crate::{matvec, ExecOpts};
+use crate::ExecOpts;
 use genbase_util::progress::{f64s_from_hex, f64s_to_hex, u128_from_hex, u128_to_hex};
 use genbase_util::{Error, Json, Pcg64, Result};
 
@@ -22,7 +23,13 @@ pub trait LinearOp {
     fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<()>;
 }
 
-/// Dense symmetric operator backed by an explicit matrix (a serial matvec).
+/// Dense symmetric operator backed by an explicit matrix: a serial matvec
+/// written into `y`, equal to [`matvec`](crate::matvec) bit for bit.
+///
+/// One `dot` per row. Sharing [`GramOp`]'s 8-row `block_dots` here made
+/// `GramOp`'s own pass ≈ 40 % slower in release (1920×385 `lanczos_topk`
+/// 43–50 → 64–99 ms, 2-core host), a codegen change in a function whose
+/// source had not moved.
 pub struct DenseSymOp<'a> {
     mat: &'a Matrix,
 }
@@ -43,7 +50,11 @@ impl LinearOp for DenseSymOp<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        y.copy_from_slice(&matvec(self.mat, x));
+        let n = self.mat.cols();
+        assert_eq!(n, x.len(), "DenseSymOp shape mismatch");
+        for (yr, row) in y.iter_mut().zip(self.mat.data().chunks_exact(n.max(1))) {
+            *yr = dot(row, x);
+        }
         Ok(())
     }
 }
@@ -53,6 +64,13 @@ impl LinearOp for DenseSymOp<'_> {
 /// block of 8 rows computes its entries of `t = A x` as independent dot
 /// chains, then adds `t_r · a_r` into `y` while the rows are still in cache.
 /// The result equals `matvec_transposed(A, &matvec(A, x))` bit for bit.
+///
+/// Query 4's `svd_output` uses it only when forming `AᵀA` once would cost
+/// more than the run's implicit steps: `m·n/2 + steps·n ≥ 2·steps·m`,
+/// `steps = min(2k + 20, n)`, that is for a matrix more than about
+/// `4·steps` wide. Otherwise it runs on [`DenseSymOp`] over the packed,
+/// multi-threaded `gram`. `DistGramOp` runs this pass over each node's
+/// rows.
 ///
 /// The pass is serial at every thread budget. A bit-identical split needs
 /// all of `t` before any `y` element is final, so it is two pool jobs per
@@ -405,7 +423,7 @@ fn restore_lanczos_state(state: &Json, n: usize, m_target: usize) -> Option<Lanc
 mod tests {
     use super::*;
     use crate::eigen::jacobi_eigen;
-    use crate::gram;
+    use crate::{gram, matvec};
 
     fn random_tall(rng: &mut Pcg64, m: usize, n: usize) -> Matrix {
         Matrix::from_fn(m, n, |_, _| rng.normal())
@@ -413,16 +431,18 @@ mod tests {
 
     #[test]
     fn dense_op_matches_matvec() {
+        // Below, at and around the 8-row block and the dot's 4-wide body.
         let mut rng = Pcg64::new(61);
-        let a = random_tall(&mut rng, 30, 10);
-        let g = gram(&a, &ExecOpts::serial()).unwrap();
-        let op = DenseSymOp::new(&g).unwrap();
-        let x: Vec<f64> = (0..10).map(|_| rng.normal()).collect();
-        let mut y = vec![0.0; 10];
-        op.apply(&x, &mut y).unwrap();
-        let expect = matvec(&g, &x);
-        for (a, b) in y.iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-12);
+        for n in [0usize, 1, 3, 7, 8, 9, 13, 16, 30] {
+            let a = random_tall(&mut rng, n + 5, n);
+            let g = gram(&a, &ExecOpts::serial()).unwrap();
+            let op = DenseSymOp::new(&g).unwrap();
+            let x: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
+            // Stale contents in `y` must not leak into the result.
+            let mut y = vec![f64::NAN; n];
+            op.apply(&x, &mut y).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&matvec(&g, &x)), "n={n}");
         }
     }
 

@@ -64,6 +64,10 @@ const TEAM_MIN_WORK: usize = 1 << 22;
 /// five 33.5 / 38.8; six 35.4 / 39.6; seven 37.3; eight 38.0.
 const LOOKAHEAD_SLABS: usize = 4;
 
+/// Reflectors `solve_ls` copies out per pass down the rows: eight columns
+/// of a row are one cache line.
+const QT_BLOCK: usize = 8;
+
 /// One row of a slab's copy: `PANEL` columns on whole cache lines, so a
 /// row pass touches `PANEL / 8` lines per row, not one more. Factoring
 /// 1920×386, best of 10, four alternations, 2-core host: 58.9–68.7 ms vs
@@ -378,21 +382,31 @@ impl QrFactor {
             return Err(Error::Numerical("rank-deficient design matrix".into()));
         }
         let mut y = b.to_vec();
-        // y <- Qᵀ b via stored reflectors, each gathered once.
-        let mut v = vec![0.0; m];
-        for k in 0..n {
-            let v = &mut v[..m - k];
-            gather_reflector(&self.qr, k, v);
-            if v[0] == 0.0 {
-                continue;
+        // y <- Qᵀ b via the stored reflectors, `QT_BLOCK` at a time: one
+        // pass down the rows copies their columns out, transposed, so each
+        // reflector is then read contiguously.
+        let mut block = vec![0.0; QT_BLOCK * m];
+        for k0 in (0..n).step_by(QT_BLOCK) {
+            let (w, len) = (QT_BLOCK.min(n - k0), m - k0);
+            for (i, row) in self.qr.data()[k0 * n..].chunks_exact(n).enumerate() {
+                for (c, &x) in row[k0..k0 + w].iter().enumerate() {
+                    block[c * len + i] = x;
+                }
             }
-            let mut s = 0.0;
-            for (vi, yi) in v.iter().zip(&y[k..]) {
-                s += vi * yi;
-            }
-            s = -s / v[0];
-            for (vi, yi) in v.iter().zip(&mut y[k..]) {
-                *yi += s * vi;
+            for c in 0..w {
+                let k = k0 + c;
+                let v = &block[c * len + c..(c + 1) * len];
+                if v[0] == 0.0 {
+                    continue;
+                }
+                let mut s = 0.0;
+                for (vi, yi) in v.iter().zip(&y[k..]) {
+                    s += vi * yi;
+                }
+                s = -s / v[0];
+                for (vi, yi) in v.iter().zip(&mut y[k..]) {
+                    *yi += s * vi;
+                }
             }
         }
         // Back-substitute R x = y[0..n].
@@ -540,8 +554,8 @@ mod tests {
     #[test]
     fn row_oriented_equals_column_walk_exactly() {
         // Shapes on both sides of TEAM_MIN_WORK, widths below, at and off a
-        // multiple of PANEL, a zero column (the `nrm == 0` skip) and a
-        // negative pivot.
+        // multiple of PANEL (and of `solve_ls`'s QT_BLOCK), a zero column
+        // (the `nrm == 0` skip) and a negative pivot.
         let mut rng = Pcg64::new(35);
         let mut cases = vec![
             random_matrix(&mut rng, 1, 1),

@@ -85,7 +85,10 @@ fn two_worker_coordinated_sweep_is_byte_identical_to_serial() {
 fn killed_worker_leases_are_reissued_and_the_sweep_completes() {
     let ckpt =
         std::env::temp_dir().join(format!("genbase-coord-relase-{}.json", std::process::id()));
+    // A `.bak` left by an earlier process with this pid would be recovered
+    // as this sweep's checkpoint.
     let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
     let coordinator = Coordinator::bind(
         "127.0.0.1:0",
         sim_config(),
@@ -154,4 +157,5 @@ fn killed_worker_leases_are_reissued_and_the_sweep_completes() {
         .unwrap();
     assert_eq!(render_all(&serial.grid), render_all(&outcome.grid));
     let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
 }

@@ -120,7 +120,10 @@ fn killed_sweep_resumes_from_checkpoint_without_rerunning_cells() {
     };
     let ckpt =
         std::env::temp_dir().join(format!("genbase-sweep-resume-{}.json", std::process::id()));
+    // A `.bak` left by an earlier process with this pid would be recovered
+    // as this sweep's checkpoint (and refused if another build wrote it).
     let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
     let sweep = SweepOptions::default()
         .with_cells_in_flight(2)
         .with_checkpoint(&ckpt);
@@ -139,7 +142,7 @@ fn killed_sweep_resumes_from_checkpoint_without_rerunning_cells() {
     let err = sched
         .run_sweep(&[FigureId::Fig1], SizeClass::Small, &sweep)
         .unwrap_err();
-    assert!(err.to_string().contains("injected kill"));
+    assert!(err.to_string().contains("injected kill"), "got: {err}");
     let partial = ReportGrid::load(&ckpt).expect("checkpoint written before the kill");
     assert!(partial.len() < 35, "killed cells must be missing");
     assert!(!partial.is_empty(), "completed cells must be checkpointed");
@@ -194,6 +197,7 @@ fn killed_sweep_resumes_from_checkpoint_without_rerunning_cells() {
     .render();
     assert_eq!(rendered_resumed, rendered_clean);
     let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
 }
 
 // ---------------------------------------------------------------------------

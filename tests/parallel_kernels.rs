@@ -14,11 +14,13 @@
 //! depend on exact floating-point association, so they run under release
 //! codegen too.
 
+use genbase::analytics::svd_output;
+use genbase::query::QueryOutput;
 use genbase_bicluster::{find_biclusters, ChengChurchConfig};
 use genbase_linalg::covariance::{top_pairs_by_threshold, CovPair};
 use genbase_linalg::{
-    covariance, gram, matmul, matmul_naive, matvec, matvec_transposed, ExecOpts, GramOp, LinearOp,
-    LinearRegression, Matrix, RegressionMethod,
+    covariance, gram, lanczos_topk, matmul, matmul_naive, matvec, matvec_transposed, DenseSymOp,
+    ExecOpts, GramOp, LinearOp, LinearRegression, Matrix, RegressionMethod,
 };
 use genbase_util::Pcg64;
 use proptest::prelude::*;
@@ -202,6 +204,36 @@ fn fused_gram_op_is_bit_identical_to_two_matvecs() {
                 let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "{m}x{n} threads={threads}");
             }
+        }
+    }
+}
+
+#[test]
+fn svd_output_bit_identical_across_thread_counts_on_either_operator() {
+    // 600×150 forms `AᵀA` once (`gram` splits it over the threads); 300×400
+    // is wide enough for the implicit operator. Either way the eigenvalues
+    // equal a serial Lanczos run on that operator bit for bit, and the two
+    // operators agree within 1e-10.
+    for (m, n, explicit) in [(600usize, 150usize, true), (300, 400, false)] {
+        let a = random_matrix((m + n) as u64, m, n);
+        let (k, seed) = (20, 11);
+        let serial = ExecOpts::serial();
+        let g = gram(&a, &serial).unwrap();
+        let dense = lanczos_topk(&DenseSymOp::new(&g).unwrap(), k, 0, seed, &serial).unwrap();
+        let implicit = lanczos_topk(&GramOp::new(&a), k, 0, seed, &serial).unwrap();
+        for (d, i) in dense.eigenvalues.iter().zip(&implicit.eigenvalues) {
+            assert!((d - i).abs() <= 1e-10 * d.abs(), "{m}x{n}: {d} vs {i}");
+        }
+        let want = if explicit { &dense } else { &implicit };
+        let want: Vec<u64> = want.eigenvalues.iter().map(|v| v.to_bits()).collect();
+        for threads in THREAD_COUNTS {
+            let QueryOutput::Svd { eigenvalues } =
+                svd_output(&a, k, seed, &ExecOpts::with_threads(threads)).unwrap()
+            else {
+                panic!("wrong variant")
+            };
+            let got: Vec<u64> = eigenvalues.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{m}x{n} threads={threads}");
         }
     }
 }
