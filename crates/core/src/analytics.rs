@@ -101,18 +101,28 @@ pub fn bicluster_output(
 /// Query 4 analytics: top-`k` eigenvalues of `AᵀA` for the filtered
 /// expression matrix via Lanczos.
 ///
-/// The operator follows from the shape. Forming `G = AᵀA` once ([`gram`],
-/// on `opts.threads`) costs `m·n²/2` multiply-adds and then `n²` a step;
-/// applying `AᵀA` implicitly ([`GramOp`], serial) costs `2·m·n` a step.
-/// A run takes `steps = min(2k + 20, n)`, and `G` is formed when that costs
-/// less: at Large (1920×385, 120 steps) it does, while for a tall matrix
-/// more than about `4·steps` wide (Query 4 at `--scale 1.0`) the implicit
-/// operator stays.
+/// The operator follows from the shape, never from the thread count, so
+/// the eigenvalues are the same bits at any count. Forming `G = AᵀA` once
+/// ([`gram`], on `opts.threads`) costs `m·n²/2` multiply-adds and then `n²`
+/// a step; applying `AᵀA` implicitly ([`GramOp`], serial) costs `2·m·n` a
+/// step, over `steps = min(2k + 20, n)` steps. The packed `gram` does its
+/// multiply-adds about 1.5 (one thread) to 2.5 (two) times as fast as
+/// `GramOp`'s pass, so the rule counts them at half weight: `G` is formed
+/// when `m·n/4 + steps·n < 2·steps·m`. On Query 4's shapes (`n ≈ m/5`, 120
+/// steps) that switches at `m ≈ 4300`: every size of the default scale
+/// (Large is 1920×385) forms `G`, `--scale 1.0` does not.
+///
+/// Measured (release, 2-core host, k = 50, best of 2–4, two runs a shape):
+/// along `n = m/5` explicit over implicit at 1 thread was ×1.8 (1920×385),
+/// ×1.13–1.23 (2880×576), ×0.79–0.93 (3840×768), ×0.65–0.78 (5760×1152);
+/// at 2 threads ×1.5–1.6, ×1.6–1.9, ×1.5–1.6, ×1.3 and at 7680×1536 ×0.69
+/// and ×1.22. At `m = 1920` both counts broke even near `n = 600` (×0.97–1.06)
+/// and lost from `n = 700` (×0.71–0.84); the rule switches at `n = 768`.
 pub fn svd_output(mat: &Matrix, k: usize, seed: u64, opts: &ExecOpts) -> Result<QueryOutput> {
     let (m, n) = mat.shape();
     let k = k.min(n).max(1);
     let steps = (2 * k + 20).min(n);
-    let res = if m * n / 2 + steps * n < 2 * steps * m {
+    let res = if m * n / 4 + steps * n < 2 * steps * m {
         let g = gram(mat, opts)?;
         lanczos_topk(&DenseSymOp::new(&g)?, k, 0, seed, opts)?
     } else {

@@ -177,28 +177,6 @@ const SIGN_BIT: u64 = 1 << 63;
 /// buckets, ordered like the values they hold.
 const BUCKET_SHIFT: u32 = 47;
 
-/// A pair as one integer whose order is [`pair_key`]'s: `!|v|.to_bits()`,
-/// then `a` (below 2^31), `b` (below 2^32) and, below them, `v`'s sign.
-fn pack(a: usize, b: usize, v: f64) -> u128 {
-    let low = (a as u64) << 33 | (b as u64) << 1 | v.to_bits() >> 63;
-    (!abs_bits(v) as u128) << 64 | low as u128
-}
-
-/// The `|v|.to_bits()` of a packed pair.
-fn packed_abs_bits(key: u128) -> u64 {
-    !((key >> 64) as u64)
-}
-
-/// The pair [`pack`] packed.
-fn unpack(key: u128) -> CovPair {
-    let low = key as u64;
-    CovPair {
-        a: (low >> 33) as usize,
-        b: (low >> 1 & u64::from(u32::MAX)) as usize,
-        value: f64::from_bits(packed_abs_bits(key) | low << 63),
-    }
-}
-
 /// Query 2's selection (the paper's "top 10%"): the threshold `t` such
 /// that `fraction` of the off-diagonal pairs (at least one) have
 /// `|cov| >= t`, and those pairs, sorted by descending `|cov|` then
@@ -210,11 +188,11 @@ fn unpack(key: u128) -> CovPair {
 /// Two passes over the upper triangle and no copy of all of it. Pass 1
 /// counts each pair's bucket (the high bits of `|v|.to_bits()`), which
 /// names the bucket holding the `keep`-th largest value. Pass 2 places
-/// every pair at or above that bucket in its bucket's slot, packed into
-/// one integer that sorts in the pair order. Each slot is sorted, `t` is
-/// then the `keep`-th entry, and the pairs below it (the tail of the last
-/// slot) are dropped. The result equals `top_pairs_by_threshold(cov, t)`
-/// with `t` from a full sort, bit for bit.
+/// every pair at or above that bucket in its bucket's slot. Each slot is
+/// sorted on [`top_pairs_by_threshold`]'s key, `t` is then the `keep`-th
+/// entry, and the pairs below it (the tail of the last slot) are dropped.
+/// The result equals `top_pairs_by_threshold(cov, t)` with `t` from a
+/// full sort, bit for bit.
 pub fn top_fraction_pairs(cov: &Matrix, fraction: f64) -> Result<(f64, Vec<CovPair>)> {
     let n = cov.cols();
     let upper = |i: usize| &cov.row(i)[i + 1..];
@@ -223,7 +201,6 @@ pub fn top_fraction_pairs(cov: &Matrix, fraction: f64) -> Result<(f64, Vec<CovPa
         return Ok((0.0, Vec::new()));
     }
     let keep = ((total as f64 * fraction).ceil() as usize).clamp(1, total);
-    assert!(n <= 1 << 31, "`pack` holds indices below 2^31");
 
     let mut hist = vec![0usize; 1 << (63 - BUCKET_SHIFT)];
     let mut max_bits = 0;
@@ -250,25 +227,33 @@ pub fn top_fraction_pairs(cov: &Matrix, fraction: f64) -> Result<(f64, Vec<CovPa
     }
     let starts = hist[low..].to_vec();
 
-    let mut out = vec![0u128; placed];
+    let empty = CovPair {
+        a: 0,
+        b: 0,
+        value: 0.0,
+    };
+    let mut out = vec![empty; placed];
     for i in 0..n {
-        for (j, &v) in upper(i).iter().enumerate() {
-            let bucket = (abs_bits(v) >> BUCKET_SHIFT) as usize;
+        for (j, &value) in upper(i).iter().enumerate() {
+            let bucket = (abs_bits(value) >> BUCKET_SHIFT) as usize;
             if bucket >= low {
                 let at = &mut hist[bucket];
-                out[*at] = pack(i, i + 1 + j, v);
+                out[*at] = CovPair {
+                    a: i,
+                    b: i + 1 + j,
+                    value,
+                };
                 *at += 1;
             }
         }
     }
     // `hist[b]` is now the end of bucket `b`'s slot.
     for (&start, &end) in starts.iter().zip(&hist[low..]) {
-        out[start..end].sort_unstable();
+        out[start..end].sort_unstable_by_key(pair_key);
     }
-    let threshold = packed_abs_bits(out[keep - 1]);
-    let kept = out.partition_point(|&key| packed_abs_bits(key) >= threshold);
-    let pairs = out[..kept].iter().map(|&key| unpack(key)).collect();
-    Ok((f64::from_bits(threshold), pairs))
+    let threshold = abs_bits(out[keep - 1].value);
+    out.truncate(out.partition_point(|p| abs_bits(p.value) >= threshold));
+    Ok((f64::from_bits(threshold), out))
 }
 
 #[cfg(test)]

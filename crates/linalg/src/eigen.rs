@@ -36,7 +36,10 @@ pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<EigenPairs> {
     let mut d = d.to_vec();
     // Shifted copy with a trailing zero, as in tql2.
     let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
-    let mut z = Matrix::identity(n);
+    // The eigenvector matrix, transposed: row `j` holds column `j`, so a
+    // rotation of columns `i`, `i + 1` is an elementwise pass over two
+    // adjacent rows.
+    let mut zt = Matrix::identity(n);
 
     for l in 0..n {
         let mut iter = 0;
@@ -66,7 +69,7 @@ pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<EigenPairs> {
             let (mut s, mut c) = (1.0, 1.0);
             let mut p = 0.0;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -83,11 +86,11 @@ pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<EigenPairs> {
                 d[i + 1] = g + p;
                 g = c * r - b;
                 // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    f = z.get(k, i + 1);
-                    let v = z.get(k, i);
-                    z.set(k, i + 1, s * v + c * f);
-                    z.set(k, i, c * v - s * f);
+                let (zi, zi1) = zt.data_mut()[i * n..(i + 2) * n].split_at_mut(n);
+                for (v, f) in zi.iter_mut().zip(zi1) {
+                    let (zv, zf) = (*v, *f);
+                    *f = s * zv + c * zf;
+                    *v = c * zv - s * zf;
                 }
             }
             if r == 0.0 && m > l + 1 {
@@ -99,6 +102,7 @@ pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<EigenPairs> {
         }
     }
 
+    let mut z = zt.transpose();
     sort_pairs_desc(&mut d, &mut z);
     Ok(EigenPairs {
         values: d,
@@ -234,6 +238,83 @@ mod tests {
                     "eigen equation failed for pair {k}"
                 );
             }
+        }
+    }
+
+    /// `tridiag_eigen` as first written: each rotation walks two columns of
+    /// the row-major eigenvector matrix.
+    fn tridiag_eigen_column_walk(d: &[f64], e: &[f64]) -> EigenPairs {
+        let n = d.len();
+        let mut d = d.to_vec();
+        let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
+        let mut z = Matrix::identity(n);
+        for l in 0..n {
+            loop {
+                let mut m = l;
+                while m + 1 < n && e[m].abs() > f64::EPSILON * (d[m].abs() + d[m + 1].abs()) {
+                    m += 1;
+                }
+                if m == l {
+                    break;
+                }
+                let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+                let mut r = g.hypot(1.0);
+                g = d[m] - d[l] + e[l] / (g + r.copysign(g));
+                let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
+                for i in (l..m).rev() {
+                    let (f, b) = (s * e[i], c * e[i]);
+                    r = f.hypot(g);
+                    e[i + 1] = r;
+                    if r == 0.0 {
+                        d[i + 1] -= p;
+                        e[m] = 0.0;
+                        break;
+                    }
+                    s = f / r;
+                    c = g / r;
+                    g = d[i + 1] - p;
+                    r = (d[i] - g) * s + 2.0 * c * b;
+                    p = s * r;
+                    d[i + 1] = g + p;
+                    g = c * r - b;
+                    for k in 0..n {
+                        let (v, f) = (z.get(k, i), z.get(k, i + 1));
+                        z.set(k, i + 1, s * v + c * f);
+                        z.set(k, i, c * v - s * f);
+                    }
+                }
+                if r == 0.0 && m > l + 1 {
+                    continue;
+                }
+                d[l] -= p;
+                e[l] = g;
+                e[m] = 0.0;
+            }
+        }
+        sort_pairs_desc(&mut d, &mut z);
+        EigenPairs {
+            values: d,
+            vectors: z,
+        }
+    }
+
+    #[test]
+    fn transposed_rotations_equal_the_column_walk_exactly() {
+        // Lanczos' projected matrices (k = 50 runs 120 steps), a split
+        // (a zero off-diagonal) and the smallest sizes.
+        let mut rng = Pcg64::new(53);
+        for n in [1usize, 2, 5, 40, 120] {
+            let d: Vec<f64> = (0..n).map(|_| rng.normal().abs() * 50.0).collect();
+            let mut e: Vec<f64> = (0..n - 1).map(|_| rng.normal()).collect();
+            if n > 3 {
+                e[n / 2] = 0.0;
+            }
+            let bits = |p: &EigenPairs| {
+                let all = p.values.iter().chain(p.vectors.data());
+                all.map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let want = tridiag_eigen_column_walk(&d, &e);
+            assert_eq!(bits(&tridiag_eigen(&d, &e).unwrap()), bits(&want), "n={n}");
         }
     }
 

@@ -26,10 +26,13 @@ pub trait LinearOp {
 /// Dense symmetric operator backed by an explicit matrix: a serial matvec
 /// written into `y`, equal to [`matvec`](crate::matvec) bit for bit.
 ///
-/// One `dot` per row. Sharing [`GramOp`]'s 8-row `block_dots` here made
-/// `GramOp`'s own pass ≈ 40 % slower in release (1920×385 `lanczos_topk`
-/// 43–50 → 64–99 ms, 2-core host), a codegen change in a function whose
-/// source had not moved.
+/// One `dot` per row: the core overlaps consecutive rows' chains, so 120
+/// applies of a 385×385 matrix took 2.8–3.5 ms this way and 3.8–4.3 ms
+/// through a non-inlined copy of
+/// [`GramOp`]'s 8-row `block_dots` (release, 2-core host). Sharing
+/// `block_dots` here also made `GramOp`'s own pass ≈ 40 % slower
+/// (1920×385 `lanczos_topk` 43–50 → 64–99 ms), a codegen change in a
+/// function whose source had not moved.
 pub struct DenseSymOp<'a> {
     mat: &'a Matrix,
 }
@@ -65,12 +68,14 @@ impl LinearOp for DenseSymOp<'_> {
 /// chains, then adds `t_r · a_r` into `y` while the rows are still in cache.
 /// The result equals `matvec_transposed(A, &matvec(A, x))` bit for bit.
 ///
-/// Query 4's `svd_output` uses it only when forming `AᵀA` once would cost
-/// more than the run's implicit steps: `m·n/2 + steps·n ≥ 2·steps·m`,
-/// `steps = min(2k + 20, n)`, that is for a matrix more than about
-/// `4·steps` wide. Otherwise it runs on [`DenseSymOp`] over the packed,
-/// multi-threaded `gram`. `DistGramOp` runs this pass over each node's
-/// rows.
+/// Query 4's `svd_output` uses it only where forming `AᵀA` once would take
+/// longer than the run's implicit steps: `m·n/4 + steps·n ≥ 2·steps·m`,
+/// `steps = min(2k + 20, n)` (the `gram` term at half weight: it runs
+/// about twice as fast per multiply-add; see `svd_output` for the
+/// timings), which on Query 4's `n ≈ m/5` shapes means `m` above about
+/// 4300 (`--scale 0.11` and up at Large). Otherwise it runs on
+/// [`DenseSymOp`] over the packed, multi-threaded `gram`. `DistGramOp`
+/// runs this pass over each node's rows.
 ///
 /// The pass is serial at every thread budget. A bit-identical split needs
 /// all of `t` before any `y` element is final, so it is two pool jobs per
