@@ -153,7 +153,7 @@ pub fn dist_least_squares(
 /// is row-partitioned; `apply` does the local `A_iᵀ (A_i v)` (one fused
 /// [`GramOp`] pass over the band) and one allreduce. Every node runs the
 /// same deterministic Lanczos loop, so all nodes converge to identical
-/// eigenpairs.
+/// eigenvalues.
 pub struct DistGramOp<'a> {
     ctx: &'a NodeCtx,
     local: &'a Matrix,

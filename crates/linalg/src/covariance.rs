@@ -3,7 +3,8 @@
 //! The paper's Query 2 computes "the covariance between the expression levels
 //! of all pairs of genes": with samples as rows and genes as columns, that is
 //! `C = Zᵀ Z / (m - 1)` where `Z` is the column-mean-centered expression
-//! matrix — a Gram matrix after centering.
+//! matrix — a Gram matrix after centering — and keeps the top 10% of the
+//! pairs by `|cov|`, which [`top_fraction_pairs`] selects.
 
 use crate::matmul::gram;
 use crate::matrix::Matrix;
@@ -28,17 +29,6 @@ pub fn column_means(a: &Matrix) -> Vec<f64> {
     let inv = 1.0 / m.max(1) as f64;
     for mean in &mut means {
         *mean *= inv;
-    }
-    means
-}
-
-/// Subtract per-column means in place; returns the means.
-pub fn center_columns(a: &mut Matrix) -> Vec<f64> {
-    let means = column_means(a);
-    for r in 0..a.rows() {
-        for (v, mean) in a.row_mut(r).iter_mut().zip(&means) {
-            *v -= mean;
-        }
     }
     means
 }
@@ -117,8 +107,7 @@ pub fn covariance(a: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
     Ok(g)
 }
 
-/// A gene pair with its covariance, as produced by the Query 2 thresholding
-/// step.
+/// A gene pair with its covariance, as [`top_fraction_pairs`] selects it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CovPair {
     /// First column index (always < `b`).
@@ -129,38 +118,10 @@ pub struct CovPair {
     pub value: f64,
 }
 
-/// Extract the off-diagonal pairs with `|cov| >= threshold`, sorted by
-/// descending absolute covariance (ties broken by index for determinism).
-/// [`top_fraction_pairs`] selects the same pairs from a fraction instead
-/// of a threshold; this keyed sort stays as the one
-/// `tests/parallel_kernels.rs` holds to the stable comparator sort.
-///
-/// NaN never passes the threshold test, so every kept `|v|` is a
-/// non-negative float whose bit pattern orders like its value. The key
-/// `(!|v|.to_bits(), a, b)` is therefore descending in `|v|`, ascending in
-/// the indices, and unique per pair, so an unstable sort on it yields the
-/// one order a stable comparator sort would.
-pub fn top_pairs_by_threshold(cov: &Matrix, threshold: f64) -> Vec<CovPair> {
-    let n = cov.cols();
-    let mut out = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let v = cov.get(i, j);
-            if v.abs() >= threshold {
-                out.push(CovPair {
-                    a: i,
-                    b: j,
-                    value: v,
-                });
-            }
-        }
-    }
-    out.sort_unstable_by_key(pair_key);
-    out
-}
-
-/// The unique sort key of a kept pair: descending `|v|`, then ascending
-/// indices.
+/// The unique sort key of a pair: descending `|v|`, then ascending
+/// indices. For a non-NaN `v`, `|v|.to_bits()` is a non-negative float's
+/// bit pattern, which orders like its value, so an unstable sort on this
+/// key yields the one order a stable comparator sort would.
 fn pair_key(p: &CovPair) -> (u64, usize, usize) {
     (!abs_bits(p.value), p.a, p.b)
 }
@@ -179,20 +140,18 @@ const BUCKET_SHIFT: u32 = 47;
 
 /// Query 2's selection (the paper's "top 10%"): the threshold `t` such
 /// that `fraction` of the off-diagonal pairs (at least one) have
-/// `|cov| >= t`, and those pairs, sorted by descending `|cov|` then
-/// ascending indices. `t` is the `keep`-th largest `|cov|` with
-/// `keep = ⌈pairs · fraction⌉`; ties at `t` are all kept. With no pairs
-/// the threshold is 0.0. A NaN anywhere in the upper triangle is an
-/// [`Error::Numerical`]: it has no place in the order.
+/// `|cov| >= t`, and every off-diagonal pair with `|cov| >= t`, sorted by
+/// descending `|cov|` then ascending indices. `t` is the `keep`-th largest
+/// `|cov|` with `keep = ⌈pairs · fraction⌉`; ties at `t` are all kept.
+/// With no pairs the threshold is 0.0. A NaN anywhere in the upper
+/// triangle is an [`Error::Numerical`]: it has no place in the order.
 ///
 /// Two passes over the upper triangle and no copy of all of it. Pass 1
 /// counts each pair's bucket (the high bits of `|v|.to_bits()`), which
 /// names the bucket holding the `keep`-th largest value. Pass 2 places
 /// every pair at or above that bucket in its bucket's slot. Each slot is
-/// sorted on [`top_pairs_by_threshold`]'s key, `t` is then the `keep`-th
-/// entry, and the pairs below it (the tail of the last slot) are dropped.
-/// The result equals `top_pairs_by_threshold(cov, t)` with `t` from a
-/// full sort, bit for bit.
+/// sorted on `pair_key`, `t` is then the `keep`-th entry, and the pairs
+/// below it (the tail of the last slot) are dropped.
 pub fn top_fraction_pairs(cov: &Matrix, fraction: f64) -> Result<(f64, Vec<CovPair>)> {
     let n = cov.cols();
     let upper = |i: usize| &cov.row(i)[i + 1..];
@@ -299,6 +258,13 @@ mod tests {
         out
     }
 
+    fn pair_bits(pairs: &[CovPair]) -> Vec<(usize, usize, u64)> {
+        pairs
+            .iter()
+            .map(|p| (p.a, p.b, p.value.to_bits()))
+            .collect()
+    }
+
     fn brute_covariance(a: &Matrix) -> Matrix {
         let (m, n) = a.shape();
         let means = column_means(a);
@@ -343,7 +309,7 @@ mod tests {
     fn centering_zeroes_means() {
         let mut rng = Pcg64::new(73);
         let mut a = Matrix::from_fn(40, 6, |_, _| rng.normal() + 5.0);
-        let old_means = center_columns(&mut a);
+        let old_means = center_columns_par(&mut a, &ExecOpts::with_threads(2));
         assert!(old_means.iter().all(|m| (m - 5.0).abs() < 1.0));
         for m in column_means(&a) {
             assert!(m.abs() < 1e-12);
@@ -366,7 +332,12 @@ mod tests {
         let mut rng = Pcg64::new(76);
         let mut a = Matrix::from_fn(1100, 17, |_, _| rng.normal() + 2.5);
         let mut b = a.clone();
-        let serial_means = center_columns(&mut a);
+        let serial_means = column_means(&a);
+        for r in 0..a.rows() {
+            for (v, mean) in a.row_mut(r).iter_mut().zip(&serial_means) {
+                *v -= mean;
+            }
+        }
         let par_means = center_columns_par(&mut b, &ExecOpts::with_threads(4));
         for (s, p) in serial_means.iter().zip(&par_means) {
             assert!((s - p).abs() < 1e-12, "means drifted: {s} vs {p}");
@@ -389,7 +360,10 @@ mod tests {
         c.set(2, 0, -1.5);
         c.set(1, 2, 0.1);
         c.set(2, 1, 0.1);
-        let pairs = top_pairs_by_threshold(&c, 0.5);
+        // Three pairs: a fraction of 0.5 keeps the top ⌈1.5⌉ = 2.
+        let (t, pairs) = top_fraction_pairs(&c, 0.5).unwrap();
+        assert_eq!(t, 0.9);
+        assert_eq!(pair_bits(&pairs), pair_bits(&top_pairs_stable(&c, t)));
         assert_eq!(pairs.len(), 2);
         assert_eq!((pairs[0].a, pairs[0].b), (0, 2));
         assert!((pairs[0].value + 1.5).abs() < 1e-12);
@@ -401,8 +375,9 @@ mod tests {
         let mut rng = Pcg64::new(74);
         let a = Matrix::from_fn(50, 20, |_, _| rng.normal());
         let c = covariance(&a, &ExecOpts::serial()).unwrap();
-        let t = quantile_abs_threshold(&c, 0.10);
-        let pairs = top_pairs_by_threshold(&c, t);
+        let (t, pairs) = top_fraction_pairs(&c, 0.10).unwrap();
+        assert_eq!(t.to_bits(), quantile_abs_threshold(&c, 0.10).to_bits());
+        assert_eq!(pair_bits(&pairs), pair_bits(&top_pairs_stable(&c, t)));
         let total = 20 * 19 / 2;
         let expect = (total as f64 * 0.10).ceil() as usize;
         // Ties could add a pair or two; must be at least the requested count
@@ -440,10 +415,6 @@ mod tests {
     #[test]
     fn fraction_selection_equals_the_copy_select_and_sort_it_replaced() {
         let mut rng = Pcg64::new(77);
-        let bits = |pairs: &[CovPair]| {
-            let key = |p: &CovPair| (p.a, p.b, p.value.to_bits());
-            pairs.iter().map(key).collect::<Vec<_>>()
-        };
         for n in [0usize, 1, 2, 40] {
             let random = Matrix::from_fn(n, n, |_, _| rng.normal());
             let tied = Matrix::from_fn(n, n, |_, _| (rng.next_below(4) as f64 - 1.5) * 0.5);
@@ -457,7 +428,11 @@ mod tests {
                     let want = top_pairs_stable(cov, want_t);
                     let (t, got) = top_fraction_pairs(cov, fraction).unwrap();
                     assert_eq!(t.to_bits(), want_t.to_bits(), "n={n} fraction {fraction}");
-                    assert_eq!(bits(&got), bits(&want), "n={n} fraction {fraction}");
+                    assert_eq!(
+                        pair_bits(&got),
+                        pair_bits(&want),
+                        "n={n} fraction {fraction}"
+                    );
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! Symmetric eigensolvers.
 //!
-//! [`tridiag_eigen`] is the implicit-QL-with-shifts routine (EISPACK `tql2`
-//! lineage) that Lanczos uses on its projected tridiagonal matrix.
-//! [`jacobi_eigen`] is a cyclic Jacobi solver for dense symmetric matrices —
-//! slower but simple and robust, used as the reference in tests and for
-//! small problems.
+//! [`tridiag_eigen`] is the implicit-QL-with-shifts routine (EISPACK `tql1`,
+//! the values-only half of `tql2`) that Lanczos uses on its projected
+//! tridiagonal matrix. [`jacobi_eigen`] is a cyclic Jacobi solver for dense
+//! symmetric matrices, eigenvectors included: slow but simple, the
+//! reference the tests hold the Lanczos path to.
 
 use crate::matrix::Matrix;
 use genbase_util::{Error, Result};
@@ -14,32 +14,25 @@ use genbase_util::{Error, Result};
 pub struct EigenPairs {
     /// Eigenvalues sorted in descending order.
     pub values: Vec<f64>,
-    /// `n x n` (or `n x k`) matrix whose column `i` is the eigenvector for
-    /// `values[i]`.
+    /// `n x n` matrix whose column `i` is the eigenvector for `values[i]`.
     pub vectors: Matrix,
 }
 
-/// Eigen-decomposition of a symmetric tridiagonal matrix given its diagonal
-/// `d` and sub-diagonal `e` (`e.len() == d.len() - 1`). Returns all pairs
-/// sorted descending.
-pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<EigenPairs> {
+/// Eigenvalues of a symmetric tridiagonal matrix given its diagonal `d` and
+/// sub-diagonal `e` (`e.len() == d.len() - 1`), sorted descending. No
+/// rotation is accumulated: the `d`/`e` recurrence never reads one, so the
+/// values are those `tql2` computes, bit for bit.
+pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<Vec<f64>> {
     let n = d.len();
     if n == 0 {
-        return Ok(EigenPairs {
-            values: vec![],
-            vectors: Matrix::zeros(0, 0),
-        });
+        return Ok(vec![]);
     }
     if e.len() + 1 != n {
         return Err(Error::invalid("off-diagonal must have n-1 entries"));
     }
     let mut d = d.to_vec();
-    // Shifted copy with a trailing zero, as in tql2.
+    // Shifted copy with a trailing zero, as in tql1.
     let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
-    // The eigenvector matrix, transposed: row `j` holds column `j`, so a
-    // rotation of columns `i`, `i + 1` is an elementwise pass over two
-    // adjacent rows.
-    let mut zt = Matrix::identity(n);
 
     for l in 0..n {
         let mut iter = 0;
@@ -85,13 +78,6 @@ pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<EigenPairs> {
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into the eigenvector matrix.
-                let (zi, zi1) = zt.data_mut()[i * n..(i + 2) * n].split_at_mut(n);
-                for (v, f) in zi.iter_mut().zip(zi1) {
-                    let (zv, zf) = (*v, *f);
-                    *f = s * zv + c * zf;
-                    *v = c * zv - s * zf;
-                }
             }
             if r == 0.0 && m > l + 1 {
                 continue;
@@ -102,12 +88,8 @@ pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<EigenPairs> {
         }
     }
 
-    let mut z = zt.transpose();
-    sort_pairs_desc(&mut d, &mut z);
-    Ok(EigenPairs {
-        values: d,
-        vectors: z,
-    })
+    d.sort_by(|a, b| b.partial_cmp(a).expect("NaN eigenvalue"));
+    Ok(d)
 }
 
 /// Cyclic Jacobi eigensolver for a dense symmetric matrix. O(n³) per sweep;
@@ -197,52 +179,21 @@ mod tests {
     fn tridiag_known_2x2() {
         // [[2,1],[1,2]] has eigenvalues 3 and 1.
         let p = tridiag_eigen(&[2.0, 2.0], &[1.0]).unwrap();
-        assert!((p.values[0] - 3.0).abs() < 1e-12);
-        assert!((p.values[1] - 1.0).abs() < 1e-12);
+        assert!((p[0] - 3.0).abs() < 1e-12);
+        assert!((p[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn tridiag_diagonal_input() {
         let p = tridiag_eigen(&[5.0, -1.0, 2.0], &[0.0, 0.0]).unwrap();
-        assert_eq!(p.values.len(), 3);
-        assert!((p.values[0] - 5.0).abs() < 1e-12);
-        assert!((p.values[1] - 2.0).abs() < 1e-12);
-        assert!((p.values[2] + 1.0).abs() < 1e-12);
+        assert_eq!(p.len(), 3);
+        assert!((p[0] - 5.0).abs() < 1e-12);
+        assert!((p[1] - 2.0).abs() < 1e-12);
+        assert!((p[2] + 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn tridiag_eigen_equation_holds() {
-        let mut rng = Pcg64::new(51);
-        let n = 24;
-        let d: Vec<f64> = (0..n).map(|_| rng.normal() * 3.0).collect();
-        let e: Vec<f64> = (0..n - 1).map(|_| rng.normal()).collect();
-        let pairs = tridiag_eigen(&d, &e).unwrap();
-        // Build the dense tridiagonal matrix and verify T v = λ v.
-        let t = Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                d[i]
-            } else if i + 1 == j {
-                e[i]
-            } else if j + 1 == i {
-                e[j]
-            } else {
-                0.0
-            }
-        });
-        for k in 0..n {
-            let v = pairs.vectors.col(k);
-            let tv = crate::matvec(&t, &v);
-            for i in 0..n {
-                assert!(
-                    (tv[i] - pairs.values[k] * v[i]).abs() < 1e-8,
-                    "eigen equation failed for pair {k}"
-                );
-            }
-        }
-    }
-
-    /// `tridiag_eigen` as first written: each rotation walks two columns of
-    /// the row-major eigenvector matrix.
+    /// EISPACK `tql2`: the QL of `tridiag_eigen` that also accumulates each
+    /// rotation into the eigenvector matrix, walking two of its columns.
     fn tridiag_eigen_column_walk(d: &[f64], e: &[f64]) -> EigenPairs {
         let n = d.len();
         let mut d = d.to_vec();
@@ -300,8 +251,9 @@ mod tests {
 
     #[test]
     fn transposed_rotations_equal_the_column_walk_exactly() {
-        // Lanczos' projected matrices (k = 50 runs 120 steps), a split
-        // (a zero off-diagonal) and the smallest sizes.
+        // The values-only QL against the one that accumulates rotations, on
+        // Lanczos' projected matrices (k = 50 runs 120 steps), a split (a
+        // zero off-diagonal) and the smallest sizes.
         let mut rng = Pcg64::new(53);
         for n in [1usize, 2, 5, 40, 120] {
             let d: Vec<f64> = (0..n).map(|_| rng.normal().abs() * 50.0).collect();
@@ -309,11 +261,8 @@ mod tests {
             if n > 3 {
                 e[n / 2] = 0.0;
             }
-            let bits = |p: &EigenPairs| {
-                let all = p.values.iter().chain(p.vectors.data());
-                all.map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            let want = tridiag_eigen_column_walk(&d, &e);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want = tridiag_eigen_column_walk(&d, &e).values;
             assert_eq!(bits(&tridiag_eigen(&d, &e).unwrap()), bits(&want), "n={n}");
         }
     }
@@ -324,14 +273,14 @@ mod tests {
         let n = 40;
         let d: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
         let e: Vec<f64> = (0..n - 1).map(|_| rng.normal()).collect();
-        let pairs = tridiag_eigen(&d, &e).unwrap();
-        assert!(pairs.values.windows(2).all(|w| w[0] >= w[1] - 1e-12));
+        let values = tridiag_eigen(&d, &e).unwrap();
+        assert!(values.windows(2).all(|w| w[0] >= w[1] - 1e-12));
     }
 
     #[test]
     fn tridiag_validates_lengths() {
         assert!(tridiag_eigen(&[1.0, 2.0], &[]).is_err());
-        assert!(tridiag_eigen(&[], &[]).unwrap().values.is_empty());
+        assert!(tridiag_eigen(&[], &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -351,7 +300,7 @@ mod tests {
         });
         let jq = jacobi_eigen(&t).unwrap();
         let tq = tridiag_eigen(&d, &e).unwrap();
-        for (a, b) in jq.values.iter().zip(&tq.values) {
+        for (a, b) in jq.values.iter().zip(&tq) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }

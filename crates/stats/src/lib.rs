@@ -19,4 +19,4 @@ pub use normal::{erf, erfc, normal_cdf, normal_sf, two_sided_p};
 pub use ranking::{
     average_ranks, average_ranks_par, rank_sort_indices, rank_sort_indices_par, tie_group_sizes,
 };
-pub use wilcoxon::{wilcoxon_from_ranks, wilcoxon_rank_sum, wilcoxon_rank_sum_par, WilcoxonResult};
+pub use wilcoxon::{wilcoxon_rank_sum, wilcoxon_rank_sum_par, WilcoxonResult};

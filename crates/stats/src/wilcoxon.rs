@@ -54,30 +54,6 @@ pub fn wilcoxon_rank_sum_par(
     Ok(finish(w, n1, n2, &ties))
 }
 
-/// Rank-sum test given precomputed ranks over the combined population and a
-/// membership mask (`true` = group 1). This is the shape the enrichment
-/// query uses: genes are ranked once, then each GO term supplies a mask.
-pub fn wilcoxon_from_ranks(
-    ranks: &[f64],
-    in_group1: &[bool],
-    tie_sizes: &[usize],
-) -> Result<WilcoxonResult> {
-    if ranks.len() != in_group1.len() {
-        return Err(Error::invalid("mask length must match rank length"));
-    }
-    let n1 = in_group1.iter().filter(|&&b| b).count();
-    let n2 = ranks.len() - n1;
-    if n1 == 0 || n2 == 0 {
-        return Err(Error::invalid("both groups must be non-empty"));
-    }
-    let w: f64 = ranks
-        .iter()
-        .zip(in_group1)
-        .filter_map(|(r, &m)| m.then_some(*r))
-        .sum();
-    Ok(finish(w, n1, n2, tie_sizes))
-}
-
 fn finish(w: f64, n1: usize, n2: usize, tie_sizes: &[usize]) -> WilcoxonResult {
     let (n1f, n2f) = (n1 as f64, n2 as f64);
     let n = n1f + n2f;
@@ -242,30 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_path_matches_direct_path() {
-        let mut rng = Pcg64::new(91);
-        let all: Vec<f64> = (0..60).map(|_| (rng.next_below(20)) as f64).collect();
-        let mask: Vec<bool> = (0..60).map(|i| i % 3 == 0).collect();
-        let g1: Vec<f64> = all
-            .iter()
-            .zip(&mask)
-            .filter_map(|(v, &m)| m.then_some(*v))
-            .collect();
-        let g2: Vec<f64> = all
-            .iter()
-            .zip(&mask)
-            .filter_map(|(v, &m)| (!m).then_some(*v))
-            .collect();
-        let direct = wilcoxon_rank_sum(&g1, &g2).unwrap();
-        let ranks = crate::ranking::average_ranks(&all);
-        let ties = crate::ranking::tie_group_sizes(&all);
-        let via_ranks = wilcoxon_from_ranks(&ranks, &mask, &ties).unwrap();
-        assert!((direct.z - via_ranks.z).abs() < 1e-12);
-        assert!((direct.w - via_ranks.w).abs() < 1e-9);
-        assert_eq!(direct.n1, via_ranks.n1);
-    }
-
-    #[test]
     fn normal_approx_tracks_exact_p() {
         let mut rng = Pcg64::new(92);
         for _ in 0..5 {
@@ -306,8 +258,6 @@ mod tests {
     fn empty_group_rejected() {
         assert!(wilcoxon_rank_sum(&[], &[1.0]).is_err());
         assert!(wilcoxon_rank_sum(&[1.0], &[]).is_err());
-        assert!(wilcoxon_from_ranks(&[1.0, 2.0], &[true, true], &[]).is_err());
-        assert!(wilcoxon_from_ranks(&[1.0], &[true, false], &[]).is_err());
     }
 
     #[test]

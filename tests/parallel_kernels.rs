@@ -10,14 +10,15 @@
 //! Two kernels that were rewritten for speed are held bit for bit to the
 //! code they replaced, kept here as oracles: the fused Lanczos Gram
 //! operator (`GramOp`) against `matvec_transposed(a, &matvec(a, x))`, and
-//! the keyed top-pair sort against the stable float-comparator sort. Both
+//! Query 2's top-pair selection (`top_fraction_pairs`, a keyed sort per
+//! histogram bucket) against the stable float-comparator sort. Both
 //! depend on exact floating-point association, so they run under release
 //! codegen too.
 
 use genbase::analytics::svd_output;
 use genbase::query::QueryOutput;
 use genbase_bicluster::{find_biclusters, ChengChurchConfig};
-use genbase_linalg::covariance::{top_pairs_by_threshold, CovPair};
+use genbase_linalg::covariance::{top_fraction_pairs, CovPair};
 use genbase_linalg::{
     covariance, gram, lanczos_topk, matmul, matmul_naive, matvec, matvec_transposed, DenseSymOp,
     ExecOpts, GramOp, LinearOp, LinearRegression, Matrix, RegressionMethod,
@@ -270,8 +271,7 @@ fn keyed_top_pair_sort_matches_the_stable_comparator_sort() {
     let mut rng = Pcg64::new(0x70b);
     let n = 60;
     // Heavy planted ties: equal |v| with opposite signs, exact duplicates,
-    // both zeros; plus continuous values, and one NaN pair that no
-    // threshold may keep.
+    // both zeros; plus continuous values.
     let palette = [0.0, -0.0, 0.5, -0.5, 1.25, -1.25, 3.0, f64::MIN_POSITIVE];
     let mut cov = Matrix::zeros(n, n);
     for i in 0..n {
@@ -285,22 +285,32 @@ fn keyed_top_pair_sort_matches_the_stable_comparator_sort() {
             cov.set(j, i, v);
         }
     }
-    cov.set(3, 9, f64::NAN);
-    cov.set(9, 3, f64::NAN);
     let bits = |pairs: &[CovPair]| {
         pairs
             .iter()
             .map(|p| (p.a, p.b, p.value.to_bits()))
             .collect::<Vec<_>>()
     };
-    for threshold in [0.0, -1.0, f64::MIN_POSITIVE, 0.5, 1.25, 2.0, 10.0] {
-        let got = top_pairs_by_threshold(&cov, threshold);
+    // The threshold is the `keep`-th largest |v| of a full sort.
+    let mut sorted: Vec<f64> = (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .map(|(i, j)| cov.get(i, j).abs())
+        .collect();
+    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    for fraction in [0.0, 0.001, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0] {
+        let keep = ((sorted.len() as f64 * fraction).ceil() as usize).clamp(1, sorted.len());
+        let (threshold, got) = top_fraction_pairs(&cov, fraction).unwrap();
+        assert_eq!(
+            threshold.to_bits(),
+            sorted[keep - 1].to_bits(),
+            "fraction {fraction}"
+        );
         let want = top_pairs_stable_oracle(&cov, threshold);
-        assert_eq!(bits(&got), bits(&want), "threshold {threshold}");
+        assert_eq!(bits(&got), bits(&want), "fraction {fraction}");
     }
     assert_eq!(
-        top_pairs_by_threshold(&cov, 0.0).len(),
-        n * (n - 1) / 2 - 1,
-        "every pair but the NaN one"
+        top_fraction_pairs(&cov, 1.0).unwrap().1.len(),
+        n * (n - 1) / 2,
+        "every pair"
     );
 }
