@@ -21,7 +21,7 @@ use genbase_linalg::{
     covariance, gram, lanczos_topk, DenseSymOp, ExecOpts, GramOp, LinearRegression, Matrix,
     RegressionMethod,
 };
-use genbase_stats::wilcoxon_rank_sum_par;
+use genbase_stats::wilcoxon_rank_sum;
 use genbase_util::{Error, Pcg64, Result};
 use std::collections::HashMap;
 
@@ -138,18 +138,15 @@ pub fn svd_output(mat: &Matrix, k: usize, seed: u64, opts: &ExecOpts) -> Result<
 /// each term extracts its two value vectors and ranks them fresh (this
 /// per-term re-ranking is what the paper's scripts do and is the dominant
 /// analytics cost of the statistics task). Terms are independent, so they
-/// run in parallel on the shared runtime under `opts.threads`; per-term
-/// order is preserved, making results thread-count invariant.
+/// run in parallel on the shared runtime under `opts.threads`, each test
+/// one serial keyed sort; per-term order is preserved, making results
+/// thread-count invariant. A NaN score is `Error::Numerical`.
 pub fn enrichment_output(
     gene_scores: &[f64],
     memberships: &[Vec<u32>],
     opts: &ExecOpts,
 ) -> Result<QueryOutput> {
     let n = gene_scores.len();
-    // When there are fewer terms than threads, the leftover budget goes to
-    // the per-test ranking sort (wilcoxon_rank_sum_par); with many terms
-    // the term axis soaks up all threads and each test sorts serially.
-    let inner_threads = (opts.threads / memberships.len().max(1)).max(1);
     let tested = genbase_util::parallel_map(
         opts.threads,
         memberships.len(),
@@ -176,7 +173,7 @@ pub fn enrichment_output(
                 .filter(|&g| !in_group[g])
                 .map(|g| gene_scores[g])
                 .collect();
-            let res = wilcoxon_rank_sum_par(&group1, &group2, inner_threads)?;
+            let res = wilcoxon_rank_sum(&group1, &group2)?;
             Ok(Some((term, res.z, res.p_value)))
         },
     );
@@ -412,6 +409,18 @@ mod tests {
         assert!(p0 < 0.01);
         let (_, _, p1) = per_term[1];
         assert!(p1 > 0.05, "random term insignificant, p = {p1}");
+    }
+
+    #[test]
+    fn a_nan_gene_score_is_a_numerical_error() {
+        let mut scores: Vec<f64> = (0..40).map(|g| (g % 7) as f64).collect();
+        scores[23] = f64::NAN;
+        let memberships = vec![vec![0u32, 5, 9], vec![23, 30]];
+        for threads in [1, 2] {
+            let err = enrichment_output(&scores, &memberships, &ExecOpts::with_threads(threads))
+                .unwrap_err();
+            assert!(matches!(err, Error::Numerical(_)), "{err}");
+        }
     }
 
     #[test]

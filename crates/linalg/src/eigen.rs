@@ -2,20 +2,22 @@
 //!
 //! [`tridiag_eigen`] is the implicit-QL-with-shifts routine (EISPACK `tql1`,
 //! the values-only half of `tql2`) that Lanczos uses on its projected
-//! tridiagonal matrix. [`jacobi_eigen`] is a cyclic Jacobi solver for dense
-//! symmetric matrices, eigenvectors included: slow but simple, the
-//! reference the tests hold the Lanczos path to.
+//! tridiagonal matrix. Under `cfg(test)`, `jacobi_eigen` is a cyclic Jacobi
+//! solver for dense symmetric matrices, eigenvectors included: slow but
+//! simple, the reference the tests hold the Lanczos path to.
 
+#[cfg(test)]
 use crate::matrix::Matrix;
 use genbase_util::{Error, Result};
 
 /// Eigenvalues (descending) with matching eigenvectors as matrix columns.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct EigenPairs {
+pub(crate) struct EigenPairs {
     /// Eigenvalues sorted in descending order.
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
     /// `n x n` matrix whose column `i` is the eigenvector for `values[i]`.
-    pub vectors: Matrix,
+    pub(crate) vectors: Matrix,
 }
 
 /// Eigenvalues of a symmetric tridiagonal matrix given its diagonal `d` and
@@ -94,7 +96,8 @@ pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> Result<Vec<f64>> {
 
 /// Cyclic Jacobi eigensolver for a dense symmetric matrix. O(n³) per sweep;
 /// reliable reference implementation.
-pub fn jacobi_eigen(a: &Matrix) -> Result<EigenPairs> {
+#[cfg(test)]
+pub(crate) fn jacobi_eigen(a: &Matrix) -> Result<EigenPairs> {
     let (n, m) = a.shape();
     if n != m {
         return Err(Error::invalid("jacobi requires a square matrix"));
@@ -155,6 +158,7 @@ pub fn jacobi_eigen(a: &Matrix) -> Result<EigenPairs> {
 }
 
 /// Sort eigenvalues descending, permuting eigenvector columns to match.
+#[cfg(test)]
 fn sort_pairs_desc(values: &mut [f64], vectors: &mut Matrix) {
     let n = values.len();
     let mut order: Vec<usize> = (0..n).collect();

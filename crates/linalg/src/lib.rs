@@ -25,7 +25,7 @@ pub mod qr;
 pub mod regression;
 
 pub use covariance::{center_columns_par, column_means, column_means_par, covariance};
-pub use eigen::{jacobi_eigen, tridiag_eigen, EigenPairs};
+pub use eigen::tridiag_eigen;
 pub use lanczos::{lanczos_topk, DenseSymOp, GramOp, LanczosResult, LinearOp, LANCZOS_KERNEL};
 pub use matmul::{gram, matmul, matmul_naive, matvec, matvec_transposed};
 pub use matrix::Matrix;

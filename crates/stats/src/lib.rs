@@ -16,7 +16,5 @@ pub mod ranking;
 pub mod wilcoxon;
 
 pub use normal::{erf, erfc, normal_cdf, normal_sf, two_sided_p};
-pub use ranking::{
-    average_ranks, average_ranks_par, rank_sort_indices, rank_sort_indices_par, tie_group_sizes,
-};
+pub use ranking::{average_ranks, average_ranks_par, rank_sort_indices};
 pub use wilcoxon::{wilcoxon_rank_sum, wilcoxon_rank_sum_par, WilcoxonResult};

@@ -7,7 +7,7 @@
 //! large.
 
 use crate::normal::two_sided_p;
-use crate::ranking::{average_ranks, tie_group_sizes};
+use crate::ranking::ranks_and_ties;
 use genbase_util::{Error, Result};
 
 /// Outcome of a rank-sum test.
@@ -27,19 +27,10 @@ pub struct WilcoxonResult {
     pub n2: usize,
 }
 
-/// Rank-sum test for two independent samples.
+/// Rank-sum test for two independent samples. The combined sample is
+/// ranked by one keyed sort, which gives the ranks and the tie groups at
+/// once. A NaN in either group is `Error::Numerical`.
 pub fn wilcoxon_rank_sum(group1: &[f64], group2: &[f64]) -> Result<WilcoxonResult> {
-    wilcoxon_rank_sum_par(group1, group2, 1)
-}
-
-/// Rank-sum test with the combined ranking sorted on the shared runtime
-/// pool (`threads > 1`); identical results to [`wilcoxon_rank_sum`] at any
-/// thread count.
-pub fn wilcoxon_rank_sum_par(
-    group1: &[f64],
-    group2: &[f64],
-    threads: usize,
-) -> Result<WilcoxonResult> {
     if group1.is_empty() || group2.is_empty() {
         return Err(Error::invalid("both groups must be non-empty"));
     }
@@ -48,13 +39,23 @@ pub fn wilcoxon_rank_sum_par(
     let mut all = Vec::with_capacity(n1 + n2);
     all.extend_from_slice(group1);
     all.extend_from_slice(group2);
-    let ranks = crate::ranking::average_ranks_par(&all, threads);
+    let (ranks, ties) = ranks_and_ties(&all)?;
     let w: f64 = ranks[..n1].iter().sum();
-    let ties = tie_group_sizes(&all);
     Ok(finish(w, n1, n2, &ties))
 }
 
-fn finish(w: f64, n1: usize, n2: usize, tie_sizes: &[usize]) -> WilcoxonResult {
+/// [`wilcoxon_rank_sum`] under the kernels' thread-budget signature.
+/// `threads` is ignored: the serial keyed sort beat the parallel merge
+/// sort it replaced at every thread count.
+pub fn wilcoxon_rank_sum_par(
+    group1: &[f64],
+    group2: &[f64],
+    _threads: usize,
+) -> Result<WilcoxonResult> {
+    wilcoxon_rank_sum(group1, group2)
+}
+
+pub(crate) fn finish(w: f64, n1: usize, n2: usize, tie_sizes: &[usize]) -> WilcoxonResult {
     let (n1f, n2f) = (n1 as f64, n2 as f64);
     let n = n1f + n2f;
     let u = w - n1f * (n1f + 1.0) / 2.0;
@@ -89,105 +90,106 @@ fn finish(w: f64, n1: usize, n2: usize, tie_sizes: &[usize]) -> WilcoxonResult {
     }
 }
 
-/// Exact two-sided p-value by full enumeration of group-1 rank subsets.
-/// Exponential in `n1 + n2`; only for cross-checking tiny cases in tests.
-pub fn wilcoxon_exact_p(group1: &[f64], group2: &[f64]) -> Result<f64> {
-    let n1 = group1.len();
-    let n2 = group2.len();
-    let n = n1 + n2;
-    if n == 0 || n1 == 0 || n2 == 0 {
-        return Err(Error::invalid("both groups must be non-empty"));
-    }
-    if n > 20 {
-        return Err(Error::invalid("exact enumeration limited to n <= 20"));
-    }
-    let mut all = Vec::with_capacity(n);
-    all.extend_from_slice(group1);
-    all.extend_from_slice(group2);
-    let ranks = average_ranks(&all);
-    let observed_u = {
-        let w: f64 = ranks[..n1].iter().sum();
-        w - (n1 as f64) * (n1 as f64 + 1.0) / 2.0
-    };
-    let mean_u = n1 as f64 * n2 as f64 / 2.0;
-    let observed_dev = (observed_u - mean_u).abs();
-    // Enumerate all C(n, n1) group assignments over the *ranks*.
-    let mut extreme = 0u64;
-    let mut total = 0u64;
-    let mut chosen = vec![false; n];
-    // Recursive enumeration threads its whole accumulator state explicitly;
-    // bundling it into a struct would only rename the same nine values.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        ranks: &[f64],
-        chosen: &mut Vec<bool>,
-        start: usize,
-        left: usize,
-        n1: usize,
-        mean_u: f64,
-        observed_dev: f64,
-        extreme: &mut u64,
-        total: &mut u64,
-    ) {
-        if left == 0 {
-            let w: f64 = ranks
-                .iter()
-                .zip(chosen.iter())
-                .filter_map(|(r, &c)| c.then_some(*r))
-                .sum();
-            let u = w - (n1 as f64) * (n1 as f64 + 1.0) / 2.0;
-            *total += 1;
-            if (u - mean_u).abs() >= observed_dev - 1e-12 {
-                *extreme += 1;
-            }
-            return;
-        }
-        if ranks.len() - start < left {
-            return;
-        }
-        chosen[start] = true;
-        recurse(
-            ranks,
-            chosen,
-            start + 1,
-            left - 1,
-            n1,
-            mean_u,
-            observed_dev,
-            extreme,
-            total,
-        );
-        chosen[start] = false;
-        recurse(
-            ranks,
-            chosen,
-            start + 1,
-            left,
-            n1,
-            mean_u,
-            observed_dev,
-            extreme,
-            total,
-        );
-    }
-    recurse(
-        &ranks,
-        &mut chosen,
-        0,
-        n1,
-        n1,
-        mean_u,
-        observed_dev,
-        &mut extreme,
-        &mut total,
-    );
-    Ok(extreme as f64 / total as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::average_ranks;
     use genbase_util::Pcg64;
+
+    /// Exact two-sided p-value by full enumeration of group-1 rank subsets.
+    /// Exponential in `n1 + n2`; only for cross-checking tiny cases in tests.
+    fn wilcoxon_exact_p(group1: &[f64], group2: &[f64]) -> Result<f64> {
+        let n1 = group1.len();
+        let n2 = group2.len();
+        let n = n1 + n2;
+        if n == 0 || n1 == 0 || n2 == 0 {
+            return Err(Error::invalid("both groups must be non-empty"));
+        }
+        if n > 20 {
+            return Err(Error::invalid("exact enumeration limited to n <= 20"));
+        }
+        let mut all = Vec::with_capacity(n);
+        all.extend_from_slice(group1);
+        all.extend_from_slice(group2);
+        let ranks = average_ranks(&all);
+        let observed_u = {
+            let w: f64 = ranks[..n1].iter().sum();
+            w - (n1 as f64) * (n1 as f64 + 1.0) / 2.0
+        };
+        let mean_u = n1 as f64 * n2 as f64 / 2.0;
+        let observed_dev = (observed_u - mean_u).abs();
+        // Enumerate all C(n, n1) group assignments over the *ranks*.
+        let mut extreme = 0u64;
+        let mut total = 0u64;
+        let mut chosen = vec![false; n];
+        // Recursive enumeration threads its whole accumulator state explicitly;
+        // bundling it into a struct would only rename the same nine values.
+        #[allow(clippy::too_many_arguments)]
+        fn recurse(
+            ranks: &[f64],
+            chosen: &mut Vec<bool>,
+            start: usize,
+            left: usize,
+            n1: usize,
+            mean_u: f64,
+            observed_dev: f64,
+            extreme: &mut u64,
+            total: &mut u64,
+        ) {
+            if left == 0 {
+                let w: f64 = ranks
+                    .iter()
+                    .zip(chosen.iter())
+                    .filter_map(|(r, &c)| c.then_some(*r))
+                    .sum();
+                let u = w - (n1 as f64) * (n1 as f64 + 1.0) / 2.0;
+                *total += 1;
+                if (u - mean_u).abs() >= observed_dev - 1e-12 {
+                    *extreme += 1;
+                }
+                return;
+            }
+            if ranks.len() - start < left {
+                return;
+            }
+            chosen[start] = true;
+            recurse(
+                ranks,
+                chosen,
+                start + 1,
+                left - 1,
+                n1,
+                mean_u,
+                observed_dev,
+                extreme,
+                total,
+            );
+            chosen[start] = false;
+            recurse(
+                ranks,
+                chosen,
+                start + 1,
+                left,
+                n1,
+                mean_u,
+                observed_dev,
+                extreme,
+                total,
+            );
+        }
+        recurse(
+            &ranks,
+            &mut chosen,
+            0,
+            n1,
+            n1,
+            mean_u,
+            observed_dev,
+            &mut extreme,
+            &mut total,
+        );
+        Ok(extreme as f64 / total as f64)
+    }
 
     #[test]
     fn symmetric_groups_give_z_zero() {

@@ -13,9 +13,10 @@
 //! Query 2's top-pair selection (`top_fraction_pairs`, a keyed sort per
 //! histogram bucket) against the stable float-comparator sort. Both
 //! depend on exact floating-point association, so they run under release
-//! codegen too.
+//! codegen too. Query 5's per-term rank-sum tests (`enrichment_output`)
+//! give the same bits at every thread count.
 
-use genbase::analytics::svd_output;
+use genbase::analytics::{enrichment_output, svd_output};
 use genbase::query::QueryOutput;
 use genbase_bicluster::{find_biclusters, ChengChurchConfig};
 use genbase_linalg::covariance::{top_fraction_pairs, CovPair};
@@ -313,4 +314,40 @@ fn keyed_top_pair_sort_matches_the_stable_comparator_sort() {
         n * (n - 1) / 2,
         "every pair"
     );
+}
+
+#[test]
+fn enrichment_output_bit_identical_across_thread_counts() {
+    // Large's shape: 1440 genes, 120 GO terms of 5–80 members, scores
+    // rounded to two decimals so the rank-sum tests see ties.
+    let mut rng = Pcg64::new(0x5e7);
+    let genes = 1440;
+    let scores: Vec<f64> = (0..genes)
+        .map(|_| (rng.normal() * 100.0).round() / 100.0)
+        .collect();
+    let memberships: Vec<Vec<u32>> = (0..120)
+        .map(|_| {
+            let size = 5 + rng.next_below(76) as usize;
+            rng.sample_indices(genes, size)
+                .into_iter()
+                .map(|g| g as u32)
+                .collect()
+        })
+        .collect();
+    let run = |threads| {
+        let QueryOutput::Enrichment { per_term } =
+            enrichment_output(&scores, &memberships, &ExecOpts::with_threads(threads)).unwrap()
+        else {
+            panic!("wrong variant")
+        };
+        per_term
+            .iter()
+            .map(|&(t, z, p)| (t, z.to_bits(), p.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let one = run(1);
+    assert_eq!(one.len(), 120);
+    for threads in [2, 8] {
+        assert_eq!(run(threads), one, "threads={threads}");
+    }
 }
