@@ -73,20 +73,14 @@ enum Base<'a> {
 
 impl<'a> Base<'a> {
     /// A node's patient `band` of the table, charged as a private copy of
-    /// it would be (see the module docs; SciDB's notes and budget transient
-    /// are [`scidb::charge_ingest`]'s). A triple band is the table's rows
+    /// it would be (see the module docs; SciDB's notes are
+    /// [`scidb::charge_ingest`]'s). A triple band is the table's rows
     /// `band.start * genes..band.end * genes`.
-    fn band(
-        self,
-        data: &Dataset,
-        band: &Range<usize>,
-        budget: &Budget,
-        mem: &MemTracker,
-    ) -> Result<Base<'a>> {
+    fn band(self, data: &Dataset, band: &Range<usize>, mem: &MemTracker) -> Result<Base<'a>> {
         let genes = data.n_genes();
         match self {
             Base::Dense(_) => mem.charge((band.len() * genes * 8) as u64)?,
-            Base::Chunked(_) => scidb::charge_ingest(data, band.clone(), budget, mem)?,
+            Base::Chunked(_) => scidb::charge_ingest(data, band.clone(), mem)?,
             Base::Triples(view) => {
                 let view = view.subview(band.start * genes, band.end * genes)?;
                 mem.charge(view.span_bytes())?;
@@ -206,7 +200,7 @@ pub fn run_multinode(
         // trace reports the per-node maximum, matching the time combination.
         let mem = MemTracker::new(ctx.mem_budget);
         let opts = ExecOpts::with_threads(threads).with_budget(budget.clone());
-        let base = base.band(data, &band, &budget, &mem)?;
+        let base = base.band(data, &band, &mem)?;
         let dm_scope = mem.op_begin();
         let root = nctx.rank() == 0;
         let mut out = NodeOut {

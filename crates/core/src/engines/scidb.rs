@@ -103,19 +103,15 @@ impl ArrayData {
 /// Charge a cell (or one multi-node node) for the patient `rows` of the
 /// chunked array it reads, exactly as when it chunked a private copy of
 /// them ([`storage::chunked_from_dense`]): the dense input noted, the
-/// chunking transient taken from and returned to the budget, the resident
-/// chunks charged to the tracker for the run (so a `--mem-budget` below
-/// them refuses the cell) and noted as output.
+/// resident chunks charged to the tracker for the run (so a `--mem-budget`
+/// below them refuses the cell) and noted as output.
 pub(crate) fn charge_ingest(
     data: &Dataset,
     rows: std::ops::Range<usize>,
-    budget: &Budget,
     mem: &MemTracker,
 ) -> Result<()> {
     let cells = (rows.len() * data.n_genes()) as u64;
     mem.note_input(cells * 8);
-    budget.alloc(cells * 8, cells)?;
-    budget.free(cells * 8);
     mem.charge(cells * 8)?;
     mem.note_output(cells * 8, rows.len() as u64);
     Ok(())
@@ -163,7 +159,7 @@ pub(crate) fn run_scidb_single(
     let mem = ctx.mem_tracker();
     // Loaded once per dataset; charged per cell.
     let arrays = ctx.tables.arrays(data)?;
-    charge_ingest(data, 0..data.n_patients(), &budget, &mem)?;
+    charge_ingest(data, 0..data.n_patients(), &mem)?;
     let backend = ArrayBackend {
         data,
         params,

@@ -1265,7 +1265,6 @@ impl SqlBackend<'_> {
                     || {
                         db_budget.check("pivot")?;
                         mem.note_input(st.reel.span_bytes());
-                        db_budget.alloc((rows * cols * 8) as u64, (rows * cols) as u64)?;
                         let mut data = vec![0.0; rows * cols];
                         let survivors = storage::fused_scan(
                             &st.reel,
@@ -1282,7 +1281,6 @@ impl SqlBackend<'_> {
                                 "fused pivot saw {survivors} survivors, expected {expected}"
                             )));
                         }
-                        db_budget.free((rows * cols * 8) as u64);
                         let mat = Matrix::from_vec(rows, cols, data)?;
                         mem.note_output(mat.heap_bytes(), mat.rows() as u64);
                         mem.note_batches(n_batches);

@@ -1,10 +1,11 @@
 //! Dense linear algebra for the GenBase benchmark.
 //!
 //! This crate is the workspace's stand-in for BLAS/LAPACK (and, together with
-//! `genbase-cluster`, for ScaLAPACK): a row-major dense [`Matrix`], blocked
-//! and multithreaded multiplication kernels, Householder-QR least squares,
-//! a symmetric tridiagonal eigensolver, Lanczos iteration with full
-//! reorthogonalization (the paper's Query 4 algorithm), and covariance.
+//! `genbase-cluster`, for ScaLAPACK): a row-major dense [`Matrix`], a
+//! blocked matrix product and a multithreaded Gram kernel, Householder-QR
+//! least squares, a symmetric tridiagonal eigensolver, Lanczos iteration
+//! with full reorthogonalization (the paper's Query 4 algorithm), and
+//! covariance.
 //!
 //! All long-running kernels take an [`ExecOpts`] carrying a thread count and
 //! a cooperative [`genbase_util::Budget`], so engines can model single-
@@ -27,7 +28,7 @@ pub mod regression;
 pub use covariance::{center_columns_par, column_means, column_means_par, covariance};
 pub use eigen::tridiag_eigen;
 pub use lanczos::{lanczos_topk, DenseSymOp, GramOp, LanczosResult, LinearOp, LANCZOS_KERNEL};
-pub use matmul::{gram, matmul, matmul_naive, matvec, matvec_transposed};
+pub use matmul::{gram, matmul, matvec, matvec_transposed};
 pub use matrix::Matrix;
 pub use qr::QrFactor;
 pub use regression::{LinearRegression, RegressionMethod};
@@ -57,17 +58,6 @@ impl ExecOpts {
         }
     }
 
-    /// Parallel execution across all available cores, unlimited budget.
-    pub fn parallel() -> Self {
-        ExecOpts {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            budget: Budget::unlimited(),
-            progress: None,
-        }
-    }
-
     /// Execution with an explicit thread count, unlimited budget.
     pub fn with_threads(threads: usize) -> Self {
         ExecOpts {
@@ -87,12 +77,6 @@ impl ExecOpts {
     pub fn with_progress(mut self, progress: Option<ProgressHandle>) -> Self {
         self.progress = progress;
         self
-    }
-}
-
-impl Default for ExecOpts {
-    fn default() -> Self {
-        Self::parallel()
     }
 }
 
@@ -147,7 +131,6 @@ mod tests {
     #[test]
     fn exec_opts_constructors() {
         assert_eq!(ExecOpts::serial().threads, 1);
-        assert!(ExecOpts::parallel().threads >= 1);
         assert_eq!(ExecOpts::with_threads(0).threads, 1);
         assert_eq!(ExecOpts::with_threads(4).threads, 4);
     }

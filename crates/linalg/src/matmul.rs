@@ -1,102 +1,38 @@
 //! Matrix multiplication kernels.
 //!
-//! Two entry points mirror the performance spread the paper measures:
-//! - [`matmul_naive`]: textbook triple loop in i-j-k order. This is what
-//!   "simulating linear algebra in SQL" or Mahout-without-BLAS effectively
-//!   executes per cell; kept public as the tests' reference.
-//! - [`matmul`]: the production path. Products of at most
-//!   `PACK_THRESHOLD` flops run a serial cache-blocked i-k-j kernel;
-//!   larger ones pack B into SIMD-friendly column panels and run a
-//!   register-tiled 4×4 microkernel with a branch-free dense inner loop,
-//!   parallelized over row blocks on the shared [`genbase_util::runtime`]
-//!   pool.
+//! - [`matmul`]: general `A * B` as a serial cache-blocked i-k-j loop. No
+//!   GenBase query multiplies two general matrices; this is the library's
+//!   general product, not a query's hot path.
+//! - [`gram`]: `AᵀA` as a symmetric rank-k update on the shared
+//!   [`genbase_util::runtime`] pool — covariance (Query 2) and Query 4's
+//!   Gram matrix.
+//! - [`matvec`] / [`matvec_transposed`]: one row pass each.
 //!
-//! Every kernel assigns each output element to exactly one task with a
-//! fixed reduction order, so outputs are **bit-identical across thread
-//! counts**. Naive and blocked fold every `p` sequentially and agree
-//! bitwise; the packed kernel accumulates each KC-deep panel in registers
-//! before adding it to the output, so for `k > KC` it matches naive only
-//! within floating-point tolerance (typically more accurately, as panel
-//! sums are better conditioned).
+//! `gram` assigns each output element to exactly one task with a fixed
+//! reduction order, so its output is **bit-identical across thread
+//! counts**. `matmul` folds every `p` of an output element in ascending
+//! order, exactly as the textbook i-j-k loop does, so it equals that loop
+//! bit for bit.
 
 use crate::matrix::Matrix;
 use crate::ExecOpts;
 use genbase_util::runtime;
 use genbase_util::{Error, Result, SharedSlice};
 
-/// Cache block edge (in elements) for the serial blocked kernel. 64x64
-/// doubles = 32 KiB per tile, sized to stay in L1/L2 alongside the
-/// accumulator rows.
+/// Cache block edge (in elements) for `matmul`. 64x64 doubles = 32 KiB per
+/// tile, sized to stay in L1/L2 alongside the accumulator rows.
 const BLOCK: usize = 64;
 
-/// Rows per parallel task in the packed kernel. Also the unit the runtime
-/// load-balances over, so it is deliberately smaller than a full band.
-const MC: usize = 64;
-
-/// Depth (k) blocking for the packed kernel; one A row slice of KC doubles
-/// plus a KC×NR B panel stay L1/L2-resident.
-const KC: usize = 256;
-
-/// Microkernel tile: MR rows × NR columns held in registers.
-const MR: usize = 4;
-/// Microkernel width; NR consecutive B values are packed contiguously.
-const NR: usize = 4;
-
-/// Work below this FLOP count runs the serial blocked kernel: packing
-/// overhead dominates. Dispatch depends only on the shape (never on the
-/// thread count), keeping results deterministic.
-const PACK_THRESHOLD: u64 = 32 * 32 * 32;
-
-/// Textbook i-j-k matrix multiply. Quadratic cache misses on B; exists as
-/// the "no BLAS" baseline and the other kernels' test reference.
-pub fn matmul_naive(a: &Matrix, b: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
-    check_dims(a, b)?;
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        if i % 64 == 0 {
-            opts.budget.check("matmul (naive)")?;
-        }
-        for j in 0..n {
-            let mut acc = 0.0;
-            for p in 0..k {
-                acc += a.get(i, p) * b.get(p, j);
-            }
-            out.set(i, j, acc);
-        }
-    }
-    Ok(out)
-}
-
-/// Multithreaded packed multiply: B is packed once into column panels, then
-/// row blocks of the output are dynamically claimed by the shared runtime's
-/// workers. Falls back to the serial blocked kernel for tiny problems.
+/// `A * B` over 64×64 tiles in i-k-j order: each output row segment takes
+/// one `a[i][p] * b[p][j..]` update per `p`, in ascending `p`, so every
+/// element is the textbook fold bit for bit. Dense inner loop — no
+/// per-element zero test. `opts.threads` is ignored: the product runs on
+/// the calling thread. The budget is checked once per 64-row block.
 pub fn matmul(a: &Matrix, b: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
     check_dims(a, b)?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(out);
-    }
-    if (m as u64) * (k as u64) * (n as u64) <= PACK_THRESHOLD {
-        mm_block_into(a.data(), b.data(), out.data_mut(), m, k, n, opts)?;
-        return Ok(out);
-    }
-    mm_packed(a.data(), b.data(), out.data_mut(), m, k, n, opts)?;
-    Ok(out)
-}
-
-/// Serial blocked kernel computing `out = A * B` over the full row range.
-/// Dense inner loop — no per-element zero test.
-fn mm_block_into(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    opts: &ExecOpts,
-) -> Result<()> {
+    let (a, b, c) = (a.data(), b.data(), out.data_mut());
     for ib in (0..m).step_by(BLOCK) {
         opts.budget.check("matmul")?;
         let i_end = (ib + BLOCK).min(m);
@@ -106,179 +42,18 @@ fn mm_block_into(
                 let j_end = (jb + BLOCK).min(n);
                 for i in ib..i_end {
                     let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * n..(i + 1) * n];
+                    let c_row = &mut c[i * n + jb..i * n + j_end];
                     for p in kb..k_end {
                         let aval = a_row[p];
-                        let b_row = &b[p * n + jb..p * n + j_end];
-                        let o = &mut out_row[jb..j_end];
-                        for (oj, bj) in o.iter_mut().zip(b_row) {
-                            *oj += aval * bj;
+                        for (cj, bj) in c_row.iter_mut().zip(&b[p * n + jb..p * n + j_end]) {
+                            *cj += aval * bj;
                         }
                     }
                 }
             }
         }
     }
-    Ok(())
-}
-
-/// Pack the full columns of `b` (k×n) into panels of NR consecutive
-/// columns: `bp[jp*k*NR + p*NR + l] = b[p*n + jp*NR + l]`. The microkernel
-/// then streams one contiguous NR-wide vector per `p`. Tail columns
-/// (`n % NR`) stay unpacked and are handled by a scalar edge loop.
-fn pack_b(b: &[f64], k: usize, n: usize, opts: &ExecOpts) -> Vec<f64> {
-    let n_panels = n / NR;
-    let mut bp = vec![0.0f64; n_panels * k * NR];
-    let shared = SharedSlice::new(&mut bp);
-    runtime::parallel_for(opts.threads, n_panels, |jp| {
-        // SAFETY: each panel index jp owns a disjoint region of bp.
-        let panel = unsafe { shared.slice_mut(jp * k * NR, k * NR) };
-        let j = jp * NR;
-        for p in 0..k {
-            panel[p * NR..p * NR + NR].copy_from_slice(&b[p * n + j..p * n + j + NR]);
-        }
-    });
-    bp
-}
-
-/// Packed parallel kernel body: `out += A * B` with B pre-packed.
-fn mm_packed(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    opts: &ExecOpts,
-) -> Result<()> {
-    let bp = pack_b(b, k, n, opts);
-    let n_panels = n / NR;
-    let tasks = m.div_ceil(MC);
-    let shared = SharedSlice::new(out);
-    runtime::try_parallel_for(opts.threads, tasks, |t| {
-        let ib = t * MC;
-        let i_end = (ib + MC).min(m);
-        // SAFETY: each task owns the disjoint row band ib..i_end.
-        let out_band = unsafe { shared.slice_mut(ib * n, (i_end - ib) * n) };
-        mm_band_packed(a, b, &bp, out_band, ib, i_end, k, n, n_panels, opts)
-    })
-}
-
-/// One row band of the packed kernel; `out` holds only the band's rows.
-#[allow(clippy::too_many_arguments)]
-fn mm_band_packed(
-    a: &[f64],
-    b: &[f64],
-    bp: &[f64],
-    out: &mut [f64],
-    ib: usize,
-    i_end: usize,
-    k: usize,
-    n: usize,
-    n_panels: usize,
-    opts: &ExecOpts,
-) -> Result<()> {
-    for kb in (0..k).step_by(KC) {
-        opts.budget.check("matmul")?;
-        let k_end = (kb + KC).min(k);
-        for jp in 0..n_panels {
-            let panel = &bp[jp * k * NR..(jp + 1) * k * NR];
-            let j = jp * NR;
-            let mut i = ib;
-            while i + MR <= i_end {
-                micro_4x4(a, k, i, panel, kb, k_end, out, ib, n, j);
-                i += MR;
-            }
-            while i < i_end {
-                micro_1x4(a, k, i, panel, kb, k_end, out, ib, n, j);
-                i += 1;
-            }
-        }
-        // Unpacked column tail (n % NR columns): scalar, strided B reads.
-        let j_tail = n_panels * NR;
-        if j_tail < n {
-            for i in ib..i_end {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[(i - ib) * n..(i - ib + 1) * n];
-                for j in j_tail..n {
-                    let mut acc = 0.0;
-                    for p in kb..k_end {
-                        acc += a_row[p] * b[p * n + j];
-                    }
-                    out_row[j] += acc;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Register-tiled 4×4 microkernel: 16 accumulators over one packed panel.
-/// The inner loop is branch-free and reads NR contiguous packed B values
-/// per step — the layout auto-vectorizers want.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn micro_4x4(
-    a: &[f64],
-    k: usize,
-    i: usize,
-    panel: &[f64],
-    kb: usize,
-    k_end: usize,
-    out: &mut [f64],
-    band_start: usize,
-    n: usize,
-    j: usize,
-) {
-    let r0 = &a[i * k + kb..i * k + k_end];
-    let r1 = &a[(i + 1) * k + kb..(i + 1) * k + k_end];
-    let r2 = &a[(i + 2) * k + kb..(i + 2) * k + k_end];
-    let r3 = &a[(i + 3) * k + kb..(i + 3) * k + k_end];
-    let panel_k = &panel[kb * NR..k_end * NR];
-    let mut c = [[0.0f64; NR]; MR];
-    for ((((bv, &a0), &a1), &a2), &a3) in panel_k.chunks_exact(NR).zip(r0).zip(r1).zip(r2).zip(r3) {
-        let av = [a0, a1, a2, a3];
-        for (cr, ar) in c.iter_mut().zip(av) {
-            for (cl, bl) in cr.iter_mut().zip(bv) {
-                *cl += ar * bl;
-            }
-        }
-    }
-    for (r, cr) in c.iter().enumerate() {
-        let orow = &mut out[(i - band_start + r) * n + j..(i - band_start + r) * n + j + NR];
-        for (ol, cl) in orow.iter_mut().zip(cr) {
-            *ol += cl;
-        }
-    }
-}
-
-/// Single-row edge microkernel over a packed panel.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn micro_1x4(
-    a: &[f64],
-    k: usize,
-    i: usize,
-    panel: &[f64],
-    kb: usize,
-    k_end: usize,
-    out: &mut [f64],
-    band_start: usize,
-    n: usize,
-    j: usize,
-) {
-    let row = &a[i * k + kb..i * k + k_end];
-    let panel_k = &panel[kb * NR..k_end * NR];
-    let mut c = [0.0f64; NR];
-    for (bv, &av) in panel_k.chunks_exact(NR).zip(row) {
-        for (cl, bl) in c.iter_mut().zip(bv) {
-            *cl += av * bl;
-        }
-    }
-    let orow = &mut out[(i - band_start) * n + j..(i - band_start) * n + j + NR];
-    for (ol, cl) in orow.iter_mut().zip(&c) {
-        *ol += cl;
-    }
+    Ok(out)
 }
 
 /// Column-block edge for the symmetric rank-k update. A 128×128 block
@@ -290,8 +65,8 @@ const SYRK_BLOCK: usize = 128;
 /// is computed (half the FLOPs), parallelized over column-block *pairs* on
 /// the shared runtime, then mirrored. Each block pair streams the rows of A
 /// once, broadcasting 4 left-column values against a contiguous 8-wide
-/// right-column segment per row — the same SIMD-friendly shape as the
-/// matmul microkernel. This is the covariance workhorse.
+/// right-column segment per row (branch-free, SIMD-friendly). This is the
+/// covariance workhorse.
 pub fn gram(a: &Matrix, opts: &ExecOpts) -> Result<Matrix> {
     let (m, n) = a.shape();
     let mut out = Matrix::zeros(n, n);
@@ -325,12 +100,15 @@ fn syrk_block_pair(t: usize, nb: usize) -> (usize, usize) {
 /// every register tile of the block sweeps them.
 const SYRK_KC: usize = 256;
 
+/// Rows of the syrk register tile: left-column values broadcast per row.
+const SYRK_MR: usize = 4;
+
 /// Column width of the syrk register tile: one AVX-512 vector (or two
 /// AVX2 vectors) of f64 accumulators per tile row.
 const SYRK_NR: usize = 8;
 
 /// One (bi, bj) column-block pair of the upper triangle of `AᵀA`,
-/// register-tiled like the matmul microkernel: for each 4×8 tile, stream a
+/// register-tiled: for each 4×8 tile, stream a
 /// row panel once with 4 broadcast left values × one contiguous 8-wide
 /// right segment per row (branch-free, SIMD-friendly), accumulating in
 /// registers; the block accumulator is touched once per panel, not once
@@ -359,7 +137,7 @@ fn syrk_block(
         let panel = &a[kb * n..k_end * n];
         let mut ci = 0;
         while ci < wi {
-            let ci_t = (ci + MR).min(wi);
+            let ci_t = (ci + SYRK_MR).min(wi);
             let mut cj = 0;
             while cj < wj {
                 let cj_t = (cj + SYRK_NR).min(wj);
@@ -368,8 +146,8 @@ fn syrk_block(
                     cj = cj_t;
                     continue;
                 }
-                if ci_t - ci == MR && cj_t - cj == SYRK_NR {
-                    let mut c = [[0.0f64; SYRK_NR]; MR];
+                if ci_t - ci == SYRK_MR && cj_t - cj == SYRK_NR {
+                    let mut c = [[0.0f64; SYRK_NR]; SYRK_MR];
                     for row in panel.chunks_exact(n) {
                         let x = [
                             row[ci_start + ci],
@@ -482,6 +260,17 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| rng.normal())
     }
 
+    /// Textbook i-j-k product: `matmul`'s reference.
+    fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            let mut acc = 0.0;
+            for p in 0..a.cols() {
+                acc += a.get(i, p) * b.get(p, j);
+            }
+            acc
+        })
+    }
+
     #[test]
     fn small_known_product() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
@@ -493,69 +282,16 @@ mod tests {
 
     #[test]
     fn blocked_matches_naive() {
-        // Products of at most PACK_THRESHOLD flops take the blocked path,
-        // which folds p in naive's order: the two agree exactly. The last
-        // two shapes cross BLOCK edges in k and n, and in m.
+        // The blocked kernel folds p in naive's order: the two agree
+        // exactly. The last two shapes cross BLOCK edges in k and n, and
+        // in m.
         let mut rng = Pcg64::new(21);
         for (m, k, n) in [(32, 32, 32), (20, 40, 40), (2, 128, 127), (130, 2, 120)] {
-            assert!((m * k * n) as u64 <= PACK_THRESHOLD);
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
-            let opts = ExecOpts::serial();
-            let naive = matmul_naive(&a, &b, &opts).unwrap();
-            let blocked = matmul(&a, &b, &opts).unwrap();
-            assert!(blocked.approx_eq(&naive, 0.0), "{m}x{k}x{n}");
+            let blocked = matmul(&a, &b, &ExecOpts::serial()).unwrap();
+            assert!(blocked.approx_eq(&matmul_naive(&a, &b), 0.0), "{m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn packed_matches_naive_bitwise() {
-        // For k <= KC there is a single register panel per element, so the
-        // packed kernel folds p in the same ascending order as naive and
-        // must agree *exactly*.
-        let mut rng = Pcg64::new(28);
-        let a = random_matrix(&mut rng, 97, 83);
-        let b = random_matrix(&mut rng, 83, 71);
-        let naive = matmul_naive(&a, &b, &ExecOpts::serial()).unwrap();
-        for threads in [1, 2, 8] {
-            let packed = matmul(&a, &b, &ExecOpts::with_threads(threads)).unwrap();
-            assert!(
-                packed.approx_eq(&naive, 0.0),
-                "threads={threads}: packed kernel drifted from naive"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_beyond_kc_matches_within_tolerance() {
-        // k > KC splits the reduction into per-panel register sums, which
-        // reassociates the fold: bitwise equality with naive no longer
-        // holds, but 1e-9 relative agreement must — and thread-count
-        // invariance must stay exact.
-        let mut rng = Pcg64::new(31);
-        let a = random_matrix(&mut rng, 70, 2 * KC + 37);
-        let b = random_matrix(&mut rng, 2 * KC + 37, 60);
-        let naive = matmul_naive(&a, &b, &ExecOpts::serial()).unwrap();
-        let one = matmul(&a, &b, &ExecOpts::with_threads(1)).unwrap();
-        assert!(
-            one.approx_eq(&naive, 1e-9),
-            "drift {}",
-            one.max_abs_diff(&naive)
-        );
-        for threads in [2, 8] {
-            let multi = matmul(&a, &b, &ExecOpts::with_threads(threads)).unwrap();
-            assert!(multi.approx_eq(&one, 0.0), "threads={threads} changed bits");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let mut rng = Pcg64::new(22);
-        let a = random_matrix(&mut rng, 200, 64);
-        let b = random_matrix(&mut rng, 64, 48);
-        let serial = matmul(&a, &b, &ExecOpts::serial()).unwrap();
-        let par = matmul(&a, &b, &ExecOpts::with_threads(4)).unwrap();
-        assert!(par.approx_eq(&serial, 0.0), "thread count changed results");
     }
 
     #[test]
@@ -632,15 +368,14 @@ mod tests {
 
     #[test]
     fn ragged_edges_exercised() {
-        // Shapes chosen to hit every edge path: row tails (m % 4), packed
-        // column tails (n % 4), k not a multiple of KC or BLOCK.
+        // Partial tiles in every dimension (m, k, n not multiples of
+        // BLOCK), and a thread count the kernel ignores.
         let mut rng = Pcg64::new(30);
         for (m, k, n) in [(67, 33, 41), (5, 129, 7), (130, 70, 66), (64, 64, 63)] {
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
-            let naive = matmul_naive(&a, &b, &ExecOpts::serial()).unwrap();
             let fast = matmul(&a, &b, &ExecOpts::with_threads(4)).unwrap();
-            assert!(fast.approx_eq(&naive, 0.0), "({m},{k},{n})");
+            assert!(fast.approx_eq(&matmul_naive(&a, &b), 0.0), "({m},{k},{n})");
         }
     }
 }

@@ -1,28 +1,30 @@
-//! Property tests for the shared-runtime packed kernels: the parallel
-//! packed matmul and the symmetric rank-k covariance must match the naive
-//! serial references within 1e-9 at every thread count in {1, 2, 8}, and
-//! results must be *thread-count invariant* (bit-identical across thread
-//! counts — every output element is owned by exactly one task with a fixed
-//! reduction order). The same invariance is pinned for the QR regression
-//! (column slabs on the pool) and for Cheng–Church (which takes `ExecOpts`
-//! but sweeps serially) at thread counts {1, 2, 3, 8}.
+//! Property tests for the shared-runtime kernels: the symmetric rank-k
+//! covariance must match the naive serial reference within 1e-9 at every
+//! thread count in {1, 2, 8}, and results must be *thread-count
+//! invariant* (bit-identical across thread counts — every output element
+//! is owned by exactly one task with a fixed reduction order). The same
+//! invariance is pinned for the QR regression (column slabs on the pool)
+//! and for Cheng–Church (which takes `ExecOpts` but sweeps serially) at
+//! thread counts {1, 2, 3, 8}.
 //!
-//! Two kernels that were rewritten for speed are held bit for bit to the
-//! code they replaced, kept here as oracles: the fused Lanczos Gram
-//! operator (`GramOp`) against `matvec_transposed(a, &matvec(a, x))`, and
-//! Query 2's top-pair selection (`top_fraction_pairs`, a keyed sort per
-//! histogram bucket) against the stable float-comparator sort. Both
-//! depend on exact floating-point association, so they run under release
-//! codegen too. Query 5's per-term rank-sum tests (`enrichment_output`)
-//! give the same bits at every thread count.
+//! `matmul` (serial, blocked) is held bit for bit to the textbook i-j-k
+//! loop at every thread count. Two kernels that were rewritten for speed
+//! are held bit for bit to the code they replaced, kept here as oracles:
+//! the fused Lanczos Gram operator (`GramOp`) against
+//! `matvec_transposed(a, &matvec(a, x))`, and Query 2's top-pair selection
+//! (`top_fraction_pairs`, a keyed sort per histogram bucket) against the
+//! stable float-comparator sort. These depend on exact floating-point
+//! association, so they run under release codegen too. Query 5's per-term
+//! rank-sum tests (`enrichment_output`) give the same bits at every thread
+//! count.
 
 use genbase::analytics::{enrichment_output, svd_output};
 use genbase::query::QueryOutput;
 use genbase_bicluster::{find_biclusters, ChengChurchConfig};
 use genbase_linalg::covariance::{top_fraction_pairs, CovPair};
 use genbase_linalg::{
-    covariance, gram, lanczos_topk, matmul, matmul_naive, matvec, matvec_transposed, DenseSymOp,
-    ExecOpts, GramOp, LinearOp, LinearRegression, Matrix, RegressionMethod,
+    covariance, gram, lanczos_topk, matmul, matvec, matvec_transposed, DenseSymOp, ExecOpts,
+    GramOp, LinearOp, LinearRegression, Matrix, RegressionMethod,
 };
 use genbase_util::Pcg64;
 use proptest::prelude::*;
@@ -34,46 +36,50 @@ fn random_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.normal() * 2.0)
 }
 
+/// Textbook i-j-k product: each element folds `p` in ascending order.
+fn matmul_ijk(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+        let mut acc = 0.0;
+        for p in 0..a.cols() {
+            acc += a.get(i, p) * b.get(p, j);
+        }
+        acc
+    })
+}
+
+/// `matmul` is the textbook loop bit for bit at any thread count. The
+/// shapes walk every 64-element tile edge (one below, on and one above a
+/// multiple) in m and n, with k paired so that each depth occurs,
+/// including depths past 256 where a kernel summing deep panels apart
+/// would reassociate the fold.
+#[test]
+fn matmul_is_the_textbook_loop_bit_for_bit_at_any_thread_count() {
+    const EDGES: [usize; 7] = [1, 63, 64, 65, 127, 128, 129];
+    const DEPTHS: [usize; 11] = [1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 321];
+    for (i, &m) in EDGES.iter().enumerate() {
+        for (j, &n) in EDGES.iter().enumerate() {
+            let k = DEPTHS[(i + j) % DEPTHS.len()];
+            let seed = (i * EDGES.len() + j) as u64;
+            let a = random_matrix(seed, m, k);
+            let b = random_matrix(seed ^ 0xa5a5, k, n);
+            let reference = matmul_ijk(&a, &b);
+            for threads in THREAD_COUNTS {
+                let c = matmul(&a, &b, &ExecOpts::with_threads(threads)).unwrap();
+                assert!(
+                    c.data()
+                        .iter()
+                        .zip(reference.data())
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{m}x{k}x{n}, threads={threads}: drifted from the i-j-k loop by {}",
+                    c.max_abs_diff(&reference)
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn packed_matmul_matches_naive_across_thread_counts(
-        m in 1usize..140,
-        k in 1usize..90,
-        n in 1usize..140,
-        seed in 0u64..1000,
-    ) {
-        let a = random_matrix(seed, m, k);
-        let b = random_matrix(seed ^ 0xa5a5, k, n);
-        let reference = matmul_naive(&a, &b, &ExecOpts::serial()).unwrap();
-        for threads in THREAD_COUNTS {
-            let fast = matmul(&a, &b, &ExecOpts::with_threads(threads)).unwrap();
-            prop_assert!(
-                fast.approx_eq(&reference, 1e-9),
-                "threads={} diverged from naive by {}",
-                threads,
-                fast.max_abs_diff(&reference)
-            );
-        }
-    }
-
-    #[test]
-    fn packed_matmul_thread_count_invariant(
-        m in 65usize..200,
-        k in 1usize..80,
-        n in 33usize..120,
-        seed in 0u64..1000,
-    ) {
-        let a = random_matrix(seed, m, k);
-        let b = random_matrix(seed ^ 0x5a5a, k, n);
-        let one = matmul(&a, &b, &ExecOpts::with_threads(1)).unwrap();
-        for threads in [2usize, 8] {
-            let multi = matmul(&a, &b, &ExecOpts::with_threads(threads)).unwrap();
-            // Bit-identical, not merely close.
-            prop_assert!(multi.approx_eq(&one, 0.0), "threads={threads} changed bits");
-        }
-    }
 
     #[test]
     fn syrk_covariance_matches_serial_reference(
