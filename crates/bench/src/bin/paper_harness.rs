@@ -62,7 +62,7 @@
 //!
 //! `serve` keeps the dataset pool, compiled plans and engine registry
 //! resident and answers query/explain/status requests from concurrent
-//! clients: the framed `genbase-coord-v3` protocol on `--listen` and HTTP
+//! clients: the framed `genbase-coord-v4` protocol on `--listen` and HTTP
 //! (`GET /status`, `GET /metrics`, `POST /query`) on `--listen-http`. In
 //! serve mode `--mem-budget` is the *admission* budget: a request whose
 //! working-set estimate does not fit waits in a `--queue-depth`-bounded

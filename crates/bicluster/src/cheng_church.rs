@@ -21,8 +21,7 @@
 //! GenBase's Query 3 takes the first bicluster, so the paper's fourth step
 //! (mask the found cells with noise and repeat for further biclusters) is
 //! not implemented, and δ is the one setting: α and the minimum size are
-//! the constants below. The kernel saves no intra-cell snapshot; a cell
-//! cut short recomputes it.
+//! the constants below.
 //!
 //! Phases 1 and 2 use `opts.threads`: they run on one runtime team
 //! ([`genbase_util::runtime::team`]), every pass of the residue engine a
@@ -525,21 +524,6 @@ mod tests {
     fn deterministic_given_seed() {
         let data = planted(25, 25, &[3, 6, 9, 12], &[2, 4, 8, 16], 114);
         assert_eq!(serial(&data, 0.1).unwrap(), serial(&data, 0.1).unwrap());
-    }
-
-    #[test]
-    fn a_progress_sink_records_no_save() {
-        use genbase_util::progress::MemoryProgress;
-        use genbase_util::ProgressHandle;
-        use std::sync::Arc;
-
-        // The kernel keeps no intra-cell snapshot: the cell saves none.
-        let data = planted(40, 40, &[0, 1, 2, 3, 4, 5, 6, 7], &[0, 1, 2, 3, 4, 5], 113);
-        let sink = Arc::new(MemoryProgress::new());
-        let opts = ExecOpts::serial().with_progress(Some(ProgressHandle::new(sink.clone())));
-        let found = find_biclusters(&data, &ChengChurchConfig { delta: 0.05 }, &opts).unwrap();
-        assert_eq!(found, serial(&data, 0.05).unwrap());
-        assert_eq!(sink.saves(), 0);
     }
 
     #[test]

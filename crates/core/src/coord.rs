@@ -19,13 +19,13 @@
 //! virtual workers on a virtual clock that die, wedge, leave and resume in
 //! random order — and check the protocol's promises on every seed.
 //!
-//! ## Wire protocol (`genbase-coord-v3`)
+//! ## Wire protocol (`genbase-coord-v4`)
 //!
 //! Every message is one frame: a 4-byte big-endian length prefix followed
 //! by compact JSON (see `ARCHITECTURE.md` for the full schema). After a
 //! `hello`/`welcome` handshake, the worker strictly alternates: it sends
-//! `request`, `result`, `failed`, `progress`, or `leave`, and reads exactly
-//! one reply (`lease`, `idle`, `done`, `ack`, or `bye`). A `hello` carrying
+//! `request`, `result`, `failed`, or `leave`, and reads exactly one reply
+//! (`lease`, `idle`, `done`, or `bye`). A `hello` carrying
 //! `role: "status"` opens a read-only monitoring connection instead, which
 //! exchanges `status` snapshots (see [`fetch_status`]).
 //!
@@ -48,10 +48,8 @@
 //!   worker; whichever copy of the result arrives first wins (they are
 //!   identical under `SimOnly`). A lease whose cell settled meanwhile is
 //!   no loss: losing it is neither charged nor counted.
-//! - **Intra-cell checkpoints:** the Lanczos SVD kernel, the one snapshot
-//!   producer, streams `progress` snapshots; the ledger keeps them (they
-//!   ride the checkpoint) and the next lease of the cell carries them, so a
-//!   re-issued cell resumes mid-iteration bit-identically.
+//! - **A cell is the unit of resume.** Only settled cells ride the
+//!   checkpoint; a re-issued lease recomputes its cell from the start.
 //!
 //! Under [`TimingMode::SimOnly`](crate::harness::TimingMode) a coordinated
 //! sweep renders **byte-identical** output to the serial single-process run
@@ -69,7 +67,7 @@ use crate::session::{self, hello, msg, msg_type, Gate};
 use genbase_datagen::SizeClass;
 use genbase_util::frame::{read_frame_opt, write_frame};
 use genbase_util::retry::Backoff;
-use genbase_util::{faults, lock, shutdown, CellProgress, Error, Json, ProgressHandle, Result};
+use genbase_util::{faults, lock, shutdown, Error, Json, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -251,8 +249,7 @@ struct Core {
     fingerprint: String,
     options: CoordOptions,
     /// Lock order: `state`, then the ledger's own locks; the ledger's
-    /// checkpoint writes (`settle`, `note_progress`) run with `state`
-    /// released.
+    /// checkpoint write (`settle`) runs with `state` released.
     state: Mutex<State>,
     ledger: Ledger,
     /// Cells restored from the checkpoint at startup.
@@ -371,23 +368,6 @@ impl Core {
             }
             return self.next_assignment(now, worker);
         }
-        if kind == "progress" {
-            // An intra-cell snapshot from the lease holder: note it in the
-            // ledger (riding the checkpoint), so a re-issue of this cell
-            // resumes mid-iteration.
-            let cell = CellKey::from_json(field("cell")?)?;
-            let kernel = field("kernel")?.as_str();
-            let kernel = kernel.ok_or_else(|| Error::invalid("progress kernel is not a string"))?;
-            let state = field("state")?.clone();
-            if lock(&self.state).holder(worker, &cell).is_none() {
-                return refuse(format!(
-                    "sent progress for cell {} it does not hold",
-                    cell.id()
-                ));
-            }
-            self.ledger.note_progress(&cell, kernel, state);
-            return Ok(msg("ack"));
-        }
         if kind == "leave" {
             // Clean departure: hand back any held cell without charging the
             // re-issue cap — the worker is healthy, it was *asked* to stop.
@@ -435,7 +415,7 @@ impl Core {
         // yet fail and re-queue), the worker polls back — and counts as spare
         // capacity to the rebalancer while it does.
         w.idle = next.is_none() && outstanding;
-        let Some((cell, progress)) = next else {
+        let Some(cell) = next else {
             if !w.idle {
                 return Ok(msg("done"));
             }
@@ -445,11 +425,6 @@ impl Core {
         };
         let mut lease = msg("lease");
         lease.set("cell", cell.to_json());
-        // Ship any intra-cell snapshot a previous holder streamed, so the new
-        // holder resumes mid-iteration instead of starting over.
-        if let Some(progress) = progress {
-            lease.set("progress", progress);
-        }
         w.lease = Some(Lease { cell, since: now });
         Ok(lease)
     }
@@ -940,30 +915,12 @@ fn worker_session(
                     // coordinator re-issues through the EOF path.
                     return Err(fatal(format!("worker crash: {e}")));
                 }
-                let clone = stream
-                    .try_clone()
-                    .map_err(|e| fatal(format!("clone: {e}")))?;
-                let progress = Arc::new(CoordProgress {
-                    stream: Mutex::new(clone),
-                    cell: cell.to_json(),
-                    restored: reply.get("progress").cloned(),
-                    dead: AtomicBool::new(false),
-                    killed: AtomicBool::new(false),
-                });
-                let handle = ProgressHandle::new(progress.clone());
-                match scheduler.run_cell_with_progress(&cell, threads, Some(handle)) {
+                match scheduler.run_cell(&cell, threads) {
                     Ok(outcome) => {
                         report.completed += 1;
                         outbound = msg("result");
                         outbound.set("cell", cell.to_json());
                         outbound.set("outcome", outcome.to_json());
-                    }
-                    Err(_) if progress.killed() => {
-                        // An injected `worker.progress` fault killed this
-                        // logical worker mid-cell: die like one — no
-                        // failure report, no reconnect. The coordinator
-                        // sees EOF and re-issues the cell.
-                        return Err(fatal("worker killed by injected fault mid-cell".into()));
                     }
                     Err(e) => {
                         report.failed += 1;
@@ -980,64 +937,6 @@ fn worker_session(
             }
             other => return Err(fatal(format!("unexpected reply {other:?}"))),
         }
-    }
-}
-
-/// Worker-side [`CellProgress`] sink: streams kernel snapshots to the
-/// coordinator as `progress` frames over the session's socket (safe
-/// because the kernel runs on the session thread — saves happen strictly
-/// between the lease reply and the result send). Serving `restore` replays
-/// the snapshot the coordinator shipped with the lease.
-struct CoordProgress {
-    stream: Mutex<TcpStream>,
-    cell: Json,
-    /// The `{kernel → state}` object delivered with the lease, if any.
-    restored: Option<Json>,
-    /// The link died mid-save; further saves are skipped (best-effort) and
-    /// the result send will trigger the reconnect/resume path.
-    dead: AtomicBool,
-    /// An injected `worker.progress` fault fired: this logical worker is
-    /// simulating death, and the session must not report or reconnect.
-    killed: AtomicBool,
-}
-
-impl CoordProgress {
-    fn killed(&self) -> bool {
-        self.killed.load(Ordering::Relaxed)
-    }
-}
-
-impl CellProgress for CoordProgress {
-    fn restore(&self, kernel: &str) -> Option<Json> {
-        self.restored.as_ref().and_then(|r| r.get(kernel)).cloned()
-    }
-
-    fn save(&self, kernel: &str, state: &Json) -> Result<()> {
-        if self.dead.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        if let Err(e) = faults::hit("worker.progress") {
-            // Simulated worker death mid-cell: abort the kernel (the save
-            // error propagates) and cut the socket so the coordinator
-            // sees EOF and re-issues the cell with this very snapshot.
-            self.killed.store(true, Ordering::Relaxed);
-            let _ = lock(&self.stream).shutdown(std::net::Shutdown::Both);
-            return Err(Error::invalid(format!("progress: {e}")));
-        }
-        let mut frame = msg("progress");
-        frame.set("cell", self.cell.clone());
-        frame.set("kernel", Json::from(kernel));
-        frame.set("state", state.clone());
-        let mut stream = lock(&self.stream);
-        let acked = write_frame(&mut *stream, &frame)
-            .and_then(|_| read_frame_opt(&mut *stream))
-            .map(|reply| matches!(reply.as_ref().map(msg_type), Some(Ok("ack"))));
-        if !matches!(acked, Ok(true)) {
-            // Best-effort: checkpointing must never fail a healthy cell.
-            // Remember the link is gone so later saves stop trying.
-            self.dead.store(true, Ordering::Relaxed);
-        }
-        Ok(())
     }
 }
 
@@ -1060,12 +959,13 @@ pub fn fetch_status(
 #[cfg(test)]
 mod fleet {
     //! A seeded fleet simulator for `Core`: virtual workers on a virtual
-    //! clock connect, lease, report, stream progress, leave, die, wedge and
-    //! reconnect with `resume` in whatever order a `Pcg64` draws, while the
-    //! service tick runs at random virtual times. The fleet keeps its own
-    //! books of what the protocol promises — which losses are charged,
-    //! which tick revokes what, which report settles or fails a cell — and
-    //! checks `Core` against them after every step and at the end.
+    //! clock connect, lease, report, leave, die, wedge, send frames the
+    //! protocol refuses and reconnect with `resume` in whatever order a
+    //! `Pcg64` draws, while the service tick runs at random virtual times.
+    //! The fleet keeps its own books of what the protocol promises — which
+    //! losses are charged, which tick revokes what, which report settles or
+    //! fails a cell — and checks `Core` against them after every step and
+    //! at the end.
 
     use super::*;
     use crate::plan::{OpCost, OpKind, OpTrace, Phase, PlanTrace};
@@ -1159,8 +1059,6 @@ mod fleet {
         /// report the ledger must keep was sent.
         charged: Vec<usize>,
         failed: Vec<bool>,
-        /// The last progress state streamed per cell.
-        progress: Vec<Option<u64>>,
         departed: usize,
         rebalanced: usize,
         resumed: usize,
@@ -1187,7 +1085,6 @@ mod fleet {
                 last_id: 0,
                 charged: vec![0; cells],
                 failed: vec![false; cells],
-                progress: vec![None; cells],
                 departed: 0,
                 rebalanced: 0,
                 resumed: 0,
@@ -1275,12 +1172,10 @@ mod fleet {
             match kind {
                 "lease" => {
                     let i = index(reply.get("cell").unwrap());
-                    let saved = reply.get("progress").and_then(|p| p.get("lanczos"));
-                    assert_eq!(saved.and_then(Json::as_u64), self.progress[i], "cell {i}");
                     let now = self.now;
                     self.conn(w).lease = Some((i, now));
                 }
-                "idle" | "ack" => {}
+                "idle" => {}
                 "done" => {
                     assert!(self.core.complete(), "done before the sweep completed");
                     self.hang_up(w);
@@ -1410,15 +1305,14 @@ mod fleet {
                     0..=34 => self.report(w, "result"),
                     35..=39 => self.report(w, "failed"),
                     40..=54 => {
-                        let step = self.rng.next_below(1000);
+                        // A frame of an older protocol (a mid-cell
+                        // snapshot): refused, so the connection ends and
+                        // its lease goes back charged.
                         let mut frame = msg("progress");
                         frame.set("cell", cell(i).to_json());
                         frame.set("kernel", Json::from("lanczos"));
-                        frame.set("state", Json::from(step));
-                        if self.state(i) != CellState::Settled {
-                            self.progress[i] = Some(step);
-                        }
-                        assert!(self.send(w, &frame), "the holder's progress");
+                        frame.set("state", Json::from(self.rng.next_below(1000)));
+                        assert!(!self.send(w, &frame), "a progress frame");
                     }
                     55..=59 => {
                         // Leave with a lease: given back uncharged.

@@ -73,12 +73,6 @@ pub struct ExecContext {
     /// use zero measured time instead, so simulated costs depend only on
     /// the workload, never the host.
     pub deterministic: bool,
-    /// Intra-cell checkpoint sink for long iterative kernels. Single-node
-    /// in-memory engines and SciDB thread it into their kernel `ExecOpts`;
-    /// engines that run the same kernel concurrently per node (MadlibNest,
-    /// Hadoop) leave it unused — interleaved same-key saves would corrupt
-    /// the snapshot stream.
-    pub progress: Option<genbase_util::ProgressHandle>,
     /// Artifact cache scope for this run (`--cache-budget`): the SQL
     /// engines' materializing triple joins memoize their output columns
     /// here, keyed under the config fingerprint the scope was derived from;
@@ -116,7 +110,6 @@ impl ExecContext {
             mem_budget: None,
             stream: None,
             deterministic: false,
-            progress: None,
             cache: None,
             tables: Default::default(),
         }

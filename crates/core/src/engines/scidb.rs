@@ -164,9 +164,7 @@ pub(crate) fn run_scidb_single(
         data,
         params,
         query,
-        opts: ExecOpts::with_threads(ctx.threads)
-            .with_budget(budget.clone())
-            .with_progress(ctx.progress.clone()),
+        opts: ExecOpts::with_threads(ctx.threads).with_budget(budget.clone()),
         arrays,
         budget,
         mem: mem.clone(),

@@ -796,9 +796,7 @@ impl SqlEngineSpec {
             // Analytics run in R (single-threaded) for every bridge;
             // Madlib's C++ aggregate is also single-threaded inside one
             // Postgres backend.
-            r_opts: ExecOpts::with_threads(1)
-                .with_budget(r_budget.clone())
-                .with_progress(ctx.progress.clone()),
+            r_opts: ExecOpts::with_threads(1).with_budget(r_budget.clone()),
             store,
             stream,
             db_budget,

@@ -54,9 +54,7 @@ impl Engine for VanillaR {
         let backend = RBackend {
             data,
             params,
-            opts: ExecOpts::with_threads(1)
-                .with_budget(budget.clone())
-                .with_progress(ctx.progress.clone()),
+            opts: ExecOpts::with_threads(1).with_budget(budget.clone()),
             budget,
             mem: mem.clone(),
             query,

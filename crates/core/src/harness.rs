@@ -250,24 +250,19 @@ impl Harness {
         size: SizeClass,
         nodes: usize,
     ) -> Result<RunRecord> {
-        self.run_cell_with_progress(engine, query, size, nodes, self.config.threads, None)
+        self.run_cell_with_threads(engine, query, size, nodes, self.config.threads)
     }
 
-    /// [`Harness::run_cell`] under an explicit per-cell thread budget, with
-    /// an optional intra-cell progress sink threaded into the engine's
-    /// kernels, so a long iterative cell (the Lanczos SVD) checkpoints
-    /// mid-run and a re-issued cell resumes bit-identically.
-    pub fn run_cell_with_progress(
+    /// [`Harness::run_cell`] under an explicit per-cell thread budget.
+    pub fn run_cell_with_threads(
         &self,
         engine: &dyn Engine,
         query: Query,
         size: SizeClass,
         nodes: usize,
         threads: usize,
-        progress: Option<genbase_util::ProgressHandle>,
     ) -> Result<RunRecord> {
         let mut ctx = self.context_with_threads(nodes, threads);
-        ctx.progress = progress;
         let outcome = if !engine.supports(query) || nodes > engine.max_nodes() {
             RunOutcome::Unsupported
         } else {

@@ -276,11 +276,6 @@ impl CellOutcome {
 pub struct ReportGrid {
     cells: BTreeMap<String, CellOutcome>,
     fingerprint: Option<String>,
-    /// Intra-cell progress snapshots (cell id → {kernel → state}), carried
-    /// by coordinator checkpoints so a re-issued cell resumes mid-iteration.
-    /// Cleared per cell on [`ReportGrid::insert`]; never serialized once
-    /// empty, so finished grids are byte-identical to pre-progress ones.
-    progress: BTreeMap<String, Json>,
 }
 
 /// The configuration facets that change cell outcomes: anything differing
@@ -325,7 +320,7 @@ pub fn config_fingerprint(config: &HarnessConfig) -> String {
 
 /// Grid / checkpoint file schema tag; bump on any change to the file's
 /// shape, so a file from another version is refused by name.
-pub const GRID_SCHEMA: &str = "genbase-grid-v3";
+pub const GRID_SCHEMA: &str = "genbase-grid-v4";
 
 impl ReportGrid {
     /// Number of recorded cells.
@@ -338,29 +333,9 @@ impl ReportGrid {
         self.cells.is_empty()
     }
 
-    /// Record a cell outcome (and drop any intra-cell progress for it —
-    /// a completed cell needs no resume state).
+    /// Record a cell outcome.
     pub fn insert(&mut self, key: &CellKey, outcome: CellOutcome) {
-        let id = key.id();
-        self.progress.remove(&id);
-        self.cells.insert(id, outcome);
-    }
-
-    /// Record an intra-cell progress snapshot for one kernel of `cell_id`
-    /// (ignored once the cell has an outcome: a completed cell needs none).
-    pub fn set_progress(&mut self, cell_id: &str, kernel: &str, state: Json) {
-        if self.cells.contains_key(cell_id) {
-            return;
-        }
-        self.progress
-            .entry(cell_id.to_string())
-            .or_insert_with(Json::obj)
-            .set(kernel, state);
-    }
-
-    /// The saved progress object ({kernel → state}) for a cell, if any.
-    pub fn progress_for(&self, cell_id: &str) -> Option<&Json> {
-        self.progress.get(cell_id)
+        self.cells.insert(key.id(), outcome);
     }
 
     /// Look up a cell.
@@ -395,13 +370,6 @@ impl ReportGrid {
             doc.set("config", Json::from(fp.as_str()));
         }
         doc.set("cells", cells);
-        if !self.progress.is_empty() {
-            let mut progress = Json::obj();
-            for (id, state) in &self.progress {
-                progress.set(id, state.clone());
-            }
-            doc.set("progress", progress);
-        }
         doc.render()
     }
 
@@ -426,18 +394,6 @@ impl ReportGrid {
         for (id, value) in pairs {
             grid.cells
                 .insert(id.clone(), CellOutcome::from_json(value)?);
-        }
-        if let Some(pairs) = doc.get("progress").and_then(Json::as_obj) {
-            for (id, state) in pairs {
-                // A lease ships this value and the next snapshot sets a
-                // kernel key on it: anything but {kernel → state} is torn.
-                if state.as_obj().is_none() {
-                    return Err(Error::invalid(format!(
-                        "grid progress for cell {id} is not an object"
-                    )));
-                }
-                grid.progress.insert(id.clone(), state.clone());
-            }
         }
         Ok(grid)
     }
@@ -630,17 +586,15 @@ impl Ledger {
         Some(change(&mut lock(&self.book), i))
     }
 
-    /// Hand out the first pending cell in plan order, with whatever
-    /// progress ({kernel → state}) an earlier holder saved for it.
-    pub fn take(&self) -> Option<(CellKey, Option<Json>)> {
+    /// Hand out the first pending cell in plan order.
+    pub fn take(&self) -> Option<CellKey> {
         let mut book = lock(&self.book);
         if book.write_error.is_some() {
             return None;
         }
         let i = book.states.iter().position(|s| *s == CellState::Pending)?;
         book.states[i] = CellState::Out;
-        let progress = book.grid.progress_for(&self.plan[i].id()).cloned();
-        Some((self.plan[i].clone(), progress))
+        Some(self.plan[i].clone())
     }
 
     /// Return a cell that was handed out and not run; whether it was still
@@ -675,14 +629,6 @@ impl Ledger {
                 book.errors.entry(i).or_insert(error);
             }
         });
-    }
-
-    /// Save an intra-cell progress snapshot of one kernel of an unsettled
-    /// cell and checkpoint it, so a later holder resumes mid-iteration.
-    pub fn note_progress(&self, cell: &CellKey, kernel: &str, state: Json) {
-        let id = cell.id();
-        lock(&self.book).grid.set_progress(&id, kernel, state);
-        self.persist();
     }
 
     /// Where `cell` stands; `None` for a cell outside the plan.
@@ -860,21 +806,10 @@ impl Scheduler {
 
     /// Execute one cell under an explicit thread budget.
     pub fn run_cell(&self, key: &CellKey, threads: usize) -> Result<CellOutcome> {
-        self.run_cell_with_progress(key, threads, None)
-    }
-
-    /// Execute one cell with an optional intra-cell progress sink (resume
-    /// state flows kernel ← sink ← coordinator lease).
-    pub fn run_cell_with_progress(
-        &self,
-        key: &CellKey,
-        threads: usize,
-        progress: Option<genbase_util::ProgressHandle>,
-    ) -> Result<CellOutcome> {
         let engine = self.engine(&key.engine)?;
         let rec = self
             .harness
-            .run_cell_with_progress(engine, key.query, key.size, key.nodes, threads, progress)?;
+            .run_cell_with_threads(engine, key.query, key.size, key.nodes, threads)?;
         Ok(CellOutcome::from_run(&rec.outcome))
     }
 
@@ -898,7 +833,7 @@ impl Scheduler {
         let in_flight = sweep.cells_in_flight.max(1);
         let per_cell_threads = (self.harness.config().threads / in_flight).max(1);
         parallel_for(in_flight, in_flight, |_| {
-            while let Some((cell, _)) = ledger.take() {
+            while let Some(cell) = ledger.take() {
                 let hooked = self.hook.as_ref().map_or(Ok(()), |hook| hook(&cell));
                 match hooked.and_then(|()| self.run_cell(&cell, per_cell_threads)) {
                     Ok(outcome) => ledger.settle(&cell, outcome),
@@ -1093,38 +1028,6 @@ mod tests {
         let text = grid.to_json().replace("\"wall\":0.125", "\"wall\":null");
         let err = ReportGrid::from_json(&text).unwrap_err();
         assert!(err.to_string().contains("missing numeric wall"), "{err}");
-    }
-
-    /// A `progress` entry is shipped in the cell's next lease and the next
-    /// snapshot sets a kernel key on it, so one that is not an object is a
-    /// torn file: refused on load, and the sweep resumes from the `.bak`.
-    #[test]
-    fn a_non_object_progress_entry_is_torn_and_the_bak_resumes() {
-        let cell = key(1, "SciDB");
-        let id = cell.id();
-        let torn =
-            format!("{{\"schema\":\"{GRID_SCHEMA}\",\"cells\":{{}},\"progress\":{{\"{id}\":5}}}}");
-        let err = ReportGrid::from_json(&torn).unwrap_err();
-        assert!(err.to_string().contains(&id), "{err}");
-
-        let path =
-            std::env::temp_dir().join(format!("genbase-ckpt-progress-{}.json", std::process::id()));
-        let mut good = ReportGrid::default();
-        good.set_fingerprint("fp".into());
-        good.set_progress(&id, "lanczos", Json::from(1u64));
-        good.save(&path).unwrap();
-        save_text(&path, &torn).unwrap();
-        let ledger = Ledger::open(vec![cell.clone()], "fp".into(), Some(path.clone())).unwrap();
-        ledger.note_progress(&cell, "lanczos", Json::from(2u64));
-        let (_, progress) = ledger.take().unwrap();
-        let outcome = ledger.finish().unwrap();
-        for file in [path.clone(), path.with_extension("bak")] {
-            let _ = std::fs::remove_file(file);
-        }
-        let lanczos = progress.as_ref().and_then(|p| p.get("lanczos"));
-        assert_eq!(lanczos.and_then(Json::as_u64), Some(2));
-        let note = outcome.recovered.unwrap();
-        assert!(note.contains("was torn") && note.contains(&id), "{note}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Protocol identifier sent in every handshake; bump on wire changes.
-pub const PROTOCOL: &str = "genbase-coord-v3";
+pub const PROTOCOL: &str = "genbase-coord-v4";
 
 /// How long a fresh connection gets to deliver its whole `hello` (or HTTP
 /// request): a peer that takes longer is wedged or hostile, not slow.
@@ -483,6 +483,12 @@ mod tests {
             Row {
                 name: "the v2 protocol (cell keys carried the exhibit)",
                 protocol: "genbase-coord-v2",
+                want: [Reject("protocol mismatch"); 2],
+                ..row
+            },
+            Row {
+                name: "the v3 protocol (workers streamed mid-cell progress frames)",
+                protocol: "genbase-coord-v3",
                 want: [Reject("protocol mismatch"); 2],
                 ..row
             },

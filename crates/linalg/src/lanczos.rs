@@ -13,8 +13,7 @@
 use crate::eigen::tridiag_eigen;
 use crate::matrix::{axpy, dot, norm2, scale, Matrix};
 use crate::ExecOpts;
-use genbase_util::progress::{f64s_from_hex, f64s_to_hex, u128_from_hex, u128_to_hex};
-use genbase_util::{Error, Json, Pcg64, Result};
+use genbase_util::{Error, Pcg64, Result};
 
 /// A symmetric linear operator `y = B x`.
 pub trait LinearOp {
@@ -206,48 +205,13 @@ pub fn lanczos_topk(
     let mut betas: Vec<f64> = Vec::with_capacity(m_target);
 
     let mut rng = Pcg64::new(seed ^ 0x6c61_6e63_7a6f_7321);
-    let mut v: Vec<f64>;
-
-    // Resume from a saved mid-iteration snapshot when a progress sink holds
-    // one for this (n, m_target) shape; otherwise start fresh. The snapshot
-    // captures every bit of loop state (coefficients, basis, current vector,
-    // raw RNG internals), so a resumed run continues the exact f64 sequence
-    // an uninterrupted run would produce.
-    let start = match opts
-        .progress
-        .as_ref()
-        .and_then(|p| p.restore(LANCZOS_KERNEL))
-        .and_then(|s| restore_lanczos_state(&s, n, m_target))
-    {
-        Some(state) => {
-            alphas = state.alphas;
-            betas = state.betas;
-            basis = state.basis;
-            v = state.v;
-            rng = state.rng;
-            alphas.len()
-        }
-        None => {
-            v = (0..n).map(|_| rng.normal()).collect();
-            let nrm = norm2(&v);
-            scale(&mut v, 1.0 / nrm);
-            0
-        }
-    };
+    let mut v: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
+    let nrm = norm2(&v);
+    scale(&mut v, 1.0 / nrm);
 
     let mut w = vec![0.0; n];
-    for j in start..m_target {
+    for j in 0..m_target {
         opts.budget.check("lanczos")?;
-        // Periodic intra-cell checkpoint at a loop-top quiescent point
-        // (alphas/betas/basis all have length j here, including after the
-        // low-rank restart branch). A failed save means the host is gone;
-        // abandon the cell.
-        if j > start && j % LANCZOS_CHECKPOINT_EVERY == 0 {
-            if let Some(progress) = &opts.progress {
-                let state = snapshot_lanczos_state(n, m_target, &alphas, &betas, &basis, &v, &rng);
-                progress.save(LANCZOS_KERNEL, &state)?;
-            }
-        }
         op.apply(&v, &mut w)?;
         if j > 0 {
             let beta = betas[j - 1];
@@ -303,92 +267,6 @@ pub fn lanczos_topk(
     let mut eigenvalues = tridiag_eigen(&alphas, &betas[..m.saturating_sub(1)])?;
     eigenvalues.truncate(k);
     Ok(LanczosResult { eigenvalues })
-}
-
-/// Kernel name Lanczos snapshots are filed under in a progress sink.
-pub const LANCZOS_KERNEL: &str = "lanczos";
-
-/// Iterations between intra-cell checkpoints.
-const LANCZOS_CHECKPOINT_EVERY: usize = 8;
-
-struct LanczosState {
-    alphas: Vec<f64>,
-    betas: Vec<f64>,
-    basis: Vec<Vec<f64>>,
-    v: Vec<f64>,
-    rng: Pcg64,
-}
-
-fn snapshot_lanczos_state(
-    n: usize,
-    m_target: usize,
-    alphas: &[f64],
-    betas: &[f64],
-    basis: &[Vec<f64>],
-    v: &[f64],
-    rng: &Pcg64,
-) -> Json {
-    let (rng_state, rng_inc) = rng.state_parts();
-    let mut state = Json::obj();
-    state.set("n", Json::from(n));
-    state.set("m", Json::from(m_target));
-    state.set("alphas", Json::from(f64s_to_hex(alphas)));
-    state.set("betas", Json::from(f64s_to_hex(betas)));
-    state.set(
-        "basis",
-        Json::Arr(basis.iter().map(|q| Json::from(f64s_to_hex(q))).collect()),
-    );
-    state.set("v", Json::from(f64s_to_hex(v)));
-    state.set(
-        "rng",
-        Json::Arr(vec![
-            Json::from(u128_to_hex(rng_state)),
-            Json::from(u128_to_hex(rng_inc)),
-        ]),
-    );
-    state
-}
-
-/// Decode and validate a snapshot; `None` (fresh start) on any mismatch —
-/// a snapshot from a different problem shape must never be resumed.
-fn restore_lanczos_state(state: &Json, n: usize, m_target: usize) -> Option<LanczosState> {
-    if state.get("n").and_then(Json::as_u64) != Some(n as u64)
-        || state.get("m").and_then(Json::as_u64) != Some(m_target as u64)
-    {
-        return None;
-    }
-    let alphas = f64s_from_hex(state.get("alphas").and_then(Json::as_str)?).ok()?;
-    let betas = f64s_from_hex(state.get("betas").and_then(Json::as_str)?).ok()?;
-    let basis: Vec<Vec<f64>> = state
-        .get("basis")
-        .and_then(Json::as_arr)?
-        .iter()
-        .map(|q| q.as_str().and_then(|h| f64s_from_hex(h).ok()))
-        .collect::<Option<_>>()?;
-    let v = f64s_from_hex(state.get("v").and_then(Json::as_str)?).ok()?;
-    let rng_parts = state.get("rng").and_then(Json::as_arr)?;
-    if rng_parts.len() != 2 {
-        return None;
-    }
-    let rng_state = u128_from_hex(rng_parts[0].as_str()?).ok()?;
-    let rng_inc = u128_from_hex(rng_parts[1].as_str()?).ok()?;
-    let j = alphas.len();
-    if j == 0
-        || j > m_target
-        || betas.len() != j
-        || basis.len() != j
-        || v.len() != n
-        || basis.iter().any(|q| q.len() != n)
-    {
-        return None;
-    }
-    Some(LanczosState {
-        alphas,
-        betas,
-        basis,
-        v,
-        rng: Pcg64::from_state_parts(rng_state, rng_inc),
-    })
 }
 
 #[cfg(test)]
@@ -519,51 +397,6 @@ mod tests {
                 "threads={threads}: eigenvalues must be bit-identical"
             );
         }
-    }
-
-    #[test]
-    fn resume_from_mid_iteration_snapshot_is_bit_identical() {
-        use genbase_util::progress::MemoryProgress;
-        use genbase_util::ProgressHandle;
-        use std::sync::Arc;
-
-        let mut rng = Pcg64::new(69);
-        let a = random_tall(&mut rng, 80, 40);
-        let g = gram(&a, &ExecOpts::serial()).unwrap();
-        let op = DenseSymOp::new(&g).unwrap();
-
-        // Uninterrupted reference (no progress sink).
-        let reference = lanczos_topk(&op, 4, 0, 13, &ExecOpts::serial()).unwrap();
-
-        // A run with a sink leaves periodic snapshots behind.
-        let sink = Arc::new(MemoryProgress::new());
-        let opts = ExecOpts::serial().with_progress(Some(ProgressHandle::new(sink.clone())));
-        let watched = lanczos_topk(&op, 4, 0, 13, &opts).unwrap();
-        assert!(
-            sink.saves() >= 2,
-            "m_target=28 must checkpoint at 8 and 16+"
-        );
-        assert_eq!(bits(&watched), bits(&reference));
-
-        // "Kill" the worker: resume a fresh run from the latest snapshot.
-        let snapshot = sink.latest(LANCZOS_KERNEL).unwrap();
-        let resumed_sink = Arc::new(MemoryProgress::with_state(LANCZOS_KERNEL, snapshot));
-        let opts = ExecOpts::serial().with_progress(Some(ProgressHandle::new(resumed_sink)));
-        let resumed = lanczos_topk(&op, 4, 0, 13, &opts).unwrap();
-        assert_eq!(bits(&resumed), bits(&reference));
-
-        // A snapshot from a different shape must be ignored, not resumed.
-        let sink = Arc::new(MemoryProgress::new());
-        let opts = ExecOpts::serial().with_progress(Some(ProgressHandle::new(sink.clone())));
-        let _ = lanczos_topk(&op, 4, 0, 13, &opts).unwrap();
-        let mismatched = Arc::new(MemoryProgress::with_state(
-            LANCZOS_KERNEL,
-            sink.latest(LANCZOS_KERNEL).unwrap(),
-        ));
-        let opts = ExecOpts::serial().with_progress(Some(ProgressHandle::new(mismatched)));
-        let other = lanczos_topk(&op, 6, 0, 13, &opts).unwrap(); // different m_target
-        let other_ref = lanczos_topk(&op, 6, 0, 13, &ExecOpts::serial()).unwrap();
-        assert_eq!(bits(&other), bits(&other_ref));
     }
 
     #[test]

@@ -27,13 +27,13 @@ pub mod regression;
 
 pub use covariance::{center_columns_par, column_means, column_means_par, covariance};
 pub use eigen::tridiag_eigen;
-pub use lanczos::{lanczos_topk, DenseSymOp, GramOp, LanczosResult, LinearOp, LANCZOS_KERNEL};
+pub use lanczos::{lanczos_topk, DenseSymOp, GramOp, LanczosResult, LinearOp};
 pub use matmul::{gram, matmul, matvec, matvec_transposed};
 pub use matrix::Matrix;
 pub use qr::QrFactor;
 pub use regression::{LinearRegression, RegressionMethod};
 
-use genbase_util::{Budget, ProgressHandle};
+use genbase_util::Budget;
 
 /// Execution options threaded through every expensive kernel.
 #[derive(Debug, Clone)]
@@ -42,10 +42,6 @@ pub struct ExecOpts {
     pub threads: usize,
     /// Cooperative cutoff / memory budget.
     pub budget: Budget,
-    /// Optional intra-cell checkpoint sink for long iterative kernels
-    /// (Lanczos is the one that saves); `None` disables mid-kernel
-    /// checkpointing.
-    pub progress: Option<ProgressHandle>,
 }
 
 impl ExecOpts {
@@ -54,7 +50,6 @@ impl ExecOpts {
         ExecOpts {
             threads: 1,
             budget: Budget::unlimited(),
-            progress: None,
         }
     }
 
@@ -63,19 +58,12 @@ impl ExecOpts {
         ExecOpts {
             threads: threads.max(1),
             budget: Budget::unlimited(),
-            progress: None,
         }
     }
 
     /// Replace the budget, keeping the thread count.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Attach (or detach) an intra-cell progress sink.
-    pub fn with_progress(mut self, progress: Option<ProgressHandle>) -> Self {
-        self.progress = progress;
         self
     }
 }

@@ -1,5 +1,5 @@
 //! Length-prefixed message framing over [`Json`] — the wire codec of
-//! `genbase-coord-v3`, spoken through `genbase`'s session layer
+//! `genbase-coord-v4`, spoken through `genbase`'s session layer
 //! (`crates/core/src/session.rs`) by the sweep coordinator, its workers and
 //! the resident server's framed front.
 //!

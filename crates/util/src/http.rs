@@ -1,7 +1,7 @@
 //! Minimal HTTP/1.1 request parsing and response writing.
 //!
 //! Lives beside the length-prefixed [`crate::frame`] codec: the benchmark
-//! server listens on two sockets, one speaking `genbase-coord-v3` frames and
+//! server listens on two sockets, one speaking `genbase-coord-v4` frames and
 //! one speaking just enough HTTP for `GET /status`, `GET /metrics` and
 //! `POST /query`. This is deliberately not a web server — one request per
 //! connection, `Connection: close`, no chunked transfer encoding, no

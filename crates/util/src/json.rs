@@ -14,12 +14,10 @@ use std::fmt::Write as _;
 /// Deepest array/object nesting [`Json::parse`] accepts; one level deeper is
 /// `Error::Invalid`. The parser recurses once per level, so without a cap a
 /// socket peer could overflow the stack with a few kilobytes of `[`.
-/// Measured by logging the nesting of every document rendered or parsed
-/// during `all`, `explain --json`, a coordinated fig1+fig3 sweep with
-/// `--checkpoint`, and the serve, coordinator, checkpoint and golden
-/// integration tests: the deepest is 7 (a grid or checkpoint holding
-/// in-flight `progress` snapshots), then 5 (explain JSON, `progress` frames
-/// and plain grids). 64 leaves ninefold headroom at a few kilobytes of stack.
+/// Measured on the grids of `all` and of a coordinated sweep's
+/// `--checkpoint`, and on `explain --json`: each nests 5 deep, and a frame
+/// carrying one cell's outcome one level less. 64 leaves twelvefold
+/// headroom at a few kilobytes of stack.
 const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Objects keep insertion order (deterministic output

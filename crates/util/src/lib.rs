@@ -21,7 +21,6 @@ pub mod frame;
 pub mod http;
 pub mod idindex;
 pub mod json;
-pub mod progress;
 pub mod retry;
 pub mod rng;
 pub mod runtime;
@@ -35,7 +34,6 @@ pub use frame::{encode_frame, read_frame, read_frame_opt, write_frame, MAX_FRAME
 pub use http::HttpRequest;
 pub use idindex::IdIndex;
 pub use json::Json;
-pub use progress::{CellProgress, ProgressHandle};
 pub use rng::Pcg64;
 pub use runtime::{parallel_for, parallel_map, try_parallel_for, SharedSlice};
 pub use sim::{CostReport, SimClock};

@@ -34,18 +34,6 @@ impl Pcg64 {
         rng
     }
 
-    /// The raw `(state, inc)` internals, for bit-exact checkpointing of a
-    /// generator mid-sequence (see [`Pcg64::from_state_parts`]).
-    pub fn state_parts(&self) -> (u128, u128) {
-        (self.state, self.inc)
-    }
-
-    /// Rebuild a generator from [`Pcg64::state_parts`] output; the restored
-    /// generator continues the original sequence exactly.
-    pub fn from_state_parts(state: u128, inc: u128) -> Pcg64 {
-        Pcg64 { state, inc }
-    }
-
     /// Derive a child generator; used to give each dataset column or cluster
     /// node its own independent stream while staying reproducible.
     pub fn fork(&mut self, salt: u64) -> Pcg64 {

@@ -253,98 +253,51 @@ fn chaos_render(grid: &ReportGrid) -> String {
         .render()
 }
 
-/// A worker killed by an injected fault at an intra-cell snapshot save dies
-/// mid-kernel, after the coordinator acked an earlier snapshot of the same
-/// cell. The coordinator's checkpoint holds that snapshot, the re-issued
-/// lease carries it, and the healthy worker's resumed computation is
-/// bit-identical.
+/// A worker killed while it holds the lease of Query 4's cell (the Lanczos
+/// SVD) dies like a crashed process: no result, no failure report, no
+/// reconnect. The coordinator sees EOF and re-issues the lease, and the
+/// healthy worker recomputes the cell from the start, byte-identically.
 #[test]
-fn chaos_worker_killed_mid_cell_resumes_from_streamed_progress() {
+fn chaos_worker_killed_holding_a_lease_recomputes_the_cell() {
     use genbase::coord::{run_worker, CoordOptions, Coordinator};
     use genbase_datagen::SizeClass;
     use genbase_util::faults::{self, FaultPlan};
-    use genbase_util::progress::MemoryProgress;
-    use genbase_util::ProgressHandle;
-    use std::sync::Arc;
 
     let _guard = fault_lock();
 
-    // Twice `chaos_config`'s scale: at 0.012 Query 4 keeps about 15 genes,
-    // so every Lanczos run stops before its second snapshot (one every 8
-    // steps) and no cell could die after a saved one.
-    let config = HarnessConfig {
-        scale: 0.024,
-        ..chaos_config()
-    };
+    // A lone worker leases cells in plan order, so the `worker.cell` site
+    // fires for the K-th cell on its K-th hit: K is the first SVD cell.
+    let sched = Scheduler::new(chaos_config()).unwrap();
+    let plan = sched.plan(&[FigureId::Fig1], SizeClass::Small);
+    let k = 1 + plan
+        .iter()
+        .position(|cell| cell.query == Query::Svd)
+        .expect("Fig. 1 plans a Query 4 cell");
+    faults::install(FaultPlan::parse(&format!("worker.cell@{k}=err:other")).unwrap());
 
-    // Probe (no plan installed): count each cell's snapshot saves. A single
-    // worker leases cells in plan order, so the serial probe visits the
-    // `worker.progress` site in exactly the order the doomed worker will.
-    // The kill lands on the second save of the first cell that saves at
-    // least twice: that cell dies mid-iteration with one snapshot on record.
-    let sched = Scheduler::new(config.clone()).unwrap();
-    let (mut earlier_saves, mut killed) = (0, None);
-    for cell in sched.plan(&[FigureId::Fig1], SizeClass::Small) {
-        let sink = Arc::new(MemoryProgress::new());
-        sched
-            .run_cell_with_progress(&cell, 1, Some(ProgressHandle::new(sink.clone())))
-            .expect("probe cell");
-        if sink.saves() >= 2 {
-            killed = Some(cell);
-            break;
-        }
-        earlier_saves += sink.saves();
-    }
-    let killed = killed.expect(
-        "some Fig. 1 cell must checkpoint intra-cell at least twice, \
-         or no kill could land mid-iteration",
-    );
-    let plan = format!("worker.progress@{}=err:other", earlier_saves + 2);
-    faults::install(FaultPlan::parse(&plan).unwrap());
-
-    let ckpt = std::env::temp_dir().join(format!("genbase-chaos-mid-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
     let coordinator = Coordinator::bind(
         "127.0.0.1:0",
-        config.clone(),
+        chaos_config(),
         &[FigureId::Fig1],
         SizeClass::Small,
-        CoordOptions::default().with_checkpoint(&ckpt),
+        CoordOptions::default(),
     )
     .unwrap();
     let addr = coordinator.local_addr().unwrap();
     let serve = std::thread::spawn(move || coordinator.serve());
 
-    // The doomed worker runs alone and dies at the planned save: the
-    // injected fault aborts the kernel and cuts the socket, exactly like a
-    // crashed process. No result, no failure report, no reconnect.
-    let doomed_config = config.clone();
     let doomed =
-        std::thread::spawn(move || run_worker(addr, doomed_config, Duration::from_secs(10)));
+        std::thread::spawn(move || run_worker(addr, chaos_config(), Duration::from_secs(10)));
     let err = doomed.join().unwrap().unwrap_err();
     assert!(
-        err.to_string().contains("killed by injected fault"),
+        err.to_string().contains("worker crash"),
         "doomed worker must die the injected death, got: {err}"
     );
 
-    // The acked snapshot rode the checkpoint, so the killed cell's next
-    // lease carries it.
-    let on_disk = ReportGrid::load(&ckpt).expect("the checkpoint holds the acked snapshot");
-    let saved = on_disk.progress_for(&killed.id());
-    assert!(
-        saved.and_then(|p| p.get("lanczos")).is_some(),
-        "the checkpoint must hold a lanczos snapshot for {}, got {saved:?}",
-        killed.id()
-    );
-
-    // A healthy worker drains the rest; the re-issued cell resumes from
-    // the snapshot the doomed worker streamed before dying.
-    let report = run_worker(addr, config, Duration::from_secs(10)).unwrap();
+    // A healthy worker drains the rest, the killed cell included.
+    let report = run_worker(addr, chaos_config(), Duration::from_secs(10)).unwrap();
     let outcome = serve.join().unwrap().unwrap();
     faults::clear();
-    let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(ckpt.with_extension("bak"));
 
     assert!(
         outcome.reissued >= 1,
@@ -352,18 +305,9 @@ fn chaos_worker_killed_mid_cell_resumes_from_streamed_progress() {
     );
     assert_eq!(outcome.executed, outcome.planned);
     assert!(report.completed >= 1);
-    // Byte-identical to the undisturbed serial run of the same config.
-    let serial = sched
-        .run_sweep(&[FigureId::Fig1], SizeClass::Small, &SweepOptions::serial())
-        .unwrap()
-        .grid;
-    assert_eq!(outcome.grid.to_json(), serial.to_json());
-    let render = |grid| {
-        genbase::figures::render(FigureId::Fig1, sched.harness(), SizeClass::Small, grid)
-            .unwrap()
-            .render()
-    };
-    assert_eq!(render(&outcome.grid), render(&serial));
+    let (grid_json, rendered) = chaos_golden();
+    assert_eq!(&outcome.grid.to_json(), grid_json);
+    assert_eq!(&chaos_render(&outcome.grid), rendered);
 }
 
 /// A checkpoint write torn mid-file kills the coordinator; a restarted

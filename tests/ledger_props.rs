@@ -13,7 +13,7 @@ use genbase::plan::{OpCost, OpKind, OpTrace, Phase, PlanTrace};
 use genbase::sched::{CellKey, CellOutcome, Ledger, ReportGrid, SweepOutcome};
 use genbase::Query;
 use genbase_datagen::SizeClass;
-use genbase_util::{Error, Json, Result};
+use genbase_util::{Error, Result};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -122,13 +122,9 @@ fn scrub(path: &Path) {
     }
 }
 
-/// Report on `cell` the way its fate says, noting progress first for every
-/// other cell (a settle drops it again; a failure keeps it for the retry).
+/// Report on `cell` the way its fate says.
 fn report(ledger: &Ledger, cell: &CellKey, fates: &[Fate]) {
     let i = index(cell);
-    if i.is_multiple_of(2) {
-        ledger.note_progress(cell, "lanczos", Json::from(i));
-    }
     match fates[i] {
         Fate::Fail => ledger.fail(cell, failure(i)),
         _ => ledger.settle(cell, outcome(i)),
@@ -157,7 +153,7 @@ proptest! {
         let serial_path = prefilled(&fates, lone_bak);
         let serial =
             Ledger::open(plan.clone(), FINGERPRINT.into(), Some(serial_path.clone())).unwrap();
-        while let Some((cell, _)) = serial.take() {
+        while let Some(cell) = serial.take() {
             report(&serial, &cell, &fates);
         }
         let serial = summary(serial.finish());
@@ -173,7 +169,7 @@ proptest! {
             for _ in 0..threads {
                 scope.spawn(|| {
                     start.wait();
-                    while let Some((cell, _)) = ledger.take() {
+                    while let Some(cell) = ledger.take() {
                         let (i, id) = (index(&cell), cell.id());
                         prop_assert!(fates[i] != Fate::Restored, "{id} was already settled");
                         let first_time = {

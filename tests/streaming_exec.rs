@@ -165,14 +165,7 @@ fn streaming_is_byte_identical_across_batch_sizes_and_threads() {
             for threads in [1usize, 3, 8] {
                 let what = format!("{name} {query:?} batch_rows={batch_rows} threads={threads}");
                 let record = harness
-                    .run_cell_with_progress(
-                        engine.as_ref(),
-                        *query,
-                        SizeClass::Small,
-                        1,
-                        threads,
-                        None,
-                    )
+                    .run_cell_with_threads(engine.as_ref(), *query, SizeClass::Small, 1, threads)
                     .unwrap();
                 let report = completed(&record, &what);
                 assert_reports_identical(baseline, &report, &what);
