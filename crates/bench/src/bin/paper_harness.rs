@@ -4,7 +4,6 @@
 //! ```text
 //! paper_harness [fig1|fig2|fig3|fig4|fig5|table1|all ...]  sweep and render
 //!                                the named exhibits (default all)
-//!               [weak]           weak-scaling experiment
 //!               [explain [ENGINE] [QUERY]]  per-operator plan cost tables
 //!               [coordinate [EXHIBIT ...]|work|status]  distributed sweep
 //!                                roles (see below; no exhibits means all)
@@ -139,7 +138,7 @@ const CONFIGURED: &str = "figN explain coordinate work serve";
 
 flags! {
     /// Per-side scale vs paper sizes (default 0.048; 1.0 = paper size).
-    Scale "--scale" Kind::Float, [CONFIGURED, "weak"];
+    Scale "--scale" Kind::Float, [CONFIGURED];
     /// Size classes to run, e.g. `small,medium` (default all); `query`
     /// sends the first.
     Sizes "--sizes" Kind::Sizes, [CONFIGURED, "query"];
@@ -181,9 +180,6 @@ flags! {
     Json "--json" Kind::Switch, ["explain status"];
     /// Revoke and re-issue a cell leased longer than this (default: off).
     LeaseTimeout "--lease-timeout" Kind::Secs, ["coordinate"];
-    /// Once idle workers outnumber pending cells, hand the longest lease
-    /// older than this to an idle worker (default: off).
-    RebalanceAfter "--rebalance-after" Kind::Secs, ["coordinate"];
     /// Framed-protocol bind address.
     Listen "--listen" Kind::Text, ["coordinate serve"] = "127.0.0.1:7717";
     /// HTTP bind address.
@@ -405,7 +401,7 @@ fn requested_figures(names: &[String]) -> Result<Vec<FigureId>> {
             "all" => FigureId::ALL.to_vec(),
             what => vec![FigureId::from_name(what).ok_or_else(|| {
                 Error::invalid(format!(
-                    "unknown command {what:?} (want figN/table1/weak/explain/\
+                    "unknown command {what:?} (want figN/table1/explain/\
                      coordinate/work/status/serve/query/all)"
                 ))
             })?],
@@ -474,7 +470,6 @@ fn run(args: &Args) -> Result<()> {
         "work" => work(args),
         "status" => status(args),
         "explain" => explain(args),
-        "weak" => weak(args),
         _ => sweep(args),
     }
 }
@@ -528,24 +523,6 @@ fn work(args: &Args) -> Result<()> {
         } else {
             ""
         }
-    );
-    Ok(())
-}
-
-/// Paper future work (§5.2): weak scaling — per-node data constant.
-fn weak(args: &Args) -> Result<()> {
-    let scale = harness_config(args).scale;
-    let genes = (5_000.0 * scale * 3.0).round() as usize;
-    let patients = (5_000.0 * scale * 2.0).round() as usize;
-    println!(
-        "{}",
-        figures::weak_scaling(
-            genes.max(48),
-            patients.max(40),
-            &[1, 2, 4],
-            genbase::Query::Regression,
-        )?
-        .render()
     );
     Ok(())
 }
@@ -721,8 +698,7 @@ const STATUS_ROWS: [(&str, &[(&str, &str)]); 4] = [
         ("leased", "leased"), ("failed", "failed")]),
     ("rejected", &[("rejected", "requests")]),
     ("history", &[("executed", "executed"), ("restored", "restored"),
-        ("reissued", "reissued"), ("resumed", "resumed"), ("rebalanced", "rebalanced"),
-        ("departed", "departed")]),
+        ("reissued", "reissued"), ("resumed", "resumed"), ("departed", "departed")]),
     ("workers", &[("workers", "connections")]),
 ];
 
@@ -791,12 +767,9 @@ fn coordinate(args: &Args) -> Result<()> {
         options = options.with_checkpoint(path);
     }
     // Zero seconds is off, as when the flag is absent.
-    let secs = |flag| args.get(flag).filter(|&s| s > 0).map(Duration::from_secs);
-    if let Some(timeout) = secs(Flag::LeaseTimeout) {
+    let timeout = args.get(Flag::LeaseTimeout).filter(|&s| s > 0);
+    if let Some(timeout) = timeout.map(Duration::from_secs) {
         options = options.with_lease_timeout(timeout);
-    }
-    if let Some(after) = secs(Flag::RebalanceAfter) {
-        options = options.with_rebalance_after(after);
     }
     if let Some(token) = args.auth_token() {
         options = options.with_auth_token(token);
@@ -820,15 +793,13 @@ fn coordinate(args: &Args) -> Result<()> {
         .map_err(|e| Error::invalid(format!("coordinated sweep: {e}")))?;
     let summary = format!(
         "coordinated sweep: {} cells ({} executed by {} workers, {} from \
-         checkpoint, {} leases re-issued, {} resumed, {} rebalanced, \
-         {} clean departures)",
+         checkpoint, {} leases re-issued, {} resumed, {} clean departures)",
         outcome.planned,
         outcome.executed,
         outcome.workers,
         outcome.restored,
         outcome.reissued,
         outcome.resumed,
-        outcome.rebalanced,
         outcome.departed,
     );
     let harness = Harness::new(config)?;
@@ -840,15 +811,15 @@ fn coordinate(args: &Args) -> Result<()> {
 mod tests {
     use super::*;
 
-    /// Retired subcommands and flags get no tombstone branch: `bench`, the
-    /// file-shard flags, `--faults`, `--figures` and `--connect-window` are
-    /// rejected by the same errors as any other unknown command or flag.
+    /// Retired subcommands and flags get no tombstone branch: `bench`,
+    /// `weak`, the file-shard flags, `--faults`, `--figures`,
+    /// `--connect-window` and `--rebalance-after` are rejected by the same
+    /// errors as any other unknown command or flag.
     #[test]
     fn unknown_commands_and_flags_hit_the_generic_errors() {
-        for what in ["bench", "fig9"] {
-            let err = requested_figures(&[what.to_string()])
-                .unwrap_err()
-                .to_string();
+        for what in ["bench", "weak", "fig9"] {
+            let args = parse_args(&[what.to_string()]).ok().expect("parses");
+            let err = run(&args).unwrap_err().to_string();
             assert!(err.contains(&format!("unknown command {what:?}")), "{err}");
         }
         for flag in [
@@ -860,6 +831,7 @@ mod tests {
             "--faults",
             "--figures",
             "--connect-window",
+            "--rebalance-after",
         ] {
             let argv = ["fig1".to_string(), flag.to_string()];
             let err = parse_args(&argv).err().expect("usage error");
@@ -892,7 +864,7 @@ mod tests {
         let snap = genbase_util::Json::parse(
             r#"{"type":"status","service":"coordinate","planned":35,"restored":5,
                 "pending":3,"leased":1,"done":31,"failed":0,"executed":26,"reissued":2,
-                "departed":1,"rebalanced":0,"resumed":1,"workers":2,
+                "departed":1,"resumed":1,"workers":2,
                 "leases":[{"worker":3,"cell":"svd/small/n1/SciDB","held_secs":1.25}],
                 "throughput":[{"worker":3,"completed":10,"failed":0,"cells_per_sec":2.5}]}"#,
         )
@@ -902,7 +874,7 @@ mod tests {
             "coordinate @ 127.0.0.1:7751\n\
              \x20 cells       35 planned     31 done      3 pending      1 leased      0 failed\n\
              \x20 history     26 executed      5 restored      2 reissued      1 resumed  \
-             \x20   0 rebalanced      1 departed\n\
+             \x20   1 departed\n\
              \x20 workers      2 connections\n\
              \x20 leases:\n\
              \x20     worker        held  cell\n\
@@ -928,7 +900,6 @@ mod tests {
             "fig1",
             "table1",
             "all",
-            "weak",
             "explain",
             "coordinate",
             "work",
@@ -1021,10 +992,6 @@ mod tests {
             ("fig1 --sizes small,huge", unknown("--sizes", "huge")),
             ("fig1 --mn-size huge", unknown("--mn-size", "huge")),
             ("fig1 --scale", "--scale needs a value".into()),
-            (
-                "weak fig1",
-                r#"unexpected argument "fig1" after "weak""#.into(),
-            ),
             (
                 "work fig1",
                 r#"unexpected argument "fig1" after "work""#.into(),

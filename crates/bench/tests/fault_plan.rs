@@ -7,7 +7,7 @@ use std::process::Command;
 #[test]
 fn a_malformed_fault_plan_is_a_usage_error_naming_the_variable() {
     let out = Command::new(env!("CARGO_BIN_EXE_paper_harness"))
-        .args(["weak", "--scale", "0.001"])
+        .args(["fig1", "--scale", "0.001"])
         .env("GENBASE_FAULTS", "worker.cell@2=explode")
         .output()
         .expect("paper_harness runs");

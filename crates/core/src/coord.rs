@@ -42,10 +42,8 @@
 //!   [`WorkerOptions::stop`] flag) sends `leave`: its cell is re-queued
 //!   uncharged and it gets `bye`. A worker that loses its connection
 //!   mid-cell reconnects with backoff and re-submits its finished result
-//!   flagged `resume: true`. When idle workers outnumber pending cells the
-//!   coordinator may *rebalance*: the longest-held lease past
-//!   [`CoordOptions::rebalance_after`] is revoked, uncharged, for an idle
-//!   worker; whichever copy of the result arrives first wins (they are
+//!   flagged `resume: true`; so may a holder whose lease the deadline
+//!   revoked. Whichever copy of the result arrives first wins (they are
 //!   identical under `SimOnly`). A lease whose cell settled meanwhile is
 //!   no loss: losing it is neither charged nor counted.
 //! - **A cell is the unit of resume.** Only settled cells ride the
@@ -102,11 +100,6 @@ pub struct CoordOptions {
     /// worker's `hello` must carry the same token, or none when this is
     /// `None`; a mismatch either way is a protocol reject at the handshake.
     pub auth_token: Option<String>,
-    /// Work-stealing deadline. When idle workers outnumber pending cells,
-    /// the longest-held lease older than this is revoked, uncharged, for
-    /// an idle worker; its holder is cut off and its eventual result lands
-    /// through the resume path. `None` (default) disables rebalancing.
-    pub rebalance_after: Option<Duration>,
 }
 
 impl CoordOptions {
@@ -125,13 +118,6 @@ impl CoordOptions {
     /// Require workers to present `token` at the handshake.
     pub fn with_auth_token(mut self, token: impl Into<String>) -> CoordOptions {
         self.auth_token = Some(token.into());
-        self
-    }
-
-    /// Steal the longest-held lease once idle workers outnumber pending
-    /// cells and the lease is older than `after`.
-    pub fn with_rebalance_after(mut self, after: Duration) -> CoordOptions {
-        self.rebalance_after = Some(after);
         self
     }
 }
@@ -154,8 +140,6 @@ pub struct CoordOutcome {
     /// Workers that departed cleanly via `leave` (their handed-back cells
     /// are not charged against the re-issue cap).
     pub departed: usize,
-    /// Leases revoked by work-stealing rebalance.
-    pub rebalanced: usize,
     /// Results accepted through the reconnect/resume path.
     pub resumed: usize,
     /// Human-readable note when the checkpoint was recovered from its
@@ -177,8 +161,6 @@ type Cut = Box<dyn Fn() + Send>;
 struct Worker {
     cut: Cut,
     lease: Option<Lease>,
-    /// Parked on an `idle` reply: spare capacity for the rebalancer.
-    idle: bool,
     completed: usize,
     failed: usize,
     connected: Instant,
@@ -200,8 +182,6 @@ struct State {
     reissue_counts: HashMap<String, usize>,
     /// Clean `leave` departures.
     departed: usize,
-    /// Leases revoked by the rebalancer.
-    rebalanced: usize,
     /// Results accepted through the resume path.
     resumed: usize,
 }
@@ -222,7 +202,7 @@ impl State {
     /// Give a revoked lease's cell back to the ledger, charging `loss` (why
     /// its holder lost it) to a cell still out — one settled meanwhile cost
     /// nothing — and abandoning it past [`MAX_REISSUES_PER_CELL`] losses.
-    /// `None`: the holder did nothing wrong (a clean `leave`, a rebalance).
+    /// `None`: the holder did nothing wrong (a clean `leave`).
     fn give_back(&mut self, ledger: &Ledger, lease: Lease, loss: Option<&str>) {
         let requeued = ledger.give_back(&lease.cell);
         let Some(why) = loss.filter(|_| requeued) else {
@@ -281,7 +261,6 @@ impl Core {
             let record = Worker {
                 cut,
                 lease: None,
-                idle: false,
                 completed: 0,
                 failed: 0,
                 connected: now,
@@ -327,7 +306,7 @@ impl Core {
                     return refuse(format!("reported cell {} it does not hold", cell.id()));
                 }
                 // A resumed report: the worker finished a cell whose lease it
-                // lost to a reconnect, rebalance, or deadline. Reconcile
+                // lost to a reconnect or the deadline. Reconcile
                 // against where the cell is now.
                 match (self.ledger.state_of(&cell), &outcome) {
                     // Someone already settled it (identical under SimOnly):
@@ -373,10 +352,7 @@ impl Core {
             // re-issue cap — the worker is healthy, it was *asked* to stop.
             let mut s = lock(&self.state);
             s.departed += 1;
-            let lease = s.workers.get_mut(&worker).and_then(|w| {
-                w.idle = false;
-                w.lease.take()
-            });
+            let lease = s.workers.get_mut(&worker).and_then(|w| w.lease.take());
             if let Some(lease) = lease {
                 s.give_back(&self.ledger, lease, None);
             }
@@ -410,13 +386,10 @@ impl Core {
                 held.cell.id()
             )));
         }
-        let next = self.ledger.take();
         // With nothing pending but another worker's lease outstanding (it may
-        // yet fail and re-queue), the worker polls back — and counts as spare
-        // capacity to the rebalancer while it does.
-        w.idle = next.is_none() && outstanding;
-        let Some(cell) = next else {
-            if !w.idle {
+        // yet fail and re-queue), the worker polls back.
+        let Some(cell) = self.ledger.take() else {
+            if !outstanding {
                 return Ok(msg("done"));
             }
             let mut idle = msg("idle");
@@ -439,41 +412,27 @@ impl Core {
         }
     }
 
-    /// The service tick's one pass over the leases. First every lease held
-    /// past [`CoordOptions::lease_timeout`] is revoked and charged to its
-    /// cell — the gap EOF detection cannot close. Then, when idle workers
-    /// outnumber pending cells, the oldest lease past
-    /// [`CoordOptions::rebalance_after`] is revoked for that spare capacity,
-    /// uncharged: its holder is healthy, just slow, and its finished result
-    /// can still land through the resume path (first copy wins). Each
-    /// holder's connection is cut from its record; its handler then ends
-    /// the connection and finds no lease left to give back.
+    /// The service tick's one pass over the leases: every lease held past
+    /// [`CoordOptions::lease_timeout`] is revoked and charged to its cell —
+    /// the gap EOF detection cannot close. Each holder's connection is cut
+    /// from its record; its handler then ends the connection and finds no
+    /// lease left to give back. A holder that finished the cell anyway can
+    /// still land it through the resume path (first copy wins).
     fn tick(&self, now: Instant) {
-        let policies = [
-            (self.options.lease_timeout, Some("lease deadline exceeded")),
-            (self.options.rebalance_after, None),
-        ];
+        let Some(limit) = self.options.lease_timeout else {
+            return;
+        };
         let mut s = lock(&self.state);
-        for (limit, loss) in policies {
-            let held = s.leases().map(|(worker, lease)| (lease.since, worker));
-            let past =
-                |&(since, _): &(Instant, u64)| limit.is_some_and(|limit| now - since > limit);
-            let mut stale: Vec<(Instant, u64)> = held.filter(past).collect();
-            if loss.is_none() {
-                // Rebalancing takes the oldest, and only for spare capacity.
-                let idle = s.workers.values().filter(|w| w.idle).count();
-                let spare = !self.ledger.halted() && idle > self.pending();
-                stale.sort();
-                stale.truncate(usize::from(spare));
-            }
-            for (_, worker) in stale {
-                let w = s.workers.get_mut(&worker);
-                let w = w.expect("a stale lease has a holder");
-                (w.cut)();
-                if let Some(lease) = w.lease.take() {
-                    s.rebalanced += usize::from(loss.is_none());
-                    s.give_back(&self.ledger, lease, loss);
-                }
+        let stale: Vec<u64> = (s.leases())
+            .filter(|(_, lease)| now - lease.since > limit)
+            .map(|(worker, _)| worker)
+            .collect();
+        for worker in stale {
+            let w = s.workers.get_mut(&worker);
+            let w = w.expect("a stale lease has a holder");
+            (w.cut)();
+            if let Some(lease) = w.lease.take() {
+                s.give_back(&self.ledger, lease, Some("lease deadline exceeded"));
             }
         }
     }
@@ -496,7 +455,6 @@ impl Core {
         m.set("executed", Json::from(done - self.restored));
         m.set("reissued", Json::from(s.reissued));
         m.set("departed", Json::from(s.departed));
-        m.set("rebalanced", Json::from(s.rebalanced));
         m.set("resumed", Json::from(s.resumed));
         m.set("workers", Json::from(s.admitted));
         let leases = s.leases().map(|(worker, lease)| {
@@ -551,7 +509,6 @@ impl Core {
             reissued: s.reissued,
             workers: s.admitted,
             departed: s.departed,
-            rebalanced: s.rebalanced,
             resumed: s.resumed,
             recovered: done.recovered,
         })
@@ -1032,8 +989,6 @@ mod fleet {
         cut: Arc<AtomicBool>,
         /// The cell it was last leased, and when.
         lease: Option<(usize, Instant)>,
-        /// Parked on an `idle` reply.
-        idle: bool,
         /// Holds its lease and stays silent.
         wedged: bool,
     }
@@ -1060,7 +1015,6 @@ mod fleet {
         charged: Vec<usize>,
         failed: Vec<bool>,
         departed: usize,
-        rebalanced: usize,
         resumed: usize,
     }
 
@@ -1069,11 +1023,9 @@ mod fleet {
             let mut rng = Pcg64::new(seed);
             let cells = 1 + rng.next_below(10) as usize;
             let workers = 1 + rng.next_below(4) as usize;
-            let mut limit = || Duration::from_millis(20 + rng.next_below(300));
-            let (timeout, rebalance) = (limit(), limit());
+            let timeout = Duration::from_millis(20 + rng.next_below(300));
             let options = CoordOptions {
                 lease_timeout: (seed & 1 == 1).then_some(timeout),
-                rebalance_after: (seed & 2 == 2).then_some(rebalance),
                 ..CoordOptions::default()
             };
             let plan = (0..cells).map(cell).collect();
@@ -1086,7 +1038,6 @@ mod fleet {
                 charged: vec![0; cells],
                 failed: vec![false; cells],
                 departed: 0,
-                rebalanced: 0,
                 resumed: 0,
             }
         }
@@ -1125,7 +1076,6 @@ mod fleet {
                 id: self.last_id,
                 cut,
                 lease: None,
-                idle: false,
                 wedged: false,
             });
             let Some(mut frame) = self.workers[w].unacked.take() else {
@@ -1167,9 +1117,7 @@ mod fleet {
                     return false;
                 }
             };
-            let kind = msg_type(&reply).unwrap();
-            self.conn(w).idle = kind == "idle";
-            match kind {
+            match msg_type(&reply).unwrap() {
                 "lease" => {
                     let i = index(reply.get("cell").unwrap());
                     let now = self.now;
@@ -1195,51 +1143,27 @@ mod fleet {
         }
 
         /// The service tick, checked against what the lease policy says it
-        /// must revoke: every lease past the deadline (charged), then — if
-        /// idle workers outnumber pending cells — the oldest lease past the
-        /// rebalance limit (uncharged).
+        /// must revoke: every lease past the deadline, charged.
         fn tick(&mut self) {
             let now = self.now;
-            let options = self.core.options.clone();
-            let mut held: Vec<(Instant, u64, usize, usize)> = (self.workers.iter())
+            let limit = self.core.options.lease_timeout;
+            let held: Vec<(usize, usize, Instant)> = (self.workers.iter())
                 .enumerate()
-                .filter_map(|(w, v)| {
-                    let c = v.conn.as_ref()?;
-                    c.lease.map(|(i, since)| (since, c.id, w, i))
-                })
+                .filter_map(|(w, v)| v.conn.as_ref()?.lease.map(|(i, since)| (w, i, since)))
                 .collect();
-            held.sort();
-            let past = |since: Instant, limit: Option<Duration>| {
-                limit.is_some_and(|limit| now - since > limit)
-            };
             let mut revoked = Vec::new();
-            let mut pending = self.core.pending();
-            for &(since, _, w, i) in &held {
-                if past(since, options.lease_timeout) {
+            for (w, i, since) in held {
+                if limit.is_some_and(|limit| now - since > limit) {
                     revoked.push(w);
                     self.lose(i);
-                    let requeued = self.state(i) == CellState::Out;
-                    pending += usize::from(requeued && self.charged[i] <= MAX_REISSUES_PER_CELL);
-                }
-            }
-            let idle = self.workers.iter().flat_map(|v| &v.conn).filter(|c| c.idle);
-            if idle.count() > pending {
-                let mut stale = held.iter().filter(|(since, _, w, _)| {
-                    past(*since, options.rebalance_after) && !revoked.contains(w)
-                });
-                if let Some(&(_, _, w, _)) = stale.next() {
-                    revoked.push(w);
-                    self.rebalanced += 1;
                 }
             }
             self.core.tick(now);
-            let mut cut: Vec<usize> = (0..self.workers.len())
+            let cut: Vec<usize> = (0..self.workers.len())
                 .filter(|&w| {
                     (self.workers[w].conn.as_ref()).is_some_and(|c| c.cut.load(Ordering::Relaxed))
                 })
                 .collect();
-            cut.sort_unstable();
-            revoked.sort_unstable();
             assert_eq!(cut, revoked, "the tick's revocations");
             for w in cut {
                 let conn = self.conn(w);
@@ -1427,7 +1351,6 @@ mod fleet {
                 let s = lock(&self.core.state);
                 assert_eq!(s.reissued, reissued, "charged losses {:?}", self.charged);
                 assert_eq!(s.departed, self.departed);
-                assert_eq!(s.rebalanced, self.rebalanced);
                 assert_eq!(s.resumed, self.resumed);
             }
             match (self.core.finish(), failed.first()) {

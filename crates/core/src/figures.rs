@@ -569,53 +569,6 @@ pub fn render_per_op(
     })
 }
 
-/// Weak-scaling experiment — the paper's stated future work ("in reality,
-/// the genomics data should scale in size with the number of nodes in the
-/// cluster (weak scaling). We intend to run our benchmarks on larger scale
-/// clusters using weak scaling"). Each node count runs against a dataset
-/// whose patient dimension grows proportionally, so per-node data stays
-/// constant; an ideal system would hold total time flat.
-pub fn weak_scaling(
-    base_genes: usize,
-    base_patients: usize,
-    node_counts: &[usize],
-    query: Query,
-) -> Result<Figure> {
-    use genbase_datagen::{generate, GeneratorConfig, SizeSpec};
-    let engines = engines::multi_node_engines();
-    let mut table = system_table("nodes", &engines);
-    for &nodes in node_counts {
-        let spec = SizeSpec::custom(base_genes, base_patients * nodes, (base_genes / 12).max(8));
-        let data = generate(&GeneratorConfig::new(spec))?;
-        let params = crate::query::QueryParams::for_dataset(&data);
-        let ctx = crate::engine::ExecContext::multi_node(nodes);
-        let mut row = vec![format!(
-            "{nodes} ({}x{} total)",
-            base_genes,
-            base_patients * nodes
-        )];
-        for engine in &engines {
-            if !engine.supports(query) {
-                row.push("-".into());
-                continue;
-            }
-            match engine.run(query, &data, &params, &ctx) {
-                Ok(report) => row.push(fmt_secs(report.phases().total_secs())),
-                Err(e) if e.is_infinite_result() => row.push("inf".into()),
-                Err(e) => return Err(e),
-            }
-        }
-        table.row(row);
-    }
-    Ok(Figure {
-        title: format!(
-            "Weak scaling (paper future work): {} query, {base_patients} patients/node",
-            query.title()
-        ),
-        tables: vec![("constant per-node data".into(), table)],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,14 +611,6 @@ mod tests {
         let rendered = t1.render();
         assert!(rendered.contains("Covariance"));
         assert!(rendered.contains("Biclustering"));
-    }
-
-    #[test]
-    fn weak_scaling_renders() {
-        let fig = weak_scaling(48, 40, &[1, 2], Query::Regression).unwrap();
-        let rendered = fig.render();
-        assert!(rendered.contains("Weak scaling"));
-        assert!(rendered.contains("pbdR"));
     }
 
     #[test]
